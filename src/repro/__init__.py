@@ -34,9 +34,9 @@ from repro.api import (
     register_estimator,
     register_family,
 )
-from repro.api.deprecations import deprecated_front_door as _deprecated_front_door
 from repro.core import (
     CostModel,
+    HybridLSH,
     HybridSearcher,
     LinearScan,
     LSHSearch,
@@ -46,7 +46,6 @@ from repro.core import (
     calibrate_cost_model,
     paper_parameters,
 )
-from repro.core import HybridLSH as _HybridLSH
 from repro.distances import get_metric
 from repro.hashing import (
     BitSamplingLSH,
@@ -59,23 +58,7 @@ from repro.hashing import (
 from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
 from repro.index.serialize import load_index, save_index
 from repro.service import QueryResultCache
-from repro.service import BatchQueryEngine as _BatchQueryEngine
-from repro.service import QueryService as _QueryService
-from repro.service import ShardedHybridIndex as _ShardedHybridIndex
 from repro.sketches import HyperLogLog
-
-# Legacy front doors: fully functional, but constructing one through the
-# top-level package warns (once) that repro.Index is the supported path.
-HybridLSH = _deprecated_front_door(_HybridLSH, "repro.Index.build(points, IndexSpec(...))")
-QueryService = _deprecated_front_door(
-    _QueryService, "repro.Index.build(points, IndexSpec(cache_size=...))"
-)
-BatchQueryEngine = _deprecated_front_door(
-    _BatchQueryEngine, "repro.Index.build(points, IndexSpec(...))"
-)
-ShardedHybridIndex = _deprecated_front_door(
-    _ShardedHybridIndex, "repro.Index.build(points, IndexSpec(num_shards=...))"
-)
 
 __version__ = "1.1.0"
 
@@ -107,10 +90,7 @@ __all__ = [
     "CoveringLSHIndex",
     "save_index",
     "load_index",
-    "BatchQueryEngine",
-    "ShardedHybridIndex",
     "QueryResultCache",
-    "QueryService",
     "HyperLogLog",
     "BitSamplingLSH",
     "SimHashLSH",

@@ -1,19 +1,16 @@
 """The ``Index`` facade: one spec-driven front door for every workload.
 
-The package grew three entry points — :class:`~repro.core.hybrid.HybridLSH`
-(single index), :class:`~repro.service.sharded.ShardedHybridIndex`
-(partitioned), and :class:`~repro.service.service.QueryService`
-(cache + counters) — each with its own constructor vocabulary.
-:class:`Index` replaces them with one declarative surface:
+:class:`Index` is the package's serving surface:
 
 * :meth:`Index.build` consumes an :class:`~repro.api.spec.IndexSpec`
-  and assembles the right engine underneath (batched single index or
-  sharded fan-out), the cost model (fixed ratio or timing-calibrated),
-  the ``candSize`` estimator (resolved from the estimator registry),
-  and the optional result cache;
+  and assembles the right engine underneath (batched single index,
+  sharded thread fan-out or worker-process pool), the cost model (fixed
+  ratio or timing-calibrated), the ``candSize`` estimator (resolved
+  from the estimator registry), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
-  radius, exact top-k, single or batch — through one method, with
-  answers bit-identical to the legacy paths it delegates to;
+  radius, exact top-k, single or batch — through one method, returning
+  a :class:`~repro.api.outcome.QueryOutcome` /
+  :class:`~repro.api.outcome.BatchOutcome`;
 * :meth:`Index.insert` routes new points in and invalidates only the
   affected shards' cache entries (the cache stores per-shard partial
   answers under shard-tagged keys);
@@ -30,7 +27,6 @@ from typing import Any, cast
 
 import numpy as np
 
-from repro.api.deprecations import warn_legacy_shape
 from repro.api.outcome import BatchOutcome, QueryOutcome
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
@@ -301,9 +297,10 @@ def _spec_is_shard_customised(spec: IndexSpec) -> bool:
     """Whether a sharded build needs the spec-driven per-shard factory.
 
     The paper-preset fields route through :class:`HybridLSH` directly
-    (identical draws to the legacy constructor); anything beyond them —
-    named family, explicit ``k``/width/params, lazy threshold, sketch
-    seed — builds each shard through :func:`_build_single_index`.
+    (the :func:`~repro.core.presets.paper_parameters` draws); anything
+    beyond them — named family, explicit ``k``/width/params, lazy
+    threshold, sketch seed — builds each shard through
+    :func:`_build_single_index`.
     """
     return bool(
         spec.k is not None
@@ -378,6 +375,15 @@ def _custom_shard_factory(
     return factory
 
 
+#: Radius-from-k estimation (:meth:`Index._topk_adaptive`): the first
+#: radius targets the distance profile's ``_K_SAFETY * k / n`` quantile,
+#: an uncertified pass multiplies it by ``_RADIUS_GROWTH``, and after
+#: ``_MAX_ESCALATIONS`` growth rounds the exact top-k path answers.
+_K_SAFETY = 2.0
+_RADIUS_GROWTH = 2.0
+_MAX_ESCALATIONS = 3
+
+
 class Index:
     """Spec-driven facade over the whole serving stack.
 
@@ -402,7 +408,7 @@ class Index:
     def __init__(
         self,
         backend: Any,
-        spec: IndexSpec | None = None,
+        spec: IndexSpec,
         cache: QueryResultCache | None = None,
     ) -> None:
         self._backend = backend
@@ -501,40 +507,6 @@ class Index:
                 fault_plan=fault_plan,
             )
         return built
-
-    @classmethod
-    def from_engine(
-        cls,
-        engine: Any,
-        cache: QueryResultCache | None = None,
-        spec: IndexSpec | None = None,
-    ) -> Index:
-        """Wrap an already-built engine in the facade.
-
-        Accepts a :class:`~repro.service.batch.BatchQueryEngine`, a
-        :class:`~repro.service.sharded.ShardedHybridIndex`, a
-        :class:`~repro.core.hybrid.HybridLSH`, or a bare
-        :class:`~repro.core.hybrid.HybridSearcher` — this is the
-        rebase hook for the legacy front doors.
-        """
-        from repro.service.workers import WorkerPool
-
-        backend: _ShardedBackend | _SingleBackend
-        if isinstance(engine, ShardedHybridIndex | WorkerPool):
-            backend = _ShardedBackend(engine)
-        elif isinstance(engine, BatchQueryEngine):
-            backend = _SingleBackend(engine)
-        elif isinstance(engine, HybridLSH):
-            backend = _SingleBackend(
-                BatchQueryEngine(engine.searcher, radius=engine.radius)
-            )
-        elif isinstance(engine, HybridSearcher):
-            backend = _SingleBackend(BatchQueryEngine(engine))
-        else:
-            raise ConfigurationError(
-                f"cannot wrap {type(engine).__name__} as an Index backend"
-            )
-        return cls(backend, spec=spec, cache=cache)
 
     @classmethod
     def open(
@@ -733,8 +705,7 @@ class Index:
         return the exact k nearest neighbors.  A single-vector request
         returns one :class:`~repro.api.outcome.QueryOutcome`, a matrix a
         :class:`~repro.api.outcome.BatchOutcome` (answered through the
-        batched engine) — the typed envelope on every execution path,
-        with payload arrays bit-identical to the legacy shapes.
+        batched engine) — the same envelope on every execution path.
 
         The request's ``adaptive`` / ``target_candidates`` /
         ``quality_floor`` fields override the index's
@@ -765,36 +736,11 @@ class Index:
         outcomes = tuple(QueryOutcome.from_result(r) for r in results)
         return outcomes[0] if request.single else BatchOutcome(outcomes)
 
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        """Answer a ``(q, d)`` radius-query matrix (one result per row).
-
-        This is the legacy ``list[QueryResult]`` shape — deprecated in
-        favour of ``query(QuerySpec(queries))`` returning a
-        :class:`~repro.api.outcome.BatchOutcome` — and warns once per
-        process; answers are unchanged.  ``allow_partial=True`` lets a
-        process-pool backend answer from the reachable shards when a
-        worker is unrecoverable, tagging results ``degraded=True``;
-        elsewhere it is a no-op.
-        """
-        warn_legacy_shape("Index.query_batch()", "Index.query(QuerySpec(queries))")
-        return self._radius_batch(
-            np.asarray(queries),
-            radius,
-            allow_partial=allow_partial,
-            policy=self._policy_for(None),
-        )
-
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points; only the receiving shards' cache entries drop.
 
         Cache keys are tagged with the shard whose partial answer they
-        hold, so entries for untouched shards stay hot across inserts —
-        the per-shard refinement of the old clear-everything behavior.
+        hold, so entries for untouched shards stay hot across inserts.
         """
         new_points = check_matrix(new_points, dim=self.dim, name="new_points")
         ids, affected_shards = self._backend.insert(new_points)
@@ -806,7 +752,7 @@ class Index:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _policy_for(self, request: QuerySpec | None) -> AdaptivePolicy | None:
+    def _policy_for(self, request: QuerySpec) -> AdaptivePolicy | None:
         """The adaptive policy one request executes under (None = fixed).
 
         The index policy (``spec.adaptive``) is the base; the request's
@@ -815,9 +761,7 @@ class Index:
         (the base is then a disabled default policy) and opt *out* of an
         index-wide policy with ``adaptive=False``.
         """
-        base = self.spec.adaptive if self.spec is not None else None
-        if request is None:
-            return base if base is not None and base.enabled else None
+        base = self.spec.adaptive
         if base is None:
             if (
                 request.adaptive is None
@@ -857,14 +801,12 @@ class Index:
         """
         if self._profile_ready:
             return self._profile
-        spec = self.spec
-        points = self._profile_points() if spec is not None else None
+        points = self._profile_points()
         if points is not None and points.shape[0] > 0:
-            assert spec is not None
             self._profile = measure_distance_profile(
                 points,
-                get_metric(spec.metric),
-                seed=0 if spec.seed is None else spec.seed,
+                get_metric(self.spec.metric),
+                seed=0 if self.spec.seed is None else self.spec.seed,
             )
         self._profile_ready = True
         return self._profile
@@ -900,14 +842,14 @@ class Index:
     ) -> list[QueryResult] | None:
         """Top-k through radius-from-k estimation (None = no profile).
 
-        Estimates the radius whose ball should hold ``k_safety * k``
+        Estimates the radius whose ball should hold ``_K_SAFETY * k``
         points from the calibration distance profile, answers a radius
         batch, and *certifies* a row as a top-k answer when it returned
         at least ``k`` hits and either is exact by construction (linear
         scan rows) or carries the paper's ``1 - delta`` recall guarantee
         at a radius the index is tuned for and the policy's
         ``quality_floor`` accepts it.  Uncertified rows escalate the
-        radius ``max_escalations`` times, then fall back to the exact
+        radius ``_MAX_ESCALATIONS`` times, then fall back to the exact
         top-k path.  With the default ``quality_floor=1.0`` only exact
         rows certify, so answers are bit-identical to the exact
         reference.
@@ -920,17 +862,15 @@ class Index:
             raise ConfigurationError(
                 f"k ({k}) must not exceed the index size ({n})"
             )
-        spec = self.spec
-        delta = spec.delta if spec is not None else 0.1
-        tuned_radius = spec.radius if spec is not None else None
-        certify_lsh = policy.quality_floor <= 1.0 - delta
+        tuned_radius = self.spec.radius
+        certify_lsh = policy.quality_floor <= 1.0 - self.spec.delta
         adaptive = policy if policy.bounds_probes or policy.recalibrate else None
         num_queries = queries.shape[0]
         self.stats.record_adaptive(radius_estimates=num_queries)
-        radius = profile.radius_for_k(k, n, safety=policy.k_safety)
+        radius = profile.radius_for_k(k, n, safety=_K_SAFETY)
         final: list[QueryResult | None] = [None] * num_queries
         pending = list(range(num_queries))
-        for _ in range(policy.max_escalations + 1):
+        for _ in range(_MAX_ESCALATIONS + 1):
             if not pending:
                 break
             rows = self._backend.query_batch(
@@ -943,11 +883,7 @@ class Index:
                     and not row.degraded
                     and (
                         row.stats.exact
-                        or (
-                            certify_lsh
-                            and tuned_radius is not None
-                            and radius <= tuned_radius
-                        )
+                        or (certify_lsh and radius <= tuned_radius)
                     )
                 )
                 if certified:
@@ -955,7 +891,7 @@ class Index:
                 else:
                     still.append(pos)
             pending = still
-            radius *= policy.radius_growth
+            radius *= _RADIUS_GROWTH
         if pending:
             fallback = self._backend.topk_batch(
                 queries[pending], k, trace=trace, allow_partial=allow_partial
@@ -1013,7 +949,7 @@ class Index:
         partial is cached under its own shard tag, so a query after an
         insert recomputes only the shards the insert touched.  In-batch
         duplicates of a missing query are answered once and shared
-        (popular-item storms), exactly like the legacy service.
+        (popular-item storms).
         """
         cache = self.cache
         assert cache is not None  # only called on the cache-enabled path
@@ -1094,10 +1030,9 @@ class Index:
 
     def __repr__(self) -> str:
         cache = "off" if self.cache is None else f"{len(self.cache)}/{self.cache.maxsize}"
-        spec = "legacy-wrapped" if self.spec is None else self.spec.metric
         return (
             f"Index(n={self.n}, dim={self.dim}, shards={self.num_shards}, "
-            f"spec={spec}, cache={cache})"
+            f"spec={self.spec.metric}, cache={cache})"
         )
 
 
@@ -1210,7 +1145,6 @@ def _as_process_pool(
         raise
     finally:
         index.close()
-    assert index.spec is not None  # build() always attaches the spec
     pool = WorkerPool(
         path,
         num_workers=num_workers,

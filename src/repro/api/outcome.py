@@ -1,27 +1,19 @@
 """The typed result envelope returned by :meth:`repro.api.Index.query`.
 
 Every execution path — single index, batched, sharded threads, worker
-processes, TCP shard servers — used to answer with the engine-level
-:class:`~repro.core.results.QueryResult` (or a plain ``list`` of them).
-That shape leaks engine internals (``stats.strategy`` is an enum, the
-adaptive diagnostics hide inside ``stats``) and gives batch callers an
-anonymous list with no place for batch-level metadata.
+processes, TCP shard servers — answers with the same two types.
 
-:class:`QueryOutcome` is the typed envelope: the payload arrays plus the
-first-class serving facts callers actually branch on — which strategy
-answered, how many probe rings were examined, how many candidates were
-distance-checked, whether the answer is exact / degraded — with the full
-engine diagnostics still attached as ``stats``.  :class:`BatchOutcome`
-wraps a batch as an immutable :class:`~collections.abc.Sequence` so the
-idiomatic consumptions (``len``, indexing, iteration, ``zip``) all keep
-working.
+:class:`QueryOutcome` carries the payload arrays plus the serving facts
+callers branch on — which strategy answered, how many probe rings were
+examined, how many candidates were distance-checked, whether the answer
+is exact / degraded — with the engine's decision diagnostics
+(:class:`~repro.core.results.QueryStats`) attached as ``stats``.
+:class:`BatchOutcome` wraps a batch as an immutable
+:class:`~collections.abc.Sequence`, so ``len``, indexing, iteration and
+``zip`` all work.
 
-The payload is **bit-identical** to the legacy shapes: ``ids`` and
-``distances`` are the very arrays the engine produced, never copied or
-re-ordered.  The legacy shapes remain constructible through
-:meth:`QueryOutcome.to_result` / :meth:`BatchOutcome.to_results`, which
-warn once per process (:mod:`repro.api.deprecations`) and then behave
-exactly as before.
+The envelope never copies: ``ids`` and ``distances`` are the very
+arrays the engine produced.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from typing import overload
 import numpy as np
 import numpy.typing as npt
 
-from repro.api.deprecations import warn_legacy_shape
 from repro.core.results import QueryResult, QueryStats
 from repro.observability import StageTrace
 
@@ -48,12 +39,11 @@ class QueryOutcome:
     ----------
     ids:
         Global point ids of the reported neighbors (the engine's own
-        array, bit-identical to the legacy result).
+        array).
     distances:
         Distances aligned with ``ids``.
     radius:
-        The radius answered (for top-k outcomes: the k-th distance, the
-        legacy top-k convention).
+        The radius answered (for top-k outcomes: the k-th distance).
     strategy:
         Which strategy produced the answer (``"lsh"`` / ``"linear"`` /
         ``"hybrid"``), as a plain string.
@@ -133,7 +123,7 @@ class QueryOutcome:
         return float(np.isin(true_ids, self.ids).mean())
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-friendly envelope document (the stream protocol's v2 body).
+        """JSON-friendly envelope document (the stream protocol's body).
 
         ``ids`` and ``distances`` become plain lists; ``nan`` estimates
         become ``None`` (JSON has no NaN); the engine diagnostics and
@@ -155,22 +145,6 @@ class QueryOutcome:
             "missing_shards": list(self.missing_shards),
         }
 
-    def to_result(self) -> QueryResult:
-        """The legacy :class:`QueryResult` shape (deprecated; warns once).
-
-        The returned object carries the *same* arrays and stats — the
-        envelope never copies — so the payload is bit-identical.
-        """
-        warn_legacy_shape("QueryOutcome.to_result()", "Index.query")
-        return QueryResult(
-            ids=self.ids,
-            distances=self.distances,
-            radius=self.radius,
-            stats=self.stats,
-            degraded=self.degraded,
-            missing_shards=self.missing_shards,
-        )
-
     def __repr__(self) -> str:
         return (
             f"QueryOutcome(r={self.radius}, found={self.output_size}, "
@@ -184,9 +158,7 @@ class BatchOutcome(Sequence[QueryOutcome]):
     """An immutable batch of :class:`QueryOutcome`, one per query row.
 
     Supports the full read-only sequence protocol (``len``, indexing,
-    slicing, iteration, ``in``), so code written against the legacy
-    ``list[QueryResult]`` shape keeps working unchanged on the payload
-    level.  Batch-level summaries (:attr:`degraded_count`,
+    slicing, iteration, ``in``).  Batch-level summaries (:attr:`degraded_count`,
     :attr:`strategy_counts`) live here instead of forcing callers to
     re-aggregate.
     """
@@ -222,21 +194,6 @@ class BatchOutcome(Sequence[QueryOutcome]):
         for outcome in self.outcomes:
             counts[outcome.strategy] = counts.get(outcome.strategy, 0) + 1
         return counts
-
-    def to_results(self) -> list[QueryResult]:
-        """The legacy ``list[QueryResult]`` shape (deprecated; warns once)."""
-        warn_legacy_shape("BatchOutcome.to_results()", "Index.query")
-        return [
-            QueryResult(
-                ids=outcome.ids,
-                distances=outcome.distances,
-                radius=outcome.radius,
-                stats=outcome.stats,
-                degraded=outcome.degraded,
-                missing_shards=outcome.missing_shards,
-            )
-            for outcome in self.outcomes
-        ]
 
     def __repr__(self) -> str:
         return f"BatchOutcome(n={len(self.outcomes)})"

@@ -137,11 +137,6 @@ def save_index(index: Any, path: str) -> None:
         raise ConfigurationError(
             f"save_index persists repro.api.Index objects, got {type(index).__name__}"
         )
-    if index.spec is None:
-        raise ConfigurationError(
-            "this Index wraps a legacy engine and carries no IndexSpec; "
-            "build it via Index.build(points, spec) to make it persistable"
-        )
     engine = index.engine
     cost_model = index.cost_model
     meta: dict[str, Any] = {

@@ -275,8 +275,8 @@ class QuerySpec:
 
     ``queries`` is normalised to a ``(q, d)`` float matrix; ``single``
     records whether the caller passed one vector (the facade then
-    returns one :class:`~repro.core.results.QueryResult` instead of a
-    list).
+    returns one :class:`~repro.api.outcome.QueryOutcome` instead of a
+    :class:`~repro.api.outcome.BatchOutcome`).
 
     Examples
     --------

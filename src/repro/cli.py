@@ -247,12 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "never narrow this server-level default)",
     )
     p_serve.add_argument(
-        "--proto", choices=("v1", "v2"), default="v2",
-        help="response protocol: v2 (default) emits the QueryOutcome "
-             "envelope with a \"v\": 2 marker; v1 restores the legacy "
-             "response body byte-for-byte",
-    )
-    p_serve.add_argument(
         "--connect", action="append", default=None, metavar="HOST:PORT[,HOST:PORT]",
         help="serve through standalone shard servers (repro.cli shard-serve) "
              "instead of spawning local workers: one flag per worker slot, "
@@ -745,7 +739,6 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
         "(one JSON request per line; Ctrl-D to stop)",
         file=sys.stderr,
     )
-    proto = 1 if getattr(args, "proto", "v2") == "v1" else 2
     if args.inflight > 1:
         responses = serve_stream_concurrent(
             index,
@@ -753,7 +746,6 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
             batch_size=args.batch_size,
             window=args.inflight,
             default_allow_partial=args.allow_partial,
-            proto=proto,
         )
     else:
         lines, more_ready = _line_stream_with_probe(stdin)
@@ -763,7 +755,6 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
             batch_size=args.batch_size,
             more_ready=more_ready,
             default_allow_partial=args.allow_partial,
-            proto=proto,
         )
     stop_stats = _start_stats_reporter(
         index, getattr(args, "stats_interval", 0.0), getattr(args, "stats_log", None)

@@ -42,6 +42,11 @@ __all__ = ["AdaptivePolicy", "CostModelTuner"]
 _BETA_STAGE = "linear"
 _ALPHA_STAGE = "candidates"
 
+#: Policy-document keys that used to be fields, with the only value any
+#: document was ever written with (see ``repro.api.facade`` for where
+#: the radius-from-k constants live now).
+_RETIRED_KEYS = {"k_safety": 2.0, "radius_growth": 2.0, "max_escalations": 3}
+
 
 @dataclass(frozen=True)
 class AdaptivePolicy:
@@ -64,16 +69,6 @@ class AdaptivePolicy:
         (the default 1.0) restricts certification to exactly-answered
         rows — adaptive top-k is then provably bit-identical to the
         exact reference.
-    k_safety:
-        Oversampling factor for radius-from-k estimation: the estimated
-        radius targets the distance profile's ``k_safety * k / n``
-        quantile, so the first radius pass usually returns >= k hits.
-    radius_growth:
-        Multiplier applied to the estimated radius when a pass returns
-        fewer than ``k`` hits.
-    max_escalations:
-        Radius-growth rounds before falling back to the exact top-k
-        path.
     min_probes:
         Probe rings always examined per table regardless of the
         estimate (ring 0 — the home buckets — is always probed).
@@ -87,9 +82,6 @@ class AdaptivePolicy:
     enabled: bool = True
     target_candidates: int | None = None
     quality_floor: float = 1.0
-    k_safety: float = 2.0
-    radius_growth: float = 2.0
-    max_escalations: int = 3
     min_probes: int = 0
     recalibrate: bool = False
     ewma_weight: float = 0.2
@@ -112,25 +104,6 @@ class AdaptivePolicy:
                 f"quality_floor must be in [0, 1], got {self.quality_floor!r}"
             )
         set_(self, "quality_floor", float(self.quality_floor))
-        if not float(self.k_safety) >= 1.0:
-            raise ConfigurationError(
-                f"k_safety must be >= 1, got {self.k_safety!r}"
-            )
-        set_(self, "k_safety", float(self.k_safety))
-        if not float(self.radius_growth) > 1.0:
-            raise ConfigurationError(
-                f"radius_growth must be > 1, got {self.radius_growth!r}"
-            )
-        set_(self, "radius_growth", float(self.radius_growth))
-        if (
-            isinstance(self.max_escalations, bool)
-            or not isinstance(self.max_escalations, int)
-            or self.max_escalations < 0
-        ):
-            raise ConfigurationError(
-                f"max_escalations must be a non-negative int, "
-                f"got {self.max_escalations!r}"
-            )
         if (
             isinstance(self.min_probes, bool)
             or not isinstance(self.min_probes, int)
@@ -157,6 +130,17 @@ class AdaptivePolicy:
             raise ConfigurationError(
                 f"adaptive policy document must be an object, got {doc!r}"
             )
+        doc = dict(doc)
+        # Saved ``index.json`` specs and worker policy documents written
+        # while these were fields still carry them; the value they were
+        # always written with loads, any other value is one this build
+        # can no longer honour.
+        for key, fixed in _RETIRED_KEYS.items():
+            if key in doc and doc.pop(key) != fixed:
+                raise ConfigurationError(
+                    f"adaptive-policy key {key!r} is no longer configurable "
+                    f"(fixed at {fixed!r})"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:

@@ -8,8 +8,8 @@ answering the same query set against the same data:
   :meth:`~repro.core.hybrid.HybridSearcher.query` call per query;
 * ``batched`` — one :class:`~repro.service.batch.BatchQueryEngine`
   batch (fused Step-S1 hashing, grouped linear pass, vectorised dedup);
-* ``frozen_batched`` — the same batch over the *same* index compacted
-  into the frozen CSR layout (:meth:`~repro.index.lsh_index.LSHIndex.freeze`):
+* ``frozen_batched`` — the same batch over the same spec and seed built
+  in the frozen CSR layout (identical hash draws, buckets and sketches):
   searchsorted lookups, stacked-register sketch merging, slice-scatter
   dedup — no per-bucket Python objects on the hot path;
 * ``sharded`` — one :class:`~repro.service.sharded.ShardedHybridIndex`
@@ -24,18 +24,20 @@ answering the same query set against the same data:
   ``matches`` flag asserts that tracing never changes an answer;
 * ``multiprobe_sequential`` / ``frozen_multiprobe`` (optional) — a
   :class:`~repro.index.multiprobe_index.MultiProbeLSHIndex` over the
-  same workload, per-query loop vs the same index compacted into the
-  frozen CSR layout and batch-served.  Multi-probe examines
+  same workload, per-query loop vs the same spec built in the frozen
+  CSR layout and batch-served.  Multi-probe examines
   ``1 + P`` buckets per table, so the frozen layout's batched
   probe-sequence ``searchsorted`` has proportionally more per-bucket
   Python overhead to delete; the ``frozen_multiprobe`` row's
   ``speedup`` is measured against ``multiprobe_sequential`` (its own
   reference loop), not the plain ``sequential`` row.
 
-The batched and sharded rows are served through the
-:class:`repro.api.Index` facade — the surface a deployment actually
-calls — so the acceptance bar charges the facade's bookkeeping
-overhead too, not just the raw engines.
+Every serving row is an ``Index.build(points, IndexSpec(...))`` timed
+through ``Index.query(QuerySpec(...))`` — the surface a deployment
+actually calls — so the acceptance bars charge the facade's bookkeeping
+too, not just the raw engines.  All rows share one seed and one
+``cost_ratio``, so their hash draws and dispatch decisions agree and
+the ``matches`` flags compare like with like.
 
 Each mode also gets a separate one-query-at-a-time latency pass whose
 p50/p95/p99 land in the row (and the JSON artifact): batch time
@@ -58,15 +60,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH
-from repro.core.results import QueryResult, Strategy
+from repro.core.results import Strategy
 from repro.datasets.queries import split_queries
 from repro.datasets.synthetic import gaussian_mixture
 from repro.evaluation.report import format_table
 from repro.observability import LatencyHistogram
-from repro.service.batch import BatchQueryEngine
-from repro.service.sharded import ShardedHybridIndex
 from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = [
@@ -154,23 +154,29 @@ def mixed_workload(
     return data, queries, float(radius)
 
 
-def _linear_fraction(results: list[QueryResult]) -> float:
-    return float(
-        np.mean([r.stats.strategy == Strategy.LINEAR for r in results])
-    )
+def _linear_fraction(results) -> float:
+    """Share of queries dispatched to linear search.
+
+    NaN for shard-merged answers (labelled ``HYBRID``): every shard
+    decides for itself, so the merge has no single strategy.
+    """
+    strategies = [r.stats.strategy for r in results]
+    if Strategy.HYBRID in strategies:
+        return float("nan")
+    return float(np.mean([s == Strategy.LINEAR for s in strategies]))
 
 
-def _results_equal(a: list[QueryResult], b: list[QueryResult]) -> bool:
+def _results_equal(a, b) -> bool:
     return all(
         np.array_equal(x.ids, y.ids) and np.array_equal(x.distances, y.distances)
         for x, y in zip(a, b)
     )
 
 
-def _time_best(fn, repeats: int) -> tuple[float, list[QueryResult]]:
+def _time_best(fn, repeats: int):
     """Run ``fn`` ``repeats`` times; return (best wall time, last results)."""
     best = float("inf")
-    results: list[QueryResult] = []
+    results = None
     for _ in range(repeats):
         started = time.perf_counter()
         results = fn()
@@ -216,6 +222,70 @@ def _latency_pass(fn_one, queries: np.ndarray) -> LatencyHistogram:
     return histogram
 
 
+def _measure_front(
+    front: Index,
+    queries: np.ndarray,
+    radius: float,
+    repeats: int,
+    allow_partial: bool = False,
+):
+    """Warm, batch-time and latency-pass one spec-built index.
+
+    Every request enters through ``Index.query(QuerySpec(...))``.
+    Returns ``(best batch seconds, last batch outcomes, latency)``.
+    """
+
+    def ask(q: np.ndarray):
+        return front.query(QuerySpec(q, radius=radius, allow_partial=allow_partial))
+
+    ask(queries[:2])  # BLAS thread pools, lazy imports, worker pipes
+    seconds, outcomes = _time_best(lambda: ask(queries), repeats)
+    return seconds, outcomes, _latency_pass(ask, queries)
+
+
+def _measure_sequential(searcher, queries: np.ndarray, radius: float, repeats: int):
+    """The reference loop: one ``searcher.query`` call per query.
+
+    Same return shape as :func:`_measure_front`.
+    """
+
+    def loop(qs: np.ndarray):
+        return [searcher.query(q, radius) for q in qs]
+
+    loop(queries[:2])  # warm
+    seconds, results = _time_best(lambda: loop(queries), repeats)
+    return seconds, results, _latency_pass(lambda q: searcher.query(q, radius), queries)
+
+
+def _row(
+    mode: str,
+    seconds: float,
+    reference_seconds: float,
+    matches: bool,
+    results,
+    latency: LatencyHistogram,
+    reference: str = "sequential",
+    **extra: float,
+) -> ThroughputRow:
+    """One table row from a mode's batch timing, answers and latency pass."""
+    num_queries = len(results)
+    quantiles = latency.quantiles()
+    return ThroughputRow(
+        mode=mode,
+        num_queries=num_queries,
+        seconds=seconds,
+        qps=num_queries / seconds if seconds else float("inf"),
+        speedup=reference_seconds / seconds if seconds else float("inf"),
+        matches=matches,
+        linear_fraction=_linear_fraction(results),
+        reference=reference,
+        p50=quantiles.get("p50", float("nan")),
+        p95=quantiles.get("p95", float("nan")),
+        p99=quantiles.get("p99", float("nan")),
+        **extra,
+    )
+
+
 def throughput_experiment(
     points: np.ndarray,
     queries: np.ndarray,
@@ -225,7 +295,7 @@ def throughput_experiment(
     num_shards: int = 4,
     cost_model: CostModel | None = None,
     repeats: int = 1,
-    seed: RandomState = 0,
+    seed: int = 0,
     include_workers: bool = False,
     num_workers: int | None = None,
     include_multiprobe: bool = False,
@@ -236,23 +306,24 @@ def throughput_experiment(
 ) -> list[ThroughputRow]:
     """Measure sequential / batched / sharded QPS on one workload.
 
-    The sequential and batched rows share one index (so the comparison
-    isolates the serving path), the sharded row builds its own ``K``
-    shard indexes.  ``cost_model=None`` calibrates on ``points`` once
-    and shares the result, keeping the three dispatch policies aligned.
+    Every row is built from one base :class:`~repro.api.IndexSpec` —
+    same ``seed`` (so equal hash draws) and same ``cost_ratio`` (so
+    equal dispatch decisions); ``cost_model=None`` calibrates on
+    ``points`` once and every row shares the resulting ratio.  The
+    sequential loop runs the searcher of the dict-layout ``batched``
+    index, so that comparison isolates the serving path; the
+    ``frozen_batched`` row isolates the layout.
 
-    ``include_workers=True`` adds the ``workers`` row: the same shard
-    configuration built with the frozen layout and the *same* seed and
-    cost model (so its per-shard hash draws equal the ``sharded`` row's
-    bit for bit), persisted to a transient artifact, and served by a
+    ``include_workers=True`` adds the ``workers`` row: the sharded spec
+    with the frozen layout and ``execution="processes"``, served by a
     process pool of ``num_workers`` workers mmap'ing the saved arrays.
     Its ``matches`` flag asserts bit-identity against the thread path's
     per-query reference.
 
     ``include_multiprobe=True`` adds the ``multiprobe_sequential`` and
-    ``frozen_multiprobe`` rows: one multi-probe index (``num_probes``
-    extra buckets per table, same paper parameters and cost model),
-    measured as a per-query loop and as the frozen CSR layout's batch
+    ``frozen_multiprobe`` rows: the base spec as a multi-probe index
+    (``num_probes`` extra buckets per table), measured as a per-query
+    loop over the dict layout and as the frozen CSR layout's batch
     path.  ``frozen_multiprobe.matches`` asserts bit-identity against
     the multi-probe sequential loop, and its ``speedup`` is relative to
     that loop.
@@ -277,198 +348,103 @@ def throughput_experiment(
 
         cost_model = calibrate_cost_model(points, metric, seed=seed).model
     queries = np.asarray(queries)
-    num_queries = queries.shape[0]
-
-    from repro.api import Index
-
-    from repro.core.hybrid import HybridSearcher
-
-    hybrid = HybridLSH(
-        points, metric=metric, radius=radius, num_tables=num_tables,
-        cost_model=cost_model, seed=seed,
+    base = IndexSpec(
+        metric=metric,
+        radius=radius,
+        num_tables=num_tables,
+        cost_ratio=float(cost_model.beta_over_alpha),
+        seed=seed,
     )
-    engine = BatchQueryEngine(hybrid.searcher, radius=radius)
-    # Freezing the *same* built index isolates the layout effect: the
-    # hash draws, buckets, and sketches are identical by construction.
-    frozen_engine = BatchQueryEngine(
-        HybridSearcher(hybrid.index.freeze(), cost_model), radius=radius
+    sharded_spec = base.with_overrides(num_shards=num_shards)
+    batched_front = Index.build(points, base)
+    frozen_front = Index.build(points, base.with_overrides(layout="frozen"))
+    sharded_front = Index.build(points, sharded_spec)
+    seq_seconds, seq_results, seq_latency = _measure_sequential(
+        batched_front.engine.searcher, queries, radius, repeats
     )
-    sharded = ShardedHybridIndex(
-        points, metric=metric, radius=radius, num_shards=num_shards,
-        num_tables=num_tables, cost_model=cost_model, seed=seed,
+    bat_seconds, bat_results, bat_latency = _measure_front(
+        batched_front, queries, radius, repeats
     )
-    # The serving rows go through the public facade (what a deployment
-    # calls); it delegates to the engines above, bit-identically.
-    batched_front = Index.from_engine(engine)
-    frozen_front = Index.from_engine(frozen_engine)
-    sharded_front = Index.from_engine(sharded)
+    sh_seconds, sh_results, sh_latency = _measure_front(
+        sharded_front, queries, radius, repeats
+    )
+    sh_reference = [sharded_front.engine.query(q, radius) for q in queries]
 
-    # Warm every path once (BLAS thread pools, lazy imports) before timing.
-    warm = queries[:2]
-    [hybrid.searcher.query(q, radius) for q in warm]
-    batched_front.query_batch(warm, radius)
-    frozen_front.query_batch(warm, radius)
-    sharded_front.query_batch(warm, radius)
-
-    seq_seconds, seq_results = _time_best(
-        lambda: [hybrid.searcher.query(q, radius) for q in queries], repeats
-    )
-    bat_seconds, bat_results = _time_best(
-        lambda: batched_front.query_batch(queries, radius), repeats
-    )
-    # Tracing must be measurement-only: same frozen engine, tracing on.
+    # Tracing must be measurement-only: same frozen index, tracing on.
     # The traced row's ``matches`` flag doubles as the bit-identity gate
     # and its QPS against ``frozen_batched`` measures the enabled-tracing
     # overhead — so the two runs are interleaved repeat-by-repeat to
     # cancel host drift out of that ratio.
-    def _frozen_traced():
+    def frozen(q: np.ndarray = queries):
+        return frozen_front.query(QuerySpec(q, radius=radius))
+
+    def frozen_traced(q: np.ndarray = queries):
         frozen_front.enable_tracing(True)
         try:
-            return frozen_front.query_batch(queries, radius)
+            return frozen(q)
         finally:
             frozen_front.enable_tracing(False)
 
+    frozen(queries[:2])  # warm
     fz_seconds, fz_results, tr_seconds, tr_results = _time_best_interleaved(
-        lambda: frozen_front.query_batch(queries, radius),
-        _frozen_traced,
-        repeats,
+        frozen, frozen_traced, repeats
     )
-    sh_seconds, sh_results = _time_best(
-        lambda: sharded_front.query_batch(queries, radius), repeats
-    )
-    sh_reference = [sharded.query(q, radius) for q in queries]
-
-    seq_latency = _latency_pass(lambda q: hybrid.searcher.query(q, radius), queries)
-    bat_latency = _latency_pass(
-        lambda q: batched_front.query_batch(q[None, :], radius), queries
-    )
-    fz_latency = _latency_pass(
-        lambda q: frozen_front.query_batch(q[None, :], radius), queries
-    )
-    sh_latency = _latency_pass(
-        lambda q: sharded_front.query_batch(q[None, :], radius), queries
-    )
-    frozen_front.enable_tracing(True)
-    try:
-        tr_latency = _latency_pass(
-            lambda q: frozen_front.query_batch(q[None, :], radius), queries
-        )
-    finally:
-        frozen_front.enable_tracing(False)
-
-    wk_seconds = wk_results = wk_latency = None
-    if include_workers:
-        wk_seconds, wk_results, wk_latency = _measure_workers(
-            points,
-            queries,
-            metric=metric,
-            radius=radius,
-            num_tables=num_tables,
-            num_shards=num_shards,
-            cost_model=cost_model,
-            seed=seed,
-            repeats=repeats,
-            num_workers=num_workers,
-            allow_partial=allow_partial,
-        )
-
-    def row(
-        mode: str,
-        seconds: float,
-        matches: bool,
-        linear_fraction: float,
-        latency: LatencyHistogram | None = None,
-    ) -> ThroughputRow:
-        quantiles = latency.quantiles() if latency is not None else {}
-        return ThroughputRow(
-            mode=mode,
-            num_queries=num_queries,
-            seconds=seconds,
-            qps=num_queries / seconds if seconds else float("inf"),
-            speedup=seq_seconds / seconds if seconds else float("inf"),
-            matches=matches,
-            linear_fraction=linear_fraction,
-            p50=quantiles.get("p50", float("nan")),
-            p95=quantiles.get("p95", float("nan")),
-            p99=quantiles.get("p99", float("nan")),
-        )
+    fz_latency = _latency_pass(frozen, queries)
+    tr_latency = _latency_pass(frozen_traced, queries)
 
     rows = [
-        row(
-            "sequential", seq_seconds, True, _linear_fraction(seq_results),
-            latency=seq_latency,
+        _row("sequential", seq_seconds, seq_seconds, True, seq_results, seq_latency),
+        _row(
+            "batched", bat_seconds, seq_seconds,
+            _results_equal(seq_results, bat_results), bat_results, bat_latency,
         ),
-        row(
-            "batched",
-            bat_seconds,
-            _results_equal(seq_results, bat_results),
-            _linear_fraction(bat_results),
-            latency=bat_latency,
+        _row(
+            "frozen_batched", fz_seconds, seq_seconds,
+            _results_equal(seq_results, fz_results), fz_results, fz_latency,
         ),
-        row(
-            "frozen_batched",
-            fz_seconds,
-            _results_equal(seq_results, fz_results),
-            _linear_fraction(fz_results),
-            latency=fz_latency,
+        # Stage timers wrap timing only — the traced run must stay
+        # bit-identical to the sequential loop like the untraced one.
+        _row(
+            "frozen_batched_traced", tr_seconds, seq_seconds,
+            _results_equal(seq_results, tr_results), tr_results, tr_latency,
         ),
-        row(
-            "frozen_batched_traced",
-            tr_seconds,
-            # Stage timers wrap timing only — the traced run must stay
-            # bit-identical to the sequential loop like the untraced one.
-            _results_equal(seq_results, tr_results),
-            _linear_fraction(tr_results),
-            latency=tr_latency,
-        ),
-        row(
-            "sharded",
-            sh_seconds,
-            _results_equal(sh_reference, sh_results),
-            float("nan"),
-            latency=sh_latency,
+        _row(
+            "sharded", sh_seconds, seq_seconds,
+            _results_equal(sh_reference, sh_results), sh_results, sh_latency,
         ),
     ]
     if include_workers:
+        # Same seed + cost ratio as the sharded row -> identical
+        # per-shard draws; the process pool must reproduce the thread
+        # path's answers bit for bit.  Build, save and pool startup are
+        # excluded from the timing, like every other mode.
+        workers_front = Index.build(
+            points,
+            sharded_spec.with_overrides(layout="frozen", execution="processes"),
+            num_workers=num_workers,
+        )
+        try:
+            wk_seconds, wk_results, wk_latency = _measure_front(
+                workers_front, queries, radius, repeats, allow_partial=allow_partial
+            )
+        finally:
+            workers_front.close()
         rows.append(
-            row(
-                "workers",
-                wk_seconds,
-                # Same seed + cost model as the sharded row -> identical
-                # per-shard draws; the process pool must reproduce the
-                # thread path's answers bit for bit.
-                _results_equal(sh_reference, wk_results),
-                float("nan"),
-                latency=wk_latency,
+            _row(
+                "workers", wk_seconds, seq_seconds,
+                _results_equal(sh_reference, wk_results), wk_results, wk_latency,
             )
         )
+    multiprobe_spec = base.with_overrides(variant="multiprobe", num_probes=num_probes)
     if include_multiprobe:
         rows.extend(
-            _measure_multiprobe(
-                points,
-                queries,
-                metric=metric,
-                radius=radius,
-                num_tables=num_tables,
-                num_probes=num_probes,
-                cost_model=cost_model,
-                seed=seed,
-                repeats=repeats,
-            )
+            _measure_multiprobe(points, queries, multiprobe_spec, radius, repeats)
         )
     if include_adaptive:
         rows.extend(
             _measure_adaptive(
-                points,
-                queries,
-                metric=metric,
-                radius=radius,
-                num_tables=num_tables,
-                num_probes=num_probes,
-                cost_model=cost_model,
-                seed=seed,
-                repeats=repeats,
-                adaptive_target=adaptive_target,
+                points, queries, multiprobe_spec.with_overrides(layout="frozen"),
+                radius, repeats, adaptive_target,
             )
         )
     return rows
@@ -477,90 +453,35 @@ def throughput_experiment(
 def _measure_multiprobe(
     points: np.ndarray,
     queries: np.ndarray,
-    metric: str,
+    spec: IndexSpec,
     radius: float,
-    num_tables: int,
-    num_probes: int,
-    cost_model: CostModel,
-    seed: RandomState,
     repeats: int,
 ) -> list[ThroughputRow]:
     """The multi-probe serving rows (dict sequential vs frozen batch).
 
-    One :class:`~repro.index.multiprobe_index.MultiProbeLSHIndex` is
-    built with the paper presets; freezing the *same* built index
-    isolates the layout effect exactly as the plain-index rows do.
+    ``spec`` is the dict-layout multi-probe spec; the frozen row builds
+    the same spec (same seed, so the same index) in the frozen layout,
+    isolating the layout effect exactly as the plain-index rows do.
     Both rows report their speedup relative to the multi-probe
     sequential loop.
     """
-    from repro.api import Index
-    from repro.core.hybrid import HybridSearcher
-    from repro.core.presets import paper_parameters
-    from repro.index.multiprobe_index import MultiProbeLSHIndex
-
-    params = paper_parameters(
-        metric, dim=points.shape[1], radius=radius, num_tables=num_tables, seed=seed
+    frozen_front = Index.build(points, spec.with_overrides(layout="frozen"))
+    seq_seconds, seq_results, seq_latency = _measure_sequential(
+        Index.build(points, spec).engine.searcher, queries, radius, repeats
     )
-    mp_index = MultiProbeLSHIndex(
-        params.family,
-        k=params.k,
-        num_tables=params.num_tables,
-        num_probes=num_probes,
-    ).build(points)
-    mp_searcher = HybridSearcher(mp_index, cost_model)
-    frozen_front = Index.from_engine(
-        BatchQueryEngine(
-            HybridSearcher(mp_index.freeze(), cost_model), radius=radius
-        )
+    fz_seconds, fz_results, fz_latency = _measure_front(
+        frozen_front, queries, radius, repeats
     )
-    warm = queries[:2]
-    [mp_searcher.query(q, radius) for q in warm]
-    frozen_front.query_batch(warm, radius)
-    seq_seconds, seq_results = _time_best(
-        lambda: [mp_searcher.query(q, radius) for q in queries], repeats
-    )
-    fz_seconds, fz_results = _time_best(
-        lambda: frozen_front.query_batch(queries, radius), repeats
-    )
-    seq_latency = _latency_pass(lambda q: mp_searcher.query(q, radius), queries)
-    fz_latency = _latency_pass(
-        lambda q: frozen_front.query_batch(q[None, :], radius), queries
-    )
-    num_queries = queries.shape[0]
-
-    def row(
-        mode: str,
-        seconds: float,
-        matches: bool,
-        linear_fraction: float,
-        latency: LatencyHistogram,
-    ):
-        quantiles = latency.quantiles()
-        return ThroughputRow(
-            mode=mode,
-            num_queries=num_queries,
-            seconds=seconds,
-            qps=num_queries / seconds if seconds else float("inf"),
-            speedup=seq_seconds / seconds if seconds else float("inf"),
-            matches=matches,
-            linear_fraction=linear_fraction,
-            reference="multiprobe_sequential",
-            p50=quantiles.get("p50", float("nan")),
-            p95=quantiles.get("p95", float("nan")),
-            p99=quantiles.get("p99", float("nan")),
-        )
-
+    reference = "multiprobe_sequential"
     return [
-        row(
-            "multiprobe_sequential", seq_seconds, True,
-            _linear_fraction(seq_results), seq_latency,
+        _row(
+            reference, seq_seconds, seq_seconds, True, seq_results, seq_latency,
+            reference=reference,
         ),
-        row(
-            "frozen_multiprobe",
-            fz_seconds,
-            _results_equal(seq_results, fz_results),
-            _linear_fraction(fz_results),
-            fz_latency,
+        _row(
+            "frozen_multiprobe", fz_seconds, seq_seconds,
+            _results_equal(seq_results, fz_results), fz_results, fz_latency,
+            reference=reference,
         ),
     ]
 
@@ -568,74 +489,56 @@ def _measure_multiprobe(
 def _measure_adaptive(
     points: np.ndarray,
     queries: np.ndarray,
-    metric: str,
+    spec: IndexSpec,
     radius: float,
-    num_tables: int,
-    num_probes: int,
-    cost_model: CostModel,
-    seed: RandomState,
     repeats: int,
     adaptive_target: int | None = None,
 ) -> list[ThroughputRow]:
     """The adaptive-execution rows: fixed fan-out vs per-query budget.
 
-    Two spec-built facades share every knob (multi-probe frozen layout,
-    seed, cost ratio) except the :class:`~repro.core.adaptive.AdaptivePolicy`,
+    Two facades share ``spec`` (the frozen multi-probe layout, seed and
+    cost ratio) except for the :class:`~repro.core.adaptive.AdaptivePolicy`,
     so their hash draws are identical and the budget row's answers are
     provably a subset of the fixed row's.  Both report the candidates
     their queries actually distance-checked and their recall against the
     brute-force radius ground truth — the "fewer candidates at equal
     recall" claim the adaptive layer makes, measured rather than assumed.
     """
-    from repro.api import Index, IndexSpec, QuerySpec
     from repro.distances.matrix import pairwise_distances
 
-    n = points.shape[0]
     if adaptive_target is None:
-        adaptive_target = max(32, n // 100)
-    base = dict(
-        metric=metric,
-        radius=radius,
-        num_tables=num_tables,
-        layout="frozen",
-        variant="multiprobe",
-        num_probes=num_probes,
-        cost_ratio=float(cost_model.beta_over_alpha),
-        seed=seed if isinstance(seed, int) else 0,
-    )
-    fixed_front = Index.build(points, IndexSpec(**base))
+        adaptive_target = max(32, points.shape[0] // 100)
+    fixed_front = Index.build(points, spec)
     budget_front = Index.build(
         points,
-        IndexSpec(**base, adaptive={"target_candidates": int(adaptive_target)}),
+        spec.with_overrides(adaptive={"target_candidates": int(adaptive_target)}),
     )
 
-    warm = queries[:2]
-    fixed_front.query(QuerySpec(warm))
-    budget_front.query(QuerySpec(warm))
+    def fixed(q: np.ndarray = queries):
+        return fixed_front.query(QuerySpec(q, radius=radius))
+
+    def budget(q: np.ndarray = queries):
+        return budget_front.query(QuerySpec(q, radius=radius))
+
+    fixed(queries[:2])  # warm
+    budget(queries[:2])
     fx_seconds, fx_results, ad_seconds, ad_results = _time_best_interleaved(
-        lambda: list(fixed_front.query(QuerySpec(queries))),
-        lambda: list(budget_front.query(QuerySpec(queries))),
-        repeats,
+        fixed, budget, repeats
     )
-    fx_latency = _latency_pass(
-        lambda q: fixed_front.query(QuerySpec(q)), queries
-    )
-    ad_latency = _latency_pass(
-        lambda q: budget_front.query(QuerySpec(q)), queries
-    )
+    fx_latency = _latency_pass(fixed, queries)
+    ad_latency = _latency_pass(budget, queries)
 
-    truth = pairwise_distances(queries, points, metric) <= radius
+    truth = pairwise_distances(queries, points, spec.metric) <= radius
 
     def mean_recall(outcomes) -> float:
-        recalls = []
-        for outcome, row_truth in zip(outcomes, truth):
-            true_ids = np.flatnonzero(row_truth)
-            recalls.append(
-                1.0
-                if true_ids.size == 0
-                else float(np.isin(true_ids, outcome.ids).mean())
+        return float(
+            np.mean(
+                [
+                    outcome.recall_against(np.flatnonzero(row_truth))
+                    for outcome, row_truth in zip(outcomes, truth)
+                ]
             )
-        return float(np.mean(recalls))
+        )
 
     def total_candidates(outcomes) -> float:
         return float(
@@ -658,108 +561,18 @@ def _measure_adaptive(
     subset_ok = all(
         _is_subset(a, b) for a, b in zip(ad_results, fx_results)
     )
-    num_queries = queries.shape[0]
-
-    def row(
-        mode: str,
-        seconds: float,
-        matches: bool,
-        outcomes,
-        latency: LatencyHistogram,
-    ) -> ThroughputRow:
-        quantiles = latency.quantiles()
-        return ThroughputRow(
-            mode=mode,
-            num_queries=num_queries,
-            seconds=seconds,
-            qps=num_queries / seconds if seconds else float("inf"),
-            speedup=fx_seconds / seconds if seconds else float("inf"),
-            matches=matches,
-            linear_fraction=float(
-                np.mean([o.strategy == "linear" for o in outcomes])
-            ),
+    return [
+        _row(
+            mode, seconds, fx_seconds, matches, outcomes, latency,
             reference="adaptive_fixed",
-            p50=quantiles.get("p50", float("nan")),
-            p95=quantiles.get("p95", float("nan")),
-            p99=quantiles.get("p99", float("nan")),
             candidates=total_candidates(outcomes),
             recall=mean_recall(outcomes),
         )
-
-    return [
-        row("adaptive_fixed", fx_seconds, True, fx_results, fx_latency),
-        row("adaptive_budget", ad_seconds, subset_ok, ad_results, ad_latency),
+        for mode, seconds, matches, outcomes, latency in (
+            ("adaptive_fixed", fx_seconds, True, fx_results, fx_latency),
+            ("adaptive_budget", ad_seconds, subset_ok, ad_results, ad_latency),
+        )
     ]
-
-
-def _measure_workers(
-    points: np.ndarray,
-    queries: np.ndarray,
-    metric: str,
-    radius: float,
-    num_tables: int,
-    num_shards: int,
-    cost_model: CostModel,
-    seed: RandomState,
-    repeats: int,
-    num_workers: int | None,
-    allow_partial: bool = False,
-) -> tuple[float, list[QueryResult], LatencyHistogram]:
-    """Build, persist and time the process-pool serving mode.
-
-    The frozen sharded index shares the thread row's seed and cost
-    model, is saved to a transient artifact, and reopened behind the
-    worker pool (``execution="processes"``); build, save and pool
-    startup are excluded from the timing, like every other mode.
-    ``allow_partial`` opts the timed queries into degraded answers; on
-    a healthy pool the answers are unchanged, only the partial-result
-    bookkeeping is charged.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api import Index, IndexSpec
-
-    frozen_sharded = ShardedHybridIndex(
-        points,
-        metric=metric,
-        radius=radius,
-        num_shards=num_shards,
-        num_tables=num_tables,
-        cost_model=cost_model,
-        seed=seed,
-        layout="frozen",
-    )
-    spec = IndexSpec(
-        metric=metric,
-        radius=radius,
-        num_tables=num_tables,
-        num_shards=num_shards,
-        layout="frozen",
-        execution="processes",
-        seed=seed if isinstance(seed, int) else None,
-    )
-    front = Index.from_engine(frozen_sharded, spec=spec)
-    path = tempfile.mkdtemp(prefix="repro-bench-workers-")
-    try:
-        front.save(path)
-        front.close()
-        workers_front = Index.open(path, num_workers=num_workers)
-        try:
-            kwargs = {"allow_partial": True} if allow_partial else {}
-            workers_front.query_batch(queries[:2], radius, **kwargs)  # warm the pipes
-            seconds, results = _time_best(
-                lambda: workers_front.query_batch(queries, radius, **kwargs), repeats
-            )
-            latency = _latency_pass(
-                lambda q: workers_front.query_batch(q[None, :], radius, **kwargs),
-                queries,
-            )
-            return seconds, results, latency
-        finally:
-            workers_front.close()
-    finally:
-        shutil.rmtree(path, ignore_errors=True)
 
 
 def format_throughput(rows: list[ThroughputRow], title: str = "") -> str:

@@ -26,22 +26,22 @@ preserving the paper's semantics exactly:
   :class:`TcpTransport` for standalone :class:`ShardServer` processes
   (``python -m repro.cli shard-serve``) — and can fan reads across
   replica endpoints with automatic failover.
-* :class:`QueryService` — the legacy serving facade, now a thin
-  delegate over :class:`repro.api.Index`; :func:`serve_stream` speaks
-  a JSON-lines request/response protocol over an ``Index`` or a
-  ``QueryService`` (see ``python -m repro.cli serve``), and
+* :func:`serve_stream` — a JSON-lines request/response protocol over a
+  :class:`repro.api.Index` (see ``python -m repro.cli serve``);
   :func:`serve_stream_concurrent` overlaps in-flight batches behind a
   reader thread while keeping responses in request order.
+* :class:`ServiceStats` — the counters, latency histogram and gauges an
+  index keeps while serving.
 
-These are the engines the spec-driven :mod:`repro.api` front door
-builds on; new code should start from :class:`repro.api.Index`.
+:class:`repro.api.Index` assembles these engines from an
+:class:`~repro.api.spec.IndexSpec`; it is the way in.
 """
 
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
-from repro.service.service import QueryService, ServiceStats
 from repro.service.shard_server import ShardServer
 from repro.service.sharded import ShardedHybridIndex
+from repro.service.stats import ServiceStats
 from repro.service.stream import serve_stream, serve_stream_concurrent
 from repro.service.transport import PipeTransport, ShardTransport, TcpTransport
 from repro.service.workers import WorkerPool
@@ -50,7 +50,6 @@ __all__ = [
     "BatchQueryEngine",
     "PipeTransport",
     "QueryResultCache",
-    "QueryService",
     "ServiceStats",
     "ShardServer",
     "ShardTransport",

@@ -1,13 +1,12 @@
-"""Serving counters, shared by :class:`repro.api.Index` and the legacy
-:class:`~repro.service.service.QueryService` (which delegates to it).
+"""Serving counters kept by :class:`repro.api.Index` and by each worker.
 
-Depends only on :mod:`repro.observability` (numpy + stdlib), so both
-layers — and worker subprocesses — can import it without ordering
+Depends only on :mod:`repro.observability` (numpy + stdlib), so the
+facade and worker subprocesses can import it without ordering
 constraints.
 
-Beyond the original flat counter bag, a stats object now carries a
-mergeable per-query :class:`~repro.observability.LatencyHistogram`,
-per-stage wall-time attributions fed by the opt-in tracing layer,
+A stats object carries flat counters, a mergeable per-query
+:class:`~repro.observability.LatencyHistogram`, per-stage wall-time
+attributions fed by the opt-in tracing layer,
 worker-pool transport counters (``bytes_shipped``, ``worker_respawns``),
 and two gauge channels: ``gauges`` holds point-in-time values shipped
 from another process (e.g. a worker's overflow size), while

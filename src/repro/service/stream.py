@@ -1,12 +1,9 @@
-"""JSON-lines request/response protocol over a served index.
+"""JSON-lines request/response protocol over a served :class:`repro.api.Index`.
 
-One request per line, one response per line, in order.  The serving
-target is an :class:`repro.api.Index` (or a legacy
-:class:`~repro.service.service.QueryService`, which exposes the same
-query surface):
+One request per line, one response per line, in order:
 
 * ``{"query": [..], "radius": 0.5}`` — an rNNR query (``radius``
-  optional when the index has a default) → a protocol **v2** envelope
+  optional: the index's tuned radius is the default) →
   ``{"v": 2, "ids": [...], "distances": [...], "found": n,
   "strategy": "lsh", "radius": r, "probes_used": p,
   "candidates_examined": c, "estimated_candidates": e, "exact": bool,
@@ -21,13 +18,9 @@ query surface):
 * either query kind may add ``"allow_partial": true`` to accept
   degraded answers when worker-pool shards are unavailable; a degraded
   response carries ``"degraded": true`` and ``"missing_shards": [..]``;
-* passing ``proto=1`` (the CLI's ``--proto v1``) restores the legacy
-  response body byte-for-byte: only ``ids`` / ``distances`` / ``found``
-  / ``strategy``, with ``degraded`` / ``missing_shards`` appearing on
-  degraded answers only and no ``"v"`` marker;
 * ``{"op": "insert", "points": [[..], ..]}`` — add points →
   ``{"inserted": m, "ids": [...], "n": total}``;
-* ``{"op": "stats"}`` — telemetry snapshot → the enriched
+* ``{"op": "stats"}`` — telemetry snapshot → the
   :meth:`repro.api.Index.stats_snapshot` payload (counters, latency
   histogram, per-stage seconds, gauges, worker aggregation);
 * ``{"op": "metrics"}`` — the same snapshot rendered in the Prometheus
@@ -46,8 +39,9 @@ Consecutive radius-query lines are micro-batched: while more input is
 already waiting (see ``more_ready``), up to ``batch_size`` of them are
 answered with one engine batch (grouped by radius), which is where the
 batched engine's throughput comes from; an idle interactive client
-always gets its response immediately.  Malformed lines produce
-``{"error": "..."}`` without disturbing neighbouring requests.
+always gets its response immediately.  Request lines are untrusted
+input: a malformed line, a wrongly typed field or a non-finite number
+produces ``{"error": "..."}`` without disturbing neighbouring requests.
 
 ``python -m repro.cli serve`` wires this to stdin/stdout.
 """
@@ -64,12 +58,20 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from repro.utils.validation import (
+    check_positive,
+    check_positive_int,
+    check_probability,
+)
+
 __all__ = ["serve_stream", "serve_stream_concurrent"]
 
 
-#: The adaptive-execution override fields a query line may carry, as a
-#: hashable group key: ``(adaptive, target_candidates, quality_floor)``.
-_NO_ADAPTIVE = (None, None, None)
+def _boolean(value: object, name: str) -> bool:
+    """A JSON boolean: the string ``"false"`` is not silently true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _parse_query(
@@ -84,33 +86,27 @@ def _parse_query(
     query = np.asarray(request["query"], dtype=np.float64)
     if query.ndim != 1 or query.shape[0] != dim:
         raise ValueError(f"query must be a flat list of {dim} numbers")
+    if not np.isfinite(query).all():
+        raise ValueError("query must contain only finite numbers")
     radius = request.get("radius")
     k = request.get("k")
     if radius is not None and k is not None:
         raise ValueError("pass either radius or k, not both")
     if radius is not None:
-        radius = float(radius)
-        if not radius > 0:
-            raise ValueError(f"radius must be > 0, got {radius}")
+        radius = check_positive(radius, "radius")
     if k is not None:
-        k = int(k)
-        if not k > 0:
-            raise ValueError(f"k must be > 0, got {k}")
-    allow_partial = bool(request.get("allow_partial", False))
+        k = check_positive_int(k, "k")
+    allow_partial = _boolean(request.get("allow_partial", False), "allow_partial")
     adaptive = request.get("adaptive")
     if adaptive is not None:
-        adaptive = bool(adaptive)
+        adaptive = _boolean(adaptive, "adaptive")
     target_candidates = request.get("target_candidates")
     if target_candidates is not None:
-        target_candidates = int(target_candidates)
-        if not target_candidates > 0:
-            raise ValueError(
-                f"target_candidates must be > 0, got {target_candidates}"
-            )
+        target_candidates = check_positive_int(target_candidates, "target_candidates")
     quality_floor = request.get("quality_floor")
     if quality_floor is not None:
-        quality_floor = float(quality_floor)
-        if not 0.0 < quality_floor <= 1.0:
+        quality_floor = check_probability(quality_floor, "quality_floor")
+        if quality_floor == 0.0:
             raise ValueError(
                 f"quality_floor must be in (0, 1], got {quality_floor}"
             )
@@ -118,32 +114,8 @@ def _parse_query(
     return query, radius, k, allow_partial, adaptive_key
 
 
-def _answer(result, proto: int = 2) -> str:
-    if proto < 2:
-        doc = {
-            "ids": result.ids.tolist(),
-            "distances": result.distances.tolist(),
-            "found": result.output_size,
-            "strategy": _strategy_of(result),
-        }
-        # Only degraded answers grow the two extra keys, so full-fidelity
-        # v1 response lines stay byte-identical to the pre-fault protocol.
-        if getattr(result, "degraded", False):
-            doc["degraded"] = True
-            doc["missing_shards"] = [int(s) for s in result.missing_shards]
-        return json.dumps(doc)
-    from repro.api.outcome import QueryOutcome
-
-    if not isinstance(result, QueryOutcome):
-        result = QueryOutcome.from_result(result)
-    return json.dumps({"v": 2, "found": result.output_size, **result.as_dict()})
-
-
-def _strategy_of(result) -> str:
-    strategy = getattr(result, "strategy", None)
-    if isinstance(strategy, str):  # QueryOutcome carries the plain string
-        return strategy
-    return result.stats.strategy.value
+def _answer(outcome) -> str:
+    return json.dumps({"v": 2, "found": outcome.output_size, **outcome.as_dict()})
 
 
 def _query_spec_kwargs(
@@ -166,21 +138,12 @@ def _query_spec_kwargs(
     return kwargs
 
 
-def _flush(
-    service,
-    pending: list,
-    proto: int = 2,
-) -> list[str]:
+def _flush(index, pending: list) -> list[str]:
     """Answer the buffered radius queries, one engine batch per group.
 
     Queries batch together only when they share the radius, the
-    ``allow_partial`` choice and the adaptive-override fields.  An
-    :class:`~repro.api.Index` target is queried through the spec front
-    door (``index.query(QuerySpec(...))``, the envelope path); legacy
-    duck-typed targets keep the plain ``query_batch(batch, radius)``
-    call so pre-envelope services stay servable.
+    ``allow_partial`` choice and the adaptive-override fields.
     """
-    from repro.api.facade import Index
     from repro.api.spec import QuerySpec
 
     responses: list[str | None] = [None] * len(pending)
@@ -190,25 +153,20 @@ def _flush(
     for (radius, allow_partial, adaptive_key), rows in groups.items():
         batch = np.stack([pending[j][0] for j in rows])
         try:
-            if isinstance(service, Index):
-                spec = QuerySpec(
+            outcomes = index.query(
+                QuerySpec(
                     batch, **_query_spec_kwargs(radius, allow_partial, adaptive_key)
                 )
-                results = list(service.query(spec))
-            elif allow_partial:
-                results = service.query_batch(batch, radius, allow_partial=True)
-            else:
-                results = service.query_batch(batch, radius)
+            )
         except Exception as exc:
-            # e.g. no radius given and the engine has no default, or an
-            # unavailable shard without allow_partial; the per-line
-            # contract means the rest of the stream lives on.
+            # e.g. an unavailable shard without allow_partial; the
+            # per-line contract means the rest of the stream lives on.
             error = json.dumps({"error": f"query failed: {exc}"})
             for j in rows:
                 responses[j] = error
             continue
-        for j, result in zip(rows, results):
-            responses[j] = _answer(result, proto)
+        for j, outcome in zip(rows, outcomes):
+            responses[j] = _answer(outcome)
     pending.clear()
     return responses
 
@@ -218,40 +176,29 @@ def _handle_op(state: dict, request: dict) -> str:
     from repro.api.facade import Index
     from repro.api.spec import IndexSpec
 
-    service = state["target"]
+    index = state["target"]
     op = request.get("op")
     if op == "stats":
-        # An Index answers with the enriched snapshot (latency
-        # histogram, stages, gauges, live worker aggregation); a legacy
-        # QueryService falls back to the flat counter document.
-        snapshot = getattr(service, "stats_snapshot", None)
-        if snapshot is not None:
-            return json.dumps(snapshot())
-        return json.dumps(service.stats.as_dict())
+        return json.dumps(index.stats_snapshot())
     if op == "metrics":
         from repro.observability import prometheus_text
 
-        snapshot = getattr(service, "stats_snapshot", None)
-        doc = snapshot() if snapshot is not None else service.stats.as_dict()
-        return json.dumps({"metrics": prometheus_text(doc)})
+        return json.dumps({"metrics": prometheus_text(index.stats_snapshot())})
     if op == "insert":
         try:
             points = np.asarray(request["points"], dtype=np.float64)
-            ids = service.insert(points)
+            ids = index.insert(points)
         except Exception as exc:  # surface shape/validation problems per line
             return json.dumps({"error": f"insert failed: {exc}"})
         return json.dumps(
-            {"inserted": int(ids.size), "ids": ids.tolist(), "n": service.n}
+            {"inserted": int(ids.size), "ids": ids.tolist(), "n": index.n}
         )
     if op == "spec":
-        spec = getattr(service, "spec", None)
-        if spec is None:
-            return json.dumps({"error": "the served index carries no spec"})
-        return json.dumps({"spec": spec.to_dict()})
+        return json.dumps({"spec": index.spec.to_dict()})
     if op == "save":
         try:
             path = str(request["path"])
-            service.save(path)
+            index.save(path)
         except Exception as exc:
             return json.dumps({"error": f"save failed: {exc}"})
         return json.dumps({"saved": path})
@@ -293,17 +240,15 @@ def _swap_target(state: dict, new_target) -> None:
 
 
 def serve_stream(
-    service,
+    index,
     lines: Iterable[str],
     batch_size: int = 64,
     more_ready: Callable[[], bool] | None = None,
     default_allow_partial: bool = False,
-    proto: int = 2,
 ) -> Iterator[str]:
     """Yield one JSON response line per JSON request line, in order.
 
-    ``service`` is an :class:`repro.api.Index` or a legacy
-    :class:`~repro.service.service.QueryService`.  ``more_ready``
+    ``index`` is the :class:`repro.api.Index` to serve.  ``more_ready``
     reports whether further input is already waiting (e.g. a ``select``
     probe on stdin).  Queries are only buffered toward ``batch_size``
     while it returns ``True``; without it every query is answered
@@ -315,12 +260,8 @@ def serve_stream(
     every query line into degraded answers; individual requests can
     still ask for ``"allow_partial": true`` themselves, but cannot opt
     back out of a server-level default — partiality only ever widens.
-
-    ``proto`` selects the response body: ``2`` (default) emits the
-    :class:`~repro.api.QueryOutcome` envelope with a ``"v": 2`` marker;
-    ``1`` emits the legacy body byte-for-byte.
     """
-    state = {"target": service, "owned": False}
+    state = {"target": index, "owned": False}
     pending: list = []
     for line in lines:
         line = line.strip()
@@ -341,7 +282,7 @@ def serve_stream(
                     request, state["target"].dim
                 )
             except (ValueError, TypeError) as exc:
-                yield from _flush(state["target"], pending, proto)
+                yield from _flush(state["target"], pending)
                 yield json.dumps({"error": str(exc)})
                 continue
             allow_partial = allow_partial or default_allow_partial
@@ -349,50 +290,46 @@ def serve_stream(
                 # Top-k requests are answered immediately (no batching
                 # across k values); queued radius queries drain first to
                 # keep responses aligned with request order.
-                yield from _flush(state["target"], pending, proto)
+                yield from _flush(state["target"], pending)
                 try:
                     yield _answer(
-                        _topk(state["target"], query, k, allow_partial, adaptive_key),
-                        proto,
+                        _topk(state["target"], query, k, allow_partial, adaptive_key)
                     )
                 except Exception as exc:
                     yield json.dumps({"error": f"query failed: {exc}"})
                 continue
             pending.append((query, radius, allow_partial, adaptive_key))
             if len(pending) >= batch_size or not (more_ready and more_ready()):
-                yield from _flush(state["target"], pending, proto)
+                yield from _flush(state["target"], pending)
             continue
 
         # Non-query ops act on the index state, so drain queued queries
         # first to keep responses aligned with request order.
-        yield from _flush(state["target"], pending, proto)
+        yield from _flush(state["target"], pending)
         yield _handle_op(state, request)
-    yield from _flush(state["target"], pending, proto)
+    yield from _flush(state["target"], pending)
 
 
 def _topk(
-    target,
+    index,
     query: np.ndarray,
     k: int,
-    allow_partial: bool = False,
-    adaptive_key: tuple[bool | None, int | None, float | None] = _NO_ADAPTIVE,
+    allow_partial: bool,
+    adaptive_key: tuple[bool | None, int | None, float | None],
 ):
-    """Answer one top-k request on an Index (or an Index-backed service)."""
+    """Answer one top-k request."""
     from repro.api.spec import QuerySpec
 
-    if hasattr(target, "_index"):  # legacy QueryService delegate
-        target = target._index
     kwargs = _query_spec_kwargs(None, allow_partial, adaptive_key)
-    return target.query(QuerySpec(query, k=k, **kwargs))
+    return index.query(QuerySpec(query, k=k, **kwargs))
 
 
 def serve_stream_concurrent(
-    service,
+    index,
     lines: Iterable[str],
     batch_size: int = 64,
     window: int = 4,
     default_allow_partial: bool = False,
-    proto: int = 2,
 ) -> Iterator[str]:
     """The concurrent front-end: overlapped batches, ordered responses.
 
@@ -423,7 +360,7 @@ def serve_stream_concurrent(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    state = {"target": service, "owned": False}
+    state = {"target": index, "owned": False}
     inbox: queue_mod.Queue[object] = queue_mod.Queue(maxsize=max(4 * batch_size, 256))
     _EOF = object()
     stop = threading.Event()
@@ -465,7 +402,7 @@ def serve_stream_concurrent(
             pending.clear()
             target = state["target"]
             inflight.append(
-                (executor.submit(_flush, target, batch, proto), len(batch))
+                (executor.submit(_flush, target, batch), len(batch))
             )
 
     def _results_of(future, count: int) -> list[str]:
@@ -532,8 +469,7 @@ def serve_stream_concurrent(
                             _topk(
                                 state["target"], query, k,
                                 allow_partial, adaptive_key,
-                            ),
-                            proto,
+                            )
                         )
                     except Exception as exc:
                         yield json.dumps({"error": f"query failed: {exc}"})

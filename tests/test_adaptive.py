@@ -1,11 +1,11 @@
-"""Query-adaptive execution and the typed result envelope (PR 10).
+"""Query-adaptive execution and the typed result envelope.
 
 The contracts under test:
 
 * :class:`~repro.api.QueryOutcome` / :class:`~repro.api.BatchOutcome`
   are the only shapes :meth:`repro.api.Index.query` returns, on every
-  execution path, and their payload arrays are bit-identical to the
-  deprecated legacy shapes (which still work, warning once);
+  execution path; the envelope wraps the engine's own arrays (never a
+  copy) and the stream's response line is its JSON rendering;
 * a bounded probe budget (``target_candidates``) only ever *trims*:
   adaptive radius answers are a subset of the fixed-budget answers with
   ``probes_used`` never above the fixed fan-out — and with a
@@ -19,9 +19,8 @@ The contracts under test:
 * ``Index.reset_stats()`` propagates through a worker pool: transport
   counters, worker-side stats and recalibration counts all read zero in
   the next snapshot;
-* the JSON-lines stream speaks protocol v2 (the envelope body) by
-  default and byte-identical v1 under ``proto=1``, and consumes the
-  adaptive request fields.
+* the JSON-lines stream answers with the envelope body and consumes
+  the adaptive request fields.
 """
 
 import json
@@ -79,11 +78,13 @@ def _assert_id_subset(a_ids, a_dists, b_ids, b_dists):
     A budget flip from the scan to the LSH kernel changes the BLAS
     reduction order, so a shared id's distance may differ in the final
     ulps between the two strategies — the subset contract is on ids.
+    The absolute tolerance covers a query's distance to itself: both
+    kernels compute it by cancellation, landing anywhere in ~1e-8.
     """
     ref = dict(zip(list(b_ids), list(b_dists)))
     for i, d in zip(list(a_ids), list(a_dists)):
         assert i in ref
-        assert np.isclose(d, ref[i], rtol=1e-9, atol=1e-12)
+        assert np.isclose(d, ref[i], rtol=1e-9, atol=1e-6)
 
 
 class TestAdaptivePolicy:
@@ -92,9 +93,6 @@ class TestAdaptivePolicy:
             dict(target_candidates=0),
             dict(target_candidates=True),
             dict(quality_floor=1.5),
-            dict(k_safety=0.5),
-            dict(radius_growth=1.0),
-            dict(max_escalations=-1),
             dict(min_probes=-2),
             dict(ewma_weight=0.0),
         ):
@@ -109,6 +107,18 @@ class TestAdaptivePolicy:
         assert AdaptivePolicy.from_dict(doc) == policy
         with pytest.raises(ConfigurationError):
             AdaptivePolicy.from_dict({"no_such_knob": 1})
+
+    def test_retired_keys_load_only_at_their_old_value(self):
+        """Documents written while these were fields carry all three."""
+        old = {"k_safety": 2.0, "radius_growth": 2.0, "max_escalations": 3}
+        policy = AdaptivePolicy.from_dict({"target_candidates": 8, **old})
+        assert policy == AdaptivePolicy(target_candidates=8)
+        assert not set(old) & set(policy.to_dict())
+        for key, value in (
+            ("k_safety", 3.0), ("radius_growth", 1.5), ("max_escalations", 0),
+        ):
+            with pytest.raises(ConfigurationError, match=key):
+                AdaptivePolicy.from_dict({**old, key: value})
 
     def test_resolve_folds_request_overrides(self):
         base = AdaptivePolicy(target_candidates=64)
@@ -170,32 +180,6 @@ class TestEnvelope:
         assert out.exact and out.output_size == 5
         assert out.radius == float(out.distances[-1])
 
-    def test_payload_bit_identical_to_legacy_shape(self, index):
-        queries = _points(500, seed=0)[:6]
-        batch = index.query(QuerySpec(queries))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = index.query_batch(queries)
-            converted = batch.to_results()
-        for out, old, conv in zip(batch, legacy, converted):
-            assert np.array_equal(out.ids, old.ids)
-            assert np.array_equal(out.distances, old.distances)
-            assert out.ids is conv.ids  # the envelope never copies
-            assert out.stats is conv.stats
-
-    def test_legacy_shapes_warn_once(self, index):
-        import repro.api.deprecations as dep
-
-        queries = _points(500, seed=0)[:2]
-        dep._WARNED.discard("Index.query_batch()")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            index.query_batch(queries)
-            index.query_batch(queries)
-        messages = [str(w.message) for w in caught]
-        assert sum("Index.query_batch()" in m for m in messages) == 1
-        assert all("QueryOutcome" in m for m in messages if m)
-
     def test_as_dict_is_json_safe(self, index):
         out = index.query(QuerySpec(_points(500, seed=0)[7], k=5))
         doc = json.loads(json.dumps(out.as_dict()))
@@ -221,6 +205,49 @@ def adaptive_case(draw):
     rng = np.random.default_rng(seed + 1)
     queries = points[rng.choice(n, size=num_queries, replace=False)]
     return points, queries, target, seed
+
+
+@st.composite
+def envelope_case(draw):
+    """An index of any layout x variant x shard count, plus a batch."""
+    points, queries, _, seed = draw(adaptive_case())
+    overrides = dict(
+        layout=draw(st.sampled_from(["dict", "frozen"])),
+        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        num_shards=draw(st.sampled_from([1, 3])),
+        seed=seed % 97,
+    )
+    if overrides["variant"] == "covering":  # a Hamming-space construction
+        overrides.update(metric="hamming", radius=2.0)
+        points, queries = (points > 0).astype(float), (queries > 0).astype(float)
+    return points, queries, overrides
+
+
+class TestOneEnvelope:
+    @given(envelope_case())
+    @settings(max_examples=20, deadline=None)
+    def test_outcome_is_the_engine_answer_and_the_stream_line(self, case):
+        points, queries, overrides = case
+        index = Index.build(points, _spec(**overrides))
+        try:
+            batch = index.query(QuerySpec(queries))
+            rows = index.engine.query_batch(queries, index.spec.radius)
+            assert len(batch) == len(rows) == len(queries)
+            for outcome, row in zip(batch, rows):
+                assert np.array_equal(outcome.ids, row.ids)
+                assert np.array_equal(outcome.distances, row.distances)
+                assert outcome.strategy == outcome.stats.strategy.value
+                wrapped = QueryOutcome.from_result(row)
+                assert wrapped.ids is row.ids  # the envelope never copies
+                assert wrapped.distances is row.distances
+            (reply,) = serve_stream(
+                index, [json.dumps({"query": queries[0].tolist()})]
+            )
+            outcome = index.query(QuerySpec(queries[0]))
+            body = {"v": 2, "found": outcome.output_size, **outcome.as_dict()}
+            assert json.loads(reply) == json.loads(json.dumps(body))
+        finally:
+            index.close()
 
 
 class TestAdaptiveRadiusProperties:
@@ -510,21 +537,6 @@ class TestStreamProtocolV2:
             ):
                 assert key in doc
         assert topk_doc["exact"] is True and topk_doc["found"] == 4
-
-    def test_proto_v1_is_byte_identical_to_legacy(self, served):
-        index, points = served
-        line = json.dumps({"query": points[0].tolist()})
-        (v1_line,) = serve_stream(index, [line], proto=1)
-        out = index.query(QuerySpec(points[0]))
-        legacy = json.dumps(
-            {
-                "ids": out.ids.tolist(),
-                "distances": out.distances.tolist(),
-                "found": out.output_size,
-                "strategy": out.strategy,
-            }
-        )
-        assert v1_line == legacy
 
     def test_adaptive_request_fields_are_consumed(self, served):
         index, points = served

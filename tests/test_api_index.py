@@ -109,7 +109,7 @@ class TestBuildParity:
         index.save(path)
         reopened = Index.open(path)
         queries = gaussian_points[:8]
-        for ra, rb in zip(index.query_batch(queries), reopened.query_batch(queries)):
+        for ra, rb in zip(index.query(queries), reopened.query(queries)):
             assert np.array_equal(ra.ids, rb.ids)
             assert np.array_equal(ra.distances, rb.distances)
         index.close(), reopened.close()
@@ -341,20 +341,6 @@ class TestStreamSpecOps:
             json.dumps({"query": gaussian_points[0].tolist(), "k": 5, "radius": 1.0})
         ]
         out = [json.loads(line) for line in serve_stream(single_index, lines)]
-        assert "error" in out[0]
-
-    def test_spec_op_on_legacy_service_reports_error(self, gaussian_points):
-        from repro.service import BatchQueryEngine, QueryService
-
-        engine = BatchQueryEngine.from_points(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
-        service = QueryService(engine)
-        out = [
-            json.loads(line)
-            for line in serve_stream(service, [json.dumps({"op": "spec"})])
-        ]
         assert "error" in out[0]
 
 

@@ -107,17 +107,41 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             Index.open(str(tmp_path / "nothing-here"))
 
-    def test_legacy_wrapped_index_cannot_save(self, gaussian_points, tmp_path):
-        from repro.core import CostModel
-        from repro.service import BatchQueryEngine
 
-        engine = BatchQueryEngine.from_points(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
-        wrapped = Index.from_engine(engine)
-        with pytest.raises(ConfigurationError):
-            wrapped.save(str(tmp_path / "nope"))
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"num_shards": 3},
+        {"num_shards": 2, "layout": "frozen", "execution": "processes"},
+    ],
+    ids=["single", "sharded", "processes"],
+)
+def test_parent_format_artifact_reopens_bit_identically(
+    gaussian_points, tmp_path, overrides
+):
+    """An index saved before the policy lost three fields still opens.
+
+    The saved policy document is rewritten to the nine-key shape the
+    previous format wrote; answers (radius, batch, adaptive top-k) must
+    equal the index that was saved.  (Without a policy the document is
+    ``"adaptive": null`` in both formats — the round-trip tests above.)
+    """
+    index = _build(gaussian_points, adaptive={"target_candidates": 40}, **overrides)
+    path = str(tmp_path / "ix")
+    index.save(path)
+    meta_path = os.path.join(path, "index.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["spec"]["adaptive"].update(k_safety=2.0, radius_growth=2.0, max_escalations=3)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    reopened = Index.open(path)
+    try:
+        assert reopened.spec == index.spec
+        _assert_identical_answers(index, reopened, gaussian_points[:21])
+    finally:
+        index.close(), reopened.close()
 
 
 @settings(max_examples=5, deadline=None)

@@ -323,7 +323,7 @@ class TestFacadeFrozenLayout:
         reference = Index.build(points, spec)
         frozen = Index.build(points, spec.with_overrides(layout="frozen"))
         for ra, rb in zip(
-            reference.query_batch(queries), frozen.query_batch(queries)
+            reference.query(queries), frozen.query(queries)
         ):
             assert_results_equal(ra, rb)
         for ra, rb in zip(
@@ -348,7 +348,7 @@ class TestFacadeFrozenLayout:
         assert isinstance(engine_index, FrozenLSHIndex)
         assert isinstance(engine_index.frozen.members, np.memmap)
         for ra, rb in zip(
-            frozen.query_batch(queries), reopened.query_batch(queries)
+            frozen.query(queries), reopened.query(queries)
         ):
             assert_results_equal(ra, rb)
         reference.close(), frozen.close(), reopened.close()
@@ -364,7 +364,7 @@ class TestFacadeFrozenLayout:
         new = rng.normal(size=(10, 10))
         assert np.array_equal(a.insert(new), b.insert(new))
         queries = np.concatenate([new[:3], points[:3]])
-        for ra, rb in zip(a.query_batch(queries), b.query_batch(queries)):
+        for ra, rb in zip(a.query(queries), b.query(queries)):
             assert_results_equal(ra, rb)
 
 

@@ -313,9 +313,9 @@ class TestTracingBitIdentity:
             ),
         )
         try:
-            plain = index.query_batch(queries)
+            plain = index.query(queries)
             index.enable_tracing(True)
-            traced = index.query_batch(queries)
+            traced = index.query(queries)
             topk_traced = index.query(QuerySpec(queries, k=3))
             index.enable_tracing(False)
             topk_plain = index.query(QuerySpec(queries, k=3))
@@ -338,7 +338,7 @@ class TestTracingBitIdentity:
         )
         try:
             index.enable_tracing(True)
-            index.query_batch(points[:10])
+            index.query(points[:10])
             stats = index.stats
             assert stats.stage_seconds, "tracing produced no stage attribution"
             assert set(stats.stage_seconds) <= set(STAGES)
@@ -357,7 +357,7 @@ class TestTracingBitIdentity:
         )
         try:
             assert not index.tracing_enabled
-            index.query_batch(points[:5])
+            index.query(points[:5])
             assert index.stats.stage_seconds == {}
         finally:
             index.close()
@@ -373,7 +373,7 @@ class TestStatsSnapshot:
                       num_shards=2, layout="frozen", cost_ratio=6.0, seed=4),
         )
         try:
-            index.query_batch(points[:12])
+            index.query(points[:12])
             snapshot = index.stats_snapshot()
             json.dumps(snapshot)
             assert snapshot["queries_served"] == 12

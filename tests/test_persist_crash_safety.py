@@ -78,7 +78,7 @@ class TestAtomicWrites:
         reopened = Index.open(saved)
         try:
             assert reopened.n == N
-            result = reopened.query_batch(points[:1])[0]
+            result = reopened.query(points[:1])[0]
             assert 0 in result.ids
         finally:
             reopened.close()

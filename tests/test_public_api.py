@@ -19,6 +19,14 @@ class TestExports:
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
 
+    def test_one_front_door(self):
+        """The engines are not top-level names, and nothing is a shim."""
+        import repro.core
+
+        assert repro.HybridLSH is repro.core.HybridLSH
+        for engine in ("QueryService", "BatchQueryEngine", "ShardedHybridIndex"):
+            assert not hasattr(repro, engine)
+
     def test_version(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3

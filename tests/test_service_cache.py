@@ -1,19 +1,14 @@
-"""Tests for the query-result cache and the serving facade."""
+"""Tests for the query-result cache, a cache-fronted Index and the stream."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.core import CostModel
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core.results import QueryResult
 from repro.exceptions import ConfigurationError
-from repro.service import (
-    BatchQueryEngine,
-    QueryResultCache,
-    QueryService,
-    serve_stream,
-)
+from repro.service import QueryResultCache, serve_stream
 
 
 def _dummy_result(ids=(1, 2)) -> QueryResult:
@@ -94,23 +89,23 @@ class TestKeying:
         )
 
 
+def _spec(**overrides) -> IndexSpec:
+    base = dict(metric="l2", radius=1.0, num_tables=6, cost_ratio=6.0, seed=1)
+    base.update(overrides)
+    return IndexSpec(**base)
+
+
 @pytest.fixture
-def service(gaussian_points) -> QueryService:
-    engine = BatchQueryEngine.from_points(
-        gaussian_points,
-        metric="l2",
-        radius=1.0,
-        num_tables=6,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=1,
-    )
-    return QueryService(engine, cache=QueryResultCache(maxsize=64))
+def service(gaussian_points) -> Index:
+    return Index.build(gaussian_points, _spec(cache_size=64))
 
 
 class TestQueryService:
+    """The cache in front of ``Index.query`` (``IndexSpec.cache_size > 0``)."""
+
     def test_repeat_query_hits_cache(self, service, gaussian_points):
-        first = service.query(gaussian_points[0])
-        second = service.query(gaussian_points[0])
+        first = service.query(QuerySpec(gaussian_points[0]))
+        second = service.query(QuerySpec(gaussian_points[0]))
         assert np.array_equal(first.ids, second.ids)
         assert service.stats.cache_hits == 1
         assert service.stats.cache_misses == 1
@@ -118,7 +113,7 @@ class TestQueryService:
 
     def test_duplicates_within_one_batch_collapse(self, service, gaussian_points):
         batch = np.stack([gaussian_points[0], gaussian_points[1], gaussian_points[0]])
-        results = service.query_batch(batch)
+        results = service.query(QuerySpec(batch))
         assert np.array_equal(results[0].ids, results[2].ids)
         assert service.stats.cache_misses == 2  # only two engine queries
         # The duplicate is engine work avoided, but not a cache hit —
@@ -127,43 +122,33 @@ class TestQueryService:
         assert service.stats.cache_hits == 0
 
     def test_cached_results_match_uncached(self, gaussian_points, service):
-        bare = QueryService(service.engine, cache=None)
-        queries = gaussian_points[::50]
-        service.query_batch(queries)  # warm the cache
-        cached = service.query_batch(queries)  # all hits
-        uncached = bare.query_batch(queries)
-        for c, u in zip(cached, uncached):
+        bare = Index.build(gaussian_points, _spec())  # same seed, no cache
+        queries = QuerySpec(gaussian_points[::50])
+        service.query(queries)  # warm the cache
+        cached = service.query(queries)  # all hits
+        assert service.stats.cache_hits == len(cached)
+        for c, u in zip(cached, bare.query(queries)):
             assert np.array_equal(c.ids, u.ids)
             assert np.array_equal(c.distances, u.distances)
 
     def test_insert_invalidates_cache(self, service, gaussian_points):
         """Regression: stale cached answers after an insert."""
-        query = gaussian_points[0]
+        query = QuerySpec(gaussian_points[0])
         before = service.query(query)
-        ids = service.insert(query[None, :] + 1e-5)
+        ids = service.insert(gaussian_points[:1] + 1e-5)
         after = service.query(query)
         assert ids[0] in after.ids
         assert ids[0] not in before.ids
         assert after.output_size == before.output_size + 1
 
     def test_strategy_counts_accumulate(self, service, gaussian_points):
-        service.query_batch(gaussian_points[:10])
+        service.query(QuerySpec(gaussian_points[:10]))
         assert sum(service.stats.strategy_counts.values()) == 10
 
     def test_stats_snapshot_roundtrips_json(self, service, gaussian_points):
-        service.query(gaussian_points[0])
+        service.query(QuerySpec(gaussian_points[0]))
         payload = json.dumps(service.stats.as_dict())
         assert json.loads(payload)["queries_served"] == 1
-
-    def test_stats_attribute_stays_assignable(self, service, gaussian_points):
-        """Legacy callers reset counters by assignment, not reset_stats()."""
-        from repro.service import ServiceStats
-
-        service.query(gaussian_points[0])
-        service.stats = ServiceStats()
-        assert service.stats.queries_served == 0
-        service.query(gaussian_points[1])
-        assert service.stats.queries_served == 1
 
 
 class TestServeStream:
@@ -197,19 +182,35 @@ class TestServeStream:
         assert "error" in out[3] and "error" in out[4]
         assert out[0]["found"] >= 1 and out[5]["found"] >= 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 2.9),  # was answered as k = 2
+            ("k", True),  # was answered as k = 1
+            ("target_candidates", 3.7),  # was truncated to 3
+            ("allow_partial", "false"),  # a non-empty string: turned it ON
+            ("query", "nan"),  # was an empty answer plus a RuntimeWarning
+        ],
+    )
+    def test_mistyped_field_is_an_error_line(
+        self, service, gaussian_points, field, value
+    ):
+        request = {"query": gaussian_points[0].tolist(), field: value}
+        if field == "query":
+            request["query"] = [float("nan")] + gaussian_points[0, 1:].tolist()
+        lines = [
+            json.dumps(request),
+            json.dumps({"query": gaussian_points[1].tolist()}),
+        ]
+        bad, good = (json.loads(line) for line in serve_stream(service, lines))
+        assert field in bad["error"]
+        assert 1 in good["ids"]  # the stream lives on
+
     def test_missing_radius_yields_error_lines_not_a_dead_stream(self, gaussian_points):
         """Regression: an engine-level failure (no default radius) must
         produce per-line errors, not kill the generator mid-stream."""
-        engine = BatchQueryEngine.from_points(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=1,
-        )
-        engine.radius = None  # serving without a default radius
-        bare = QueryService(engine)
+        bare = Index.build(gaussian_points, _spec())
+        bare.engine.radius = None  # the engine loses its default radius
         lines = [
             json.dumps({"query": gaussian_points[0].tolist()}),  # no radius
             json.dumps({"query": gaussian_points[1].tolist(), "radius": 1.0}),

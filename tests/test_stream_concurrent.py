@@ -166,14 +166,14 @@ class TestConcurrentLoop:
         """
 
         class FlakyService:
-            """Duck-typed serving target whose query_batch always raises."""
+            """Stand-in serving target whose query always raises."""
 
             def __init__(self, real):
                 self._real = real
                 self.dim = real.dim
                 self.calls = 0
 
-            def query_batch(self, queries, radius=None, **kwargs):
+            def query(self, request):
                 self.calls += 1
                 raise RuntimeError("worker pool lost a shard mid-batch")
 
@@ -207,8 +207,8 @@ class TestConcurrentLoop:
                 self._real = real
                 self.dim = real.dim
 
-            def query_batch(self, queries, radius=None, **kwargs):
-                return self._real.query_batch(queries, radius)
+            def query(self, request):
+                return self._real.query(request)
 
         target = LyingDim(served_index)
         good = json.dumps(

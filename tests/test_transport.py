@@ -196,7 +196,7 @@ class TestTcpBitIdentity:
     ):
         tcp = tcp_pool.query_batch(queries)
         assert_results_equal(tcp, pipe_pool.query_batch(queries))
-        assert_results_equal(tcp, thread_index.query_batch(queries))
+        assert_results_equal(tcp, thread_index.query(queries))
 
     def test_topk_matches_pipe_and_threads(
         self, tcp_pool, pipe_pool, thread_index, queries
@@ -214,7 +214,7 @@ class TestTcpBitIdentity:
                 assert isinstance(index.engine, WorkerPool)
                 assert index.engine.replicas == 1
                 assert_results_equal(
-                    index.query_batch(queries), pipe_pool.query_batch(queries)
+                    index.query(queries), pipe_pool.query_batch(queries)
                 )
             finally:
                 index.close()
@@ -236,7 +236,7 @@ class TestReplicatedPipes:
             assert pool.replicas == 2
             assert len(pool.worker_pids()) == 4  # 2 slots x 2 replicas
             assert_results_equal(
-                index.query_batch(queries), thread_index.query_batch(queries)
+                index.query(queries), thread_index.query(queries)
             )
         finally:
             index.close()
@@ -460,7 +460,7 @@ class TestTransportEquivalenceProperty:
         )
         tcp = tcp_pool.query_batch(batch)
         assert_results_equal(tcp, pipe_pool.query_batch(batch))
-        assert_results_equal(tcp, thread_index.query_batch(batch))
+        assert_results_equal(tcp, thread_index.query(batch))
         tcp_k = tcp_pool.query_topk_batch(batch, k=4)
         assert_results_equal(tcp_k, pipe_pool.query_topk_batch(batch, k=4))
         assert_results_equal(tcp_k, thread_index.query(QuerySpec(batch, k=4)))

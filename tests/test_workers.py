@@ -79,7 +79,7 @@ class TestBitIdentity:
 
     def test_radius_batch_matches_threads(self, thread_index, process_index, queries):
         for ra, rb in zip(
-            thread_index.query_batch(queries), process_index.query_batch(queries)
+            thread_index.query(queries), process_index.query(queries)
         ):
             assert_results_equal(ra, rb)
 
@@ -114,7 +114,7 @@ class TestInserts:
                 assert np.array_equal(ids_a, ids_b)
                 probes = np.concatenate([batch[:2], queries[:4]])
                 for ra, rb in zip(
-                    threads.query_batch(probes), procs.query_batch(probes)
+                    threads.query(probes), procs.query(probes)
                 ):
                     assert_results_equal(ra, rb)
             assert procs.n == threads.n == N + 11
@@ -132,11 +132,11 @@ class TestCrashRecovery:
     def test_respawn_after_kill_preserves_answers(self, points, queries):
         procs = Index.build(points, _spec(execution="processes"), num_workers=2)
         try:
-            before = procs.query_batch(queries)
+            before = procs.query(queries)
             pool = procs.engine
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             time.sleep(0.05)
-            after = procs.query_batch(queries)
+            after = procs.query(queries)
             for ra, rb in zip(before, after):
                 assert_results_equal(ra, rb)
         finally:
@@ -173,14 +173,14 @@ class TestCrashRecovery:
             for _ in range(3):
                 os.kill(pool.worker_pids()[0], signal.SIGKILL)
                 time.sleep(0.01)
-                procs.query_batch(queries[:2])  # triggers respawn + replay
+                procs.query(queries[:2])  # triggers respawn + replay
             thread.join()
             assert not errors
             for batch in batches:
                 threads.insert(batch)
             probes = np.concatenate([batches[0], batches[-1], queries[:4]])
             for ra, rb in zip(
-                threads.query_batch(probes), procs.query_batch(probes)
+                threads.query(probes), procs.query(probes)
             ):
                 assert_results_equal(ra, rb)
             assert procs.n == threads.n
@@ -200,7 +200,7 @@ class TestCrashRecovery:
             time.sleep(0.05)
             probes = np.concatenate([new[:3], queries[:3]])
             for ra, rb in zip(
-                threads.query_batch(probes), procs.query_batch(probes)
+                threads.query(probes), procs.query(probes)
             ):
                 assert_results_equal(ra, rb)
         finally:
@@ -219,7 +219,7 @@ class TestPersistence:
             assert isinstance(reopened.engine, WorkerPool)
             assert reopened.n == procs.n
             for ra, rb in zip(
-                procs.query_batch(queries), reopened.query_batch(queries)
+                procs.query(queries), reopened.query(queries)
             ):
                 assert_results_equal(ra, rb)
         finally:
@@ -244,7 +244,7 @@ class TestPersistence:
         reference = Index.build(points, _spec(num_shards=1))
         try:
             for ra, rb in zip(
-                reference.query_batch(queries), single.query_batch(queries)
+                reference.query(queries), single.query(queries)
             ):
                 assert_results_equal(ra, rb)
         finally:
@@ -257,14 +257,14 @@ class TestPersistence:
             procs.insert(rng.normal(size=(6, DIM)))
             pool = procs.engine
             assert any(pool._insert_log)
-            before = procs.query_batch(queries)
+            before = procs.query(queries)
             pool.checkpoint()
             assert not any(pool._insert_log)  # artifact is canonical again
             # A crash after the checkpoint recovers from disk alone.
             for pid in list(pool.worker_pids()):
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.05)
-            after = procs.query_batch(queries)
+            after = procs.query(queries)
             for ra, rb in zip(before, after):
                 assert_results_equal(ra, rb)
             assert procs.n == N + 6
@@ -347,7 +347,7 @@ class TestPoolTelemetry:
 
         procs = Index.build(points, _spec(execution="processes"), num_workers=2)
         try:
-            procs.query_batch(queries)
+            procs.query(queries)
             procs.query(QuerySpec(queries, k=3))
             per_worker = procs.engine.worker_stats()
             assert len(per_worker) == 2
@@ -374,11 +374,11 @@ class TestPoolTelemetry:
         try:
             pool = procs.engine
             assert pool.respawns == 0
-            procs.query_batch(queries)
+            procs.query(queries)
             assert pool.bytes_shipped > 0
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             time.sleep(0.05)
-            procs.query_batch(queries)
+            procs.query(queries)
             assert pool.respawns == 1
             snapshot = procs.stats_snapshot()
             assert snapshot["worker_respawns"] == 1
@@ -389,7 +389,7 @@ class TestPoolTelemetry:
     def test_stats_snapshot_embeds_worker_aggregate(self, points, queries):
         procs = Index.build(points, _spec(execution="processes"), num_workers=2)
         try:
-            procs.query_batch(queries)
+            procs.query(queries)
             snapshot = procs.stats_snapshot()
             workers = snapshot["workers"]
             assert len(workers["per_worker"]) == 2
@@ -409,12 +409,12 @@ class TestPoolTelemetry:
         procs = Index.build(points, _spec(execution="processes"), num_workers=2)
         try:
             procs.enable_tracing(True)
-            before = procs.query_batch(queries)
+            before = procs.query(queries)
             stats = procs.stats
             assert stats.stage_seconds.get("ipc", 0.0) > 0.0
             assert "merge" in stats.stage_seconds
             procs.enable_tracing(False)
-            after = procs.query_batch(queries)
+            after = procs.query(queries)
             for ra, rb in zip(before, after):
                 assert_results_equal(ra, rb)
         finally:

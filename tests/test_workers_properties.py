@@ -79,7 +79,8 @@ def test_radius_processes_equal_threads(serving_pair, corpus, rows, radius):
     _, probes = corpus
     batch = probes[rows]
     for ra, rb in zip(
-        threads.query_batch(batch, radius), processes.query_batch(batch, radius)
+        threads.query(QuerySpec(batch, radius=radius)),
+        processes.query(QuerySpec(batch, radius=radius)),
     ):
         assert_results_equal(ra, rb)
 
@@ -122,7 +123,7 @@ def test_insert_sequences_stay_bit_identical(corpus, insert_seed, batch_sizes):
             assert np.array_equal(threads.insert(batch), processes.insert(batch))
             checks = np.concatenate([batch, probes[:4]])
             for ra, rb in zip(
-                threads.query_batch(checks), processes.query_batch(checks)
+                threads.query(QuerySpec(checks)), processes.query(QuerySpec(checks))
             ):
                 assert_results_equal(ra, rb)
             for ra, rb in zip(
