@@ -55,8 +55,12 @@ class QueryOutcome:
         Distinct candidates whose exact distance was computed (the full
         index size for a linear scan); ``-1`` when unknown.
     estimated_candidates:
-        The merged-HLL ``candSize`` estimate the dispatch decision (and
-        any adaptive probe budget) keyed on; ``nan`` when not computed.
+        The ``candSize`` the dispatch verdict was taken at: the
+        merged-HLL estimate clamped to the exact bounds where those
+        left Equation (1) open, the exact candidate count where the
+        upper bound alone chose LSH, the lower bound (largest probed
+        bucket) where it alone chose the scan.  Finite on every
+        dispatched row; ``nan`` only when no decision was taken.
     exact:
         True when the answer is exact by construction (linear scan,
         exact top-k selection, or a certified adaptive top-k answer).
@@ -125,9 +129,11 @@ class QueryOutcome:
     def as_dict(self) -> dict[str, object]:
         """JSON-friendly envelope document (the stream protocol's body).
 
-        ``ids`` and ``distances`` become plain lists; ``nan`` estimates
-        become ``None`` (JSON has no NaN); the engine diagnostics and
-        trace are deliberately excluded — they are in-process objects.
+        ``ids`` and ``distances`` become plain lists; a ``nan``
+        ``estimated_candidates`` (no dispatch decision was taken — a
+        dispatched row always carries a finite one) becomes ``None``
+        (JSON has no NaN); the engine diagnostics and trace are
+        deliberately excluded — they are in-process objects.
         """
         estimated: float | None = self.estimated_candidates
         if estimated != estimated:  # nan

@@ -98,6 +98,27 @@ class CostModel:
         object.__setattr__(self, "_linear_cache", (n, value))
         return value
 
+    def lsh_bounds(
+        self, num_collisions: int, lower: float, upper: float, n: int
+    ) -> tuple[bool, bool]:
+        """Equation (1) at exact bounds on ``candSize``: ``(certain, possible)``.
+
+        ``certain``: LSH wins even at ``upper``; ``possible``: it wins at
+        least at ``lower``.  ``LSHCost`` is monotone in ``candSize``, so
+        ``certain`` or ``not possible`` settles :meth:`choose` for every
+        estimate inside the bounds (the same arithmetic as
+        :meth:`lsh_cost`, so the two can never disagree at a bound).
+
+        >>> CostModel(alpha=1.0, beta=10.0).lsh_bounds(100, 20, 100, n=50)
+        (False, True)
+        """
+        collision_cost = self.alpha * num_collisions
+        linear = self.linear_cost(n)
+        return (
+            collision_cost + self.beta * upper < linear,
+            collision_cost + self.beta * lower < linear,
+        )
+
     def choose(self, num_collisions: int, cand_size: float, n: int) -> Strategy:
         """Algorithm 2, line 4: LSH iff ``LSHCost < LinearCost``."""
         lsh = self.lsh_cost(num_collisions, cand_size)

@@ -4,17 +4,32 @@ Per query the hybrid strategy:
 
 1. looks up the query's bucket in each of the ``L`` tables (Step S1;
    the lookup is shared with whichever strategy runs next);
-2. reads the exact ``#collisions`` from the stored bucket sizes;
-3. merges the buckets' HyperLogLog sketches (``O(mL)``) to estimate
-   ``candSize``;
-4. evaluates ``LSHCost = alpha * #collisions + beta * candSize`` and
-   ``LinearCost = beta * n`` and dispatches to LSH-based search if
+2. reads the exact ``#collisions`` and the largest probed bucket from
+   the stored bucket sizes — exact bounds on the candidate-set size,
+   ``largest bucket <= candSize <= min(#collisions, n)``;
+3. evaluates ``LSHCost = alpha * #collisions + beta * candSize``
+   against ``LinearCost = beta * n`` *at the bounds first*: LSH when it
+   wins even at the upper bound, linear when it loses even at the lower
+   one (``LSHCost`` is monotone in ``candSize``, so no estimate inside
+   the bounds could say otherwise);
+4. only for the rows the bounds leave open, merges the buckets'
+   HyperLogLog sketches (``O(mL)``) to estimate ``candSize``, clamps
+   the estimate to the bounds, and dispatches to LSH-based search if
    ``LSHCost < LinearCost``, else to linear search.
 
-Because the ``O(mL)`` estimation overhead is comparable to the hash
-computations of Step S1, the hybrid query is never much slower than the
-better of the two pure strategies — and on mixtures of easy and hard
-queries it beats both, which is the paper's headline result.
+The verdict is Equation (1) at the clamped estimate on every row; it
+differs from estimating every row only where the raw estimate fell
+outside the exact bounds, i.e. where the estimator was provably wrong.
+The ``O(mL)`` estimation overhead, comparable to the hash computations
+of Step S1, is paid only where it can change the answer, so the hybrid
+query is never much slower than the better of the two pure strategies —
+and on mixtures of easy and hard queries it beats both, which is the
+paper's headline result.  The reported
+:class:`~repro.core.results.QueryStats` stay finite and self-consistent
+throughout: ``estimated_candidates`` is the value the verdict was taken
+at (clamped estimate / exact count of an upper-bound LSH row, which
+Step S2 materialises anyway / lower bound of a lower-bound scan row) and
+``estimated_lsh_cost`` is Equation (1) at it.
 
 :class:`HybridSearcher` works on any built sketched index (including
 :class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`).
@@ -56,7 +71,8 @@ class HybridSearcher:
         Optional ``candSize`` estimator ``f(index, lookup) -> float``
         (see :func:`repro.sketches.register_estimator`); ``None`` uses
         the paper's merged-HLL estimate, which also enables the
-        vectorised batch merge in :meth:`query_batch`.
+        vectorised batch merge in :meth:`query_batch`.  Either is only
+        consulted on rows the exact bounds leave open.
     """
 
     def __init__(
@@ -82,11 +98,99 @@ class HybridSearcher:
         self._lsh = LSHSearch(index)
         self._linear = LinearScan(index.points, index.family.metric)
 
-    def _estimate(self, lookup) -> float:
-        """``candSize`` for one lookup through the configured estimator."""
-        if self.estimator is None:
-            return self.index.merged_sketch(lookup).estimate()
-        return float(self.estimator(self.index, lookup))
+    def _verdict_from_bounds(self, lookup) -> tuple[bool | None, float | None]:
+        """Equation (1) from the exact ``candSize`` bounds alone.
+
+        ``(True, None)`` — LSH wins even at the upper bound (Step S2
+        will supply the exact count); ``(False, lower)`` — it loses
+        even at the lower bound; ``(None, None)`` — open, estimate it.
+        """
+        n = self.index.n
+        collisions = lookup.num_collisions
+        lower = lookup.largest_bucket
+        certain, possible = self.cost_model.lsh_bounds(
+            collisions, lower, min(collisions, n), n
+        )
+        if certain:
+            return True, None
+        return (None, None) if possible else (False, float(lower))
+
+    def _verdict_at(self, lookup, estimate: float) -> tuple[bool, float]:
+        """Equation (1) at ``estimate`` clamped to the exact bounds — by
+        monotonicity what :meth:`_verdict_from_bounds` says wherever it
+        says anything, so the adaptive ring walk's estimates need only this."""
+        n = self.index.n
+        collisions = lookup.num_collisions
+        clamped = float(min(max(estimate, lookup.largest_bucket), min(collisions, n)))
+        lsh_cost = self.cost_model.lsh_cost(collisions, clamped)
+        return lsh_cost < self.cost_model.linear_cost(n), clamped
+
+    def _verdicts(
+        self, lookups, estimates: np.ndarray | None = None
+    ) -> list[tuple[bool, float | None]]:
+        """Bound-first Equation (1) per lookup: ``(go LSH?, candSize)``,
+        ``candSize`` being the value the verdict was taken at (``None``:
+        the exact count Step S2 is about to materialise).
+
+        The one verdict of all three entry points — a single query is a
+        batch of one — so sequential == batched holds by construction.
+        The per-row arithmetic is scalar (a vectorised pass costs more
+        than it saves below ~25 rows); only the register merge of two
+        or more open rows is batched.  ``estimates`` hands in what the
+        lookup pass already produced (the adaptive ring walk): nothing
+        is merged, and the clamp keeps a non-binding budget's verdicts
+        equal to the fixed path's.
+        """
+        if estimates is not None:
+            return [
+                self._verdict_at(lookup, estimate)
+                for lookup, estimate in zip(lookups, estimates.tolist())
+            ]
+        verdicts = [self._verdict_from_bounds(lookup) for lookup in lookups]
+        open_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh is None]
+        if open_rows:
+            open_lookups = [lookups[i] for i in open_rows]
+            if self.estimator is not None:
+                estimates = [
+                    float(self.estimator(self.index, lookup)) for lookup in open_lookups
+                ]
+            elif len(open_lookups) == 1:
+                # The same floats as the batch merge (pinned by the
+                # layouts' own tests) at half its fixed cost for one row:
+                # 28 vs 62 us on the frozen layout, L = 50.
+                estimates = [self.index.merged_sketch(open_lookups[0]).estimate()]
+            else:
+                # One vectorised pass over the open rows' merged registers.
+                estimates = self.index.merged_estimates_batch(open_lookups).tolist()
+            for i, estimate in zip(open_rows, estimates):
+                verdicts[i] = self._verdict_at(lookups[i], estimate)
+        return verdicts
+
+    def _stats(
+        self,
+        num_collisions: int,
+        cand_size: float | None,
+        go_lsh: bool,
+        examined: int,
+        probes_used: int,
+    ) -> QueryStats:
+        """One row's decision diagnostics, built once.  ``cand_size`` is
+        what :meth:`_verdicts` returned; ``None`` reports the exact count
+        ``examined``, so the stats stay finite and ``estimated_lsh_cost
+        < linear_cost`` keeps matching the strategy."""
+        if cand_size is None:
+            cand_size = float(examined)
+        return QueryStats(
+            num_collisions=num_collisions,
+            estimated_candidates=cand_size,
+            exact_candidates=examined,
+            estimated_lsh_cost=self.cost_model.lsh_cost(num_collisions, cand_size),
+            linear_cost=self.cost_model.linear_cost(self.index.n),
+            strategy=Strategy.LSH if go_lsh else Strategy.LINEAR,
+            probes_used=probes_used,
+            # A linear scan is exact by construction; an LSH answer is not.
+            exact=not go_lsh,
+        )
 
     def _fixed_probes(self) -> int:
         """Probe rings beyond the home bucket the fixed fan-out examines.
@@ -126,32 +230,21 @@ class HybridSearcher:
         query = check_vector(query, dim=self.index.dim, name="query")
         radius = check_positive(radius, "radius")
         lookup = self.index.lookup(query)
-        num_collisions = lookup.num_collisions
-        estimated_candidates = self._estimate(lookup)
-        lsh_cost = self.cost_model.lsh_cost(num_collisions, estimated_candidates)
-        linear_cost = self.cost_model.linear_cost(self.index.n)
-
-        if lsh_cost < linear_cost:
-            result = self._lsh.query_from_lookup(query, radius, lookup)
-            strategy = Strategy.LSH
-            exact_candidates = result.stats.exact_candidates
-        else:
+        ((go_lsh, cand_size),) = self._verdicts([lookup])
+        probes = self._fixed_probes()
+        if not go_lsh:
             result = self._linear_scan().query(query, radius)
-            strategy = Strategy.LINEAR
             # A linear scan genuinely examines every point.
-            exact_candidates = self.index.n
-
-        result.stats = QueryStats(
-            num_collisions=num_collisions,
-            estimated_candidates=estimated_candidates,
-            exact_candidates=exact_candidates,
-            estimated_lsh_cost=lsh_cost,
-            linear_cost=linear_cost,
-            strategy=strategy,
-            probes_used=self._fixed_probes(),
-            exact=result.stats.exact,
+            result.stats = self._stats(
+                lookup.num_collisions, cand_size, False, self.index.n, probes
+            )
+            return result
+        candidates = self.index.candidate_ids(lookup)
+        ids, distances = self._lsh.filter_candidates(query, radius, candidates)
+        stats = self._stats(
+            lookup.num_collisions, cand_size, True, int(candidates.size), probes
         )
-        return result
+        return QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
 
     def query_batch(
         self,
@@ -169,7 +262,10 @@ class HybridSearcher:
         queries the cost model sends to linear search are answered by
         one :meth:`~repro.core.linear_scan.LinearScan.query_batch`
         distance-matrix pass (same kernel per row, so bit-identical
-        answers).
+        answers).  Equation (1) is decided bound-first, as in
+        :meth:`query` (see the module docstring): only the rows the
+        exact ``candSize`` bounds leave open are estimated, in one
+        vectorised merge over just those rows.
 
         ``dedup`` is forwarded to the LSH branch's candidate retrieval;
         both dedup implementations return the identical candidate set,
@@ -195,7 +291,10 @@ class HybridSearcher:
         answers from its LSH candidate set even when Equation (1)
         favours the scan, so a budgeted query never examines all ``n``
         points once enough candidates are certified (its answers stay a
-        subset of the scan's).
+        subset of the scan's).  The ring walk's estimates are the
+        decision input here — nothing further is merged — clamped to
+        the trimmed lookup's exact bounds like any other estimate, so a
+        non-binding budget dispatches exactly as the fixed path does.
         """
         radius = check_positive(radius, "radius")
         queries = np.asarray(queries)
@@ -206,11 +305,12 @@ class HybridSearcher:
             and hasattr(self.index, "lookup_batch_adaptive")
         )
         probes_used: np.ndarray | None = None
+        ring_estimates: np.ndarray | None = None
         with stage_timer(trace, "hash"):
             if use_adaptive:
                 # The adaptive lookup *is* the estimate pass (ring-prefix
                 # merges), so the whole decision input lands here.
-                lookups, probes_used, adaptive_estimates = (
+                lookups, probes_used, ring_estimates = (
                     self.index.lookup_batch_adaptive(
                         queries,
                         adaptive.target_candidates,
@@ -219,87 +319,67 @@ class HybridSearcher:
                 )
             else:
                 lookups = self.index.lookup_batch(queries)
-        linear_cost = self.cost_model.linear_cost(self.index.n)
         with stage_timer(trace, "estimate"):
-            if use_adaptive:
-                estimates = adaptive_estimates.tolist()
-            elif self.estimator is None:
-                # One vectorised pass over the batch-merged registers; the
-                # frozen layout computes this without any sketch objects.
-                estimates = self.index.merged_estimates_batch(lookups).tolist()
-            else:
-                estimates = [self._estimate(lookup) for lookup in lookups]
-            # Equation (1) for the whole batch in two vector ops; float64
-            # elementwise arithmetic matches the scalar lsh_cost() bit for
-            # bit, so the dispatch decisions are identical to looping it.
-            collision_counts = [lookup.num_collisions for lookup in lookups]
-            lsh_costs = (
-                self.cost_model.alpha * np.asarray(collision_counts, dtype=np.float64)
-                + self.cost_model.beta * np.asarray(estimates, dtype=np.float64)
-            ).tolist()
-        decisions = list(zip(collision_counts, estimates, lsh_costs))
+            verdicts = self._verdicts(lookups, ring_estimates)
+        go_lsh = [lsh for lsh, _ in verdicts]
+        if use_adaptive:
+            # Under an adaptive budget, a row whose (trimmed) estimate
+            # already certifies ``target_candidates`` keeps the LSH
+            # candidate set even when Equation (1) favours the scan: the
+            # budget's contract is to stop examining candidates once
+            # enough are certified, and a linear pass over all n points
+            # is exactly the over-examination it exists to avoid.  The
+            # distance filter still runs, so the row's answers remain a
+            # subset of what the scan would return.
+            target = float(adaptive.target_candidates)
+            go_lsh = [
+                lsh or est >= target
+                for lsh, est in zip(go_lsh, ring_estimates.tolist())
+            ]
 
-        # Under an adaptive budget, a row whose (trimmed) estimate already
-        # certifies ``target_candidates`` keeps the LSH candidate set even
-        # when Equation (1) favours the scan: the budget's contract is to
-        # stop examining candidates once enough are certified, and a
-        # linear pass over all n points is exactly the over-examination
-        # it exists to avoid.  The distance filter still runs, so the
-        # row's answers remain a subset of what the scan would return.
-        budget_target = (
-            float(adaptive.target_candidates) if use_adaptive else float("inf")
-        )
-        linear_flags = [
-            not lsh_cost < linear_cost and not est >= budget_target
-            for _, est, lsh_cost in decisions
-        ]
+        fixed_probes = self._fixed_probes()
+
+        def stats_of(i: int, examined: int) -> QueryStats:
+            return self._stats(
+                lookups[i].num_collisions,
+                verdicts[i][1],
+                go_lsh[i],
+                examined,
+                int(probes_used[i]) if probes_used is not None else fixed_probes,
+            )
 
         results: list[QueryResult | None] = [None] * len(lookups)
-        linear_rows = [i for i, flag in enumerate(linear_flags) if flag]
+        linear_rows = [i for i, lsh in enumerate(go_lsh) if not lsh]
         if linear_rows:
             with stage_timer(trace, "linear"):
                 scanned = self._linear_scan().query_batch(queries[linear_rows], radius)
             for i, result in zip(linear_rows, scanned):
+                # A linear scan genuinely examines every point.
+                result.stats = stats_of(i, self.index.n)
                 results[i] = result
-        lsh_rows = [i for i in range(len(lookups)) if results[i] is None]
+        lsh_rows = [i for i, lsh in enumerate(go_lsh) if lsh]
         with stage_timer(trace if lsh_rows else None, "candidates"):
             # The frozen layout can recognise queries with identical bucket
             # sets (equal rows of its bucket-index matrix) and union each
             # distinct set once; other layouts deduplicate per query.
             batch_dedup = getattr(self.index, "candidate_ids_batch", None)
-            candidate_sets = (
-                batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
-                if batch_dedup is not None and lsh_rows
-                else None
-            )
-            for j, i in enumerate(lsh_rows):
-                results[i] = self._lsh.query_from_lookup(
-                    queries[i],
-                    radius,
-                    lookups[i],
-                    dedup=dedup,
-                    candidates=None if candidate_sets is None else candidate_sets[j],
+            if batch_dedup is not None and lsh_rows:
+                candidate_sets = batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
+            else:
+                candidate_sets = [
+                    self.index.candidate_ids(lookups[i], dedup=dedup) for i in lsh_rows
+                ]
+            for i, candidates in zip(lsh_rows, candidate_sets):
+                ids, distances = self._lsh.filter_candidates(
+                    queries[i], radius, candidates
                 )
-        fixed_probes = self._fixed_probes()
-        for i, result in enumerate(results):
-            num_collisions, estimated_candidates, lsh_cost = decisions[i]
-            is_linear = linear_flags[i]
-            result.stats = QueryStats(
-                num_collisions=num_collisions,
-                estimated_candidates=estimated_candidates,
-                # A linear scan genuinely examines every point; LSH rows
-                # keep the materialised candidate-set size.
-                exact_candidates=(
-                    self.index.n if is_linear else result.stats.exact_candidates
-                ),
-                estimated_lsh_cost=lsh_cost,
-                linear_cost=linear_cost,
-                strategy=Strategy.LINEAR if is_linear else Strategy.LSH,
-                probes_used=(
-                    int(probes_used[i]) if probes_used is not None else fixed_probes
-                ),
-                exact=result.stats.exact,
-            )
+                results[i] = QueryResult(
+                    ids=ids,
+                    distances=distances,
+                    radius=radius,
+                    # LSH rows report the materialised candidate-set size.
+                    stats=stats_of(i, int(candidates.size)),
+                )
         return results
 
     def decide(self, query: np.ndarray) -> Strategy:
@@ -309,12 +389,8 @@ class HybridSearcher:
         of linear-search calls without needing the answers.
         """
         query = check_vector(query, dim=self.index.dim, name="query")
-        lookup = self.index.lookup(query)
-        return self.cost_model.choose(
-            lookup.num_collisions,
-            self._estimate(lookup),
-            self.index.n,
-        )
+        ((go_lsh, _),) = self._verdicts([self.index.lookup(query)])
+        return Strategy.LSH if go_lsh else Strategy.LINEAR
 
     def __repr__(self) -> str:
         return f"HybridSearcher(index={self.index!r}, cost_model={self.cost_model!r})"

@@ -106,29 +106,36 @@ class LSHSearch:
         """
         if candidates is None:
             candidates = self.index.candidate_ids(lookup, dedup=dedup)
-        metric = self.index.family.metric
-        if candidates.size:
-            if candidates is self._gather_key:
-                gathered, state_sub = self._gather_value
-            else:
-                state = self._prepared()
-                gathered = self.index.points[candidates]
-                state_sub = None if state is None else state[candidates]
-                self._gather_key = candidates
-                self._gather_value = (gathered, state_sub)
-            distances = metric.distances_to_prepared(gathered, query, state_sub)
-            within = distances <= radius
-            ids = candidates[within]
-            dists = distances[within]
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
+        ids, dists = self.filter_candidates(query, radius, candidates)
         stats = QueryStats(
             strategy=Strategy.LSH,
             num_collisions=lookup.num_collisions,
             exact_candidates=int(candidates.size),
         )
         return QueryResult(ids=ids, distances=dists, radius=radius, stats=stats)
+
+    def filter_candidates(
+        self, query: np.ndarray, radius: float, candidates: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step S3 alone: ``(ids, distances)`` of the candidates within ``radius``.
+
+        What the hybrid searcher calls on its LSH rows — it builds the
+        row's result and decision stats itself, once.
+        """
+        if not candidates.size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if candidates is self._gather_key:
+            gathered, state_sub = self._gather_value
+        else:
+            state = self._prepared()
+            gathered = self.index.points[candidates]
+            state_sub = None if state is None else state[candidates]
+            self._gather_key = candidates
+            self._gather_value = (gathered, state_sub)
+        metric = self.index.family.metric
+        distances = metric.distances_to_prepared(gathered, query, state_sub)
+        within = distances <= radius
+        return candidates[within], distances[within]
 
     def __repr__(self) -> str:
         return f"LSHSearch(index={self.index!r})"

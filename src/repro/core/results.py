@@ -33,15 +33,24 @@ class QueryStats:
     num_collisions:
         Exact total occupancy of the query's buckets (Step S2 driver).
     estimated_candidates:
-        HLL estimate of ``candSize``; ``nan`` when not computed (pure
-        linear or pure LSH runs).
+        The ``candSize`` the dispatch verdict was taken at.  Hybrid
+        search decides Equation (1) from exact bounds first, so this is
+        the estimate (merged HLL, or the registered estimator's) clamped
+        to ``[largest bucket, min(#collisions, n)]`` on a row the bounds
+        left open, the exact candidate count on a row the upper bound
+        sent to LSH, and the lower bound on a row the lower bound sent
+        to the scan — finite on every hybrid row.  ``nan`` when no
+        decision was taken (pure linear or pure LSH runs).
     exact_candidates:
         True distinct candidate count; filled only when LSH-based
         search actually ran (it materialises the candidate set anyway)
         or when explicitly requested by an experiment.
     estimated_lsh_cost / linear_cost:
         The two sides of the Algorithm 2 comparison, in cost-model
-        units.
+        units: ``estimated_lsh_cost`` is Equation (1) at
+        ``estimated_candidates``, and (outside an adaptive budget, which
+        may keep a row on LSH regardless) ``strategy`` is LSH exactly
+        when it is below ``linear_cost``.
     strategy:
         The strategy that produced the answer.
     elapsed_seconds:

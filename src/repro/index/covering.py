@@ -284,7 +284,9 @@ class CoveringLSHIndex:
         )
 
     # The remaining primitives are identical to LSHIndex; reuse them.
+    _require_sketches = LSHIndex._require_sketches
     merged_sketch = LSHIndex.merged_sketch
+    _merged_registers_batch = LSHIndex._merged_registers_batch
     merged_sketches_batch = LSHIndex.merged_sketches_batch
     merged_estimates_batch = LSHIndex.merged_estimates_batch
     estimate_candidates = LSHIndex.estimate_candidates

@@ -55,7 +55,6 @@ no bucket reconstruction, first query pages in only what it touches.
 from __future__ import annotations
 
 import json
-import math
 import os
 import shutil
 import threading
@@ -69,7 +68,11 @@ from repro.hashing.composite import encode_rows
 from repro.index.bucket import Bucket
 from repro.index.lsh_index import LSHIndex
 from repro.index.table import HashTable
-from repro.sketches.hyperloglog import HyperLogLog, PrecomputedHllHashes, alpha_m
+from repro.sketches.hyperloglog import (
+    HyperLogLog,
+    PrecomputedHllHashes,
+    estimates_from_registers,
+)
 
 __all__ = [
     "FrozenLSHIndex",
@@ -98,28 +101,6 @@ def _void_view(key_matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(key_matrix).view(np.dtype((np.void, width))).ravel()
 
 
-def _estimates_from_registers(registers: np.ndarray) -> np.ndarray:
-    """Per-row HLL estimates of a ``(rows, m)`` merged-register matrix.
-
-    The harmonic sums and zero-register counts are computed for all
-    rows in two vectorised passes; the scalar bias/linear-counting
-    finish per row replays :meth:`HyperLogLog.estimate` exactly, so the
-    values are bit-identical to the per-sketch path.  Shared by
-    :meth:`FrozenLSHIndex.merged_estimates_batch` and the per-ring
-    prefix estimates of :meth:`FrozenLSHIndex.lookup_batch_adaptive` —
-    one finish, so the adaptive stopping rule and the cost decision can
-    never disagree about what an estimate is.
-    """
-    m = registers.shape[1]
-    inv_sums = np.sum(np.exp2(-registers.astype(np.float64)), axis=1)
-    zero_counts = m - np.count_nonzero(registers, axis=1)
-    out = (alpha_m(m) * m * m) / inv_sums
-    corrected = np.flatnonzero((out <= 2.5 * m) & (zero_counts > 0))
-    for i in corrected.tolist():
-        out[i] = m * math.log(m / int(zero_counts[i]))
-    return out
-
-
 def _csr_gather(
     members: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> np.ndarray:
@@ -130,6 +111,29 @@ def _csr_gather(
     exclusive = np.concatenate(([0], np.cumsum(lens[:-1])))
     idx = np.repeat(starts - exclusive, lens) + np.arange(total, dtype=np.int64)
     return members[idx]
+
+
+def _slot_occupancy(
+    frozen: FrozenTables, positions: np.ndarray, overflows: list | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(#collisions, largest bucket)`` per row of a ``(q, S)`` slot matrix.
+
+    A probed *logical* bucket is one slot's frozen part plus its part in
+    every overflow generation (the dict layout holds them as one
+    bucket), so both numbers equal the dict layout's across inserts and
+    re-freezes.  ``overflows`` carries each row's generation-major flat
+    bucket list (``None`` when the snapshot had no overflow); -1 slots —
+    empty buckets, or probes an adaptive budget trimmed — count zero.
+    """
+    found = positions >= 0
+    sizes = np.where(found, frozen.sizes[np.where(found, positions, 0)], 0)
+    if overflows:
+        q, num_slots = positions.shape
+        extra = np.array(
+            [[0 if b is None else b.size for b in overflow] for overflow in overflows]
+        )
+        sizes += extra.reshape(q, -1, num_slots).sum(axis=1)
+    return sizes.sum(axis=1), sizes.max(axis=1)
 
 
 class FrozenTables:
@@ -447,6 +451,7 @@ class FrozenQueryLookup:
         "overflow",
         "_frozen",
         "_num_collisions",
+        "_largest_bucket",
         "_found",
     )
 
@@ -457,24 +462,41 @@ class FrozenQueryLookup:
         frozen: FrozenTables,
         overflow: list[Bucket | None] | None = None,
         num_collisions: int | None = None,
+        largest_bucket: int | None = None,
     ) -> None:
         self.bucket_ids = bucket_ids
         self.hash_rows = hash_rows
         self.overflow = overflow
         self._frozen = frozen
         self._num_collisions = num_collisions
+        self._largest_bucket = largest_bucket
         self._found = None
+
+    def _measure(self) -> None:
+        """Both occupancy numbers, one pass (``lookup_batch`` precomputes them)."""
+        collisions, largest = _slot_occupancy(
+            self._frozen,
+            self.bucket_ids[None, :],
+            None if self.overflow is None else [self.overflow],
+        )
+        self._num_collisions = int(collisions[0])
+        self._largest_bucket = int(largest[0])
 
     @property
     def num_collisions(self) -> int:
-        """Total occupancy of the query's buckets (frozen + overflow)."""
+        """Total occupancy of the query's buckets (frozen + overflow);
+        an exact upper bound on ``candSize``."""
         if self._num_collisions is None:
-            found = self.bucket_ids[self.bucket_ids >= 0]
-            total = int(self._frozen.sizes[found].sum())
-            if self.overflow is not None:
-                total += sum(b.size for b in self.overflow if b is not None)
-            self._num_collisions = total
+            self._measure()
         return self._num_collisions
+
+    @property
+    def largest_bucket(self) -> int:
+        """Occupancy of the fullest probed bucket (frozen + overflow
+        parts of one slot together); an exact lower bound on ``candSize``."""
+        if self._largest_bucket is None:
+            self._measure()
+        return self._largest_bucket
 
     def found_buckets(self) -> np.ndarray:
         """Global indexes of the query's non-empty frozen buckets (cached)."""
@@ -975,50 +997,51 @@ class FrozenLSHIndex(LSHIndex):
             all_rows, slot_rows, positions, frozen, generations
         )
 
+    def _overflow_keys(self, slot_rows) -> list[list[bytes]]:
+        """Per query, the dict key of every slot (overflow tables are
+        dict-layout); the covering subclass encodes per-table widths."""
+        q, num_slots = slot_rows.shape[0], slot_rows.shape[1]
+        flat = encode_rows(
+            np.ascontiguousarray(slot_rows.reshape(q * num_slots, self.k))
+        )
+        return [flat[qi * num_slots : (qi + 1) * num_slots] for qi in range(q)]
+
     def _finish_lookup_batch(
         self,
-        all_rows: np.ndarray,
-        slot_rows: np.ndarray,
+        hash_rows,
+        slot_rows,
         positions: np.ndarray,
         frozen: FrozenTables,
         generations: list[list[HashTable]],
     ) -> list[FrozenQueryLookup]:
         """Assemble :class:`FrozenQueryLookup` objects from located slots.
 
-        ``positions`` may carry -1 in place of slots an adaptive probe
+        ``positions`` may hold -1 in place of slots an adaptive probe
         budget trimmed away (:meth:`lookup_batch_adaptive`); the
-        vectorised collision count simply skips them, exactly like
-        empty buckets.
+        vectorised occupancy pass — ``#collisions`` and the largest
+        probed bucket, Equation (1)'s exact bounds on ``candSize`` —
+        simply skips them, exactly like empty buckets.
         """
-        q = all_rows.shape[0]
-        num_slots = positions.shape[1]
-        found = positions >= 0
-        safe = np.where(found, positions, 0)
-        collisions = np.where(found, frozen.sizes[safe], 0).sum(axis=1)
+        q = positions.shape[0]
+        overflows = None
         if generations:
-            flat_keys = encode_rows(
-                np.ascontiguousarray(slot_rows.reshape(q * num_slots, self.k))
+            overflows = [
+                self._overflow_buckets_for(keys, generations)
+                for keys in self._overflow_keys(slot_rows)
+            ]
+        collisions, largest = _slot_occupancy(frozen, positions, overflows)
+        collisions, largest = collisions.tolist(), largest.tolist()
+        return [
+            FrozenQueryLookup(
+                bucket_ids=positions[qi],
+                hash_rows=hash_rows[qi],
+                frozen=frozen,
+                overflow=None if overflows is None else overflows[qi],
+                num_collisions=collisions[qi],
+                largest_bucket=largest[qi],
             )
-        lookups = []
-        for qi in range(q):
-            overflow = None
-            num_collisions = int(collisions[qi])
-            if generations:
-                keys = flat_keys[qi * num_slots : (qi + 1) * num_slots]
-                overflow = self._overflow_buckets_for(keys, generations)
-                num_collisions += sum(
-                    b.size for b in overflow if b is not None
-                )
-            lookups.append(
-                FrozenQueryLookup(
-                    bucket_ids=positions[qi],
-                    hash_rows=all_rows[qi],
-                    frozen=frozen,
-                    overflow=overflow,
-                    num_collisions=num_collisions,
-                )
-            )
-        return lookups
+            for qi in range(q)
+        ]
 
     def lookup_batch_adaptive(
         self,
@@ -1079,7 +1102,7 @@ class FrozenLSHIndex(LSHIndex):
         )
         ring_regs = self._registers_for_bucket_matrix(frozen, ring_mat)
         prefix = np.maximum.accumulate(ring_regs.reshape(q, rings, -1), axis=1)
-        estimates = _estimates_from_registers(
+        estimates = estimates_from_registers(
             prefix.reshape(q * rings, -1)
         ).reshape(q, rings)
         reached = estimates >= float(target_candidates)
@@ -1099,11 +1122,6 @@ class FrozenLSHIndex(LSHIndex):
     # ------------------------------------------------------------------
     # Sketch merging (Algorithm 2, line 2)
     # ------------------------------------------------------------------
-    def _require_sketches(self) -> None:
-        self._require_built()
-        if not self.with_sketches or self._hll_hashes is None:
-            raise ConfigurationError("index was built with with_sketches=False")
-
     def merged_sketch(self, lookup: FrozenQueryLookup) -> HyperLogLog:
         """Merge the query's bucket sketches: row maxima over the register matrix."""
         self._require_sketches()
@@ -1203,32 +1221,6 @@ class FrozenLSHIndex(LSHIndex):
                             self._hll_hashes.ranks[ids],
                         )
         return registers
-
-    def merged_sketches_batch(
-        self, lookups: list[FrozenQueryLookup]
-    ) -> list[HyperLogLog]:
-        """One merged sketch per lookup, fully vectorised across queries."""
-        self._require_sketches()
-        registers = self._merged_registers_batch(lookups)
-        sketches = []
-        for i in range(len(lookups)):
-            sketch = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
-            sketch.registers = registers[i]
-            sketches.append(sketch)
-        return sketches
-
-    def merged_estimates_batch(
-        self, lookups: list[FrozenQueryLookup]
-    ) -> np.ndarray:
-        """``candSize`` estimates for a lookup batch without sketch objects.
-
-        The harmonic sums and zero-register counts are computed for all
-        queries in two vectorised passes; the scalar bias/linear-counting
-        finish per query replays :meth:`HyperLogLog.estimate` exactly,
-        so the values are bit-identical to the per-sketch path.
-        """
-        self._require_sketches()
-        return _estimates_from_registers(self._merged_registers_batch(lookups))
 
     # ------------------------------------------------------------------
     # Step S2: candidate union

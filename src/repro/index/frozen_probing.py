@@ -338,29 +338,14 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
             )
         key_matrix = raw.view(np.dtype((np.void, width)))[:, :, 0]
         positions = frozen.locate(key_matrix)  # (q, L)
-        found = positions >= 0
-        safe = np.where(found, positions, 0)
-        collisions = np.where(found, frozen.sizes[safe], 0).sum(axis=1)
-        if generations:
-            keys_per_table = [encode_rows(rows) for rows in rows_per_table]
-        lookups = []
-        for qi in range(q):
-            overflow = None
-            num_collisions = int(collisions[qi])
-            if generations:
-                keys = [keys_per_table[t][qi] for t in range(self.num_tables)]
-                overflow = self._overflow_buckets_for(keys, generations)
-                num_collisions += sum(b.size for b in overflow if b is not None)
-            lookups.append(
-                FrozenQueryLookup(
-                    bucket_ids=positions[qi],
-                    hash_rows=[rows[qi] for rows in rows_per_table],
-                    frozen=frozen,
-                    overflow=overflow,
-                    num_collisions=num_collisions,
-                )
-            )
-        return lookups
+        hash_rows = [[rows[qi] for rows in rows_per_table] for qi in range(q)]
+        return self._finish_lookup_batch(
+            hash_rows, rows_per_table, positions, frozen, generations
+        )
+
+    def _overflow_keys(self, rows_per_table) -> list[list[bytes]]:
+        per_table = [encode_rows(rows) for rows in rows_per_table]
+        return [list(keys) for keys in zip(*per_table)]
 
     def __repr__(self) -> str:
         built = f"n={self.n}" if self.is_built else "unbuilt"

@@ -24,7 +24,11 @@ from repro.exceptions import ConfigurationError, EmptyIndexError
 from repro.hashing.base import LSHFamily
 from repro.index.bucket import Bucket
 from repro.index.table import HashTable
-from repro.sketches.hyperloglog import HyperLogLog, PrecomputedHllHashes
+from repro.sketches.hyperloglog import (
+    HyperLogLog,
+    PrecomputedHllHashes,
+    estimates_from_registers,
+)
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["LSHIndex", "QueryLookup"]
@@ -54,18 +58,27 @@ class QueryLookup:
     buckets: list[Bucket | None]
     hash_rows: list[np.ndarray]
 
+    def _occupancy(self) -> tuple[int, int]:
+        """``(total, largest)`` occupancy of the query's buckets: one
+        pass, cached (the hybrid pipeline reads both, the total twice)."""
+        cached = getattr(self, "_occupancy_cache", None)
+        if cached is None:
+            sizes = [b.size for b in self.nonempty_buckets()]
+            cached = (sum(sizes), max(sizes, default=0))
+            self._occupancy_cache = cached
+        return cached
+
     @property
     def num_collisions(self) -> int:
-        """Step-S2 cost driver: total occupancy of the query's buckets.
+        """Step-S2 cost driver: total occupancy of the query's buckets
+        (so also an exact *upper* bound on ``candSize``)."""
+        return self._occupancy()[0]
 
-        Cached after the first access — the hybrid pipeline reads it
-        once for the cost decision and once for the result stats.
-        """
-        cached = getattr(self, "_num_collisions", None)
-        if cached is None:
-            cached = sum(b.size for b in self.nonempty_buckets())
-            self._num_collisions = cached
-        return cached
+    @property
+    def largest_bucket(self) -> int:
+        """Occupancy of the fullest probed bucket: an exact *lower*
+        bound on ``candSize`` (a bucket holds distinct points)."""
+        return self._occupancy()[1]
 
     def nonempty_buckets(self) -> list[Bucket]:
         """The buckets that actually exist, in table order.
@@ -291,6 +304,11 @@ class LSHIndex:
         if self.points is None:
             raise EmptyIndexError("index has not been built; call build(points) first")
 
+    def _require_sketches(self) -> None:
+        self._require_built()
+        if not self.with_sketches or self._hll_hashes is None:
+            raise ConfigurationError("index was built with with_sketches=False")
+
     # ------------------------------------------------------------------
     # Query-side primitives (Algorithm 2 inputs)
     # ------------------------------------------------------------------
@@ -342,18 +360,16 @@ class LSHIndex:
         their raw ids into the output sketch (the paper's on-demand
         update trick).
         """
-        self._require_built()
-        if not self.with_sketches or self._hll_hashes is None:
-            raise ConfigurationError("index was built with with_sketches=False")
+        self._require_sketches()
         merged = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
         for bucket in lookup.nonempty_buckets():
             bucket.contribute_to(merged, self._hll_hashes)
         return merged
 
-    def merged_sketches_batch(self, lookups: list[QueryLookup]) -> list[HyperLogLog]:
-        """One merged sketch per lookup, register maxima vectorised.
+    def _merged_registers_batch(self, lookups: list[QueryLookup]) -> np.ndarray:
+        """The ``(q, m)`` merged-register matrix of a lookup batch.
 
-        Returns exactly ``[self.merged_sketch(lk) for lk in lookups]``:
+        Row ``i`` is exactly ``self.merged_sketch(lookups[i]).registers``:
         HLL merging and lazy-bucket contribution are elementwise integer
         maxima, which are associative and commutative, so computing all
         sketched-bucket maxima with one ``np.maximum.reduceat`` over the
@@ -361,9 +377,6 @@ class LSHIndex:
         one scatter-max yields bit-identical registers — the per-query
         Python merge loop of the single-query path is what disappears.
         """
-        self._require_built()
-        if not self.with_sketches or self._hll_hashes is None:
-            raise ConfigurationError("index was built with with_sketches=False")
         m = 1 << self.hll_precision
         registers = np.zeros((len(lookups), m), dtype=np.uint8)
         sketched_regs: list[np.ndarray] = []
@@ -399,6 +412,13 @@ class LSHIndex:
                 (rows, self._hll_hashes.registers[ids]),
                 self._hll_hashes.ranks[ids],
             )
+        return registers
+
+    def merged_sketches_batch(self, lookups: list[QueryLookup]) -> list[HyperLogLog]:
+        """One merged sketch per lookup, register maxima vectorised:
+        exactly ``[self.merged_sketch(lk) for lk in lookups]``."""
+        self._require_sketches()
+        registers = self._merged_registers_batch(lookups)
         sketches = []
         for i in range(len(lookups)):
             sketch = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
@@ -408,16 +428,14 @@ class LSHIndex:
 
     def merged_estimates_batch(self, lookups: list[QueryLookup]) -> np.ndarray:
         """``candSize`` estimate per lookup (batch counterpart of
-        :meth:`estimate_candidates`).
+        :meth:`estimate_candidates`), without sketch objects.
 
-        The dict layout estimates from the batch-merged sketches; the
-        frozen layout overrides this with a fully vectorised pass over
-        its stacked register matrix.  Both return the identical floats.
+        One vectorised finish over the batch-merged register matrix —
+        the same one for every layout, so the floats are identical to
+        each other's and to ``merged_sketch(lookup).estimate()``.
         """
-        return np.asarray(
-            [sketch.estimate() for sketch in self.merged_sketches_batch(lookups)],
-            dtype=np.float64,
-        )
+        self._require_sketches()
+        return estimates_from_registers(self._merged_registers_batch(lookups))
 
     def estimate_candidates(self, lookup: QueryLookup) -> float:
         """Estimated ``candSize`` — distinct points among the L buckets."""

@@ -39,7 +39,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, SketchError
 from repro.sketches.hashing64 import hash64, rho_positions, split_hash
 
-__all__ = ["HyperLogLog", "PrecomputedHllHashes", "alpha_m"]
+__all__ = ["HyperLogLog", "PrecomputedHllHashes", "alpha_m", "estimates_from_registers"]
 
 _MIN_PRECISION = 2
 _MAX_PRECISION = 18
@@ -58,6 +58,28 @@ def alpha_m(m: int) -> float:
     if m == 64:
         return 0.709
     return 0.7213 / (1.0 + 1.079 / m)
+
+
+def estimates_from_registers(registers: np.ndarray) -> np.ndarray:
+    """Per-row HLL estimates of a ``(rows, m)`` merged-register matrix.
+
+    The harmonic sums and zero-register counts are computed for all
+    rows in two vectorised passes; the scalar bias/linear-counting
+    finish per row replays :meth:`HyperLogLog.estimate` exactly, so the
+    values are bit-identical to the per-sketch path.  The one finish
+    behind every batched estimate — both layouts'
+    ``merged_estimates_batch`` and the per-ring prefix estimates of the
+    frozen ``lookup_batch_adaptive`` — so the adaptive stopping rule and
+    the cost decision can never disagree about what an estimate is.
+    """
+    m = registers.shape[1]
+    inv_sums = np.sum(np.exp2(-registers.astype(np.float64)), axis=1)
+    zero_counts = m - np.count_nonzero(registers, axis=1)
+    out = (alpha_m(m) * m * m) / inv_sums
+    corrected = np.flatnonzero((out <= 2.5 * m) & (zero_counts > 0))
+    for i in corrected.tolist():
+        out[i] = m * math.log(m / int(zero_counts[i]))
+    return out
 
 
 class PrecomputedHllHashes:

@@ -20,10 +20,17 @@ The contracts under test:
   counters, worker-side stats and recalibration counts all read zero in
   the next snapshot;
 * the JSON-lines stream answers with the envelope body and consumes
-  the adaptive request fields.
+  the adaptive request fields;
+* dispatch is *bound-first*: ``largest_bucket <= candSize <=
+  min(#collisions, n)`` holds exactly on every layout x variant, across
+  inserts and a re-freeze; the verdict is Equation (1) at the estimate
+  clamped to those bounds (a budgeted batch's ring-walk estimates
+  included; only the budget may then force LSH), and the estimator — merged HLL or a
+  registered one — runs on exactly the rows the bounds leave open.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -39,13 +46,15 @@ from repro.api import (
 )
 from repro.core.adaptive import CostModelTuner
 from repro.core.cost_model import CostModel
+from repro.core.hybrid import HybridSearcher
+from repro.core.results import Strategy
 from repro.exceptions import ConfigurationError
 from repro.service.stream import serve_stream
 
 hypothesis = pytest.importorskip(
     "hypothesis", reason="property tests need hypothesis"
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 DIM = 10
@@ -56,6 +65,19 @@ def _points(n, seed, dim=DIM):
     tight = rng.normal(scale=0.3, size=(n // 2, dim))
     loose = rng.uniform(-3.0, 3.0, size=(n - n // 2, dim))
     return np.concatenate([tight, loose])
+
+
+def _fig1_points(n, seed, dim=DIM):
+    """The paper's Fig. 1 in miniature: one dense cluster (linear-bound
+    queries), four mid clusters (collision-heavy LSH), a sparse rest."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(scale=0.15, size=(2 * n // 5, dim))
+    mids = [
+        centre + rng.normal(scale=0.45, size=(n // 10, dim))
+        for centre in rng.uniform(-6.0, 6.0, size=(4, dim))
+    ]
+    rest = rng.uniform(-8.0, 8.0, size=(n - 2 * n // 5 - 4 * (n // 10), dim))
+    return np.concatenate([dense, *mids, rest])
 
 
 def _spec(**overrides):
@@ -223,6 +245,34 @@ def envelope_case(draw):
     return points, queries, overrides
 
 
+def _dispatch_case(seed, n, layout, variant, ratio, num_inserts):
+    points = _fig1_points(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    queries = points[rng.choice(n, size=12, replace=False)]
+    inserts = _fig1_points(n, seed + 2)[rng.choice(n, size=num_inserts, replace=False)]
+    overrides = dict(layout=layout, variant=variant, cost_ratio=ratio, seed=seed % 97)
+    if variant == "covering":  # a Hamming-space construction
+        overrides.update(metric="hamming", radius=2.0)
+        points, queries, inserts = (
+            (a > 0).astype(float) for a in (points, queries, inserts)
+        )
+    return points, queries, inserts, overrides
+
+
+@st.composite
+def dispatch_case(draw):
+    """A Fig. 1 landscape on any layout x variant, a cost ratio that
+    moves Equation (1)'s crossover through it, and points to insert."""
+    return _dispatch_case(
+        seed=draw(st.integers(0, 2**16)),
+        n=draw(st.integers(150, 400)),
+        layout=draw(st.sampled_from(["dict", "frozen"])),
+        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        ratio=draw(st.sampled_from([0.5, 1.0, 2.0, 6.0])),
+        num_inserts=draw(st.integers(1, 40)),
+    )
+
+
 class TestOneEnvelope:
     @given(envelope_case())
     @settings(max_examples=20, deadline=None)
@@ -303,6 +353,232 @@ class TestAdaptiveRadiusProperties:
         index.query(QuerySpec(points[:15]))
         snap = index.stats_snapshot()
         assert snap["adaptive_probes"] == 15
+
+
+def _occupancy(raw, queries):
+    """``(#collisions, largest bucket)`` per query, bounds checked on the way."""
+    out = []
+    for query, lookup in zip(queries, raw.lookup_batch(queries)):
+        solo = raw.lookup(query)  # lazy single-lookup path == batched pass
+        pair = (lookup.num_collisions, lookup.largest_bucket)
+        assert pair == (solo.num_collisions, solo.largest_bucket)
+        cand_size = raw.candidate_ids(lookup).size
+        assert lookup.largest_bucket <= cand_size <= min(lookup.num_collisions, raw.n)
+        out.append(pair)
+    return out
+
+
+def _open_rows(searcher, lookups):
+    """Indices of the lookups whose Equation (1) the exact bounds leave open."""
+    n = searcher.index.n
+    rows = []
+    for i, lookup in enumerate(lookups):
+        certain, possible = searcher.cost_model.lsh_bounds(
+            lookup.num_collisions,
+            lookup.largest_bucket,
+            min(lookup.num_collisions, n),
+            n,
+        )
+        if possible and not certain:
+            rows.append(i)
+    return rows
+
+
+class TestBoundFirstDispatch:
+    @given(dispatch_case())
+    @example(_dispatch_case(3, 300, "frozen", "multiprobe", 1.0, 40))
+    @example(_dispatch_case(7, 200, "dict", "covering", 2.0, 5))
+    @settings(max_examples=15, deadline=None)
+    def test_exact_bounds_hold_across_inserts_and_refreeze(self, case):
+        points, queries, inserts, overrides = case
+        twin_layout = "dict" if overrides["layout"] == "frozen" else "frozen"
+        index = Index.build(points, _spec(**overrides))
+        twin = Index.build(points, _spec(**{**overrides, "layout": twin_layout}))
+        raw, raw_twin = index.engine.index, twin.engine.index
+        assert _occupancy(raw, queries) == _occupancy(raw_twin, queries)
+        index.insert(inserts)
+        twin.insert(inserts)
+        queries = np.concatenate([queries, inserts[:3]])
+        # A frozen slot's overflow parts count with it as one bucket, so
+        # the bounds are the dict layout's, overflow generation or not...
+        grown = _occupancy(raw, queries)
+        assert grown == _occupancy(raw_twin, queries)
+        for layout_raw in (raw, raw_twin):
+            if layout_raw.layout == "frozen":  # ...and a re-freeze moves nothing
+                layout_raw.refreeze()
+                assert _occupancy(layout_raw, queries) == grown
+
+    @given(dispatch_case())
+    @example(_dispatch_case(3, 400, "dict", "plain", 1.0, 1))
+    @example(_dispatch_case(3, 400, "frozen", "multiprobe", 2.0, 1))
+    @settings(max_examples=15, deadline=None)
+    def test_verdict_is_equation_1_at_the_clamped_estimate(self, case):
+        points, queries, _, overrides = case
+        index = Index.build(points, _spec(**overrides))
+        searcher = index.engine.searcher
+        raw, model, radius = searcher.index, searcher.cost_model, index.spec.radius
+        lookups = raw.lookup_batch(queries)
+        estimates = raw.merged_estimates_batch(lookups).tolist()
+        open_rows = _open_rows(searcher, lookups)
+        rows = searcher.query_batch(queries, radius)
+        for i, (query, lookup, estimate) in enumerate(zip(queries, lookups, estimates)):
+            collisions = lookup.num_collisions
+            lower, upper = lookup.largest_bucket, min(collisions, raw.n)
+            clamped = min(max(estimate, lower), upper)
+            verdict = model.choose(collisions, clamped, raw.n)
+            stats = rows[i].stats
+            assert stats.strategy is verdict
+            assert searcher.decide(query) is verdict
+            assert searcher.query(query, radius).stats == stats
+            # The pre-bounds rule (Equation (1) at the raw estimate) can
+            # only disagree where the estimator was provably wrong.
+            if model.choose(collisions, estimate, raw.n) is not verdict:
+                assert not lower <= estimate <= upper
+            # Reported stats: finite, self-consistent, and saying which
+            # value the verdict was taken at.
+            assert math.isfinite(stats.estimated_candidates)
+            assert stats.estimated_lsh_cost == model.lsh_cost(
+                collisions, stats.estimated_candidates
+            )
+            assert (stats.strategy is Strategy.LSH) == (
+                stats.estimated_lsh_cost < stats.linear_cost
+            )
+            if i in open_rows:
+                assert stats.estimated_candidates == clamped
+            elif verdict is Strategy.LSH:
+                assert stats.estimated_candidates == stats.exact_candidates
+            else:
+                assert stats.estimated_candidates == lower
+
+
+def _budgeted_verdicts(points, queries, target, seed, ratio):
+    """Check every row of a budgeted batch against Equation (1) at the
+    ring-walk estimate clamped to the trimmed lookup's exact bounds;
+    returns how many estimates lay outside them, how many verdicts the
+    clamp changed, and how many rows the budget forced onto LSH."""
+    index = Index.build(points, _spec(seed=seed % 97, cost_ratio=ratio))
+    searcher = index.engine.searcher
+    raw, model = searcher.index, searcher.cost_model
+    policy = AdaptivePolicy(target_candidates=target)
+    lookups, _, ring = raw.lookup_batch_adaptive(
+        queries, target, min_probes=policy.min_probes
+    )
+    rows = searcher.query_batch(queries, index.spec.radius, adaptive=policy)
+    outside = flipped = forced = 0
+    for lookup, estimate, row in zip(lookups, ring.tolist(), rows):
+        collisions = lookup.num_collisions
+        lower, upper = lookup.largest_bucket, min(collisions, raw.n)
+        clamped = min(max(estimate, lower), upper)
+        verdict = model.choose(collisions, clamped, raw.n)
+        assert row.stats.estimated_candidates == clamped
+        # Only the budget overrides Equation (1), only towards LSH, and
+        # on the raw estimate: it certifies what the ring walk collected.
+        assert (row.stats.strategy is Strategy.LSH) == (
+            verdict is Strategy.LSH or estimate >= target
+        )
+        outside += not lower <= estimate <= upper
+        flipped += model.choose(collisions, estimate, raw.n) is not verdict
+        forced += row.stats.strategy is not verdict
+    assert flipped <= outside  # the clamp matters only where the HLL was wrong
+    return outside, flipped, forced
+
+
+class TestBudgetedVerdicts:
+    """The adaptive path's decision rule since bound-first dispatch:
+    its free ring-walk estimates are clamped like any other, so a
+    non-binding budget still dispatches exactly as the fixed path."""
+
+    @given(adaptive_case(), st.sampled_from([0.5, 2.0, 6.0]))
+    @settings(max_examples=12, deadline=None)
+    def test_verdict_is_equation_1_at_the_clamped_ring_estimate(self, case, ratio):
+        _budgeted_verdicts(*case, ratio)
+
+    def test_clamp_and_budget_both_bind_on_a_fig1_landscape(self):
+        points = _fig1_points(300, seed=19)
+        queries = points[np.random.default_rng(20).choice(300, size=12, replace=False)]
+        outside, flipped, forced = _budgeted_verdicts(points, queries, 40, 19, 2.0)
+        assert outside >= flipped >= 1 and forced >= 1
+
+
+class TestEstimatorWorkUnits:
+    """The gain of bound-first dispatch as a deterministic count: how
+    many rows reach the estimator (ROADMAP item 7's work-unit check), so
+    it cannot regress silently between benchmark runs."""
+
+    @staticmethod
+    def _spy(monkeypatch, raw):
+        merged = []
+        batch, single = raw.merged_estimates_batch, raw.merged_sketch
+
+        def spy_batch(lookups):
+            merged.extend(lookups)
+            return batch(lookups)
+
+        def spy_single(lookup):
+            merged.append(lookup)
+            return single(lookup)
+
+        monkeypatch.setattr(raw, "merged_estimates_batch", spy_batch)
+        monkeypatch.setattr(raw, "merged_sketch", spy_single)
+        return merged
+
+    @pytest.mark.parametrize("layout", ["dict", "frozen"])
+    def test_many_small_clusters_merge_nothing(self, monkeypatch, layout):
+        rng = np.random.default_rng(5)
+        centres = rng.uniform(-8.0, 8.0, size=(60, 1, DIM))
+        points = (centres + rng.normal(scale=0.2, size=(60, 20, DIM))).reshape(-1, DIM)
+        index = Index.build(points, _spec(layout=layout, variant="plain"))
+        searcher = index.engine.searcher
+        merged = self._spy(monkeypatch, searcher.index)
+        queries = points[::7]
+        batch = index.query(QuerySpec(queries))
+        for query in queries:
+            searcher.query(query, index.spec.radius)
+            searcher.decide(query)
+        assert merged == []
+        assert {outcome.strategy for outcome in batch} == {"lsh"}
+        # Undisturbed by the shortcut: the stats stay finite and exact.
+        assert all(o.estimated_candidates == o.candidates_examined for o in batch)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(layout="dict", variant="plain"), dict(layout="frozen", variant="multiprobe")],
+        ids=["dict-plain", "frozen-multiprobe"],
+    )
+    def test_fig1_landscape_merges_exactly_the_open_rows(self, monkeypatch, overrides):
+        points = _fig1_points(800, seed=3)
+        index = Index.build(points, _spec(cost_ratio=1.0, **overrides))
+        searcher = index.engine.searcher
+        queries = points[::8]
+        lookups = searcher.index.lookup_batch(queries)
+        open_rows = _open_rows(searcher, lookups)
+        strategies = [o.strategy for o in index.query(QuerySpec(queries))]
+        # All three verdicts occur, so "exactly the open rows" is not vacuous.
+        decided = [s for i, s in enumerate(strategies) if i not in open_rows]
+        assert 0 < len(open_rows) < len(queries)
+        assert {"lsh", "linear"} == set(decided)
+
+        merged = self._spy(monkeypatch, searcher.index)
+        index.query(QuerySpec(queries))
+        assert len(merged) == len(open_rows)
+        del merged[:]
+        for query in queries:
+            searcher.query(query, index.spec.radius)
+        assert len(merged) == len(open_rows)
+
+        del merged[:]
+        called = []
+
+        def pessimist(idx, lookup):
+            called.append(lookup)
+            return float(idx.n)
+
+        custom = HybridSearcher(searcher.index, searcher.cost_model, estimator=pessimist)
+        custom.query_batch(queries, index.spec.radius)
+        # Consulted once per open row, on open rows only; no HLL merge.
+        assert len(called) == len(open_rows)
+        assert _open_rows(searcher, called) == list(range(len(called)))
+        assert merged == []
 
 
 @st.composite

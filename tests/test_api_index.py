@@ -230,10 +230,18 @@ class TestRegistries:
             return float(index.n)  # always estimates "everything collides"
 
         register_estimator("pessimist-test", pessimist)
-        index = Index.build(gaussian_points, _spec(estimator="pessimist-test"))
+        # An estimator is only consulted where the exact candSize bounds
+        # leave Equation (1) open; k=1 at ratio 8 makes this query such a
+        # row (the merged-HLL estimate keeps it on LSH).
+        open_row = dict(k=1, cost_ratio=8.0)
+        index = Index.build(
+            gaussian_points, _spec(estimator="pessimist-test", **open_row)
+        )
         result = index.query(QuerySpec(gaussian_points[0]))
         assert calls  # the spec-resolved estimator actually ran
         assert result.stats.strategy.value == "linear"  # cost pushed to linear
+        default = Index.build(gaussian_points, _spec(**open_row))
+        assert default.query(QuerySpec(gaussian_points[0])).strategy == "lsh"
 
     def test_register_custom_family_and_use_in_spec(self, gaussian_points):
         from repro.hashing.pstable import PStableLSH
@@ -275,7 +283,10 @@ class TestRegistries:
 
         register_estimator("hll", custom_hll)
         try:
-            index = Index.build(gaussian_points, _spec(estimator="hll"))
+            # k=1 at ratio 8: a row the exact bounds leave open (see above).
+            index = Index.build(
+                gaussian_points, _spec(estimator="hll", k=1, cost_ratio=8.0)
+            )
             index.query(QuerySpec(gaussian_points[0]))
             assert calls
         finally:

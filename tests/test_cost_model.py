@@ -1,5 +1,6 @@
 """Tests for the Equation (1)/(2) cost model."""
 
+import numpy as np
 import pytest
 
 from repro.core import CostModel, Strategy
@@ -83,6 +84,25 @@ class TestChoose:
         collisions, cand, n = 3_000, 500.0, 1_000
         assert cheap_dedup.choose(collisions, cand, n) == Strategy.LSH
         assert costly_dedup.choose(collisions, cand, n) == Strategy.LINEAR
+
+    def test_bounds_settle_choose_for_every_estimate_inside_them(self):
+        """``lsh_bounds`` brackets ``choose`` (all three outcomes occur)."""
+        model = CostModel(alpha=0.7, beta=4.3)
+        n = 1_000
+        rng = np.random.default_rng(0)
+        seen = set()
+        for c in rng.integers(0, 6_000, size=400).tolist():
+            up = min(c, n)
+            lo = int(up * rng.random())
+            certain, possible = model.lsh_bounds(c, lo, up, n)
+            seen.add((certain, possible))
+            for cand in (lo, (lo + up) / 2.0, up):
+                verdict = model.choose(c, cand, n)
+                if certain:
+                    assert verdict == Strategy.LSH
+                if not possible:
+                    assert verdict == Strategy.LINEAR
+        assert seen == {(True, True), (False, True), (False, False)}
 
     def test_repr(self):
         assert "beta/alpha" in repr(CostModel.from_ratio(3.0))
