@@ -8,8 +8,8 @@ module *freezes* a built index into CSR-style contiguous arrays, fused
 across all ``L`` tables:
 
 * ``keys`` — every bucket's composite-hash key, 8 * k bytes each,
-  sorted within each table's segment so a lookup is one
-  ``np.searchsorted`` per table;
+  sorted within each table's segment so a lookup is one binary search
+  per table;
 * ``offsets`` / ``members`` — int64 CSR offsets into one flat member
   array holding all bucket ids back to back (stored in the platform
   index dtype so the per-query gathers and scatters skip numpy's
@@ -26,6 +26,17 @@ deduplication is a boolean scatter over member slices — all vectorised
 across queries *and* tables with zero per-bucket Python objects, and
 all **bit-identical** to the dict layout (register maxima and id unions
 are associative, so regrouping cannot change a single byte).
+
+What Step S1 costs (:meth:`FrozenTables.locate`): ``L`` calls of
+``segment.searchsorted`` — the per-table key segments are sliced once,
+when the structure is assembled, and the query keys are laid out
+table-major once per call — then *one* vectorised verify over the whole
+``(L, q * probes)`` position matrix (in its table's range, full key
+equal, else -1).  Nothing else runs per table, so a lone query pays
+``L`` numpy calls, not ``~10 L``; a large batch is bound by the
+``key_width``-byte binary searches themselves.  There is one lookup
+path: :meth:`FrozenLSHIndex.lookup` is :meth:`~FrozenLSHIndex.lookup_batch`
+of one row, so sequential and batched lookups agree by construction.
 
 :meth:`FrozenLSHIndex.insert` keeps working: new points land in a small
 mutable dict-layout *overflow* side-table probed alongside the frozen
@@ -64,6 +75,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.utils.fsio import commit_dir, staging_path, write_json_atomic
+from repro.utils.validation import check_matrix, check_vector
 from repro.hashing.composite import encode_rows
 from repro.index.bucket import Bucket
 from repro.index.lsh_index import LSHIndex
@@ -125,8 +137,8 @@ def _slot_occupancy(
     bucket list (``None`` when the snapshot had no overflow); -1 slots —
     empty buckets, or probes an adaptive budget trimmed — count zero.
     """
-    found = positions >= 0
-    sizes = np.where(found, frozen.sizes[np.where(found, positions, 0)], 0)
+    sizes = frozen.sizes.take(positions, mode="clip")
+    sizes[positions < 0] = 0
     if overflows:
         q, num_slots = positions.shape
         extra = np.array(
@@ -151,6 +163,9 @@ class FrozenTables:
         "keys_raw",
         "keys",
         "table_slices",
+        "_starts",
+        "_stops",
+        "_segments",
         "offsets",
         "sizes",
         "members",
@@ -177,6 +192,18 @@ class FrozenTables:
             np.dtype((np.void, key_width))
         ).reshape(0)
         self.table_slices = table_slices
+        # What :meth:`locate` reads on every call, sliced once: each
+        # table's sorted key segment, and the tables' bucket ranges as
+        # (L, 1) columns.  Views of ``keys`` / ``table_slices`` (through
+        # ``np.asarray``: a reopened artifact's are memmaps, whose every
+        # slice and ufunc pays the subclass hooks) — no bytes of their
+        # own, nothing persisted, immutable like the arrays they view.
+        bounds = np.asarray(table_slices)
+        self._starts = bounds[:-1, None]
+        self._stops = bounds[1:, None]
+        self._segments = [
+            self.keys[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
         self.offsets = offsets
         self.sizes = sizes
         self.members = members
@@ -360,30 +387,42 @@ class FrozenTables:
         layouts); the multi-probe layout folds all ``1 + P`` probes of
         a table into the consecutive slot range
         ``[t * (1 + P), (t + 1) * (1 + P))`` and passes ``1 + P``.
-        Either way, each table costs one ``np.searchsorted`` over its
-        sorted key segment — covering all of that table's probes and
-        queries in the single call.
+
+        The keys are laid out table-major once, each table then costs
+        exactly one binary search over its sorted segment — all of that
+        table's probes and queries in the single call — and one
+        vectorised pass verifies the whole ``(L, q * P)`` position
+        matrix: a position is a hit iff it lies inside its table's
+        bucket range *and* the key stored there equals the needle (a
+        needle past a table's last key lands on the next table's first
+        bucket, which may well hold the same bytes).
         """
         q, num_slots = query_keys.shape
-        if num_slots != self.num_tables * probes_per_table:
+        num_tables = self.num_tables
+        if num_slots != num_tables * probes_per_table:
             raise ValueError(
                 f"key matrix has {num_slots} slot columns; expected "
-                f"{self.num_tables} tables x {probes_per_table} probes"
+                f"{num_tables} tables x {probes_per_table} probes"
             )
-        out = np.full((q, num_slots), -1, dtype=np.int64)
-        for t in range(self.num_tables):
-            lo, hi = int(self.table_slices[t]), int(self.table_slices[t + 1])
-            if hi == lo:
-                continue
-            segment = self.keys[lo:hi]
-            cols = slice(t * probes_per_table, (t + 1) * probes_per_table)
-            block = query_keys[:, cols]
-            pos = np.searchsorted(segment, block.ravel()).reshape(block.shape)
-            in_range = pos < (hi - lo)
-            clamped = np.where(in_range, pos, 0)
-            hit = in_range & (segment[clamped] == block)
-            out[:, cols] = np.where(hit, lo + clamped, -1)
-        return out
+        if self.keys.size == 0:
+            return np.full((q, num_slots), -1, dtype=np.int64)
+        needles = (
+            query_keys.reshape(q, num_tables, probes_per_table)
+            .transpose(1, 0, 2)
+            .reshape(num_tables, q * probes_per_table)
+        )
+        pos = np.empty(needles.shape, dtype=np.int64)
+        for t, segment in enumerate(self._segments):
+            pos[t] = segment.searchsorted(needles[t])
+        pos += self._starts
+        hit = self.keys.take(pos, mode="clip") == needles
+        hit &= pos < self._stops
+        return (
+            np.where(hit, pos, -1)
+            .reshape(num_tables, q, probes_per_table)
+            .transpose(1, 0, 2)
+            .reshape(q, num_slots)
+        )
 
     def gather_members(self, bucket_idx: np.ndarray) -> np.ndarray:
         """Concatenated member ids of the given global buckets."""
@@ -443,15 +482,24 @@ class FrozenQueryLookup:
     bucket index, or -1 where the query fell into an empty bucket —
     plus the matching overflow buckets when the index has absorbed
     inserts since it was frozen.
+
+    Attributes
+    ----------
+    num_collisions:
+        Total occupancy of the query's buckets (frozen + overflow); an
+        exact upper bound on ``candSize``.
+    largest_bucket:
+        Occupancy of the fullest probed bucket (frozen + overflow parts
+        of one slot together); an exact lower bound on ``candSize``.
     """
 
     __slots__ = (
         "bucket_ids",
         "hash_rows",
         "overflow",
+        "num_collisions",
+        "largest_bucket",
         "_frozen",
-        "_num_collisions",
-        "_largest_bucket",
         "_found",
     )
 
@@ -460,43 +508,17 @@ class FrozenQueryLookup:
         bucket_ids: np.ndarray,
         hash_rows: np.ndarray,
         frozen: FrozenTables,
-        overflow: list[Bucket | None] | None = None,
-        num_collisions: int | None = None,
-        largest_bucket: int | None = None,
+        overflow: list[Bucket | None] | None,
+        num_collisions: int,
+        largest_bucket: int,
     ) -> None:
         self.bucket_ids = bucket_ids
         self.hash_rows = hash_rows
         self.overflow = overflow
+        self.num_collisions = num_collisions
+        self.largest_bucket = largest_bucket
         self._frozen = frozen
-        self._num_collisions = num_collisions
-        self._largest_bucket = largest_bucket
         self._found = None
-
-    def _measure(self) -> None:
-        """Both occupancy numbers, one pass (``lookup_batch`` precomputes them)."""
-        collisions, largest = _slot_occupancy(
-            self._frozen,
-            self.bucket_ids[None, :],
-            None if self.overflow is None else [self.overflow],
-        )
-        self._num_collisions = int(collisions[0])
-        self._largest_bucket = int(largest[0])
-
-    @property
-    def num_collisions(self) -> int:
-        """Total occupancy of the query's buckets (frozen + overflow);
-        an exact upper bound on ``candSize``."""
-        if self._num_collisions is None:
-            self._measure()
-        return self._num_collisions
-
-    @property
-    def largest_bucket(self) -> int:
-        """Occupancy of the fullest probed bucket (frozen + overflow
-        parts of one slot together); an exact lower bound on ``candSize``."""
-        if self._largest_bucket is None:
-            self._measure()
-        return self._largest_bucket
 
     def found_buckets(self) -> np.ndarray:
         """Global indexes of the query's non-empty frozen buckets (cached)."""
@@ -959,21 +981,10 @@ class FrozenLSHIndex(LSHIndex):
         ]
 
     def lookup(self, query: np.ndarray) -> FrozenQueryLookup:
-        """Locate the query's probed buckets (one binary search per table)."""
+        """Locate the query's probed buckets: :meth:`lookup_batch` of one row."""
         self._require_built()
-        rows = self._batched.query_rows(query)  # validates dim; (L, k)
-        frozen, generations = self._snapshot()
-        slot_rows = self._slot_rows(rows[None, :, :])  # (1, S, k)
-        key_matrix = self._query_key_matrix(slot_rows)
-        bucket_ids = frozen.locate(
-            key_matrix, self.num_slots // self.num_tables
-        )[0]
-        overflow = self._overflow_buckets_for(
-            encode_rows(np.ascontiguousarray(slot_rows[0])), generations
-        )
-        return FrozenQueryLookup(
-            bucket_ids=bucket_ids, hash_rows=rows, frozen=frozen, overflow=overflow
-        )
+        query = check_vector(query, dim=self.dim, name="query")
+        return self.lookup_batch(query[None, :])[0]
 
     def lookup_batch(self, queries: np.ndarray) -> list[FrozenQueryLookup]:
         """Locate many queries' probed buckets: fused hash pass + searchsorted.
@@ -982,8 +993,6 @@ class FrozenLSHIndex(LSHIndex):
         query in the batch (the multi-probe layout's ``1 + P`` slots per
         table included).
         """
-        from repro.utils.validation import check_matrix
-
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         all_rows = self._batched.hash_points(queries)  # (q, L, k)
@@ -1067,8 +1076,6 @@ class FrozenLSHIndex(LSHIndex):
         exact value :meth:`merged_estimates_batch` would report for the
         returned lookups).
         """
-        from repro.utils.validation import check_matrix
-
         self._require_sketches()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         all_rows = self._batched.hash_points(queries)  # (q, L, k)

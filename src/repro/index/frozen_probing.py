@@ -10,8 +10,9 @@ the two probing variants the paper's conclusion singles out:
   table.  The probe hash rows are generated for the whole batch with
   one vectorised XOR (binary families) or add (p-stable offsets) over
   the ``(q, L, k)`` hash tensor, and all ``q * L * (1 + P)`` bucket
-  addresses resolve with one ``np.searchsorted`` per table.  The probe
-  enumeration is shared with the dict layout
+  addresses resolve with one binary search per table plus one
+  vectorised verify (:meth:`~repro.index.frozen.FrozenTables.locate`).
+  The probe enumeration is shared with the dict layout
   (:func:`~repro.hashing.probing.hamming_flip_masks` /
   :func:`~repro.hashing.probing.perturbation_offsets`), so the probed
   bucket sequence — and therefore every answer — is bit-identical.
@@ -47,6 +48,7 @@ from repro.index.covering import (
 )
 from repro.index.frozen import FrozenLSHIndex, FrozenQueryLookup, FrozenTables
 from repro.sketches.hyperloglog import PrecomputedHllHashes
+from repro.utils.validation import check_matrix
 
 __all__ = ["FrozenMultiProbeLSHIndex", "FrozenCoveringLSHIndex"]
 
@@ -311,18 +313,8 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     # ------------------------------------------------------------------
     # Lookups (block keys have per-table widths, so no shared hash pass)
     # ------------------------------------------------------------------
-    def lookup(self, query: np.ndarray) -> FrozenQueryLookup:
-        """Locate the query's bucket in each block table (binary searches)."""
-        from repro.utils.validation import check_vector
-
-        self._require_built()
-        query = check_vector(query, dim=self.dim, name="query")
-        return self.lookup_batch(query[None, :])[0]
-
     def lookup_batch(self, queries: np.ndarray) -> list[FrozenQueryLookup]:
         """Locate many queries' block buckets with one searchsorted per table."""
-        from repro.utils.validation import check_matrix
-
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         q = queries.shape[0]

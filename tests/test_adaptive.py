@@ -26,7 +26,9 @@ The contracts under test:
   inserts and a re-freeze; the verdict is Equation (1) at the estimate
   clamped to those bounds (a budgeted batch's ring-walk estimates
   included; only the budget may then force LSH), and the estimator — merged HLL or a
-  registered one — runs on exactly the rows the bounds leave open.
+  registered one — runs on exactly the rows the bounds leave open;
+* on those rows the merged HLL estimate keeps the paper's Table 1
+  error bound for the configured ``m``, the same floats on both layouts.
 """
 
 import json
@@ -359,7 +361,7 @@ def _occupancy(raw, queries):
     """``(#collisions, largest bucket)`` per query, bounds checked on the way."""
     out = []
     for query, lookup in zip(queries, raw.lookup_batch(queries)):
-        solo = raw.lookup(query)  # lazy single-lookup path == batched pass
+        solo = raw.lookup(query)  # a batch of one == its row of the batch
         pair = (lookup.num_collisions, lookup.largest_bucket)
         assert pair == (solo.num_collisions, solo.largest_bucket)
         cand_size = raw.candidate_ids(lookup).size
@@ -579,6 +581,38 @@ class TestEstimatorWorkUnits:
         assert len(called) == len(open_rows)
         assert _open_rows(searcher, called) == list(range(len(called)))
         assert merged == []
+
+
+class TestEstimatorFidelity:
+    """The estimator half of the paper's Table 1 as a tier-1 check: the
+    HLL standard error is ``1.04 / sqrt(m)``, and the merged bucket
+    sketches must deliver it on the rows where Equation (1) reads them."""
+
+    def test_merged_hll_error_within_the_table_1_bound(self):
+        precision = 7  # m = 128 registers, the serving default
+        points = _fig1_points(2000, seed=3)
+        queries = points[::4]
+        per_layout = {}
+        for layout in ("dict", "frozen"):
+            index = Index.build(
+                points,
+                _spec(layout=layout, variant="plain", cost_ratio=1.0,
+                      hll_precision=precision),
+            )
+            searcher = index.engine.searcher
+            raw = searcher.index
+            lookups = raw.lookup_batch(queries)
+            undecided = [lookups[i] for i in _open_rows(searcher, lookups)]
+            per_layout[layout] = (
+                raw.merged_estimates_batch(undecided),
+                np.array([raw.candidate_ids(lookup).size for lookup in undecided]),
+            )
+        estimates, exact = per_layout["frozen"]
+        assert np.array_equal(per_layout["dict"][0], estimates)  # same floats
+        assert np.array_equal(per_layout["dict"][1], exact)
+        assert exact.size >= 20  # enough open rows for a median to mean something
+        relative_error = np.abs(estimates - exact) / exact
+        assert np.median(relative_error) <= 2 * 1.04 / math.sqrt(1 << precision)
 
 
 @st.composite

@@ -17,7 +17,7 @@ from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
-from repro.index.frozen import load_frozen_index, save_frozen_index
+from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 from repro.service import BatchQueryEngine
 
 
@@ -193,6 +193,80 @@ class TestFrozenSearch:
         frozen.insert(rng.normal(size=(9, 12)))
         assert frozen.overflow_count == 0  # compacted on the insert itself
         assert all(not t.buckets for t in frozen.tables)
+
+
+def hand_tables(*tables, width=2):
+    """A :class:`FrozenTables` over hand-picked keys: each table's keys
+    in sorted order, one single-member bucket per key."""
+    per_table, next_id = [], 0
+    for keys in tables:
+        per_table.append(
+            (
+                np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width),
+                np.ones(len(keys), dtype=np.int64),
+                np.arange(next_id, next_id + len(keys), dtype=np.intp),
+            )
+        )
+        next_id += len(keys)
+    return FrozenTables.assemble(
+        per_table, width, hll_hashes=None, lazy_threshold=0, hll_precision=4
+    )
+
+
+def needles(*rows, width=2):
+    """The ``(q, S)`` void key matrix of ``q`` rows of ``width``-byte keys."""
+    raw = np.frombuffer(b"".join(key for row in rows for key in row), dtype=np.uint8)
+    return raw.reshape(len(rows), -1, width).view(np.dtype((np.void, width)))[:, :, 0]
+
+
+class TestLocate:
+    """``FrozenTables.locate`` on hand-built tables: the corners a
+    random index rarely reaches.  Bucket ``b`` is the ``b``-th key
+    overall, tables concatenated in order."""
+
+    def test_result_is_query_major_int64(self):
+        tables = hand_tables([b"aa", b"cc"], [b"bb", b"cc", b"dd"])
+        got = tables.locate(
+            needles([b"cc", b"cc"], [b"aa", b"zz"], [b"ab", b"bb"])
+        )
+        assert got.dtype == np.int64
+        assert got.tolist() == [[1, 3], [0, -1], [-1, 2]]
+
+    def test_probe_slots_stay_grouped_by_table(self):
+        tables = hand_tables([b"aa", b"cc"], [b"bb", b"cc", b"dd"])
+        keys = needles([b"cc", b"xx", b"dd", b"bb"], [b"aa", b"cc", b"cc", b"aa"])
+        assert tables.locate(keys, 2).tolist() == [[1, -1, 4, 2], [0, 1, 3, -1]]
+
+    def test_empty_batch(self):
+        tables = hand_tables([b"aa"], [b"bb"])
+        got = tables.locate(np.empty((0, 2), dtype=np.dtype((np.void, 2))))
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_table_with_an_empty_segment(self):
+        tables = hand_tables([b"aa"], [], [b"aa", b"bb"])
+        # The empty table's position is the next table's first bucket,
+        # which holds the very bytes probed: still a miss.
+        assert tables.locate(needles([b"aa", b"aa", b"aa"])).tolist() == [[0, -1, 1]]
+
+    def test_needle_past_the_last_key_never_takes_the_next_tables_bucket(self):
+        tables = hand_tables([b"aa", b"bb"], [b"zz"], [b"cc"])
+        # Table 0: b"zz" sorts past b"bb", onto table 1's first bucket —
+        # whose key is b"zz".  Table 2: past the last bucket of all.
+        assert tables.locate(needles([b"zz", b"zz", b"zz"])).tolist() == [[-1, 2, -1]]
+
+    def test_needle_below_every_key(self):
+        tables = hand_tables([b"bb", b"cc"], [b"bb"])
+        assert tables.locate(needles([b"aa", b"aa"])).tolist() == [[-1, -1]]
+
+    def test_no_buckets_at_all(self):
+        tables = hand_tables([], [])
+        assert tables.locate(needles([b"aa", b"aa"])).tolist() == [[-1, -1]]
+
+    @pytest.mark.parametrize("columns, probes", [(3, 1), (2, 2), (5, 2)])
+    def test_column_count_must_be_tables_times_probes(self, columns, probes):
+        tables = hand_tables([b"aa"], [b"bb"])
+        with pytest.raises(ValueError, match="2 tables x"):
+            tables.locate(needles([b"aa"] * columns), probes)
 
 
 class TestFrozenGuards:

@@ -5,7 +5,15 @@ layout for *every* buildable configuration, so these properties
 generate random data, parameters, and queries and require exact
 equality of radius answers, exact top-k answers, batch answers, and
 answers after ``insert`` + re-freeze.
+
+Step S1 itself is pinned one level down: on every frozen variant and at
+every stage of an index's life, ``FrozenTables.locate`` must equal a
+dict lookup of each probed key, and a lone ``lookup`` must equal the
+matching row of ``lookup_batch``.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,9 +24,13 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_adaptive import _spec, adaptive_case, dispatch_case
+
+from repro.api import Index
 from repro.core import CostModel, HybridSearcher
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import LSHIndex
+from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 
 
 @st.composite
@@ -124,3 +136,91 @@ class TestFrozenProperties:
             index.merged_estimates_batch(dict_lookups),
             frozen.merged_estimates_batch(frozen_lookups),
         )
+
+
+def _reference_locate(frozen, query_keys, probes_per_table):
+    """``locate`` by dict: every ``(table, key bytes)`` -> global bucket."""
+    bounds = frozen.table_slices.tolist()
+    buckets = {
+        (t, frozen.keys_raw[b].tobytes()): b
+        for t in range(frozen.num_tables)
+        for b in range(bounds[t], bounds[t + 1])
+    }
+    return [
+        [
+            buckets.get((slot // probes_per_table, key.tobytes()), -1)
+            for slot, key in enumerate(row)
+        ]
+        for row in query_keys
+    ]
+
+
+def _checked_locate(calls):
+    """``FrozenTables.locate``, every call compared with the reference."""
+    real = FrozenTables.locate
+
+    def locate(self, query_keys, probes_per_table=1):
+        out = real(self, query_keys, probes_per_table)
+        assert out.dtype == np.int64 and out.shape == query_keys.shape
+        assert out.tolist() == _reference_locate(self, query_keys, probes_per_table)
+        calls.append(out)
+        return out
+
+    return locate
+
+
+def _assert_sequential_equals_batched(raw, queries):
+    for query, row in zip(queries, raw.lookup_batch(queries)):
+        solo = raw.lookup(query)
+        assert np.array_equal(solo.bucket_ids, row.bucket_ids)
+        assert solo.num_collisions == row.num_collisions
+        assert solo.largest_bucket == row.largest_bucket
+        assert (solo.overflow is None) == (row.overflow is None)
+        if solo.overflow is not None:  # the overflow tables' own buckets
+            assert len(solo.overflow) == len(row.overflow)
+            assert all(a is b for a, b in zip(solo.overflow, row.overflow))
+
+
+class TestStepS1Properties:
+    @settings(max_examples=15, deadline=None)
+    @given(dispatch_case())
+    def test_locate_is_a_dict_lookup_at_every_stage(self, case):
+        points, queries, inserts, overrides = case
+        index = Index.build(points, _spec(**{**overrides, "layout": "frozen"}))
+        raw = index.engine.index
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FrozenTables, "locate", _checked_locate(calls))
+            _assert_sequential_equals_batched(raw, queries)
+            raw.insert(inserts)  # below the threshold: an overflow generation
+            queries = np.concatenate([queries, inserts[:3]])
+            _assert_sequential_equals_batched(raw, queries)
+            assert raw.lookup_batch(queries)[0].overflow is not None
+            raw.refreeze()
+            _assert_sequential_equals_batched(raw, queries)
+            with tempfile.TemporaryDirectory() as scratch:
+                path = os.path.join(scratch, "index")
+                save_frozen_index(raw, path)
+                reopened = load_frozen_index(path)
+                assert isinstance(reopened.frozen.keys_raw, np.memmap)
+                _assert_sequential_equals_batched(reopened, queries)
+                for a, b in zip(
+                    raw.lookup_batch(queries), reopened.lookup_batch(queries)
+                ):
+                    assert np.array_equal(a.bucket_ids, b.bucket_ids)
+        assert any((out >= 0).any() for out in calls)  # the check saw real hits
+
+    @settings(max_examples=10, deadline=None)
+    @given(adaptive_case())
+    def test_budgeted_lookups_locate_the_same_slots(self, case):
+        points, queries, target, seed = case
+        raw = Index.build(points, _spec(seed=seed % 97)).engine.index
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FrozenTables, "locate", _checked_locate(calls))
+            fixed = raw.lookup_batch(queries)
+            trimmed, _, _ = raw.lookup_batch_adaptive(queries, target)
+        assert len(calls) == 2 and np.array_equal(*calls)
+        for full, kept in zip(fixed, trimmed):  # a budget only blanks slots
+            blanked = kept.bucket_ids != full.bucket_ids
+            assert (kept.bucket_ids[blanked] == -1).all()
