@@ -3,8 +3,12 @@
 The whole frozen layout (PR 3..5) hangs off a handful of array-dtype
 invariants — CSR offsets and bucket sizes are int64, member ids are the
 platform index dtype ``intp`` (every consumer is a fancy index; any
-other integer dtype is converted per call), HLL registers and raw key
-bytes are uint8.  They are declared once in :data:`DTYPE_CONTRACTS` and
+other integer dtype is converted per call), HLL registers are uint8 and
+the 64-bit bucket addresses ``key64`` are uint64 (one typed
+``searchsorted``; a signed or float drift would silently reorder them).
+The full hash rows ``keys`` are deliberately *not* contracted: their
+dtype is the narrowest integer that holds the stored values, chosen at
+assembly.  They are declared once in :data:`DTYPE_CONTRACTS` and
 checked at every allocation / cast site under ``index/``: an
 ``np.empty``/``np.zeros``/``np.full``/``astype``/``np.asarray`` whose
 result lands in a contracted name (or re-materialises a contracted
@@ -39,7 +43,7 @@ DTYPE_CONTRACTS: dict[str, str] = {
     "sketch_rows": "int64",
     "members": "intp",
     "registers": "uint8",
-    "keys_raw": "uint8",
+    "key64": "uint64",
 }
 
 #: allocation constructors whose dtype keyword is checked.
@@ -85,7 +89,7 @@ class DtypeContractRule(Rule):
     id = "dtype-contract"
     description = (
         "CSR arrays have one declared dtype each (offsets/sizes int64, "
-        "members intp, registers/keys uint8); allocations and casts "
+        "members intp, registers uint8, key64 uint64); allocations and casts "
         "must match the table in repro.analysis.rules.dtypes"
     )
     path_suffixes = ("index/",)

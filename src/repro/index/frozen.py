@@ -7,9 +7,14 @@ union) walks Python objects even on the batched serving path.  This
 module *freezes* a built index into CSR-style contiguous arrays, fused
 across all ``L`` tables:
 
-* ``keys`` — every bucket's composite-hash key, 8 * k bytes each,
-  sorted within each table's segment so a lookup is one binary search
-  per table;
+* ``key64`` — every bucket's 64-bit *address*: the owning table's id in
+  the top ``ceil(log2 L)`` bits, a salted multilinear mix of the
+  bucket's hash row in the rest, one globally sorted ``uint64`` array
+  (sorted by table first, because the tag is the high bits) so a lookup
+  is one typed binary search for all tables at once;
+* ``keys`` — the buckets' full hash rows, in the narrowest integer
+  dtype that holds every stored value, kept only to *verify* a
+  ``key64`` hit exactly (a mix can collide; the row cannot);
 * ``offsets`` / ``members`` — int64 CSR offsets into one flat member
   array holding all bucket ids back to back (stored in the platform
   index dtype so the per-query gathers and scatters skip numpy's
@@ -20,23 +25,25 @@ across all ``L`` tables:
   ``sketch_rows`` mapping buckets to rows (-1 = lazy small bucket).
 
 On this layout ``lookup_batch`` is a fused hash pass plus one binary
-search per table, merged-sketch estimation is a row-gathered
+search per batch, merged-sketch estimation is a row-gathered
 ``np.maximum.reduceat`` over the register matrix, and candidate
 deduplication is a boolean scatter over member slices — all vectorised
 across queries *and* tables with zero per-bucket Python objects, and
 all **bit-identical** to the dict layout (register maxima and id unions
 are associative, so regrouping cannot change a single byte).
 
-What Step S1 costs (:meth:`FrozenTables.locate`): ``L`` calls of
-``segment.searchsorted`` — the per-table key segments are sliced once,
-when the structure is assembled, and the query keys are laid out
-table-major once per call — then *one* vectorised verify over the whole
-``(L, q * probes)`` position matrix (in its table's range, full key
-equal, else -1).  Nothing else runs per table, so a lone query pays
-``L`` numpy calls, not ``~10 L``; a large batch is bound by the
-``key_width``-byte binary searches themselves.  There is one lookup
-path: :meth:`FrozenLSHIndex.lookup` is :meth:`~FrozenLSHIndex.lookup_batch`
-of one row, so sequential and batched lookups agree by construction.
+What Step S1 costs (:meth:`FrozenTables.locate`): one mix of the
+``(q, S, k)`` probed hash rows into ``q * S`` needles, *one*
+``uint64`` ``searchsorted`` over the whole of ``key64`` — every table,
+probe and query of the batch in the single call, the needles sorted
+first so the search walks the array front to back — and one vectorised
+verify (stored ``key64`` equal, then stored row equal, else -1).
+Nothing runs per table.  A probe is a hit iff ``key64`` *and* the full
+row match, and assembly re-salts the mix until no two buckets of a
+table share a ``key64``, so answers are exactly the dict layout's.
+There is one lookup path: :meth:`FrozenLSHIndex.lookup` is
+:meth:`~FrozenLSHIndex.lookup_batch` of one row, so sequential and
+batched lookups agree by construction.
 
 :meth:`FrozenLSHIndex.insert` keeps working: new points land in a small
 mutable dict-layout *overflow* side-table probed alongside the frozen
@@ -58,13 +65,17 @@ swapped in atomically and the compacting generation is dropped.
 in-flight background compaction and folds whatever overflow is left.
 
 The frozen arrays persist as a directory of plain ``.npy`` files
-(:func:`save_frozen_index` / :func:`load_frozen_index`), so reopening a
-saved index is ``np.load(..., mmap_mode="r")`` per array — zero-copy,
-no bucket reconstruction, first query pages in only what it touches.
+(:func:`save_frozen_index` / :func:`load_frozen_index`; format v2 =
+``key64.npy`` + ``keys.npy`` + the mix salt in ``config.json``), so
+reopening a saved index is ``np.load(..., mmap_mode="r")`` per array —
+zero-copy, no bucket reconstruction, first query pages in only what it
+touches.  A format-v1 directory (``keys_raw.npy``) still opens: its
+tables are re-assembled in memory and the next save writes v2.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -98,19 +109,100 @@ __all__ = [
 #: triggers an automatic re-freeze.
 DEFAULT_REFREEZE_THRESHOLD = 1024
 
-_FROZEN_FORMAT_VERSION = 1
+_FROZEN_FORMAT_VERSION = 2
 _CONFIG_FILE = "config.json"
 
+#: Salts tried (``salt``, ``salt + 1``, ...) before
+#: :meth:`FrozenTables.assemble` gives up on a collision-free ``key64``.
+MAX_SALT_ATTEMPTS = 8
 
-def _void_view(key_matrix: np.ndarray) -> np.ndarray:
-    """View a ``(B, w)`` uint8 key matrix as ``(B,)`` fixed-width scalars.
+_U64_MASK = (1 << 64) - 1
 
-    ``np.void`` scalars compare bytewise (memcmp), giving a total order
-    that ``np.argsort``/``np.searchsorted`` share — the actual order is
-    irrelevant, only consistency and exact equality matter.
+
+@functools.lru_cache(maxsize=64)
+def _mix_constants(salt: int, width: int) -> np.ndarray:
+    """The mix's ``1 + width`` odd 64-bit constants for ``salt``.
+
+    A splitmix64 stream written out in Python integers rather than
+    drawn from a numpy ``Generator``: the constants are part of the
+    persisted format (a reopened artifact recomputes them from the salt
+    in ``config.json``), so they must not depend on the numpy version.
     """
-    width = key_matrix.shape[1]
-    return np.ascontiguousarray(key_matrix).view(np.dtype((np.void, width))).ravel()
+    constants, state = [], salt & _U64_MASK
+    for _ in range(1 + width):
+        state = (state + 0x9E3779B97F4A7C15) & _U64_MASK
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MASK
+        constants.append((z ^ (z >> 31)) | 1)
+    out = np.array(constants, dtype=np.uint64)
+    out.setflags(write=False)
+    return out
+
+
+def _mix_rows(rows: np.ndarray, salt: int) -> np.ndarray:
+    """Salted multilinear mix of integer hash rows: ``(..., w)`` -> ``(...)`` uint64.
+
+    ``c0 + sum_i c_i * row_i  (mod 2**64)``; the *high* bits of a
+    multilinear hash are the universal ones, which is why
+    :func:`_tagged_key64` keeps them and drops the low ones.  Values
+    are taken two's-complement, so a row mixes the same whatever
+    integer dtype carries it.
+    """
+    constants = _mix_constants(salt, rows.shape[-1])
+    words = rows.view(np.uint64) if rows.dtype == np.int64 else rows.astype(np.uint64)
+    return words @ constants[1:] + constants[0]
+
+
+def _tagged_key64(
+    rows: np.ndarray, table_ids: np.ndarray, num_tables: int, salt: int
+) -> np.ndarray:
+    """64-bit bucket addresses: table id in the top bits, row mix below.
+
+    ``rows`` is ``(..., w)`` and ``table_ids`` broadcasts against its
+    leading axes.  The tag takes ``ceil(log2 num_tables)`` bits, so
+    addresses of different tables never compare equal and sort by table
+    first.
+    """
+    tag_bits = (num_tables - 1).bit_length()
+    key64 = _mix_rows(rows, salt) >> np.uint64(tag_bits)
+    if tag_bits:
+        key64 |= table_ids.astype(np.uint64) << np.uint64(64 - tag_bits)
+    return key64
+
+
+def _sorted_addresses(
+    rows: np.ndarray, table_ids: np.ndarray, num_tables: int, salt: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(salt, stable order, sorted key64)`` under the first usable salt.
+
+    A salt is usable when no two *different* rows of one table share an
+    address (equal addresses share the tag, hence the table; equal rows
+    there are one bucket, to be merged).  Salts are tried upwards from
+    ``salt`` — deterministic, so a rebuild of the same buckets lands on
+    the same one.
+    """
+    for trial in range(salt, salt + MAX_SALT_ATTEMPTS):
+        key64 = _tagged_key64(rows, table_ids, num_tables, trial)
+        order = np.argsort(key64, kind="stable")
+        sorted_key64 = key64[order]
+        twins = np.flatnonzero(sorted_key64[1:] == sorted_key64[:-1])
+        if (rows[order[twins]] == rows[order[twins + 1]]).all():
+            return trial, order, sorted_key64
+    raise ConfigurationError(
+        f"no collision-free 64-bit bucket addressing in {MAX_SALT_ATTEMPTS} "
+        f"salts from {salt}; the key mix is degenerate"
+    )
+
+
+def _narrowest_int_dtype(values: np.ndarray) -> np.dtype:
+    """The smallest signed integer dtype that holds every entry of ``values``."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def _csr_gather(
@@ -152,20 +244,22 @@ class FrozenTables:
     """All ``L`` tables of a frozen index as one fused CSR structure.
 
     Bucket ``b`` (a *global* index across tables) owns members
-    ``members[offsets[b] : offsets[b + 1]]``; table ``t`` owns the
-    bucket range ``table_slices[t] : table_slices[t + 1]``, whose keys
-    are sorted so :meth:`locate` can binary-search them.
+    ``members[offsets[b] : offsets[b + 1]]``, has the 64-bit address
+    ``key64[b]`` and the full hash row ``keys[b]``; ``key64`` is
+    strictly increasing, and table ``t`` owns the bucket range
+    ``table_slices[t] : table_slices[t + 1]`` (the table id is the
+    address's high bits).  ``salt`` selects the mix the addresses were
+    computed with; :meth:`locate` must — and does — use the same one.
     """
 
     __slots__ = (
         "num_tables",
-        "key_width",
-        "keys_raw",
+        "salt",
+        "key64",
         "keys",
+        "_key64",
+        "_keys",
         "table_slices",
-        "_starts",
-        "_stops",
-        "_segments",
         "offsets",
         "sizes",
         "members",
@@ -176,8 +270,9 @@ class FrozenTables:
     def __init__(
         self,
         num_tables: int,
-        key_width: int,
-        keys_raw: np.ndarray,
+        salt: int,
+        key64: np.ndarray,
+        keys: np.ndarray,
         table_slices: np.ndarray,
         offsets: np.ndarray,
         sizes: np.ndarray,
@@ -186,24 +281,15 @@ class FrozenTables:
         registers: np.ndarray,
     ) -> None:
         self.num_tables = int(num_tables)
-        self.key_width = int(key_width)
-        self.keys_raw = keys_raw
-        self.keys = _void_view(keys_raw) if keys_raw.size else keys_raw.view(
-            np.dtype((np.void, key_width))
-        ).reshape(0)
+        self.salt = int(salt)
+        self.key64 = key64
+        self.keys = keys
+        # What :meth:`locate` reads on every call, through ``np.asarray``:
+        # a reopened artifact's arrays are memmaps, whose every take and
+        # ufunc pays the subclass hooks.  Views — no bytes of their own.
+        self._key64 = np.asarray(key64)
+        self._keys = np.asarray(keys)
         self.table_slices = table_slices
-        # What :meth:`locate` reads on every call, sliced once: each
-        # table's sorted key segment, and the tables' bucket ranges as
-        # (L, 1) columns.  Views of ``keys`` / ``table_slices`` (through
-        # ``np.asarray``: a reopened artifact's are memmaps, whose every
-        # slice and ufunc pays the subclass hooks) — no bytes of their
-        # own, nothing persisted, immutable like the arrays they view.
-        bounds = np.asarray(table_slices)
-        self._starts = bounds[:-1, None]
-        self._stops = bounds[1:, None]
-        self._segments = [
-            self.keys[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        ]
         self.offsets = offsets
         self.sizes = sizes
         self.members = members
@@ -217,12 +303,26 @@ class FrozenTables:
     def assemble(
         cls,
         per_table: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        key_width: int,
         hll_hashes: PrecomputedHllHashes | None,
         lazy_threshold: int,
         hll_precision: int,
+        salt: int = 0,
     ) -> FrozenTables:
-        """Fuse per-table ``(sorted key matrix, sizes, members)`` triples.
+        """Fuse per-table ``(hash rows, sizes, members)`` source triples.
+
+        Table ``t``'s triple lists source buckets in any order: an
+        ``(B, w)`` integer matrix of hash rows, each bucket's size, and
+        the member ids back to back.  Equal rows of one table merge into
+        one bucket whose members keep source order — which is how a
+        re-freeze folds an overflow generation in
+        (:meth:`merged_table_arrays` lists the frozen buckets first).
+
+        One stable ``uint64`` argsort over all tables orders the
+        buckets by ``key64``.  Two *different* rows of a table sharing a
+        ``key64`` would make :meth:`locate` ambiguous, so the mix is
+        re-salted (``salt``, ``salt + 1``, ... — deterministic, and
+        persisted) until there is no such pair;
+        :data:`MAX_SALT_ATTEMPTS` failures raise.
 
         Sketch materialisation follows the dict layout's invariant —
         a bucket is sketched iff its size exceeds the lazy threshold —
@@ -231,26 +331,35 @@ class FrozenTables:
         because registers are maxima over per-id hash pairs).
         """
         num_tables = len(per_table)
-        table_slices = np.zeros(num_tables + 1, dtype=np.int64)
-        for t, (keys_mat, _, _) in enumerate(per_table):
-            table_slices[t + 1] = table_slices[t] + keys_mat.shape[0]
-        total_buckets = int(table_slices[-1])
-        keys_raw = (
-            np.concatenate([keys_mat for keys_mat, _, _ in per_table])
-            if total_buckets
-            else np.empty((0, key_width), dtype=np.uint8)
+        rows = np.concatenate([np.asarray(r) for r, _, _ in per_table])
+        src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64)
+        src_members = np.concatenate([np.asarray(m) for _, _, m in per_table])
+        table_ids = np.repeat(
+            np.arange(num_tables), [r.shape[0] for r, _, _ in per_table]
         )
+        salt, order, sorted_key64 = _sorted_addresses(
+            rows, table_ids, num_tables, salt
+        )
+        new_bucket = np.ones(order.size, dtype=bool)
+        new_bucket[1:] = sorted_key64[1:] != sorted_key64[:-1]
+        first = np.flatnonzero(new_bucket)  # each merged bucket's first source
+        total_buckets = first.size
+        key64 = sorted_key64[first]
+        keys = rows[order[first]]
+        keys = keys.astype(_narrowest_int_dtype(keys))
+        table_slices = np.zeros(num_tables + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(table_ids[order[first]], minlength=num_tables),
+            out=table_slices[1:],
+        )
+        ordered_sizes = src_sizes[order]
         sizes = (
-            np.concatenate([s for _, s, _ in per_table]).astype(np.int64)
+            np.add.reduceat(ordered_sizes, first)
             if total_buckets
             else np.empty(0, dtype=np.int64)
         )
-        member_parts = [m for _, _, m in per_table if m.size]
-        members = (
-            np.concatenate(member_parts)
-            if member_parts
-            else np.empty(0, dtype=np.intp)
-        )
+        src_starts = np.cumsum(src_sizes) - src_sizes
+        members = _csr_gather(src_members, src_starts[order], ordered_sizes)
         offsets = np.zeros(total_buckets + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
 
@@ -262,18 +371,19 @@ class FrozenTables:
             registers = np.zeros((sketched.size, m), dtype=np.uint8)
             if sketched.size:
                 ids = _csr_gather(members, offsets[sketched], sizes[sketched])
-                rows = np.repeat(np.arange(sketched.size), sizes[sketched])
+                sketch_of = np.repeat(np.arange(sketched.size), sizes[sketched])
                 np.maximum.at(
                     registers,
-                    (rows, hll_hashes.registers[ids]),
+                    (sketch_of, hll_hashes.registers[ids]),
                     hll_hashes.ranks[ids],
                 )
         else:
             registers = np.zeros((0, m), dtype=np.uint8)
         return cls(
             num_tables=num_tables,
-            key_width=key_width,
-            keys_raw=keys_raw,
+            salt=salt,
+            key64=key64,
+            keys=keys,
             table_slices=table_slices,
             offsets=offsets,
             sizes=sizes,
@@ -284,145 +394,112 @@ class FrozenTables:
 
     @staticmethod
     def table_arrays(
-        table: HashTable, key_width: int, member_dtype=np.intp, pad_to: int | None = None
+        table: HashTable, row_width: int, pad_to: int | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One dict-layout table -> ``(sorted key matrix, sizes, members)``.
+        """One dict-layout table -> its ``(hash rows, sizes, members)`` triple.
 
-        ``key_width`` is the table's true dict-key width in bytes;
-        ``pad_to`` (>= ``key_width``) zero-pads every key on the right
-        so tables with different key widths — the covering index's
-        variable block widths — can share one fused key matrix.
-        Padding cannot collide distinct keys of one table (same true
-        width) and cannot reorder them (the zero suffixes compare
-        equal), so the sorted segment is the same bucket sequence either
-        way.
+        ``row_width`` is the number of hash values in the table's dict
+        keys; ``pad_to`` (>= ``row_width``) zero-pads every row on the
+        right so tables with different widths — the covering index's
+        variable blocks — can share one fused key matrix.  Padding
+        cannot make two distinct rows of one table equal (same true
+        width), so the buckets are the dict layout's either way.
         """
-        width = key_width if pad_to is None else int(pad_to)
+        width = row_width if pad_to is None else int(pad_to)
         num = len(table.buckets)
         if num == 0:
             return (
-                np.empty((0, width), dtype=np.uint8),
+                np.empty((0, width), dtype=np.int64),
                 np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=member_dtype),
+                np.empty(0, dtype=np.intp),
             )
-        keys_mat = np.frombuffer(
-            b"".join(table.buckets.keys()), dtype=np.uint8
-        ).reshape(num, key_width)
-        if width != key_width:
-            padded = np.zeros((num, width), dtype=np.uint8)
-            padded[:, :key_width] = keys_mat
-            keys_mat = padded
-        order = np.argsort(_void_view(keys_mat), kind="stable")
-        buckets = list(table.buckets.values())
-        sizes = np.asarray([buckets[i].size for i in order], dtype=np.int64)
-        members = (
-            np.concatenate([buckets[i].ids for i in order]).astype(member_dtype)
-            if int(sizes.sum())
-            else np.empty(0, dtype=member_dtype)
+        rows = np.frombuffer(b"".join(table.buckets.keys()), dtype="<i8").reshape(
+            num, row_width
         )
-        return np.ascontiguousarray(keys_mat[order]), sizes, members
+        if width != row_width:
+            padded = np.zeros((num, width), dtype=np.int64)
+            padded[:, :row_width] = rows
+            rows = padded
+        buckets = list(table.buckets.values())
+        sizes = np.asarray([bucket.size for bucket in buckets], dtype=np.int64)
+        members = np.concatenate([bucket.ids for bucket in buckets]).astype(
+            np.intp, copy=False
+        )
+        return rows, sizes, members
 
     def merged_table_arrays(
-        self, t: int, overflow: HashTable, key_width: int
+        self, t: int, overflow: HashTable, row_width: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Table ``t`` merged with its overflow side-table (for re-freeze).
+        """Table ``t`` followed by its overflow side-table (for re-freeze).
 
-        Duplicate keys keep their frozen members first and overflow
+        The source triple :meth:`assemble` folds: a bucket present on
+        both sides keeps its frozen members first and its overflow
         members second — the exact id order the dict layout's append
-        path produces — and the merge is a stable sort over the
-        concatenated key sets, no per-bucket Python loop.
-        ``key_width`` is the overflow table's true dict-key width; its
-        keys are padded up to this structure's fused width when the two
-        differ (covering layout).
+        path produces.  ``row_width`` is the overflow table's true row
+        width; its rows are padded up to this structure's when the two
+        differ (covering layout).  The stored rows widen to int64 on the
+        way and :meth:`assemble` picks the merged rows' narrowest dtype
+        afresh, so a merge that needs a wider dtype simply gets it.
         """
         lo, hi = int(self.table_slices[t]), int(self.table_slices[t + 1])
-        f_keys = self.keys_raw[lo:hi]
-        f_sizes = self.sizes[lo:hi]
         seg_start, seg_stop = int(self.offsets[lo]), int(self.offsets[hi])
-        f_members = self.members[seg_start:seg_stop]
-        f_starts = self.offsets[lo:hi] - seg_start
-        o_keys, o_sizes, o_members = self.table_arrays(
-            overflow,
-            key_width,
-            member_dtype=self.members.dtype,
-            pad_to=self.key_width,
+        o_rows, o_sizes, o_members = self.table_arrays(
+            overflow, row_width, pad_to=self.keys.shape[1]
         )
-        if o_keys.shape[0] == 0:
-            return (
-                np.ascontiguousarray(f_keys),
-                np.asarray(f_sizes),
-                np.asarray(f_members),
-            )
-        src_members = np.concatenate([f_members, o_members])
-        o_starts = np.concatenate(([0], np.cumsum(o_sizes[:-1]))) + f_members.size
-        src_starts = np.concatenate([f_starts, o_starts])
-        src_sizes = np.concatenate([f_sizes, o_sizes])
-        comb_keys = np.concatenate([np.ascontiguousarray(f_keys), o_keys])
-        # Stable sort keeps frozen source buckets ahead of overflow ones
-        # for equal keys (frozen rows come first in the concatenation).
-        order = np.argsort(_void_view(comb_keys), kind="stable")
-        ordered_keys = comb_keys[order]
-        ordered_view = _void_view(ordered_keys)
-        new_bucket = np.empty(order.size, dtype=bool)
-        new_bucket[0] = True
-        new_bucket[1:] = ordered_view[1:] != ordered_view[:-1]
-        group_starts = np.flatnonzero(new_bucket)
-        merged_keys = np.ascontiguousarray(ordered_keys[group_starts])
-        ordered_sizes = src_sizes[order]
-        merged_sizes = np.add.reduceat(ordered_sizes, group_starts)
-        merged_members = _csr_gather(src_members, src_starts[order], ordered_sizes)
-        return merged_keys, merged_sizes, merged_members
+        return (
+            np.concatenate([self._keys[lo:hi], o_rows]),
+            np.concatenate([np.asarray(self.sizes[lo:hi]), o_sizes]),
+            np.concatenate([np.asarray(self.members[seg_start:seg_stop]), o_members]),
+        )
 
     # ------------------------------------------------------------------
     # Query-side primitives
     # ------------------------------------------------------------------
     def locate(
-        self, query_keys: np.ndarray, probes_per_table: int = 1
+        self, slot_rows: np.ndarray, slot_tables: np.ndarray | None = None
     ) -> np.ndarray:
         """Global bucket index per ``(query, slot)``; -1 for empty buckets.
 
-        ``query_keys`` is the ``(q, S)`` void-key matrix of a query
-        batch.  With the default ``probes_per_table=1`` slot ``s``
-        probes table ``s`` (``S == L``, the plain and covering
-        layouts); the multi-probe layout folds all ``1 + P`` probes of
-        a table into the consecutive slot range
-        ``[t * (1 + P), (t + 1) * (1 + P))`` and passes ``1 + P``.
+        ``slot_rows`` is the ``(q, S, w)`` integer tensor of a query
+        batch's probed hash rows and ``slot_tables`` names the table
+        each of the ``S`` slots probes (default: slot ``s`` probes table
+        ``s``, the plain and covering layouts; the multi-probe layout
+        passes ``1 + P`` consecutive slots per table).
 
-        The keys are laid out table-major once, each table then costs
-        exactly one binary search over its sorted segment — all of that
-        table's probes and queries in the single call — and one
-        vectorised pass verifies the whole ``(L, q * P)`` position
-        matrix: a position is a hit iff it lies inside its table's
-        bucket range *and* the key stored there equals the needle (a
-        needle past a table's last key lands on the next table's first
-        bucket, which may well hold the same bytes).
+        One binary search resolves every slot of every query: the rows
+        are mixed into tagged 64-bit needles, sorted (the search then
+        walks ``key64`` front to back, and queries that share a bucket
+        share its cache lines), and searched in a single typed
+        ``searchsorted``.  A slot is a hit iff the address found equals
+        the needle *and* the full row stored there equals the probed
+        row — a needle of another table can never match (different
+        tag), and a value the narrow ``keys`` dtype cannot hold compares
+        unequal rather than wrapping, because the comparison promotes.
         """
-        q, num_slots = query_keys.shape
-        num_tables = self.num_tables
-        if num_slots != num_tables * probes_per_table:
+        q, num_slots, width = slot_rows.shape
+        if slot_tables is None:
+            slot_tables = np.arange(self.num_tables)
+        if slot_tables.shape != (num_slots,):
             raise ValueError(
-                f"key matrix has {num_slots} slot columns; expected "
-                f"{num_tables} tables x {probes_per_table} probes"
+                f"hash-row tensor has {num_slots} slot columns; "
+                f"{slot_tables.shape[0]} slot table ids given"
             )
-        if self.keys.size == 0:
+        if self._key64.size == 0 or q == 0:
             return np.full((q, num_slots), -1, dtype=np.int64)
-        needles = (
-            query_keys.reshape(q, num_tables, probes_per_table)
-            .transpose(1, 0, 2)
-            .reshape(num_tables, q * probes_per_table)
-        )
-        pos = np.empty(needles.shape, dtype=np.int64)
-        for t, segment in enumerate(self._segments):
-            pos[t] = segment.searchsorted(needles[t])
-        pos += self._starts
-        hit = self.keys.take(pos, mode="clip") == needles
-        hit &= pos < self._stops
-        return (
-            np.where(hit, pos, -1)
-            .reshape(num_tables, q, probes_per_table)
-            .transpose(1, 0, 2)
-            .reshape(q, num_slots)
-        )
+        needles = _tagged_key64(
+            slot_rows, slot_tables, self.num_tables, self.salt
+        ).ravel()
+        order = np.argsort(needles)
+        pos = np.empty(needles.size, dtype=np.int64)
+        pos[order] = self._key64.searchsorted(needles.take(order))
+        hit = self._key64.take(pos, mode="clip") == needles
+        found = np.flatnonzero(hit)
+        wrong = self._keys.take(pos.take(found), axis=0) != slot_rows.reshape(
+            -1, width
+        ).take(found, axis=0)
+        if wrong.any():  # same address, different row: a key64 collision
+            hit[found[wrong.any(axis=1)]] = False
+        return np.where(hit, pos, -1).reshape(q, num_slots)
 
     def gather_members(self, bucket_idx: np.ndarray) -> np.ndarray:
         """Concatenated member ids of the given global buckets."""
@@ -438,7 +515,7 @@ class FrozenTables:
     def memory_bytes(self) -> dict[str, int]:
         return {
             "bucket_ids": int(self.members.nbytes),
-            "bucket_keys": int(self.keys_raw.nbytes),
+            "bucket_keys": int(self.key64.nbytes) + int(self.keys.nbytes),
             "sketches": int(self.registers.nbytes),
         }
 
@@ -606,9 +683,9 @@ class FrozenLSHIndex(LSHIndex):
     # subclasses only override the three hooks below.
     # ------------------------------------------------------------------
     @property
-    def key_width(self) -> int:
-        """Width in bytes of the fused key matrix (covering overrides)."""
-        return 8 * self.k
+    def row_width(self) -> int:
+        """Hash values per stored key row (covering: its widest block)."""
+        return self.k
 
     @property
     def num_slots(self) -> int:
@@ -624,9 +701,9 @@ class FrozenLSHIndex(LSHIndex):
         """``(q, L, k)`` hash tensor -> ``(q, S, k)`` probed hash rows."""
         return all_rows
 
-    def _dict_key_width(self, t: int) -> int:
-        """True dict-key width of table ``t`` (uniform except covering)."""
-        return self.key_width
+    def _table_row_width(self, t: int) -> int:
+        """Hash values in table ``t``'s dict keys (uniform except covering)."""
+        return self.row_width
 
     # ------------------------------------------------------------------
     # Construction
@@ -639,18 +716,15 @@ class FrozenLSHIndex(LSHIndex):
         index._require_built()
         self = cls.__new__(cls)
         self._adopt(index)
-        key_width = 8 * self.k
         # Members live in the platform index dtype (intp): every hot-path
         # consumer is a fancy index (candidate scatter, HLL pair gather,
         # point gather), and numpy converts any other integer dtype to
         # intp per call — a measurable per-query tax at serving rates.
         per_table = [
-            FrozenTables.table_arrays(table, key_width, member_dtype=np.intp)
-            for table in index.tables
+            FrozenTables.table_arrays(table, self.k) for table in index.tables
         ]
         self.frozen = FrozenTables.assemble(
             per_table,
-            key_width,
             self._hll_hashes,
             self._effective_lazy_threshold,
             self.hll_precision,
@@ -858,15 +932,15 @@ class FrozenLSHIndex(LSHIndex):
     ) -> FrozenTables:
         """Merge one overflow generation into ``frozen`` (pure function)."""
         per_table = [
-            frozen.merged_table_arrays(t, overflow[t], self._dict_key_width(t))
+            frozen.merged_table_arrays(t, overflow[t], self._table_row_width(t))
             for t in range(self.num_tables)
         ]
         return FrozenTables.assemble(
             per_table,
-            self.key_width,
             self._hll_hashes,
             self._effective_lazy_threshold,
             self.hll_precision,
+            salt=frozen.salt,
         )
 
     def _record_refreeze_locked(self, folds: int, elapsed: float) -> None:
@@ -936,14 +1010,6 @@ class FrozenLSHIndex(LSHIndex):
     # ------------------------------------------------------------------
     # Step S1: lookups
     # ------------------------------------------------------------------
-    def _query_key_matrix(self, slot_rows: np.ndarray) -> np.ndarray:
-        """``(q, S, k)`` int64 slot-hash tensor -> ``(q, S)`` void key matrix."""
-        q, num_slots = slot_rows.shape[0], slot_rows.shape[1]
-        width = self.key_width
-        flat = np.ascontiguousarray(slot_rows.reshape(q, num_slots * self.k), dtype="<i8")
-        raw = flat.view(np.uint8).reshape(q, num_slots, width)
-        return raw.view(np.dtype((np.void, width)))[:, :, 0]
-
     def _snapshot(self) -> tuple[FrozenTables, list[list[HashTable]]]:
         """A consistent ``(frozen arrays, overflow generations)`` view.
 
@@ -989,19 +1055,16 @@ class FrozenLSHIndex(LSHIndex):
     def lookup_batch(self, queries: np.ndarray) -> list[FrozenQueryLookup]:
         """Locate many queries' probed buckets: fused hash pass + searchsorted.
 
-        One binary search per table covers every probe slot of every
-        query in the batch (the multi-probe layout's ``1 + P`` slots per
-        table included).
+        One binary search covers every probe slot of every query in the
+        batch (the multi-probe layout's ``1 + P`` slots per table
+        included).
         """
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         all_rows = self._batched.hash_points(queries)  # (q, L, k)
         frozen, generations = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
-        key_matrix = self._query_key_matrix(slot_rows)
-        positions = frozen.locate(
-            key_matrix, self.num_slots // self.num_tables
-        )  # (q, S)
+        positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
         return self._finish_lookup_batch(
             all_rows, slot_rows, positions, frozen, generations
         )
@@ -1061,7 +1124,7 @@ class FrozenLSHIndex(LSHIndex):
         """Per-query probe budgets: stop probing once the estimate suffices.
 
         Resolves the full probe fan-out (the slot resolution is one
-        binary search per table regardless), then merges each query's
+        binary search regardless), then merges each query's
         bucket sketches *ring by ring* — ring ``j`` holds probe ``j`` of
         every table; ring 0 is the home buckets — and keeps, per query,
         only the rings up to the first prefix whose merged HLL estimate
@@ -1083,8 +1146,7 @@ class FrozenLSHIndex(LSHIndex):
         rings = self.num_slots // self.num_tables
         frozen, generations = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
-        key_matrix = self._query_key_matrix(slot_rows)
-        positions = frozen.locate(key_matrix, rings)  # (q, S)
+        positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
         if q == 0 or rings == 1 or generations:
             # Overflow buckets are keyed per dict table, not per ring,
             # so a trimmed slot set cannot be matched against them
@@ -1381,16 +1443,21 @@ class FrozenLSHIndex(LSHIndex):
 # Persistence: a directory of plain .npy files, mmap-loadable
 # ----------------------------------------------------------------------
 
-_ARRAY_FILES = (
-    "points",
-    "keys_raw",
-    "table_slices",
-    "offsets",
-    "sizes",
-    "members",
-    "sketch_rows",
-    "registers",
-)
+#: The bucket arrays of a saved index, per format version ("points"
+#: rides along in both).
+_TABLE_FILES = {
+    1: ("keys_raw", "table_slices", "offsets", "sizes", "members"),
+    2: (
+        "key64",
+        "keys",
+        "table_slices",
+        "offsets",
+        "sizes",
+        "members",
+        "sketch_rows",
+        "registers",
+    ),
+}
 
 
 def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
@@ -1427,7 +1494,6 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
         batched = None
         config["radius"] = index.radius
         config["blocks"] = [block.tolist() for block in index._blocks]
-        config["key_width"] = index.key_width
     else:
         batched = index._batched
         if batched.params is None or batched.kind == "generic":
@@ -1445,16 +1511,9 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
             config["num_probes"] = index.num_probes
     index.refreeze()
     frozen = index.frozen
-    arrays = {
-        "points": index.points,
-        "keys_raw": frozen.keys_raw,
-        "table_slices": frozen.table_slices,
-        "offsets": frozen.offsets,
-        "sizes": frozen.sizes,
-        "members": frozen.members,
-        "sketch_rows": frozen.sketch_rows,
-        "registers": frozen.registers,
-    }
+    config["key_salt"] = frozen.salt
+    arrays = {"points": index.points}
+    arrays.update((name, getattr(frozen, name)) for name in _TABLE_FILES[2])
     if batched is not None:
         for name, array in batched.params.items():
             arrays[f"kernel_{name}"] = array
@@ -1482,13 +1541,156 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
         raise
 
 
+def _checked_tables(
+    arrays: dict[str, np.ndarray], config: dict, row_width: int, path: str
+) -> FrozenTables:
+    """The format-v2 bucket arrays as :class:`FrozenTables`, validated.
+
+    Checks every invariant :meth:`FrozenTables.locate` and the CSR
+    gathers index by — dtypes, shapes, ``key64`` strictly increasing
+    with each table's tag inside its slice (and, spot-checked, the
+    address of ``keys`` under the persisted salt), offsets consistent
+    with sizes and members — so a damaged artifact fails here, typed,
+    and never as an ``IndexError`` or a silent miss on some later query.
+    """
+
+    def corrupt(what: str) -> CorruptArtifactError:
+        return CorruptArtifactError(
+            f"frozen index at {path!r}: {what}; the artifact is truncated or corrupt"
+        )
+
+    num_tables, salt = config["num_tables"], config["key_salt"]
+    if not (isinstance(num_tables, int) and num_tables >= 1):
+        raise corrupt(f"num_tables is {num_tables!r}")
+    if not (isinstance(salt, int) and salt >= 0):
+        raise corrupt(f"key_salt is {salt!r}")
+    layout = {
+        "key64": ("uint64", 1),
+        "keys": ("integer", 2),
+        "table_slices": ("int64", 1),
+        "offsets": ("int64", 1),
+        "sizes": ("int64", 1),
+        "members": ("integer", 1),
+        "sketch_rows": ("int64", 1),
+        "registers": ("uint8", 2),
+    }
+    for name, (dtype, ndim) in layout.items():
+        array = arrays[name]
+        right_dtype = (
+            array.dtype.kind in "iu" if dtype == "integer" else array.dtype == dtype
+        )
+        if not right_dtype or array.ndim != ndim:
+            raise corrupt(
+                f"{name}.npy is {array.ndim}-d {array.dtype}, expected {ndim}-d {dtype}"
+            )
+    key64, slices = np.asarray(arrays["key64"]), np.asarray(arrays["table_slices"])
+    offsets, sizes = np.asarray(arrays["offsets"]), np.asarray(arrays["sizes"])
+    sketch_rows, registers = np.asarray(arrays["sketch_rows"]), arrays["registers"]
+    buckets = key64.size
+    if (
+        slices.shape != (num_tables + 1,)
+        or slices[0] != 0
+        or slices[-1] != buckets
+        or (np.diff(slices) < 0).any()
+    ):
+        raise corrupt(
+            f"table_slices must rise from 0 to the {buckets} buckets in "
+            f"{num_tables + 1} steps"
+        )
+    if not (key64[1:] > key64[:-1]).all():
+        raise corrupt("key64 is not strictly increasing")
+    tag_bits = (num_tables - 1).bit_length()
+    tags = key64 >> np.uint64(64 - tag_bits) if tag_bits else np.zeros_like(key64)
+    if not np.array_equal(tags, np.repeat(np.arange(num_tables), np.diff(slices))):
+        raise corrupt("key64 carries another table's tag inside a table's slice")
+    if arrays["keys"].shape != (buckets, row_width):
+        raise corrupt(
+            f"keys.npy has shape {arrays['keys'].shape}, expected "
+            f"{(buckets, row_width)}"
+        )
+    # Re-mixing every row would page the whole of keys in; each table's
+    # first bucket is enough to catch a wrong salt or a foreign keys.npy.
+    probe = slices[:-1][np.diff(slices) > 0]
+    readdressed = _tagged_key64(
+        np.asarray(arrays["keys"])[probe], tags[probe], num_tables, salt
+    )
+    if not np.array_equal(readdressed, key64[probe]):
+        raise corrupt(f"key64 is not the address of keys under key_salt {salt}")
+    if (
+        offsets.shape != (buckets + 1,)
+        or sizes.shape != (buckets,)
+        or offsets[0] != 0
+        or offsets[-1] != arrays["members"].size
+        or (sizes < 0).any()
+        or not np.array_equal(np.diff(offsets), sizes)
+    ):
+        raise corrupt("offsets, sizes and members do not describe one CSR structure")
+    if (
+        sketch_rows.shape != (buckets,)
+        or registers.shape[1] != 1 << config["hll_precision"]
+        or (sketch_rows < -1).any()
+        or (sketch_rows >= registers.shape[0]).any()
+    ):
+        raise corrupt("sketch_rows points outside the register matrix")
+    return FrozenTables(
+        num_tables=num_tables,
+        salt=salt,
+        **{name: arrays[name] for name in _TABLE_FILES[2]},
+    )
+
+
+def _tables_from_v1(
+    arrays: dict[str, np.ndarray], index: FrozenLSHIndex, path: str
+) -> FrozenTables:
+    """Format-v1 bucket arrays -> today's tables, re-assembled in memory.
+
+    v1 stored each bucket's key as ``keys_raw``'s row of little-endian
+    int64 bytes, sorted bytewise within its table.  The rows are sliced
+    back into per-table source triples and go through
+    :meth:`FrozenTables.assemble` like a fresh freeze (which also
+    rebuilds the registers), so there is no second lookup path; the
+    next save writes v2.
+    """
+    try:
+        bounds = np.asarray(arrays["table_slices"]).tolist()
+        offsets = np.asarray(arrays["offsets"]).tolist()
+        rows = np.asarray(arrays["keys_raw"]).view("<i8")
+        per_table = [
+            (
+                rows[lo:hi],
+                np.asarray(arrays["sizes"][lo:hi]),
+                np.asarray(arrays["members"][offsets[lo] : offsets[hi]]),
+            )
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        if len(per_table) != index.num_tables or rows.shape[1] != index.row_width:
+            raise ValueError(
+                f"{len(per_table)} tables of {rows.shape[1]}-value keys, expected "
+                f"{index.num_tables} of {index.row_width}"
+            )
+        return FrozenTables.assemble(
+            per_table,
+            index._hll_hashes,
+            index._effective_lazy_threshold,
+            index.hll_precision,
+        )
+    except (ValueError, IndexError, TypeError) as exc:
+        raise CorruptArtifactError(
+            f"frozen index at {path!r} (format v1) does not re-assemble ({exc}); "
+            "the artifact is truncated or corrupt"
+        ) from exc
+
+
 def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     """Reopen a frozen index saved by :func:`save_frozen_index`.
 
     All bucket arrays (and the data matrix) come back memory-mapped
     with the default ``mmap_mode="r"`` — no bucket reconstruction, no
     rehashing, answers bit-identical to the saved instance.  Pass
-    ``mmap_mode=None`` to materialise everything in RAM instead.
+    ``mmap_mode=None`` to materialise everything in RAM instead.  The
+    bucket arrays are validated on the way in (:func:`_checked_tables`).
+    A format-v1 artifact opens too, with its tables re-assembled in
+    memory (:func:`_tables_from_v1`; only ``points`` stays mapped).
     """
     from repro.hashing.batched import BatchedHash
     from repro.index.serialize import _rebuild_family_and_kernel
@@ -1511,20 +1713,21 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
             f"frozen index config {config_path!r} must hold a JSON object, "
             f"got {type(config).__name__}"
         )
-    if config.get("format_version") != _FROZEN_FORMAT_VERSION:
-        raise ConfigurationError(
-            f"unsupported frozen index version: {config.get('format_version')!r}"
-        )
+    version = config.get("format_version")
+    if version not in _TABLE_FILES:
+        raise ConfigurationError(f"unsupported frozen index version: {version!r}")
     variant = config.get("variant", "plain")
     required = {
         "num_tables", "hll_precision", "hll_seed", "lazy_threshold",
         "with_sketches", "dedup", "dim",
     }
     required |= (
-        {"radius", "blocks", "key_width"}
+        {"radius", "blocks"}
         if variant == "covering"
         else {"k", "family", "kernel_params"}
     )
+    if version == 2:
+        required.add("key_salt")
     missing_keys = sorted(required - set(config))
     if missing_keys:
         raise CorruptArtifactError(
@@ -1547,61 +1750,9 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
                 "the artifact is truncated or corrupt"
             ) from exc
 
-    arrays = {name: _load_array(name) for name in _ARRAY_FILES}
-    frozen = FrozenTables(
-        num_tables=config["num_tables"],
-        key_width=(
-            config["key_width"] if variant == "covering" else 8 * config["k"]
-        ),
-        keys_raw=arrays["keys_raw"],
-        table_slices=arrays["table_slices"],
-        offsets=arrays["offsets"],
-        sizes=arrays["sizes"],
-        members=arrays["members"],
-        sketch_rows=arrays["sketch_rows"],
-        registers=arrays["registers"],
-    )
-    if variant == "covering":
-        from repro.index.frozen_probing import FrozenCoveringLSHIndex
-
-        return FrozenCoveringLSHIndex.from_state(
-            points=arrays["points"],
-            frozen=frozen,
-            dim=config["dim"],
-            radius=config["radius"],
-            blocks=config["blocks"],
-            hll_precision=config["hll_precision"],
-            hll_seed=config["hll_seed"],
-            lazy_threshold=config["lazy_threshold"],
-            with_sketches=config["with_sketches"],
-            dedup=config["dedup"],
-            refreeze_threshold=config.get("refreeze_threshold"),
-        )
-    kernel_params = {
-        name: np.load(
-            os.path.join(path, f"kernel_{name}.npy"),
-            mmap_mode=mmap_mode,
-            allow_pickle=False,
-        )
-        for name in config["kernel_params"]
-    }
-    dim = config["dim"]
-    family, fused = _rebuild_family_and_kernel(config, kernel_params, dim)
-    batched = BatchedHash(
-        fused,
-        k=config["k"],
-        num_tables=config["num_tables"],
-        dim=dim,
-        kind=config["family"],
-        params=kernel_params,
-    )
-    state_kwargs = dict(
-        family=family,
-        batched=batched,
+    arrays = {name: _load_array(name) for name in ("points",) + _TABLE_FILES[version]}
+    common = dict(
         points=arrays["points"],
-        frozen=frozen,
-        k=config["k"],
-        num_tables=config["num_tables"],
         hll_precision=config["hll_precision"],
         hll_seed=config["hll_seed"],
         lazy_threshold=config["lazy_threshold"],
@@ -1609,10 +1760,58 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
         dedup=config["dedup"],
         refreeze_threshold=config.get("refreeze_threshold"),
     )
-    if variant == "multiprobe":
-        from repro.index.frozen_probing import FrozenMultiProbeLSHIndex
+    if variant == "covering":
+        from repro.index.frozen_probing import FrozenCoveringLSHIndex
 
-        return FrozenMultiProbeLSHIndex.from_state(
-            num_probes=config["num_probes"], **state_kwargs
+        build = functools.partial(
+            FrozenCoveringLSHIndex.from_state,
+            dim=config["dim"],
+            radius=config["radius"],
+            blocks=config["blocks"],
+            **common,
         )
-    return FrozenLSHIndex.from_state(**state_kwargs)
+        row_width = max(len(block) for block in config["blocks"])
+    else:
+        kernel_params = {
+            name: np.load(
+                os.path.join(path, f"kernel_{name}.npy"),
+                mmap_mode=mmap_mode,
+                allow_pickle=False,
+            )
+            for name in config["kernel_params"]
+        }
+        dim = config["dim"]
+        family, fused = _rebuild_family_and_kernel(config, kernel_params, dim)
+        batched = BatchedHash(
+            fused,
+            k=config["k"],
+            num_tables=config["num_tables"],
+            dim=dim,
+            kind=config["family"],
+            params=kernel_params,
+        )
+        state_kwargs = dict(
+            family=family,
+            batched=batched,
+            k=config["k"],
+            num_tables=config["num_tables"],
+            **common,
+        )
+        if variant == "multiprobe":
+            from repro.index.frozen_probing import FrozenMultiProbeLSHIndex
+
+            build = functools.partial(
+                FrozenMultiProbeLSHIndex.from_state,
+                num_probes=config["num_probes"],
+                **state_kwargs,
+            )
+        else:
+            build = functools.partial(FrozenLSHIndex.from_state, **state_kwargs)
+        row_width = config["k"]
+    if version == 2:
+        return build(frozen=_checked_tables(arrays, config, row_width, path))
+    # v1: the index first (it owns the HLL hashes assembly needs), then
+    # its tables.
+    index = build(frozen=None)
+    index.frozen = _tables_from_v1(arrays, index, path)
+    return index

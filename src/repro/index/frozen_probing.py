@@ -10,20 +10,20 @@ the two probing variants the paper's conclusion singles out:
   table.  The probe hash rows are generated for the whole batch with
   one vectorised XOR (binary families) or add (p-stable offsets) over
   the ``(q, L, k)`` hash tensor, and all ``q * L * (1 + P)`` bucket
-  addresses resolve with one binary search per table plus one
-  vectorised verify (:meth:`~repro.index.frozen.FrozenTables.locate`).
+  addresses resolve with one binary search plus one vectorised verify
+  (:meth:`~repro.index.frozen.FrozenTables.locate`, fed the probed
+  hash rows and each slot's table id).
   The probe enumeration is shared with the dict layout
   (:func:`~repro.hashing.probing.hamming_flip_masks` /
   :func:`~repro.hashing.probing.perturbation_offsets`), so the probed
   bucket sequence — and therefore every answer — is bit-identical.
 
 * :class:`FrozenCoveringLSHIndex` — the covering index hashes each
-  point by ``r + 1`` bit-*blocks* of different widths, so its bucket
-  keys are not uniform ``8 * k`` bytes.  The fused key matrix pads
-  every key on the right with zero bytes up to the widest block's
-  width; padding cannot collide or reorder keys within a table (same
-  true width, zero suffixes compare equal), so the sorted segments are
-  the same bucket sequences as the dict layout's and all downstream
+  point by ``r + 1`` bit-*blocks* of different widths, so its hash
+  rows are not uniformly ``k`` values long.  The fused key matrix pads
+  every row on the right with zeros up to the widest block's width;
+  padding cannot make two distinct rows of one table equal (same true
+  width), so the buckets are the dict layout's and all downstream
   primitives (collision counts, register maxima, candidate unions) are
   bit-identical.
 
@@ -159,8 +159,8 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     """A built covering index compacted into contiguous CSR arrays.
 
     Produced by :meth:`repro.index.covering.CoveringLSHIndex.freeze`.
-    The ``r + 1`` block tables have different key widths, so the fused
-    key matrix stores every key zero-padded to the widest block's
+    The ``r + 1`` block tables have different row widths, so the fused
+    key matrix stores every row zero-padded to the widest block's
     width; the no-false-negative covering guarantee is untouched
     because the bucket contents are identical to the dict layout's.
 
@@ -202,16 +202,12 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
             points=index.points,
             hll_hashes=index._hll_hashes,
         )
-        width = self.key_width
         per_table = [
-            FrozenTables.table_arrays(
-                table, 8 * block.size, member_dtype=np.intp, pad_to=width
-            )
+            FrozenTables.table_arrays(table, block.size, pad_to=self.row_width)
             for table, block in zip(index.tables, self._blocks)
         ]
         self.frozen = FrozenTables.assemble(
             per_table,
-            width,
             self._hll_hashes,
             self._effective_lazy_threshold,
             self.hll_precision,
@@ -291,12 +287,12 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     # Covering specifics
     # ------------------------------------------------------------------
     @property
-    def key_width(self) -> int:
-        """Fused key width: the widest block's key, in bytes."""
-        return 8 * max(block.size for block in self._blocks)
+    def row_width(self) -> int:
+        """Fused row width: the widest block's bit count."""
+        return max(block.size for block in self._blocks)
 
-    def _dict_key_width(self, t: int) -> int:
-        return 8 * int(self._blocks[t].size)
+    def _table_row_width(self, t: int) -> int:
+        return int(self._blocks[t].size)
 
     @property
     def dim(self) -> int:
@@ -311,25 +307,21 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         return insert_into_covering_tables(self, new_points)
 
     # ------------------------------------------------------------------
-    # Lookups (block keys have per-table widths, so no shared hash pass)
+    # Lookups (block rows have per-table widths, so no shared hash pass)
     # ------------------------------------------------------------------
     def lookup_batch(self, queries: np.ndarray) -> list[FrozenQueryLookup]:
-        """Locate many queries' block buckets with one searchsorted per table."""
+        """Locate many queries' block buckets with one searchsorted."""
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         q = queries.shape[0]
         frozen, generations = self._snapshot()
-        width = frozen.key_width
-        raw = np.zeros((q, self.num_tables, width), dtype=np.uint8)
+        padded = np.zeros((q, self.num_tables, self.row_width), dtype=np.int64)
         rows_per_table = []
         for t, block in enumerate(self._blocks):
-            rows = np.ascontiguousarray(queries[:, block], dtype="<i8")
+            rows = np.ascontiguousarray(queries[:, block], dtype=np.int64)
             rows_per_table.append(rows)
-            raw[:, t, : 8 * block.size] = rows.view(np.uint8).reshape(
-                q, 8 * block.size
-            )
-        key_matrix = raw.view(np.dtype((np.void, width)))[:, :, 0]
-        positions = frozen.locate(key_matrix)  # (q, L)
+            padded[:, t, : block.size] = rows
+        positions = frozen.locate(padded)  # (q, L)
         hash_rows = [[rows[qi] for rows in rows_per_table] for qi in range(q)]
         return self._finish_lookup_batch(
             hash_rows, rows_per_table, positions, frozen, generations

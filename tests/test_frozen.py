@@ -9,6 +9,8 @@ persistence) the serving path relies on.
 """
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import frozen as frozen_module
 from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 from repro.service import BatchQueryEngine
 
@@ -118,11 +121,15 @@ class TestFrozenPrimitives:
         assert int(csr.table_slices[-1]) == sum(t.num_buckets for t in index.tables)
         assert int(csr.offsets[-1]) == csr.members.size
         assert np.array_equal(np.diff(csr.offsets), csr.sizes)
-        # Keys sorted within each table segment.
+        # Addresses globally sorted, each table's tag inside its segment,
+        # one full hash row kept per bucket to verify hits against.
+        assert csr.key64.dtype == np.uint64
+        assert (csr.key64[1:] > csr.key64[:-1]).all()
+        assert csr.keys.shape == (csr.num_buckets, index.k)
+        tag_shift = np.uint64(64 - (csr.num_tables - 1).bit_length())
         for t in range(csr.num_tables):
             lo, hi = int(csr.table_slices[t]), int(csr.table_slices[t + 1])
-            segment = csr.keys[lo:hi]
-            assert np.array_equal(np.sort(segment), segment)
+            assert ((csr.key64[lo:hi] >> tag_shift) == t).all()
 
     def test_diagnostics_match_dict_layout(self):
         _, index, frozen = build_pair(lazy_threshold=4)
@@ -195,78 +202,224 @@ class TestFrozenSearch:
         assert all(not t.buckets for t in frozen.tables)
 
 
-def hand_tables(*tables, width=2):
-    """A :class:`FrozenTables` over hand-picked keys: each table's keys
-    in sorted order, one single-member bucket per key."""
+AA, AB, BB, CC, DD, XX, ZZ = (0, 0), (0, 1), (1, 1), (2, 2), (3, -3), (7, 7), (9, 9)
+
+
+def hand_tables(*tables):
+    """A :class:`FrozenTables` over hand-picked hash rows: one
+    single-member bucket per row, member ids in the order given."""
     per_table, next_id = [], 0
-    for keys in tables:
+    for rows in tables:
         per_table.append(
             (
-                np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), width),
-                np.ones(len(keys), dtype=np.int64),
-                np.arange(next_id, next_id + len(keys), dtype=np.intp),
+                np.asarray(rows, dtype=np.int64).reshape(len(rows), 2),
+                np.ones(len(rows), dtype=np.int64),
+                np.arange(next_id, next_id + len(rows), dtype=np.intp),
             )
         )
-        next_id += len(keys)
+        next_id += len(rows)
     return FrozenTables.assemble(
-        per_table, width, hll_hashes=None, lazy_threshold=0, hll_precision=4
+        per_table, hll_hashes=None, lazy_threshold=0, hll_precision=4
     )
 
 
-def needles(*rows, width=2):
-    """The ``(q, S)`` void key matrix of ``q`` rows of ``width``-byte keys."""
-    raw = np.frombuffer(b"".join(key for row in rows for key in row), dtype=np.uint8)
-    return raw.reshape(len(rows), -1, width).view(np.dtype((np.void, width)))[:, :, 0]
+def needles(*rows):
+    """The ``(q, S, 2)`` hash-row tensor of ``q`` rows of ``S`` probes."""
+    return np.asarray(rows, dtype=np.int64).reshape(len(rows), -1, 2)
+
+
+def bucket(tables, t, row):
+    """The global bucket of ``row`` in table ``t``, found by scanning
+    the table's slice of the stored hash rows."""
+    lo, hi = int(tables.table_slices[t]), int(tables.table_slices[t + 1])
+    (hits,) = np.nonzero((tables.keys[lo:hi] == np.asarray(row)).all(axis=1))
+    assert hits.size == 1
+    return lo + int(hits[0])
 
 
 class TestLocate:
     """``FrozenTables.locate`` on hand-built tables: the corners a
-    random index rarely reaches.  Bucket ``b`` is the ``b``-th key
-    overall, tables concatenated in order."""
+    random index rarely reaches.  Buckets sit in ``key64`` order, so the
+    expected indexes are looked up by scanning (:func:`bucket`)."""
 
     def test_result_is_query_major_int64(self):
-        tables = hand_tables([b"aa", b"cc"], [b"bb", b"cc", b"dd"])
-        got = tables.locate(
-            needles([b"cc", b"cc"], [b"aa", b"zz"], [b"ab", b"bb"])
-        )
+        tables = hand_tables([AA, CC], [BB, CC, DD])
+        got = tables.locate(needles([CC, CC], [AA, ZZ], [AB, BB]))
         assert got.dtype == np.int64
-        assert got.tolist() == [[1, 3], [0, -1], [-1, 2]]
+        assert got.tolist() == [
+            [bucket(tables, 0, CC), bucket(tables, 1, CC)],
+            [bucket(tables, 0, AA), -1],
+            [-1, bucket(tables, 1, BB)],
+        ]
+        # ... and a located bucket owns the member filed under that row.
+        assert tables.members[tables.offsets[bucket(tables, 1, DD)]] == 4
 
     def test_probe_slots_stay_grouped_by_table(self):
-        tables = hand_tables([b"aa", b"cc"], [b"bb", b"cc", b"dd"])
-        keys = needles([b"cc", b"xx", b"dd", b"bb"], [b"aa", b"cc", b"cc", b"aa"])
-        assert tables.locate(keys, 2).tolist() == [[1, -1, 4, 2], [0, 1, 3, -1]]
+        tables = hand_tables([AA, CC], [BB, CC, DD])
+        rows = needles([CC, XX, DD, BB], [AA, CC, CC, AA])
+        assert tables.locate(rows, np.array([0, 0, 1, 1])).tolist() == [
+            [bucket(tables, 0, CC), -1, bucket(tables, 1, DD), bucket(tables, 1, BB)],
+            [bucket(tables, 0, AA), bucket(tables, 0, CC), bucket(tables, 1, CC), -1],
+        ]
 
     def test_empty_batch(self):
-        tables = hand_tables([b"aa"], [b"bb"])
-        got = tables.locate(np.empty((0, 2), dtype=np.dtype((np.void, 2))))
+        tables = hand_tables([AA], [BB])
+        got = tables.locate(np.empty((0, 2, 2), dtype=np.int64))
         assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_table_with_an_empty_segment(self):
-        tables = hand_tables([b"aa"], [], [b"aa", b"bb"])
-        # The empty table's position is the next table's first bucket,
-        # which holds the very bytes probed: still a miss.
-        assert tables.locate(needles([b"aa", b"aa", b"aa"])).tolist() == [[0, -1, 1]]
+        tables = hand_tables([AA], [], [AA, BB])
+        # The empty table's needle lands among the next table's buckets,
+        # one of which holds the very row probed: still a miss.
+        assert tables.locate(needles([AA, AA, AA])).tolist() == [
+            [bucket(tables, 0, AA), -1, bucket(tables, 2, AA)]
+        ]
 
     def test_needle_past_the_last_key_never_takes_the_next_tables_bucket(self):
-        tables = hand_tables([b"aa", b"bb"], [b"zz"], [b"cc"])
-        # Table 0: b"zz" sorts past b"bb", onto table 1's first bucket —
-        # whose key is b"zz".  Table 2: past the last bucket of all.
-        assert tables.locate(needles([b"zz", b"zz", b"zz"])).tolist() == [[-1, 2, -1]]
+        tables = hand_tables([AA, BB], [ZZ], [CC])
+        # ZZ is stored in table 1 only: tables 0 and 2 miss, whatever
+        # the needle's position among their neighbours' addresses.
+        assert tables.locate(needles([ZZ, ZZ, ZZ])).tolist() == [
+            [-1, bucket(tables, 1, ZZ), -1]
+        ]
 
     def test_needle_below_every_key(self):
-        tables = hand_tables([b"bb", b"cc"], [b"bb"])
-        assert tables.locate(needles([b"aa", b"aa"])).tolist() == [[-1, -1]]
+        tables = hand_tables([BB, CC], [BB])
+        assert tables.locate(needles([AA, AA])).tolist() == [[-1, -1]]
 
     def test_no_buckets_at_all(self):
         tables = hand_tables([], [])
-        assert tables.locate(needles([b"aa", b"aa"])).tolist() == [[-1, -1]]
+        assert tables.locate(needles([AA, AA])).tolist() == [[-1, -1]]
 
     @pytest.mark.parametrize("columns, probes", [(3, 1), (2, 2), (5, 2)])
     def test_column_count_must_be_tables_times_probes(self, columns, probes):
-        tables = hand_tables([b"aa"], [b"bb"])
-        with pytest.raises(ValueError, match="2 tables x"):
-            tables.locate(needles([b"aa"] * columns), probes)
+        tables = hand_tables([AA], [BB])
+        with pytest.raises(ValueError, match=f"{columns} slot columns; {2 * probes}"):
+            tables.locate(needles([AA] * columns), np.repeat(np.arange(2), probes))
+
+    def test_addresses_sort_by_table_then_mix(self):
+        tables = hand_tables([AA, CC, DD], [BB, CC], [XX])
+        assert tables.key64.dtype == np.uint64
+        assert (np.diff(tables.key64.astype(object)) > 0).all()
+        assert (tables.key64 >> np.uint64(62)).tolist() == [0, 0, 0, 1, 1, 2]
+        assert tables.table_slices.tolist() == [0, 3, 5, 6]
+        assert tables.keys.dtype == np.int8
+
+
+def colliding_mix(salts):
+    """An address mix that sends every row to 0 under ``salts`` (a set
+    the caller may grow) and is the real one otherwise."""
+    real = frozen_module._mix_rows
+
+    def mix(rows, salt):
+        if salt in salts:
+            return np.zeros(rows.shape[:-1], dtype=np.uint64)
+        return real(rows, salt)
+
+    return mix
+
+
+def collide_on(monkeypatch, salts):
+    monkeypatch.setattr(frozen_module, "_mix_rows", colliding_mix(salts))
+
+
+class TestKey64Collisions:
+    """The 64-bit address is a hash: stored rows of a table must never
+    share one (assembly re-salts), and a probe that shares one with a
+    *different* stored row must miss (the full row is verified)."""
+
+    def test_assemble_resalts_until_collision_free(self, monkeypatch):
+        collide_on(monkeypatch, {0, 1})
+        tables = hand_tables([AA, CC, DD], [BB, CC])
+        assert tables.salt == 2
+        assert (tables.key64[1:] > tables.key64[:-1]).all()
+        assert tables.locate(needles([CC, CC], [XX, BB])).tolist() == [
+            [bucket(tables, 0, CC), bucket(tables, 1, CC)],
+            [-1, bucket(tables, 1, BB)],
+        ]
+
+    def test_one_bucket_per_table_cannot_collide(self, monkeypatch):
+        collide_on(monkeypatch, {0})
+        assert hand_tables([AA], [AA]).salt == 0  # the tag tells them apart
+
+    def test_refreeze_merge_resalts(self, monkeypatch):
+        points, index, frozen = build_pair(n=200)
+        assert frozen.frozen.salt == 0
+        rng = np.random.default_rng(4)
+        new = rng.normal(size=(30, 12))
+        index.insert(new)
+        frozen.insert(new)
+        collide_on(monkeypatch, {0})
+        frozen.refreeze()
+        csr = frozen.frozen
+        assert csr.salt == 1
+        assert (csr.key64[1:] > csr.key64[:-1]).all()
+        assert csr.num_buckets == sum(t.num_buckets for t in index.tables)
+        for q in np.concatenate([points[:5], new[:5]]):
+            la, lb = index.lookup(q), frozen.lookup(q)
+            assert la.num_collisions == lb.num_collisions
+            assert np.array_equal(
+                index.candidate_ids(la, dedup="vectorized"),
+                frozen.candidate_ids(lb, dedup="vectorized"),
+            )
+
+    def test_degenerate_mix_is_a_clear_error(self, monkeypatch):
+        collide_on(monkeypatch, set(range(100)))
+        with pytest.raises(ConfigurationError, match="collision-free 64-bit"):
+            hand_tables([AA, BB])
+        # ... and the attempts are bounded, starting at the given salt.
+        collide_on(monkeypatch, set(range(5, 5 + frozen_module.MAX_SALT_ATTEMPTS)))
+        per_table = [
+            (np.array([AA, BB]), np.ones(2, dtype=np.int64), np.arange(2, dtype=np.intp))
+        ]
+        with pytest.raises(ConfigurationError, match="salts from 5"):
+            FrozenTables.assemble(
+                per_table, hll_hashes=None, lazy_threshold=0, hll_precision=4, salt=5
+            )
+
+    def test_address_hit_with_another_row_is_a_miss(self, monkeypatch):
+        real = frozen_module._mix_rows
+        # Mix only the first column: (2, 2) and (2, 5) share an address.
+        monkeypatch.setattr(
+            frozen_module, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
+        )
+        tables = hand_tables([CC, BB], [AA])
+        probe = (2, 5)
+        needle = frozen_module._tagged_key64(np.array([probe]), np.array([0]), 2, 0)
+        assert needle[0] == tables.key64[bucket(tables, 0, CC)]  # the address hits
+        assert tables.locate(needles([probe, AA], [CC, probe])).tolist() == [
+            [-1, bucket(tables, 1, AA)],
+            [bucket(tables, 0, CC), -1],
+        ]
+
+    def test_value_outside_the_stored_dtype_is_a_miss_not_an_overflow(
+        self, monkeypatch
+    ):
+        real = frozen_module._mix_rows
+        # Mix what int8 would keep of a value: 300 and 44 share an address,
+        # and an int8 compare of the rows would wrap 300 onto 44 as well.
+        monkeypatch.setattr(
+            frozen_module,
+            "_mix_rows",
+            lambda rows, salt: real(rows.astype(np.int8), salt),
+        )
+        tables = hand_tables([(44, 0), BB], [(44, 0)])
+        assert tables.keys.dtype == np.int8
+        assert tables.locate(needles([(300, 0), (300, 0)], [(44, 0), (-212, 0)])).tolist() == [
+            [-1, -1],
+            [bucket(tables, 0, (44, 0)), -1],
+        ]
+
+    def test_keys_widen_when_a_merge_needs_it(self):
+        _, _, frozen = build_pair(n=200)
+        assert frozen.frozen.keys.dtype == np.int8
+        far = np.full((1, 12), 1.0e4)  # hash values far outside int8
+        frozen.insert(far)
+        frozen.refreeze()
+        wide = frozen.frozen.keys
+        assert wide.dtype in (np.int16, np.int32)
+        assert np.abs(wide.astype(np.int64)).max() > 127
+        assert 200 in frozen.candidate_ids(frozen.lookup(far[0]))
 
 
 class TestFrozenGuards:
@@ -381,6 +534,72 @@ class TestFrozenPersistence:
         ids = loaded.insert(rng.normal(size=(3, 12)))
         assert ids.tolist() == [120, 121, 122]
         assert loaded.n == 123
+
+
+V1_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v1")
+
+
+def answers(index, queries):
+    lookups = index.lookup_batch(queries)
+    return {
+        "num_collisions": [lk.num_collisions for lk in lookups],
+        "largest_bucket": [lk.largest_bucket for lk in lookups],
+        "candidates": [index.candidate_ids(lk).tolist() for lk in lookups],
+        "estimates": index.merged_estimates_batch(lookups).tolist(),
+    }
+
+
+class TestFormatV1Artifacts:
+    """``tests/fixtures/frozen_v1``: two artifacts written by the PR 17
+    tree (format v1: bytewise-sorted ``keys_raw.npy``), with the answers
+    that tree gave in ``expected.json``.  They must keep opening, answer
+    identically, and turn into format v2 on the next save."""
+
+    @pytest.mark.parametrize("name", ["multiprobe_pstable", "covering"])
+    def test_v1_opens_answers_identically_and_resaves_as_v2(self, name, tmp_path):
+        source = os.path.join(V1_FIXTURES, name)
+        with open(os.path.join(source, "config.json")) as fh:
+            assert json.load(fh)["format_version"] == 1
+        with open(os.path.join(source, "expected.json")) as fh:
+            expected = json.load(fh)
+        queries = np.load(os.path.join(source, "queries.npy"))
+        assert any(expected["candidates"])  # not vacuous
+
+        opened = load_frozen_index(source)
+        assert opened.n <= 64 and opened.variant == name.split("_")[0]
+        assert answers(opened, queries) == expected
+
+        resaved = str(tmp_path / "v2")
+        save_frozen_index(opened, resaved)
+        with open(os.path.join(resaved, "config.json")) as fh:
+            config = json.load(fh)
+        assert config["format_version"] == 2 and config["key_salt"] == 0
+        assert os.path.exists(os.path.join(resaved, "key64.npy"))
+        assert not os.path.exists(os.path.join(resaved, "keys_raw.npy"))
+        reopened = load_frozen_index(resaved)
+        assert isinstance(reopened.frozen.key64, np.memmap)
+        assert answers(reopened, queries) == expected
+
+    def test_v1_with_a_torn_key_matrix_is_a_typed_error(self, tmp_path):
+        from repro.exceptions import CorruptArtifactError
+
+        broken = str(tmp_path / "v1")
+        shutil.copytree(os.path.join(V1_FIXTURES, "multiprobe_pstable"), broken)
+        keys = np.load(os.path.join(broken, "keys_raw.npy"))
+        np.save(os.path.join(broken, "keys_raw.npy"), keys[:, :-3])
+        with pytest.raises(CorruptArtifactError, match="format v1"):
+            load_frozen_index(broken)
+
+    def test_unknown_version_is_refused(self, tmp_path):
+        future = str(tmp_path / "v3")
+        shutil.copytree(os.path.join(V1_FIXTURES, "covering"), future)
+        with open(os.path.join(future, "config.json")) as fh:
+            config = json.load(fh)
+        config["format_version"] = 3
+        with open(os.path.join(future, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(ConfigurationError, match="unsupported frozen index version"):
+            load_frozen_index(future)
 
 
 class TestFacadeFrozenLayout:

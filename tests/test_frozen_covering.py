@@ -48,8 +48,8 @@ class TestFreeze:
     def test_key_width_is_widest_block(self):
         _, _, index, frozen = build_pair(dim=30, radius=3)
         widest = max(block.size for block in index._blocks)
-        assert frozen.key_width == 8 * widest
-        assert frozen.frozen.key_width == 8 * widest
+        assert frozen.row_width == widest
+        assert frozen.frozen.keys.shape[1] == widest
 
     def test_unbuilt_rejected(self):
         index = CoveringLSHIndex(dim=16, radius=2)

@@ -8,8 +8,9 @@ answers after ``insert`` + re-freeze.
 
 Step S1 itself is pinned one level down: on every frozen variant and at
 every stage of an index's life, ``FrozenTables.locate`` must equal a
-dict lookup of each probed key, and a lone ``lookup`` must equal the
-matching row of ``lookup_batch``.
+dict lookup of each probed ``(table, hash row)``, and a lone ``lookup``
+must equal the matching row of ``lookup_batch`` — also when the 64-bit
+address mix is forced to collide, so assembly and re-freeze re-salt.
 """
 
 import os
@@ -25,11 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_adaptive import _spec, adaptive_case, dispatch_case
+from test_frozen import colliding_mix
 
 from repro.api import Index
 from repro.core import CostModel, HybridSearcher
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import LSHIndex
+from repro.index import frozen as frozen_module
 from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 
 
@@ -138,20 +141,22 @@ class TestFrozenProperties:
         )
 
 
-def _reference_locate(frozen, query_keys, probes_per_table):
-    """``locate`` by dict: every ``(table, key bytes)`` -> global bucket."""
+def _reference_locate(frozen, slot_rows, slot_tables):
+    """``locate`` by dict: every ``(table, hash row)`` -> global bucket."""
     bounds = frozen.table_slices.tolist()
     buckets = {
-        (t, frozen.keys_raw[b].tobytes()): b
+        (t, tuple(frozen.keys[b].tolist())): b
         for t in range(frozen.num_tables)
         for b in range(bounds[t], bounds[t + 1])
     }
+    if slot_tables is None:
+        slot_tables = range(frozen.num_tables)
     return [
         [
-            buckets.get((slot // probes_per_table, key.tobytes()), -1)
-            for slot, key in enumerate(row)
+            buckets.get((int(t), tuple(row)), -1)
+            for t, row in zip(slot_tables, rows)
         ]
-        for row in query_keys
+        for rows in slot_rows.tolist()
     ]
 
 
@@ -159,10 +164,10 @@ def _checked_locate(calls):
     """``FrozenTables.locate``, every call compared with the reference."""
     real = FrozenTables.locate
 
-    def locate(self, query_keys, probes_per_table=1):
-        out = real(self, query_keys, probes_per_table)
-        assert out.dtype == np.int64 and out.shape == query_keys.shape
-        assert out.tolist() == _reference_locate(self, query_keys, probes_per_table)
+    def locate(self, slot_rows, slot_tables=None):
+        out = real(self, slot_rows, slot_tables)
+        assert out.dtype == np.int64 and out.shape == slot_rows.shape[:2]
+        assert out.tolist() == _reference_locate(self, slot_rows, slot_tables)
         calls.append(out)
         return out
 
@@ -181,34 +186,57 @@ def _assert_sequential_equals_batched(raw, queries):
             assert all(a is b for a, b in zip(solo.overflow, row.overflow))
 
 
+def _check_locate_through_a_life(case, salted=False):
+    """Build -> overflow insert -> re-freeze -> save -> mmap reopen, every
+    ``locate`` checked against the reference.  ``salted`` makes the mix
+    collide under salt 0 at the build and under the build's salt at the
+    re-freeze, so both must move on to a fresh one."""
+    points, queries, inserts, overrides = case
+    calls, colliding = [], set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FrozenTables, "locate", _checked_locate(calls))
+        if salted:
+            colliding.add(0)
+            patch.setattr(frozen_module, "_mix_rows", colliding_mix(colliding))
+        index = Index.build(points, _spec(**{**overrides, "layout": "frozen"}))
+        raw = index.engine.index
+        built_salt = raw.frozen.salt
+        assert (built_salt > 0) == salted
+        _assert_sequential_equals_batched(raw, queries)
+        raw.insert(inserts)  # below the threshold: an overflow generation
+        queries = np.concatenate([queries, inserts[:3]])
+        _assert_sequential_equals_batched(raw, queries)
+        assert raw.lookup_batch(queries)[0].overflow is not None
+        if salted:
+            colliding.add(built_salt)
+        raw.refreeze()
+        assert (raw.frozen.salt > built_salt) == salted
+        _assert_sequential_equals_batched(raw, queries)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "index")
+            save_frozen_index(raw, path)
+            reopened = load_frozen_index(path)
+            assert isinstance(reopened.frozen.key64, np.memmap)
+            assert isinstance(reopened.frozen.keys, np.memmap)
+            assert reopened.frozen.salt == raw.frozen.salt
+            _assert_sequential_equals_batched(reopened, queries)
+            for a, b in zip(
+                raw.lookup_batch(queries), reopened.lookup_batch(queries)
+            ):
+                assert np.array_equal(a.bucket_ids, b.bucket_ids)
+    assert any((out >= 0).any() for out in calls)  # the check saw real hits
+
+
 class TestStepS1Properties:
     @settings(max_examples=15, deadline=None)
     @given(dispatch_case())
     def test_locate_is_a_dict_lookup_at_every_stage(self, case):
-        points, queries, inserts, overrides = case
-        index = Index.build(points, _spec(**{**overrides, "layout": "frozen"}))
-        raw = index.engine.index
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(FrozenTables, "locate", _checked_locate(calls))
-            _assert_sequential_equals_batched(raw, queries)
-            raw.insert(inserts)  # below the threshold: an overflow generation
-            queries = np.concatenate([queries, inserts[:3]])
-            _assert_sequential_equals_batched(raw, queries)
-            assert raw.lookup_batch(queries)[0].overflow is not None
-            raw.refreeze()
-            _assert_sequential_equals_batched(raw, queries)
-            with tempfile.TemporaryDirectory() as scratch:
-                path = os.path.join(scratch, "index")
-                save_frozen_index(raw, path)
-                reopened = load_frozen_index(path)
-                assert isinstance(reopened.frozen.keys_raw, np.memmap)
-                _assert_sequential_equals_batched(reopened, queries)
-                for a, b in zip(
-                    raw.lookup_batch(queries), reopened.lookup_batch(queries)
-                ):
-                    assert np.array_equal(a.bucket_ids, b.bucket_ids)
-        assert any((out >= 0).any() for out in calls)  # the check saw real hits
+        _check_locate_through_a_life(case)
+
+    @settings(max_examples=8, deadline=None)
+    @given(dispatch_case())
+    def test_locate_survives_forced_salt_changes(self, case):
+        _check_locate_through_a_life(case, salted=True)
 
     @settings(max_examples=10, deadline=None)
     @given(adaptive_case())

@@ -42,6 +42,29 @@ class TestLSHSearch:
         result = LSHSearch(l2_index).query(far, radius=1.0)
         assert result.output_size == 0
 
+    def test_filter_gathers_the_rows_fancy_indexing_would(
+        self, l2_index, gaussian_points, tmp_path
+    ):
+        """Step S3 gathers with ``take`` over plain views: the floats are
+        those of ``points[candidates]``, on a memory-mapped matrix too."""
+        searcher = LSHSearch(l2_index)
+        metric = l2_index.family.metric
+        query, radius = gaussian_points[5] + 0.01, 2.5
+        candidates = np.arange(3, gaussian_points.shape[0], 4)
+        state = metric.prepare_points(gaussian_points)
+        expected = metric.distances_to_prepared(
+            gaussian_points[candidates], query, state[candidates]
+        )
+        ids, distances = searcher.filter_candidates(query, radius, candidates)
+        assert np.array_equal(ids, candidates[expected <= radius]) and ids.size
+        assert np.array_equal(distances, expected[expected <= radius])
+
+        np.save(tmp_path / "points.npy", gaussian_points)
+        l2_index.points = np.load(tmp_path / "points.npy", mmap_mode="r")
+        mapped = LSHSearch(l2_index).filter_candidates(query, radius, candidates)
+        assert type(mapped[1]) is np.ndarray
+        assert np.array_equal(mapped[0], ids) and np.array_equal(mapped[1], distances)
+
     def test_distances_sorted_by_id(self, l2_index, gaussian_points):
         q = gaussian_points[2]
         result = LSHSearch(l2_index).query(q, 2.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import EmptyIndexError
 from repro.hashing import PStableLSH
@@ -38,6 +39,63 @@ class TestMemoryReport:
         index = LSHIndex(PStableLSH(4, w=1.0, p=2, seed=0), k=2, num_tables=2)
         with pytest.raises(EmptyIndexError):
             index.memory_report()
+
+
+def fig1_landscape(n, dim, seed):
+    """Fig. 1 in miniature: one tight cluster (30 %), five mid clusters
+    (50 %), a uniform background."""
+    rng = np.random.default_rng(seed)
+    dense = 5.0 + 0.08 * rng.normal(size=(int(0.3 * n), dim))
+    centres = rng.uniform(0.0, 10.0, size=(5, dim))
+    mid = centres[np.arange(int(0.5 * n)) % 5] + 0.10 * rng.normal(
+        size=(int(0.5 * n), dim)
+    )
+    background = rng.uniform(0.0, 10.0, size=(n - len(dense) - len(mid), dim))
+    return np.concatenate([dense, mid, background])
+
+
+class TestBytesPerPointBudget:
+    """The benchmark's ``index_bytes_per_point`` as a deterministic
+    tier-1 count (n = 2000, L = 50, k = 7): the frozen layout's bucket
+    addressing — a uint64 ``key64`` plus the narrow full hash row per
+    bucket — must stay a fraction of the dict layout's 8 k-byte keys."""
+
+    N, TABLES = 2000, 50
+
+    def report(self, layout):
+        points = fig1_landscape(self.N, 16, seed=11)
+        spec = IndexSpec(
+            metric="l2", radius=1.5, num_tables=self.TABLES, hll_precision=7,
+            seed=11, layout=layout,
+        )
+        raw = Index.build(points, spec).engine.index
+        return raw, raw.memory_report()
+
+    def test_frozen_layout_stays_under_budget(self):
+        raw, report = self.report("frozen")
+        csr = raw.frozen
+        assert report["total"] / self.N <= 720  # 1206 with format v1's byte keys
+        # bucket_keys counts every byte that addresses a bucket.
+        assert csr.key64.dtype == np.uint64 and csr.keys.dtype == np.int8
+        assert report["bucket_keys"] == csr.key64.nbytes + csr.keys.nbytes
+        assert report["bucket_keys"] == csr.num_buckets * (8 + raw.k)
+        assert report["bucket_ids"] == 8 * self.N * self.TABLES
+        assert report["total"] == sum(
+            report[part] for part in ("points", "bucket_ids", "bucket_keys", "sketches")
+        )
+
+    def test_dict_layout_report_is_unchanged(self):
+        raw, report = self.report("dict")
+        assert report == {
+            "points": 256000,
+            "bucket_ids": 800000,
+            "bucket_keys": 1338568,
+            "sketches": 16896,
+            "total": 2411464,
+        }
+        assert report["bucket_keys"] == 8 * raw.k * sum(
+            table.num_buckets for table in raw.tables
+        )
 
 
 class TestQueryBatch:
