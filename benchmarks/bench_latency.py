@@ -17,7 +17,9 @@ its queue delay, the classic coordinated-omission trap):
   scheduling slack — rather than an unbounded stall.
 
 Emits ``BENCH_latency.json`` at the repo root so later PRs can track
-the serving-tail trajectory next to ``BENCH_throughput.json``.
+the serving-tail trajectory.  The closed-loop yardstick
+(``BENCHMARK.json``, ``benchmarks/perf/run.py``) measures everything
+else; open-loop p99 and the replica kill are what it does not cover.
 
 Environment knobs: ``REPRO_BENCH_LATENCY_N`` (default 8,000 points),
 ``REPRO_BENCH_LATENCY_RATE`` (default 120 req/s),
@@ -38,7 +40,7 @@ import threading
 from pathlib import Path
 
 from repro.api import Index, IndexSpec
-from repro.evaluation import mixed_workload
+from repro.datasets import mixed_workload
 from repro.faults import FaultTolerancePolicy
 from repro.service.loadgen import run_loadgen
 

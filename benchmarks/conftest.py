@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Dataset sizes are laptop-scale (the paper used 60k-581k points; we
-default to 6,000 so the full suite regenerates every table and figure
+default to 12,000 so the full suite regenerates every table and figure
 in minutes).  The *shape* conclusions — who wins at which radius, where
 the crossover falls, how the %linear-calls curve grows — are scale-free
 because both sides of the Algorithm 2 comparison scale linearly in n.

@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from repro import Index, IndexSpec, QuerySpec
-from repro.evaluation import mixed_workload
+from repro.datasets import mixed_workload
 from repro.service.stream import serve_stream
 
 N, NUM_QUERIES = 8_000, 100

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from repro import Index, IndexSpec, QuerySpec
-from repro.evaluation import mixed_workload
+from repro.datasets import mixed_workload
 
 N, NUM_QUERIES = 8_000, 200
 

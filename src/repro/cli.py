@@ -6,8 +6,7 @@ Usage::
     python -m repro.cli figure2  --dataset webspam [--n 12000] [--queries 50]
     python -m repro.cli figure3  [--n 12000]
     python -m repro.cli profile  --dataset corel [--n 5000]
-    python -m repro.cli throughput [--n 20000] [--shards 4] [--json out.json]
-    python -m repro.cli throughput --execution processes [--workers 4]
+    python -m repro.cli recall   --dataset corel [--n 12000]
     python -m repro.cli build    --dataset corel --out idx/ [--spec spec.json]
     python -m repro.cli serve    --dataset corel [--shards 2] [--cache-size 512]
     python -m repro.cli serve    --index idx/ [--workers 4] [--inflight 4]
@@ -16,10 +15,11 @@ Usage::
     python -m repro.cli shard-serve --artifact idx/ [--shards 0,2] [--port 7401]
     python -m repro.cli loadgen  --index idx/ --rate 200 --duration 5 [--json out.json]
 
-Every experiment command prints the same text tables the benchmark
-harness emits, so results can be generated in CI logs or piped to
-files.  ``build`` and ``serve`` are spec-driven (:mod:`repro.api`):
-``build`` assembles an :class:`~repro.api.Index` from an
+Every experiment command prints the same text tables the
+``benchmarks/bench_*.py`` files emit, so results can be generated in CI
+logs or piped to files; performance is measured by the repo benchmark
+(``benchmarks/perf/run.py``), not from here.  ``build`` and ``serve``
+are spec-driven (:mod:`repro.api`): ``build`` assembles an :class:`~repro.api.Index` from an
 :class:`~repro.api.IndexSpec` — from a JSON file via ``--spec``,
 otherwise from the flags — and persists it; ``serve`` speaks the
 :mod:`repro.service.stream` JSON-lines protocol on stdin/stdout over a
@@ -48,12 +48,8 @@ from repro.evaluation import (
     format_figure2,
     format_figure3,
     format_recall,
-    format_throughput,
-    mixed_workload,
     recall_experiment,
     table1_experiment,
-    throughput_experiment,
-    write_throughput_json,
 )
 from repro.evaluation.profile import distance_profile, hardness_profile, suggest_radii
 from repro.evaluation.report import format_table, format_table1
@@ -91,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--repeats", type=int, default=2)
     _add_common(p_fig2)
 
-    p_fig3 = sub.add_parser("figure3", help="Figure 3: output sizes and %LS calls")
+    p_fig3 = sub.add_parser("figure3", help="Figure 3: output sizes and %%LS calls")
     _add_common(p_fig3)
 
     p_profile = sub.add_parser("profile", help="distance/hardness diagnostics")
@@ -103,85 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_recall.add_argument("--dataset", choices=sorted(_DATASETS), required=True)
     _add_common(p_recall)
-
-    p_tp = sub.add_parser(
-        "throughput", help="QPS: sequential vs batched vs sharded serving"
-    )
-    p_tp.add_argument("--n", type=int, default=20_000, help="dataset size")
-    p_tp.add_argument("--queries", type=int, default=200, help="query-set size")
-    p_tp.add_argument("--tables", type=int, default=50, help="L, number of hash tables")
-    p_tp.add_argument("--dim", type=int, default=24, help="dimensionality")
-    p_tp.add_argument("--shards", type=int, default=4, help="K, number of shards")
-    p_tp.add_argument("--repeats", type=int, default=1)
-    p_tp.add_argument(
-        "--ratio", type=float, default=6.0,
-        help="beta/alpha cost ratio (0 = calibrate by timing)",
-    )
-    p_tp.add_argument("--json", metavar="PATH", help="also write the JSON artifact")
-    p_tp.add_argument("--seed", type=int, default=0, help="master seed")
-    p_tp.add_argument(
-        "--assert-frozen-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless frozen_batched is bit-identical and "
-             "reaches X times the sequential QPS (CI regression gate)",
-    )
-    p_tp.add_argument(
-        "--execution", choices=("threads", "processes"), default="threads",
-        help="'processes' also measures the mmap'd worker-pool mode "
-             "('workers' row) against the thread-pool sharded fan-out",
-    )
-    p_tp.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="worker-pool width for --execution processes "
-             "(default: min(shards, cpu count))",
-    )
-    p_tp.add_argument(
-        "--assert-workers-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the workers mode is bit-identical to the "
-             "thread path; on multi-core hosts additionally require X times "
-             "the sharded (thread-pool) QPS — skipped on 1-core hosts",
-    )
-    p_tp.add_argument(
-        "--include-multiprobe", action="store_true",
-        help="also measure a multi-probe index: per-query loop "
-             "('multiprobe_sequential') vs its frozen CSR layout batched "
-             "('frozen_multiprobe', bit-identity asserted)",
-    )
-    p_tp.add_argument(
-        "--probes", type=int, default=2, metavar="P",
-        help="extra probed buckets per table for the multiprobe rows",
-    )
-    p_tp.add_argument(
-        "--assert-multiprobe-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless frozen_multiprobe is bit-identical to the "
-             "multi-probe sequential loop and reaches X times its QPS "
-             "(CI regression gate; implies --include-multiprobe)",
-    )
-    p_tp.add_argument(
-        "--allow-partial", action="store_true",
-        help="opt the workers row's queries into degraded answers "
-             "(requires --execution processes; answers stay bit-identical "
-             "on a healthy pool, only the partial-result bookkeeping is "
-             "charged)",
-    )
-    p_tp.add_argument(
-        "--include-adaptive", action="store_true",
-        help="also measure adaptive execution: a fixed-fan-out facade "
-             "('adaptive_fixed') vs the same spec under a per-query "
-             "candidate budget ('adaptive_budget'), recording candidates "
-             "examined and recall vs brute-force ground truth",
-    )
-    p_tp.add_argument(
-        "--adaptive-target", type=int, default=None, metavar="C",
-        help="target_candidates for the adaptive_budget row "
-             "(default: max(32, n // 100))",
-    )
-    p_tp.add_argument(
-        "--assert-adaptive-candidates", type=float, default=None, metavar="X",
-        help="exit non-zero unless adaptive_budget's answers are an id-subset "
-             "of adaptive_fixed's, examine at most X times its candidates, "
-             "and recall stays within 0.005 "
-             "(CI regression gate; implies --include-adaptive)",
-    )
 
     p_build = sub.add_parser(
         "build", help="build a spec-driven index over a dataset and save it"
@@ -421,154 +338,6 @@ def _cmd_recall(args: argparse.Namespace) -> None:
         dataset, num_queries=args.queries, num_tables=args.tables, seed=args.seed
     )
     print(format_recall(rows, title=f"Recall vs radius: {dataset.name}"))
-
-
-def _cost_model_from_ratio(ratio: float):
-    """``--ratio 0`` means "calibrate by timing" (slower, hardware-true)."""
-    if ratio and ratio > 0:
-        from repro.core import CostModel
-
-        return CostModel.from_ratio(ratio)
-    return None
-
-
-def _cmd_throughput(args: argparse.Namespace) -> None:
-    if args.workers is not None and args.execution != "processes":
-        # Same policy as Index.build/open: dropping the flag silently
-        # would let the user believe the pool was measured.
-        sys.exit("error: --workers requires --execution processes")
-    if args.allow_partial and args.execution != "processes":
-        sys.exit("error: --allow-partial requires --execution processes")
-    points, queries, radius = mixed_workload(
-        args.n, dim=args.dim, num_queries=args.queries, seed=args.seed
-    )
-    include_multiprobe = (
-        args.include_multiprobe or args.assert_multiprobe_speedup is not None
-    )
-    include_adaptive = (
-        args.include_adaptive or args.assert_adaptive_candidates is not None
-    )
-    rows = throughput_experiment(
-        points,
-        queries,
-        metric="l2",
-        radius=radius,
-        num_tables=args.tables,
-        num_shards=args.shards,
-        cost_model=_cost_model_from_ratio(args.ratio),
-        repeats=args.repeats,
-        seed=args.seed,
-        include_workers=args.execution == "processes",
-        num_workers=args.workers,
-        include_multiprobe=include_multiprobe,
-        num_probes=args.probes,
-        allow_partial=args.allow_partial,
-        include_adaptive=include_adaptive,
-        adaptive_target=args.adaptive_target,
-    )
-    title = (
-        f"Serving throughput: n = {args.n}, d = {args.dim}, "
-        f"{args.queries} queries, K = {args.shards}, r = {radius:.3g}"
-    )
-    print(format_throughput(rows, title=title))
-    by_mode = {row.mode: row for row in rows}
-    if args.assert_frozen_speedup is not None:
-        frozen, seq = by_mode["frozen_batched"], by_mode["sequential"]
-        if not frozen.matches:
-            sys.exit("error: frozen_batched answers diverged from sequential")
-        if frozen.qps < args.assert_frozen_speedup * seq.qps:
-            sys.exit(
-                f"error: frozen_batched speedup "
-                f"{frozen.qps / seq.qps:.2f}x < {args.assert_frozen_speedup}x bar"
-            )
-        print(
-            f"frozen_batched {frozen.qps / seq.qps:.2f}x >= "
-            f"{args.assert_frozen_speedup}x: OK"
-        )
-    if args.assert_workers_speedup is not None:
-        import os as _os
-
-        if "workers" not in by_mode:
-            sys.exit(
-                "error: --assert-workers-speedup requires --execution processes"
-            )
-        workers, sharded = by_mode["workers"], by_mode["sharded"]
-        if not workers.matches:
-            sys.exit("error: workers answers diverged from the thread path")
-        cores = _os.cpu_count() or 1
-        if cores <= 1:
-            # A process pool cannot beat threads without real cores; the
-            # bit-identity gate above still ran.
-            print(
-                f"workers bit-identical: OK (speedup bar skipped on "
-                f"{cores}-core host)"
-            )
-        elif workers.qps < args.assert_workers_speedup * sharded.qps:
-            sys.exit(
-                f"error: workers speedup {workers.qps / sharded.qps:.2f}x "
-                f"over sharded < {args.assert_workers_speedup}x bar"
-            )
-        else:
-            print(
-                f"workers {workers.qps / sharded.qps:.2f}x over sharded >= "
-                f"{args.assert_workers_speedup}x: OK"
-            )
-    if args.assert_multiprobe_speedup is not None:
-        frozen_mp = by_mode["frozen_multiprobe"]
-        mp_seq = by_mode["multiprobe_sequential"]
-        if not frozen_mp.matches:
-            sys.exit(
-                "error: frozen_multiprobe answers diverged from the "
-                "multi-probe sequential loop"
-            )
-        if frozen_mp.qps < args.assert_multiprobe_speedup * mp_seq.qps:
-            sys.exit(
-                f"error: frozen_multiprobe speedup "
-                f"{frozen_mp.qps / mp_seq.qps:.2f}x < "
-                f"{args.assert_multiprobe_speedup}x bar"
-            )
-        print(
-            f"frozen_multiprobe {frozen_mp.qps / mp_seq.qps:.2f}x >= "
-            f"{args.assert_multiprobe_speedup}x: OK"
-        )
-    if args.assert_adaptive_candidates is not None:
-        ad, fx = by_mode["adaptive_budget"], by_mode["adaptive_fixed"]
-        if not ad.matches:
-            sys.exit(
-                "error: adaptive_budget answers are not an id-subset of "
-                "adaptive_fixed"
-            )
-        bar = args.assert_adaptive_candidates
-        if ad.candidates > bar * fx.candidates:
-            sys.exit(
-                f"error: adaptive_budget examined "
-                f"{ad.candidates / fx.candidates:.2f}x the fixed "
-                f"candidates > {bar}x bar"
-            )
-        if ad.recall < fx.recall - 0.005:
-            sys.exit(
-                f"error: adaptive_budget recall {ad.recall:.4f} fell more "
-                f"than 0.005 below fixed recall {fx.recall:.4f}"
-            )
-        print(
-            f"adaptive_budget {ad.candidates / fx.candidates:.2f}x "
-            f"candidates <= {bar}x at recall {ad.recall:.4f} "
-            f"(fixed {fx.recall:.4f}): OK"
-        )
-    if args.json:
-        write_throughput_json(
-            rows,
-            args.json,
-            meta={
-                "n": args.n,
-                "dim": args.dim,
-                "num_shards": args.shards,
-                "num_tables": args.tables,
-                "radius": radius,
-                "seed": args.seed,
-            },
-        )
-        print(f"wrote {args.json}")
 
 
 def _index_spec_from_args(args: argparse.Namespace, metric: str, radius: float):
@@ -966,7 +735,6 @@ _COMMANDS = {
     "figure3": _cmd_figure3,
     "profile": _cmd_profile,
     "recall": _cmd_recall,
-    "throughput": _cmd_throughput,
     "build": _cmd_build,
     "serve": _cmd_serve,
     "shard-serve": _cmd_shard_serve,

@@ -23,6 +23,7 @@ from repro.datasets.queries import split_queries
 from repro.datasets.synthetic import (
     binary_sets,
     gaussian_mixture,
+    mixed_workload,
     uniform_hypercube,
 )
 from repro.datasets.webspam import webspam_like
@@ -38,6 +39,7 @@ __all__ = [
     "gaussian_mixture",
     "uniform_hypercube",
     "binary_sets",
+    "mixed_workload",
     "load_libsvm",
     "load_dense",
 ]

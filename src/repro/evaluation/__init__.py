@@ -40,13 +40,6 @@ from repro.evaluation.report import (
     format_recall,
     format_table,
 )
-from repro.evaluation.throughput import (
-    ThroughputRow,
-    format_throughput,
-    mixed_workload,
-    throughput_experiment,
-    write_throughput_json,
-)
 
 __all__ = [
     "GroundTruth",
@@ -71,9 +64,4 @@ __all__ = [
     "format_figure2",
     "format_figure3",
     "format_recall",
-    "ThroughputRow",
-    "mixed_workload",
-    "throughput_experiment",
-    "format_throughput",
-    "write_throughput_json",
 ]

@@ -83,8 +83,11 @@ def _parse_query(
     bool,
     tuple[bool | None, int | None, float | None],
 ]:
-    query = np.asarray(request["query"], dtype=np.float64)
-    if query.ndim != 1 or query.shape[0] != dim:
+    try:
+        query = np.asarray(request["query"], dtype=np.float64)
+    except (ValueError, TypeError):  # ragged rows, strings, objects
+        query = None
+    if query is None or query.ndim != 1 or query.shape[0] != dim:
         raise ValueError(f"query must be a flat list of {dim} numbers")
     if not np.isfinite(query).all():
         raise ValueError("query must contain only finite numbers")
@@ -171,6 +174,16 @@ def _flush(index, pending: list) -> list[str]:
     return responses
 
 
+#: The fields each op cannot run without, checked before it touches the
+#: index so the error names the field instead of echoing a ``KeyError``.
+_REQUIRED_FIELDS = {
+    "insert": ("points",),
+    "save": ("path",),
+    "open": ("path",),
+    "create": ("spec", "points"),
+}
+
+
 def _handle_op(state: dict, request: dict) -> str:
     """Dispatch a non-query op against the current serving target."""
     from repro.api.facade import Index
@@ -178,6 +191,15 @@ def _handle_op(state: dict, request: dict) -> str:
 
     index = state["target"]
     op = request.get("op")
+    required = _REQUIRED_FIELDS.get(op, ()) if isinstance(op, str) else ()
+    for field in required:
+        if field not in request:
+            return json.dumps({"error": f'{op} needs "{field}"'})
+    if "path" in required and not isinstance(request["path"], str):
+        # str(None) would save into a directory literally named "None".
+        return json.dumps(
+            {"error": f"path must be a string, got {request['path']!r}"}
+        )
     if op == "stats":
         return json.dumps(index.stats_snapshot())
     if op == "metrics":
@@ -196,15 +218,15 @@ def _handle_op(state: dict, request: dict) -> str:
     if op == "spec":
         return json.dumps({"spec": index.spec.to_dict()})
     if op == "save":
+        path = request["path"]
         try:
-            path = str(request["path"])
             index.save(path)
         except Exception as exc:
             return json.dumps({"error": f"save failed: {exc}"})
         return json.dumps({"saved": path})
     if op == "open":
+        path = request["path"]
         try:
-            path = str(request["path"])
             _swap_target(state, Index.open(path))
         except Exception as exc:
             return json.dumps({"error": f"open failed: {exc}"})

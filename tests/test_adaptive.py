@@ -866,12 +866,18 @@ class TestStreamProtocolV2:
         lines = [
             json.dumps({"query": points[0].tolist(), "target_candidates": 0}),
             json.dumps({"query": points[0].tolist(), "quality_floor": 2.0}),
+            # ragged and non-numeric rows get the bad-shape line, not
+            # numpy's conversion error text
+            json.dumps({"query": [points[0].tolist(), [1.0, 2.0, 3.0]]}),
+            json.dumps({"query": ["a"] * index.dim}),
             json.dumps({"query": points[0].tolist()}),
         ]
         out = [json.loads(r) for r in serve_stream(index, lines)]
         assert "target_candidates" in out[0]["error"]
         assert "quality_floor" in out[1]["error"]
-        assert out[2]["found"] >= 1
+        bad_shape = f"query must be a flat list of {index.dim} numbers"
+        assert out[2]["error"] == out[3]["error"] == bad_shape
+        assert out[4]["found"] >= 1
 
     def test_stream_never_touches_deprecated_shapes(self, served):
         index, points = served

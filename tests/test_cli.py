@@ -57,27 +57,6 @@ class TestCli:
         assert "Hybrid recall" in out
         assert "Analytic" in out
 
-    def test_throughput(self, capsys, tmp_path):
-        artifact = tmp_path / "tp.json"
-        assert main([
-            "throughput", "--n", "900", "--queries", "12", "--tables", "6",
-            "--shards", "2", "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "QPS" in out and "sequential" in out and "batched" in out
-        payload = json.loads(artifact.read_text())
-        assert set(payload["modes"]) == {
-            "sequential", "batched", "frozen_batched", "frozen_batched_traced",
-            "sharded",
-        }
-        assert payload["modes"]["batched"]["matches_reference"] is True
-        assert payload["modes"]["frozen_batched"]["matches_reference"] is True
-        # Tracing is timing-only: the traced run answers identically and
-        # every mode records ordered single-query latency percentiles.
-        assert payload["modes"]["frozen_batched_traced"]["matches_reference"] is True
-        for mode in payload["modes"].values():
-            assert mode["latency_p50"] <= mode["latency_p95"] <= mode["latency_p99"]
-
     def test_serve(self, capsys, monkeypatch):
         from repro.datasets import corel_like
 
@@ -208,6 +187,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_retired_throughput_command_is_an_argparse_error(self, capsys):
+        """No shim, no alias: speed is measured by benchmarks/perf/run.py."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["throughput"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'throughput'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])  # crashed on an unescaped % until PR 19
+        assert excinfo.value.code == 0
+        listing = capsys.readouterr().out
+        assert "figure3" in listing and "throughput" not in listing
+
 
 class TestCliFailurePaths:
     """Misbehaving input must degrade per line (serve) or exit with a
@@ -223,23 +214,38 @@ class TestCliFailurePaths:
             json.loads(line) for line in capsys.readouterr().out.splitlines()
         ]
 
-    def test_serve_survives_malformed_and_partial_json(self, capsys, monkeypatch):
+    def test_serve_survives_malformed_and_partial_json(
+        self, capsys, monkeypatch, tmp_path
+    ):
         from repro.datasets import corel_like
 
+        monkeypatch.chdir(tmp_path)
         dataset = corel_like(n=300, seed=0)
         good = json.dumps({"query": dataset.points[0].tolist()})
-        lines = [
+        malformed = [
             "this is not json",
             '{"query": [0.1, 0.2',          # truncated mid-object
             '["query"]',                     # valid JSON, wrong shape
-            good,                            # the stream must still serve
         ]
+        # A missing or mistyped required field is named, not echoed as a
+        # bare KeyError repr (or, for a null path, obeyed).
+        fieldless = {
+            '{"op": "insert"}': 'insert needs "points"',
+            '{"op": "save"}': 'save needs "path"',
+            '{"op": "open"}': 'open needs "path"',
+            '{"op": "create", "points": [[0.0]]}': 'create needs "spec"',
+            '{"op": "save", "path": null}': "path must be a string, got None",
+            '{"op": "open", "path": 5}': "path must be a string, got 5",
+        }
+        lines = [*malformed, *fieldless, good]  # the stream must still serve
         responses = self._serve(monkeypatch, capsys, lines)
         assert len(responses) == len(lines)
         for bad in responses[:3]:
             assert set(bad) == {"error"}
             assert bad["error"].startswith("bad request:")
-        assert 0 in responses[3]["ids"]
+        assert [r.get("error") for r in responses[3:-1]] == list(fieldless.values())
+        assert not list(tmp_path.iterdir())  # no directory named "None"
+        assert 0 in responses[-1]["ids"]
 
     def test_serve_survives_unknown_op(self, capsys, monkeypatch):
         from repro.datasets import corel_like
@@ -353,38 +359,6 @@ class TestCliVariants:
         assert responses[0]["spec"]["variant"] == "covering"
         assert 3 in responses[1]["ids"]
 
-    def test_throughput_allow_partial_requires_processes(self):
-        with pytest.raises(SystemExit, match="processes"):
-            main([
-                "throughput", "--n", "600", "--queries", "8", "--tables", "4",
-                "--allow-partial",
-            ])
-
-    def test_throughput_allow_partial_stays_bit_identical(self, capsys, tmp_path):
-        """On a healthy pool the flag only charges bookkeeping."""
-        artifact = tmp_path / "tp.json"
-        assert main([
-            "throughput", "--n", "700", "--queries", "10", "--tables", "4",
-            "--shards", "2", "--execution", "processes", "--allow-partial",
-            "--json", str(artifact),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(artifact.read_text())
-        assert payload["modes"]["workers"]["matches_reference"] is True
-
-    def test_throughput_multiprobe_gate(self, capsys, tmp_path):
-        artifact = tmp_path / "tp.json"
-        assert main([
-            "throughput", "--n", "900", "--queries", "12", "--tables", "6",
-            "--shards", "2", "--include-multiprobe", "--probes", "2",
-            "--json", str(artifact),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "frozen_multiprobe" in out
-        payload = json.loads(artifact.read_text())
-        assert "frozen_multiprobe" in payload["modes"]
-        assert payload["modes"]["frozen_multiprobe"]["matches_reference"] is True
-
 
 def _spawn_shard_server(artifact, shards=None):
     """Launch ``repro.cli shard-serve`` and parse its startup banner."""
@@ -491,3 +465,39 @@ class TestCliNetworked:
         # pool reports it explicitly false with no missing shards.
         assert response["degraded"] is False
         assert response["missing_shards"] == []
+
+
+def test_docs_name_only_commands_and_scripts_that_exist():
+    """README, the CLI usage docstring and the verify skill are executable
+    documentation: a `python -m repro.cli <sub>` line must name a
+    registered subcommand, a benchmark or example path a real file."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    import repro.cli
+
+    root = Path(_SRC).parent
+    (subparsers,) = (
+        action
+        for action in repro.cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    skill = root / ".claude" / "skills" / "verify" / "SKILL.md"
+    docs = [readme, repro.cli.__doc__]
+    if skill.is_file():  # absent from an sdist
+        docs.append(skill.read_text(encoding="utf-8"))
+    named = {
+        sub
+        for doc in docs
+        for sub in re.findall(r"python -m repro\.cli\s+([a-z][a-z0-9-]*)", doc)
+    }
+    assert {"build", "serve", "loadgen"} <= named  # the pattern still bites
+    assert named <= set(subparsers.choices), named - set(subparsers.choices)
+
+    paths = set(re.findall(r"\b((?:benchmarks|examples)/[\w/]+\.py)\b", readme))
+    paths |= {f"benchmarks/{name}" for name in re.findall(r"\bbench_\w+\.py\b", readme)}
+    assert paths
+    missing = sorted(path for path in paths if not (root / path).is_file())
+    assert not missing, missing

@@ -8,6 +8,7 @@ from repro.datasets import (
     corel_like,
     covertype_like,
     gaussian_mixture,
+    mixed_workload,
     mnist_like,
     simhash_fingerprints,
     split_queries,
@@ -84,6 +85,27 @@ class TestGaussianMixture:
     def test_bad_weights(self):
         with pytest.raises(ConfigurationError):
             gaussian_mixture(10, 3, np.zeros((2, 3)), np.ones(2), weights=np.zeros(2))
+
+
+class TestMixedWorkload:
+    def test_figure1_landscape(self):
+        data, queries, radius = mixed_workload(2000, seed=0)
+        assert data.shape == (2000, 24) and queries.shape == (200, 24)
+        assert radius == 0.25 * np.sqrt(2 * 24) * 1.2
+        again = mixed_workload(2000, seed=0)
+        assert np.array_equal(data, again[0]) and np.array_equal(queries, again[1])
+        small = mixed_workload(300, dim=5, num_queries=7, seed=3)
+        assert small[0].shape == (300, 5) and small[1].shape == (7, 5)
+        assert small[2] == 0.25 * np.sqrt(2 * 5) * 1.2
+        # The point of the generator: neither pure strategy wins, so
+        # Algorithm 2 must dispatch some queries each way.
+        from repro.api import Index, IndexSpec
+
+        index = Index.build(
+            data, IndexSpec(metric="l2", radius=radius, cost_ratio=6.0, seed=0)
+        )
+        strategies = {outcome.strategy for outcome in index.query(queries)}
+        assert strategies == {"linear", "lsh"}
 
 
 class TestUniformHypercube:

@@ -363,6 +363,45 @@ class TestTracingBitIdentity:
             index.close()
 
 
+class TestTracingWorkUnits:
+    def test_span_count_is_per_stage_not_per_row(self):
+        """Enabled tracing costs a fixed number of spans per batch.
+
+        The count, not a wall-clock ratio, is the gate: one span per
+        stage a batch runs, however many rows it carries.  The disabled
+        path is the shared null span (one ``is None`` check).
+        """
+        from repro.datasets import mixed_workload
+
+        points, queries, radius = mixed_workload(2000, seed=0)
+        index = Index.build(
+            points,
+            IndexSpec(metric="l2", radius=radius, num_tables=50,
+                      layout="frozen", cost_ratio=6.0, seed=0),
+        )
+
+        def spans(rows):
+            index.reset_stats()
+            outcomes = index.query(QuerySpec(rows, radius=radius))
+            return dict(index.stats.stage_calls), outcomes
+
+        try:
+            _, outcomes = spans(queries)
+            assert index.stats.stage_calls == {}  # tracing still off
+            lsh_rows = queries[[o.strategy == "lsh" for o in outcomes]]
+            index.enable_tracing(True)
+            one, _ = spans(lsh_rows[:1])
+            many, _ = spans(lsh_rows[:64])
+            assert one == many == {"hash": 1, "estimate": 1, "candidates": 1}
+            mixed, outcomes = spans(queries[:64])
+            assert {o.strategy for o in outcomes} == {"lsh", "linear"}
+            assert set(mixed) <= set(STAGES)
+            assert set(mixed.values()) == {1}
+        finally:
+            index.close()
+        assert stage_timer(None, "hash") is _NULL_SPAN
+
+
 class TestStatsSnapshot:
     def test_snapshot_includes_gauges_and_latency(self):
         rng = np.random.default_rng(4)
