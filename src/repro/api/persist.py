@@ -75,6 +75,22 @@ def _load_shard_any(path: str, shard: int, layout: str) -> Any:
     return _load_shard(os.path.join(path, _shard_file(shard)))
 
 
+def read_shard_gids(path: str, num_shards: int) -> list[np.ndarray]:
+    """The per-shard global-id maps :func:`write_shard_gids` wrote."""
+    target = os.path.join(path, _GIDS_FILE)
+    try:
+        with np.load(target, allow_pickle=False) as archive:
+            return [
+                np.asarray(archive[f"gids_{s:03d}"], dtype=np.int64)
+                for s in range(num_shards)
+            ]
+    except Exception as exc:
+        raise CorruptArtifactError(
+            f"shard id map {target!r} is unreadable ({exc}); "
+            "the artifact is truncated or corrupt"
+        ) from exc
+
+
 def write_shard_gids(path: str, shard_gids: list[np.ndarray]) -> None:
     """Write the per-shard global-id maps archive (single layout owner).
 
@@ -269,15 +285,7 @@ def open_index(
             "the artifact is truncated or corrupt"
         ) from exc
     if num_shards > 1:
-        gids_path = os.path.join(path, _GIDS_FILE)
-        try:
-            with np.load(gids_path, allow_pickle=False) as archive:
-                shard_gids = [archive[f"gids_{s:03d}"] for s in range(num_shards)]
-        except Exception as exc:
-            raise CorruptArtifactError(
-                f"shard id map {gids_path!r} is unreadable ({exc}); "
-                "the artifact is truncated or corrupt"
-            ) from exc
+        shard_gids = read_shard_gids(path, num_shards)
         shards = [
             HybridLSH.from_index(
                 idx, spec.radius, cost_model, delta=spec.delta, estimator=estimator

@@ -127,15 +127,11 @@ class LSHSearch:
         if candidates is self._gather_key:
             gathered, state_sub = self._gather_value
         else:
-            # ndarray.take over plain views: the same rows as fancy
-            # indexing (bit-identical floats downstream) without its
-            # index-preparation pass, and an mmap'd shard's points pay
-            # no memmap subclass hooks.
+            # ndarray.take: the same rows as fancy indexing (bit-identical
+            # floats downstream) without its index-preparation pass.
             state = self._prepared()
-            gathered = np.asarray(self.index.points).take(candidates, axis=0)
-            state_sub = (
-                None if state is None else np.asarray(state).take(candidates, axis=0)
-            )
+            gathered = self.index.points.take(candidates, axis=0)
+            state_sub = None if state is None else state.take(candidates, axis=0)
             self._gather_key = candidates
             self._gather_value = (gathered, state_sub)
         metric = self.index.family.metric

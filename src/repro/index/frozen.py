@@ -75,6 +75,7 @@ tables are re-assembled in memory and the next save writes v2.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -240,6 +241,7 @@ def _slot_occupancy(
     return sizes.sum(axis=1), sizes.max(axis=1)
 
 
+@dataclasses.dataclass(slots=True, eq=False, repr=False)
 class FrozenTables:
     """All ``L`` tables of a frozen index as one fused CSR structure.
 
@@ -252,49 +254,16 @@ class FrozenTables:
     computed with; :meth:`locate` must — and does — use the same one.
     """
 
-    __slots__ = (
-        "num_tables",
-        "salt",
-        "key64",
-        "keys",
-        "_key64",
-        "_keys",
-        "table_slices",
-        "offsets",
-        "sizes",
-        "members",
-        "sketch_rows",
-        "registers",
-    )
-
-    def __init__(
-        self,
-        num_tables: int,
-        salt: int,
-        key64: np.ndarray,
-        keys: np.ndarray,
-        table_slices: np.ndarray,
-        offsets: np.ndarray,
-        sizes: np.ndarray,
-        members: np.ndarray,
-        sketch_rows: np.ndarray,
-        registers: np.ndarray,
-    ) -> None:
-        self.num_tables = int(num_tables)
-        self.salt = int(salt)
-        self.key64 = key64
-        self.keys = keys
-        # What :meth:`locate` reads on every call, through ``np.asarray``:
-        # a reopened artifact's arrays are memmaps, whose every take and
-        # ufunc pays the subclass hooks.  Views — no bytes of their own.
-        self._key64 = np.asarray(key64)
-        self._keys = np.asarray(keys)
-        self.table_slices = table_slices
-        self.offsets = offsets
-        self.sizes = sizes
-        self.members = members
-        self.sketch_rows = sketch_rows
-        self.registers = registers
+    num_tables: int
+    salt: int
+    key64: np.ndarray
+    keys: np.ndarray
+    table_slices: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    members: np.ndarray
+    sketch_rows: np.ndarray
+    registers: np.ndarray
 
     # ------------------------------------------------------------------
     # Construction
@@ -331,9 +300,9 @@ class FrozenTables:
         because registers are maxima over per-id hash pairs).
         """
         num_tables = len(per_table)
-        rows = np.concatenate([np.asarray(r) for r, _, _ in per_table])
+        rows = np.concatenate([r for r, _, _ in per_table])
         src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64)
-        src_members = np.concatenate([np.asarray(m) for _, _, m in per_table])
+        src_members = np.concatenate([m for _, _, m in per_table])
         table_ids = np.repeat(
             np.arange(num_tables), [r.shape[0] for r, _, _ in per_table]
         )
@@ -447,9 +416,9 @@ class FrozenTables:
             overflow, row_width, pad_to=self.keys.shape[1]
         )
         return (
-            np.concatenate([self._keys[lo:hi], o_rows]),
-            np.concatenate([np.asarray(self.sizes[lo:hi]), o_sizes]),
-            np.concatenate([np.asarray(self.members[seg_start:seg_stop]), o_members]),
+            np.concatenate([self.keys[lo:hi], o_rows]),
+            np.concatenate([self.sizes[lo:hi], o_sizes]),
+            np.concatenate([self.members[seg_start:seg_stop], o_members]),
         )
 
     # ------------------------------------------------------------------
@@ -484,17 +453,17 @@ class FrozenTables:
                 f"hash-row tensor has {num_slots} slot columns; "
                 f"{slot_tables.shape[0]} slot table ids given"
             )
-        if self._key64.size == 0 or q == 0:
+        if self.key64.size == 0 or q == 0:
             return np.full((q, num_slots), -1, dtype=np.int64)
         needles = _tagged_key64(
             slot_rows, slot_tables, self.num_tables, self.salt
         ).ravel()
         order = np.argsort(needles)
         pos = np.empty(needles.size, dtype=np.int64)
-        pos[order] = self._key64.searchsorted(needles.take(order))
-        hit = self._key64.take(pos, mode="clip") == needles
+        pos[order] = self.key64.searchsorted(needles.take(order))
+        hit = self.key64.take(pos, mode="clip") == needles
         found = np.flatnonzero(hit)
-        wrong = self._keys.take(pos.take(found), axis=0) != slot_rows.reshape(
+        wrong = self.keys.take(pos.take(found), axis=0) != slot_rows.reshape(
             -1, width
         ).take(found, axis=0)
         if wrong.any():  # same address, different row: a key64 collision
@@ -1413,8 +1382,8 @@ class FrozenLSHIndex(LSHIndex):
 
     def bucket_statistics(self) -> dict[str, float]:
         self._require_built()
-        sizes = [np.asarray(self.frozen.sizes)]
-        sketched = [np.asarray(self.frozen.sketch_rows) >= 0]
+        sizes = [self.frozen.sizes]
+        sketched = [self.frozen.sketch_rows >= 0]
         for table in self._all_overflow_tables():
             if table.buckets:
                 sizes.append(table.bucket_sizes())
@@ -1583,9 +1552,9 @@ def _checked_tables(
             raise corrupt(
                 f"{name}.npy is {array.ndim}-d {array.dtype}, expected {ndim}-d {dtype}"
             )
-    key64, slices = np.asarray(arrays["key64"]), np.asarray(arrays["table_slices"])
-    offsets, sizes = np.asarray(arrays["offsets"]), np.asarray(arrays["sizes"])
-    sketch_rows, registers = np.asarray(arrays["sketch_rows"]), arrays["registers"]
+    key64, slices = arrays["key64"], arrays["table_slices"]
+    offsets, sizes = arrays["offsets"], arrays["sizes"]
+    sketch_rows, registers = arrays["sketch_rows"], arrays["registers"]
     buckets = key64.size
     if (
         slices.shape != (num_tables + 1,)
@@ -1612,7 +1581,7 @@ def _checked_tables(
     # first bucket is enough to catch a wrong salt or a foreign keys.npy.
     probe = slices[:-1][np.diff(slices) > 0]
     readdressed = _tagged_key64(
-        np.asarray(arrays["keys"])[probe], tags[probe], num_tables, salt
+        arrays["keys"][probe], tags[probe], num_tables, salt
     )
     if not np.array_equal(readdressed, key64[probe]):
         raise corrupt(f"key64 is not the address of keys under key_salt {salt}")
@@ -1652,14 +1621,14 @@ def _tables_from_v1(
     next save writes v2.
     """
     try:
-        bounds = np.asarray(arrays["table_slices"]).tolist()
-        offsets = np.asarray(arrays["offsets"]).tolist()
-        rows = np.asarray(arrays["keys_raw"]).view("<i8")
+        bounds = arrays["table_slices"].tolist()
+        offsets = arrays["offsets"].tolist()
+        rows = arrays["keys_raw"].view("<i8")
         per_table = [
             (
                 rows[lo:hi],
-                np.asarray(arrays["sizes"][lo:hi]),
-                np.asarray(arrays["members"][offsets[lo] : offsets[hi]]),
+                arrays["sizes"][lo:hi],
+                arrays["members"][offsets[lo] : offsets[hi]],
             )
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
@@ -1685,8 +1654,9 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     """Reopen a frozen index saved by :func:`save_frozen_index`.
 
     All bucket arrays (and the data matrix) come back memory-mapped
-    with the default ``mmap_mode="r"`` — no bucket reconstruction, no
-    rehashing, answers bit-identical to the saved instance.  Pass
+    with the default ``mmap_mode="r"`` — as plain-ndarray views of the
+    mappings — with no bucket reconstruction, no rehashing and answers
+    bit-identical to the saved instance.  Pass
     ``mmap_mode=None`` to materialise everything in RAM instead.  The
     bucket arrays are validated on the way in (:func:`_checked_tables`).
     A format-v1 artifact opens too, with its tables re-assembled in
@@ -1736,9 +1706,13 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
         )
 
     def _load_array(name: str) -> np.ndarray:
+        # Handed on as a plain-ndarray *view* of the mapping (its
+        # ``.base``): file-backed and zero-copy all the same, but the
+        # query path's takes, slices and ufuncs pay no ``np.memmap``
+        # subclass hooks (``__getitem__`` / ``__array_finalize__``).
         target = os.path.join(path, f"{name}.npy")
         try:
-            return np.load(target, mmap_mode=mmap_mode, allow_pickle=False)
+            return np.asarray(np.load(target, mmap_mode=mmap_mode, allow_pickle=False))
         except FileNotFoundError as exc:
             raise CorruptArtifactError(
                 f"frozen index at {path!r} is missing {name}.npy; "
@@ -1773,12 +1747,7 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
         row_width = max(len(block) for block in config["blocks"])
     else:
         kernel_params = {
-            name: np.load(
-                os.path.join(path, f"kernel_{name}.npy"),
-                mmap_mode=mmap_mode,
-                allow_pickle=False,
-            )
-            for name in config["kernel_params"]
+            name: _load_array(f"kernel_{name}") for name in config["kernel_params"]
         }
         dim = config["dim"]
         family, fused = _rebuild_family_and_kernel(config, kernel_params, dim)

@@ -1,19 +1,19 @@
-"""The shard-serving loop and its standalone TCP host.
+"""The shard-serving loop and its two hosts: pipe worker and TCP server.
 
-Historically the op loop lived inside the worker process entry point
-(:func:`repro.service.workers._worker_main`).  Networked serving needs
-the *same* loop — same ops, same fault hooks, same telemetry — behind a
-socket, so this module owns it:
+Local worker processes and networked shard servers run the *same* loop —
+same ops, same fault hooks, same telemetry — so this module owns it:
 
 * :class:`ShardState` — the opened shards: mmap'd frozen indexes,
   per-shard batch engines, worker-local :class:`~repro.service.stats.ServiceStats`,
   and the applied-seq sets that make replicated inserts idempotent.
-* :func:`open_shard_state` — reopen saved frozen shards exactly like a
-  pool worker does (``np.load(mmap_mode="r")``; O(mmap) startup).
+* :func:`open_shard_state` — reopen saved frozen shards
+  (``np.load(mmap_mode="r")``; O(mmap) startup).
 * :func:`serve_connection` — the request/reply loop over any
   pipe-shaped connection (a ``multiprocessing`` pipe end or a
   :class:`~repro.service.transport.ServerConnection`), fault injection
   included.
+* :func:`serve_pipe_worker` — the entry point of a process
+  :class:`~repro.service.workers.WorkerPool` spawns behind a pipe.
 * :class:`ShardServer` — a TCP listener serving :func:`serve_connection`
   sessions (``repro.cli shard-serve``); clients connect with
   :class:`~repro.service.transport.TcpTransport`.
@@ -57,7 +57,9 @@ import numpy as np
 from repro.core.cost_model import CostModel
 from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.distances import get_metric
+from repro.distances.matrix import pairwise_distances
 from repro.faults import send_reply, swallow_request
+from repro.index.frozen import load_frozen_index, save_frozen_index
 from repro.service.stats import ServiceStats
 from repro.service.transport import FrameError, ServerConnection
 
@@ -66,6 +68,7 @@ __all__ = [
     "ShardServer",
     "open_shard_state",
     "serve_connection",
+    "serve_pipe_worker",
 ]
 
 
@@ -166,9 +169,6 @@ class ShardState:
 
     def handle(self, message) -> object:
         """Execute one protocol op; application errors become replies."""
-        from repro.distances.matrix import pairwise_distances
-        from repro.index.frozen import save_frozen_index
-
         op = message[0]
         try:
             with self.lock:
@@ -198,7 +198,7 @@ class ShardState:
                     strategies: dict[str, int] = {}
                     for packed_results in reply.values():
                         for packed in packed_results:
-                            name = Strategy(packed[2][5]).value
+                            name = packed[2][5]  # Strategy.value, as packed
                             strategies[name] = strategies.get(name, 0) + 1
                     self.stats.record_batch(
                         queries.shape[0], time.perf_counter() - started,
@@ -268,7 +268,6 @@ def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
     from repro.api.facade import _resolve_estimator
     from repro.api.spec import IndexSpec
     from repro.core.hybrid import HybridSearcher
-    from repro.index.frozen import load_frozen_index
     from repro.service.batch import BatchQueryEngine
 
     spec = IndexSpec.from_dict(spec_doc)
@@ -289,20 +288,16 @@ def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
     # payloads, and live gauges over its frozen shards.  The parent
     # fetches and exactly merges these via the ``stats`` op.
     stats = ServiceStats()
-    frozen = [
-        ix for ix in indexes.values()
-        if hasattr(ix, "overflow_count") and hasattr(ix, "refreeze_count")
-    ]
-    if frozen:
-        stats.gauge_hooks["overflow_points"] = lambda: float(
-            sum(ix.overflow_count for ix in frozen)
-        )
-        stats.gauge_hooks["refreeze_generations"] = lambda: float(
-            sum(ix.refreeze_count for ix in frozen)
-        )
-        stats.gauge_hooks["refreeze_seconds_total"] = lambda: float(
-            sum(ix.refreeze_seconds_total for ix in frozen)
-        )
+    frozen = list(indexes.values())
+    stats.gauge_hooks["overflow_points"] = lambda: float(
+        sum(ix.overflow_count for ix in frozen)
+    )
+    stats.gauge_hooks["refreeze_generations"] = lambda: float(
+        sum(ix.refreeze_count for ix in frozen)
+    )
+    stats.gauge_hooks["refreeze_seconds_total"] = lambda: float(
+        sum(ix.refreeze_seconds_total for ix in frozen)
+    )
     return ShardState(shard_ids, indexes, engines, metric, stats)
 
 
@@ -350,6 +345,33 @@ def serve_connection(conn, state: ShardState, injector) -> int:
     with contextlib.suppress(OSError):
         conn.close()
     return consumed
+
+
+def serve_pipe_worker(conn, worker: int, path: str, shard_ids: list[int],
+                      spec_doc: dict, alpha: float, beta: float,
+                      fault_plan, replica: int = 0, fault_start: int = 0) -> None:
+    """A pool worker process's entry point: open shards via mmap, answer ops.
+
+    The pipe twin of :class:`ShardServer`; module-level so the ``spawn``
+    start method can import it (under ``fork`` the open is dominated by
+    the ``np.load(mmap_mode="r")`` calls).  ``fault_plan`` is the opt-in
+    chaos hook (:mod:`repro.faults`); ``replica`` and ``fault_start``
+    thread this endpoint's identity and lifetime op count into the plan so
+    replica-pinned and ``scope="lifetime"`` specs resolve across respawns.
+    """
+    try:
+        state = open_shard_state(path, shard_ids, spec_doc, alpha, beta)
+        injector = (
+            fault_plan.for_worker(worker, replica=replica, start=fault_start)
+            if fault_plan
+            else None
+        )
+        conn.send(("ready", state.sizes()))
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        return
+    serve_connection(conn, state, injector)
 
 
 class ShardServer:

@@ -28,6 +28,14 @@ endpoint is retried after reconnect-with-backoff rather than declared
 dead).  The pool maps causes to recovery moves; transports only name
 them.
 
+The pool's exchange loop (``WorkerPool._exchange``; lock order and
+release points in :mod:`repro.service.workers`) sends a fan-out's
+requests from the calling thread, then waits for *all* the replies at
+once: :meth:`ShardTransport.fileno` makes a transport its own waitable,
+so one bounded ``multiprocessing.connection.wait`` takes pipe ends and
+sockets alike, and :meth:`~ShardTransport.recv_within` reads each ready
+reply under what is left of that endpoint's own deadline.
+
 The server side of the TCP frame protocol is
 :class:`ServerConnection`, which duck-types the subset of the
 ``multiprocessing.Connection`` surface the shard-serving loop uses
@@ -125,6 +133,39 @@ def decode_frame(header: bytes, payload: bytes) -> object:
         raise FrameError(f"frame payload failed to deserialise: {exc!r}") from exc
 
 
+def _read_frame(sock: socket.socket, deadline: float, what: str) -> object:
+    """Read and decode one frame from ``sock``, never blocking past ``deadline``.
+
+    ``deadline`` is a ``time.monotonic()`` instant covering header and
+    payload together; passing it raises
+    :class:`~repro.exceptions.DeadlineExceededError`, a peer that closes
+    mid-frame ``EOFError``, damage :class:`FrameError`.
+    """
+
+    def read_exact(n: int) -> bytes:
+        chunks: list[bytes] = []
+        while n > 0:
+            budget = deadline - time.monotonic()
+            if budget <= 0:
+                raise DeadlineExceededError(f"{what} exceeded its deadline")
+            sock.settimeout(budget)
+            try:
+                chunk = sock.recv(min(n, _CHUNK))
+            except TimeoutError as exc:
+                raise DeadlineExceededError(f"{what} exceeded its deadline") from exc
+            if not chunk:
+                raise EOFError(f"{what}: peer closed the connection")
+            chunks.append(chunk)
+            n -= len(chunk)
+        return b"".join(chunks)
+
+    header = read_exact(_HEADER.size)
+    _, length = _HEADER.unpack(header)
+    if length > _MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {length} exceeds the sanity bound")
+    return decode_frame(header, read_exact(length))
+
+
 class ShardTransport:
     """One endpoint's request/reply channel, as the pool sees it.
 
@@ -145,6 +186,10 @@ class ShardTransport:
 
     def recv_within(self, seconds: float, what: str) -> object:
         """Receive one reply, or raise ``DeadlineExceededError``."""
+        raise NotImplementedError
+
+    def fileno(self) -> int:
+        """The descriptor that turns readable when a reply (or EOF) is in."""
         raise NotImplementedError
 
     def kill(self) -> None:
@@ -179,6 +224,9 @@ class PipeTransport(ShardTransport):
                 f"{what} exceeded its {seconds:.3f}s deadline"
             )
         return self.conn.recv()
+
+    def fileno(self) -> int:
+        return self.conn.fileno()
 
     def kill(self) -> None:
         if self.process is not None and self.process.is_alive():
@@ -238,34 +286,10 @@ class TcpTransport(ShardTransport):
         self._sock.sendall(encode_frame(message))
 
     def recv_within(self, seconds: float, what: str) -> object:
-        deadline = time.monotonic() + float(seconds)
-        header = self._read_exact(_HEADER.size, deadline, what)
-        _, length = _HEADER.unpack(header)
-        if length > _MAX_FRAME_BYTES:
-            raise FrameError(f"frame length {length} exceeds the sanity bound")
-        payload = self._read_exact(length, deadline, what)
-        return decode_frame(header, payload)
+        return _read_frame(self._sock, time.monotonic() + float(seconds), what)
 
-    def _read_exact(self, n: int, deadline: float, what: str) -> bytes:
-        """Read exactly ``n`` bytes, never blocking past ``deadline``."""
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise DeadlineExceededError(f"{what} exceeded its deadline")
-            self._sock.settimeout(budget)
-            try:
-                chunk = self._sock.recv(min(remaining, _CHUNK))
-            except TimeoutError as exc:
-                raise DeadlineExceededError(
-                    f"{what} exceeded its deadline"
-                ) from exc
-            if not chunk:
-                raise EOFError(f"{what}: peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def kill(self) -> None:
         with contextlib.suppress(OSError):
@@ -312,28 +336,11 @@ class ServerConnection:
 
     def recv(self) -> object:
         """Read one frame; raises ``FrameError``/``EOFError`` on damage."""
-        header = self._read_exact(_HEADER.size)
-        _, length = _HEADER.unpack(header)
-        if length > _MAX_FRAME_BYTES:
-            raise FrameError(f"frame length {length} exceeds the sanity bound")
-        payload = self._read_exact(length)
-        return decode_frame(header, payload)
-
-    def _read_exact(self, n: int) -> bytes:
         deadline = time.monotonic() + _SERVER_IO_DEADLINE
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise EOFError("peer stalled mid-frame")
-            self._sock.settimeout(budget)
-            chunk = self._sock.recv(min(remaining, _CHUNK))
-            if not chunk:
-                raise EOFError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+        try:
+            return _read_frame(self._sock, deadline, "request")
+        except DeadlineExceededError as exc:
+            raise EOFError("peer stalled mid-frame") from exc
 
     def send(self, message: object) -> None:
         self._sock.settimeout(_SERVER_IO_DEADLINE)

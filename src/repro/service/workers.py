@@ -18,9 +18,8 @@ thread path (shared :func:`~repro.service.sharded.merge_radius_results`
 ``execution="threads"``.  The public surface mirrors
 ``ShardedHybridIndex`` — ``query`` / ``query_batch`` / ``query_topk`` /
 ``query_topk_batch`` / ``insert`` / ``shard_query_batch`` /
-``merge_radius`` / ``map_shards`` — so :class:`repro.api.Index`,
-:class:`~repro.service.service.QueryService` and the stream protocol
-work unchanged on top.
+``merge_radius`` / ``map_shards`` — so :class:`repro.api.Index` and the
+stream protocol work unchanged on top.
 
 Transports and replica sets
 ---------------------------
@@ -36,43 +35,65 @@ backed by one or more replica endpoints:
   (:class:`~repro.service.transport.TcpTransport`) — same wire tuples,
   same deadlines, shards on other hosts.
 
-Reads rotate round-robin across a slot's healthy replicas and *fail
-over* within the retry budget: a classified failure (``crash`` /
-``timeout`` / ``corrupt`` / ``disconnect``) marks that endpoint down
-with a jittered reconnect backoff and the next attempt goes straight to
-a surviving replica — no sleep, so a single replica loss costs one
-round trip, not a backoff window.  Inserts are broadcast to every
-replica of the owning slot; the per-shard ``seq`` stamp makes delivery
-idempotent (see :mod:`repro.service.shard_server`) and the replay log
-re-converges a replica that was down when the insert happened.
+Inserts are broadcast to every replica of the owning slot; the
+per-shard ``seq`` stamp makes delivery idempotent (see
+:mod:`repro.service.shard_server`) and the replay log re-converges a
+replica that was down when the insert happened.
+
+The exchange loop
+-----------------
+Every request — radius, top-k, ``stats``, ``reset``, insert, one shard's
+``shard_query_batch`` — travels :meth:`WorkerPool._exchange`, scatter and
+gather both on the calling thread: no thread is started or woken on the
+way.  Per attempt round, in ascending worker order, it picks one replica
+per still-pending worker (reads rotate round-robin across a slot's
+healthy replicas), takes that endpoint's lock, re-validates its breaker,
+revives it if it is down and sends; then it reads the replies *as they
+become ready* — one ``multiprocessing.connection.wait`` over the
+in-flight endpoints, bounded by the nearest of their own deadlines.
+
+Locks: an endpoint's lock covers everything done to its transport and is
+released the moment its reply is read — breaker success and the
+insert-log commit recorded under it (endpoint lock -> route lock, never
+the reverse) — or its deadline passes and it is marked down, so a hung
+endpoint delays its own slot only.  The loop never waits for a lock, and
+never revives an endpoint, while it is owed a reply: that worker is
+deferred until the replies are in.  No caller therefore holds one
+endpoint lock while waiting for another (the ascending order is for
+determinism, not deadlock freedom), and no lock is held between rounds.
+
+A classified failure (``crash`` / ``timeout`` / ``corrupt`` /
+``disconnect``) marks that endpoint down and carries its worker into the
+next round, within the ``1 + max_retries`` budget every worker has.  With
+one replica the next round first sleeps the jittered exponential
+backoff; with several it *fails over* at once to a surviving replica —
+a replica loss costs one round trip, not a backoff window — while the
+broken one heals behind its own reconnect backoff.  A worker out of
+budget, or out of admissible replicas, records a breaker failure on its
+last-tried endpoint and ends in
+:class:`~repro.exceptions.ShardUnavailableError`; a worker-side
+``("error", ...)`` reply is an *application* error — the transport is
+healthy, so it counts as breaker success, is never retried and ends in
+:class:`WorkerError`.
 
 Operational contract:
 
 * **startup is O(mmap)** — workers reopen saved arrays, never rebuild
   or rehash; the pool is ready once every endpoint acks its shards;
-* **inserts** route to the owning slot's overflow side-table (the
-  frozen layout's insert path, background re-freeze included); the
-  parent logs them per slot so a respawn or reconnect can replay;
 * **every blocking transport read carries a deadline** (see
   :class:`~repro.faults.FaultTolerancePolicy`): an endpoint that
   crashes, hangs, disconnects, drops a reply or ships a corrupt payload
-  is detected within ``recv_deadline``, torn down, revived from the
-  artifact (respawn for pipes, reconnect for TCP — insert log replayed
-  either way), and the request retried under a bounded
-  exponential-backoff schedule with deterministic jitter;
+  is detected within ``recv_deadline``, torn down and revived from the
+  artifact (respawn for pipes, reconnect for TCP — the parent's
+  per-slot insert log replayed either way);
 * **per-endpoint circuit breakers** open after ``breaker_threshold``
   consecutive exhausted-retry failures, fail that endpoint fast during
   ``breaker_cooldown``, then admit one half-open probe;
-* **partial results are opt-in**: ``query_batch(...,
-  allow_partial=True)`` answers from the live shards and tags the
-  result ``degraded=True`` with the missing shard ids — a slot degrades
-  only when *every* replica is gone; without it, an unrecoverable slot
-  raises :class:`~repro.exceptions.ShardUnavailableError` and
-  successful answers stay bit-identical to the fault-free run;
-* **fault drills are deterministic and opt-in**: an installed
-  :class:`~repro.faults.FaultPlan` is consulted by each worker via two
-  ``if fault is not None`` branches; with no plan the request path is
-  byte-identical to the unhardened one;
+* **partial results are opt-in** (``allow_partial=True``, see
+  :meth:`WorkerPool.query_batch`); without it a *successful* answer is
+  always bit-identical to the fault-free run;
+* **fault drills are deterministic and opt-in** (:mod:`repro.faults`);
+  with no plan installed the request path is the production one;
 * **shutdown** is explicit (:meth:`WorkerPool.close`) and idempotent;
   spawned workers are daemonic so an abandoned pool cannot outlive the
   parent (remote shard servers, by design, do outlive their clients).
@@ -82,6 +103,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import threading
@@ -104,10 +126,10 @@ from repro.exceptions import (
 from repro.faults import FaultTolerancePolicy
 from repro.observability import StageTrace, stage_timer
 from repro.service.shard_server import (
-    _pack_result,  # noqa: F401  (re-exported for historical importers)
     _payload_nbytes,
     _shard_dir,
     _unpack_result,
+    serve_pipe_worker,
 )
 from repro.service.sharded import default_fanout_width, merge_radius_results
 from repro.service.transport import PipeTransport, ShardTransport, TcpTransport
@@ -185,9 +207,8 @@ class _CircuitBreaker:
 class _Endpoint:
     """One replica's connection slot: transport plus health bookkeeping.
 
-    ``lock`` serialises all use of the transport (the same discipline
-    the per-worker pipe lock enforced pre-replicas); the other fields
-    are written under it and read optimistically by
+    ``lock`` serialises all use of the transport; the other fields are
+    written under it and read optimistically by
     :meth:`WorkerPool._select_replica`, which re-validates under the
     lock before acting.  ``ops`` counts requests *sent* over this
     slot's lifetime — the ``start`` a reconnect hands the fault plan so
@@ -223,39 +244,6 @@ def _empty_result(radius: float) -> QueryResult:
         distances=np.empty(0, dtype=np.float64),
         radius=radius,
     )
-
-
-def _worker_main(conn, worker: int, path: str, shard_ids: list[int],
-                 spec_doc: dict, alpha: float, beta: float,
-                 fault_plan, replica: int = 0, fault_start: int = 0) -> None:
-    """Worker process entry point: open shards via mmap, answer ops.
-
-    Must stay a module-level function so the ``spawn`` start method can
-    import it; with ``fork`` it reuses the parent's loaded modules and
-    the open is dominated by ``np.load(mmap_mode="r")`` calls.  The
-    serving loop itself lives in :mod:`repro.service.shard_server` so
-    the standalone TCP host runs byte-identical op handling.
-
-    ``fault_plan`` is the opt-in chaos hook (:mod:`repro.faults`);
-    ``replica`` and ``fault_start`` thread this endpoint's identity and
-    lifetime op count into the plan so replica-pinned and
-    ``scope="lifetime"`` specs resolve correctly across respawns.
-    """
-    from repro.service.shard_server import open_shard_state, serve_connection
-
-    try:
-        state = open_shard_state(path, shard_ids, spec_doc, alpha, beta)
-        injector = (
-            fault_plan.for_worker(worker, replica=replica, start=fault_start)
-            if fault_plan
-            else None
-        )
-        conn.send(("ready", state.sizes()))
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        return
-    serve_connection(conn, state, injector)
 
 
 class WorkerPool:
@@ -326,7 +314,7 @@ class WorkerPool:
         replicas: int | None = None,
         endpoints=None,
     ) -> None:
-        from repro.api.persist import _GIDS_FILE, _META_FILE, _read_meta
+        from repro.api.persist import _META_FILE, _read_meta, read_shard_gids
         from repro.api.spec import IndexSpec
 
         meta_path = os.path.join(path, _META_FILE)
@@ -355,19 +343,8 @@ class WorkerPool:
         )
         self.num_shards = int(meta["num_shards"])
         self._dim = int(meta["dim"])
-        gids_path = os.path.join(path, _GIDS_FILE)
         if self.num_shards > 1:
-            try:
-                with np.load(gids_path, allow_pickle=False) as archive:
-                    self._shard_gids = [
-                        np.asarray(archive[f"gids_{s:03d}"], dtype=np.int64)
-                        for s in range(self.num_shards)
-                    ]
-            except Exception as exc:
-                raise CorruptArtifactError(
-                    f"shard id map {gids_path!r} is unreadable ({exc}); "
-                    "the artifact is truncated or corrupt"
-                ) from exc
+            self._shard_gids = read_shard_gids(path, self.num_shards)
         else:
             self._shard_gids = [np.arange(int(meta["n"]), dtype=np.int64)]
         self._next_shard = int(meta.get("next_shard", 0)) % self.num_shards
@@ -394,7 +371,8 @@ class WorkerPool:
                 )
             self._endpoints_cfg: list[list[tuple[str, int]]] | None = groups
             self.num_workers = len(groups)
-            self.replicas = max(len(group) for group in groups)
+            widths = [len(group) for group in groups]
+            self.replicas = max(widths)
         else:
             self._endpoints_cfg = None
             if replicas is None:
@@ -405,6 +383,7 @@ class WorkerPool:
             self.num_workers = min(
                 check_positive_int(num_workers, "num_workers"), self.num_shards
             )
+            widths = [self.replicas] * self.num_workers
         if start_method is None:
             start_method = (
                 "fork"
@@ -417,16 +396,10 @@ class WorkerPool:
         #: own lock, breaker and transport (see _Endpoint).
         self._eps: list[list[_Endpoint]] = [
             [
-                _Endpoint(
-                    self.policy.breaker_threshold, self.policy.breaker_cooldown
-                )
-                for _ in range(
-                    len(self._endpoints_cfg[w])
-                    if self._endpoints_cfg is not None
-                    else self.replicas
-                )
+                _Endpoint(self.policy.breaker_threshold, self.policy.breaker_cooldown)
+                for _ in range(width)
             ]
-            for w in range(self.num_workers)
+            for width in widths
         ]
         #: parent-side transport + failure counters (lifetime of the
         #: pool), all guarded by ``_counter_lock``: payload bytes,
@@ -462,9 +435,9 @@ class WorkerPool:
         self._hb_stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
         try:
-            for w in range(self.num_workers):
-                for r in range(len(self._eps[w])):
-                    self._open_endpoint(w, r)
+            for w, row in enumerate(self._eps):
+                for r, ep in enumerate(row):
+                    ep.transport = self._connect(w, r)
         except BaseException:
             self.close()
             raise
@@ -511,21 +484,18 @@ class WorkerPool:
     def _owner(self, shard: int) -> int:
         return shard % self.num_workers
 
-    def _open_endpoint(self, worker: int, replica: int) -> None:
-        """First open of one endpoint (init path: no respawn accounting)."""
-        ep = self._eps[worker][replica]
+    def _connect(self, worker: int, replica: int) -> ShardTransport:
+        """A ready transport to one endpoint: spawn (pipes) or connect (TCP)."""
         if self._endpoints_cfg is not None:
-            transport, _sizes = self._connect_tcp(worker, replica)
-        else:
-            transport, _sizes = self._spawn_pipe(worker, replica)
-        ep.transport = transport
+            return self._connect_tcp(worker, replica)
+        return self._spawn_pipe(worker, replica)
 
-    def _spawn_pipe(self, worker: int, replica: int):
-        """Start one local worker process; returns (transport, sizes)."""
+    def _spawn_pipe(self, worker: int, replica: int) -> PipeTransport:
+        """Start one local worker process and await its ready ack."""
         ep = self._eps[worker][replica]
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_worker_main,
+            target=serve_pipe_worker,
             args=(
                 child_conn,
                 worker,
@@ -543,14 +513,12 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()
-        transport = PipeTransport(
-            process, parent_conn, endpoint=f"pid {process.pid}"
-        )
-        sizes = self._await_ready(transport, worker)
-        return transport, sizes
+        transport = PipeTransport(process, parent_conn, endpoint=f"pid {process.pid}")
+        self._await_ready(transport, worker)
+        return transport
 
-    def _connect_tcp(self, worker: int, replica: int):
-        """Connect to one remote shard server; returns (transport, sizes)."""
+    def _connect_tcp(self, worker: int, replica: int) -> TcpTransport:
+        """Connect to one remote shard server that serves this slot's shards."""
         host, port = self._endpoints_cfg[worker][replica]
         try:
             transport = TcpTransport(
@@ -573,7 +541,7 @@ class WorkerPool:
                 f"shard server {host}:{port} serves shards {sorted(sizes)} "
                 f"but slot {worker} needs {sorted(owned)}"
             )
-        return transport, sizes
+        return transport
 
     def _await_ready(self, transport: ShardTransport, worker: int) -> dict:
         """Wait for the ``("ready", sizes)`` handshake both carriers send."""
@@ -628,11 +596,7 @@ class WorkerPool:
             with contextlib.suppress(Exception):
                 ep.transport.kill()
             ep.transport = None
-        if self._endpoints_cfg is not None:
-            transport, _sizes = self._connect_tcp(worker, replica)
-        else:
-            transport, _sizes = self._spawn_pipe(worker, replica)
-        ep.transport = transport
+        ep.transport = transport = self._connect(worker, replica)
         ep.down_cause = None
         ep.retry_at = 0.0
         ep.consecutive = 0
@@ -697,39 +661,44 @@ class WorkerPool:
                     f"parent committed {size}"
                 )
 
-    def _roundtrip_locked(
-        self, worker: int, replica: int, message, deadline: float
-    ):
-        """One send/recv on an endpoint's transport; failures classified.
+    def _send_locked(self, worker: int, replica: int, message) -> None:
+        """Send one request (lock held) — the only sender; failures classified.
 
         Raises :class:`_TransportFailure` with the carrier's cause
-        vocabulary (see :mod:`repro.service.transport`); a deadline
-        expiry is always ``timeout``.  The endpoint's lifetime op count
-        advances on every successful non-stop send — the best-effort
-        mirror of the op indices the peer's fault injector counts, used
-        as ``start`` when a revived endpoint re-installs the plan.
+        vocabulary (see :mod:`repro.service.transport`).  The endpoint's
+        lifetime op count advances on every successful send — the
+        best-effort mirror of the op indices the peer's fault injector
+        counts, used as ``start`` when a revived endpoint re-installs
+        the plan.
         """
         ep = self._eps[worker][replica]
         transport = ep.transport
-        who = f"worker {worker}[{replica}] ({transport.endpoint})"
         try:
             transport.send(message)
         except Exception as exc:
             raise _TransportFailure(
                 transport.classify_send_error(exc),
-                f"send to {who} failed: {exc}",
+                f"send to worker {worker}[{replica}] ({transport.endpoint}) failed: {exc}",
             ) from exc
-        if message[0] != "stop":
-            ep.ops += 1
+        ep.ops += 1
+
+    def _recv_locked(self, worker: int, replica: int, deadline: float):
+        """Read one reply within ``deadline`` s (lock held); expiry is ``timeout``."""
+        transport = self._eps[worker][replica].transport
+        who = f"worker {worker}[{replica}] ({transport.endpoint})"
         try:
             return transport.recv_within(deadline, f"{who} reply")
         except DeadlineExceededError as exc:
             raise _TransportFailure("timeout", str(exc)) from exc
         except Exception as exc:
             raise _TransportFailure(
-                transport.classify_recv_error(exc),
-                f"{who} reply stream broke: {exc!r}",
+                transport.classify_recv_error(exc), f"{who} reply stream broke: {exc!r}"
             ) from exc
+
+    def _roundtrip_locked(self, worker: int, replica: int, message, deadline: float):
+        """One send/recv on one endpoint (replay, broadcast, heartbeat)."""
+        self._send_locked(worker, replica, message)
+        return self._recv_locked(worker, replica, deadline)
 
     def _mark_down_locked(self, worker: int, replica: int, cause: str) -> None:
         """Tear an endpoint down and schedule its reconnect (lock held).
@@ -789,26 +758,96 @@ class WorkerPool:
             return max(self.policy.recv_deadline, self.policy.startup_deadline)
         return self.policy.recv_deadline
 
-    def _request(self, worker: int, message, log_entry=None):
-        """One round trip under deadlines, retries, failover and breakers.
+    def _exchange(self, messages: dict[int, tuple], log_entry=None):
+        """Scatter ``messages`` (worker -> request), gather ``(replies, failures)``.
 
-        Attempt flow: pick the next admissible replica (rotating), and
-        under its lock revive it if it is down (respawn or reconnect,
-        insert log replayed), run the round trip, and on a classified
-        failure mark it down.  With one replica the next attempt sleeps
-        the jittered exponential backoff first — the original
-        single-endpoint schedule; with several, the next attempt *fails
-        over* immediately to a surviving replica and the broken one
-        heals in the background of its backoff window.  Exhausting the
-        ``1 + max_retries`` budget records a breaker failure on the
-        last-tried endpoint and raises
-        :class:`~repro.exceptions.ShardUnavailableError` naming the
-        slot's shards; when no replica is admissible at all the raise
-        is immediate (breaker-open fail-fast).  A worker-side
-        ``("error", ...)`` reply is an *application* error — the
-        transport is healthy, so it counts as breaker success and
-        raises :class:`WorkerError` with no retry.
+        The one request path (module docstring: the exchange loop);
+        ``failures`` holds the :class:`~repro.exceptions.ShardUnavailableError`
+        or :class:`WorkerError` each unanswered worker ended in.  This
+        half owns the budget — replica choice per round, failure
+        counters, backoff sleep, breaker verdict — and
+        :meth:`_exchange_round` the wire and the locks.
+        """
+        if self._closed:
+            raise ConfigurationError("the worker pool has been closed")
+        attempts = 1 + self.policy.max_retries
+        with self._counter_lock:
+            rotation = {w: self._rr[w] for w in messages}
+            for w in messages:
+                self._rr[w] += 1
+        replies: dict[int, object] = {}
+        failures: dict[int, Exception] = {}
+        #: worker -> (replica, failure) of its latest attempt, while failing.
+        last: dict[int, tuple[int, _TransportFailure]] = {}
+        pending = sorted(messages)
+        for attempt in range(1, attempts + 1):
+            targets: dict[int, int] = {}
+            for w in pending:
+                r = self._select_replica(w, rotation[w] + attempt - 1)
+                if r is not None:
+                    targets[w] = r
+                elif w not in last:
+                    # Fail fast: nothing was tried, so no breaker verdict.
+                    opened = any(not ep.breaker.allow() for ep in self._eps[w])
+                    failures[w] = ShardUnavailableError(
+                        f"worker {w} circuit breaker is open "
+                        f"(cooldown {self.policy.breaker_cooldown}s)"
+                        if opened
+                        else f"worker {w} has no admissible replica "
+                        "(every endpoint is down or backing off)",
+                        shards=tuple(self.worker_shards(w)),
+                    )
+            answered, failed = self._exchange_round(messages, targets, log_entry)
+            nbytes = 0
+            for w, reply in answered.items():
+                last.pop(w, None)
+                nbytes += _payload_nbytes(messages[w]) + _payload_nbytes(reply)
+                if isinstance(reply, tuple) and reply and reply[0] == "error":
+                    failures[w] = WorkerError(reply[1])
+                else:
+                    replies[w] = reply
+            pending = sorted(failed)
+            backoff = 0.0
+            with self._counter_lock:
+                self.bytes_shipped += nbytes
+                for w in pending:
+                    last[w] = (targets[w], failed[w])
+                    if failed[w].cause == "timeout":
+                        self.worker_timeouts += 1
+                    if attempt == attempts:
+                        continue
+                    self.worker_retries += 1
+                    if len(self._eps[w]) > 1:
+                        self.replica_failovers += 1
+                    else:
+                        jitter = float(self._jitter_rng.random())
+                        backoff = max(backoff, self.policy.backoff_seconds(attempt, jitter))
+            if not pending:
+                break
+            time.sleep(backoff)  # 0.0 with replicas: fail over at once
+        for w, (r, failure) in sorted(last.items()):
+            ep = self._eps[w][r]
+            with ep.lock:
+                if ep.breaker.record_failure():
+                    with self._counter_lock:
+                        self.breaker_opens += 1
+                if self._endpoints_cfg is None and len(self._eps[w]) == 1:
+                    # Best-effort respawn so the *next* request (or the
+                    # breaker's half-open probe) meets a fresh worker
+                    # and a clean pipe rather than a stale, late reply.
+                    with contextlib.suppress(Exception):
+                        self._respawn_locked(w, r, cause=failure.cause)
+            failures[w] = ShardUnavailableError(
+                f"worker {w} unavailable after {attempts} attempt(s) "
+                f"({failure.cause}): {failure}",
+                shards=tuple(self.worker_shards(w)),
+            )
+        return replies, failures
 
+    def _exchange_round(self, messages, targets: dict[int, int], log_entry):
+        """One attempt at ``targets`` (worker -> replica): ``(replies, failed)``.
+
+        Raw replies and classified :class:`_TransportFailure` per worker.
         ``log_entry`` (an insert-log record) is appended to the slot's
         replay log atomically with a successful reply, *inside* the
         endpoint lock: a crash-triggered replay in another thread holds
@@ -817,109 +856,102 @@ class WorkerPool:
         replayed and re-sent (the seq stamp would dedup it anyway, but
         the log must stay an exact history).
         """
-        if self._closed:
-            raise ConfigurationError("the worker pool has been closed")
-        policy = self.policy
-        deadline = self._op_deadline(message)
-        attempts = 1 + policy.max_retries
-        replicas = self._eps[worker]
-        num_replicas = len(replicas)
-        with self._counter_lock:
-            rotation = self._rr[worker]
-            self._rr[worker] += 1
-        reply = None
-        last: _TransportFailure | None = None
-        last_r = 0
-        for attempt in range(1, attempts + 1):
-            r = self._select_replica(worker, rotation + attempt - 1)
-            if r is None:
-                if last is None:
-                    if any(not ep.breaker.allow() for ep in replicas):
-                        raise ShardUnavailableError(
-                            f"worker {worker} circuit breaker is open "
-                            f"(cooldown {policy.breaker_cooldown}s)",
-                            shards=tuple(self.worker_shards(worker)),
-                        )
-                    raise ShardUnavailableError(
-                        f"worker {worker} has no admissible replica "
-                        "(every endpoint is down or backing off)",
-                        shards=tuple(self.worker_shards(worker)),
-                    )
-                break
-            ep = replicas[r]
-            last_r = r
-            failure: _TransportFailure | None = None
-            with ep.lock:
-                if not ep.breaker.allow():
-                    failure = _TransportFailure(
-                        "crash",
-                        f"worker {worker}[{r}] breaker opened concurrently",
-                    )
-                elif ep.transport is None:
+        replies: dict[int, object] = {}
+        failed: dict[int, _TransportFailure] = {}
+        #: transport -> (worker, replica, expiry) of the requests sent;
+        #: this thread holds the lock of every endpoint in here.
+        inflight: dict[ShardTransport, tuple[int, int, float]] = {}
+        waiting = sorted(targets)
+        try:
+            while waiting or inflight:
+                deferred = []
+                for w in waiting:
+                    r = targets[w]
+                    ep = self._eps[w][r]
+                    if not inflight:
+                        ep.lock.acquire()
+                    elif ep.transport is None or not ep.lock.acquire(blocking=False):
+                        # Nothing slow — a contended lock, a revive —
+                        # while replies are owed to this thread.
+                        deferred.append(w)
+                        continue
                     try:
-                        self._respawn_locked(
-                            worker, r, cause=ep.down_cause or "reconnect"
-                        )
-                    except Exception as exc:
-                        failure = _TransportFailure(
-                            "crash", f"worker {worker} respawn failed: {exc}"
-                        )
-                if failure is None:
+                        failure = self._admit_locked(w, r, messages[w])
+                    except BaseException:
+                        ep.lock.release()
+                        raise
+                    if failure is None:
+                        expiry = time.monotonic() + self._op_deadline(messages[w])
+                        inflight[ep.transport] = (w, r, expiry)
+                    else:
+                        ep.lock.release()
+                        failed[w] = failure
+                waiting = deferred
+                if not inflight:
+                    continue
+                nearest = min(expiry for _, _, expiry in inflight.values())
+                ready = multiprocessing.connection.wait(
+                    list(inflight), timeout=max(nearest - time.monotonic(), 0.0)
+                )
+                now = time.monotonic()
+                overdue = [t for t, (_, _, expiry) in inflight.items() if expiry <= now]
+                for transport in ready or overdue:
+                    w, r, expiry = inflight[transport]
+                    ep = self._eps[w][r]
                     try:
-                        reply = self._roundtrip_locked(
-                            worker, r, message, deadline
-                        )
+                        if not ready:
+                            raise _TransportFailure(
+                                "timeout",
+                                f"worker {w}[{r}] ({transport.endpoint}) reply exceeded "
+                                f"its {self._op_deadline(messages[w]):.3f}s deadline",
+                            )
+                        reply = self._recv_locked(w, r, max(expiry - now, 0.0))
+                        ep.breaker.record_success()
+                        if log_entry is not None and not (
+                            isinstance(reply, tuple) and reply and reply[0] == "error"
+                        ):
+                            with self._route_lock:
+                                self._insert_log[w].append(log_entry)
+                        replies[w] = reply
                     except _TransportFailure as exc:
-                        failure = exc
-                        self._mark_down_locked(worker, r, exc.cause)
-                if failure is None:
-                    ep.breaker.record_success()
-                    last = None
-                    if log_entry is not None and not (
-                        isinstance(reply, tuple)
-                        and reply
-                        and reply[0] == "error"
-                    ):
-                        with self._route_lock:
-                            self._insert_log[worker].append(log_entry)
-            if failure is None:
-                break
-            last = failure
-            with self._counter_lock:
-                if failure.cause == "timeout":
-                    self.worker_timeouts += 1
-                if attempt < attempts:
-                    self.worker_retries += 1
-                    if num_replicas > 1:
-                        self.replica_failovers += 1
-            if attempt < attempts and num_replicas == 1:
-                with self._counter_lock:
-                    jitter = float(self._jitter_rng.random())
-                time.sleep(policy.backoff_seconds(attempt, jitter))
-        if last is not None:
-            ep = replicas[last_r]
-            with ep.lock:
-                if ep.breaker.record_failure():
-                    with self._counter_lock:
-                        self.breaker_opens += 1
-                if self._endpoints_cfg is None and num_replicas == 1:
-                    # Best-effort respawn so the *next* request (or the
-                    # breaker's half-open probe) meets a fresh worker
-                    # and a clean pipe rather than a stale, late reply.
-                    with contextlib.suppress(Exception):
-                        self._respawn_locked(worker, last_r, cause=last.cause)
-            raise ShardUnavailableError(
-                f"worker {worker} unavailable after {attempts} "
-                f"attempt(s) ({last.cause}): {last}",
-                shards=tuple(self.worker_shards(worker)),
+                        failed[w] = exc
+                        self._mark_down_locked(w, r, exc.cause)
+                    del inflight[transport]
+                    ep.lock.release()
+        finally:
+            # Only an unexpected error leaves requests in flight (or half
+            # read); their late replies would desynchronise the next
+            # caller, so the channels go down with the locks.
+            for w, r, _ in inflight.values():
+                self._mark_down_locked(w, r, "crash")
+                self._eps[w][r].lock.release()
+        return replies, failed
+
+    def _admit_locked(self, worker: int, replica: int, message) -> _TransportFailure | None:
+        """Re-validate, revive if down, send (lock held); the failure, if any."""
+        ep = self._eps[worker][replica]
+        if not ep.breaker.allow():
+            return _TransportFailure(
+                "crash", f"worker {worker}[{replica}] breaker opened concurrently"
             )
-        nbytes = _payload_nbytes(message) + _payload_nbytes(reply)
-        if nbytes:
-            with self._counter_lock:
-                self.bytes_shipped += nbytes
-        if isinstance(reply, tuple) and reply and reply[0] == "error":
-            raise WorkerError(reply[1])
-        return reply
+        if ep.transport is None:
+            try:
+                self._respawn_locked(worker, replica, cause=ep.down_cause or "reconnect")
+            except Exception as exc:
+                return _TransportFailure("crash", f"worker {worker} respawn failed: {exc}")
+        try:
+            self._send_locked(worker, replica, message)
+        except _TransportFailure as exc:
+            self._mark_down_locked(worker, replica, exc.cause)
+            return exc
+        return None
+
+    def _request(self, worker: int, message, log_entry=None):
+        """:meth:`_exchange` with one entry: the reply, or its failure raised."""
+        replies, failures = self._exchange({worker: message}, log_entry)
+        if failures:
+            raise failures[worker]
+        return replies[worker]
 
     def _broadcast_insert(self, worker: int, entry) -> None:
         """Deliver one logged insert to every replica of its owning slot.
@@ -1025,36 +1057,6 @@ class WorkerPool:
                     finally:
                         ep.lock.release()
 
-    def _fan_out(self, messages: dict[int, tuple]) -> dict[int, object]:
-        """Send one message per worker concurrently; collect the replies."""
-        futures = {
-            w: self._fanout.submit(self._request, w, message)
-            for w, message in messages.items()
-        }
-        return {w: future.result() for w, future in futures.items()}
-
-    def _fan_out_collect(self, messages: dict[int, tuple]):
-        """Fan out, harvesting per-worker failures instead of raising.
-
-        Returns ``(replies, failures)``: replies from the workers that
-        answered, and the :class:`~repro.exceptions.ShardUnavailableError`
-        / :class:`WorkerError` each failed worker raised.  Anything else
-        (e.g. a closed pool) propagates — those are caller bugs, not
-        degradable shard outages.
-        """
-        futures = {
-            w: self._fanout.submit(self._request, w, message)
-            for w, message in messages.items()
-        }
-        replies: dict[int, object] = {}
-        failures: dict[int, Exception] = {}
-        for w, future in futures.items():
-            try:
-                replies[w] = future.result()
-            except (ShardUnavailableError, WorkerError) as exc:
-                failures[w] = exc
-        return replies, failures
-
     def worker_pids(self) -> list[int]:
         """Live spawned-worker process ids (diagnostics and crash tests).
 
@@ -1086,9 +1088,7 @@ class WorkerPool:
         + ``merge`` for the pool-wide aggregate (exact: shared histogram
         buckets).
         """
-        replies, _failures = self._fan_out_collect(
-            {w: ("stats",) for w in range(self.num_workers)}
-        )
+        replies, _ = self._exchange({w: ("stats",) for w in range(self.num_workers)})
         return [replies[w] for w in sorted(replies)]
 
     def reset_worker_stats(self) -> None:
@@ -1099,9 +1099,7 @@ class WorkerPool:
         by the facade's ``reset_stats`` so a ``stats_snapshot`` right
         after a reset reads all-zero ``workers.*`` documents too.
         """
-        self._fan_out_collect(
-            {w: ("reset",) for w in range(self.num_workers)}
-        )
+        self._exchange({w: ("reset",) for w in range(self.num_workers)})
 
     def failure_counters(self) -> dict:
         """Snapshot of the parent-side failure telemetry (thread-safe)."""
@@ -1230,7 +1228,7 @@ class WorkerPool:
         else:
             message_tail = (radius,)
         with stage_timer(trace, "ipc"):
-            replies, failures = self._fan_out_collect(
+            replies, failures = self._exchange(
                 {
                     w: ("radius", self.worker_shards(w), queries, *message_tail)
                     for w in range(self.num_workers)
@@ -1320,7 +1318,7 @@ class WorkerPool:
                 f"k ({k}) must not exceed the index size ({self.n})"
             )
         with stage_timer(trace, "ipc"):
-            replies, failures = self._fan_out_collect(
+            replies, failures = self._exchange(
                 {
                     w: ("topk_block", self.worker_shards(w), queries)
                     for w in range(self.num_workers)

@@ -9,6 +9,7 @@ persistence) the serving path relies on.
 """
 
 import json
+import mmap
 import os
 import shutil
 
@@ -18,7 +19,7 @@ import pytest
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
-from repro.index import FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
 from repro.index import frozen as frozen_module
 from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 from repro.service import BatchQueryEngine
@@ -35,6 +36,27 @@ def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
         seed=seed,
     ).build(points)
     return points, index, index.freeze()
+
+
+def assert_file_backed(array, directory, name):
+    """``array`` is a zero-copy plain-ndarray view of ``directory/name.npy``.
+
+    File-backed without the subclass: walking ``.base`` ends at the
+    ``mmap`` object of a mapping of that very file, ``array`` shares
+    the mapping's memory (no copy was taken on the way), and its
+    contents are the file's.  (Two mappings of one file live at
+    different addresses, so sharing is checked against the mapping the
+    array descends from, not against a fresh one.)
+    """
+    assert type(array) is np.ndarray
+    mapping, base = array, array.base
+    while isinstance(base, np.ndarray):
+        mapping, base = base, base.base
+    assert isinstance(base, mmap.mmap)
+    target = os.path.join(directory, f"{name}.npy")
+    assert isinstance(mapping, np.memmap) and os.path.samefile(mapping.filename, target)
+    assert np.shares_memory(array, mapping)
+    assert np.array_equal(array, np.load(target, mmap_mode="r"))
 
 
 def assert_results_equal(a, b):
@@ -464,14 +486,54 @@ class TestFrozenPersistence:
         path = str(tmp_path / "frozen-index")
         save_frozen_index(frozen, path)
         loaded = load_frozen_index(path)
-        for array in (loaded.points, loaded.frozen.members, loaded.frozen.registers):
-            assert isinstance(array, np.memmap)
+        assert_file_backed(loaded.points, path, "points")
+        for name in ("members", "registers"):
+            assert_file_backed(getattr(loaded.frozen, name), path, name)
         rng = np.random.default_rng(8)
         queries = np.concatenate([rng.normal(size=(6, 12)), points[:4]])
         cm = CostModel.from_ratio(6.0)
         a, b = HybridSearcher(frozen, cm), HybridSearcher(loaded, cm)
         for q in queries:
             assert_results_equal(a.query(q, 1.5), b.query(q, 1.5))
+
+    @pytest.mark.parametrize("variant", ["plain", "multiprobe", "covering"])
+    def test_query_path_reads_no_memmap_instance(self, variant, tmp_path):
+        """Reopened, the hot path's arrays are plain ndarrays — and stay so.
+
+        The ``np.memmap`` subclass charges ``__getitem__`` /
+        ``__array_finalize__`` on every take, slice and ufunc; the
+        loader hands views instead.  Checked over everything a query
+        reads — data, bucket arrays, hash kernel, prepared norms —
+        before and after an insert + re-freeze.
+        """
+        rng = np.random.default_rng(21)
+        if variant == "covering":
+            points = (rng.random((200, 32)) < 0.5).astype(np.float64)
+            built, radius = CoveringLSHIndex(dim=32, radius=4, seed=1), 4.0
+        else:
+            points = rng.normal(size=(200, 10))
+            cls = MultiProbeLSHIndex if variant == "multiprobe" else LSHIndex
+            built, radius = cls(PStableLSH(10, w=2.0), k=3, num_tables=5, seed=2), 1.5
+        path = str(tmp_path / "artifact")
+        save_frozen_index(built.build(points).freeze(), path)
+        reopened = load_frozen_index(path)
+        assert reopened.variant == variant
+
+        def hot_arrays():
+            searcher = HybridSearcher(reopened, CostModel.from_ratio(6.0))
+            searcher.query_batch(points[:3], radius)
+            arrays = [reopened.points, searcher._lsh._prepared(), searcher._linear._prepared()]
+            arrays += [getattr(reopened.frozen, name) for name in FrozenTables.__slots__]
+            if variant != "covering":
+                arrays += list(reopened._batched.params.values())
+            return [a for a in arrays if isinstance(a, np.ndarray)]
+
+        before = hot_arrays()
+        assert len(before) >= 9 and all(type(a) is np.ndarray for a in before)
+        assert_file_backed(reopened.points, path, "points")
+        reopened.insert(points[:5] if variant == "covering" else rng.normal(size=(5, 10)))
+        reopened.refreeze()
+        assert all(type(a) is np.ndarray for a in hot_arrays())
 
     def test_save_compacts_overflow_first(self, tmp_path):
         points, _, frozen = build_pair()
@@ -577,7 +639,7 @@ class TestFormatV1Artifacts:
         assert os.path.exists(os.path.join(resaved, "key64.npy"))
         assert not os.path.exists(os.path.join(resaved, "keys_raw.npy"))
         reopened = load_frozen_index(resaved)
-        assert isinstance(reopened.frozen.key64, np.memmap)
+        assert_file_backed(reopened.frozen.key64, resaved, "key64")
         assert answers(reopened, queries) == expected
 
     def test_v1_with_a_torn_key_matrix_is_a_typed_error(self, tmp_path):
@@ -639,7 +701,11 @@ class TestFacadeFrozenLayout:
             else reopened.engine.index
         )
         assert isinstance(engine_index, FrozenLSHIndex)
-        assert isinstance(engine_index.frozen.members, np.memmap)
+        assert_file_backed(
+            engine_index.frozen.members,
+            os.path.join(path, "shard_000.frozen"),
+            "members",
+        )
         for ra, rb in zip(
             frozen.query(queries), reopened.query(queries)
         ):

@@ -10,6 +10,7 @@ artifact must reopen via ``np.load(mmap_mode="r")`` and serve under
 
 import numpy as np
 import pytest
+from test_frozen import assert_file_backed
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher, LinearScan
@@ -139,7 +140,7 @@ class TestPersistence:
         save_frozen_index(frozen, path)
         reopened = load_frozen_index(path, mmap_mode="r")
         assert isinstance(reopened, FrozenCoveringLSHIndex)
-        assert isinstance(reopened.frozen.members, np.memmap)
+        assert_file_backed(reopened.frozen.members, path, "members")
         assert [b.tolist() for b in reopened._blocks] == [
             b.tolist() for b in frozen._blocks
         ]

@@ -11,6 +11,7 @@ save/``np.load(mmap_mode="r")`` reopen, and the
 
 import numpy as np
 import pytest
+from test_frozen import assert_file_backed
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher
@@ -165,7 +166,7 @@ class TestPersistence:
         assert isinstance(reopened, FrozenMultiProbeLSHIndex)
         assert reopened.num_probes == frozen.num_probes
         # Arrays really are memory-mapped, not copies.
-        assert isinstance(reopened.frozen.members, np.memmap)
+        assert_file_backed(reopened.frozen.members, path, "members")
         cm = CostModel.from_ratio(6.0)
         a, b = HybridSearcher(frozen, cm), HybridSearcher(reopened, cm)
         queries = np.concatenate([rng.normal(size=(5, 10)), points[:2]])

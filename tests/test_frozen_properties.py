@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_adaptive import _spec, adaptive_case, dispatch_case
-from test_frozen import colliding_mix
+from test_frozen import assert_file_backed, colliding_mix
 
 from repro.api import Index
 from repro.core import CostModel, HybridSearcher
@@ -216,8 +216,8 @@ def _check_locate_through_a_life(case, salted=False):
             path = os.path.join(scratch, "index")
             save_frozen_index(raw, path)
             reopened = load_frozen_index(path)
-            assert isinstance(reopened.frozen.key64, np.memmap)
-            assert isinstance(reopened.frozen.keys, np.memmap)
+            assert_file_backed(reopened.frozen.key64, path, "key64")
+            assert_file_backed(reopened.frozen.keys, path, "keys")
             assert reopened.frozen.salt == raw.frozen.salt
             _assert_sequential_equals_batched(reopened, queries)
             for a, b in zip(
