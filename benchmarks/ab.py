@@ -2,7 +2,7 @@
 """A/B the repo benchmark: a parent commit against this checkout.
 
     python benchmarks/ab.py PARENT_REF [--pairs 10] [--workloads W ...]
-                            [--seconds S] [--scale X]
+                            [--seconds S] [--scale X] [--layers NAME ...]
 
 Checks ``PARENT_REF`` out into a temporary ``git worktree``, then per
 workload runs the command ``BENCHMARK.json`` declares in both trees —
@@ -12,9 +12,13 @@ row per workload x end-to-end metric: parent and change median
 ``[q1, q3]``, the change of the median, pairs won, and a verdict by the
 ``simplicity-review`` rules with ``better`` and ``bound`` read from
 ``BENCHMARK.json`` (see :func:`verdict`).  Exits 1 on any ``regressed``
-row or when the change fails more ops than the parent.  The worktree is
-always removed; the runs write only under each tree's
-``benchmarks/perf/out/``.  Stdlib only.
+row or when the change fails more ops than the parent.  With
+``--layers NAME ...`` it then runs three more alternating pairs per
+workload under ``--trace 1`` and prints both sides' medians of the named
+per-layer metrics — the decomposition a perf change cites, with no
+verdict and no effect on the exit code.  The worktree is always
+removed; the runs write only under each tree's ``benchmarks/perf/out/``.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED0 = 1000
 #: The guides' floor for claiming a gain ("run at least ten pairs").
 MIN_PAIRS_FOR_GAIN = 10
+#: Traced pairs per workload behind a ``--layers`` table.
+LAYER_PAIRS = 3
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -101,6 +107,29 @@ def _row(workload: str, entry: dict, parent: list[float], change: list[float]) -
     ), outcome
 
 
+def layer_rows(
+    workload: str,
+    names: list[str],
+    parent: dict[str, list[float]],
+    change: dict[str, list[float]],
+) -> list[str]:
+    """One markdown row per named per-layer metric: both sides' medians.
+
+    ``parent`` / ``change`` map metric names to the values of the traced
+    runs; a metric a side never emitted on this workload reads ``n/a``.
+    """
+    rows = []
+    for name in names:
+        sides = [statistics.median(side[name]) if side.get(name) else None
+                 for side in (parent, change)]
+        cells = ["n/a" if value is None else f"{value:.4g}" for value in sides]
+        delta = "n/a"
+        if None not in sides:
+            delta = f"{100.0 * (sides[1] - sides[0]) / (abs(sides[0]) or 1.0):+.1f} %"
+        rows.append(f"| `{workload}` | `{name}` | {cells[0]} | {cells[1]} | {delta} |")
+    return rows
+
+
 def _run(tree: Path, argv: list[str]) -> dict:
     """One benchmark run from ``tree``'s root; its last stdout line, parsed."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -123,6 +152,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--seconds", type=float, help="passed through to the benchmark")
     parser.add_argument("--scale", type=float, help="passed through to the benchmark")
+    parser.add_argument(
+        "--layers", nargs="+", metavar="NAME", default=[],
+        choices=[entry["name"] for entry in doc["per_layer"]],
+        help=f"also print these per-layer medians from {LAYER_PAIRS} traced pairs",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -137,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = Path(tempfile.mkdtemp(prefix="repro-ab-"))
     parent_tree = scratch / "parent"
-    rows, outcomes = [], []
+    rows, outcomes, layers = [], [], []
     failed = {"parent": 0, "change": 0}
     try:
         subprocess.run(
@@ -145,19 +179,26 @@ def main(argv: list[str] | None = None) -> int:
             cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
         )
         trees = {"parent": parent_tree, "change": ROOT}
-        for workload in args.workloads:
+
+        def paired(workload: str, pairs: int, what: str, tally: dict, *extra: str) -> dict:
+            """``{side: {metric: [value per pair]}}`` of alternating runs;
+            failed ops are added to ``tally`` per side."""
             values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
-            for i in range(args.pairs):
+            for i in range(pairs):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     result = _run(trees[side], [
                         *doc["command"], "--workload", workload,
-                        "--seed", str(SEED0 + i), *passthrough,
+                        "--seed", str(SEED0 + i), *passthrough, *extra,
                     ])
-                    failed[side] += result["failed"]
+                    tally[side] += result["failed"]
                     for name, metric in result["metrics"].items():
                         values[side].setdefault(name, []).append(metric["value"])
-                print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+                print(f"{workload}: {what} {i + 1}/{pairs} done", file=sys.stderr)
+            return values
+
+        for workload in args.workloads:
+            values = paired(workload, args.pairs, "pair", failed)
             for entry in doc["end_to_end"]:
                 parent = values["parent"].get(entry["name"], [])
                 change = values["change"].get(entry["name"], [])
@@ -166,6 +207,12 @@ def main(argv: list[str] | None = None) -> int:
                 row, outcome = _row(workload, entry, parent, change)
                 rows.append(row)
                 outcomes.append(outcome)
+        for workload in args.workloads if args.layers else ():
+            # Not judged: the traced runs' failed ops stay out of the exit code.
+            traced = paired(
+                workload, LAYER_PAIRS, "traced pair", dict(failed), "--trace", "1"
+            )
+            layers += layer_rows(workload, args.layers, traced["parent"], traced["change"])
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", str(parent_tree)],
@@ -181,6 +228,13 @@ def main(argv: list[str] | None = None) -> int:
     print("|---|---|---|---|---|---|---|")
     print("\n".join(rows))
     print()
+    if layers:
+        print(f"per-layer medians, {LAYER_PAIRS} alternating `--trace 1` pair(s):")
+        print()
+        print("| workload | layer metric | parent | change | Δ median |")
+        print("|---|---|---|---|---|")
+        print("\n".join(layers))
+        print()
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
     return 1 if "regressed" in outcomes or failed["change"] > failed["parent"] else 0
 

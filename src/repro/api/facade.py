@@ -1083,7 +1083,7 @@ def _frozen_indexes_of(backend: Any) -> list[Any]:
 def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
     """Wire live backend gauges into the stats object.
 
-    Frozen layouts expose their overflow side-table size and background
+    Frozen layouts expose their overflow size (points in live runs) and background
     re-freeze counters; hooks read the *current* values at snapshot
     time, so the gauges track inserts and re-freezes without the stats
     layer polling anything.

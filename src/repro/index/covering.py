@@ -39,11 +39,7 @@ from repro.sketches.hyperloglog import PrecomputedHllHashes
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_matrix, check_positive_int, check_vector
 
-__all__ = [
-    "CoveringLSHIndex",
-    "insert_into_covering_tables",
-    "hamming_family_facade",
-]
+__all__ = ["CoveringLSHIndex", "hamming_family_facade"]
 
 
 def hamming_family_facade(dim: int):
@@ -60,41 +56,6 @@ def hamming_family_facade(dim: int):
     facade = BitSamplingLSH.__new__(BitSamplingLSH)
     facade.dim = int(dim)
     return facade
-
-
-def insert_into_covering_tables(index, new_points: np.ndarray) -> np.ndarray:
-    """Incremental covering insert: hash block projections into ``index.tables``.
-
-    The covering construction is inherently incremental — each new
-    point lands in its block bucket per table and the bucket's sketch
-    absorbs its precomputed HLL pair.  Shared by the dict layout's
-    :meth:`CoveringLSHIndex.insert` and the frozen layout's overflow
-    insert (where ``index.tables`` are the overflow side-tables), so
-    the two can never hash an inserted point differently.
-    """
-    index._require_built()
-    new_points = check_matrix(new_points, dim=index.dim, name="new_points")
-    m = new_points.shape[0]
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    old_n = int(index.points.shape[0])
-    new_ids = np.arange(old_n, old_n + m, dtype=np.int64)
-    index.points = np.concatenate([index.points, new_points])
-    if index._hll_hashes is not None:
-        index._hll_hashes.extend(old_n + m)
-    for table, block in zip(index.tables, index._blocks):
-        keys = encode_rows(np.ascontiguousarray(new_points[:, block], dtype=np.int64))
-        for point_id, key in zip(new_ids.tolist(), keys):
-            bucket = table.buckets.get(key)
-            if bucket is None:
-                bucket = Bucket(
-                    hll_precision=index.hll_precision,
-                    hll_seed=index.hll_seed,
-                    lazy_threshold=table.lazy_threshold,
-                )
-                table.buckets[key] = bucket
-            bucket.append(int(point_id), index._hll_hashes)
-    return new_ids
 
 
 class CoveringLSHIndex:
@@ -265,7 +226,29 @@ class CoveringLSHIndex:
         construction radius of a later query still shares a whole block
         with it.
         """
-        return insert_into_covering_tables(self, new_points)
+        self._require_built()
+        new_points = check_matrix(new_points, dim=self.dim, name="new_points")
+        m = new_points.shape[0]
+        if m == 0:
+            return np.empty(0, dtype=np.int64)
+        old_n = int(self.points.shape[0])
+        new_ids = np.arange(old_n, old_n + m, dtype=np.int64)
+        self.points = np.concatenate([self.points, new_points])
+        if self._hll_hashes is not None:
+            self._hll_hashes.extend(old_n + m)
+        for table, block in zip(self.tables, self._blocks):
+            keys = encode_rows(np.ascontiguousarray(new_points[:, block], dtype=np.int64))
+            for point_id, key in zip(new_ids.tolist(), keys):
+                bucket = table.buckets.get(key)
+                if bucket is None:
+                    bucket = Bucket(
+                        hll_precision=self.hll_precision,
+                        hll_seed=self.hll_seed,
+                        lazy_threshold=table.lazy_threshold,
+                    )
+                    table.buckets[key] = bucket
+                bucket.append(int(point_id), self._hll_hashes)
+        return new_ids
 
     def freeze(self, refreeze_threshold: int | None = None):
         """Compact into the frozen CSR layout (covering fast path).

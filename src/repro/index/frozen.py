@@ -45,24 +45,34 @@ There is one lookup path: :meth:`FrozenLSHIndex.lookup` is
 :meth:`~FrozenLSHIndex.lookup_batch` of one row, so sequential and
 batched lookups agree by construction.
 
-:meth:`FrozenLSHIndex.insert` keeps working: new points land in a small
-mutable dict-layout *overflow* side-table probed alongside the frozen
-arrays, and the index re-freezes itself once the overflow outgrows
+:meth:`FrozenLSHIndex.insert` keeps working: the points inserted since
+the last re-freeze live in an immutable *sorted run*
+(:mod:`repro.index.overflow`) — one entry per (point, table), addressed
+exactly like a frozen bucket — which a lookup probes with the needles
+it already mixed and sorted for ``key64``: one more binary search per
+live run, hits verified against the stored row like frozen ones, and a
+``(lo, hi)`` entry range per slot in place of any per-bucket object.
+Collision counts add ``hi - lo``, sketch merges and candidate unions
+gather the ranges into the scatters the frozen side already runs, so
+reads beside writes never leave numpy.  An insert costs one hash pass,
+a sort of its ``m * L`` addresses and a copy-on-write merge into the
+run; the index re-freezes itself once a run outgrows
 ``refreeze_threshold``.  Splitting a logical bucket into a frozen part
-and an overflow part changes no answer for the same associativity
-reason.
+and an overflow part changes no answer, by the same associativity.
 
 Re-freezing is **double-buffered**: the insert that crosses the
-threshold does not pay the compaction — it moves the overflow tables
-aside as a *compacting* generation, opens a fresh overflow generation
-for subsequent inserts, and hands the merge of ``frozen ⊕ compacting``
-to a background thread.  Queries issued while the compaction runs take
-a consistent snapshot (old frozen arrays plus both overflow
-generations) under a lock, so their answers are bit-identical
-throughout; when the merge finishes, the new :class:`FrozenTables` is
-swapped in atomically and the compacting generation is dropped.
+threshold does not pay the compaction — it sets the run aside as the
+*compacting* generation, lets subsequent inserts open a fresh one, and
+hands the merge of ``frozen ⊕ compacting`` to a background thread.
+The point matrix, the arrays and both runs change only under one lock
+(``_refreeze_lock``, never held with another): an insert publishes
+``points`` and its new run in one swap and a query takes ``(arrays,
+live runs)`` in one snapshot, so it sees whole inserts, never the *new*
+arrays beside the generation they absorbed, and only runs keyed under
+the arrays' salt (a fold that re-salted re-keys the still-live run from
+its stored rows as it swaps in).  Answers are bit-identical throughout.
 :meth:`FrozenLSHIndex.refreeze` remains synchronous — it waits for any
-in-flight background compaction and folds whatever overflow is left.
+in-flight background compaction and folds whatever is left.
 
 The frozen arrays persist as a directory of plain ``.npy`` files
 (:func:`save_frozen_index` / :func:`load_frozen_index`; format v2 =
@@ -88,9 +98,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.utils.fsio import commit_dir, staging_path, write_json_atomic
 from repro.utils.validation import check_matrix, check_vector
-from repro.hashing.composite import encode_rows
-from repro.index.bucket import Bucket
 from repro.index.lsh_index import LSHIndex
+from repro.index.overflow import OverflowRun, _csr_gather, _narrowest_int_dtype
 from repro.index.table import HashTable
 from repro.sketches.hyperloglog import (
     HyperLogLog,
@@ -196,49 +205,52 @@ def _sorted_addresses(
     )
 
 
-def _narrowest_int_dtype(values: np.ndarray) -> np.dtype:
-    """The smallest signed integer dtype that holds every entry of ``values``."""
-    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
-
-
-def _csr_gather(
-    members: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``members[starts[i] : starts[i] + lens[i]]`` slices."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=members.dtype)
-    exclusive = np.concatenate(([0], np.cumsum(lens[:-1])))
-    idx = np.repeat(starts - exclusive, lens) + np.arange(total, dtype=np.int64)
-    return members[idx]
-
-
 def _slot_occupancy(
-    frozen: FrozenTables, positions: np.ndarray, overflows: list | None
+    frozen: FrozenTables, positions: np.ndarray, overflow: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(#collisions, largest bucket)`` per row of a ``(q, S)`` slot matrix.
 
     A probed *logical* bucket is one slot's frozen part plus its part in
     every overflow generation (the dict layout holds them as one
     bucket), so both numbers equal the dict layout's across inserts and
-    re-freezes.  ``overflows`` carries each row's generation-major flat
-    bucket list (``None`` when the snapshot had no overflow); -1 slots —
-    empty buckets, or probes an adaptive budget trimmed — count zero.
+    re-freezes.  ``overflow`` is the batch's ``(G, 2, q, S)`` tensor of
+    entry ranges (``None`` when the snapshot had no live run); -1 slots
+    — empty buckets, or probes an adaptive budget trimmed — count zero.
     """
     sizes = frozen.sizes.take(positions, mode="clip")
     sizes[positions < 0] = 0
-    if overflows:
-        q, num_slots = positions.shape
-        extra = np.array(
-            [[0 if b is None else b.size for b in overflow] for overflow in overflows]
-        )
-        sizes += extra.reshape(q, -1, num_slots).sum(axis=1)
+    if overflow is not None:
+        sizes += (overflow[:, 1] - overflow[:, 0]).sum(axis=0)
     return sizes.sum(axis=1), sizes.max(axis=1)
+
+
+def _overflow_members_by_row(
+    lookups: list[FrozenQueryLookup],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per live generation, ``(ids, ids per lookup)`` of one snapshot's lookups.
+
+    One CSR gather per generation covers every probed range of every
+    lookup; ``ids`` lists them lookup by lookup.
+    """
+    ranges = np.stack([lk.overflow for lk in lookups])  # (rows, G, 2, S)
+    gathered = []
+    for g, run in enumerate(lookups[0]._runs):
+        lo = ranges[:, g, 0]
+        lens = ranges[:, g, 1] - lo
+        ids = _csr_gather(run.members, lo.ravel(), lens.ravel())
+        gathered.append((ids, lens.sum(axis=1)))
+    return gathered
+
+
+def _gather_overflow(lookups: list[FrozenQueryLookup]) -> None:
+    """Fill the lookups' :meth:`~FrozenQueryLookup.overflow_members`
+    caches in one pass (``lookups`` share a snapshot with live runs)."""
+    per_generation = [
+        np.split(ids, np.cumsum(counts)[:-1])
+        for ids, counts in _overflow_members_by_row(lookups)
+    ]
+    for lookup, parts in zip(lookups, zip(*per_generation)):
+        lookup._overflow_ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclasses.dataclass(slots=True, eq=False, repr=False)
@@ -264,6 +276,8 @@ class FrozenTables:
     members: np.ndarray
     sketch_rows: np.ndarray
     registers: np.ndarray
+    #: ``(slot_rows, order, sorted addresses)`` of the latest :meth:`needles` call.
+    _needles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -284,7 +298,7 @@ class FrozenTables:
         the member ids back to back.  Equal rows of one table merge into
         one bucket whose members keep source order — which is how a
         re-freeze folds an overflow generation in
-        (:meth:`merged_table_arrays` lists the frozen buckets first).
+        (:meth:`table_source` lists the frozen buckets first).
 
         One stable ``uint64`` argsort over all tables orders the
         buckets by ``key64``.  Two *different* rows of a table sharing a
@@ -396,34 +410,57 @@ class FrozenTables:
         )
         return rows, sizes, members
 
-    def merged_table_arrays(
-        self, t: int, overflow: HashTable, row_width: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Table ``t`` followed by its overflow side-table (for re-freeze).
-
-        The source triple :meth:`assemble` folds: a bucket present on
-        both sides keeps its frozen members first and its overflow
-        members second — the exact id order the dict layout's append
-        path produces.  ``row_width`` is the overflow table's true row
-        width; its rows are padded up to this structure's when the two
-        differ (covering layout).  The stored rows widen to int64 on the
-        way and :meth:`assemble` picks the merged rows' narrowest dtype
-        afresh, so a merge that needs a wider dtype simply gets it.
-        """
+    def table_source(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Table ``t``'s buckets as an :meth:`assemble` source triple (a
+        re-freeze puts the overflow run's behind it; :meth:`assemble`
+        picks the merged rows' narrowest dtype afresh)."""
         lo, hi = int(self.table_slices[t]), int(self.table_slices[t + 1])
         seg_start, seg_stop = int(self.offsets[lo]), int(self.offsets[hi])
-        o_rows, o_sizes, o_members = self.table_arrays(
-            overflow, row_width, pad_to=self.keys.shape[1]
-        )
-        return (
-            np.concatenate([self.keys[lo:hi], o_rows]),
-            np.concatenate([self.sizes[lo:hi], o_sizes]),
-            np.concatenate([self.members[seg_start:seg_stop], o_members]),
-        )
+        return self.keys[lo:hi], self.sizes[lo:hi], self.members[seg_start:seg_stop]
 
     # ------------------------------------------------------------------
     # Query-side primitives
     # ------------------------------------------------------------------
+    def addresses(
+        self, rows: np.ndarray, slot_tables: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The ``(..., S)`` bucket addresses of a ``(..., S, w)`` row tensor.
+
+        Column ``s`` is addressed in table ``slot_tables[s]`` (default:
+        table ``s``) under this structure's salt — what ``key64`` holds
+        for the frozen buckets and what an overflow run beside these
+        arrays is keyed by.
+        """
+        if slot_tables is None:
+            slot_tables = np.arange(self.num_tables)
+        if slot_tables.shape != (rows.shape[-2],):
+            raise ValueError(
+                f"hash-row tensor has {rows.shape[-2]} slot columns; "
+                f"{slot_tables.shape[0]} slot table ids given"
+            )
+        return _tagged_key64(rows, slot_tables, self.num_tables, self.salt)
+
+    def needles(
+        self, slot_rows: np.ndarray, slot_tables: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A lookup's probes as search needles: ``(order, sorted addresses)``.
+
+        ``order[i]`` is the flat ``(query, slot)`` index of the ``i``-th
+        smallest address.  Sorted needles let a binary search walk its
+        array front to back (3x faster than unsorted ones).  The latest
+        result is kept, keyed by the identity of ``slot_rows``, so the
+        overflow probes of a lookup reuse what its :meth:`locate` mixed
+        and sorted; a racing lookup on another thread only re-mixes.
+        """
+        latest = self._needles
+        if latest is not None and latest[0] is slot_rows:
+            return latest[1], latest[2]
+        flat = self.addresses(slot_rows, slot_tables).ravel()
+        order = np.argsort(flat)
+        needles = flat.take(order)
+        self._needles = (slot_rows, order, needles)
+        return order, needles
+
     def locate(
         self, slot_rows: np.ndarray, slot_tables: np.ndarray | None = None
     ) -> np.ndarray:
@@ -436,39 +473,30 @@ class FrozenTables:
         passes ``1 + P`` consecutive slots per table).
 
         One binary search resolves every slot of every query: the rows
-        are mixed into tagged 64-bit needles, sorted (the search then
-        walks ``key64`` front to back, and queries that share a bucket
-        share its cache lines), and searched in a single typed
-        ``searchsorted``.  A slot is a hit iff the address found equals
-        the needle *and* the full row stored there equals the probed
-        row — a needle of another table can never match (different
-        tag), and a value the narrow ``keys`` dtype cannot hold compares
-        unequal rather than wrapping, because the comparison promotes.
+        are mixed into tagged 64-bit needles, sorted (:meth:`needles`)
+        and searched in a single typed ``searchsorted``.  A slot is a
+        hit iff the address found equals the needle *and* the full row
+        stored there equals the probed row — a needle of another table
+        can never match (different tag), and a value the narrow ``keys``
+        dtype cannot hold compares unequal rather than wrapping, because
+        the comparison promotes.
         """
         q, num_slots, width = slot_rows.shape
-        if slot_tables is None:
-            slot_tables = np.arange(self.num_tables)
-        if slot_tables.shape != (num_slots,):
-            raise ValueError(
-                f"hash-row tensor has {num_slots} slot columns; "
-                f"{slot_tables.shape[0]} slot table ids given"
+        order, needles = self.needles(slot_rows, slot_tables)
+        positions = np.empty(q * num_slots, dtype=np.int64)
+        positions.fill(-1)
+        if self.key64.size and q:
+            pos = self.key64.searchsorted(needles)
+            hit = np.flatnonzero(self.key64.take(pos, mode="clip") == needles)
+            pos, slots = pos.take(hit), order.take(hit)
+            wrong = self.keys.take(pos, axis=0) != slot_rows.reshape(-1, width).take(
+                slots, axis=0
             )
-        if self.key64.size == 0 or q == 0:
-            return np.full((q, num_slots), -1, dtype=np.int64)
-        needles = _tagged_key64(
-            slot_rows, slot_tables, self.num_tables, self.salt
-        ).ravel()
-        order = np.argsort(needles)
-        pos = np.empty(needles.size, dtype=np.int64)
-        pos[order] = self.key64.searchsorted(needles.take(order))
-        hit = self.key64.take(pos, mode="clip") == needles
-        found = np.flatnonzero(hit)
-        wrong = self.keys.take(pos.take(found), axis=0) != slot_rows.reshape(
-            -1, width
-        ).take(found, axis=0)
-        if wrong.any():  # same address, different row: a key64 collision
-            hit[found[wrong.any(axis=1)]] = False
-        return np.where(hit, pos, -1).reshape(q, num_slots)
+            if wrong.any():  # same address, different row: a key64 collision
+                same = ~wrong.any(axis=1)
+                pos, slots = pos[same], slots[same]
+            positions[slots] = pos
+        return positions.reshape(q, num_slots)
 
     def gather_members(self, bucket_idx: np.ndarray) -> np.ndarray:
         """Concatenated member ids of the given global buckets."""
@@ -524,13 +552,18 @@ class FrozenQueryLookup:
 
     The frozen counterpart of
     :class:`~repro.index.lsh_index.QueryLookup`: instead of one Python
-    ``Bucket`` per table it carries one int64 per table — the global
+    ``Bucket`` per table it carries one int64 per slot — the global
     bucket index, or -1 where the query fell into an empty bucket —
-    plus the matching overflow buckets when the index has absorbed
-    inserts since it was frozen.
+    plus, when the index has absorbed inserts since it was frozen, the
+    entry range each slot hit in every live overflow run.
 
     Attributes
     ----------
+    overflow:
+        ``(G, 2, S)`` int64: slot ``s`` matches entries
+        ``overflow[g, 0, s] : overflow[g, 1, s]`` of live run ``g``
+        (oldest first; ``(0, 0)`` = none).  ``None`` when the lookup's
+        snapshot had no live run.
     num_collisions:
         Total occupancy of the query's buckets (frozen + overflow); an
         exact upper bound on ``candSize``.
@@ -546,7 +579,9 @@ class FrozenQueryLookup:
         "num_collisions",
         "largest_bucket",
         "_frozen",
+        "_runs",
         "_found",
+        "_overflow_ids",
     )
 
     def __init__(
@@ -554,7 +589,8 @@ class FrozenQueryLookup:
         bucket_ids: np.ndarray,
         hash_rows: np.ndarray,
         frozen: FrozenTables,
-        overflow: list[Bucket | None] | None,
+        runs: tuple[OverflowRun, ...],
+        overflow: np.ndarray | None,
         num_collisions: int,
         largest_bucket: int,
     ) -> None:
@@ -564,7 +600,9 @@ class FrozenQueryLookup:
         self.num_collisions = num_collisions
         self.largest_bucket = largest_bucket
         self._frozen = frozen
+        self._runs = runs
         self._found = None
+        self._overflow_ids = None
 
     def found_buckets(self) -> np.ndarray:
         """Global indexes of the query's non-empty frozen buckets (cached)."""
@@ -583,30 +621,29 @@ class FrozenQueryLookup:
             members[a:b] for a, b in zip(starts.tolist(), stops)
         ]
 
-    def nonempty_buckets(self) -> list:
-        """Bucket views in table order (estimator-callback compatibility).
+    def overflow_members(self) -> np.ndarray:
+        """Ids in the probed overflow ranges, all generations (cached;
+        ``candidate_ids_batch`` fills a whole batch's in one gather)."""
+        if self._overflow_ids is None:
+            _gather_overflow([self])
+        return self._overflow_ids
 
-        Frozen buckets surface as light :class:`_FrozenBucketView`
-        objects (``ids``/``size`` only); overflow buckets are the real
-        mutable :class:`~repro.index.bucket.Bucket` instances.
-        """
-        views: list = []
-        num_tables = len(self.bucket_ids)
-        for t, b in enumerate(self.bucket_ids):
+    def nonempty_buckets(self) -> list[_FrozenBucketView]:
+        """Bucket views in slot order (estimator-callback compatibility):
+        the frozen member slice, then the slot's range in each live run."""
+        views = []
+        frozen = self._frozen
+        for s, b in enumerate(self.bucket_ids.tolist()):
             if b >= 0:
-                start = int(self._frozen.offsets[b])
-                stop = start + int(self._frozen.sizes[b])
+                start = int(frozen.offsets[b])
+                stop = start + int(frozen.sizes[b])
                 views.append(
-                    _FrozenBucketView(
-                        np.asarray(self._frozen.members[start:stop], dtype=np.intp)
-                    )
+                    _FrozenBucketView(np.asarray(frozen.members[start:stop], dtype=np.intp))
                 )
-            if self.overflow is not None:
-                # Generation-major flat list (G * num_tables slots):
-                # table t owns slot g * num_tables + t of each generation.
-                for bucket in self.overflow[t::num_tables]:
-                    if bucket is not None and len(bucket):
-                        views.append(bucket)
+            for g, run in enumerate(self._runs):
+                lo, hi = self.overflow[g, :, s].tolist()
+                if hi > lo:
+                    views.append(_FrozenBucketView(run.members[lo:hi]))
         return views
 
 
@@ -616,9 +653,9 @@ class FrozenLSHIndex(LSHIndex):
     Produced by :meth:`repro.index.lsh_index.LSHIndex.freeze`; answers
     every query-side primitive bit-identically to the dict-layout index
     it was frozen from, while the batched serving path runs entirely in
-    numpy.  Supports :meth:`insert` through a mutable overflow
-    side-table that is automatically re-frozen once it exceeds
-    ``refreeze_threshold`` points.
+    numpy.  Supports :meth:`insert` through a sorted overflow run
+    (:mod:`repro.index.overflow`) that is automatically re-frozen once
+    it exceeds ``refreeze_threshold`` points.
 
     Examples
     --------
@@ -670,9 +707,10 @@ class FrozenLSHIndex(LSHIndex):
         """``(q, L, k)`` hash tensor -> ``(q, S, k)`` probed hash rows."""
         return all_rows
 
-    def _table_row_width(self, t: int) -> int:
-        """Hash values in table ``t``'s dict keys (uniform except covering)."""
-        return self.row_width
+    def _insert_rows(self, new_points: np.ndarray) -> np.ndarray:
+        """``(m, L, w)`` stored hash rows of points being inserted (the
+        covering layout pads its block rows to the widest block)."""
+        return self._batched.hash_points(new_points)
 
     # ------------------------------------------------------------------
     # Construction
@@ -685,6 +723,7 @@ class FrozenLSHIndex(LSHIndex):
         index._require_built()
         self = cls.__new__(cls)
         self._adopt(index)
+        self.points = index.points
         # Members live in the platform index dtype (intp): every hot-path
         # consumer is a fancy index (candidate scatter, HLL pair gather,
         # point gather), and numpy converts any other integer dtype to
@@ -741,7 +780,8 @@ class FrozenLSHIndex(LSHIndex):
         return self
 
     def _adopt(self, index: LSHIndex) -> None:
-        """Share the immutable pieces of the source index."""
+        """Share the immutable pieces of the source index (``points`` is
+        the caller's to set: it is swapped under the re-freeze lock)."""
         self.family = index.family
         self.k = index.k
         self.num_tables = index.num_tables
@@ -750,7 +790,6 @@ class FrozenLSHIndex(LSHIndex):
         self.lazy_threshold = index.lazy_threshold
         self.with_sketches = index.with_sketches
         self.dedup = index.dedup
-        self.points = index.points
         self._hll_hashes = index._hll_hashes
         self._batched = index._batched
 
@@ -764,10 +803,11 @@ class FrozenLSHIndex(LSHIndex):
         #: hands compaction to a background thread instead of running it
         #: inline; answers are bit-identical either way.
         self.background_refreeze = getattr(self, "background_refreeze", True)
-        self.tables = self._fresh_tables()
-        self._overflow_count = 0
-        self._compacting_tables: list[HashTable] | None = None
-        self._compacting_count = 0
+        #: The live overflow generations (:mod:`repro.index.overflow`):
+        #: the run inserts extend, and the one a background fold is
+        #: merging into the arrays.  ``None`` = holds no point.
+        self._run: OverflowRun | None = None
+        self._compacting: OverflowRun | None = None
         self._refreeze_lock = threading.Lock()
         self._refreeze_thread: threading.Thread | None = None
         self._refreeze_error: BaseException | None = None
@@ -776,17 +816,6 @@ class FrozenLSHIndex(LSHIndex):
         self.refreeze_count = 0
         self.refreeze_seconds_total = 0.0
         self.last_refreeze_seconds = 0.0
-
-    def _fresh_tables(self) -> list[HashTable]:
-        return [
-            HashTable(
-                hll_precision=self.hll_precision,
-                hll_seed=self.hll_seed,
-                lazy_threshold=self.lazy_threshold,
-                with_sketches=self.with_sketches,
-            )
-            for _ in range(self.num_tables)
-        ]
 
     @property
     def _effective_lazy_threshold(self) -> int:
@@ -797,13 +826,18 @@ class FrozenLSHIndex(LSHIndex):
         )
 
     @property
+    def live_runs(self) -> tuple[OverflowRun, ...]:
+        """The overflow generations a lookup probes, oldest first."""
+        return self._snapshot()[1]
+
+    @property
     def overflow_count(self) -> int:
         """Points inserted since the last completed (re-)freeze.
 
         Includes the generation an in-flight background compaction is
         currently folding in; drops to zero once the swap lands.
         """
-        return self._overflow_count + self._compacting_count
+        return sum(run.count for run in self.live_runs)
 
     def build(self, points: np.ndarray) -> LSHIndex:
         raise ConfigurationError(
@@ -815,33 +849,52 @@ class FrozenLSHIndex(LSHIndex):
     # Mutation: overflow inserts + re-freeze
     # ------------------------------------------------------------------
     def insert(self, new_points: np.ndarray) -> np.ndarray:
-        """Insert points into the overflow side-table; re-freeze past the threshold.
+        """Insert points into the live overflow run; re-freeze past the threshold.
 
-        With :attr:`background_refreeze` (the default) the triggering
-        insert only *starts* the compaction and returns immediately;
-        queries keep probing both overflow generations until the
-        background swap lands, so nothing is ever missed.
+        The new entries are merged into a *copy* of the run, and the
+        grown point matrix and the new run are published in one swap
+        under the re-freeze lock (the HLL pairs are extended first): a
+        concurrent lookup sees the whole insert or none of it, and every
+        id it finds is below ``points.shape[0]``.  With
+        :attr:`background_refreeze` (the default) the insert crossing
+        the threshold only *starts* the compaction; queries keep probing
+        both generations until the background swap lands.
         """
-        new_ids = self._insert_overflow(new_points)
-        with self._refreeze_lock:
-            self._overflow_count += int(new_ids.size)
-            trigger = self._overflow_count > self.refreeze_threshold
+        self._require_built()
+        new_points = check_matrix(new_points, dim=self.dim, name="new_points")
+        m = new_points.shape[0]
+        if m == 0:
+            return np.empty(0, dtype=np.int64)
+        rows = self._insert_rows(new_points)
+        old_n = self.n
+        points = np.concatenate([self.points, new_points])
+        if self._hll_hashes is not None:
+            self._hll_hashes.extend(old_n + m)
+        while True:
+            with self._refreeze_lock:
+                frozen, base = self.frozen, self._run
+            run = base or OverflowRun.empty(
+                frozen.salt, old_n, self.num_tables, rows.shape[2]
+            )
+            run, clean = run.extended(frozen.addresses(rows), rows)
+            if not clean:
+                self.wait_for_refreeze()
+            with self._refreeze_lock:
+                if self.frozen is not frozen or self._run is not base:
+                    continue  # a fold landed in between: re-address
+                self.points, self._run = points, run
+                if not clean:
+                    # Two rows of a table share an address inside the
+                    # run: fold it before any lookup can probe it.
+                    self._fold_all_locked()
+                trigger = clean and run.count > self.refreeze_threshold
+            break
         if trigger:
             if self.background_refreeze:
                 self._start_background_refreeze()
             else:
                 self.refreeze()
-        return new_ids
-
-    def _insert_overflow(self, new_points: np.ndarray) -> np.ndarray:
-        """Hash new points into the current overflow generation.
-
-        The dict layout's incremental Algorithm 1 already lands each
-        point in its home bucket of ``self.tables`` — which here *are*
-        the overflow tables; the covering subclass replaces this with
-        its block-projection hashing.
-        """
-        return super().insert(new_points)
+        return np.arange(old_n, old_n + m, dtype=np.int64)
 
     def _start_background_refreeze(self) -> None:
         """Rotate the overflow generation and compact it off-thread."""
@@ -850,18 +903,13 @@ class FrozenLSHIndex(LSHIndex):
                 # One compaction at a time; the overflow keeps growing in
                 # the current generation and the next insert re-triggers.
                 return
-            if self._compacting_tables is None:
-                self._compacting_tables = self.tables
-                self._compacting_count = self._overflow_count
-                self.tables = self._fresh_tables()
-                self._overflow_count = 0
+            if self._compacting is None:
+                self._compacting, self._run = self._run, None
             # else: a previous background fold failed — retry the stuck
             # generation (queries kept probing it, nothing was lost).
-            snapshot = self.frozen
-            compacting = self._compacting_tables
             thread = threading.Thread(
                 target=self._background_refreeze_run,
-                args=(snapshot, compacting),
+                args=(self.frozen, self._compacting),
                 name="repro-refreeze",
                 daemon=True,
             )
@@ -872,7 +920,7 @@ class FrozenLSHIndex(LSHIndex):
             thread.start()
 
     def _background_refreeze_run(
-        self, snapshot: FrozenTables, compacting: list[HashTable]
+        self, snapshot: FrozenTables, compacting: OverflowRun
     ) -> None:
         started = time.perf_counter()
         try:
@@ -885,23 +933,38 @@ class FrozenLSHIndex(LSHIndex):
         elapsed = time.perf_counter() - started
         with self._refreeze_lock:
             self._refreeze_thread = None
-            if self._compacting_tables is not compacting:
+            if self._compacting is not compacting:
                 # A synchronous refreeze() superseded this run while the
                 # fold was in flight; its arrays already contain every
                 # generation — swapping in ours would drop newer points.
                 return
-            self.frozen = merged
-            self._compacting_tables = None
-            self._compacting_count = 0
+            folds, run = 1, self._run
+            if run is not None and run.salt != merged.salt:
+                # The fold re-salted: the still-live run is re-keyed from
+                # its stored rows (and folded too should the new mix
+                # break its collision rule).
+                rekeyed = OverflowRun.empty(
+                    merged.salt, run.first_id, self.num_tables, run.rows.shape[2]
+                )
+                run, clean = rekeyed.extended(merged.addresses(run.rows), run.rows)
+                if not clean:
+                    merged, run, folds = self._fold_generation(merged, run), None, 2
+            self.frozen, self._run, self._compacting = merged, run, None
             self._refreeze_error = None
-            self._record_refreeze_locked(1, elapsed)
+            self._record_refreeze_locked(folds, elapsed)
 
-    def _fold_generation(
-        self, frozen: FrozenTables, overflow: list[HashTable]
-    ) -> FrozenTables:
-        """Merge one overflow generation into ``frozen`` (pure function)."""
+    def _fold_generation(self, frozen: FrozenTables, run: OverflowRun) -> FrozenTables:
+        """Merge one overflow generation into ``frozen`` (pure function).
+
+        Per table the frozen buckets come first and the run's entries
+        follow in insertion order, so a bucket present on both sides
+        keeps the id order the dict layout's append path produces.
+        """
         per_table = [
-            frozen.merged_table_arrays(t, overflow[t], self._table_row_width(t))
+            tuple(
+                np.concatenate(pair)
+                for pair in zip(frozen.table_source(t), run.table_source(t))
+            )
             for t in range(self.num_tables)
         ]
         return FrozenTables.assemble(
@@ -949,26 +1012,19 @@ class FrozenLSHIndex(LSHIndex):
         """
         self.wait_for_refreeze()
         with self._refreeze_lock:
-            self._refreeze_error = None
-            generations = [
-                gen
-                for gen in (self._compacting_tables, self.tables)
-                if gen is not None and any(t.buckets for t in gen)
-            ]
-            frozen = self.frozen
-            started = time.perf_counter()
-            for gen in generations:
-                frozen = self._fold_generation(frozen, gen)
-            self.frozen = frozen
-            self.tables = self._fresh_tables()
-            self._overflow_count = 0
-            self._compacting_tables = None
-            self._compacting_count = 0
-            if generations:
-                self._record_refreeze_locked(
-                    len(generations), time.perf_counter() - started
-                )
+            self._fold_all_locked()
         return self
+
+    def _fold_all_locked(self) -> None:
+        self._refreeze_error = None
+        runs = [run for run in (self._compacting, self._run) if run is not None]
+        frozen = self.frozen
+        started = time.perf_counter()
+        for run in runs:
+            frozen = self._fold_generation(frozen, run)
+        self.frozen, self._run, self._compacting = frozen, None, None
+        if runs:
+            self._record_refreeze_locked(len(runs), time.perf_counter() - started)
 
     def freeze(self, refreeze_threshold: int | None = None) -> FrozenLSHIndex:
         """Re-freezing a frozen index compacts its overflow (idempotent)."""
@@ -979,41 +1035,20 @@ class FrozenLSHIndex(LSHIndex):
     # ------------------------------------------------------------------
     # Step S1: lookups
     # ------------------------------------------------------------------
-    def _snapshot(self) -> tuple[FrozenTables, list[list[HashTable]]]:
-        """A consistent ``(frozen arrays, overflow generations)`` view.
+    def _snapshot(self) -> tuple[FrozenTables, tuple[OverflowRun, ...]]:
+        """A consistent ``(frozen arrays, live overflow runs)`` view.
 
         Taken under the re-freeze lock so a concurrent background swap
         can never hand a lookup the *new* arrays together with the
-        compacting generation (double counting) or the *old* arrays
-        without it (missed points).  Generations are ordered oldest
-        first.
+        compacting generation (double counting), the *old* arrays
+        without it (missed points), or a run keyed under another salt
+        than the arrays'.  Runs are ordered oldest first.
         """
         with self._refreeze_lock:
-            generations = []
-            if self._compacting_count:
-                generations.append(self._compacting_tables)
-            if self._overflow_count:
-                generations.append(self.tables)
-            return self.frozen, generations
-
-    def _overflow_buckets_for(
-        self, keys: list[bytes], generations: list[list[HashTable]]
-    ) -> list[Bucket | None] | None:
-        """Generation-major flat bucket list (``G * S`` slots), or None.
-
-        Slot ``g * S + j`` holds generation ``g``'s bucket for the
-        query's probe ``j`` (probed in the table ``_slot_table_ids[j]``
-        owns); candidate unions and register maxima are associative, so
-        consumers may walk the flat list in any grouping.
-        """
-        if not generations:
-            return None
-        slot_tables = self._slot_table_ids.tolist()
-        return [
-            gen[t].buckets.get(key)
-            for gen in generations
-            for t, key in zip(slot_tables, keys)
-        ]
+            runs = tuple(
+                run for run in (self._compacting, self._run) if run is not None
+            )
+            return self.frozen, runs
 
     def lookup(self, query: np.ndarray) -> FrozenQueryLookup:
         """Locate the query's probed buckets: :meth:`lookup_batch` of one row."""
@@ -1031,57 +1066,50 @@ class FrozenLSHIndex(LSHIndex):
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         all_rows = self._batched.hash_points(queries)  # (q, L, k)
-        frozen, generations = self._snapshot()
+        frozen, runs = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
         positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
-        return self._finish_lookup_batch(
-            all_rows, slot_rows, positions, frozen, generations
-        )
-
-    def _overflow_keys(self, slot_rows) -> list[list[bytes]]:
-        """Per query, the dict key of every slot (overflow tables are
-        dict-layout); the covering subclass encodes per-table widths."""
-        q, num_slots = slot_rows.shape[0], slot_rows.shape[1]
-        flat = encode_rows(
-            np.ascontiguousarray(slot_rows.reshape(q * num_slots, self.k))
-        )
-        return [flat[qi * num_slots : (qi + 1) * num_slots] for qi in range(q)]
+        return self._finish_lookup_batch(all_rows, slot_rows, positions, frozen, runs)
 
     def _finish_lookup_batch(
         self,
         hash_rows,
-        slot_rows,
+        slot_rows: np.ndarray,
         positions: np.ndarray,
         frozen: FrozenTables,
-        generations: list[list[HashTable]],
+        runs: tuple[OverflowRun, ...],
     ) -> list[FrozenQueryLookup]:
         """Assemble :class:`FrozenQueryLookup` objects from located slots.
 
-        ``positions`` may hold -1 in place of slots an adaptive probe
-        budget trimmed away (:meth:`lookup_batch_adaptive`); the
+        Every live run is probed with the needles :meth:`~FrozenTables.
+        locate` mixed for ``slot_rows`` — one binary search per run, a
+        second over its verified hits.  ``positions`` may hold -1 in
+        place of slots an adaptive probe budget trimmed away
+        (:meth:`lookup_batch_adaptive`, never beside a live run); the
         vectorised occupancy pass — ``#collisions`` and the largest
         probed bucket, Equation (1)'s exact bounds on ``candSize`` —
         simply skips them, exactly like empty buckets.
         """
-        q = positions.shape[0]
-        overflows = None
-        if generations:
-            overflows = [
-                self._overflow_buckets_for(keys, generations)
-                for keys in self._overflow_keys(slot_rows)
-            ]
-        collisions, largest = _slot_occupancy(frozen, positions, overflows)
+        overflow = None
+        if runs:
+            slot_tables = self._slot_table_ids
+            order, needles = frozen.needles(slot_rows, slot_tables)
+            overflow = np.stack(  # (G, 2, q, S)
+                [run.probe(order, needles, slot_rows, slot_tables) for run in runs]
+            )
+        collisions, largest = _slot_occupancy(frozen, positions, overflow)
         collisions, largest = collisions.tolist(), largest.tolist()
         return [
             FrozenQueryLookup(
                 bucket_ids=positions[qi],
                 hash_rows=hash_rows[qi],
                 frozen=frozen,
-                overflow=None if overflows is None else overflows[qi],
+                runs=runs,
+                overflow=None if overflow is None else overflow[:, :, qi],
                 num_collisions=collisions[qi],
                 largest_bucket=largest[qi],
             )
-            for qi in range(q)
+            for qi in range(positions.shape[0])
         ]
 
     def lookup_batch_adaptive(
@@ -1113,17 +1141,16 @@ class FrozenLSHIndex(LSHIndex):
         all_rows = self._batched.hash_points(queries)  # (q, L, k)
         q = all_rows.shape[0]
         rings = self.num_slots // self.num_tables
-        frozen, generations = self._snapshot()
+        frozen, runs = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
         positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
-        if q == 0 or rings == 1 or generations:
-            # Overflow buckets are keyed per dict table, not per ring,
-            # so a trimmed slot set cannot be matched against them
-            # consistently; probe the full fan-out (bit-identical to the
-            # fixed path) until the next re-freeze folds the overflow.
+        if q == 0 or rings == 1 or runs:
+            # The ring walk below merges frozen sketches only, so beside
+            # a live overflow run probe the full fan-out (bit-identical
+            # to the fixed path) until the next re-freeze folds it.
             # Single-ring layouts (plain, covering) have nothing to trim.
             lookups = self._finish_lookup_batch(
-                all_rows, slot_rows, positions, frozen, generations
+                all_rows, slot_rows, positions, frozen, runs
             )
             probes = np.full(q, rings - 1, dtype=np.int64)
             return lookups, probes, self.merged_estimates_batch(lookups)
@@ -1152,9 +1179,7 @@ class FrozenLSHIndex(LSHIndex):
         ).astype(np.int64)
         slot_rings = np.tile(np.arange(rings), num_tables)  # ring of each slot
         trimmed = np.where(slot_rings[None, :] <= stop[:, None], positions, -1)
-        lookups = self._finish_lookup_batch(
-            all_rows, slot_rows, trimmed, frozen, []
-        )
+        lookups = self._finish_lookup_batch(all_rows, slot_rows, trimmed, frozen, ())
         return lookups, stop, estimates[np.arange(q), stop]
 
     # ------------------------------------------------------------------
@@ -1174,36 +1199,42 @@ class FrozenLSHIndex(LSHIndex):
         sketched = srows[srows >= 0]
         if sketched.size:
             np.maximum.reduce(frozen.registers[sketched], axis=0, out=regs)
+        # Lazy small buckets and overflow entries alike feed their raw
+        # ids into the merged registers (maxima over per-id hash pairs).
         lazy = found[srows < 0]
-        if lazy.size:
-            ids = frozen.gather_members(lazy)
+        ids = frozen.gather_members(lazy) if lazy.size else lazy
+        if lookup.overflow is not None:
+            ids = np.concatenate([ids, lookup.overflow_members()])
+        if ids.size:
             np.maximum.at(
                 regs, self._hll_hashes.registers[ids], self._hll_hashes.ranks[ids]
             )
         merged = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
         merged.registers = regs
-        if lookup.overflow is not None:
-            for bucket in lookup.overflow:
-                if bucket is not None:
-                    bucket.contribute_to(merged, self._hll_hashes)
         return merged
 
     def _registers_for_bucket_matrix(
-        self, frozen: FrozenTables, bucket_mat: np.ndarray
+        self,
+        frozen: FrozenTables,
+        bucket_mat: np.ndarray,
+        overflow: list[tuple[np.ndarray, np.ndarray]] = (),
     ) -> np.ndarray:
-        """Merged frozen-bucket registers per row of a bucket-index matrix.
+        """Merged registers per row of a bucket-index matrix.
 
         ``bucket_mat`` is any ``(rows, cols)`` matrix of global bucket
         indexes (-1 = no bucket); the result is the ``(rows, m)`` uint8
         register matrix of each row's merged sketch.  Rows need not map
         one-to-one onto queries — :meth:`lookup_batch_adaptive` feeds it
-        one row per ``(query, probe ring)`` pair.  Overflow buckets are
-        the caller's business (they are per-lookup objects, not rows of
-        a matrix).
+        one row per ``(query, probe ring)`` pair.  ``overflow`` lists,
+        per live run, the ids each row hit there
+        (:func:`_overflow_members_by_row`): they fold in exactly like
+        the members of lazy small buckets — registers are maxima over
+        per-id hash pairs — in the same single scatter-max.
         """
         m = 1 << self.hll_precision
-        registers = np.zeros((bucket_mat.shape[0], m), dtype=np.uint8)
-        if bucket_mat.shape[0] == 0:
+        num_rows = bucket_mat.shape[0]
+        registers = np.zeros((num_rows, m), dtype=np.uint8)
+        if num_rows == 0:
             return registers
         found = bucket_mat >= 0
         qi, _ = np.nonzero(found)  # row-major -> qi ascending
@@ -1219,46 +1250,31 @@ class FrozenLSHIndex(LSHIndex):
             seg_starts = np.flatnonzero(np.diff(rows, prepend=-1))
             seg_max = np.maximum.reduceat(stacked, seg_starts, axis=0)
             registers[rows[seg_starts]] = seg_max
-        lazy = ~sketched
-        if lazy.any():
-            lazy_buckets = buckets[lazy]
-            ids = frozen.gather_members(lazy_buckets)
-            rows = np.repeat(qi[lazy], frozen.sizes[lazy_buckets])
+        lazy_buckets = buckets[~sketched]
+        ids = [frozen.gather_members(lazy_buckets), *(ids for ids, _ in overflow)]
+        rows = [np.repeat(qi[~sketched], frozen.sizes[lazy_buckets])]
+        rows += [np.repeat(np.arange(num_rows), counts) for _, counts in overflow]
+        ids, rows = np.concatenate(ids), np.concatenate(rows)
+        if ids.size:
+            # A flat 1-d scatter: numpy's indexed fast path is ~10x the
+            # speed of the 2-d ``(rows, registers)`` form.
             np.maximum.at(
-                registers,
-                (rows, self._hll_hashes.registers[ids]),
+                registers.reshape(-1),
+                rows * m + self._hll_hashes.registers[ids],
                 self._hll_hashes.ranks[ids],
             )
         return registers
 
     def _merged_registers_batch(self, lookups: list[FrozenQueryLookup]) -> np.ndarray:
         """The ``(q, m)`` merged-register matrix of a lookup batch."""
-        m = 1 << self.hll_precision
-        q = len(lookups)
-        if q == 0:
-            return np.zeros((0, m), dtype=np.uint8)
+        if not lookups:
+            return np.zeros((0, 1 << self.hll_precision), dtype=np.uint8)
         frozen = lookups[0]._frozen  # one lookup_batch -> one snapshot
-        bucket_mat = np.stack([lk.bucket_ids for lk in lookups])  # (q, L)
-        registers = self._registers_for_bucket_matrix(frozen, bucket_mat)
-        if any(lk.overflow is not None for lk in lookups):
-            for i, lk in enumerate(lookups):
-                if lk.overflow is None:
-                    continue
-                for bucket in lk.overflow:
-                    if bucket is None or not len(bucket):
-                        continue
-                    if bucket.sketch is not None:
-                        np.maximum(
-                            registers[i], bucket.sketch.registers, out=registers[i]
-                        )
-                    else:
-                        ids = bucket.ids
-                        np.maximum.at(
-                            registers[i],
-                            self._hll_hashes.registers[ids],
-                            self._hll_hashes.ranks[ids],
-                        )
-        return registers
+        bucket_mat = np.stack([lk.bucket_ids for lk in lookups])  # (q, S)
+        overflow = ()
+        if lookups[0].overflow is not None:
+            overflow = _overflow_members_by_row(lookups)
+        return self._registers_for_bucket_matrix(frozen, bucket_mat, overflow)
 
     # ------------------------------------------------------------------
     # Step S2: candidate union
@@ -1274,48 +1290,25 @@ class FrozenLSHIndex(LSHIndex):
             raise ConfigurationError(
                 f'dedup must be "scalar" or "vectorized", got {dedup!r}'
             )
+        parts = lookup.member_slices()
+        if lookup.overflow is not None:
+            parts.append(lookup.overflow_members())
+        seen = np.zeros(self.n, dtype=bool)
         if dedup == "vectorized":
             # One boolean scatter over the concatenated zero-copy member
             # slices; members are stored in native index dtype (intp) so
             # the scatter pays no per-query index conversion.
-            parts = lookup.member_slices()
-            if lookup.overflow is not None:
-                parts = parts + [
-                    bucket.ids
-                    for bucket in lookup.overflow
-                    if bucket is not None and len(bucket)
-                ]
-            seen = np.zeros(self.n, dtype=bool)
             if parts:
                 seen[np.concatenate(parts)] = True
             return np.flatnonzero(seen)
         # Scalar mode preserves Equation (1)'s per-collision cost
         # structure, exactly like the dict layout's implementation.
-        return self._candidate_ids_scalar(lookup)
-
-    def _candidate_ids_scalar(self, lookup: FrozenQueryLookup) -> np.ndarray:
-        frozen = lookup._frozen
-        num_slots = len(lookup.bucket_ids)
-        seen = np.zeros(self.n, dtype=bool)
         out: list[int] = []
-        for t in range(num_slots):
-            b = int(lookup.bucket_ids[t])
-            if b >= 0:
-                start = int(frozen.offsets[b])
-                stop = start + int(frozen.sizes[b])
-                for point_id in frozen.members[start:stop].tolist():
-                    if not seen[point_id]:
-                        seen[point_id] = True
-                        out.append(point_id)
-            if lookup.overflow is not None:
-                # The flat overflow list is generation-major (G * S
-                # slots); slot t owns entry g * S + t of each generation.
-                for bucket in lookup.overflow[t::num_slots]:
-                    if bucket is not None:
-                        for point_id in bucket.ids.tolist():
-                            if not seen[point_id]:
-                                seen[point_id] = True
-                                out.append(point_id)
+        for part in parts:
+            for point_id in part.tolist():
+                if not seen[point_id]:
+                    seen[point_id] = True
+                    out.append(point_id)
         return np.sort(np.asarray(out, dtype=np.int64))
 
     def candidate_ids_batch(
@@ -1325,55 +1318,52 @@ class FrozenLSHIndex(LSHIndex):
 
         Equivalent to ``[self.candidate_ids(lk, dedup) for lk in
         lookups]``.  Queries from the same dense region collide into the
-        *same* bucket in every table — their rows of the ``(q, L)``
-        bucket-index matrix are identical — so each distinct bucket set
-        is unioned once and the resulting array shared (it is consumed
-        read-only by Step S3).  Only expressible in the frozen layout,
+        *same* bucket in every table — their rows of the ``(q, S)``
+        bucket-index matrix are identical, and so are the overflow
+        ranges they hit — so each distinct row is unioned once and the
+        resulting array shared (it is consumed read-only by Step S3);
+        beside live overflow runs the distinct rows' ranges are gathered
+        in one pass per run.  Only expressible in the frozen layout,
         where a query's bucket set is a plain integer row.
         """
         self._require_built()
         if dedup is None:
             dedup = self.dedup
-        if (
-            dedup == "scalar"
-            or len(lookups) <= 1
-            or any(lk.overflow is not None for lk in lookups)
-        ):
-            # Overflow buckets are per-lookup objects; the bucket row
-            # alone no longer keys the candidate set, so fall back.
+        if dedup == "scalar" or len(lookups) <= 1:
             return [self.candidate_ids(lk, dedup=dedup) for lk in lookups]
-        matrix = np.stack([lk.bucket_ids for lk in lookups])
-        unique_rows, inverse = np.unique(matrix, axis=0, return_inverse=True)
-        if unique_rows.shape[0] == len(lookups):
-            return [self.candidate_ids(lk, dedup=dedup) for lk in lookups]
-        representatives = {}
-        for i, group in enumerate(inverse.tolist()):
-            if group not in representatives:
-                representatives[group] = self.candidate_ids(lookups[i], dedup=dedup)
-        return [representatives[group] for group in inverse.tolist()]
+        live = lookups[0].overflow is not None
+        groups: dict[bytes, int] = {}
+        distinct, inverse = [], []
+        for lookup in lookups:
+            key = lookup.bucket_ids.tobytes()
+            if live:
+                # A range's end names its entry group (0 = no hit), so the
+                # ends alone key the overflow part of a candidate set.
+                key += lookup.overflow[:, 1].tobytes()
+            group = groups.setdefault(key, len(distinct))
+            if group == len(distinct):
+                distinct.append(lookup)
+            inverse.append(group)
+        if live:
+            _gather_overflow(distinct)
+        shared = [self.candidate_ids(lk, dedup=dedup) for lk in distinct]
+        return [shared[group] for group in inverse]
 
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def _all_overflow_tables(self) -> list[HashTable]:
-        """Every live overflow table, compacting generation included."""
-        tables = list(self._compacting_tables or ())
-        tables.extend(self.tables)
-        return tables
-
     @property
     def sketch_memory_bytes(self) -> int:
-        overflow = sum(t.sketch_memory_bytes for t in self._all_overflow_tables())
-        return int(self.frozen.registers.nbytes) + overflow
+        """Register bytes (overflow runs hold ids only, no sketches)."""
+        return int(self.frozen.registers.nbytes)
 
     def memory_report(self) -> dict[str, int]:
         self._require_built()
-        report = self.frozen.memory_bytes
-        for table in self._all_overflow_tables():
-            for key, bucket in table.buckets.items():
-                report["bucket_ids"] += 8 * bucket.size
-                report["bucket_keys"] += len(key)
-        report["sketches"] = self.sketch_memory_bytes
+        frozen, runs = self._snapshot()
+        report = frozen.memory_bytes
+        for run in runs:
+            report["bucket_ids"] += int(run.members.nbytes)
+            report["bucket_keys"] += int(run.key64.nbytes) + int(run.rows.nbytes)
         report["points"] = int(self.points.nbytes)
         report["total"] = sum(
             report[k] for k in ("points", "bucket_ids", "bucket_keys", "sketches")
@@ -1382,21 +1372,18 @@ class FrozenLSHIndex(LSHIndex):
 
     def bucket_statistics(self) -> dict[str, float]:
         self._require_built()
-        sizes = [self.frozen.sizes]
-        sketched = [self.frozen.sketch_rows >= 0]
-        for table in self._all_overflow_tables():
-            if table.buckets:
-                sizes.append(table.bucket_sizes())
-                sketched.append(
-                    np.asarray([b.has_sketch for b in table.buckets.values()])
-                )
-        all_sizes = np.concatenate(sizes)
+        frozen, runs = self._snapshot()
+        # A run's logical buckets are its distinct addresses.
+        all_sizes = np.concatenate(
+            [frozen.sizes, *(np.unique(run.key64, return_counts=True)[1] for run in runs)]
+        )
+        sketched = int(np.count_nonzero(frozen.sketch_rows >= 0))
         return {
             "tables": float(self.num_tables),
             "buckets": float(all_sizes.size),
             "mean_size": float(all_sizes.mean()),
             "max_size": float(all_sizes.max()),
-            "sketched_fraction": float(np.mean(np.concatenate(sketched))),
+            "sketched_fraction": sketched / all_sizes.size,
         }
 
     def __repr__(self) -> str:
@@ -1432,7 +1419,7 @@ _TABLE_FILES = {
 def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
     """Persist a frozen index under directory ``path`` (plain ``.npy`` files).
 
-    Any overflow side-table is compacted first (:meth:`refreeze`), so
+    Any live overflow run is compacted first (:meth:`refreeze`), so
     the artifact is pure CSR arrays.  Every array lands in its own
     uncompressed ``.npy`` file — unlike ``.npz`` members these can be
     reopened with ``np.load(..., mmap_mode="r")``, which is what makes

@@ -28,9 +28,11 @@ the two probing variants the paper's conclusion singles out:
   bit-identical.
 
 Both variants keep the full overflow-insert story of the base class —
-inserts land in a mutable dict-layout side-table probed alongside the
-frozen arrays, with double-buffered background re-freeze — and both
-persist through :func:`~repro.index.frozen.save_frozen_index` /
+inserts land in a sorted run (:mod:`repro.index.overflow`) keyed by the
+same addresses as the frozen buckets and probed with the lookup's own
+needles (the multi-probe layout's ``1 + P`` slots per table included;
+the covering layout stores its zero-padded block rows), with
+double-buffered background re-freeze — and both persist through :func:`~repro.index.frozen.save_frozen_index` /
 :func:`~repro.index.frozen.load_frozen_index` as plain ``.npy``
 directories reopened with ``np.load(mmap_mode="r")``.
 """
@@ -39,13 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.composite import encode_rows
 from repro.hashing.probing import probe_deltas
-from repro.index.covering import (
-    CoveringLSHIndex,
-    hamming_family_facade,
-    insert_into_covering_tables,
-)
+from repro.index.covering import CoveringLSHIndex, hamming_family_facade
 from repro.index.frozen import FrozenLSHIndex, FrozenQueryLookup, FrozenTables
 from repro.sketches.hyperloglog import PrecomputedHllHashes
 from repro.utils.validation import check_matrix
@@ -59,7 +56,7 @@ class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
     Produced by :meth:`repro.index.multiprobe_index.MultiProbeLSHIndex.freeze`;
     answers every primitive bit-identically to the dict-layout
     multi-probe index it was frozen from, including after ``insert``
-    (overflow side-table, probed under home *and* probe keys) and
+    (overflow run, probed under home *and* probe addresses) and
     re-freeze.
 
     Examples
@@ -291,9 +288,6 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         """Fused row width: the widest block's bit count."""
         return max(block.size for block in self._blocks)
 
-    def _table_row_width(self, t: int) -> int:
-        return int(self._blocks[t].size)
-
     @property
     def dim(self) -> int:
         return self._dim
@@ -303,33 +297,35 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         """Minimal family facade (metric access for the searchers)."""
         return self._family_facade
 
-    def _insert_overflow(self, new_points: np.ndarray) -> np.ndarray:
-        return insert_into_covering_tables(self, new_points)
+    # ------------------------------------------------------------------
+    # Hashing (block rows have per-table widths, so no shared hash pass)
+    # ------------------------------------------------------------------
+    def _block_rows(self, points: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(n, L, w)`` zero-padded block rows, and each table's own."""
+        padded = np.zeros(
+            (points.shape[0], self.num_tables, self.row_width), dtype=np.int64
+        )
+        rows_per_table = []
+        for t, block in enumerate(self._blocks):
+            rows = np.ascontiguousarray(points[:, block], dtype=np.int64)
+            rows_per_table.append(rows)
+            padded[:, t, : block.size] = rows
+        return padded, rows_per_table
 
-    # ------------------------------------------------------------------
-    # Lookups (block rows have per-table widths, so no shared hash pass)
-    # ------------------------------------------------------------------
+    def _insert_rows(self, new_points: np.ndarray) -> np.ndarray:
+        return self._block_rows(new_points)[0]
+
     def lookup_batch(self, queries: np.ndarray) -> list[FrozenQueryLookup]:
         """Locate many queries' block buckets with one searchsorted."""
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        q = queries.shape[0]
-        frozen, generations = self._snapshot()
-        padded = np.zeros((q, self.num_tables, self.row_width), dtype=np.int64)
-        rows_per_table = []
-        for t, block in enumerate(self._blocks):
-            rows = np.ascontiguousarray(queries[:, block], dtype=np.int64)
-            rows_per_table.append(rows)
-            padded[:, t, : block.size] = rows
+        frozen, runs = self._snapshot()
+        padded, rows_per_table = self._block_rows(queries)
         positions = frozen.locate(padded)  # (q, L)
-        hash_rows = [[rows[qi] for rows in rows_per_table] for qi in range(q)]
-        return self._finish_lookup_batch(
-            hash_rows, rows_per_table, positions, frozen, generations
-        )
-
-    def _overflow_keys(self, rows_per_table) -> list[list[bytes]]:
-        per_table = [encode_rows(rows) for rows in rows_per_table]
-        return [list(keys) for keys in zip(*per_table)]
+        hash_rows = [
+            [rows[qi] for rows in rows_per_table] for qi in range(queries.shape[0])
+        ]
+        return self._finish_lookup_batch(hash_rows, padded, positions, frozen, runs)
 
     def __repr__(self) -> str:
         built = f"n={self.n}" if self.is_built else "unbuilt"

@@ -1359,7 +1359,7 @@ class WorkerPool:
         """Insert points round-robin; each lands in its owner's overflow.
 
         The receiving endpoint's frozen shard absorbs the points through
-        its overflow side-table (background re-freeze included); the
+        its overflow run (background re-freeze included); the
         parent stamps each routed batch with a per-shard ``seq``,
         extends the global id maps and logs the batches so a revived
         endpoint can be replayed into the same state.  With replicas

@@ -173,7 +173,7 @@ class TestBackgroundRefreeze:
         assert frozen.overflow_count == 10
         frozen.refreeze()
         assert frozen.overflow_count == 0
-        assert all(not t.buckets for t in frozen.tables)
+        assert not frozen.live_runs  # no run holds an entry
         cm = CostModel.from_ratio(6.0)
         a, b = HybridSearcher(index, cm), HybridSearcher(frozen, cm)
         for q in new[:4]:

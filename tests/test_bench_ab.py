@@ -55,3 +55,22 @@ class TestVerdict:
         assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
         assert ab.verdict([1.0], [1.0], "lower", 0.15) == "unchanged"
         assert ab.verdict([1.0], [1.3], "lower", 0.15) == "regressed"
+
+
+class TestLayerRows:
+    def test_one_row_per_named_metric_with_both_medians(self):
+        parent = {"index.lookup_us": [44.0, 40.0, 48.0], "index.gather_us": [80.0]}
+        change = {"index.lookup_us": [22.0, 21.0, 30.0], "index.gather_us": [80.0]}
+        rows = ab.layer_rows(
+            "shard_procs_rw", ["index.lookup_us", "index.gather_us"], parent, change
+        )
+        assert rows == [
+            "| `shard_procs_rw` | `index.lookup_us` | 44 | 22 | -50.0 % |",
+            "| `shard_procs_rw` | `index.gather_us` | 80 | 80 | +0.0 % |",
+        ]
+
+    def test_a_metric_one_side_never_emitted_reads_na(self):
+        rows = ab.layer_rows(
+            "mixed_batch", ["index.lookup_adaptive_us"], {}, {"index.lookup_adaptive_us": [88.0]}
+        )
+        assert rows == ["| `mixed_batch` | `index.lookup_adaptive_us` | n/a | 88 | n/a |"]

@@ -212,7 +212,7 @@ class TestFrozenSearch:
         # after it lands, both generations are folded into the arrays.
         frozen.wait_for_refreeze()
         assert frozen.overflow_count == 0  # compacted automatically
-        assert all(not t.buckets for t in frozen.tables)
+        assert not frozen.live_runs  # no run holds an entry
 
     def test_auto_refreeze_inline_when_background_disabled(self):
         points, index, _ = build_pair()
@@ -221,7 +221,7 @@ class TestFrozenSearch:
         rng = np.random.default_rng(6)
         frozen.insert(rng.normal(size=(9, 12)))
         assert frozen.overflow_count == 0  # compacted on the insert itself
-        assert all(not t.buckets for t in frozen.tables)
+        assert not frozen.live_runs  # no run holds an entry
 
 
 AA, AB, BB, CC, DD, XX, ZZ = (0, 0), (0, 1), (1, 1), (2, 2), (3, -3), (7, 7), (9, 9)

@@ -11,10 +11,20 @@ every stage of an index's life, ``FrozenTables.locate`` must equal a
 dict lookup of each probed ``(table, hash row)``, and a lone ``lookup``
 must equal the matching row of ``lookup_batch`` — also when the 64-bit
 address mix is forced to collide, so assembly and re-freeze re-salt.
+
+The overflow generations are held to the same standard: through build,
+inserts, a background fold held open (two live runs), its landing, a
+synchronous re-freeze, save and mmap reopen, every run's verified entry
+ranges equal a dict built from the run's own points, every primitive
+equals the dict-layout twin's, and the folded arrays equal a fresh
+``assemble`` over everything — also under the three collisions the
+run's addressing can meet (an overflow row on a frozen row's address,
+two rows on one address inside a run, a fold that lands on a new salt).
 """
 
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -25,8 +35,13 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_adaptive import _spec, adaptive_case, dispatch_case
+from test_adaptive import _dispatch_case, _spec, adaptive_case, dispatch_case
 from test_frozen import assert_file_backed, colliding_mix
+from test_overflow import (
+    VARIANTS,
+    assert_equals_twin,
+    assert_runs_are_dict_lookups,
+)
 
 from repro.api import Index
 from repro.core import CostModel, HybridSearcher
@@ -181,9 +196,8 @@ def _assert_sequential_equals_batched(raw, queries):
         assert solo.num_collisions == row.num_collisions
         assert solo.largest_bucket == row.largest_bucket
         assert (solo.overflow is None) == (row.overflow is None)
-        if solo.overflow is not None:  # the overflow tables' own buckets
-            assert len(solo.overflow) == len(row.overflow)
-            assert all(a is b for a, b in zip(solo.overflow, row.overflow))
+        if solo.overflow is not None:  # the same entry ranges of the same runs
+            assert np.array_equal(solo.overflow, row.overflow)
 
 
 def _check_locate_through_a_life(case, salted=False):
@@ -252,3 +266,236 @@ class TestStepS1Properties:
         for full, kept in zip(fixed, trimmed):  # a budget only blanks slots
             blanked = kept.bucket_ids != full.bucket_ids
             assert (kept.bucket_ids[blanked] == -1).all()
+
+
+# ----------------------------------------------------------------------
+# The overflow runs through a life
+# ----------------------------------------------------------------------
+
+_TABLE_ARRAYS = (
+    "key64", "keys", "table_slices", "offsets", "sizes", "members",
+    "sketch_rows", "registers",
+)
+
+
+def _hold_background_folds(patch):
+    """Background folds block in ``assemble`` until the returned event is set."""
+    gate = threading.Event()
+    assemble = FrozenTables.assemble.__func__
+
+    def gated(cls, *args, **kwargs):
+        if threading.current_thread().name == "repro-refreeze":
+            assert gate.wait(timeout=60)
+        return assemble(cls, *args, **kwargs)
+
+    patch.setattr(FrozenTables, "assemble", classmethod(gated))
+    return gate
+
+
+def _build_twins(points, overrides):
+    """The frozen index under test and its dict-layout twin (same seed)."""
+    raw, twin = (
+        Index.build(points, _spec(**{**overrides, "layout": layout})).engine.index
+        for layout in ("frozen", "dict")
+    )
+    return raw, twin
+
+
+def _assert_stage(raw, twin, queries, live_runs):
+    assert assert_runs_are_dict_lookups(raw, queries) == live_runs
+    assert raw.overflow_count == sum(run.count for run in raw.live_runs)
+    assert_equals_twin(raw, twin, queries)
+
+
+def _assert_arrays_are_a_fresh_assemble(raw, twin):
+    """``raw``'s folded arrays == ``assemble`` over all of the twin's buckets."""
+    fresh = twin.freeze().frozen
+    assert raw.frozen.salt == fresh.salt
+    for name in _TABLE_ARRAYS:
+        ours, theirs = getattr(raw.frozen, name), getattr(fresh, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+
+def _check_runs_through_a_life(case):
+    points, queries, inserts, overrides = case
+    with pytest.MonkeyPatch.context() as patch:
+        gate = _hold_background_folds(patch)
+        raw, twin = _build_twins(points, overrides)
+        raw.refreeze_threshold = len(inserts)
+        _assert_stage(raw, twin, queries, live_runs=0)
+
+        for index in (raw, twin):  # below the threshold: one live run
+            assert index.insert(inserts).tolist() == list(
+                range(len(points), len(points) + len(inserts))
+            )
+        queries = np.concatenate([queries, inserts[:3]])
+        _assert_stage(raw, twin, queries, live_runs=1)
+
+        # Across the threshold (the same points again: equal addresses
+        # with several ids); the fold is held open, so the next insert
+        # opens a second generation.
+        raw.insert(inserts[::-1]), twin.insert(inserts[::-1])
+        assert raw._refreeze_thread is not None
+        folded = twin.freeze().frozen
+        raw.insert(inserts[:2]), twin.insert(inserts[:2])
+        _assert_stage(raw, twin, queries, live_runs=2)
+        assert raw.overflow_count == 2 * len(inserts) + len(inserts[:2])
+
+        gate.set()
+        raw.wait_for_refreeze()
+        assert raw.last_refreeze_error is None and raw.refreeze_count == 1
+        _assert_stage(raw, twin, queries, live_runs=1)
+        for name in _TABLE_ARRAYS:  # the fold == assemble over build + 2 inserts
+            assert np.array_equal(getattr(raw.frozen, name), getattr(folded, name))
+
+        raw.refreeze()
+        assert raw.refreeze_count == 2 and not raw.live_runs
+        _assert_stage(raw, twin, queries, live_runs=0)
+        _assert_arrays_are_a_fresh_assemble(raw, twin)
+
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "index")
+            raw.insert(inserts[:1]), twin.insert(inserts[:1])  # folded by the save
+            save_frozen_index(raw, path)
+            assert not raw.live_runs
+            reopened = load_frozen_index(path)
+            assert_file_backed(reopened.frozen.members, path, "members")
+            _assert_stage(reopened, twin, queries, live_runs=0)
+            _assert_arrays_are_a_fresh_assemble(reopened, twin)
+            reopened.insert(inserts), twin.insert(inserts)  # a run beside mmap'd arrays
+            _assert_stage(reopened, twin, queries, live_runs=1)
+
+
+def aliasing_mix(aliases):
+    """The real address mix, except that under salt ``s`` row ``src``
+    takes row ``dst``'s address for every ``(s, src, dst)`` in
+    ``aliases`` (a list the caller may grow)."""
+    real = frozen_module._mix_rows
+
+    def mix(rows, salt):
+        out = real(rows, salt)
+        for s, src, dst in aliases:
+            if s == salt and rows.shape[-1] == len(src):
+                alias = real(np.asarray(dst)[None, :], salt)[0]
+                out = np.where((rows == np.asarray(src)).all(axis=-1), alias, out)
+        return out
+
+    return mix
+
+
+def _collision_case(variant):
+    """Points, queries and two insert batches whose rows are new to the index."""
+    if variant == "covering":  # wide blocks, so most block rows are unseen
+        rng = np.random.default_rng(5)
+        points, queries, first, second = (
+            (rng.random((n, 30)) < 0.5).astype(float) for n in (200, 8, 12, 12)
+        )
+        overrides = dict(variant=variant, metric="hamming", radius=2.0, seed=5)
+        return points, queries, first, second, overrides
+    points, queries, inserts, overrides = _dispatch_case(7, 300, "frozen", variant, 6.0, 24)
+    spread = np.random.default_rng(5).uniform(-8.0, 8.0, size=inserts.shape)
+    return points, queries, spread[:12], spread[12:], overrides
+
+
+def _stored_row_sets(raw, t):
+    """Table ``t``'s frozen rows (as tuples) and its first bucket's index."""
+    lo, hi = raw.frozen.table_slices[t : t + 2].tolist()
+    return {tuple(row) for row in raw.frozen.keys[lo:hi].tolist()}, lo
+
+
+def _alias_onto_a_frozen_row(raw, points, batch, aliases):
+    """Make one of ``batch``'s rows, new to table 0, share a frozen row's
+    address; returns ``(the batch point, a frozen point of that row)``."""
+    frozen = raw.frozen
+    have, bucket = _stored_row_sets(raw, 0)
+    rows = raw._insert_rows(batch)[:, 0].tolist()
+    fresh = next(i for i, row in enumerate(rows) if tuple(row) not in have)
+    aliases.append((frozen.salt, rows[fresh], frozen.keys[bucket].tolist()))
+    witness = points[frozen.members[frozen.offsets[bucket]]]
+    return batch[fresh], witness
+
+
+def _two_rows_of_table_zero(raw, batch):
+    rows = raw._insert_rows(batch)[:, 0].tolist()
+    other = next(row for row in rows if row != rows[0])
+    return rows[0], other
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestOverflowAddressCollisions:
+    def test_an_overflow_row_on_a_frozen_rows_address(self, monkeypatch, variant):
+        points, queries, first, second, overrides = _collision_case(variant)
+        aliases = []
+        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        raw, twin = _build_twins(points, overrides)
+        built_salt = raw.frozen.salt
+        new, witness = _alias_onto_a_frozen_row(raw, points, first, aliases)
+        raw.insert(first), twin.insert(first)
+        assert raw.overflow_count == len(first)  # published as it is
+        # Both sides reject the other's row on read: the new point misses
+        # the frozen bucket its address names, the bucket's own point
+        # misses the run entry.
+        for_new, for_old = raw.lookup_batch(np.stack([new, witness]))
+        assert for_new.bucket_ids[0] == -1 and for_new.overflow[0, 1, 0] > 0
+        assert for_old.bucket_ids[0] >= 0 and for_old.overflow[0, 1, 0] == 0
+        queries = np.concatenate([queries, first[:4], [new, witness]])
+        _assert_stage(raw, twin, queries, live_runs=1)
+        raw.refreeze()  # ... and the fold re-salts
+        assert raw.frozen.salt > built_salt
+        _assert_stage(raw, twin, queries, live_runs=0)
+        _assert_arrays_are_a_fresh_assemble(raw, twin)
+
+    def test_two_rows_on_one_address_inside_a_run_fold_inline(
+        self, monkeypatch, variant
+    ):
+        points, queries, first, second, overrides = _collision_case(variant)
+        aliases = []
+        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        raw, twin = _build_twins(points, overrides)
+        built_salt = raw.frozen.salt
+        raw.insert(first), twin.insert(first)
+        aliases.append((built_salt, *_two_rows_of_table_zero(raw, second)))
+        queries = np.concatenate([queries, first[:4], second[:4]])
+        raw.insert(second), twin.insert(second)  # far below the threshold
+        assert raw._refreeze_thread is None and raw.refreeze_count == 1
+        assert raw.overflow_count == 0 and raw.frozen.salt > built_salt
+        _assert_stage(raw, twin, queries, live_runs=0)
+        _assert_arrays_are_a_fresh_assemble(raw, twin)
+
+    @pytest.mark.parametrize("rekeyed_run_collides", [False, True])
+    def test_a_fold_landing_on_a_new_salt_rekeys_the_live_run(
+        self, monkeypatch, variant, rekeyed_run_collides
+    ):
+        points, queries, first, second, overrides = _collision_case(variant)
+        aliases = []
+        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        gate = _hold_background_folds(monkeypatch)
+        raw, twin = _build_twins(points, overrides)
+        built_salt = raw.frozen.salt
+        raw.refreeze_threshold = len(first) - 1
+        _alias_onto_a_frozen_row(raw, points, first, aliases)
+        raw.insert(first), twin.insert(first)  # crosses: the held-open fold
+        raw.insert(second), twin.insert(second)  # keyed under the build's salt
+        assert [run.salt for run in raw.live_runs] == [built_salt, built_salt]
+        if rekeyed_run_collides:
+            aliases.append((built_salt + 1, *_two_rows_of_table_zero(raw, second)))
+        queries = np.concatenate([queries, first[:4], second[:4]])
+        _assert_stage(raw, twin, queries, live_runs=2)
+        gate.set()
+        raw.wait_for_refreeze()
+        assert raw.last_refreeze_error is None
+        if rekeyed_run_collides:  # ... so the landing folds it as well
+            assert raw.refreeze_count == 2 and raw.frozen.salt > built_salt + 1
+            _assert_stage(raw, twin, queries, live_runs=0)
+            _assert_arrays_are_a_fresh_assemble(raw, twin)
+        else:
+            assert raw.refreeze_count == 1 and raw.frozen.salt == built_salt + 1
+            assert [run.salt for run in raw.live_runs] == [built_salt + 1]
+            _assert_stage(raw, twin, queries, live_runs=1)
+
+
+class TestOverflowRunProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(dispatch_case())
+    def test_the_run_is_a_dict_lookup_at_every_stage_of_a_life(self, case):
+        _check_runs_through_a_life(case)
