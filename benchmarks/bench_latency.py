@@ -100,7 +100,6 @@ def _run_latency() -> dict:
         radius=radius,
         num_tables=NUM_TABLES,
         num_shards=NUM_SHARDS,
-        layout="frozen",
         execution="processes",
         cost_ratio=6.0,
         seed=0,

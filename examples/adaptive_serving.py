@@ -33,8 +33,8 @@ from repro.service.stream import serve_stream
 N, NUM_QUERIES = 8_000, 100
 
 points, queries, radius = mixed_workload(N, num_queries=NUM_QUERIES, seed=7)
-base = IndexSpec(metric="l2", radius=radius, layout="frozen",
-                 variant="multiprobe", num_probes=2, cost_ratio=6.0, seed=1)
+base = IndexSpec(metric="l2", radius=radius, variant="multiprobe",
+                 num_probes=2, cost_ratio=6.0, seed=1)
 print(f"workload: n = {N}, d = {points.shape[1]}, r = {radius:.3g}, "
       f"{NUM_QUERIES} queries")
 

@@ -6,9 +6,10 @@ through the :class:`repro.Index` facade:
 
 1. a batched single index answering 200 queries in one
    :class:`~repro.QuerySpec`, bit-identical to the sequential loop —
-   then the same index on the **frozen CSR layout**
-   (``layout="frozen"``: contiguous bucket arrays, vectorised sketch
-   merging, zero per-bucket Python objects), still bit-identical;
+   served from the **frozen CSR layout** (contiguous bucket arrays,
+   vectorised sketch merging, zero per-bucket Python objects), and
+   bit-identical to its reference, the paper's dict-layout
+   :class:`~repro.LSHIndex` it was frozen from;
 2. a 4-shard index built from the *same spec document* plus
    ``num_shards=4``, with exact global top-k through the same
    ``query`` method;
@@ -28,7 +29,7 @@ import time
 
 import numpy as np
 
-from repro import Index, IndexSpec, QuerySpec
+from repro import HybridLSH, Index, IndexSpec, QuerySpec
 from repro.datasets import mixed_workload
 
 N, NUM_QUERIES = 8_000, 200
@@ -58,19 +59,24 @@ print(f"batched   : {NUM_QUERIES / bat_seconds:7.0f} qps "
       f"({seq_seconds / bat_seconds:.1f}x, identical answers, "
       f"{strategies.count('linear')}/{NUM_QUERIES} went linear)")
 
-# -- 1b. the frozen CSR layout: same answers, contiguous arrays ---------
-frozen = Index.build(points, spec.with_overrides(layout="frozen"))
-frozen.query(QuerySpec(queries[:2]))  # warm
-started = time.perf_counter()
-frozen_batched = frozen.query(QuerySpec(queries))
-fz_seconds = time.perf_counter() - started
-assert all(
-    np.array_equal(s.ids, f.ids) and np.array_equal(s.distances, f.distances)
-    for s, f in zip(sequential, frozen_batched)
+# -- 1b. the served CSR arrays against their dict-layout reference ------
+# HybridLSH builds the paper's LSHIndex from the same parameters and seed
+# the spec resolves to: the index the served arrays were frozen from.
+reference = HybridLSH(
+    points, metric="l2", radius=radius, cost_model=index.cost_model, seed=1
 )
-print(f"frozen    : {NUM_QUERIES / fz_seconds:7.0f} qps "
-      f"({seq_seconds / fz_seconds:.1f}x, identical answers, "
-      f"CSR arrays, no per-bucket objects)")
+reference.query_batch(queries[:2])  # warm
+started = time.perf_counter()
+reference_batched = reference.query_batch(queries)
+ref_seconds = time.perf_counter() - started
+assert all(
+    np.array_equal(r.ids, b.ids) and np.array_equal(r.distances, b.distances)
+    for r, b in zip(reference_batched, batched)
+)
+print(f"reference : {NUM_QUERIES / ref_seconds:7.0f} qps "
+      f"({type(reference.index).__name__} buckets, identical answers; "
+      f"served from {type(index.engine.index).__name__} arrays at "
+      f"{ref_seconds / bat_seconds:.1f}x)")
 
 # -- 2. sharded index from the same spec + exact top-k ------------------
 sharded = Index.build(points, spec.with_overrides(num_shards=4))

@@ -56,7 +56,6 @@ from repro.hashing import (
     family_for_metric,
 )
 from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
-from repro.index.serialize import load_index, save_index
 from repro.service import QueryResultCache
 from repro.sketches import HyperLogLog
 
@@ -88,8 +87,6 @@ __all__ = [
     "LSHIndex",
     "MultiProbeLSHIndex",
     "CoveringLSHIndex",
-    "save_index",
-    "load_index",
     "QueryResultCache",
     "HyperLogLog",
     "BitSamplingLSH",

@@ -2,8 +2,8 @@
 
 Every field declared on :class:`repro.api.spec.IndexSpec` and
 :class:`repro.api.spec.QuerySpec` must be consumed somewhere in the
-layers that act on a spec — for ``IndexSpec`` the facade build path,
-the persistence layer, or the dict-layout serialiser; for ``QuerySpec``
+layers that act on a spec — for ``IndexSpec`` the facade build path
+or the persistence layer; for ``QuerySpec``
 the facade query path or the JSON-lines stream front-end.  A field no
 consumer reads is configuration that silently does nothing: the spec
 validates it, round-trips it through JSON, and then it falls on the
@@ -23,7 +23,7 @@ SPEC_FILE = "api/spec.py"
 
 #: spec class -> the files at least one of which must read each field.
 SPEC_CONSUMERS: dict[str, tuple[str, ...]] = {
-    "IndexSpec": ("api/facade.py", "api/persist.py", "index/serialize.py"),
+    "IndexSpec": ("api/facade.py", "api/persist.py"),
     "QuerySpec": ("api/facade.py", "service/stream.py"),
 }
 
@@ -64,8 +64,8 @@ class SpecPlumbThroughRule(ProjectRule):
 
     id = "spec-plumb"
     description = (
-        "every IndexSpec field must be read by the facade, persistence, "
-        "or serialisation layer and every QuerySpec field by the facade "
+        "every IndexSpec field must be read by the facade or persistence "
+        "layer and every QuerySpec field by the facade "
         "or the stream front-end; a field no consumer reads is dead "
         "configuration"
     )

@@ -136,7 +136,8 @@ class _SingleBackend:
         return int(self.engine.recalibrations)
 
     def close(self) -> None:
-        pass
+        # A fold an insert started must not outlive the index.
+        self.engine.index.wait_for_refreeze()
 
 
 class _ShardedBackend:
@@ -313,15 +314,18 @@ def _spec_is_shard_customised(spec: IndexSpec) -> bool:
     )
 
 
-def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any, freeze: bool) -> Any:
-    """Build one (possibly customised) index as the spec describes it.
+def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Any:
+    """Build the dict-layout index the spec describes (to freeze, or as reference).
 
     ``variant`` selects the index class: ``"plain"`` and
     ``"multiprobe"`` share the family/``k`` resolution above;
     ``"covering"`` derives its ``r + 1`` block tables from the spec
-    radius instead of drawing a hash family.  Either layout
-    (``freeze=True`` -> the variant's frozen CSR counterpart) answers
-    bit-identically to its dict-layout twin.
+    radius instead of drawing a hash family.  The result is never
+    served as is: the serving paths freeze it into the variant's CSR
+    counterpart (``Index.build`` for one index, ``ShardedHybridIndex``
+    for every shard), which answers bit-identically to it — so the
+    index returned here is also the reference the frozen one is
+    checked against.
     """
     if spec.variant == "covering":
         from repro.index.covering import CoveringLSHIndex
@@ -351,8 +355,6 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any, freeze: 
             ).build(points)
         else:
             index = LSHIndex(family, **kwargs).build(points)
-    if freeze:
-        index = index.freeze()
     return index
 
 
@@ -362,12 +364,12 @@ def _custom_shard_factory(
     """``factory(shard_points, rng) -> HybridLSH`` for customised shards.
 
     Mirrors the single-index build path per shard, with the shard's
-    spawned randomness driving the family draw; freezing (when the spec
-    asks for it) stays in :class:`ShardedHybridIndex`'s build step.
+    spawned randomness driving the family draw; freezing stays in
+    :class:`ShardedHybridIndex`'s build step.
     """
 
     def factory(shard_points: np.ndarray, rng: Any) -> HybridLSH:
-        index = _build_single_index(spec, shard_points, seed=rng, freeze=False)
+        index = _build_single_index(spec, shard_points, seed=rng)
         return HybridLSH.from_index(
             index, spec.radius, cost_model, delta=spec.delta, estimator=estimator
         )
@@ -486,14 +488,11 @@ class Index:
                 seed=spec.seed,
                 estimator=estimator,
                 dedup=spec.dedup,
-                layout=spec.layout,
                 index_factory=factory,
             )
             backend = _ShardedBackend(sharded)
         else:
-            index = _build_single_index(
-                spec, points, seed=spec.seed, freeze=spec.layout == "frozen"
-            )
+            index = _build_single_index(spec, points, seed=spec.seed).freeze()
             searcher = HybridSearcher(index, cost_model, estimator=estimator)
             backend = _SingleBackend(
                 BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
@@ -690,7 +689,12 @@ class Index:
         return doc
 
     def close(self) -> None:
-        """Release backend resources (sharded thread pool); idempotent."""
+        """Release backend resources; idempotent.
+
+        Returns once no background re-freeze of an in-process index is
+        running and the sharded thread pool (or the worker pool) is
+        shut down.
+        """
         self._backend.close()
 
     # ------------------------------------------------------------------
@@ -1071,13 +1075,10 @@ def _frozen_indexes_of(backend: Any) -> list[Any]:
     if engine is None:
         return []
     if isinstance(engine, BatchQueryEngine):
-        candidates = [engine.index]
-    else:
-        candidates = [eng.index for eng in getattr(engine, "_engines", [])]
-    # Duck-typed so both FrozenLSHIndex and the frozen covering layout
-    # qualify; a worker pool has no in-process indexes (its workers ship
-    # these gauges back through the ``stats`` op instead).
-    return [ix for ix in candidates if hasattr(ix, "overflow_count") and hasattr(ix, "refreeze_count")]
+        return [engine.index]
+    # A worker pool has no in-process indexes (its workers ship these
+    # gauges back through the ``stats`` op instead).
+    return [eng.index for eng in getattr(engine, "_engines", [])]
 
 
 def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:

@@ -3,21 +3,21 @@
 :func:`save_index` writes an :class:`~repro.api.facade.Index` to a
 directory; :func:`open_index` reassembles it without rehashing a single
 point, so the reopened index answers **bit-identically** to the one
-that was saved (per-shard tables and sketches round-trip through
-:mod:`repro.index.serialize`, the shard id maps and the calibrated
+that was saved (per-shard CSR arrays round-trip through
+:mod:`repro.index.frozen`, the shard id maps and the calibrated
 cost-model constants ride along).  Layout::
 
     path/
-      index.json       # format version, spec document, cost model,
-                       # shard routing state, bucket layout
-      shard_000.npz    # one per dict-layout shard, via repro.index.serialize
-      shard_000.frozen/  # one per frozen-layout shard: plain .npy arrays,
-      ...                # reopened with np.load(mmap_mode="r") — zero-copy,
-                         # no bucket reconstruction (repro.index.frozen)
-      shard_gids.npz   # global-id map per shard (sharded indexes only)
+      index.json         # format version, spec document, cost model,
+                         # shard routing state, bucket layout ("frozen")
+      shard_000.frozen/  # one per shard: plain .npy arrays, reopened
+      ...                # with np.load(mmap_mode="r") — zero-copy, no
+                         # bucket reconstruction (repro.index.frozen)
+      shard_gids.npz     # global-id map per shard (sharded indexes only)
 
 Everything is JSON + numpy archives — no pickle, safe to load from
-untrusted storage.
+untrusted storage.  An artifact whose ``index.json`` names another
+bucket layout is refused before any shard file is opened.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from repro.api.spec import IndexSpec
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridLSH, HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError, ReproError
-from repro.index.frozen import FrozenLSHIndex, load_frozen_index, save_frozen_index
-from repro.index.serialize import load_index as _load_shard
-from repro.index.serialize import save_index as _save_shard
+from repro.index.frozen import load_frozen_index, save_frozen_index
 from repro.service.batch import BatchQueryEngine
 from repro.service.sharded import ShardedHybridIndex
 from repro.utils.fsio import write_json_atomic
@@ -45,34 +43,12 @@ __all__ = ["save_index", "open_index"]
 _FORMAT_VERSION = 1
 _META_FILE = "index.json"
 _GIDS_FILE = "shard_gids.npz"
-
-
-def _shard_file(shard: int) -> str:
-    return f"shard_{shard:03d}.npz"
+#: The one bucket layout an artifact's shards are stored in.
+_LAYOUT = "frozen"
 
 
 def _frozen_shard_dir(shard: int) -> str:
     return f"shard_{shard:03d}.frozen"
-
-
-def _save_shard_any(shard_index: Any, path: str, shard: int) -> str:
-    """Persist one shard in its own layout; returns the layout tag.
-
-    Dict-layout shards stay one compressed ``.npz``; frozen shards
-    become a directory of mmap-loadable ``.npy`` arrays (see
-    :mod:`repro.index.frozen`).
-    """
-    if isinstance(shard_index, FrozenLSHIndex):
-        save_frozen_index(shard_index, os.path.join(path, _frozen_shard_dir(shard)))
-        return "frozen"
-    _save_shard(shard_index, os.path.join(path, _shard_file(shard)))
-    return "dict"
-
-
-def _load_shard_any(path: str, shard: int, layout: str) -> Any:
-    if layout == "frozen":
-        return load_frozen_index(os.path.join(path, _frozen_shard_dir(shard)))
-    return _load_shard(os.path.join(path, _shard_file(shard)))
 
 
 def read_shard_gids(path: str, num_shards: int) -> list[np.ndarray]:
@@ -161,6 +137,7 @@ def save_index(index: Any, path: str) -> None:
         "cost_model": {"alpha": cost_model.alpha, "beta": cost_model.beta},
         "n": index.n,
         "dim": index.dim,
+        "layout": _LAYOUT,
     }
     os.makedirs(path, exist_ok=True)
     from repro.service.workers import WorkerPool
@@ -171,29 +148,19 @@ def save_index(index: Any, path: str) -> None:
         # id maps and metadata around them.
         meta["num_shards"] = engine.num_shards
         meta["next_shard"] = int(engine._next_shard)
-        meta["layout"] = "frozen"
         engine.save_shards(path)
         if engine.num_shards > 1:
             write_shard_gids(path, engine._shard_gids)
     elif isinstance(engine, ShardedHybridIndex):
         meta["num_shards"] = engine.num_shards
         meta["next_shard"] = int(engine._next_shard)
-        layouts = {shard.index.layout for shard in engine.shards}
-        if len(layouts) != 1:
-            # Validate before writing anything: failing halfway would
-            # leave a partial artifact next to a stale index.json.
-            raise ConfigurationError(
-                f"shards use mixed bucket layouts {sorted(layouts)}; "
-                "freeze all shards or none before saving"
-            )
-        meta["layout"] = layouts.pop()
         for s, shard in enumerate(engine.shards):
-            _save_shard_any(shard.index, path, s)
+            save_frozen_index(shard.index, os.path.join(path, _frozen_shard_dir(s)))
         write_shard_gids(path, engine._shard_gids)
     else:
         meta["num_shards"] = 1
         meta["next_shard"] = 0
-        meta["layout"] = _save_shard_any(engine.index, path, 0)
+        save_frozen_index(engine.index, os.path.join(path, _frozen_shard_dir(0)))
     # The metadata commits last and atomically: readers that find a
     # complete index.json are guaranteed complete shard artifacts too.
     write_json_atomic(os.path.join(path, _META_FILE), meta)
@@ -239,6 +206,14 @@ def open_index(
         raise ConfigurationError(
             f"unsupported index format version: {meta.get('format_version')!r}"
         )
+    # Checked before any shard file is touched.  An artifact with no
+    # layout tag predates it, and so holds dict-layout shards too.
+    if meta.get("layout") != _LAYOUT:
+        raise ConfigurationError(
+            f'saved index at {path!r} is a "dict"-layout artifact (.npz '
+            f"shards), which is no longer served; rebuild it with "
+            f"Index.build and save it again"
+        )
     spec = IndexSpec.from_dict(meta["spec"])
     if spec.execution == "processes":
         from repro.service.workers import WorkerPool
@@ -271,11 +246,11 @@ def open_index(
     )
     estimator = _resolve_estimator(spec)
     num_shards = int(meta["num_shards"])
-    layout = meta.get("layout", "dict")
     backend: Any
     try:
         shard_indexes = [
-            _load_shard_any(path, s, layout) for s in range(num_shards)
+            load_frozen_index(os.path.join(path, _frozen_shard_dir(s)))
+            for s in range(num_shards)
         ]
     except ReproError:
         raise

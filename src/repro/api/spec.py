@@ -33,13 +33,15 @@ JSON schema (all keys optional unless noted)::
       "cache_size":    0,              # LRU result-cache capacity; 0 = off
       "cache_quantum": 1e-9,           # cache key quantisation step
       "dedup":         "vectorized",   # serving-side Step-S2 dedup
-      "layout":        "dict",         # bucket storage: "dict" | "frozen" (CSR arrays)
+      "layout":        "frozen",       # bucket storage: the CSR arrays, the
+                                       # only serving layout (assembled from,
+                                       # and checked against, a dict-layout
+                                       # LSHIndex)
       "variant":       "plain",        # index variant: "plain" | "multiprobe"
                                        # | "covering" (hamming only, integer radius)
       "num_probes":    2,              # extra probed buckets per table (multiprobe)
       "execution":     "threads",      # shard fan-out: "threads" | "processes"
-                                       # ("processes" = mmap'd worker pool;
-                                       #  requires layout "frozen")
+                                       # ("processes" = mmap'd worker pool)
       "replicas":      1,              # endpoints per worker slot; > 1
                                        # replicates every shard for failover
                                        # (requires execution "processes")
@@ -110,7 +112,7 @@ class IndexSpec:
     cache_size: int = 0
     cache_quantum: float = 1e-9
     dedup: str = "vectorized"
-    layout: str = "dict"
+    layout: str = "frozen"
     variant: str = "plain"
     num_probes: int = 2
     execution: str = "threads"
@@ -162,9 +164,12 @@ class IndexSpec:
             raise ConfigurationError(
                 f'dedup must be "scalar" or "vectorized", got {self.dedup!r}'
             )
-        if self.layout not in ("dict", "frozen"):
+        if self.layout != "frozen":
             raise ConfigurationError(
-                f'layout must be "dict" or "frozen", got {self.layout!r}'
+                f'layout must be "frozen" (the only serving layout), got '
+                f"{self.layout!r}; the dict-layout LSHIndex is what a frozen "
+                "index is assembled from and the reference it is checked "
+                "against: build one directly to use it"
             )
         if self.variant not in ("plain", "multiprobe", "covering"):
             raise ConfigurationError(
@@ -205,11 +210,6 @@ class IndexSpec:
             raise ConfigurationError(
                 f'execution must be "threads" or "processes", '
                 f"got {self.execution!r}"
-            )
-        if self.execution == "processes" and self.layout != "frozen":
-            raise ConfigurationError(
-                'execution="processes" requires layout="frozen" — the worker '
-                "pool serves mmap'd frozen shard artifacts (zero-copy)"
             )
         set_(self, "replicas", check_positive_int(self.replicas, "replicas"))
         if self.replicas > 1 and self.execution != "processes":

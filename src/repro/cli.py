@@ -253,16 +253,11 @@ def _add_spec_options(parser: argparse.ArgumentParser) -> None:
         help="beta/alpha cost ratio (0 = calibrate by timing)",
     )
     parser.add_argument(
-        "--layout", choices=("dict", "frozen"), default="dict",
-        help="bucket storage layout; 'frozen' compacts into CSR arrays "
-             "(vectorised serving, mmap-backed persistence)",
-    )
-    parser.add_argument(
         "--variant", choices=("plain", "multiprobe", "covering"), default="plain",
         help="index variant: 'multiprobe' probes extra buckets per table "
              "(see --probes), 'covering' builds the no-false-negative "
              "Hamming construction (requires a hamming dataset and an "
-             "integer radius); both compose with either --layout",
+             "integer radius)",
     )
     parser.add_argument(
         "--probes", type=int, default=2, metavar="P",
@@ -271,7 +266,7 @@ def _add_spec_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--execution", choices=("threads", "processes"), default="threads",
         help="shard fan-out: 'processes' serves mmap'd frozen shards from "
-             "a pool of worker processes (requires --layout frozen)",
+             "a pool of worker processes",
     )
 
 
@@ -355,7 +350,6 @@ def _index_spec_from_args(args: argparse.Namespace, metric: str, radius: float):
         "num_shards": args.shards,
         "cache_size": args.cache_size,
         "cost_ratio": args.ratio if args.ratio and args.ratio > 0 else None,
-        "layout": args.layout,
         "variant": args.variant,
         "num_probes": args.probes,
         "execution": args.execution,
@@ -371,8 +365,7 @@ def _build_index(args: argparse.Namespace):
     """Build a spec-driven index over the chosen dataset stand-in.
 
     Invalid flag combinations (e.g. ``--variant covering`` on a
-    non-Hamming dataset, or ``--execution processes`` without
-    ``--layout frozen``) exit non-zero with the validation message
+    non-Hamming dataset) exit non-zero with the validation message
     instead of a traceback — the CLI contract for misconfiguration.
     """
     from repro.api import Index
@@ -468,7 +461,6 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
                 ("--shards", args.shards != 1),
                 ("--cache-size", args.cache_size != 0),
                 ("--ratio", args.ratio != 6.0),
-                ("--layout", args.layout != "dict"),
                 ("--variant", args.variant != "plain"),
                 ("--probes", args.probes != 2),
                 ("--execution", args.execution != "threads"),

@@ -161,7 +161,11 @@ def _lookup_seconds_estimate(index: LSHIndex, query: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Figure2Row:
-    """One radius point of a Figure 2 panel."""
+    """One radius point of a Figure 2 panel.
+
+    The ``*_work`` fields price each strategy's query set in the cost
+    model's own units, deterministically (:func:`_work`).
+    """
 
     radius: float
     hybrid_seconds: float
@@ -171,6 +175,9 @@ class Figure2Row:
     lsh_recall: float
     linear_recall: float
     linear_call_fraction: float
+    hybrid_work: float
+    lsh_work: float
+    linear_work: float
 
     @property
     def winner(self) -> str:
@@ -181,6 +188,17 @@ class Figure2Row:
             "linear": self.linear_seconds,
         }
         return min(times, key=times.get)
+
+
+def _work(results: list, cost_model: CostModel, n: int) -> float:
+    """Equation (1) at the exact candidate count for every query a run
+    answered by LSH-based search, Equation (2) for every scanned one."""
+    return sum(
+        cost_model.linear_cost(n)
+        if r.stats.strategy is Strategy.LINEAR
+        else cost_model.lsh_cost(r.stats.num_collisions, r.stats.exact_candidates)
+        for r in results
+    )
 
 
 def figure2_experiment(
@@ -241,6 +259,10 @@ def figure2_experiment(
                 lsh_recall=lsh_run.recall,
                 linear_recall=linear_run.recall,
                 linear_call_fraction=hybrid_run.linear_call_fraction,
+                **{
+                    f"{run.name}_work": _work(run.results, cost_model, linear.n)
+                    for run in (hybrid_run, lsh_run, linear_run)
+                },
             )
         )
     return rows

@@ -67,7 +67,7 @@ class BatchedHash:
         self.dim = int(dim)
         #: family tag + the sampled arrays behind the kernel; present for
         #: the built-in families so indexes can be serialised without
-        #: pickling closures (see :mod:`repro.index.serialize`).
+        #: pickling closures (see :func:`repro.index.frozen.save_frozen_index`).
         self.kind = kind
         self.params = params
 

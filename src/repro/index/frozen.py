@@ -96,6 +96,11 @@ import time
 import numpy as np
 
 from repro.exceptions import ConfigurationError, CorruptArtifactError
+from repro.hashing.batched import BatchedHash
+from repro.hashing.bit_sampling import BitSamplingLSH
+from repro.hashing.minhash import MinHashLSH, _ABSENT
+from repro.hashing.pstable import PStableLSH
+from repro.hashing.simhash import SimHashLSH
 from repro.utils.fsio import commit_dir, staging_path, write_json_atomic
 from repro.utils.validation import check_matrix, check_vector
 from repro.index.lsh_index import LSHIndex
@@ -1637,6 +1642,53 @@ def _tables_from_v1(
         ) from exc
 
 
+def _rebuild_family_and_kernel(config: dict, params: dict[str, np.ndarray], dim: int):
+    """Reconstruct the family object and fused kernel from stored arrays."""
+    name = config["family"]
+    if name == "pstable":
+        projections = params["projections"]
+        offsets = params["offsets"]
+        w = float(config["w"])
+        family = PStableLSH(dim, w=w, p=config["p"])
+
+        def fused(points: np.ndarray) -> np.ndarray:
+            shifted = np.asarray(points, dtype=np.float64) @ projections + offsets
+            return np.floor(shifted / w).astype(np.int64)
+
+        return family, fused
+    if name == "simhash":
+        planes = params["planes"]
+        family = SimHashLSH(dim)
+
+        def fused(points: np.ndarray) -> np.ndarray:
+            return (np.asarray(points, dtype=np.float64) @ planes > 0.0).astype(np.int64)
+
+        return family, fused
+    if name == "bit_sampling":
+        coords = params["coords"].astype(np.int64)
+        family = BitSamplingLSH(dim)
+
+        def fused(points: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray(points[:, coords], dtype=np.int64)
+
+        return family, fused
+    if name == "minhash":
+        priorities = params["priorities"].astype(np.int64)
+        family = MinHashLSH(dim)
+
+        def fused(points: np.ndarray) -> np.ndarray:
+            present = np.asarray(points).astype(bool)
+            n = present.shape[0]
+            values = np.empty((n, priorities.shape[0]), dtype=np.int64)
+            for j in range(priorities.shape[0]):
+                masked = np.where(present, priorities[j][None, :], _ABSENT)
+                values[:, j] = masked.min(axis=1)
+            return values
+
+        return family, fused
+    raise ConfigurationError(f"unknown family in index file: {name!r}")
+
+
 def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     """Reopen a frozen index saved by :func:`save_frozen_index`.
 
@@ -1649,9 +1701,6 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     A format-v1 artifact opens too, with its tables re-assembled in
     memory (:func:`_tables_from_v1`; only ``points`` stays mapped).
     """
-    from repro.hashing.batched import BatchedHash
-    from repro.index.serialize import _rebuild_family_and_kernel
-
     config_path = os.path.join(path, _CONFIG_FILE)
     if not os.path.exists(config_path):
         raise ConfigurationError(

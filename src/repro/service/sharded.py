@@ -131,10 +131,8 @@ class ShardedHybridIndex:
         Optional ``factory(shard_points, rng) -> HybridLSH`` used to
         build each shard instead of the paper-preset construction
         (spec-driven custom families/parameters route through this).
-    layout:
-        ``"dict"`` (default) keeps the mutable bucket layout;
-        ``"frozen"`` compacts every shard's index into the CSR layout
-        (:meth:`~repro.index.lsh_index.LSHIndex.freeze`) after build.
+        Whatever it builds, every shard serves from the frozen CSR
+        layout (:meth:`~repro.index.lsh_index.LSHIndex.freeze`).
     seed:
         Master randomness; per-shard family draws use spawned streams.
 
@@ -165,15 +163,10 @@ class ShardedHybridIndex:
         seed: RandomState = None,
         estimator=None,
         dedup: str = "vectorized",
-        layout: str = "dict",
         index_factory=None,
     ) -> None:
         points = check_matrix(points, name="points")
         num_shards = check_positive_int(num_shards, "num_shards")
-        if layout not in ("dict", "frozen"):
-            raise ConfigurationError(
-                f'layout must be "dict" or "frozen", got {layout!r}'
-            )
         n = points.shape[0]
         if num_shards > n:
             raise ConfigurationError(
@@ -215,9 +208,7 @@ class ShardedHybridIndex:
                     seed=shard_rngs[s],
                     estimator=estimator,
                 )
-            if layout == "frozen":
-                hybrid.freeze()
-            return hybrid
+            return hybrid.freeze()
 
         # One persistent pool for builds and every later fan-out; a
         # per-call pool would put K thread spawns on the serving hot
@@ -246,8 +237,8 @@ class ShardedHybridIndex:
     ) -> ShardedHybridIndex:
         """Reassemble a sharded index from prebuilt per-shard searchers.
 
-        Persistence (:meth:`repro.api.Index.open`) loads each shard's
-        :class:`~repro.index.lsh_index.LSHIndex` from disk, wraps it via
+        Persistence (:meth:`repro.api.Index.open`) maps each shard's
+        :class:`~repro.index.frozen.FrozenLSHIndex` from disk, wraps it via
         :meth:`~repro.core.hybrid.HybridLSH.from_index`, and hands the
         pieces here — no rehashing, so answers are bit-identical to the
         instance that was saved.
@@ -352,8 +343,11 @@ class ShardedHybridIndex:
         return (self._next_shard + np.arange(count)) % self.num_shards
 
     def close(self) -> None:
-        """Shut down the fan-out thread pool (idempotent)."""
+        """Shut down the fan-out pool and wait out any background
+        re-freeze of a shard (idempotent)."""
         self._pool.shutdown(wait=True)
+        for shard in self.shards:
+            shard.index.wait_for_refreeze()
 
     # ------------------------------------------------------------------
     # Radius queries

@@ -252,8 +252,8 @@ class WorkerPool:
     Parameters
     ----------
     path:
-        A saved index directory (:meth:`repro.api.Index.save`) whose
-        shards use the frozen layout — the artifact the workers mmap.
+        A saved index directory (:meth:`repro.api.Index.save`) — the
+        frozen shard arrays the workers mmap.
         With remote ``endpoints`` the parent still reads the metadata
         and id maps from it (shared filesystem or a copied artifact).
     num_workers:
@@ -294,8 +294,7 @@ class WorkerPool:
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(600, 12))
     >>> spec = IndexSpec(metric="l2", radius=1.0, num_tables=6,
-    ...                  num_shards=3, layout="frozen",
-    ...                  execution="processes", seed=1)
+    ...                  num_shards=3, execution="processes", seed=1)
     >>> index = Index.build(points, spec)  # doctest: +SKIP
     >>> int(index.query(QuerySpec(points[17])).ids[0])  # doctest: +SKIP
     17
@@ -323,12 +322,6 @@ class WorkerPool:
                 f"no saved index at {path!r} (missing {_META_FILE})"
             )
         meta = _read_meta(meta_path)
-        if meta.get("layout", "dict") != "frozen":
-            raise ConfigurationError(
-                "the process pool serves frozen-layout artifacts only "
-                f"(saved layout: {meta.get('layout')!r}); rebuild with "
-                'layout="frozen"'
-            )
         self.path = path
         self._owns_path = owns_path
         self.policy = policy if policy is not None else FaultTolerancePolicy()

@@ -22,13 +22,14 @@ The contracts under test:
 * the JSON-lines stream answers with the envelope body and consumes
   the adaptive request fields;
 * dispatch is *bound-first*: ``largest_bucket <= candSize <=
-  min(#collisions, n)`` holds exactly on every layout x variant, across
-  inserts and a re-freeze; the verdict is Equation (1) at the estimate
-  clamped to those bounds (a budgeted batch's ring-walk estimates
-  included; only the budget may then force LSH), and the estimator — merged HLL or a
-  registered one — runs on exactly the rows the bounds leave open;
+  min(#collisions, n)`` holds exactly on every variant, and equals the
+  dict-layout reference's, across inserts and a re-freeze; the verdict
+  is Equation (1) at the estimate clamped to those bounds (a budgeted
+  batch's ring-walk estimates included; only the budget may then force
+  LSH), and the estimator — merged HLL or a registered one — runs on
+  exactly the rows the bounds leave open;
 * on those rows the merged HLL estimate keeps the paper's Table 1
-  error bound for the configured ``m``, the same floats on both layouts.
+  error bound for the configured ``m``, the same floats as the reference.
 """
 
 import json
@@ -37,6 +38,8 @@ import warnings
 
 import numpy as np
 import pytest
+
+from test_frozen import reference_index
 
 from repro.api import (
     AdaptivePolicy,
@@ -51,6 +54,7 @@ from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.results import Strategy
 from repro.exceptions import ConfigurationError
+from repro.service import BatchQueryEngine
 from repro.service.stream import serve_stream
 
 hypothesis = pytest.importorskip(
@@ -87,7 +91,6 @@ def _spec(**overrides):
         metric="l2",
         radius=1.5,
         num_tables=8,
-        layout="frozen",
         variant="multiprobe",
         num_probes=4,
         seed=3,
@@ -233,10 +236,9 @@ def adaptive_case(draw):
 
 @st.composite
 def envelope_case(draw):
-    """An index of any layout x variant x shard count, plus a batch."""
+    """An index of any variant x shard count, plus a batch."""
     points, queries, _, seed = draw(adaptive_case())
     overrides = dict(
-        layout=draw(st.sampled_from(["dict", "frozen"])),
         variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
         num_shards=draw(st.sampled_from([1, 3])),
         seed=seed % 97,
@@ -247,12 +249,12 @@ def envelope_case(draw):
     return points, queries, overrides
 
 
-def _dispatch_case(seed, n, layout, variant, ratio, num_inserts):
+def _dispatch_case(seed, n, variant, ratio, num_inserts):
     points = _fig1_points(n, seed)
     rng = np.random.default_rng(seed + 1)
     queries = points[rng.choice(n, size=12, replace=False)]
     inserts = _fig1_points(n, seed + 2)[rng.choice(n, size=num_inserts, replace=False)]
-    overrides = dict(layout=layout, variant=variant, cost_ratio=ratio, seed=seed % 97)
+    overrides = dict(variant=variant, cost_ratio=ratio, seed=seed % 97)
     if variant == "covering":  # a Hamming-space construction
         overrides.update(metric="hamming", radius=2.0)
         points, queries, inserts = (
@@ -263,12 +265,11 @@ def _dispatch_case(seed, n, layout, variant, ratio, num_inserts):
 
 @st.composite
 def dispatch_case(draw):
-    """A Fig. 1 landscape on any layout x variant, a cost ratio that
-    moves Equation (1)'s crossover through it, and points to insert."""
+    """A Fig. 1 landscape on any variant, a cost ratio that moves
+    Equation (1)'s crossover through it, and points to insert."""
     return _dispatch_case(
         seed=draw(st.integers(0, 2**16)),
         n=draw(st.integers(150, 400)),
-        layout=draw(st.sampled_from(["dict", "frozen"])),
         variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
         ratio=draw(st.sampled_from([0.5, 1.0, 2.0, 6.0])),
         num_inserts=draw(st.integers(1, 40)),
@@ -388,31 +389,28 @@ def _open_rows(searcher, lookups):
 
 class TestBoundFirstDispatch:
     @given(dispatch_case())
-    @example(_dispatch_case(3, 300, "frozen", "multiprobe", 1.0, 40))
-    @example(_dispatch_case(7, 200, "dict", "covering", 2.0, 5))
+    @example(_dispatch_case(3, 300, "multiprobe", 1.0, 40))
+    @example(_dispatch_case(7, 200, "covering", 2.0, 5))
     @settings(max_examples=15, deadline=None)
     def test_exact_bounds_hold_across_inserts_and_refreeze(self, case):
         points, queries, inserts, overrides = case
-        twin_layout = "dict" if overrides["layout"] == "frozen" else "frozen"
         index = Index.build(points, _spec(**overrides))
-        twin = Index.build(points, _spec(**{**overrides, "layout": twin_layout}))
-        raw, raw_twin = index.engine.index, twin.engine.index
-        assert _occupancy(raw, queries) == _occupancy(raw_twin, queries)
+        reference = reference_index(points, index.spec)
+        raw = index.engine.index
+        assert _occupancy(raw, queries) == _occupancy(reference, queries)
         index.insert(inserts)
-        twin.insert(inserts)
+        reference.insert(inserts)
         queries = np.concatenate([queries, inserts[:3]])
         # A frozen slot's overflow parts count with it as one bucket, so
-        # the bounds are the dict layout's, overflow generation or not...
+        # the bounds are the reference's, overflow generation or not...
         grown = _occupancy(raw, queries)
-        assert grown == _occupancy(raw_twin, queries)
-        for layout_raw in (raw, raw_twin):
-            if layout_raw.layout == "frozen":  # ...and a re-freeze moves nothing
-                layout_raw.refreeze()
-                assert _occupancy(layout_raw, queries) == grown
+        assert grown == _occupancy(reference, queries)
+        raw.refreeze()  # ...and a re-freeze moves nothing
+        assert _occupancy(raw, queries) == grown
 
     @given(dispatch_case())
-    @example(_dispatch_case(3, 400, "dict", "plain", 1.0, 1))
-    @example(_dispatch_case(3, 400, "frozen", "multiprobe", 2.0, 1))
+    @example(_dispatch_case(3, 400, "plain", 1.0, 1))
+    @example(_dispatch_case(3, 400, "multiprobe", 2.0, 1))
     @settings(max_examples=15, deadline=None)
     def test_verdict_is_equation_1_at_the_clamped_estimate(self, case):
         points, queries, _, overrides = case
@@ -524,16 +522,30 @@ class TestEstimatorWorkUnits:
         monkeypatch.setattr(raw, "merged_sketch", spy_single)
         return merged
 
+    @staticmethod
+    def _arm(index, points, layout):
+        """The searcher a layout arm drives, and its batch as outcomes:
+        ``frozen`` is the served index through the facade, ``dict`` the
+        ``LSHIndex`` reference it was frozen from under the same cost
+        model (the layout ``HybridLSH`` and ``evaluation/`` drive)."""
+        if layout == "frozen":
+            return index.engine.searcher, lambda queries: index.query(QuerySpec(queries))
+        searcher = HybridSearcher(reference_index(points, index.spec), index.cost_model)
+        engine = BatchQueryEngine(searcher, radius=index.spec.radius, dedup=index.spec.dedup)
+        return searcher, lambda queries: [
+            QueryOutcome.from_result(result) for result in engine.query_batch(queries)
+        ]
+
     @pytest.mark.parametrize("layout", ["dict", "frozen"])
     def test_many_small_clusters_merge_nothing(self, monkeypatch, layout):
         rng = np.random.default_rng(5)
         centres = rng.uniform(-8.0, 8.0, size=(60, 1, DIM))
         points = (centres + rng.normal(scale=0.2, size=(60, 20, DIM))).reshape(-1, DIM)
-        index = Index.build(points, _spec(layout=layout, variant="plain"))
-        searcher = index.engine.searcher
+        index = Index.build(points, _spec(variant="plain"))
+        searcher, query_batch = self._arm(index, points, layout)
         merged = self._spy(monkeypatch, searcher.index)
         queries = points[::7]
-        batch = index.query(QuerySpec(queries))
+        batch = query_batch(queries)
         for query in queries:
             searcher.query(query, index.spec.radius)
             searcher.decide(query)
@@ -542,26 +554,25 @@ class TestEstimatorWorkUnits:
         # Undisturbed by the shortcut: the stats stay finite and exact.
         assert all(o.estimated_candidates == o.candidates_examined for o in batch)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [dict(layout="dict", variant="plain"), dict(layout="frozen", variant="multiprobe")],
-        ids=["dict-plain", "frozen-multiprobe"],
-    )
-    def test_fig1_landscape_merges_exactly_the_open_rows(self, monkeypatch, overrides):
+    @pytest.mark.parametrize("variant", ["plain", "multiprobe"])
+    @pytest.mark.parametrize("layout", ["dict", "frozen"])
+    def test_fig1_landscape_merges_exactly_the_open_rows(
+        self, monkeypatch, variant, layout
+    ):
         points = _fig1_points(800, seed=3)
-        index = Index.build(points, _spec(cost_ratio=1.0, **overrides))
-        searcher = index.engine.searcher
+        index = Index.build(points, _spec(cost_ratio=1.0, variant=variant))
+        searcher, query_batch = self._arm(index, points, layout)
         queries = points[::8]
         lookups = searcher.index.lookup_batch(queries)
         open_rows = _open_rows(searcher, lookups)
-        strategies = [o.strategy for o in index.query(QuerySpec(queries))]
+        strategies = [o.strategy for o in query_batch(queries)]
         # All three verdicts occur, so "exactly the open rows" is not vacuous.
         decided = [s for i, s in enumerate(strategies) if i not in open_rows]
         assert 0 < len(open_rows) < len(queries)
         assert {"lsh", "linear"} == set(decided)
 
         merged = self._spy(monkeypatch, searcher.index)
-        index.query(QuerySpec(queries))
+        query_batch(queries)
         assert len(merged) == len(open_rows)
         del merged[:]
         for query in queries:
@@ -592,24 +603,22 @@ class TestEstimatorFidelity:
         precision = 7  # m = 128 registers, the serving default
         points = _fig1_points(2000, seed=3)
         queries = points[::4]
-        per_layout = {}
-        for layout in ("dict", "frozen"):
-            index = Index.build(
-                points,
-                _spec(layout=layout, variant="plain", cost_ratio=1.0,
-                      hll_precision=precision),
-            )
-            searcher = index.engine.searcher
-            raw = searcher.index
+        index = Index.build(
+            points,
+            _spec(variant="plain", cost_ratio=1.0, hll_precision=precision),
+        )
+        searcher = index.engine.searcher
+        per_index = []
+        for raw in (searcher.index, reference_index(points, index.spec)):
             lookups = raw.lookup_batch(queries)
             undecided = [lookups[i] for i in _open_rows(searcher, lookups)]
-            per_layout[layout] = (
+            per_index.append((
                 raw.merged_estimates_batch(undecided),
                 np.array([raw.candidate_ids(lookup).size for lookup in undecided]),
-            )
-        estimates, exact = per_layout["frozen"]
-        assert np.array_equal(per_layout["dict"][0], estimates)  # same floats
-        assert np.array_equal(per_layout["dict"][1], exact)
+            ))
+        (estimates, exact), (ref_estimates, ref_exact) = per_index
+        assert np.array_equal(ref_estimates, estimates)  # same floats
+        assert np.array_equal(ref_exact, exact)
         assert exact.size >= 20  # enough open rows for a median to mean something
         relative_error = np.abs(estimates - exact) / exact
         assert np.median(relative_error) <= 2 * 1.04 / math.sqrt(1 << precision)

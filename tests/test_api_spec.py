@@ -22,6 +22,7 @@ class TestIndexSpecValidation:
         assert spec.delta == 0.1
         assert spec.estimator == "hll"
         assert spec.num_shards == 1
+        assert spec.layout == "frozen"
 
     def test_metric_canonicalised(self):
         assert IndexSpec(metric="euclidean", radius=1.0).metric == "l2"
@@ -45,10 +46,10 @@ class TestIndexSpecValidation:
             {"seed": 1.5},
             {"family_params": "w=2"},
             {"execution": "fibers"},
-            # a worker pool serves mmap'd frozen shards; the mutable
-            # dict layout has no zero-copy artifact to hand it
-            {"execution": "processes", "layout": "dict"},
-            {"execution": "processes"},  # default layout is "dict"
+            # frozen is the only serving layout; the dict-layout
+            # LSHIndex is what it is assembled from, not a spec option
+            {"layout": "dict"},
+            {"layout": "dict", "execution": "processes"},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -85,8 +86,7 @@ class TestIndexSpecRoundTrip:
     def test_execution_round_trips_and_defaults_to_threads(self):
         assert IndexSpec(metric="l2", radius=1.0).execution == "threads"
         spec = IndexSpec(
-            metric="l2", radius=1.0, num_shards=4,
-            layout="frozen", execution="processes",
+            metric="l2", radius=1.0, num_shards=4, execution="processes",
         )
         doc = json.loads(json.dumps(spec.to_dict()))
         assert IndexSpec.from_dict(doc) == spec
@@ -158,16 +158,9 @@ from hypothesis import strategies as st  # noqa: E402
 @st.composite
 def index_specs(draw):
     metric = draw(st.sampled_from(["l2", "l1", "cosine", "hamming", "jaccard"]))
-    layout = draw(st.sampled_from(["dict", "frozen"]))
-    execution = (
-        draw(st.sampled_from(["threads", "processes"]))
-        if layout == "frozen"
-        else "threads"
-    )
     return IndexSpec(
         metric=metric,
-        layout=layout,
-        execution=execution,
+        execution=draw(st.sampled_from(["threads", "processes"])),
         radius=draw(st.floats(1e-3, 1e3)),
         num_tables=draw(st.integers(1, 200)),
         delta=draw(st.floats(0.01, 0.99)),

@@ -8,13 +8,18 @@ in a worker thread.  These tests pin down the three contract points:
   (asserted against an artificially slowed ``FrozenTables.assemble``);
 * queries issued *while* the compaction is in flight are bit-identical
   to the dict layout (both overflow generations stay probed);
-* explicit :meth:`FrozenLSHIndex.refreeze` remains synchronous.
+* explicit :meth:`FrozenLSHIndex.refreeze` remains synchronous;
+* ``Index.close()`` does not return while a fold an insert started is
+  still running, on the single and the thread-sharded tier.
 """
 
+import threading
 import time
 
 import numpy as np
+import pytest
 
+from repro.api import Index, IndexSpec
 from repro.core import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.hashing import SimHashLSH
@@ -179,3 +184,57 @@ class TestBackgroundRefreeze:
         for q in new[:4]:
             ra, rb = a.query(q, 1.5), b.query(q, 1.5)
             assert np.array_equal(ra.ids, rb.ids)
+
+
+class TestCloseWaitsForTheFold:
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_close_returns_only_after_the_fold_landed(self, monkeypatch, num_shards):
+        entered, gate = threading.Event(), threading.Event()
+        original = FrozenTables.assemble.__func__
+
+        def held(cls, *args, **kwargs):
+            if threading.current_thread().name == "repro-refreeze":
+                entered.set()
+                assert gate.wait(timeout=60)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FrozenTables, "assemble", classmethod(held))
+        rng = np.random.default_rng(9)
+        index = Index.build(
+            rng.normal(size=(300, 12)),
+            IndexSpec(metric="l2", radius=1.5, num_tables=6, num_shards=num_shards, seed=4),
+        )
+        frozen = (
+            [index.engine.index]
+            if num_shards == 1
+            else [shard.index for shard in index.engine.shards]
+        )
+        for shard_index in frozen:
+            shard_index.refreeze_threshold = 4
+        index.insert(rng.normal(size=(5 * num_shards, 12)))  # crosses on every shard
+        assert entered.wait(timeout=60)
+        folds = [shard_index._refreeze_thread for shard_index in frozen]
+        assert all(fold.name == "repro-refreeze" and fold.is_alive() for fold in folds)
+
+        def generations():
+            return index.stats_snapshot()["gauges"]["refreeze_generations"]
+
+        assert generations() == 0
+        seen = []
+        closer = threading.Thread(
+            target=lambda: (
+                index.close(),
+                seen.append((generations(), [fold.is_alive() for fold in folds])),
+            )
+        )
+        try:
+            closer.start()
+            closer.join(timeout=0.5)
+            assert closer.is_alive()  # held by the open fold
+            assert seen == []
+        finally:
+            gate.set()
+            closer.join(timeout=60)
+        assert not closer.is_alive()
+        # The folds landed, and their threads ended, before close returned.
+        assert seen == [(num_shards, [False] * num_shards)]

@@ -278,14 +278,18 @@ class TestCliFailurePaths:
         assert "error" in responses[2]
         assert 0 in responses[3]["ids"]
 
-    def test_build_bad_layout_exits_nonzero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("layout", ["frozen", "dict"])
+    def test_build_bad_layout_exits_nonzero(self, layout, tmp_path, capsys):
+        """No --layout flag is left: frozen is the only serving layout,
+        so an old invocation is an argparse error, not a silent no-op."""
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "build", "--dataset", "corel", "--n", "300",
-                "--layout", "zip", "--out", str(tmp_path / "x"),
+                "--layout", layout, "--out", str(tmp_path / "x"),
             ])
-        assert excinfo.value.code == 2  # argparse: invalid choice
-        assert "invalid choice" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --layout" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_build_bad_dataset_exits_nonzero(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -304,12 +308,16 @@ class TestCliFailurePaths:
                 "--variant", "covering", "--out", str(tmp_path / "x"),
             ])
 
-    def test_build_processes_without_frozen_exits_with_message(self, tmp_path):
-        with pytest.raises(SystemExit, match="frozen"):
-            main([
-                "build", "--dataset", "corel", "--n", "300",
-                "--execution", "processes", "--out", str(tmp_path / "x"),
-            ])
+    def test_build_processes_needs_no_layout_flag(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main([
+            "build", "--dataset", "corel", "--n", "300", "--tables", "4",
+            "--shards", "2", "--execution", "processes", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        meta = json.loads((out / "index.json").read_text())
+        assert meta["layout"] == "frozen"
+        assert meta["spec"]["execution"] == "processes"
 
 
 class TestCliVariants:
@@ -319,8 +327,7 @@ class TestCliVariants:
         out = str(tmp_path / "mp-index")
         assert main([
             "build", "--dataset", "corel", "--n", "300", "--tables", "4",
-            "--layout", "frozen", "--variant", "multiprobe", "--probes", "3",
-            "--out", out,
+            "--variant", "multiprobe", "--probes", "3", "--out", out,
         ]) == 0
         capsys.readouterr()
         dataset = corel_like(n=300, seed=0)
@@ -343,7 +350,7 @@ class TestCliVariants:
         out = str(tmp_path / "cov-index")
         assert main([
             "build", "--dataset", "mnist", "--n", "300",
-            "--layout", "frozen", "--variant", "covering", "--out", out,
+            "--variant", "covering", "--out", out,
         ]) == 0
         capsys.readouterr()
         dataset = mnist_like(n=300, seed=0)
@@ -383,8 +390,7 @@ class TestCliNetworked:
         out = str(tmp_path_factory.mktemp("cli-net") / "idx")
         assert main([
             "build", "--dataset", "corel", "--n", "300", "--tables", "4",
-            "--shards", "2", "--layout", "frozen",
-            "--execution", "processes", "--out", out,
+            "--shards", "2", "--execution", "processes", "--out", out,
         ]) == 0
         return out
 
@@ -467,10 +473,34 @@ class TestCliNetworked:
         assert response["missing_shards"] == []
 
 
+def _cli_invocations(text, markdown=False):
+    """``(subcommand, {--flags})`` of every ``python -m repro.cli SUB ...``
+    shell line in ``text``.  Shell continuations (and, in markdown, inline
+    code spans) keep one command on several lines, so they are folded
+    first; a command ends at a comment, a pipe, a redirect or a closing
+    backtick."""
+    import re
+
+    text = re.sub(r"\\\n\s*", " ", text)
+    chunks = [text]
+    if markdown:
+        fenced = re.compile(r"^```.*?^```", re.S | re.M)
+        prose = fenced.sub("", text)
+        prose = re.sub(r"`[^`]*`", lambda m: m.group(0).replace("\n", " "), prose)
+        chunks = fenced.findall(text) + [prose]
+    command = re.compile(r"python -m repro\.cli\s+([a-z][a-z0-9-]*)([^`|<>&;#\n]*)")
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            for m in command.finditer(line):
+                yield m.group(1), set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", m.group(2)))
+
+
 def test_docs_name_only_commands_and_scripts_that_exist():
-    """README, the CLI usage docstring and the verify skill are executable
-    documentation: a `python -m repro.cli <sub>` line must name a
-    registered subcommand, a benchmark or example path a real file."""
+    """README, the CLI usage docstring, the CI workflow, the examples and
+    the verify skill are executable documentation: a `python -m repro.cli
+    <sub>` line must name a registered subcommand and pass it only flags
+    that subcommand's parser defines, and a benchmark or example path in
+    the README must be a real file."""
     import argparse
     import re
     from pathlib import Path
@@ -484,17 +514,26 @@ def test_docs_name_only_commands_and_scripts_that_exist():
         if isinstance(action, argparse._SubParsersAction)
     )
     readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = [(readme, True), (repro.cli.__doc__, False)]
     skill = root / ".claude" / "skills" / "verify" / "SKILL.md"
-    docs = [readme, repro.cli.__doc__]
-    if skill.is_file():  # absent from an sdist
-        docs.append(skill.read_text(encoding="utf-8"))
-    named = {
-        sub
-        for doc in docs
-        for sub in re.findall(r"python -m repro\.cli\s+([a-z][a-z0-9-]*)", doc)
-    }
-    assert {"build", "serve", "loadgen"} <= named  # the pattern still bites
-    assert named <= set(subparsers.choices), named - set(subparsers.choices)
+    ci = root / ".github" / "workflows" / "ci.yml"
+    for path in (skill, ci, *sorted((root / "examples").glob("*.py"))):
+        if path.is_file():  # the skill and the workflow are absent from an sdist
+            sources.append((path.read_text(encoding="utf-8"), path.suffix == ".md"))
+    named, undefined, flags_checked = set(), set(), 0
+    for text, markdown in sources:
+        for sub, flags in _cli_invocations(text, markdown):
+            named.add(sub)
+            parser = subparsers.choices.get(sub)
+            if parser is None:
+                undefined.add(f"no subcommand {sub!r}")
+                continue
+            known = parser._option_string_actions
+            undefined |= {f"{sub} {flag}" for flag in flags if flag not in known}
+            flags_checked += len(flags)
+    assert {"build", "serve", "loadgen", "shard-serve"} <= named  # the patterns
+    assert flags_checked >= 40  # still bite
+    assert not undefined, sorted(undefined)
 
     paths = set(re.findall(r"\b((?:benchmarks|examples)/[\w/]+\.py)\b", readme))
     paths |= {f"benchmarks/{name}" for name in re.findall(r"\bbench_\w+\.py\b", readme)}

@@ -64,19 +64,28 @@ class TestFigure2:
             assert row.winner in ("hybrid", "lsh", "linear")
 
     def test_hybrid_never_much_worse_than_best(self, tiny_webspam):
-        """The paper's claim: hybrid ~ min(LSH, linear) per radius."""
+        """The paper's claim: hybrid ~ min(LSH, linear) per radius.
+
+        Priced in the run's cost model (candidates examined and points
+        scanned, alpha/beta-weighted) rather than wall clock, so it moves
+        only when a dispatch decision does, never with host load."""
         rows = figure2_experiment(
             tiny_webspam,
-            radii=(0.05, 0.1),
+            radii=(0.05, 0.1, 0.3),
             num_queries=20,
-            repeats=2,
+            repeats=1,
             num_tables=10,
             cost_model=CostModel.from_ratio(10.0),
             seed=0,
+            with_recall=False,
         )
         for row in rows:
-            best = min(row.lsh_seconds, row.linear_seconds)
-            assert row.hybrid_seconds < 3.5 * best
+            assert row.hybrid_work <= min(row.lsh_work, row.linear_work)
+        # Where the dispatch mixes both strategies, hybrid beats both.
+        mixed = [row for row in rows if 0.0 < row.linear_call_fraction < 1.0]
+        assert mixed
+        for row in mixed:
+            assert row.hybrid_work < min(row.lsh_work, row.linear_work)
 
     def test_without_recall(self, tiny_corel):
         rows = figure2_experiment(

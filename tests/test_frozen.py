@@ -12,17 +12,26 @@ import json
 import mmap
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec
+from repro.api.facade import _build_single_index
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
 from repro.index import frozen as frozen_module
-from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
+from repro.index.frozen import (
+    DEFAULT_REFREEZE_THRESHOLD,
+    FrozenTables,
+    load_frozen_index,
+    save_frozen_index,
+)
 from repro.service import BatchQueryEngine
+from repro.utils.rng import spawn_rngs
 
 
 def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
@@ -36,6 +45,16 @@ def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
         seed=seed,
     ).build(points)
     return points, index, index.freeze()
+
+
+def reference_index(points, spec, seed=None):
+    """The dict-layout ``LSHIndex`` a spec's served index is frozen from.
+
+    Built by the same spec-driven construction ``Index.build`` runs, from the
+    spec's seed (or ``seed``, a shard's spawned stream): the reference
+    every bit-identity check compares a served index against.
+    """
+    return _build_single_index(spec, points, seed=spec.seed if seed is None else seed)
 
 
 def assert_file_backed(array, directory, name):
@@ -472,13 +491,6 @@ class TestFrozenGuards:
         with pytest.raises(ConfigurationError):
             frozen.build(np.zeros((4, 12)))
 
-    def test_dict_serializer_rejects_frozen(self):
-        from repro.index.serialize import save_index
-
-        _, _, frozen = build_pair(n=100)
-        with pytest.raises(ConfigurationError):
-            save_index(frozen, "/tmp/should-not-exist.npz")
-
 
 class TestFrozenPersistence:
     def test_roundtrip_is_mmap_backed_and_identical(self, tmp_path):
@@ -568,25 +580,6 @@ class TestFrozenPersistence:
             reloaded.candidate_ids(reloaded.lookup(q)),
         )
 
-    def test_mixed_shard_layouts_rejected_before_writing(self, tmp_path):
-        from repro.api import Index, IndexSpec
-
-        rng = np.random.default_rng(13)
-        points = rng.normal(size=(200, 8))
-        index = Index.build(
-            points, IndexSpec(metric="l2", radius=1.0, num_tables=4,
-                              num_shards=2, seed=1)
-        )
-        index.engine.shards[0].freeze()
-        target = tmp_path / "mixed"
-        with pytest.raises(ConfigurationError):
-            index.save(str(target))
-        # Nothing may have been written: a partial artifact next to a
-        # stale index.json would poison a later open().
-        assert not (target / "index.json").exists()
-        assert not any(target.glob("shard_*"))
-        index.close()
-
     def test_mmap_loaded_index_accepts_inserts(self, tmp_path):
         _, _, frozen = build_pair(n=120)
         path = str(tmp_path / "idx")
@@ -664,78 +657,165 @@ class TestFormatV1Artifacts:
             load_frozen_index(future)
 
 
-class TestFacadeFrozenLayout:
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_spec_layout_builds_and_roundtrips(self, num_shards, tmp_path):
-        from repro.api import Index, IndexSpec, QuerySpec
+#: The serving tiers ``Index.build`` assembles, as spec overrides.
+TIERS = {
+    "single": {},
+    "threads": {"num_shards": 3},
+    "processes": {"num_shards": 2, "execution": "processes"},
+}
 
+
+def _tier_reference(points, spec):
+    """One ``LSHIndex`` reference per shard, in the serving tier's layout:
+    shard ``s`` holds rows ``s, s + K, ...`` drawn from its spawned seed."""
+    num_shards = spec.num_shards
+    if num_shards == 1:
+        return [reference_index(points, spec)]
+    return [
+        reference_index(points[s::num_shards], spec, seed=rng)
+        for s, rng in enumerate(spawn_rngs(spec.seed, num_shards))
+    ]
+
+
+def _assert_shards_match(index, references, queries):
+    """Every shard's local answers equal its reference's, bit for bit."""
+    spec = index.spec
+    for s, reference in enumerate(references):
+        engine = BatchQueryEngine(
+            HybridSearcher(reference, index.cost_model),
+            radius=spec.radius,
+            dedup=spec.dedup,
+        )
+        expected = engine.query_batch(queries)
+        got = (
+            index.engine.query_batch(queries)
+            if index.num_shards == 1
+            else index.engine.shard_query_batch(s, queries, spec.radius)
+        )
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert_results_equal(a, b)
+
+
+def _refreeze_generations(index):
+    doc = index.stats_snapshot()
+    gauges = doc["workers"]["aggregate"]["gauges"] if "workers" in doc else doc["gauges"]
+    return gauges.get("refreeze_generations", 0.0)
+
+
+def _served_shard_types(index, path=None):
+    """The classes of the indexes ``index`` serves from (for a worker
+    pool: of the shard arrays its workers map)."""
+    if index.execution == "processes":
+        path = index.engine.path if path is None else path
+        return {
+            type(load_frozen_index(os.path.join(path, f"shard_{s:03d}.frozen")))
+            for s in range(index.num_shards)
+        }
+    if index.num_shards == 1:
+        return {type(index.engine.index)}
+    return {type(shard.index) for shard in index.engine.shards}
+
+
+class TestServingLayout:
+    """Frozen is the only serving layout: ``Index.build`` with no
+    ``layout`` serves the CSR arrays on every tier, bit-identical to the
+    dict-layout ``LSHIndex`` it was frozen from, and the dict layout is
+    refused wherever it could come back in (spec, artifact)."""
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_default_build_serves_frozen_and_matches_the_reference(self, tier, tmp_path):
         rng = np.random.default_rng(11)
         points = rng.normal(size=(400, 10))
         queries = np.concatenate([rng.normal(size=(6, 10)), points[:4]])
-        spec = IndexSpec(
-            metric="l2", radius=1.0, num_tables=6, num_shards=num_shards, seed=1
-        )
-        reference = Index.build(points, spec)
-        frozen = Index.build(points, spec.with_overrides(layout="frozen"))
-        for ra, rb in zip(
-            reference.query(queries), frozen.query(queries)
-        ):
-            assert_results_equal(ra, rb)
-        for ra, rb in zip(
-            reference.query(QuerySpec(queries, k=3)),
-            frozen.query(QuerySpec(queries, k=3)),
-        ):
-            assert np.array_equal(ra.ids, rb.ids)
-            assert np.array_equal(ra.distances, rb.distances)
+        spec = IndexSpec(metric="l2", radius=1.0, num_tables=6, seed=1, **TIERS[tier])
+        index = Index.build(points, spec)
+        reopened = None
+        try:
+            assert index.spec.layout == "frozen"
+            assert _served_shard_types(index) == {FrozenLSHIndex}
+            references = _tier_reference(points, spec)
+            _assert_shards_match(index, references, queries)
 
-        path = str(tmp_path / "saved")
-        frozen.save(path)
-        meta = json.loads((tmp_path / "saved" / "index.json").read_text())
-        assert meta["layout"] == "frozen"
-        reopened = Index.open(path)
-        assert reopened.spec.layout == "frozen"
-        assert reopened.cost_model == frozen.cost_model  # no recalibration
-        engine_index = (
-            reopened.engine.shards[0].index
-            if num_shards > 1
-            else reopened.engine.index
-        )
-        assert isinstance(engine_index, FrozenLSHIndex)
-        assert_file_backed(
-            engine_index.frozen.members,
-            os.path.join(path, "shard_000.frozen"),
-            "members",
-        )
-        for ra, rb in zip(
-            frozen.query(queries), reopened.query(queries)
-        ):
-            assert_results_equal(ra, rb)
-        reference.close(), frozen.close(), reopened.close()
+            # Enough inserts that every shard crosses the default
+            # threshold: each starts a background re-freeze.
+            num_shards = spec.num_shards
+            new = rng.normal(size=(num_shards * (DEFAULT_REFREEZE_THRESHOLD + 1), 10))
+            route = (
+                index.engine.peek_assignment(len(new))
+                if num_shards > 1
+                else np.zeros(len(new), dtype=np.int64)
+            )
+            assert index.insert(new).tolist() == list(range(400, 400 + len(new)))
+            for s, reference in enumerate(references):
+                reference.insert(new[route == s])
+            queries = np.concatenate([queries, new[:3]])
+            _assert_shards_match(index, references, queries)  # fold in flight or landed
+            deadline = time.monotonic() + 60
+            while _refreeze_generations(index) < num_shards:
+                assert time.monotonic() < deadline, "background re-freeze never landed"
+                time.sleep(0.01)
+            _assert_shards_match(index, references, queries)
 
-    def test_insert_through_facade_matches_dict(self):
-        from repro.api import Index, IndexSpec
+            path = str(tmp_path / "saved")
+            index.save(path)
+            meta = json.loads((tmp_path / "saved" / "index.json").read_text())
+            assert meta["layout"] == "frozen" and meta["spec"]["layout"] == "frozen"
+            assert sorted(p.name for p in (tmp_path / "saved").glob("shard_0*")) == [
+                f"shard_{s:03d}.frozen" for s in range(num_shards)
+            ]
+            reopened = Index.open(path)
+            assert _served_shard_types(reopened, path) == {FrozenLSHIndex}
+            if tier != "processes":
+                first = reopened.engine.index if num_shards == 1 else reopened.engine.shards[0].index
+                assert_file_backed(
+                    first.frozen.members, os.path.join(path, "shard_000.frozen"), "members"
+                )
+            assert reopened.cost_model == index.cost_model  # no recalibration
+            _assert_shards_match(reopened, references, queries)
+        finally:
+            index.close()
+            if reopened is not None:
+                reopened.close()
 
-        rng = np.random.default_rng(12)
-        points = rng.normal(size=(300, 10))
-        spec = IndexSpec(metric="l2", radius=1.0, num_tables=6, seed=2)
-        a = Index.build(points, spec)
-        b = Index.build(points, spec.with_overrides(layout="frozen"))
-        new = rng.normal(size=(10, 10))
-        assert np.array_equal(a.insert(new), b.insert(new))
-        queries = np.concatenate([new[:3], points[:3]])
-        for ra, rb in zip(a.query(queries), b.query(queries)):
-            assert_results_equal(ra, rb)
+    def test_dict_layout_spec_is_refused_naming_the_reference(self):
+        with pytest.raises(ConfigurationError, match="LSHIndex"):
+            IndexSpec(metric="l2", radius=1.0, layout="dict")
+        doc = IndexSpec(metric="l2", radius=1.0).to_dict()
+        with pytest.raises(ConfigurationError, match="LSHIndex"):
+            IndexSpec.from_dict({**doc, "layout": "dict"})
+
+    @pytest.mark.parametrize("tag", [{"layout": "dict"}, {}], ids=["dict", "untagged"])
+    def test_dict_artifact_is_refused_before_any_shard_file_opens(
+        self, tag, tmp_path, monkeypatch
+    ):
+        from repro.api import persist
+
+        opened = []
+        for name in ("load_frozen_index", "read_shard_gids"):
+            monkeypatch.setattr(persist, name, lambda *args: opened.append(args))
+        spec = IndexSpec(metric="l2", radius=1.0, num_shards=2).to_dict()
+        meta = {
+            "format_version": 1, "spec": {**spec, "layout": "dict"}, "n": 10,
+            "dim": 4, "num_shards": 2, "next_shard": 0,
+            "cost_model": {"alpha": 1.0, "beta": 6.0}, **tag,
+        }
+        (tmp_path / "index.json").write_text(json.dumps(meta))
+        for name in ("shard_000.npz", "shard_001.npz", "shard_gids.npz"):
+            (tmp_path / name).write_bytes(b"not an archive")
+        with pytest.raises(ConfigurationError, match='"dict"-layout artifact'):
+            Index.open(str(tmp_path))
+        assert opened == []
 
 
 class TestCliFrozenLayout:
     def test_build_serve_frozen_artifact(self, tmp_path, capsys):
-        from repro.api import Index
         from repro.cli import main
 
         out_dir = str(tmp_path / "frozen-idx")
         assert main([
             "build", "--dataset", "corel", "--n", "400", "--queries", "8",
-            "--tables", "6", "--out", out_dir, "--layout", "frozen",
+            "--tables", "6", "--out", out_dir,
         ]) == 0
         payload = capsys.readouterr().out
         assert '"layout": "frozen"' in payload

@@ -10,7 +10,7 @@ artifact must reopen via ``np.load(mmap_mode="r")`` and serve under
 
 import numpy as np
 import pytest
-from test_frozen import assert_file_backed
+from test_frozen import assert_file_backed, reference_index
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher, LinearScan
@@ -150,21 +150,6 @@ class TestPersistence:
         for ra, rb in zip(a.query_batch(queries, 4.0), b.query_batch(queries, 4.0)):
             assert_equal_results(ra, rb)
 
-    def test_dict_layout_npz_round_trip(self, tmp_path):
-        from repro.index.serialize import load_index, save_index
-
-        rng, points, index, _ = build_pair()
-        path = str(tmp_path / "cov.npz")
-        save_index(index, path)
-        reopened = load_index(path)
-        assert isinstance(reopened, CoveringLSHIndex)
-        assert reopened.radius == index.radius
-        for q in points[:4]:
-            assert np.array_equal(
-                index.candidate_ids(index.lookup(q)),
-                reopened.candidate_ids(reopened.lookup(q)),
-            )
-
 
 class TestSpecAndFacade:
     def test_spec_validation(self):
@@ -177,19 +162,17 @@ class TestSpecAndFacade:
         with pytest.raises(ConfigurationError):
             IndexSpec(metric="hamming", radius=4.0, variant="covering", k=3)
 
-    @pytest.mark.parametrize("layout", ["dict", "frozen"])
-    def test_facade_layouts_agree(self, layout):
+    def test_facade_matches_the_reference(self):
         rng = np.random.default_rng(3)
         points = binary(rng, 350, 32)
-        spec = IndexSpec(
-            metric="hamming", radius=4.0, variant="covering",
-            layout=layout, seed=1,
-        )
+        spec = IndexSpec(metric="hamming", radius=4.0, variant="covering", seed=1)
         index = Index.build(points, spec)
-        reference = Index.build(points, spec.with_overrides(layout="dict"))
+        assert isinstance(index.engine.index, FrozenCoveringLSHIndex)
+        reference = HybridSearcher(reference_index(points, spec), index.cost_model)
+        assert isinstance(reference.index, CoveringLSHIndex)
         for ra, rb in zip(
             index.query(QuerySpec(points[:12])),
-            reference.query(QuerySpec(points[:12])),
+            reference.query_batch(points[:12], spec.radius),
         ):
             assert np.array_equal(ra.ids, rb.ids)
             assert np.array_equal(ra.distances, rb.distances)
@@ -201,7 +184,7 @@ class TestSpecAndFacade:
         points = binary(rng, 300, 32)
         spec = IndexSpec(
             metric="hamming", radius=4.0, variant="covering",
-            layout="frozen", num_shards=2, seed=1,
+            num_shards=2, seed=1,
         )
         index = Index.build(points, spec)
         expected = index.query(QuerySpec(points[:10]))
@@ -221,7 +204,7 @@ class TestProcesses:
         points = binary(rng, 300, 32)
         base = IndexSpec(
             metric="hamming", radius=4.0, variant="covering",
-            layout="frozen", num_shards=2, seed=1,
+            num_shards=2, seed=1,
         )
         threads = Index.build(points, base)
         processes = Index.build(points, base.with_overrides(execution="processes"))

@@ -11,7 +11,7 @@ save/``np.load(mmap_mode="r")`` reopen, and the
 
 import numpy as np
 import pytest
-from test_frozen import assert_file_backed
+from test_frozen import assert_file_backed, reference_index
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher
@@ -188,22 +188,6 @@ class TestPersistence:
         for q in points[:4]:
             assert_equal_results(a.query(q, 1.5), b.query(q, 1.5))
 
-    def test_dict_layout_npz_round_trip(self, tmp_path):
-        """serialize.save_index/load_index preserve the variant."""
-        from repro.index.serialize import load_index, save_index
-
-        rng, points, index, _ = build_pair()
-        path = str(tmp_path / "mp.npz")
-        save_index(index, path)
-        reopened = load_index(path)
-        assert isinstance(reopened, MultiProbeLSHIndex)
-        assert reopened.num_probes == index.num_probes
-        for q in points[:4]:
-            assert np.array_equal(
-                index.candidate_ids(index.lookup(q)),
-                reopened.candidate_ids(reopened.lookup(q)),
-            )
-
 
 class TestSpecAndFacade:
     def test_spec_round_trip(self):
@@ -218,19 +202,20 @@ class TestSpecAndFacade:
         with pytest.raises(ConfigurationError):
             IndexSpec(metric="l2", radius=1.0, num_probes=-1)
 
-    @pytest.mark.parametrize("layout", ["dict", "frozen"])
-    def test_facade_layouts_agree(self, layout):
+    def test_facade_matches_the_reference(self):
         rng = np.random.default_rng(0)
         points = rng.normal(size=(400, 12))
         spec = IndexSpec(
             metric="l2", radius=1.0, num_tables=6,
-            variant="multiprobe", num_probes=3, layout=layout, seed=1,
+            variant="multiprobe", num_probes=3, seed=1,
         )
         index = Index.build(points, spec)
-        reference = Index.build(points, spec.with_overrides(layout="dict"))
+        assert isinstance(index.engine.index, FrozenMultiProbeLSHIndex)
+        reference = HybridSearcher(reference_index(points, spec), index.cost_model)
+        assert isinstance(reference.index, MultiProbeLSHIndex)
         for ra, rb in zip(
             index.query(QuerySpec(points[:15])),
-            reference.query(QuerySpec(points[:15])),
+            reference.query_batch(points[:15], spec.radius),
         ):
             assert np.array_equal(ra.ids, rb.ids)
             assert np.array_equal(ra.distances, rb.distances)
@@ -243,7 +228,7 @@ class TestSpecAndFacade:
         points = rng.normal(size=(400, 12))
         spec = IndexSpec(
             metric="l2", radius=1.0, num_tables=6, num_shards=3,
-            variant="multiprobe", num_probes=3, layout="frozen", seed=1,
+            variant="multiprobe", num_probes=3, seed=1,
         )
         index = Index.build(points, spec)
         expected = index.query(QuerySpec(points[:10]))
@@ -264,7 +249,7 @@ class TestProcesses:
         points = rng.normal(size=(400, 12))
         base = IndexSpec(
             metric="l2", radius=1.0, num_tables=6, num_shards=2,
-            variant="multiprobe", num_probes=3, layout="frozen", seed=1,
+            variant="multiprobe", num_probes=3, seed=1,
         )
         threads = Index.build(points, base)
         processes = Index.build(points, base.with_overrides(execution="processes"))

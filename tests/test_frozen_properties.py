@@ -16,7 +16,8 @@ The overflow generations are held to the same standard: through build,
 inserts, a background fold held open (two live runs), its landing, a
 synchronous re-freeze, save and mmap reopen, every run's verified entry
 ranges equal a dict built from the run's own points, every primitive
-equals the dict-layout twin's, and the folded arrays equal a fresh
+equals the dict-layout ``LSHIndex`` reference's (built from the same
+spec and seed), and the folded arrays equal a fresh
 ``assemble`` over everything — also under the three collisions the
 run's addressing can meet (an overflow row on a frozen row's address,
 two rows on one address inside a run, a fold that lands on a new salt).
@@ -35,7 +36,13 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_adaptive import _dispatch_case, _spec, adaptive_case, dispatch_case
+from test_adaptive import (
+    _dispatch_case,
+    _spec,
+    adaptive_case,
+    dispatch_case,
+    reference_index,
+)
 from test_frozen import assert_file_backed, colliding_mix
 from test_overflow import (
     VARIANTS,
@@ -212,7 +219,7 @@ def _check_locate_through_a_life(case, salted=False):
         if salted:
             colliding.add(0)
             patch.setattr(frozen_module, "_mix_rows", colliding_mix(colliding))
-        index = Index.build(points, _spec(**{**overrides, "layout": "frozen"}))
+        index = Index.build(points, _spec(**overrides))
         raw = index.engine.index
         built_salt = raw.frozen.salt
         assert (built_salt > 0) == salted
@@ -293,12 +300,9 @@ def _hold_background_folds(patch):
 
 
 def _build_twins(points, overrides):
-    """The frozen index under test and its dict-layout twin (same seed)."""
-    raw, twin = (
-        Index.build(points, _spec(**{**overrides, "layout": layout})).engine.index
-        for layout in ("frozen", "dict")
-    )
-    return raw, twin
+    """The frozen index under test and its ``LSHIndex`` reference."""
+    spec = _spec(**overrides)
+    return Index.build(points, spec).engine.index, reference_index(points, spec)
 
 
 def _assert_stage(raw, twin, queries, live_runs):
@@ -392,7 +396,7 @@ def _collision_case(variant):
         )
         overrides = dict(variant=variant, metric="hamming", radius=2.0, seed=5)
         return points, queries, first, second, overrides
-    points, queries, inserts, overrides = _dispatch_case(7, 300, "frozen", variant, 6.0, 24)
+    points, queries, inserts, overrides = _dispatch_case(7, 300, variant, 6.0, 24)
     spread = np.random.default_rng(5).uniform(-8.0, 8.0, size=inserts.shape)
     return points, queries, spread[:12], spread[12:], overrides
 

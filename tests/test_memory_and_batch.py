@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from test_frozen import reference_index
+
 from repro.api import Index, IndexSpec
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import EmptyIndexError
@@ -58,22 +60,21 @@ class TestBytesPerPointBudget:
     """The benchmark's ``index_bytes_per_point`` as a deterministic
     tier-1 count (n = 2000, L = 50, k = 7): the frozen layout's bucket
     addressing — a uint64 ``key64`` plus the narrow full hash row per
-    bucket — must stay a fraction of the dict layout's 8 k-byte keys."""
+    bucket — must stay a fraction of the 8 k-byte keys of the dict-layout
+    ``LSHIndex`` it is frozen from."""
 
     N, TABLES = 2000, 50
-
-    def report(self, layout):
-        points = fig1_landscape(self.N, 16, seed=11)
-        spec = IndexSpec(
-            metric="l2", radius=1.5, num_tables=self.TABLES, hll_precision=7,
-            seed=11, layout=layout,
-        )
-        raw = Index.build(points, spec).engine.index
-        return raw, raw.memory_report()
+    POINTS = fig1_landscape(N, 16, seed=11)
+    SPEC = IndexSpec(
+        metric="l2", radius=1.5, num_tables=TABLES, hll_precision=7, seed=11
+    )
 
     def test_frozen_layout_stays_under_budget(self):
-        raw, report = self.report("frozen")
+        raw = Index.build(self.POINTS, self.SPEC).engine.index
+        report = raw.memory_report()
+        reference = reference_index(self.POINTS, self.SPEC)
         csr = raw.frozen
+        assert csr.num_buckets == sum(table.num_buckets for table in reference.tables)
         assert report["total"] / self.N <= 720  # 1206 with format v1's byte keys
         # bucket_keys counts every byte that addresses a bucket.
         assert csr.key64.dtype == np.uint64 and csr.keys.dtype == np.int8
@@ -85,7 +86,8 @@ class TestBytesPerPointBudget:
         )
 
     def test_dict_layout_report_is_unchanged(self):
-        raw, report = self.report("dict")
+        raw = reference_index(self.POINTS, self.SPEC)
+        report = raw.memory_report()
         assert report == {
             "points": 256000,
             "bucket_ids": 800000,

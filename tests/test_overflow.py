@@ -34,10 +34,10 @@ from repro.index.overflow import OverflowRun
 VARIANTS = ["plain", "multiprobe", "covering"]
 
 
-def build_raw(variant, layout="frozen", seed=11, n=300, num_inserts=40):
+def build_raw(variant, seed=11, n=300, num_inserts=40):
     """``(raw index, points, queries, inserts)`` on a Fig. 1 landscape."""
     points, queries, inserts, overrides = _dispatch_case(
-        seed, n, layout, variant, 6.0, num_inserts
+        seed, n, variant, 6.0, num_inserts
     )
     raw = Index.build(points, _spec(**overrides)).engine.index
     return raw, points, queries, inserts
@@ -77,7 +77,8 @@ def assert_runs_are_dict_lookups(raw, queries):
 
 
 def assert_equals_twin(raw, twin, queries):
-    """Every query-side primitive of ``raw`` equals its dict-layout twin's."""
+    """Every query-side primitive of ``raw`` equals its dict-layout
+    ``LSHIndex`` reference's."""
     ours, theirs = raw.lookup_batch(queries), twin.lookup_batch(queries)
     for a, b in zip(ours, theirs):
         assert a.num_collisions == b.num_collisions

@@ -1,19 +1,25 @@
-"""Tests for index persistence (save_index / load_index)."""
+"""Tests for index persistence (save_frozen_index / load_frozen_index).
+
+Every case builds a dict-layout ``LSHIndex``, freezes it, saves the
+frozen index and reopens it, then checks the reopened index against
+the dict-layout index it came from: same buckets, candidates, sketches,
+search answers and configuration, for every built-in hash family.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import CostModel, HybridSearcher, LSHSearch
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, EmptyIndexError
 from repro.hashing import BitSamplingLSH, MinHashLSH, PStableLSH, SimHashLSH
-from repro.index import LSHIndex
-from repro.index.serialize import load_index, save_index
+from repro.index import FrozenLSHIndex, LSHIndex
+from repro.index.frozen import load_frozen_index, save_frozen_index
 
 
 def roundtrip(index, tmp_path):
-    path = str(tmp_path / "index.npz")
-    save_index(index, path)
-    return load_index(path)
+    path = str(tmp_path / "index")
+    save_frozen_index(index.freeze(), path)
+    return load_frozen_index(path)
 
 
 class TestRoundtrip:
@@ -34,7 +40,7 @@ class TestRoundtrip:
             q = gaussian_points[i]
             a = index.lookup(q)
             b = loaded.lookup(q)
-            assert a.keys == b.keys
+            assert index.num_collisions(q) == loaded.num_collisions(q)
             assert np.array_equal(index.candidate_ids(a), loaded.candidate_ids(b))
 
     def test_bit_sampling(self, binary_points, tmp_path):
@@ -51,8 +57,12 @@ class TestRoundtrip:
         points = (rng.random((100, 24)) < 0.3).astype(np.uint8)
         index = LSHIndex(MinHashLSH(24, seed=1), k=2, num_tables=4).build(points)
         loaded = roundtrip(index, tmp_path)
-        q = points[7]
-        assert index.lookup(q).keys == loaded.lookup(q).keys
+        for q in points[[7, 31, 64]]:
+            assert index.num_collisions(q) == loaded.num_collisions(q)
+            assert np.array_equal(
+                index.candidate_ids(index.lookup(q)),
+                loaded.candidate_ids(loaded.lookup(q)),
+            )
 
     def test_sketches_rebuilt_identically(self, gaussian_points, tmp_path):
         index = LSHIndex(
@@ -94,6 +104,7 @@ class TestRoundtrip:
             dedup="vectorized",
         ).build(gaussian_points)
         loaded = roundtrip(index, tmp_path)
+        assert isinstance(loaded, FrozenLSHIndex)
         assert loaded.k == 3
         assert loaded.num_tables == 4
         assert loaded.hll_precision == 6
@@ -106,9 +117,18 @@ class TestRoundtrip:
 
 class TestErrors:
     def test_unbuilt_index_rejected(self, tmp_path):
-        index = LSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=2)
+        target = tmp_path / "x"
+        with pytest.raises(EmptyIndexError):
+            LSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=2).freeze()
+        with pytest.raises(EmptyIndexError):
+            save_frozen_index(
+                FrozenLSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=2), str(target)
+            )
+        # The saver persists frozen indexes only, built or not.
         with pytest.raises(ConfigurationError):
-            save_index(index, str(tmp_path / "x.npz"))
+            save_frozen_index(LSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=2),
+                              str(target))
+        assert not target.exists()
 
     def test_generic_family_rejected(self, gaussian_points, tmp_path):
         from repro.hashing.base import LSHFamily
@@ -131,8 +151,10 @@ class TestErrors:
         index = LSHIndex(CustomFamily(16, seed=0), k=2, num_tables=2).build(
             gaussian_points
         )
+        target = tmp_path / "x"
         with pytest.raises(ConfigurationError):
-            save_index(index, str(tmp_path / "x.npz"))
+            save_frozen_index(index.freeze(), str(target))
+        assert not target.exists()
 
     def test_sketchless_roundtrip(self, gaussian_points, tmp_path):
         index = LSHIndex(

@@ -11,6 +11,7 @@ never rebuilds an index — startup is bounded by mmap'ing the saved
 arrays.
 """
 
+import json
 import os
 import signal
 import time
@@ -32,7 +33,6 @@ def _spec(**overrides):
         radius=1.2,
         num_tables=8,
         num_shards=SHARDS,
-        layout="frozen",
         cost_ratio=6.0,
         seed=7,
     )
@@ -284,12 +284,17 @@ class TestPersistence:
             Index.open(path, num_workers=2)
 
     def test_pool_rejects_dict_layout_artifacts(self, points, tmp_path):
-        index = Index.build(points, _spec(layout="dict"))
-        path = str(tmp_path / "dict-saved")
-        index.save(path)
+        """An artifact whose metadata names the dict layout — what a
+        tree that still served it wrote — is refused, not half-served."""
+        index = Index.build(points, _spec())
+        path = tmp_path / "dict-saved"
+        index.save(str(path))
         index.close()
-        with pytest.raises(ConfigurationError):
-            WorkerPool(path)
+        meta = json.loads((path / "index.json").read_text())
+        meta["layout"] = meta["spec"]["layout"] = "dict"
+        (path / "index.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="LSHIndex"):
+            WorkerPool(str(path))
 
 
 class TestStartupIsMmapBound:
@@ -300,7 +305,7 @@ class TestStartupIsMmapBound:
         big = rng.normal(size=(4000, 16))
         spec = IndexSpec(
             metric="l2", radius=1.5, num_tables=20, num_shards=2,
-            layout="frozen", cost_ratio=6.0, seed=3,
+            cost_ratio=6.0, seed=3,
         )
         started = time.perf_counter()
         index = Index.build(big, spec)
