@@ -46,7 +46,8 @@ from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultTolerancePolicy
 from repro.hashing.base import family_for_metric, get_family
 from repro.hashing.params import concatenation_width
-from repro.index.lsh_index import LSHIndex
+from repro.index.frozen import FrozenLSHIndex
+from repro.index.frozen_probing import FrozenCoveringLSHIndex, FrozenMultiProbeLSHIndex
 from repro.observability import StageTrace, stage_timer
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
@@ -294,50 +295,28 @@ def _resolve_family_and_k(spec: IndexSpec, dim: int, seed: Any = None) -> tuple[
     return family, k
 
 
-def _spec_is_shard_customised(spec: IndexSpec) -> bool:
-    """Whether a sharded build needs the spec-driven per-shard factory.
-
-    The paper-preset fields route through :class:`HybridLSH` directly
-    (the :func:`~repro.core.presets.paper_parameters` draws); anything
-    beyond them — named family, explicit ``k``/width/params, lazy
-    threshold, sketch seed — builds each shard through
-    :func:`_build_single_index`.
-    """
-    return bool(
-        spec.k is not None
-        or spec.hash_family is not None
-        or spec.bucket_width is not None
-        or spec.family_params
-        or spec.lazy_threshold is not None
-        or spec.hll_seed
-        or spec.variant != "plain"
-    )
-
-
-def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Any:
-    """Build the dict-layout index the spec describes (to freeze, or as reference).
+def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> FrozenLSHIndex:
+    """Build the frozen index the spec describes — one index, or one shard.
 
     ``variant`` selects the index class: ``"plain"`` and
     ``"multiprobe"`` share the family/``k`` resolution above;
     ``"covering"`` derives its ``r + 1`` block tables from the spec
-    radius instead of drawing a hash family.  The result is never
-    served as is: the serving paths freeze it into the variant's CSR
-    counterpart (``Index.build`` for one index, ``ShardedHybridIndex``
-    for every shard), which answers bit-identically to it — so the
-    index returned here is also the reference the frozen one is
-    checked against.
+    radius instead of drawing a hash family.  ``seed`` drives the draw
+    (the spec's own seed for one index, a spawned stream per shard).
+    :meth:`~repro.index.frozen.FrozenLSHIndex.build` hashes the points
+    straight into the CSR arrays: byte for byte what the dict-layout
+    ``LSHIndex`` of the same spec and seed freezes into, the reference
+    the served index is checked against.
     """
     if spec.variant == "covering":
-        from repro.index.covering import CoveringLSHIndex
-
-        index = CoveringLSHIndex(
+        index = FrozenCoveringLSHIndex(
             dim=points.shape[1],
             radius=int(spec.radius),
             hll_precision=spec.hll_precision,
             hll_seed=spec.hll_seed,
             lazy_threshold=spec.lazy_threshold,
             seed=seed,
-        ).build(points)
+        )
     else:
         family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
         kwargs = dict(
@@ -348,24 +327,19 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Any:
             lazy_threshold=spec.lazy_threshold,
         )
         if spec.variant == "multiprobe":
-            from repro.index.multiprobe_index import MultiProbeLSHIndex
-
-            index = MultiProbeLSHIndex(
-                family, num_probes=spec.num_probes, **kwargs
-            ).build(points)
+            index = FrozenMultiProbeLSHIndex(family, num_probes=spec.num_probes, **kwargs)
         else:
-            index = LSHIndex(family, **kwargs).build(points)
-    return index
+            index = FrozenLSHIndex(family, **kwargs)
+    return index.build(points)
 
 
 def _custom_shard_factory(
     spec: IndexSpec, cost_model: CostModel, estimator: Any
 ) -> Callable[[np.ndarray, Any], HybridLSH]:
-    """``factory(shard_points, rng) -> HybridLSH`` for customised shards.
+    """``factory(shard_points, rng) -> HybridLSH`` for every shard.
 
-    Mirrors the single-index build path per shard, with the shard's
-    spawned randomness driving the family draw; freezing stays in
-    :class:`ShardedHybridIndex`'s build step.
+    The single-index build path per shard, with the shard's spawned
+    randomness driving the family draw.
     """
 
     def factory(shard_points: np.ndarray, rng: Any) -> HybridLSH:
@@ -466,16 +440,14 @@ class Index:
                     'fault_policy/fault_plan apply to execution="processes" '
                     f"specs only; this spec has execution={spec.execution!r}"
                 )
+        elif num_workers is not None:
+            # The pool would refuse it only after the build and the save.
+            check_positive_int(num_workers, "num_workers")
         points = check_matrix(points, name="points")
         cost_model = _resolve_cost_model(spec, points)
         estimator = _resolve_estimator(spec)
         backend: _ShardedBackend | _SingleBackend
         if spec.num_shards > 1:
-            factory = (
-                _custom_shard_factory(spec, cost_model, estimator)
-                if _spec_is_shard_customised(spec)
-                else None
-            )
             sharded = ShardedHybridIndex(
                 points,
                 metric=spec.metric,
@@ -488,11 +460,11 @@ class Index:
                 seed=spec.seed,
                 estimator=estimator,
                 dedup=spec.dedup,
-                index_factory=factory,
+                index_factory=_custom_shard_factory(spec, cost_model, estimator),
             )
             backend = _ShardedBackend(sharded)
         else:
-            index = _build_single_index(spec, points, seed=spec.seed).freeze()
+            index = _build_single_index(spec, points, seed=spec.seed)
             searcher = HybridSearcher(index, cost_model, estimator=estimator)
             backend = _SingleBackend(
                 BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
@@ -1129,8 +1101,10 @@ def _as_process_pool(
 
     Saves the index to a transient artifact (the workers' mmap source),
     releases the thread-backed engine, and opens the pool over it; the
-    artifact is deleted when the returned index is closed.
+    artifact is deleted when the returned index is closed, or at once
+    if the save or the pool fails.
     """
+    import shutil
     import tempfile
 
     from repro.api.persist import save_index
@@ -1138,22 +1112,21 @@ def _as_process_pool(
 
     path = tempfile.mkdtemp(prefix="repro-worker-pool-")
     try:
-        save_index(index, path)
+        try:
+            save_index(index, path)
+        finally:
+            index.close()
+        pool = WorkerPool(
+            path,
+            num_workers=num_workers,
+            owns_path=True,
+            policy=fault_policy,
+            fault_plan=fault_plan,
+            replicas=index.spec.replicas,
+        )
     except BaseException:
-        import shutil
-
         shutil.rmtree(path, ignore_errors=True)
         raise
-    finally:
-        index.close()
-    pool = WorkerPool(
-        path,
-        num_workers=num_workers,
-        owns_path=True,
-        policy=fault_policy,
-        fault_plan=fault_plan,
-        replicas=index.spec.replicas,
-    )
     return Index(
         _ShardedBackend(pool), spec=index.spec, cache=_cache_from_spec(index.spec)
     )

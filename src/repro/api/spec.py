@@ -34,9 +34,9 @@ JSON schema (all keys optional unless noted)::
       "cache_quantum": 1e-9,           # cache key quantisation step
       "dedup":         "vectorized",   # serving-side Step-S2 dedup
       "layout":        "frozen",       # bucket storage: the CSR arrays, the
-                                       # only serving layout (assembled from,
-                                       # and checked against, a dict-layout
-                                       # LSHIndex)
+                                       # only serving layout (a dict-layout
+                                       # LSHIndex is its bit-identity
+                                       # reference)
       "variant":       "plain",        # index variant: "plain" | "multiprobe"
                                        # | "covering" (hamming only, integer radius)
       "num_probes":    2,              # extra probed buckets per table (multiprobe)
@@ -167,9 +167,9 @@ class IndexSpec:
         if self.layout != "frozen":
             raise ConfigurationError(
                 f'layout must be "frozen" (the only serving layout), got '
-                f"{self.layout!r}; the dict-layout LSHIndex is what a frozen "
-                "index is assembled from and the reference it is checked "
-                "against: build one directly to use it"
+                f"{self.layout!r}; the dict-layout LSHIndex is the reference "
+                "a frozen index is checked against: build one directly to "
+                "use it"
             )
         if self.variant not in ("plain", "multiprobe", "covering"):
             raise ConfigurationError(

@@ -12,9 +12,10 @@ query time).
 * :class:`LSHIndex` — the ``L``-table index with the query-side
   primitives Algorithm 2 needs (``#collisions``, merged sketch,
   candidate set);
-* :class:`FrozenLSHIndex` — the same index compacted into contiguous
-  CSR arrays (``LSHIndex.freeze()``): vectorised batch primitives,
-  zero per-bucket Python objects, mmap-able persistence;
+* :class:`FrozenLSHIndex` — the same index as contiguous CSR arrays,
+  built straight into them (or compacted by ``LSHIndex.freeze()``):
+  vectorised batch primitives, zero per-bucket Python objects,
+  mmap-able persistence;
 * :class:`MultiProbeLSHIndex` — the multi-probe extension the paper
   names as future work (and :class:`FrozenMultiProbeLSHIndex`, its
   frozen CSR counterpart);

@@ -3,9 +3,8 @@
 The dict layout of :class:`~repro.index.lsh_index.LSHIndex` stores one
 Python :class:`~repro.index.bucket.Bucket` object per bucket, so every
 query-side primitive (collision counting, sketch merging, candidate
-union) walks Python objects even on the batched serving path.  This
-module *freezes* a built index into CSR-style contiguous arrays, fused
-across all ``L`` tables:
+union) walks Python objects.  This module keeps an index as CSR-style
+contiguous arrays instead, fused across all ``L`` tables:
 
 * ``key64`` — every bucket's 64-bit *address*: the owning table's id in
   the top ``ceil(log2 L)`` bits, a salted multilinear mix of the
@@ -31,6 +30,14 @@ deduplication is a boolean scatter over member slices — all vectorised
 across queries *and* tables with zero per-bucket Python objects, and
 all **bit-identical** to the dict layout (register maxima and id unions
 are associative, so regrouping cannot change a single byte).
+
+:meth:`FrozenLSHIndex.build` is Algorithm 1 written straight into these
+arrays: a chunked hash pass into one narrow table-major row matrix,
+then :meth:`FrozenTables.assemble` over one-member sources — the
+stable sort a re-freeze runs groups them into buckets.  No
+:class:`~repro.index.bucket.Bucket` is made, and the arrays are byte
+for byte those :meth:`~repro.index.lsh_index.LSHIndex.freeze` makes of
+the dict-layout build of the same draws (the bit-identity reference).
 
 What Step S1 costs (:meth:`FrozenTables.locate`): one mix of the
 ``(q, S, k)`` probed hash rows into ``q * S`` needles, *one*
@@ -127,6 +134,10 @@ DEFAULT_REFREEZE_THRESHOLD = 1024
 _FROZEN_FORMAT_VERSION = 2
 _CONFIG_FILE = "config.json"
 
+#: Points hashed per chunk by :meth:`FrozenLSHIndex.build`: bounds the
+#: int64 hash tensor a chunk holds before it is narrowed into the rows.
+BUILD_CHUNK_ROWS = 4096
+
 #: Salts tried (``salt``, ``salt + 1``, ...) before
 #: :meth:`FrozenTables.assemble` gives up on a collision-free ``key64``.
 MAX_SALT_ATTEMPTS = 8
@@ -165,8 +176,14 @@ def _mix_rows(rows: np.ndarray, salt: int) -> np.ndarray:
     integer dtype carries it.
     """
     constants = _mix_constants(salt, rows.shape[-1])
-    words = rows.view(np.uint64) if rows.dtype == np.int64 else rows.astype(np.uint64)
-    return words @ constants[1:] + constants[0]
+    if rows.dtype == np.int64:  # hashed rows (the query path)
+        return rows.view(np.uint64) @ constants[1:] + constants[0]
+    # Narrow stored rows (assembly, run re-keying): widened a column at
+    # a time, never as a whole 8-byte copy of the matrix.
+    mixed = np.full(rows.shape[:-1], constants[0])
+    for column, constant in enumerate(constants[1:]):
+        mixed += rows[..., column].astype(np.uint64) * constant
+    return mixed
 
 
 def _tagged_key64(
@@ -200,14 +217,49 @@ def _sorted_addresses(
     for trial in range(salt, salt + MAX_SALT_ATTEMPTS):
         key64 = _tagged_key64(rows, table_ids, num_tables, trial)
         order = np.argsort(key64, kind="stable")
-        sorted_key64 = key64[order]
-        twins = np.flatnonzero(sorted_key64[1:] == sorted_key64[:-1])
+        key64 = key64[order]  # rebound: the unsorted copy is freed
+        twins = np.flatnonzero(key64[1:] == key64[:-1])
         if (rows[order[twins]] == rows[order[twins + 1]]).all():
-            return trial, order, sorted_key64
+            return trial, order, key64
     raise ConfigurationError(
         f"no collision-free 64-bit bucket addressing in {MAX_SALT_ATTEMPTS} "
         f"salts from {salt}; the key mix is degenerate"
     )
+
+
+def _merge_sources(
+    per_table: list[tuple[np.ndarray, np.ndarray, np.ndarray]], salt: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(salt, key64, keys, table_slices, sizes, members)`` of
+    :meth:`FrozenTables.assemble`; the concatenated sources and the sort
+    order die with this frame, before the registers are built."""
+    num_tables = len(per_table)
+    rows = np.concatenate([r for r, _, _ in per_table])
+    src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64, copy=False)
+    src_members = np.concatenate([m for _, _, m in per_table])
+    table_ids = np.repeat(np.arange(num_tables), [r.shape[0] for r, _, _ in per_table])
+    salt, order, sorted_key64 = _sorted_addresses(rows, table_ids, num_tables, salt)
+    new_bucket = np.ones(order.size, dtype=bool)
+    new_bucket[1:] = sorted_key64[1:] != sorted_key64[:-1]
+    first = np.flatnonzero(new_bucket)  # each merged bucket's first source
+    key64 = sorted_key64[first]
+    keys = rows[order[first]]
+    keys = keys.astype(_narrowest_int_dtype(keys))
+    table_slices = np.zeros(num_tables + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(table_ids[order[first]], minlength=num_tables),
+        out=table_slices[1:],
+    )
+    if (src_sizes == 1).all():
+        # One-member sources (a build): the sort order *is* the member order.
+        sizes = np.diff(first, append=order.size)
+        members = src_members[order]
+    else:
+        ordered_sizes = src_sizes[order]
+        sizes = np.add.reduceat(ordered_sizes, first) if first.size else ordered_sizes
+        src_starts = np.cumsum(src_sizes) - src_sizes
+        members = _csr_gather(src_members, src_starts[order], ordered_sizes)
+    return salt, key64, keys, table_slices, sizes, members
 
 
 def _slot_occupancy(
@@ -303,7 +355,8 @@ class FrozenTables:
         the member ids back to back.  Equal rows of one table merge into
         one bucket whose members keep source order — which is how a
         re-freeze folds an overflow generation in
-        (:meth:`table_source` lists the frozen buckets first).
+        (:meth:`table_source` lists the frozen buckets first), and how
+        :meth:`FrozenLSHIndex.build` groups its one-member sources.
 
         One stable ``uint64`` argsort over all tables orders the
         buckets by ``key64``.  Two *different* rows of a table sharing a
@@ -319,35 +372,10 @@ class FrozenTables:
         because registers are maxima over per-id hash pairs).
         """
         num_tables = len(per_table)
-        rows = np.concatenate([r for r, _, _ in per_table])
-        src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64)
-        src_members = np.concatenate([m for _, _, m in per_table])
-        table_ids = np.repeat(
-            np.arange(num_tables), [r.shape[0] for r, _, _ in per_table]
+        salt, key64, keys, table_slices, sizes, members = _merge_sources(
+            per_table, salt
         )
-        salt, order, sorted_key64 = _sorted_addresses(
-            rows, table_ids, num_tables, salt
-        )
-        new_bucket = np.ones(order.size, dtype=bool)
-        new_bucket[1:] = sorted_key64[1:] != sorted_key64[:-1]
-        first = np.flatnonzero(new_bucket)  # each merged bucket's first source
-        total_buckets = first.size
-        key64 = sorted_key64[first]
-        keys = rows[order[first]]
-        keys = keys.astype(_narrowest_int_dtype(keys))
-        table_slices = np.zeros(num_tables + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(table_ids[order[first]], minlength=num_tables),
-            out=table_slices[1:],
-        )
-        ordered_sizes = src_sizes[order]
-        sizes = (
-            np.add.reduceat(ordered_sizes, first)
-            if total_buckets
-            else np.empty(0, dtype=np.int64)
-        )
-        src_starts = np.cumsum(src_sizes) - src_sizes
-        members = _csr_gather(src_members, src_starts[order], ordered_sizes)
+        total_buckets = sizes.size
         offsets = np.zeros(total_buckets + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
 
@@ -653,14 +681,17 @@ class FrozenQueryLookup:
 
 
 class FrozenLSHIndex(LSHIndex):
-    """A built LSH index compacted into contiguous CSR arrays.
+    """An LSH index held in contiguous CSR arrays.
 
-    Produced by :meth:`repro.index.lsh_index.LSHIndex.freeze`; answers
-    every query-side primitive bit-identically to the dict-layout index
-    it was frozen from, while the batched serving path runs entirely in
-    numpy.  Supports :meth:`insert` through a sorted overflow run
-    (:mod:`repro.index.overflow`) that is automatically re-frozen once
-    it exceeds ``refreeze_threshold`` points.
+    Constructed like :class:`~repro.index.lsh_index.LSHIndex` and filled
+    by :meth:`build` (no bucket objects on the way), or compacted from
+    a built dict-layout index by
+    :meth:`~repro.index.lsh_index.LSHIndex.freeze`; either way it
+    answers every query-side primitive bit-identically to the
+    dict-layout index of the same draws, while the batched serving path
+    runs entirely in numpy.  Supports :meth:`insert` through a sorted
+    overflow run (:mod:`repro.index.overflow`) that is automatically
+    re-frozen once it exceeds ``refreeze_threshold`` points.
 
     Examples
     --------
@@ -669,8 +700,9 @@ class FrozenLSHIndex(LSHIndex):
     >>> from repro.index import LSHIndex
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(300, 16))
-    >>> index = LSHIndex(SimHashLSH(16, seed=1), k=4, num_tables=8, seed=2)
-    >>> frozen = index.build(points).freeze()
+    >>> frozen = FrozenLSHIndex(SimHashLSH(16), k=4, num_tables=8, seed=2)
+    >>> frozen = frozen.build(points)
+    >>> index = LSHIndex(SimHashLSH(16), k=4, num_tables=8, seed=2).build(points)
     >>> frozen.num_collisions(points[0]) == index.num_collisions(points[0])
     True
     >>> lookup = frozen.lookup(points[0])
@@ -720,11 +752,63 @@ class FrozenLSHIndex(LSHIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def __init__(self, *args, **kwargs) -> None:
+        """An unbuilt index, hash functions drawn (arguments as
+        :class:`~repro.index.lsh_index.LSHIndex`); :meth:`build` fills it."""
+        super().__init__(*args, **kwargs)
+        del self.tables  # the CSR arrays stand in for the dict tables
+        self._batched = self.family.sample_batch(self.k, self.num_tables)
+        self.frozen = None
+        self._init_overflow(None)
+
+    def build(self, points: np.ndarray) -> FrozenLSHIndex:
+        """Hash every point into every table, straight into the CSR arrays.
+
+        :data:`BUILD_CHUNK_ROWS` points at a time go through
+        :meth:`_insert_rows` (what an insert hashes with, for every
+        variant) into one ``(L, n, w)`` row matrix of the narrowest
+        dtype, widened when a chunk needs it.  Each row is then a
+        one-member :meth:`FrozenTables.assemble` source: its stable sort
+        groups equal rows into buckets, members in id order, and one
+        scatter-max fills the registers.  An index is built once.
+        """
+        if self.is_built:
+            raise ConfigurationError(
+                "a frozen index is built once; insert() adds points to a built one"
+            )
+        points = check_matrix(points, dim=self.dim, name="points")
+        n = points.shape[0]
+        if n == 0:
+            raise ConfigurationError("cannot build an index over zero points")
+        self._hll_hashes = (
+            PrecomputedHllHashes(n, p=self.hll_precision, seed=self.hll_seed)
+            if self.with_sketches
+            else None
+        )
+        rows = np.empty((self.num_tables, n, self.row_width), dtype=np.int8)
+        for start in range(0, n, BUILD_CHUNK_ROWS):
+            chunk = self._insert_rows(points[start : start + BUILD_CHUNK_ROWS])
+            dtype = np.promote_types(rows.dtype, _narrowest_int_dtype(chunk))
+            if dtype != rows.dtype:
+                rows = rows.astype(dtype)
+            rows[:, start : start + chunk.shape[0]] = chunk.transpose(1, 0, 2)
+        ones, ids = np.ones(n, dtype=np.int64), np.arange(n, dtype=np.intp)
+        frozen = FrozenTables.assemble(
+            [(table_rows, ones, ids) for table_rows in rows],
+            self._hll_hashes,
+            self._effective_lazy_threshold,
+            self.hll_precision,
+        )
+        with self._refreeze_lock:  # published like an insert's swap
+            self.frozen, self.points = frozen, points
+        return self
+
     @classmethod
     def from_dict_index(
         cls, index: LSHIndex, refreeze_threshold: int | None = None
     ) -> FrozenLSHIndex:
-        """Compact a built dict-layout index (shares points and kernel)."""
+        """Compact a built dict-layout index (shares points and kernel):
+        the reference's path, to the arrays :meth:`build` makes."""
         index._require_built()
         self = cls.__new__(cls)
         self._adopt(index)
@@ -843,12 +927,6 @@ class FrozenLSHIndex(LSHIndex):
         currently folding in; drops to zero once the swap lands.
         """
         return sum(run.count for run in self.live_runs)
-
-    def build(self, points: np.ndarray) -> LSHIndex:
-        raise ConfigurationError(
-            "a frozen index is created from a built dict-layout index via "
-            "LSHIndex.freeze(); it cannot be rebuilt in place"
-        )
 
     # ------------------------------------------------------------------
     # Mutation: overflow inserts + re-freeze

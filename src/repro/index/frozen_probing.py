@@ -51,11 +51,12 @@ __all__ = ["FrozenMultiProbeLSHIndex", "FrozenCoveringLSHIndex"]
 
 
 class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
-    """A built multi-probe index compacted into contiguous CSR arrays.
+    """A multi-probe index held in contiguous CSR arrays.
 
-    Produced by :meth:`repro.index.multiprobe_index.MultiProbeLSHIndex.freeze`;
+    Built like the plain one plus ``num_probes``, or produced by
+    :meth:`repro.index.multiprobe_index.MultiProbeLSHIndex.freeze`;
     answers every primitive bit-identically to the dict-layout
-    multi-probe index it was frozen from, including after ``insert``
+    multi-probe index of the same draws, including after ``insert``
     (overflow run, probed under home *and* probe addresses) and
     re-freeze.
 
@@ -69,7 +70,9 @@ class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
     >>> index = MultiProbeLSHIndex(
     ...     SimHashLSH(16, seed=1), k=4, num_tables=6, num_probes=3, seed=2
     ... ).build(points)
-    >>> frozen = index.freeze()
+    >>> frozen = FrozenMultiProbeLSHIndex(
+    ...     SimHashLSH(16), k=4, num_tables=6, num_probes=3, seed=2
+    ... ).build(points)
     >>> frozen.num_collisions(points[0]) == index.num_collisions(points[0])
     True
     >>> bool(np.array_equal(
@@ -79,6 +82,10 @@ class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
     """
 
     variant = "multiprobe"
+
+    def __init__(self, *args, num_probes: int = 2, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._init_probing(num_probes)
 
     def _adopt(self, index) -> None:
         super()._adopt(index)
@@ -153,9 +160,11 @@ class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
 
 
 class FrozenCoveringLSHIndex(FrozenLSHIndex):
-    """A built covering index compacted into contiguous CSR arrays.
+    """A covering index held in contiguous CSR arrays.
 
-    Produced by :meth:`repro.index.covering.CoveringLSHIndex.freeze`.
+    Built from the arguments of
+    :class:`~repro.index.covering.CoveringLSHIndex`, or produced by
+    :meth:`repro.index.covering.CoveringLSHIndex.freeze`.
     The ``r + 1`` block tables have different row widths, so the fused
     key matrix stores every row zero-padded to the widest block's
     width; the no-false-negative covering guarantee is untouched
@@ -168,7 +177,7 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     >>> rng = np.random.default_rng(0)
     >>> points = (rng.random((300, 32)) < 0.5).astype(np.float64)
     >>> index = CoveringLSHIndex(dim=32, radius=4, seed=1).build(points)
-    >>> frozen = index.freeze()
+    >>> frozen = FrozenCoveringLSHIndex(dim=32, radius=4, seed=1).build(points)
     >>> bool(np.array_equal(
     ...     frozen.candidate_ids(frozen.lookup(points[0])),
     ...     index.candidate_ids(index.lookup(points[0]))))
@@ -180,6 +189,14 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def __init__(self, *args, **kwargs) -> None:
+        """An unbuilt index (arguments as
+        :class:`~repro.index.covering.CoveringLSHIndex`, whose
+        constructor validates them and draws the blocks, building nothing)."""
+        self._adopt(CoveringLSHIndex(*args, **kwargs))
+        self.frozen = None
+        self._init_overflow(None)
+
     @classmethod
     def from_covering_index(
         cls, index: CoveringLSHIndex, refreeze_threshold: int | None = None
@@ -187,18 +204,7 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         """Compact a built covering index (shares points and blocks)."""
         index._require_built()
         self = cls.__new__(cls)
-        self._adopt_covering(
-            dim=index.dim,
-            radius=index.radius,
-            blocks=index._blocks,
-            hll_precision=index.hll_precision,
-            hll_seed=index.hll_seed,
-            lazy_threshold=index.lazy_threshold,
-            with_sketches=index.with_sketches,
-            dedup=index.dedup,
-            points=index.points,
-            hll_hashes=index._hll_hashes,
-        )
+        self._adopt(index)
         per_table = [
             FrozenTables.table_arrays(table, block.size, pad_to=self.row_width)
             for table, block in zip(index.tables, self._blocks)
@@ -250,6 +256,21 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         self.frozen = frozen
         self._init_overflow(refreeze_threshold)
         return self
+
+    def _adopt(self, index: CoveringLSHIndex) -> None:
+        """Share a dict-layout covering index's blocks, points and HLL hashes."""
+        self._adopt_covering(
+            dim=index.dim,
+            radius=index.radius,
+            blocks=index._blocks,
+            hll_precision=index.hll_precision,
+            hll_seed=index.hll_seed,
+            lazy_threshold=index.lazy_threshold,
+            with_sketches=index.with_sketches,
+            dedup=index.dedup,
+            points=index.points,
+            hll_hashes=index._hll_hashes,
+        )
 
     def _adopt_covering(
         self,

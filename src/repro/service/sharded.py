@@ -128,11 +128,11 @@ class ShardedHybridIndex:
         default is ``min(K, os.cpu_count())`` — more threads than cores
         only adds scheduling overhead for CPU-bound shard work.
     index_factory:
-        Optional ``factory(shard_points, rng) -> HybridLSH`` used to
-        build each shard instead of the paper-preset construction
-        (spec-driven custom families/parameters route through this).
-        Whatever it builds, every shard serves from the frozen CSR
-        layout (:meth:`~repro.index.lsh_index.LSHIndex.freeze`).
+        Optional ``factory(shard_points, rng) -> HybridLSH`` building
+        each shard from its spawned stream; the default is the spec
+        builder of :class:`repro.api.Index` with the paper presets above.
+        The shards serve the index it builds as is (``Index.build``'s
+        factory builds frozen ones).
     seed:
         Master randomness; per-shard family draws use spawned streams.
 
@@ -189,26 +189,18 @@ class ShardedHybridIndex:
             cost_model = calibrate_cost_model(points, self.metric, seed=seed).model
         self.cost_model = cost_model
         shard_rngs = spawn_rngs(seed, num_shards)
+        if index_factory is None:
+            from repro.api.facade import _custom_shard_factory
+            from repro.api.spec import IndexSpec
+
+            spec = IndexSpec(
+                metric=metric, radius=radius, num_tables=num_tables, delta=delta,
+                hll_precision=hll_precision,
+            )
+            index_factory = _custom_shard_factory(spec, cost_model, estimator)
 
         def build_shard(s: int) -> HybridLSH:
-            if index_factory is not None:
-                # Spec-driven custom builds (named family, explicit k,
-                # bucket width, lazy threshold, ...) route each shard
-                # through the caller's factory with its spawned stream.
-                hybrid = index_factory(points[self._shard_gids[s]], shard_rngs[s])
-            else:
-                hybrid = HybridLSH(
-                    points[self._shard_gids[s]],
-                    metric=metric,
-                    radius=radius,
-                    num_tables=num_tables,
-                    delta=delta,
-                    hll_precision=hll_precision,
-                    cost_model=cost_model,
-                    seed=shard_rngs[s],
-                    estimator=estimator,
-                )
-            return hybrid.freeze()
+            return index_factory(points[self._shard_gids[s]], shard_rngs[s])
 
         # One persistent pool for builds and every later fan-out; a
         # per-call pool would put K thread spawns on the serving hot

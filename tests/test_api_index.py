@@ -8,10 +8,13 @@ invalidation, and plugin registries.
 """
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.api import facade
 from repro.api import (
     Index,
     IndexSpec,
@@ -27,6 +30,7 @@ from repro.core.hybrid import HybridLSH
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.service.sharded import ShardedHybridIndex
 from repro.service.stream import serve_stream
+from repro.service.workers import WorkerPool
 
 
 def _spec(**overrides):
@@ -117,6 +121,42 @@ class TestBuildParity:
     def test_spec_dedup_reaches_sharded_engines(self, gaussian_points):
         index = Index.build(gaussian_points, _spec(num_shards=2, dedup="scalar"))
         assert all(e.dedup == "scalar" for e in index.engine._engines)
+
+
+class TestProcessPoolArtifact:
+    """A process-pool build that fails leaves no transient artifact in
+    the temp dir (pinned under a private ``tempfile.tempdir``)."""
+
+    @pytest.fixture
+    def private_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_bad_num_workers_is_refused_before_any_build(
+        self, gaussian_points, private_tmp, monkeypatch
+    ):
+        builds = []
+        build = facade._build_single_index
+        monkeypatch.setattr(
+            facade, "_build_single_index", lambda *a, **k: builds.append(a) or build(*a, **k)
+        )
+        spec = _spec(num_shards=2, execution="processes")
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            Index.build(gaussian_points, spec, num_workers=0)
+        assert builds == []
+        assert os.listdir(private_tmp) == []
+
+    def test_a_pool_that_fails_to_start_removes_the_artifact(
+        self, gaussian_points, private_tmp, monkeypatch
+    ):
+        def refuse(pool, path, **kwargs):
+            assert os.path.exists(os.path.join(path, "index.json"))  # it was saved
+            raise RuntimeError("no pool today")
+
+        monkeypatch.setattr(WorkerPool, "__init__", refuse)
+        with pytest.raises(RuntimeError, match="no pool today"):
+            Index.build(gaussian_points, _spec(num_shards=2, execution="processes"))
+        assert os.listdir(private_tmp) == []
 
 
 class TestQuerySurface:

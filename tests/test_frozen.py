@@ -8,6 +8,7 @@ structural properties (CSR consistency, overflow re-freeze, zero-copy
 persistence) the serving path relies on.
 """
 
+import hashlib
 import json
 import mmap
 import os
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec
-from repro.api.facade import _build_single_index
+from repro.api import facade
+from repro.api.facade import _resolve_family_and_k
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
@@ -48,13 +50,33 @@ def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
 
 
 def reference_index(points, spec, seed=None):
-    """The dict-layout ``LSHIndex`` a spec's served index is frozen from.
+    """The dict-layout ``LSHIndex`` of a spec's served index.
 
-    Built by the same spec-driven construction ``Index.build`` runs, from the
-    spec's seed (or ``seed``, a shard's spawned stream): the reference
-    every bit-identity check compares a served index against.
+    Built here, independently of the served build, from the family and
+    ``k`` the spec resolves to and the spec's seed (or ``seed``, a
+    shard's spawned stream): the reference every bit-identity check
+    compares a served index against.
     """
-    return _build_single_index(spec, points, seed=spec.seed if seed is None else seed)
+    seed = spec.seed if seed is None else seed
+    sketch = dict(
+        hll_precision=spec.hll_precision,
+        hll_seed=spec.hll_seed,
+        lazy_threshold=spec.lazy_threshold,
+    )
+    if spec.variant == "covering":
+        index = CoveringLSHIndex(
+            dim=points.shape[1], radius=int(spec.radius), seed=seed, **sketch
+        )
+    else:
+        family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
+        if spec.variant == "multiprobe":
+            index = MultiProbeLSHIndex(
+                family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes,
+                **sketch,
+            )
+        else:
+            index = LSHIndex(family, k=k, num_tables=spec.num_tables, **sketch)
+    return index.build(points)
 
 
 def assert_file_backed(array, directory, name):
@@ -490,6 +512,122 @@ class TestFrozenGuards:
         _, _, frozen = build_pair(n=100)
         with pytest.raises(ConfigurationError):
             frozen.build(np.zeros((4, 12)))
+
+
+def _artifact_digests(path):
+    """``{relative file name: sha256}`` of every file under ``path``."""
+    digests = {}
+    for root, _, names in os.walk(path):
+        for name in names:
+            full = os.path.join(root, name)
+            with open(full, "rb") as fh:
+                digests[os.path.relpath(full, path)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+#: Spec overrides of the array-native build's byte-identity cases.
+BUILD_CASES = {
+    "plain-pstable": {},
+    "plain-simhash": {"metric": "cosine"},
+    "multiprobe-additive": {"variant": "multiprobe", "num_probes": 3},
+    "multiprobe-xor": {"metric": "cosine", "variant": "multiprobe", "num_probes": 3},
+    "covering": {"metric": "hamming", "radius": 3.0, "variant": "covering"},
+    "sketch-knobs": {"lazy_threshold": 0, "hll_seed": 3, "k": 4},
+    # Points grow with their id: the first chunks hash into int8, the
+    # last ones need int16, so the row matrix widens mid-build.
+    "int16-rows": {"bucket_width": 0.02},
+    "resalted": {},
+}
+
+
+def _build_case_points(case, n=400, dim=10):
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(n, dim))
+    if case == "covering":
+        return (points > 0).astype(np.float64)
+    if case == "int16-rows":
+        return points * np.linspace(0.001, 1.0, n)[:, None] ** 4
+    return points
+
+
+class TestArrayNativeBuild:
+    """``FrozenLSHIndex.build`` hashes the points straight into the CSR
+    arrays; the saved artifact is byte for byte the one the dict-layout
+    reference makes through ``freeze()``."""
+
+    @pytest.mark.parametrize("tier", ["single", "threads"])
+    @pytest.mark.parametrize("case", list(BUILD_CASES))
+    def test_artifact_is_byte_identical_to_the_frozen_reference(
+        self, case, tier, tmp_path, monkeypatch
+    ):
+        if case == "resalted":
+            collide_on(monkeypatch, {0})
+        # Chunks of 97 points: several per build, a ragged last one.
+        monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", 97)
+        points = _build_case_points(case)
+        spec = IndexSpec(
+            **{
+                "metric": "l2", "radius": 1.0, "num_tables": 6, "seed": 7,
+                "num_shards": 2 if tier == "threads" else 1,
+                **BUILD_CASES[case],
+            }
+        )
+        served = Index.build(points, spec)
+        shards = (
+            [served.engine.index]
+            if tier == "single"
+            else [shard.index for shard in served.engine.shards]
+        )
+        served.save(str(tmp_path / "served"))
+        served.close()
+
+        frozen_from_dict = []  # the reference path: dict build, then freeze()
+
+        def reference_build(spec, points, seed):
+            frozen_from_dict.append(reference_index(points, spec, seed=seed).freeze())
+            return frozen_from_dict[-1]
+
+        monkeypatch.setattr(facade, "_build_single_index", reference_build)
+        reference = Index.build(points, spec)
+        reference.save(str(tmp_path / "reference"))
+        reference.close()
+        assert len(frozen_from_dict) == spec.num_shards
+        served_files = _artifact_digests(tmp_path / "served")
+        assert len(served_files) >= 10
+        assert served_files == _artifact_digests(tmp_path / "reference")
+
+        assert {shard.frozen.salt for shard in shards} == {1 if case == "resalted" else 0}
+        if case == "int16-rows":
+            assert {shard.frozen.keys.dtype for shard in shards} == {np.dtype(np.int16)}
+            first_chunk = shards[0]._insert_rows(np.asarray(shards[0].points[:97]))
+            assert np.abs(first_chunk).max() <= 127  # ... but the first chunk fit int8
+
+    @pytest.mark.parametrize("chunk", [1, 64, 4096])
+    def test_chunk_size_changes_no_array(self, chunk, monkeypatch):
+        points = _build_case_points("plain-pstable", n=300)
+        spec = IndexSpec(metric="l2", radius=1.0, num_tables=5, seed=2)
+        expected = reference_index(points, spec).freeze().frozen
+        monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", chunk)
+        built = Index.build(points, spec).engine.index.frozen
+        for name in frozen_module._TABLE_FILES[2]:
+            assert np.array_equal(getattr(built, name), getattr(expected, name)), name
+            assert getattr(built, name).dtype == getattr(expected, name).dtype, name
+
+    def test_an_unbuilt_index_builds_and_answers_like_the_reference(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(250, 8))
+        index = FrozenLSHIndex(PStableLSH(8, w=2.0), k=3, num_tables=4, seed=9)
+        assert not index.is_built and "unbuilt" in repr(index)
+        with pytest.raises(ConfigurationError, match="zero points"):
+            index.build(np.empty((0, 8)))
+        index.build(points)
+        twin = LSHIndex(PStableLSH(8, w=2.0), k=3, num_tables=4, seed=9).build(points)
+        for q in points[:5]:
+            a, b = index.lookup(q), twin.lookup(q)
+            assert a.num_collisions == b.num_collisions
+            assert np.array_equal(index.candidate_ids(a), twin.candidate_ids(b))
+        with pytest.raises(ConfigurationError, match="built once"):
+            index.build(points)
 
 
 class TestFrozenPersistence:

@@ -3,8 +3,9 @@
 ``repro.index.overflow.OverflowRun`` on its own (copy-on-write merge,
 insertion order inside an address, the collision rule, probe ranges),
 then what it buys the index, pinned as *work units* rather than
-timings: after construction a frozen index of any variant builds no
-``Bucket`` / ``HashTable`` and encodes no row to ``bytes``, a register
+timings: from build through save and reopen a frozen index of any
+variant builds no ``Bucket`` / ``HashTable`` and encodes no row to
+``bytes``, a register
 merge is one scatter-max however many overflow buckets the rows hit, a
 lookup is one binary search plus at most two per live run whatever the
 batch size, identical rows of a batch share one candidate union beside
@@ -25,7 +26,7 @@ import pytest
 
 from test_adaptive import _dispatch_case, _spec
 
-from repro.api import Index
+from repro.api import Index, QuerySpec
 from repro.hashing import composite
 from repro.index import Bucket, HashTable
 from repro.index import frozen as frozen_module
@@ -243,6 +244,39 @@ def _count_constructions(monkeypatch):
         ):
             monkeypatch.setattr(module, "encode_rows", encode)
     return counts
+
+
+@pytest.mark.parametrize("tier", ["single", "threads"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_bucket_objects_from_build_to_reopen(monkeypatch, tmp_path, variant, tier):
+    """The whole serving life cycle — build, batch and single queries,
+    insert, re-freeze, save, reopen, query — builds no ``Bucket`` or
+    ``HashTable`` and encodes no row to ``bytes``."""
+    points, queries, inserts, overrides = _dispatch_case(11, 300, variant, 6.0, 40)
+    if tier == "threads":
+        overrides["num_shards"] = 2
+    counts = _count_constructions(monkeypatch)
+    index = Index.build(points, _spec(**overrides))
+    reopened = None
+    try:
+        index.query(QuerySpec(queries))
+        index.query(QuerySpec(queries[0]))
+        index.insert(inserts)
+        raws = [index.engine.index] if tier == "single" else [
+            shard.index for shard in index.engine.shards
+        ]
+        assert all(raw.overflow_count for raw in raws)
+        for raw in raws:
+            raw.refreeze()
+        index.save(str(tmp_path / "saved"))
+        reopened = Index.open(str(tmp_path / "saved"))
+        reopened.query(QuerySpec(queries))
+        reopened.query(QuerySpec(queries[0]))
+    finally:
+        index.close()
+        if reopened is not None:
+            reopened.close()
+    assert counts == {"Bucket": 0, "HashTable": 0, "encode_rows": 0}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
