@@ -225,26 +225,12 @@ class HybridSearcher:
 
         The returned result's :class:`~repro.core.results.QueryStats`
         records the decision inputs (collisions, estimated candidates,
-        both cost estimates) and which strategy ran.
+        both cost estimates) and which strategy ran.  It is
+        :meth:`query_batch` of one row, so sequential == batched holds
+        by construction.
         """
         query = check_vector(query, dim=self.index.dim, name="query")
-        radius = check_positive(radius, "radius")
-        lookup = self.index.lookup(query)
-        ((go_lsh, cand_size),) = self._verdicts([lookup])
-        probes = self._fixed_probes()
-        if not go_lsh:
-            result = self._linear_scan().query(query, radius)
-            # A linear scan genuinely examines every point.
-            result.stats = self._stats(
-                lookup.num_collisions, cand_size, False, self.index.n, probes
-            )
-            return result
-        candidates = self.index.candidate_ids(lookup)
-        ids, distances = self._lsh.filter_candidates(query, radius, candidates)
-        stats = self._stats(
-            lookup.num_collisions, cand_size, True, int(candidates.size), probes
-        )
-        return QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
+        return self.query_batch(query[None, :], radius)[0]
 
     def query_batch(
         self,
@@ -266,6 +252,11 @@ class HybridSearcher:
         :meth:`query` (see the module docstring): only the rows the
         exact ``candSize`` bounds leave open are estimated, in one
         vectorised merge over just those rows.
+
+        The LSH rows run Steps S2 and S3 once for the batch: the frozen
+        layout's ``candidate_ids_batch`` (one sort for rows of at most
+        ``n / 8`` collisions), then ``LSHSearch.filter_candidates_batch``
+        (one distance pass per block of up to 256 KiB of candidates).
 
         ``dedup`` is forwarded to the LSH branch's candidate retrieval;
         both dedup implementations return the identical candidate set,
@@ -359,9 +350,8 @@ class HybridSearcher:
                 results[i] = result
         lsh_rows = [i for i, lsh in enumerate(go_lsh) if lsh]
         with stage_timer(trace if lsh_rows else None, "candidates"):
-            # The frozen layout can recognise queries with identical bucket
-            # sets (equal rows of its bucket-index matrix) and union each
-            # distinct set once; other layouts deduplicate per query.
+            # Step S2 once for the batch on the frozen layout; other
+            # layouts deduplicate per query.
             batch_dedup = getattr(self.index, "candidate_ids_batch", None)
             if batch_dedup is not None and lsh_rows:
                 candidate_sets = batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
@@ -369,10 +359,10 @@ class HybridSearcher:
                 candidate_sets = [
                     self.index.candidate_ids(lookups[i], dedup=dedup) for i in lsh_rows
                 ]
-            for i, candidates in zip(lsh_rows, candidate_sets):
-                ids, distances = self._lsh.filter_candidates(
-                    queries[i], radius, candidates
-                )
+            filtered = self._lsh.filter_candidates_batch(
+                queries.take(lsh_rows, axis=0), radius, candidate_sets
+            )
+            for i, candidates, (ids, distances) in zip(lsh_rows, candidate_sets, filtered):
                 results[i] = QueryResult(
                     ids=ids,
                     distances=distances,

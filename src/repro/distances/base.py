@@ -54,6 +54,12 @@ class Metric:
     #: a prepared kernel fall back to ``batch`` transparently.
     prepare: Callable[[np.ndarray], np.ndarray] | None = None
     batch_prepared: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    #: Optional many-query form of ``batch_prepared`` (needs ``prepare``):
+    #: ``rows_prepared(points, queries, bounds, state)`` returns the
+    #: distances of ``points[bounds[i]:bounds[i + 1]]`` to ``queries[i]``
+    #: for every ``i``, back to back, each block's floats bit-identical to
+    #: ``batch_prepared`` over that block alone.
+    rows_prepared: Callable[..., np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
         """Scalar distance between ``x`` and ``y``."""

@@ -19,6 +19,7 @@ __all__ = [
     "euclidean_distance_batch",
     "euclidean_prepare",
     "euclidean_distance_batch_prepared",
+    "euclidean_distance_rows_prepared",
     "EUCLIDEAN",
 ]
 
@@ -74,6 +75,27 @@ def euclidean_distance_batch_prepared(
     return np.sqrt(sq)
 
 
+def euclidean_distance_rows_prepared(
+    points: np.ndarray, queries: np.ndarray, bounds: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
+    """:func:`euclidean_distance_batch_prepared` of ``points[bounds[i]:
+    bounds[i + 1]]`` and ``queries[i]`` for every ``i``, back to back —
+    bit for bit: each block runs the same gemv into its slice of one
+    buffer, and the elementwise tail runs once with each row's ``|q|^2``.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    dots = np.empty(points.shape[0])
+    query_norms = np.empty(queries.shape[0])
+    starts, stops = bounds[:-1].tolist(), bounds[1:].tolist()
+    for i, (query, a, b) in enumerate(zip(queries, starts, stops)):
+        np.matmul(points[a:b], query, out=dots[a:b])
+        query_norms[i] = np.dot(query, query)
+    sq = norms - 2.0 * dots + np.repeat(query_norms, np.diff(bounds))
+    np.clip(sq, 0.0, None, out=sq)
+    return np.sqrt(sq)
+
+
 EUCLIDEAN = register_metric(
     Metric(
         name="l2",
@@ -83,5 +105,6 @@ EUCLIDEAN = register_metric(
         aliases=("euclidean",),
         prepare=euclidean_prepare,
         batch_prepared=euclidean_distance_batch_prepared,
+        rows_prepared=euclidean_distance_rows_prepared,
     )
 )

@@ -26,10 +26,11 @@ contiguous arrays instead, fused across all ``L`` tables:
 On this layout ``lookup_batch`` is a fused hash pass plus one binary
 search per batch, merged-sketch estimation is a row-gathered
 ``np.maximum.reduceat`` over the register matrix, and candidate
-deduplication is a boolean scatter over member slices — all vectorised
-across queries *and* tables with zero per-bucket Python objects, and
-all **bit-identical** to the dict layout (register maxima and id unions
-are associative, so regrouping cannot change a single byte).
+deduplication is one sort of a batch's small rows' tagged member ids (a
+boolean scatter over ``n`` for a large row) — all vectorised across
+queries *and* tables with zero per-bucket Python objects, and all
+**bit-identical** to the dict layout (register maxima and id unions are
+associative, so regrouping cannot change a single byte).
 
 :meth:`FrozenLSHIndex.build` is Algorithm 1 written straight into these
 arrays: a chunked hash pass into one narrow table-major row matrix,
@@ -137,6 +138,10 @@ _CONFIG_FILE = "config.json"
 #: Points hashed per chunk by :meth:`FrozenLSHIndex.build`: bounds the
 #: int64 hash tensor a chunk holds before it is narrowed into the rows.
 BUILD_CHUNK_ROWS = 4096
+
+#: Step-S2 crossover (:meth:`FrozenLSHIndex.candidate_ids_batch`): rows of
+#: at most ``n // 8`` collisions share one sort, larger ones use a bitmap.
+SORTED_UNION_RATIO = 8
 
 #: Salts tried (``salt``, ``salt + 1``, ...) before
 #: :meth:`FrozenTables.assemble` gives up on a collision-free ``key64``.
@@ -299,15 +304,61 @@ def _overflow_members_by_row(
     return gathered
 
 
-def _gather_overflow(lookups: list[FrozenQueryLookup]) -> None:
-    """Fill the lookups' :meth:`~FrozenQueryLookup.overflow_members`
-    caches in one pass (``lookups`` share a snapshot with live runs)."""
-    per_generation = [
+def _overflow_ids(lookups: list[FrozenQueryLookup]) -> list[list[np.ndarray]]:
+    """Per lookup, its ids in each live run (one gather per run for all)."""
+    if not lookups or lookups[0].overflow is None:
+        return [[] for _ in lookups]
+    per_run = [
         np.split(ids, np.cumsum(counts)[:-1])
         for ids, counts in _overflow_members_by_row(lookups)
     ]
-    for lookup, parts in zip(lookups, zip(*per_generation)):
-        lookup._overflow_ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return [list(parts) for parts in zip(*per_run)]
+
+
+def _row_tagged_members(
+    frozen: FrozenTables,
+    row_of: np.ndarray,
+    buckets: np.ndarray,
+    overflow: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, ids)``: the members of ``buckets`` (one CSR gather), each
+    tagged with its ``row_of`` entry, then the rows' live-run ids."""
+    sizes = frozen.sizes[buckets]
+    ids = [_csr_gather(frozen.members, frozen.offsets[buckets], sizes)]
+    ids += [run_ids for run_ids, _ in overflow]
+    rows = [np.repeat(row_of, sizes)]
+    rows += [np.repeat(np.arange(counts.size), counts) for _, counts in overflow]
+    return np.concatenate(rows), np.concatenate(ids)
+
+
+def _batch_slots(
+    lookups: list[FrozenQueryLookup],
+) -> tuple[FrozenTables, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """``(frozen arrays, bucket matrix, live-run ids by row)`` of one snapshot."""
+    live = lookups[0].overflow is not None
+    overflow = _overflow_members_by_row(lookups) if live else []
+    return lookups[0]._frozen, np.stack([lk.bucket_ids for lk in lookups]), overflow
+
+
+def _sorted_union(lookups: list[FrozenQueryLookup], n: int) -> list[np.ndarray]:
+    """Step S2 of many rows in one pass: each row's sorted distinct ids.
+
+    The members of every row, tagged ``row * n + id`` (int32 wherever
+    that fits: it sorts twice as fast), are sorted once; dropping each
+    repeat of its predecessor dedups all rows, a binary search splits them.
+    """
+    frozen, bucket_mat, overflow = _batch_slots(lookups)
+    found = bucket_mat >= 0
+    rows, ids = _row_tagged_members(
+        frozen, np.nonzero(found)[0], bucket_mat[found], overflow
+    )
+    tagged = (rows * n + ids).astype(np.int32 if len(lookups) * n < 2**31 else np.int64)
+    tagged.sort()
+    first = np.ones(tagged.size, dtype=bool)
+    np.not_equal(tagged[1:], tagged[:-1], out=first[1:])
+    rows, ids = np.divmod(tagged[first].astype(np.intp), n)  # the bitmap's dtype
+    bounds = rows.searchsorted(np.arange(len(lookups) + 1)).tolist()
+    return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclasses.dataclass(slots=True, eq=False, repr=False)
@@ -614,7 +665,6 @@ class FrozenQueryLookup:
         "_frozen",
         "_runs",
         "_found",
-        "_overflow_ids",
     )
 
     def __init__(
@@ -635,31 +685,12 @@ class FrozenQueryLookup:
         self._frozen = frozen
         self._runs = runs
         self._found = None
-        self._overflow_ids = None
 
     def found_buckets(self) -> np.ndarray:
         """Global indexes of the query's non-empty frozen buckets (cached)."""
         if self._found is None:
             self._found = self.bucket_ids[self.bucket_ids >= 0]
         return self._found
-
-    def member_slices(self) -> list[np.ndarray]:
-        """Zero-copy member views of the found buckets, in table order."""
-        frozen = self._frozen
-        found = self.found_buckets()
-        starts = frozen.offsets[found]
-        stops = (starts + frozen.sizes[found]).tolist()
-        members = frozen.members
-        return [
-            members[a:b] for a, b in zip(starts.tolist(), stops)
-        ]
-
-    def overflow_members(self) -> np.ndarray:
-        """Ids in the probed overflow ranges, all generations (cached;
-        ``candidate_ids_batch`` fills a whole batch's in one gather)."""
-        if self._overflow_ids is None:
-            _gather_overflow([self])
-        return self._overflow_ids
 
     def nonempty_buckets(self) -> list[_FrozenBucketView]:
         """Bucket views in slot order (estimator-callback compatibility):
@@ -1287,7 +1318,7 @@ class FrozenLSHIndex(LSHIndex):
         lazy = found[srows < 0]
         ids = frozen.gather_members(lazy) if lazy.size else lazy
         if lookup.overflow is not None:
-            ids = np.concatenate([ids, lookup.overflow_members()])
+            ids = np.concatenate([ids, *_overflow_ids([lookup])[0]])
         if ids.size:
             np.maximum.at(
                 regs, self._hll_hashes.registers[ids], self._hll_hashes.ranks[ids]
@@ -1333,11 +1364,8 @@ class FrozenLSHIndex(LSHIndex):
             seg_starts = np.flatnonzero(np.diff(rows, prepend=-1))
             seg_max = np.maximum.reduceat(stacked, seg_starts, axis=0)
             registers[rows[seg_starts]] = seg_max
-        lazy_buckets = buckets[~sketched]
-        ids = [frozen.gather_members(lazy_buckets), *(ids for ids, _ in overflow)]
-        rows = [np.repeat(qi[~sketched], frozen.sizes[lazy_buckets])]
-        rows += [np.repeat(np.arange(num_rows), counts) for _, counts in overflow]
-        ids, rows = np.concatenate(ids), np.concatenate(rows)
+        lazy = ~sketched
+        rows, ids = _row_tagged_members(frozen, qi[lazy], buckets[lazy], overflow)
         if ids.size:
             # A flat 1-d scatter: numpy's indexed fast path is ~10x the
             # speed of the 2-d ``(rows, registers)`` form.
@@ -1352,12 +1380,7 @@ class FrozenLSHIndex(LSHIndex):
         """The ``(q, m)`` merged-register matrix of a lookup batch."""
         if not lookups:
             return np.zeros((0, 1 << self.hll_precision), dtype=np.uint8)
-        frozen = lookups[0]._frozen  # one lookup_batch -> one snapshot
-        bucket_mat = np.stack([lk.bucket_ids for lk in lookups])  # (q, S)
-        overflow = ()
-        if lookups[0].overflow is not None:
-            overflow = _overflow_members_by_row(lookups)
-        return self._registers_for_bucket_matrix(frozen, bucket_mat, overflow)
+        return self._registers_for_bucket_matrix(*_batch_slots(lookups))
 
     # ------------------------------------------------------------------
     # Step S2: candidate union
@@ -1365,7 +1388,8 @@ class FrozenLSHIndex(LSHIndex):
     def candidate_ids(
         self, lookup: FrozenQueryLookup, dedup: str | None = None
     ) -> np.ndarray:
-        """Deduplicated candidate set: boolean scatter over member slices."""
+        """Step S2 of one row: its buckets' zero-copy member slices and
+        live-run ranges, deduplicated by a boolean scatter over ``n``."""
         self._require_built()
         if dedup is None:
             dedup = self.dedup
@@ -1373,9 +1397,17 @@ class FrozenLSHIndex(LSHIndex):
             raise ConfigurationError(
                 f'dedup must be "scalar" or "vectorized", got {dedup!r}'
             )
-        parts = lookup.member_slices()
-        if lookup.overflow is not None:
-            parts.append(lookup.overflow_members())
+        return self._bitmap_union(lookup, _overflow_ids([lookup])[0], dedup)
+
+    def _bitmap_union(
+        self, lookup: FrozenQueryLookup, run_ids: list[np.ndarray], dedup: str
+    ) -> np.ndarray:
+        """:meth:`candidate_ids` given the row's ids in each live run."""
+        frozen, found = lookup._frozen, lookup.found_buckets()
+        starts = frozen.offsets[found]
+        stops = (starts + frozen.sizes[found]).tolist()
+        parts = [frozen.members[a:b] for a, b in zip(starts.tolist(), stops)]
+        parts += run_ids
         seen = np.zeros(self.n, dtype=bool)
         if dedup == "vectorized":
             # One boolean scatter over the concatenated zero-copy member
@@ -1397,17 +1429,19 @@ class FrozenLSHIndex(LSHIndex):
     def candidate_ids_batch(
         self, lookups: list[FrozenQueryLookup], dedup: str | None = None
     ) -> list[np.ndarray]:
-        """Candidate sets for many lookups, deduplicating shared work.
+        """Step S2 of a lookup batch, the one batched entry point.
 
         Equivalent to ``[self.candidate_ids(lk, dedup) for lk in
-        lookups]``.  Queries from the same dense region collide into the
-        *same* bucket in every table — their rows of the ``(q, S)``
-        bucket-index matrix are identical, and so are the overflow
-        ranges they hit — so each distinct row is unioned once and the
-        resulting array shared (it is consumed read-only by Step S3);
-        beside live overflow runs the distinct rows' ranges are gathered
-        in one pass per run.  Only expressible in the frozen layout,
-        where a query's bucket set is a plain integer row.
+        lookups]``, array for array.  Queries from the same dense region
+        collide into the *same* bucket in every table — their rows of
+        the ``(q, S)`` bucket-index matrix are identical, and so are the
+        overflow ranges they hit — so each distinct row is unioned once
+        and the resulting array shared (Step S3 reads it only).
+
+        Distinct rows of at most ``n //`` :data:`SORTED_UNION_RATIO`
+        collisions share one :func:`_sorted_union` instead of ~``L``
+        slices and an ``n``-bitmap each; larger rows (and a lone small
+        one) keep the bitmap, which wins past that crossover.
         """
         self._require_built()
         if dedup is None:
@@ -1427,10 +1461,15 @@ class FrozenLSHIndex(LSHIndex):
             if group == len(distinct):
                 distinct.append(lookup)
             inverse.append(group)
-        if live:
-            _gather_overflow(distinct)
-        shared = [self.candidate_ids(lk, dedup=dedup) for lk in distinct]
-        return [shared[group] for group in inverse]
+        limit = self.n // SORTED_UNION_RATIO
+        small = [g for g, lk in enumerate(distinct) if lk.num_collisions <= limit]
+        unions = {}
+        if len(small) > 1:
+            unions = dict(zip(small, _sorted_union([distinct[g] for g in small], self.n)))
+        alone = [g for g in range(len(distinct)) if g not in unions]
+        for g, run_ids in zip(alone, _overflow_ids([distinct[g] for g in alone])):
+            unions[g] = self._bitmap_union(distinct[g], run_ids, dedup)
+        return [unions[group] for group in inverse]
 
     # ------------------------------------------------------------------
     # Diagnostics

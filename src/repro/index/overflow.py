@@ -62,7 +62,7 @@ def _csr_gather(
         return np.empty(0, dtype=members.dtype)
     exclusive = np.concatenate(([0], np.cumsum(lens[:-1])))
     idx = np.repeat(starts - exclusive, lens) + np.arange(total, dtype=np.int64)
-    return members[idx]
+    return members.take(idx)
 
 
 @dataclasses.dataclass(slots=True, eq=False, repr=False)

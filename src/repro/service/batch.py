@@ -7,15 +7,15 @@ and answers whole query matrices:
   (:meth:`~repro.index.lsh_index.LSHIndex.lookup_batch`);
 * the cost decision of Algorithm 2 is still made *per query* — that is
   the paper's contribution and is preserved exactly;
-* every query the model sends to linear search joins one grouped
-  distance-matrix pass (:func:`~repro.distances.matrix.pairwise_distances`,
-  the same kernel the single-query path calls row by row);
-* every query the model sends to LSH search deduplicates its candidate
-  buckets with the vectorised scatter instead of the paper's
-  per-collision bitvector probe.
+* every query the model sends to linear search joins one
+  :meth:`~repro.core.linear_scan.LinearScan.query_batch` pass (one
+  prepared-kernel row per query);
+* the queries it sends to LSH search run Steps S2 and S3 once for the
+  batch: rows of at most ``n / 8`` collisions dedup in one sort, and
+  blocks of up to 256 KiB of candidates filter in one distance pass.
 
-Both substitutions return bit-identical answers to the single-query
-path; they only remove per-query Python overhead.  The deliberate
+Every row's answer is bit-identical to the query answered alone; the
+batch only removes per-query Python overhead.  The deliberate
 scalar dedup of :meth:`~repro.index.lsh_index.LSHIndex.candidate_ids`
 models Equation (1)'s cost structure for the *experiments*; a serving
 layer is exactly where collapsing that constant is appropriate.

@@ -1,0 +1,203 @@
+"""Steps S2 and S3 of a batch equal the per-row steps, bit for bit.
+
+``FrozenLSHIndex.candidate_ids_batch`` unions the batch's small rows in
+one sort of row-tagged ids and leaves the rest to the per-row bitmap;
+``LSHSearch.filter_candidates_batch`` filters cache-sized blocks of rows
+in one distance pass each.  Whatever side of either crossover a row
+falls on, its candidates must equal ``candidate_ids(dedup="scalar")``
+array for array, and its ``(ids, distances)`` must equal
+``filter_candidates`` bit for bit — on every frozen variant, beside 0,
+1 and 2 live overflow generations, for empty and duplicated rows, and
+through ``HybridSearcher`` on the dict-layout reference as well.
+
+The work-unit test pins what the flat pass saves, as counts: a 64-row
+batch of sparse-cluster queries gathers its candidate points once and
+deduplicates once, where row-by-row Steps S2/S3 did each 64 times.
+"""
+
+import numpy as np
+import pytest
+
+from test_adaptive import _dispatch_case, _spec
+from test_frozen import reference_index
+
+from repro.api import Index, IndexSpec
+from repro.core import HybridSearcher
+from repro.core import lsh_search as lsh_module
+from repro.index import frozen as frozen_module
+
+hypothesis = pytest.importorskip(
+    "hypothesis", reason="property tests need hypothesis"
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+
+def _batch_case(seed, n, variant, generations, ratio, block_bytes):
+    """Points, a batch, insert batches for ``generations`` live runs,
+    the index spec, and the two crossovers to serve them under."""
+    points, queries, inserts, overrides = _dispatch_case(seed, n, variant, 6.0, 24)
+    batch = [queries, inserts[:4], queries[:3], queries[:1]]  # duplicated rows
+    if variant != "covering":  # far from every point: an empty row
+        batch.append(points[:1] + 100.0)
+    parts = np.array_split(inserts, generations) if generations else []
+    return points, np.concatenate(batch), parts, overrides, ratio, block_bytes
+
+
+@st.composite
+def batch_case(draw):
+    """Any frozen variant, 0-2 live overflow generations, and a Step-S2
+    ratio and Step-S3 block size that put rows on both sides."""
+    return _batch_case(
+        seed=draw(st.integers(0, 2**16)),
+        n=draw(st.integers(150, 400)),
+        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        generations=draw(st.integers(0, 2)),
+        ratio=draw(st.sampled_from([1, 8, 64, 10**9])),
+        block_bytes=draw(st.sampled_from([0, 1 << 10, 1 << 12, 1 << 18])),
+    )
+
+
+def _serve_generations(raw, parts):
+    """Insert ``parts`` into ``raw`` as that many live overflow runs."""
+    raw.background_refreeze = False
+    raw.refreeze_threshold = 10**6
+    for g, part in enumerate(parts):
+        if g:  # hold the previous run open, as an in-flight fold leaves it
+            raw._compacting, raw._run = raw._run, None
+        raw.insert(part)
+    assert len(raw.live_runs) == len(parts)
+
+
+def assert_bit_identical(a, b):
+    """Equal ``(ids, distances)`` pairs: same dtypes, same bits."""
+    assert a[0].dtype == b[0].dtype and np.array_equal(a[0], b[0])
+    assert a[1].dtype == b[1].dtype == np.float64
+    assert np.array_equal(a[1].view(np.int64), b[1].view(np.int64))
+
+
+def _check_batched_steps(case):
+    points, batch, parts, overrides, ratio, block_bytes = case
+    index = Index.build(points, _spec(**overrides))
+    searcher = index.engine.searcher
+    raw, radius = searcher.index, index.spec.radius
+    reference = reference_index(points, index.spec)
+    _serve_generations(raw, parts)
+    for part in parts:
+        reference.insert(part)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frozen_module, "SORTED_UNION_RATIO", ratio)
+        patch.setattr(lsh_module, "FILTER_BLOCK_BYTES", block_bytes)
+        lookups = raw.lookup_batch(batch)
+        # Step S2: array for array the scalar per-row union.
+        batched = raw.candidate_ids_batch(lookups, dedup="vectorized")
+        for lookup, candidates in zip(lookups, batched):
+            alone = raw.candidate_ids(lookup, dedup="scalar")
+            assert candidates.dtype == alone.dtype and np.array_equal(candidates, alone)
+        # Step S3: bit for bit the per-row filter.
+        lsh = searcher._lsh
+        filtered = lsh.filter_candidates_batch(batch, radius, batched)
+        for query, candidates, pair in zip(batch, batched, filtered):
+            assert_bit_identical(pair, lsh.filter_candidates(query, radius, candidates))
+        # Through the searcher: the batch == each row alone == the dict
+        # reference's batch (per-row S2, the same batched S3).
+        rows = searcher.query_batch(batch, radius, dedup="vectorized")
+        twin = HybridSearcher(reference, searcher.cost_model).query_batch(
+            batch, radius, dedup="vectorized"
+        )
+        for query, row, theirs in zip(batch, rows, twin):
+            alone = searcher.query(query, radius)
+            for other in (alone, theirs):
+                assert_bit_identical((row.ids, row.distances), (other.ids, other.distances))
+                assert row.stats == other.stats
+    index.close()
+    small = [lk.num_collisions <= raw.n // ratio for lk in lookups]
+    return small, [c.size for c in batched]
+
+
+class TestBatchedStepsEqualPerRow:
+    @given(batch_case())
+    @example(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
+    @example(_batch_case(5, 400, "multiprobe", 1, 1, 1 << 12))
+    @example(_batch_case(7, 200, "covering", 2, 10**9, 0))
+    @example(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10))
+    @settings(max_examples=15, deadline=None)
+    def test_batched_s2_and_s3_equal_the_per_row_steps(self, case):
+        _check_batched_steps(case)
+
+    def test_the_pins_cover_both_sides_of_each_crossover(self):
+        small, sizes = _check_batched_steps(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
+        assert any(small) and not all(small)  # S2: both sides of n // 8
+        assert 0 in sizes  # an empty row
+        _, sizes = _check_batched_steps(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10))
+        cap = (1 << 10) // (10 * 8)  # S3: candidate points a block holds at d = 10
+        assert any(0 < s <= cap // 2 for s in sizes) and max(sizes) > cap
+
+
+# ----------------------------------------------------------------------
+# Work units, not timings
+# ----------------------------------------------------------------------
+
+
+class _CountingPoints(np.ndarray):
+    """A point matrix that logs the row gathers (``take``) run over it."""
+
+    gathers: list = []
+
+    def take(self, indices, *args, **kwargs):
+        _CountingPoints.gathers.append(int(np.size(indices)))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+class _CountingBitmaps:
+    """``numpy`` with the ``n``-sized ``zeros`` (Step S2 bitmaps) counted."""
+
+    def __init__(self, n):
+        self.n, self.bitmaps = n, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        self.bitmaps += shape == self.n
+        return np.zeros(shape, *args, **kwargs)
+
+
+def _sparse_batch(seed=0, clusters=120, dim=8):
+    """Many 40-point clusters plus one dense region; a 64-row batch of
+    63 cluster queries and one at the dense region's centre."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 10.0, size=(clusters, dim))
+    dense = rng.uniform(0.0, 10.0, size=dim)
+    points = np.concatenate([
+        np.repeat(centers, 40, axis=0) + 0.1 * rng.standard_normal((clusters * 40, dim)),
+        dense + 0.1 * rng.standard_normal((1000, dim)),
+    ])
+    near = centers[rng.choice(clusters, 63, replace=False)]
+    queries = np.concatenate([near + 0.1 * rng.standard_normal(near.shape), dense[None]])
+    return points, queries
+
+
+def test_a_sparse_batch_gathers_once_and_deduplicates_once(monkeypatch):
+    points, queries = _sparse_batch()
+    spec = IndexSpec(metric="l2", radius=1.0, num_tables=10, seed=1)
+    index = Index.build(points, spec)
+    raw = index.engine.index
+    lookups = raw.lookup_batch(queries)
+    raw.points = raw.points.view(_CountingPoints)
+    counting = _CountingBitmaps(raw.n)
+    monkeypatch.setattr(frozen_module, "np", counting)
+    _CountingPoints.gathers = []
+    rows = index.engine.query_batch(queries, spec.radius)
+    index.close()
+    assert all(row.stats.strategy.value == "lsh" for row in rows)
+    # Step S2: one row still pays an n-sized bitmap (row by row, that was
+    # 64 bitmaps) — the dense-region row, the one above the crossover;
+    # the other 63 share one sorted union.
+    assert counting.bitmaps == 1
+    limit = raw.n // frozen_module.SORTED_UNION_RATIO
+    assert lookups[63].num_collisions > limit
+    assert all(lookup.num_collisions <= limit for lookup in lookups[:63])
+    # Step S3: every row's candidate points in one gather (row by row:
+    # 64 gathers).
+    assert _CountingPoints.gathers == [sum(row.stats.exact_candidates for row in rows)]

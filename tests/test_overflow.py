@@ -354,9 +354,15 @@ def test_identical_rows_share_one_union_beside_a_live_run(monkeypatch, variant):
     }
     assert len(keys) < len(lookups)
     calls = []
-    union = raw.candidate_ids
+    union, sorted_union = raw.candidate_ids, frozen_module._sorted_union
+    bitmap_union = raw._bitmap_union
     monkeypatch.setattr(
-        raw, "candidate_ids", lambda lk, dedup=None: calls.append(lk) or union(lk, dedup)
+        raw, "_bitmap_union", lambda lk, *args: calls.append(lk) or bitmap_union(lk, *args)
+    )
+    monkeypatch.setattr(
+        frozen_module,
+        "_sorted_union",
+        lambda lks, n: calls.extend(lks) or sorted_union(lks, n),
     )
     shared = raw.candidate_ids_batch(lookups, dedup="vectorized")
     assert len(calls) == len(keys)  # once per *distinct* row
