@@ -27,11 +27,8 @@ from repro.api import (
     IndexSpec,
     QueryOutcome,
     QuerySpec,
-    available_estimators,
     available_families,
-    get_estimator,
     get_family,
-    register_estimator,
     register_family,
 )
 from repro.core import (
@@ -71,9 +68,6 @@ __all__ = [
     "register_family",
     "get_family",
     "available_families",
-    "register_estimator",
-    "get_estimator",
-    "available_estimators",
     "HybridLSH",
     "HybridSearcher",
     "LSHSearch",

@@ -11,10 +11,10 @@ gives it a single surface:
   ``index.query(QuerySpec)`` for radius / top-k / batch,
   ``insert``, and full ``save`` / ``Index.open`` persistence
   (including sharded indexes);
-* the plugin registries — :func:`register_family` /
-  :func:`get_family` for LSH families and :func:`register_estimator` /
-  :func:`get_estimator` for ``candSize`` estimators — extending the
-  distance-registry pattern so specs resolve everything by name.
+* the LSH-family registry — :func:`register_family` /
+  :func:`get_family` — extending the distance-registry pattern so
+  specs resolve families by name.  ``candSize`` has one estimator,
+  Algorithm 2's merged HyperLogLog, so it has no registry.
 """
 
 from repro.api.facade import Index, ServiceStats
@@ -23,11 +23,6 @@ from repro.api.persist import open_index, save_index
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
 from repro.hashing.base import available_families, get_family, register_family
-from repro.sketches.registry import (
-    available_estimators,
-    get_estimator,
-    register_estimator,
-)
 
 __all__ = [
     "AdaptivePolicy",
@@ -42,7 +37,4 @@ __all__ = [
     "register_family",
     "get_family",
     "available_families",
-    "register_estimator",
-    "get_estimator",
-    "available_estimators",
 ]

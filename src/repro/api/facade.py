@@ -5,8 +5,7 @@
 * :meth:`Index.build` consumes an :class:`~repro.api.spec.IndexSpec`
   and assembles the right engine underneath (batched single index,
   sharded thread fan-out or worker-process pool), the cost model (fixed
-  ratio or timing-calibrated), the ``candSize`` estimator (resolved
-  from the estimator registry), and the optional result cache;
+  ratio or timing-calibrated), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
   radius, exact top-k, single or batch — through one method, returning
   a :class:`~repro.api.outcome.QueryOutcome` /
@@ -53,7 +52,6 @@ from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
 from repro.service.sharded import ShardedHybridIndex
 from repro.service.stats import ServiceStats
-from repro.sketches.registry import get_estimator
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["Index", "ServiceStats"]
@@ -225,22 +223,6 @@ class _ShardedBackend:
         self.engine.close()
 
 
-def _resolve_estimator(spec: IndexSpec) -> Any:
-    """Spec estimator name -> searcher argument.
-
-    The *built-in* HLL estimator maps to ``None`` so the searcher keeps
-    the vectorised batch sketch merge (the paper's path, bit-identical
-    and fastest); any other registration — including a user-replaced
-    ``"hll"`` — is honoured as the callable the registry resolves.
-    """
-    from repro.sketches.registry import _hll_estimate
-
-    estimator = get_estimator(spec.estimator)
-    if estimator is _hll_estimate:
-        return None
-    return estimator
-
-
 def _resolve_cost_model(spec: IndexSpec, points: np.ndarray) -> CostModel:
     if spec.cost_ratio is not None:
         return CostModel.from_ratio(spec.cost_ratio)
@@ -334,7 +316,7 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Froze
 
 
 def _custom_shard_factory(
-    spec: IndexSpec, cost_model: CostModel, estimator: Any
+    spec: IndexSpec, cost_model: CostModel
 ) -> Callable[[np.ndarray, Any], HybridLSH]:
     """``factory(shard_points, rng) -> HybridLSH`` for every shard.
 
@@ -344,9 +326,7 @@ def _custom_shard_factory(
 
     def factory(shard_points: np.ndarray, rng: Any) -> HybridLSH:
         index = _build_single_index(spec, shard_points, seed=rng)
-        return HybridLSH.from_index(
-            index, spec.radius, cost_model, delta=spec.delta, estimator=estimator
-        )
+        return HybridLSH.from_index(index, spec.radius, cost_model, delta=spec.delta)
 
     return factory
 
@@ -445,7 +425,6 @@ class Index:
             check_positive_int(num_workers, "num_workers")
         points = check_matrix(points, name="points")
         cost_model = _resolve_cost_model(spec, points)
-        estimator = _resolve_estimator(spec)
         backend: _ShardedBackend | _SingleBackend
         if spec.num_shards > 1:
             sharded = ShardedHybridIndex(
@@ -458,14 +437,13 @@ class Index:
                 hll_precision=spec.hll_precision,
                 cost_model=cost_model,
                 seed=spec.seed,
-                estimator=estimator,
                 dedup=spec.dedup,
-                index_factory=_custom_shard_factory(spec, cost_model, estimator),
+                index_factory=_custom_shard_factory(spec, cost_model),
             )
             backend = _ShardedBackend(sharded)
         else:
             index = _build_single_index(spec, points, seed=spec.seed)
-            searcher = HybridSearcher(index, cost_model, estimator=estimator)
+            searcher = HybridSearcher(index, cost_model)
             backend = _SingleBackend(
                 BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
             )

@@ -191,12 +191,7 @@ def open_index(
     worker processes — one ``"host:port,host:port"`` replica group per
     worker slot.
     """
-    from repro.api.facade import (
-        Index,
-        _cache_from_spec,
-        _resolve_estimator,
-        _ShardedBackend,
-    )
+    from repro.api.facade import Index, _cache_from_spec, _ShardedBackend
 
     meta_path = os.path.join(path, _META_FILE)
     if not os.path.exists(meta_path):
@@ -244,7 +239,6 @@ def open_index(
     cost_model = CostModel(
         alpha=float(meta["cost_model"]["alpha"]), beta=float(meta["cost_model"]["beta"])
     )
-    estimator = _resolve_estimator(spec)
     num_shards = int(meta["num_shards"])
     backend: Any
     try:
@@ -262,9 +256,7 @@ def open_index(
     if num_shards > 1:
         shard_gids = read_shard_gids(path, num_shards)
         shards = [
-            HybridLSH.from_index(
-                idx, spec.radius, cost_model, delta=spec.delta, estimator=estimator
-            )
+            HybridLSH.from_index(idx, spec.radius, cost_model, delta=spec.delta)
             for idx in shard_indexes
         ]
         backend_engine = ShardedHybridIndex.from_state(
@@ -280,7 +272,7 @@ def open_index(
     else:
         from repro.api.facade import _SingleBackend
 
-        searcher = HybridSearcher(shard_indexes[0], cost_model, estimator=estimator)
+        searcher = HybridSearcher(shard_indexes[0], cost_model)
         engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
         backend = _SingleBackend(engine)
     return Index(backend, spec=spec, cache=_cache_from_spec(spec))

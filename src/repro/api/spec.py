@@ -27,7 +27,6 @@ JSON schema (all keys optional unless noted)::
       "hll_precision": 7,              # m = 2**p sketch registers
       "hll_seed":      0,
       "lazy_threshold": null,          # small-bucket trick cutoff; null = m
-      "estimator":     "hll",          # registered candSize estimator
       "cost_ratio":    6.0,            # beta/alpha; null = calibrate by timing
       "num_shards":    1,              # K > 1 builds a sharded index
       "cache_size":    0,              # LRU result-cache capacity; 0 = off
@@ -50,6 +49,10 @@ JSON schema (all keys optional unless noted)::
       "seed":          null            # master randomness (int for reproducibility)
     }
 
+``candSize`` is always estimated from the query's merged HyperLogLog
+sketches (Algorithm 2), so the schema has no estimator key; documents
+saved while it was one still load (see :meth:`IndexSpec.from_dict`).
+
 :class:`QuerySpec` additionally carries per-request adaptive overrides
 (``adaptive`` / ``target_candidates`` / ``quality_floor``, all ``None``
 = follow the index policy) — see
@@ -68,7 +71,6 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.distances import get_metric
 from repro.exceptions import ConfigurationError
 from repro.hashing.base import get_family
-from repro.sketches.registry import get_estimator
 from repro.utils.validation import (
     check_delta,
     check_positive,
@@ -78,6 +80,10 @@ from repro.utils.validation import (
 __all__ = ["IndexSpec", "QuerySpec"]
 
 _SPEC_VERSION = 1
+
+#: The values any served index's spec was written with while
+#: ``estimator`` was a field: the merged-HLL ``candSize`` estimate.
+_RETIRED_ESTIMATORS = ("hll", "hyperloglog")
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,6 @@ class IndexSpec:
     hll_precision: int = 7
     hll_seed: int = 0
     lazy_threshold: int | None = None
-    estimator: str = "hll"
     cost_ratio: float | None = 6.0
     num_shards: int = 1
     cache_size: int = 0
@@ -146,8 +151,6 @@ class IndexSpec:
                 f"lazy_threshold must be a non-negative int or None, "
                 f"got {self.lazy_threshold!r}"
             )
-        get_estimator(self.estimator)  # raises on unknown names
-        set_(self, "estimator", self.estimator.lower())
         if self.cost_ratio is not None:
             set_(self, "cost_ratio", check_positive(self.cost_ratio, "cost_ratio"))
         set_(self, "num_shards", check_positive_int(self.num_shards, "num_shards"))
@@ -248,6 +251,16 @@ class IndexSpec:
         version = doc.pop("spec_version", _SPEC_VERSION)
         if version != _SPEC_VERSION:
             raise ConfigurationError(f"unsupported spec_version: {version!r}")
+        # Saved ``index.json`` specs, worker spec documents and stream
+        # ``create`` ops written while ``estimator`` was a field still
+        # carry it; the values they were written with load, any other
+        # value names an estimator this build no longer has.
+        if "estimator" in doc and str(doc.pop("estimator")).lower() not in _RETIRED_ESTIMATORS:
+            raise ConfigurationError(
+                "spec key 'estimator' is no longer configurable: candSize is "
+                "always the merged-HLL estimate (legacy values "
+                f"{list(_RETIRED_ESTIMATORS)} still load)"
+            )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:

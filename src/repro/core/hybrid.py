@@ -19,7 +19,7 @@ Per query the hybrid strategy:
 
 The verdict is Equation (1) at the clamped estimate on every row; it
 differs from estimating every row only where the raw estimate fell
-outside the exact bounds, i.e. where the estimator was provably wrong.
+outside the exact bounds, i.e. where the HLL estimate was provably wrong.
 The ``O(mL)`` estimation overhead, comparable to the hash computations
 of Step S1, is paid only where it can change the answer, so the hybrid
 query is never much slower than the better of the two pure strategies —
@@ -67,20 +67,12 @@ class HybridSearcher:
         enabled.
     cost_model:
         The calibrated :class:`~repro.core.cost_model.CostModel`.
-    estimator:
-        Optional ``candSize`` estimator ``f(index, lookup) -> float``
-        (see :func:`repro.sketches.register_estimator`); ``None`` uses
-        the paper's merged-HLL estimate, which also enables the
-        vectorised batch merge in :meth:`query_batch`.  Either is only
-        consulted on rows the exact bounds leave open.
+
+    ``candSize`` is the paper's merged-HLL estimate, consulted only on
+    rows the exact bounds leave open.
     """
 
-    def __init__(
-        self,
-        index: LSHIndex,
-        cost_model: CostModel,
-        estimator=None,
-    ) -> None:
+    def __init__(self, index: LSHIndex, cost_model: CostModel) -> None:
         if not index.is_built:
             from repro.exceptions import EmptyIndexError
 
@@ -94,7 +86,6 @@ class HybridSearcher:
             )
         self.index = index
         self.cost_model = cost_model
-        self.estimator = estimator
         self._lsh = LSHSearch(index)
         self._linear = LinearScan(index.points, index.family.metric)
 
@@ -150,11 +141,7 @@ class HybridSearcher:
         open_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh is None]
         if open_rows:
             open_lookups = [lookups[i] for i in open_rows]
-            if self.estimator is not None:
-                estimates = [
-                    float(self.estimator(self.index, lookup)) for lookup in open_lookups
-                ]
-            elif len(open_lookups) == 1:
+            if len(open_lookups) == 1:
                 # The same floats as the batch merge (pinned by the
                 # layouts' own tests) at half its fixed cost for one row:
                 # 28 vs 62 us on the frozen layout, L = 50.
@@ -292,7 +279,6 @@ class HybridSearcher:
         use_adaptive = (
             adaptive is not None
             and adaptive.bounds_probes
-            and self.estimator is None
             and hasattr(self.index, "lookup_batch_adaptive")
         )
         probes_used: np.ndarray | None = None
@@ -432,7 +418,6 @@ class HybridLSH:
         cost_model: CostModel | None = None,
         lazy_threshold: int | None = None,
         seed: RandomState = None,
-        estimator=None,
     ) -> None:
         points = np.asarray(points)
         params = paper_parameters(
@@ -454,7 +439,7 @@ class HybridLSH:
         ).build(points)
         if cost_model is None:
             cost_model = calibrate_cost_model(points, params.family.metric, seed=seed).model
-        self.searcher = HybridSearcher(self.index, cost_model, estimator=estimator)
+        self.searcher = HybridSearcher(self.index, cost_model)
 
     @classmethod
     def from_index(
@@ -463,7 +448,6 @@ class HybridLSH:
         radius: float,
         cost_model: CostModel,
         delta: float = 0.1,
-        estimator=None,
     ) -> HybridLSH:
         """Wrap an already-built index (e.g. one loaded from disk).
 
@@ -487,7 +471,7 @@ class HybridLSH:
         )
         self.radius = float(radius)
         self.index = index
-        self.searcher = HybridSearcher(index, cost_model, estimator=estimator)
+        self.searcher = HybridSearcher(index, cost_model)
         return self
 
     def freeze(self, refreeze_threshold: int | None = None) -> HybridLSH:
@@ -499,9 +483,7 @@ class HybridLSH:
         Returns ``self`` for chaining.
         """
         self.index = self.index.freeze(refreeze_threshold=refreeze_threshold)
-        self.searcher = HybridSearcher(
-            self.index, self.searcher.cost_model, estimator=self.searcher.estimator
-        )
+        self.searcher = HybridSearcher(self.index, self.searcher.cost_model)
         return self
 
     @property

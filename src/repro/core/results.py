@@ -35,7 +35,7 @@ class QueryStats:
     estimated_candidates:
         The ``candSize`` the dispatch verdict was taken at.  Hybrid
         search decides Equation (1) from exact bounds first, so this is
-        the estimate (merged HLL, or the registered estimator's) clamped
+        the merged-HLL estimate clamped
         to ``[largest bucket, min(#collisions, n)]`` on a row the bounds
         left open, the exact candidate count on a row the upper bound
         sent to LSH, and the lower bound on a row the lower bound sent

@@ -272,7 +272,6 @@ class CoveringLSHIndex:
     _merged_registers_batch = LSHIndex._merged_registers_batch
     merged_sketches_batch = LSHIndex.merged_sketches_batch
     merged_estimates_batch = LSHIndex.merged_estimates_batch
-    estimate_candidates = LSHIndex.estimate_candidates
     candidate_ids = LSHIndex.candidate_ids
     num_collisions = LSHIndex.num_collisions
     sketch_memory_bytes = LSHIndex.sketch_memory_bytes

@@ -607,30 +607,6 @@ class FrozenTables:
         )
 
 
-class _FrozenBucketView:
-    """Read-only bucket facade for estimator callbacks on frozen lookups.
-
-    Exposes the subset of the :class:`~repro.index.bucket.Bucket`
-    surface the registered estimators consume (``ids``, ``size``,
-    ``__len__``) without materialising per-bucket state in the index.
-    """
-
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: np.ndarray) -> None:
-        self.ids = ids
-
-    @property
-    def size(self) -> int:
-        return int(self.ids.size)
-
-    def __len__(self) -> int:
-        return int(self.ids.size)
-
-    def __repr__(self) -> str:
-        return f"_FrozenBucketView(size={self.size})"
-
-
 class FrozenQueryLookup:
     """A query's bucket addresses in the frozen arrays (Step S1 output).
 
@@ -691,24 +667,6 @@ class FrozenQueryLookup:
         if self._found is None:
             self._found = self.bucket_ids[self.bucket_ids >= 0]
         return self._found
-
-    def nonempty_buckets(self) -> list[_FrozenBucketView]:
-        """Bucket views in slot order (estimator-callback compatibility):
-        the frozen member slice, then the slot's range in each live run."""
-        views = []
-        frozen = self._frozen
-        for s, b in enumerate(self.bucket_ids.tolist()):
-            if b >= 0:
-                start = int(frozen.offsets[b])
-                stop = start + int(frozen.sizes[b])
-                views.append(
-                    _FrozenBucketView(np.asarray(frozen.members[start:stop], dtype=np.intp))
-                )
-            for g, run in enumerate(self._runs):
-                lo, hi = self.overflow[g, :, s].tolist()
-                if hi > lo:
-                    views.append(_FrozenBucketView(run.members[lo:hi]))
-        return views
 
 
 class FrozenLSHIndex(LSHIndex):

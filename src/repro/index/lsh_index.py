@@ -428,7 +428,7 @@ class LSHIndex:
 
     def merged_estimates_batch(self, lookups: list[QueryLookup]) -> np.ndarray:
         """``candSize`` estimate per lookup (batch counterpart of
-        :meth:`estimate_candidates`), without sketch objects.
+        ``merged_sketch(lookup).estimate()``), without sketch objects.
 
         One vectorised finish over the batch-merged register matrix —
         the same one for every layout, so the floats are identical to
@@ -436,10 +436,6 @@ class LSHIndex:
         """
         self._require_sketches()
         return estimates_from_registers(self._merged_registers_batch(lookups))
-
-    def estimate_candidates(self, lookup: QueryLookup) -> float:
-        """Estimated ``candSize`` — distinct points among the L buckets."""
-        return self.merged_sketch(lookup).estimate()
 
     def candidate_ids(self, lookup: QueryLookup, dedup: str | None = None) -> np.ndarray:
         """The deduplicated candidate set (exact; this is what LSH search pays for).

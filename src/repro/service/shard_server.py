@@ -265,20 +265,18 @@ def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
     Lazy api-layer imports keep module load light (and keep ``spawn``
     start-method workers importable without the full facade).
     """
-    from repro.api.facade import _resolve_estimator
     from repro.api.spec import IndexSpec
     from repro.core.hybrid import HybridSearcher
     from repro.service.batch import BatchQueryEngine
 
     spec = IndexSpec.from_dict(spec_doc)
     cost_model = CostModel(alpha=alpha, beta=beta)
-    estimator = _resolve_estimator(spec)
     metric = get_metric(spec.metric)
     indexes = {}
     engines = {}
     for s in shard_ids:
         index = load_frozen_index(_shard_dir(path, s))
-        searcher = HybridSearcher(index, cost_model, estimator=estimator)
+        searcher = HybridSearcher(index, cost_model)
         indexes[s] = index
         engines[s] = BatchQueryEngine(
             searcher, radius=spec.radius, dedup=spec.dedup

@@ -161,7 +161,6 @@ class ShardedHybridIndex:
         cost_model: CostModel | None = None,
         max_workers: int | None = None,
         seed: RandomState = None,
-        estimator=None,
         dedup: str = "vectorized",
         index_factory=None,
     ) -> None:
@@ -197,7 +196,7 @@ class ShardedHybridIndex:
                 metric=metric, radius=radius, num_tables=num_tables, delta=delta,
                 hll_precision=hll_precision,
             )
-            index_factory = _custom_shard_factory(spec, cost_model, estimator)
+            index_factory = _custom_shard_factory(spec, cost_model)
 
         def build_shard(s: int) -> HybridLSH:
             return index_factory(points[self._shard_gids[s]], shard_rngs[s])

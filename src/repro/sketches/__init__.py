@@ -3,47 +3,26 @@
 The paper's hybrid strategy attaches a HyperLogLog (HLL) sketch to every
 LSH bucket so that the number of *distinct* candidates of a query (the
 union of its ``L`` buckets) can be estimated in ``O(mL)`` time.  This
-package implements HLL from scratch plus the baselines used by the
-ablation benchmarks:
+package implements HLL from scratch:
 
 * :class:`HyperLogLog` — registers, stochastic averaging, bias-corrected
   raw estimate, linear-counting small-range correction, lossless merge;
-* :class:`LinearCounter` — classic linear (bitmap) counting;
-* :class:`KMinValues` — bottom-k / KMV distinct estimator with union;
-* :class:`ExactDistinctCounter` — set-based exact counting (the thing
-  HLL avoids paying for at query time);
-* :class:`BloomFilter` — membership filter used to model the cost of
-  duplicate removal in Step S2 of the cost model.
+* :class:`PrecomputedHllHashes` — the per-point register positions and
+  ranks, hashed once so bucket sketches are built without rehashing.
 
-All sketches share the same 64-bit integer hashing scheme
+Sketches share one 64-bit integer hashing scheme
 (:mod:`repro.sketches.hashing64`), so sketches built over the same point
-universe with the same seed are mergeable.
+universe with the same seed are mergeable.  The merged sketch is the
+only ``candSize`` estimate; Table 1 measures it against the exact
+distinct count of the candidate set.
 """
 
-from repro.sketches.bloom import BloomFilter
-from repro.sketches.exact_counter import ExactDistinctCounter
 from repro.sketches.hashing64 import hash64, rho_positions, split_hash
 from repro.sketches.hyperloglog import HyperLogLog, PrecomputedHllHashes
-from repro.sketches.kmv import KMinValues
-from repro.sketches.linear_counting import LinearCounter
-from repro.sketches.registry import (
-    available_estimators,
-    get_estimator,
-    register_estimator,
-)
-from repro.sketches.sparse_hll import SparseHyperLogLog
 
 __all__ = [
-    "register_estimator",
-    "get_estimator",
-    "available_estimators",
     "HyperLogLog",
-    "SparseHyperLogLog",
     "PrecomputedHllHashes",
-    "LinearCounter",
-    "KMinValues",
-    "ExactDistinctCounter",
-    "BloomFilter",
     "hash64",
     "split_hash",
     "rho_positions",

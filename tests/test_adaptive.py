@@ -26,8 +26,8 @@ The contracts under test:
   dict-layout reference's, across inserts and a re-freeze; the verdict
   is Equation (1) at the estimate clamped to those bounds (a budgeted
   batch's ring-walk estimates included; only the budget may then force
-  LSH), and the estimator — merged HLL or a registered one — runs on
-  exactly the rows the bounds leave open;
+  LSH), and the merged-HLL estimate runs on exactly the rows the
+  bounds leave open;
 * on those rows the merged HLL estimate keeps the paper's Table 1
   error bound for the configured ``m``, the same floats as the reference.
 """
@@ -578,20 +578,6 @@ class TestEstimatorWorkUnits:
         for query in queries:
             searcher.query(query, index.spec.radius)
         assert len(merged) == len(open_rows)
-
-        del merged[:]
-        called = []
-
-        def pessimist(idx, lookup):
-            called.append(lookup)
-            return float(idx.n)
-
-        custom = HybridSearcher(searcher.index, searcher.cost_model, estimator=pessimist)
-        custom.query_batch(queries, index.spec.radius)
-        # Consulted once per open row, on open rows only; no HLL merge.
-        assert len(called) == len(open_rows)
-        assert _open_rows(searcher, called) == list(range(len(called)))
-        assert merged == []
 
 
 class TestEstimatorFidelity:

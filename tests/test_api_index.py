@@ -19,10 +19,7 @@ from repro.api import (
     Index,
     IndexSpec,
     QuerySpec,
-    available_estimators,
     available_families,
-    get_estimator,
-    register_estimator,
     register_family,
 )
 from repro.core import CostModel
@@ -257,32 +254,6 @@ class TestRegistries:
         for name in ("bit_sampling", "simhash", "pstable_l1", "pstable_l2", "minhash"):
             assert name in names
 
-    def test_builtin_estimators_present(self):
-        names = available_estimators()
-        for name in ("hll", "kmv", "exact"):
-            assert name in names
-
-    def test_register_custom_estimator_and_use_in_spec(self, gaussian_points):
-        calls = []
-
-        def pessimist(index, lookup):
-            calls.append(1)
-            return float(index.n)  # always estimates "everything collides"
-
-        register_estimator("pessimist-test", pessimist)
-        # An estimator is only consulted where the exact candSize bounds
-        # leave Equation (1) open; k=1 at ratio 8 makes this query such a
-        # row (the merged-HLL estimate keeps it on LSH).
-        open_row = dict(k=1, cost_ratio=8.0)
-        index = Index.build(
-            gaussian_points, _spec(estimator="pessimist-test", **open_row)
-        )
-        result = index.query(QuerySpec(gaussian_points[0]))
-        assert calls  # the spec-resolved estimator actually ran
-        assert result.stats.strategy.value == "linear"  # cost pushed to linear
-        default = Index.build(gaussian_points, _spec(**open_row))
-        assert default.query(QuerySpec(gaussian_points[0])).strategy == "lsh"
-
     def test_register_custom_family_and_use_in_spec(self, gaussian_points):
         from repro.hashing.pstable import PStableLSH
 
@@ -298,39 +269,16 @@ class TestRegistries:
         assert 0 in index.query(QuerySpec(gaussian_points[0])).ids
 
     def test_estimator_matches_between_single_and_batch(self, gaussian_points):
-        index = Index.build(gaussian_points, _spec(estimator="exact"))
+        """The merged-HLL ``candSize`` a batch reports per row is the one
+        the single-query path reports; k=1 at ratio 8 leaves rows open."""
+        index = Index.build(gaussian_points, _spec(k=1, cost_ratio=8.0))
         queries = gaussian_points[:6]
         batch = index.query(QuerySpec(queries))
         for qi, res in enumerate(batch):
             solo = index.query(QuerySpec(queries[qi]))
             assert np.array_equal(res.ids, solo.ids)
             assert res.stats.estimated_candidates == solo.stats.estimated_candidates
-
-    def test_get_estimator_unknown_name(self):
-        with pytest.raises(ConfigurationError):
-            get_estimator("no-such-estimator")
-
-    def test_replaced_hll_estimator_is_honoured(self, gaussian_points):
-        """Re-registering "hll" (documented as supported) must actually
-        route spec-built indexes through the replacement."""
-        from repro.sketches.registry import _hll_estimate
-
-        calls = []
-
-        def custom_hll(index, lookup):
-            calls.append(1)
-            return _hll_estimate(index, lookup)
-
-        register_estimator("hll", custom_hll)
-        try:
-            # k=1 at ratio 8: a row the exact bounds leave open (see above).
-            index = Index.build(
-                gaussian_points, _spec(estimator="hll", k=1, cost_ratio=8.0)
-            )
-            index.query(QuerySpec(gaussian_points[0]))
-            assert calls
-        finally:
-            register_estimator("hll", _hll_estimate, aliases=("hyperloglog",))
+            assert res.stats.strategy == solo.stats.strategy
 
     def test_user_registration_before_builtins_does_not_suppress_them(self):
         """Regression: registering a name early must not stop the lazy
@@ -341,13 +289,10 @@ class TestRegistries:
         code = (
             "from repro.hashing.base import register_family, get_family, "
             "family_for_metric\n"
-            "from repro.sketches.registry import register_estimator, get_estimator\n"
             "class Fam:  # registered before any registry lookup\n"
             "    def __init__(self, dim, seed=None): self.dim = dim\n"
             "register_family('simhash', Fam, metric='l2')\n"
-            "register_estimator('hll', lambda index, lookup: 0.0)\n"
             "assert get_family('pstable_l1') is not None  # builtins still load\n"
-            "assert get_estimator('kmv') is not None\n"
             "assert isinstance(family_for_metric('l2', 4), Fam)  # user default kept\n"
             "assert get_family('simhash') is Fam  # user override kept\n"
         )

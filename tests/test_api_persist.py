@@ -120,12 +120,13 @@ class TestErrors:
 def test_parent_format_artifact_reopens_bit_identically(
     gaussian_points, tmp_path, overrides
 ):
-    """An index saved before the policy lost three fields still opens.
+    """An index saved before the spec and its policy lost fields still opens.
 
-    The saved policy document is rewritten to the nine-key shape the
-    previous format wrote; answers (radius, batch, adaptive top-k) must
-    equal the index that was saved.  (Without a policy the document is
-    ``"adaptive": null`` in both formats — the round-trip tests above.)
+    The saved spec gets back the ``estimator`` key and the policy
+    document the nine-key shape earlier formats wrote; answers (radius,
+    batch, adaptive top-k) must equal the index that was saved.
+    (Without a policy the document is ``"adaptive": null`` in both
+    formats — the round-trip tests above.)
     """
     index = _build(gaussian_points, adaptive={"target_candidates": 40}, **overrides)
     path = str(tmp_path / "ix")
@@ -133,6 +134,7 @@ def test_parent_format_artifact_reopens_bit_identically(
     meta_path = os.path.join(path, "index.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
+    meta["spec"]["estimator"] = "hll"
     meta["spec"]["adaptive"].update(k_safety=2.0, radius_growth=2.0, max_escalations=3)
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)

@@ -20,7 +20,7 @@ class TestIndexSpecValidation:
         spec = IndexSpec(metric="l2", radius=2.0)
         assert spec.num_tables == 50
         assert spec.delta == 0.1
-        assert spec.estimator == "hll"
+        assert "estimator" not in spec.to_dict()  # candSize is the merged HLL
         assert spec.num_shards == 1
         assert spec.layout == "frozen"
 
@@ -37,7 +37,6 @@ class TestIndexSpecValidation:
             {"delta": 1.5},
             {"k": -1},
             {"hash_family": "no-such-family"},
-            {"estimator": "no-such-estimator"},
             {"num_shards": 0},
             {"cache_size": -1},
             {"cache_quantum": -1e-9},
@@ -50,6 +49,14 @@ class TestIndexSpecValidation:
             # LSHIndex is what it is assembled from, not a spec option
             {"layout": "dict"},
             {"layout": "dict", "execution": "processes"},
+            {"hll_precision": 0},
+            {"lazy_threshold": -1},
+            {"cost_ratio": 0.0},
+            {"bucket_width": 0.0},
+            {"variant": "bogus"},
+            {"num_probes": -1},
+            {"replicas": 2},  # threads run one endpoint per shard
+            {"adaptive": "yes"},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -99,6 +106,19 @@ class TestIndexSpecRoundTrip:
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ConfigurationError):
             IndexSpec.from_dict({"metric": "l2"})
+
+    @pytest.mark.parametrize("value", ["hll", "hyperloglog", "HLL"])
+    def test_retired_estimator_key_loads_its_written_values(self, value):
+        """Specs saved while ``estimator`` was a field (always the merged
+        HLL) still open, to the same spec."""
+        spec = IndexSpec(metric="l2", radius=1.0, seed=3)
+        assert IndexSpec.from_dict({**spec.to_dict(), "estimator": value}) == spec
+
+    @pytest.mark.parametrize("value", ["kmv", "exact", None])
+    def test_retired_estimator_key_refuses_other_values(self, value):
+        doc = {"metric": "l2", "radius": 1.0, "estimator": value}
+        with pytest.raises(ConfigurationError, match="estimator"):
+            IndexSpec.from_dict(doc)
 
     def test_unsupported_version_rejected(self):
         doc = IndexSpec(metric="l2", radius=1.0).to_dict()
@@ -168,7 +188,6 @@ def index_specs(draw):
         hll_precision=draw(st.integers(4, 12)),
         hll_seed=draw(st.integers(0, 2**31)),
         lazy_threshold=draw(st.one_of(st.none(), st.integers(0, 512))),
-        estimator=draw(st.sampled_from(["hll", "kmv", "exact"])),
         cost_ratio=draw(st.one_of(st.none(), st.floats(0.1, 100.0))),
         num_shards=draw(st.integers(1, 16)),
         cache_size=draw(st.integers(0, 4096)),

@@ -109,11 +109,9 @@ class TestBackgroundRefreeze:
             ra, rb = a.query(q, 1.5), b.query(q, 1.5)
             assert np.array_equal(ra.ids, rb.ids)
 
-    def test_custom_estimator_sees_both_generations_mid_compaction(self, monkeypatch):
-        """Estimators walking ``nonempty_buckets`` must see every live
-        overflow generation, or the cost dispatch can silently flip."""
-        from repro.sketches.registry import get_estimator
-
+    def test_sketch_and_candidates_see_both_generations_mid_compaction(self, monkeypatch):
+        """The merged HLL and the exact candidate set must cover every
+        live overflow generation, or the cost dispatch can silently flip."""
         points, index, frozen = _build_pair(threshold=8)
         _slow_assemble(monkeypatch, 0.3)
         rng = np.random.default_rng(8)
@@ -122,15 +120,16 @@ class TestBackgroundRefreeze:
         frozen.insert(first)  # triggers the slow background fold
         frozen.insert(second)  # lands in the fresh generation
         assert frozen._refreeze_thread is not None
-        estimator = get_estimator("exact")
         cm = CostModel.from_ratio(6.0)
-        a = HybridSearcher(index, cm, estimator=estimator)
-        b = HybridSearcher(frozen, cm, estimator=estimator)
+        a, b = HybridSearcher(index, cm), HybridSearcher(frozen, cm)
         for q in np.concatenate([second[:3], first[:3], points[:3]]):
+            la, lb = index.lookup(q), frozen.lookup(q)
+            assert lb.overflow.shape[0] == 2  # both generations probed
+            assert np.array_equal(
+                index.merged_sketch(la).registers, frozen.merged_sketch(lb).registers
+            )
+            assert np.array_equal(index.candidate_ids(la), frozen.candidate_ids(lb))
             ra, rb = a.query(q, 1.5), b.query(q, 1.5)
-            # The exact estimator counts distinct candidates; both
-            # layouts must count the same set (both generations probed).
-            assert ra.stats.estimated_candidates == rb.stats.estimated_candidates
             assert ra.stats.strategy == rb.stats.strategy
             assert np.array_equal(ra.ids, rb.ids)
         frozen.wait_for_refreeze()

@@ -123,19 +123,20 @@ class TestFrozenPrimitives:
         for la, lb in zip(batch_a, batch_b):
             assert la.num_collisions == lb.num_collisions
 
-    def test_lookup_bucket_views_keep_member_dtype(self):
-        """Frozen bucket views expose ids in the stored ``intp`` dtype.
+    def test_member_arrays_keep_intp_dtype(self):
+        """The frozen CSR members and every live run's members are ``intp``.
 
         The members contract is ``np.intp`` (every consumer is a fancy
-        index); re-materialising a slice under another integer dtype is
-        the silent platform-equal drift the dtype-contract lint exists
-        to catch — pin it at runtime too.
+        index); re-materialising them under another integer dtype is the
+        silent platform-equal drift the dtype-contract lint exists to
+        catch — pin it at runtime too.
         """
         points, index, frozen = build_pair()
-        views = frozen.lookup(points[0]).nonempty_buckets()
-        assert views
-        for view in views:
-            assert np.asarray(view.ids).dtype == np.intp
+        frozen.insert(points[:3] + 1e-3)
+        assert frozen.live_runs
+        assert frozen.frozen.members.dtype == np.intp
+        for run in frozen.live_runs:
+            assert run.members.dtype == np.intp
 
     def test_candidates_both_dedups_match(self):
         points, index, frozen = build_pair()
@@ -169,7 +170,7 @@ class TestFrozenPrimitives:
             assert np.array_equal(
                 index.merged_sketch(la).registers, frozen.merged_sketch(lb).registers
             )
-            assert index.estimate_candidates(la) == frozen.estimate_candidates(lb)
+            assert index.merged_sketch(la).estimate() == frozen.merged_sketch(lb).estimate()
         batch_a = index.lookup_batch(queries)
         batch_b = frozen.lookup_batch(queries)
         assert np.array_equal(

@@ -7,7 +7,13 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SketchError
 from repro.sketches import HyperLogLog, PrecomputedHllHashes
-from repro.sketches.hyperloglog import alpha_m
+from repro.sketches.hyperloglog import alpha_m, estimates_from_registers
+
+
+def _sketch(count, p=7, seed=5):
+    sketch = HyperLogLog(p=p, seed=seed)
+    sketch.add_batch(np.arange(count))
+    return sketch
 
 
 class TestAlphaM:
@@ -81,6 +87,135 @@ class TestEstimation:
                 errs.append(abs(sketch.estimate() - true_count) / true_count)
             errors[p] = np.mean(errs)
         assert errors[10] < errors[4]
+
+    @pytest.mark.parametrize("p", [5, 6, 7, 8, 9, 10])
+    def test_accuracy_within_4_sigma_per_precision(self, p):
+        sketch = _sketch(20_000, p=p, seed=11)
+        err = abs(sketch.estimate() - 20_000) / 20_000
+        assert err < 4 * sketch.relative_standard_error
+
+    def test_small_range_uses_linear_counting(self):
+        """Below ``5m/2`` with a zero register the estimate is ``m ln(m/V)``."""
+        sketch = _sketch(40)
+        zeros = int(np.count_nonzero(sketch.registers == 0))
+        assert sketch.raw_estimate() <= 2.5 * sketch.m and zeros > 0
+        assert sketch.estimate() == sketch.m * math.log(sketch.m / zeros)
+
+    def test_small_raw_without_zero_registers_keeps_raw(self):
+        """Linear counting needs an empty register; with none the raw
+        estimate stands even below ``5m/2``."""
+        sketch = HyperLogLog(p=6)
+        sketch.registers[:] = 1
+        assert sketch.raw_estimate() <= 2.5 * sketch.m
+        assert sketch.estimate() == sketch.raw_estimate()
+
+    def test_large_counts_use_raw_estimate(self):
+        sketch = _sketch(50_000)
+        assert sketch.raw_estimate() > 2.5 * sketch.m
+        assert sketch.estimate() == sketch.raw_estimate()
+
+    def test_estimate_never_decreases_as_elements_arrive(self):
+        sketch = HyperLogLog(p=6, seed=3)
+        previous = sketch.estimate()
+        for start in range(0, 5000, 250):
+            sketch.add_batch(np.arange(start, start + 250))
+            current = sketch.estimate()
+            assert current >= previous
+            previous = current
+
+    def test_register_values_bounded_by_rank_width(self):
+        p = 7
+        sketch = _sketch(100_000, p=p)
+        assert int(sketch.registers.max()) <= 64 - p + 1
+
+
+class TestUpdates:
+    def test_empty_batch_is_a_no_op(self):
+        sketch = HyperLogLog(p=6)
+        sketch.add_batch(np.empty(0, dtype=np.uint64))
+        assert sketch.is_empty()
+
+    @pytest.mark.parametrize(
+        "as_input",
+        [
+            lambda ids: ids.astype(np.int32),
+            lambda ids: ids.astype(np.int64),
+            lambda ids: ids.astype(np.uint32),
+            lambda ids: ids.astype(np.uint64),
+            lambda ids: ids.tolist(),
+        ],
+        ids=["int32", "int64", "uint32", "uint64", "list"],
+    )
+    def test_add_batch_is_dtype_blind(self, as_input):
+        """Point ids arrive as any integer dtype; the registers depend
+        on the id values only."""
+        ids = np.arange(700)
+        sketch = HyperLogLog(p=7, seed=4)
+        sketch.add_batch(as_input(ids))
+        assert sketch == _sketch(700, seed=4)
+
+    def test_precomputed_batch_keeps_the_max_on_repeated_registers(self):
+        sketch = HyperLogLog(p=4)
+        sketch.add_precomputed_batch(
+            np.array([3, 3, 3, 9], dtype=np.int64), np.array([2, 7, 5, 1], dtype=np.uint8)
+        )
+        assert sketch.registers[3] == 7
+        assert sketch.registers[9] == 1
+        assert np.count_nonzero(sketch.registers) == 2
+
+    def test_merge_leaves_operands_untouched(self):
+        a, b = _sketch(300, seed=2), HyperLogLog(p=7, seed=2)
+        b.add_batch(np.arange(200, 900))
+        before_a, before_b = a.registers.copy(), b.registers.copy()
+        a.merge(b)
+        assert np.array_equal(a.registers, before_a)
+        assert np.array_equal(b.registers, before_b)
+
+    def test_merge_many_of_one_is_an_independent_copy(self):
+        only = _sketch(100)
+        merged = HyperLogLog.merge_many([only])
+        assert merged == only
+        merged.add_batch(np.arange(100, 400))
+        assert merged != only
+
+    def test_equality_needs_same_precision_and_seed(self):
+        a, b = HyperLogLog(p=6, seed=0), HyperLogLog(p=6, seed=1)
+        assert np.array_equal(a.registers, b.registers)
+        assert a != b
+        assert HyperLogLog(p=6) != HyperLogLog(p=7)
+
+    def test_not_equal_to_other_types(self):
+        assert HyperLogLog(p=5) != object()
+        assert HyperLogLog(p=5).__eq__(np.zeros(32, dtype=np.uint8)) is NotImplemented
+
+
+class TestEstimatesFromRegisters:
+    """The batched finish behind every ``merged_estimates_batch``."""
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 60, 300, 2000, 50_000])
+    def test_row_equals_per_sketch_estimate(self, count):
+        sketch = _sketch(count)
+        row = estimates_from_registers(sketch.registers[None, :])
+        assert row.shape == (1,)
+        assert row[0] == sketch.estimate()
+
+    @pytest.mark.parametrize("p", [4, 5, 6, 8, 10, 12])
+    def test_every_precision_matches(self, p):
+        sketches = [_sketch(count, p=p) for count in (0, 3, 90, 4000)]
+        rows = estimates_from_registers(np.stack([s.registers for s in sketches]))
+        assert rows.tolist() == [s.estimate() for s in sketches]
+
+    def test_mixed_rows_take_their_own_branch(self):
+        """Corrected (small) and raw (large) rows in one matrix do not
+        leak into each other."""
+        small, large = _sketch(20), _sketch(30_000)
+        rows = estimates_from_registers(np.stack([large.registers, small.registers]))
+        assert rows[0] == large.raw_estimate()
+        assert rows[1] == small.estimate() != small.raw_estimate()
+
+    def test_no_rows(self):
+        out = estimates_from_registers(np.zeros((0, 128), dtype=np.uint8))
+        assert out.shape == (0,)
 
 
 class TestMerge:
@@ -174,10 +309,44 @@ class TestPrecomputed:
         with pytest.raises(ConfigurationError):
             PrecomputedHllHashes(-1, p=5)
 
+    def test_invalid_precision_raises(self):
+        with pytest.raises(ConfigurationError):
+            PrecomputedHllHashes(10, p=1)
+
+    def test_extend_matches_a_fresh_table(self):
+        """Inserts grow the table; the old entries and the new tail equal
+        a table built at the final size."""
+        grown = PrecomputedHllHashes(100, p=7, seed=6)
+        grown.extend(250)
+        fresh = PrecomputedHllHashes(250, p=7, seed=6)
+        assert len(grown) == 250
+        assert np.array_equal(grown.registers, fresh.registers)
+        assert np.array_equal(grown.ranks, fresh.ranks)
+
+    def test_extend_to_the_same_size_is_a_no_op(self):
+        hashes = PrecomputedHllHashes(50, p=6)
+        registers = hashes.registers
+        hashes.extend(50)
+        assert hashes.registers is registers
+
+    def test_extend_cannot_shrink(self):
+        with pytest.raises(ConfigurationError):
+            PrecomputedHllHashes(50, p=6).extend(49)
+
+    def test_pair_is_plain_ints(self):
+        register, rank = PrecomputedHllHashes(10, p=6, seed=1).pair(3)
+        assert type(register) is int and type(rank) is int
+        assert 0 <= register < 64 and 1 <= rank <= 64 - 6 + 1
+
 
 class TestMemory:
     def test_memory_bytes_equals_m(self):
         assert HyperLogLog(p=7).memory_bytes == 128
+
+    @pytest.mark.parametrize("p", [2, 4, 10, 18])
+    def test_memory_bytes_per_precision(self, p):
+        """One byte per register, the ``O(m)`` the paper charges a bucket."""
+        assert HyperLogLog(p=p).memory_bytes == 1 << p
 
     def test_repr(self):
         assert "HyperLogLog" in repr(HyperLogLog(p=5))

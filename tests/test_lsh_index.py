@@ -123,10 +123,6 @@ class TestMergedSketch:
         direct.add_batch(l2_index.candidate_ids(lookup))
         assert merged == direct
 
-    def test_estimate_candidates_shortcut(self, l2_index, gaussian_points):
-        lookup = l2_index.lookup(gaussian_points[2])
-        assert l2_index.estimate_candidates(lookup) == l2_index.merged_sketch(lookup).estimate()
-
     def test_sketchless_index_raises(self, gaussian_points):
         index = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=1), k=3, num_tables=4, with_sketches=False

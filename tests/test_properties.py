@@ -133,6 +133,39 @@ class TestHllProperties:
     def test_empty_sketch_estimates_zero(self, p):
         assert HyperLogLog(p=p).estimate() == 0.0
 
+    @given(
+        st.lists(st.lists(st.integers(0, 10**9), max_size=300), min_size=1, max_size=6),
+        st.integers(4, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_finish_equals_per_sketch_estimate(self, rows, p):
+        """Whatever the registers, the vectorised finish of
+        ``merged_estimates_batch`` is each sketch's own estimate."""
+        from repro.sketches.hyperloglog import estimates_from_registers
+
+        sketches = []
+        for elements in rows:
+            sketch = HyperLogLog(p=p, seed=1)
+            sketch.add_batch(np.array(elements, dtype=np.uint64))
+            sketches.append(sketch)
+        out = estimates_from_registers(np.stack([s.registers for s in sketches]))
+        assert out.tolist() == [s.estimate() for s in sketches]
+
+    @given(st.lists(st.integers(0, 499), max_size=300), st.integers(4, 10), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_precomputed_pairs_equal_hashing(self, ids, p, seed):
+        """Bucket sketches fed from the build-time hash table equal
+        sketches that hash the same point ids themselves."""
+        from repro.sketches import PrecomputedHllHashes
+
+        table = PrecomputedHllHashes(500, p=p, seed=seed)
+        ids = np.array(ids, dtype=np.intp)
+        via_table = HyperLogLog(p=p, seed=seed)
+        via_table.add_precomputed_batch(table.registers[ids], table.ranks[ids])
+        direct = HyperLogLog(p=p, seed=seed)
+        direct.add_batch(ids)
+        assert via_table == direct
+
 
 class TestParameterRuleProperties:
     @given(
@@ -168,75 +201,6 @@ class TestEncodeRowsProperties:
         keys = encode_rows(matrix)
         unique_rows = {tuple(row.tolist()) for row in matrix}
         assert len(set(keys)) == len(unique_rows)
-
-
-class TestSparseHllProperties:
-    @given(
-        st.lists(st.integers(0, 10**9), min_size=0, max_size=400),
-        st.integers(4, 9),
-        st.integers(0, 3),
-        st.integers(1, 64),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_sparse_equals_dense_for_any_threshold(self, elements, p, seed, threshold):
-        """Whatever the upgrade point, sparse == dense sketch."""
-        from repro.sketches.sparse_hll import SparseHyperLogLog
-
-        sparse = SparseHyperLogLog(p=p, seed=seed, dense_threshold=threshold)
-        dense = HyperLogLog(p=p, seed=seed)
-        if elements:
-            arr = np.array(elements, dtype=np.uint64)
-            sparse.add_batch(arr)
-            dense.add_batch(arr)
-        assert sparse.to_dense() == dense
-
-    @given(st.lists(st.integers(0, 10**6), min_size=0, max_size=200), st.integers(0, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_sparse_merge_equals_union(self, elements, seed):
-        from repro.sketches.sparse_hll import SparseHyperLogLog
-
-        half = len(elements) // 2
-        a = SparseHyperLogLog(p=6, seed=seed, dense_threshold=8)
-        b = SparseHyperLogLog(p=6, seed=seed, dense_threshold=10**9)
-        union = HyperLogLog(p=6, seed=seed)
-        if elements[:half]:
-            a.add_batch(np.array(elements[:half], dtype=np.uint64))
-        if elements[half:]:
-            b.add_batch(np.array(elements[half:], dtype=np.uint64))
-        if elements:
-            union.add_batch(np.array(elements, dtype=np.uint64))
-        a.merge_in_place(b)
-        assert a.to_dense() == union
-
-
-class TestKmvProperties:
-    @given(st.lists(st.integers(0, 10**9), min_size=0, max_size=300), st.integers(0, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_merge_equals_union(self, elements, seed):
-        from repro.sketches import KMinValues
-
-        half = len(elements) // 2
-        a = KMinValues(k=32, seed=seed)
-        b = KMinValues(k=32, seed=seed)
-        union = KMinValues(k=32, seed=seed)
-        if elements[:half]:
-            a.add_batch(np.array(elements[:half], dtype=np.uint64))
-        if elements[half:]:
-            b.add_batch(np.array(elements[half:], dtype=np.uint64))
-        if elements:
-            union.add_batch(np.array(elements, dtype=np.uint64))
-        a.merge_in_place(b)
-        assert a.estimate() == pytest.approx(union.estimate())
-
-    @given(st.lists(st.integers(0, 10**9), min_size=0, max_size=40))
-    @settings(max_examples=30, deadline=None)
-    def test_exact_below_k(self, elements):
-        from repro.sketches import KMinValues
-
-        sketch = KMinValues(k=64, seed=0)
-        if elements:
-            sketch.add_batch(np.array(elements, dtype=np.uint64))
-        assert sketch.estimate() == len(set(elements))
 
 
 class TestBatchScalarConsistency:
