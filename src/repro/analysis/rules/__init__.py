@@ -7,4 +7,5 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     locks,
     spec_fields,
     stages,
+    wire,
 )

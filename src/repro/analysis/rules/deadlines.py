@@ -7,7 +7,8 @@ deadline, never as a serving thread parked forever inside ``recv()``.
 The runtime chaos tests exercise that for the schedules they script;
 this rule makes the *pattern* load-bearing: inside ``service/``,
 
-* every ``<receiver>.recv()`` call must be preceded (in the same
+* every ``<receiver>.recv()`` (or ``recv_bytes()`` / ``recv_into()``)
+  call must be preceded (in the same
   function) by a bounded ``<receiver>.poll(<timeout>)`` guard on the
   textually identical receiver — the ``recv_within`` shape the
   transports use — or, for sockets, by a bounded
@@ -41,7 +42,7 @@ from repro.analysis.core import Finding, Rule, SourceFile, register
 __all__ = ["DeadlineRequiredRule"]
 
 #: attribute names treated as blocking reads (pipe or socket).
-_RECV_NAMES = ("recv", "recv_bytes")
+_RECV_NAMES = ("recv", "recv_bytes", "recv_into")
 
 #: socket rendezvous calls that block until the peer shows up.
 _RENDEZVOUS_NAMES = ("accept", "connect")

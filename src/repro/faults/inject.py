@@ -6,14 +6,16 @@ production path (no plan installed) never touches this module's logic.
 ``swallow_request`` runs before the op executes (crash / hang / slow
 pacing); ``send_reply`` replaces the plain ``conn.send`` on the reply
 side (drop / corrupt payload / and the transport-level kinds:
-disconnect, slow link, corrupt frame).
+disconnect, slow link, corrupt frame).  Damaged replies are real frames
+(:func:`~repro.service.transport.truncated_frame`,
+:func:`~repro.service.transport.corrupt_frame`), so a drill exercises
+exactly the decoder a damaged wire would.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import time
 from typing import Any
 
@@ -53,21 +55,23 @@ def send_reply(conn: Any, reply: object, fault: FaultSpec) -> None:
     """Send ``reply`` through the fault's framing behaviour.
 
     ``DROP`` sends nothing (the parent's deadline detects it);
-    ``CORRUPT`` ships a truncated pickle so the parent's decode fails
-    mid-deserialisation; ``DISCONNECT`` closes the connection instead
-    of replying (the serving loop then winds the session down, but a
-    :class:`~repro.service.shard_server.ShardServer` stays up for
+    ``CORRUPT`` ships a valid prefix over a body cut to a third, so the
+    parent's decode step fails; ``DISCONNECT`` closes the connection
+    instead of replying (the serving loop then winds the session down,
+    but a :class:`~repro.service.shard_server.ShardServer` stays up for
     reconnects); ``SLOW_LINK`` delays the reply in the framing layer;
-    ``CORRUPT_FRAME`` breaks the frame checksum where the connection
-    supports it (TCP) and degrades to the truncated-pickle corruption
-    where it does not (pipes have no checksums); every other kind sends
-    normally.
+    ``CORRUPT_FRAME`` flips the frame checksum where the connection
+    carries one (TCP) and degrades to the cut body where it does not
+    (pipe frames have no checksum); every other kind sends normally.
     """
+    # Lazy: importing repro.service loads the serving loop, which imports
+    # this package.
+    from repro.service.transport import corrupt_frame, truncated_frame
+
     if fault.kind is FaultKind.DROP:
         return
     if fault.kind is FaultKind.CORRUPT:
-        payload = pickle.dumps(reply)
-        conn.send_bytes(payload[: max(1, len(payload) // 3)])
+        conn.send_raw(truncated_frame(reply, checksum=conn.checksum))
         return
     if fault.kind is FaultKind.DISCONNECT:
         with contextlib.suppress(OSError):
@@ -78,10 +82,6 @@ def send_reply(conn: Any, reply: object, fault: FaultSpec) -> None:
         conn.send(reply)
         return
     if fault.kind is FaultKind.CORRUPT_FRAME:
-        if hasattr(conn, "send_corrupt"):
-            conn.send_corrupt(reply)
-        else:
-            payload = pickle.dumps(reply)
-            conn.send_bytes(payload[: max(1, len(payload) // 3)])
+        conn.send_raw(corrupt_frame(reply) if conn.checksum else truncated_frame(reply))
         return
     conn.send(reply)

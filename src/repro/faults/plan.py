@@ -54,7 +54,8 @@ class FaultKind(str, enum.Enum):
     HANG = "hang"
     #: the reply is delayed by ``seconds`` but otherwise correct.
     SLOW = "slow"
-    #: the reply payload is truncated mid-pickle on the wire.
+    #: the reply frame's body is cut short under a prefix that agrees,
+    #: so the receiver's decode step fails.
     CORRUPT = "corrupt"
     #: the reply is silently dropped; the worker stays alive.
     DROP = "drop"
@@ -66,8 +67,8 @@ class FaultKind(str, enum.Enum):
     #: framing layer (a congested or lossy link, not a slow compute).
     SLOW_LINK = "slow_link"
     #: transport-level: the reply frame's checksum is broken so the
-    #: receiver rejects it at the framing gate (over a pipe, which has
-    #: no checksums, this degrades to a truncated payload).
+    #: receiver rejects it at the framing gate (over a pipe, whose frames
+    #: carry no checksum, this degrades to the cut body of ``CORRUPT``).
     CORRUPT_FRAME = "corrupt_frame"
 
 

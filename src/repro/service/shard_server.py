@@ -8,15 +8,19 @@ same ops, same fault hooks, same telemetry — so this module owns it:
   and the applied-seq sets that make replicated inserts idempotent.
 * :func:`open_shard_state` — reopen saved frozen shards
   (``np.load(mmap_mode="r")``; O(mmap) startup).
-* :func:`serve_connection` — the request/reply loop over any
-  pipe-shaped connection (a ``multiprocessing`` pipe end or a
-  :class:`~repro.service.transport.ServerConnection`), fault injection
-  included.
+* :func:`serve_connection` — the request/reply loop over a
+  :class:`~repro.service.transport.ServerConnection` (frames over a
+  socketpair end or a TCP socket), fault injection included.
 * :func:`serve_pipe_worker` — the entry point of a process
-  :class:`~repro.service.workers.WorkerPool` spawns behind a pipe.
+  :class:`~repro.service.workers.WorkerPool` spawns behind a socketpair.
 * :class:`ShardServer` — a TCP listener serving :func:`serve_connection`
   sessions (``repro.cli shard-serve``); clients connect with
   :class:`~repro.service.transport.TcpTransport`.
+
+A radius request is answered with one flat block per shard
+(:func:`_pack_block`: counts, shard-local ids, distances and a stats
+matrix), which the frame carries as four raw buffers and the pool
+merges once per batch.
 
 Insert idempotence
 ------------------
@@ -61,7 +65,7 @@ from repro.distances.matrix import pairwise_distances
 from repro.faults import send_reply, swallow_request
 from repro.index.frozen import load_frozen_index, save_frozen_index
 from repro.service.stats import ServiceStats
-from repro.service.transport import FrameError, ServerConnection
+from repro.service.transport import WIRE_VERSION, FrameError, ServerConnection
 
 __all__ = [
     "ShardState",
@@ -84,52 +88,94 @@ def _shard_dir(path: str, shard: int) -> str:
     return os.path.join(path, _frozen_shard_dir(shard))
 
 
-def _pack_result(result: QueryResult):
-    """QueryResult -> plain tuple (cheap to pickle across the wire)."""
-    s = result.stats
-    return (
-        np.asarray(result.ids),
-        np.asarray(result.distances),
-        (
-            s.num_collisions,
-            s.estimated_candidates,
-            s.exact_candidates,
-            s.estimated_lsh_cost,
-            s.linear_cost,
-            s.strategy.value,
-            s.probes_used,
-            s.exact,
-        ),
-    )
+#: the shard-local decision stats of one query, as one row of a radius
+#: reply's ``(q, 8)`` float64 stats matrix (every integer field is far
+#: below 2**53, so the floats carry them exactly).
+STATS_COLUMNS = (
+    "num_collisions",
+    "estimated_candidates",
+    "exact_candidates",
+    "estimated_lsh_cost",
+    "linear_cost",
+    "strategy",
+    "probes_used",
+    "exact",
+)
+
+#: stats-matrix code of each strategy (its position here).
+_STRATEGIES = tuple(Strategy)
+_STRATEGY_CODES = {strategy: code for code, strategy in enumerate(_STRATEGIES)}
 
 
-def _unpack_result(packed, radius: float) -> QueryResult:
-    ids, distances, stats_tuple = packed
-    # Length-tolerant: the pre-adaptive wire shape carried 6 stats
-    # entries; current endpoints append (probes_used, exact).
-    nc, est, exact_cands, lsh_cost, lin_cost, strategy = stats_tuple[:6]
-    probes_used = int(stats_tuple[6]) if len(stats_tuple) > 6 else -1
-    is_exact = bool(stats_tuple[7]) if len(stats_tuple) > 7 else False
-    stats = QueryStats(
+def _pack_block(results: list[QueryResult]) -> tuple:
+    """One shard's answers to a batch as one flat radius-reply block.
+
+    ``(counts, ids, distances, stats)``: ``counts[i]`` neighbours of
+    query ``i`` sit at its slice of the concatenated shard-local ``ids``
+    / ``distances``, and row ``i`` of the ``(q, 8)`` ``stats`` matrix
+    holds its :data:`STATS_COLUMNS`.
+    """
+    counts = np.array([r.ids.size for r in results], dtype=np.int64)
+    stats = np.array(
+        [
+            (
+                s.num_collisions,
+                s.estimated_candidates,
+                s.exact_candidates,
+                s.estimated_lsh_cost,
+                s.linear_cost,
+                _STRATEGY_CODES[s.strategy],
+                s.probes_used,
+                s.exact,
+            )
+            for s in (r.stats for r in results)
+        ],
+        dtype=np.float64,
+    ).reshape(len(results), len(STATS_COLUMNS))
+    if not results:
+        return counts, np.empty(0, np.int64), np.empty(0, np.float64), stats
+    ids = np.concatenate([r.ids for r in results])
+    distances = np.concatenate([r.distances for r in results])
+    return counts, ids, distances, stats
+
+
+def _stats_from_row(row: list) -> QueryStats:
+    """One :data:`STATS_COLUMNS` row back into a :class:`QueryStats`."""
+    nc, est, exact_cands, lsh_cost, lin_cost, strategy, probes, exact = row
+    return QueryStats(
         num_collisions=int(nc),
         estimated_candidates=float(est),
         exact_candidates=int(exact_cands),
         estimated_lsh_cost=float(lsh_cost),
         linear_cost=float(lin_cost),
-        strategy=Strategy(strategy),
-        probes_used=probes_used,
-        exact=is_exact,
+        strategy=_STRATEGIES[int(strategy)],
+        probes_used=int(probes),
+        exact=bool(exact),
     )
-    return QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
+
+
+def _unpack_block(block: tuple, radius: float) -> list[QueryResult]:
+    """A radius-reply block back into per-query shard-local results."""
+    counts, ids, distances, stats = block
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [
+        QueryResult(
+            ids=ids[bounds[i]:bounds[i + 1]],
+            distances=distances[bounds[i]:bounds[i + 1]],
+            radius=radius,
+            stats=_stats_from_row(row),
+        )
+        for i, row in enumerate(stats.tolist())
+    ]
 
 
 def _payload_nbytes(obj) -> int:
     """Array bytes inside a wire message/reply (the dominant wire cost).
 
     Counts every ndarray reachable through the tuples/lists/dicts the
-    worker protocol ships; scalar envelope overhead is ignored — the
-    counter answers "how much data crossed the wire", not "how many
-    pickle bytes".
+    worker protocol ships; the frame's prefix and JSON header are
+    ignored — the counter answers "how much data crossed the wire", not
+    "how many frame bytes".
     """
     if isinstance(obj, np.ndarray):
         return obj.nbytes
@@ -169,8 +215,8 @@ class ShardState:
 
     def handle(self, message) -> object:
         """Execute one protocol op; application errors become replies."""
-        op = message[0]
         try:
+            op = message[0]
             with self.lock:
                 if op == "radius":
                     # Length-tolerant: the pre-adaptive wire shape has 4
@@ -183,22 +229,18 @@ class ShardState:
 
                         adaptive = AdaptivePolicy.from_dict(message[4])
                     started = time.perf_counter()
-                    reply = {
-                        s: [
-                            _pack_result(r)
-                            for r in self.engines[s].query_batch(
-                                queries, radius, adaptive=adaptive
-                            )
-                        ]
-                        for s in shards
-                    }
+                    reply = {}
                     # Strategy counts tally the *shard-local* dispatch
                     # decisions, so with multiple owned shards they sum
                     # to queries x shards, not queries_served.
                     strategies: dict[str, int] = {}
-                    for packed_results in reply.values():
-                        for packed in packed_results:
-                            name = packed[2][5]  # Strategy.value, as packed
+                    for s in shards:
+                        results = self.engines[s].query_batch(
+                            queries, radius, adaptive=adaptive
+                        )
+                        reply[s] = _pack_block(results)
+                        for r in results:
+                            name = r.stats.strategy.value
                             strategies[name] = strategies.get(name, 0) + 1
                     self.stats.record_batch(
                         queries.shape[0], time.perf_counter() - started,
@@ -302,8 +344,9 @@ def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
 def serve_connection(conn, state: ShardState, injector) -> int:
     """Answer ops on ``conn`` until stop/EOF; returns ops consumed.
 
-    ``conn`` is any pipe-shaped connection (bounded ``poll`` + ``recv``
-    / ``send``).  ``injector`` is the per-session
+    ``conn`` is a :class:`~repro.service.transport.ServerConnection`
+    (bounded ``poll`` + ``recv`` / ``send`` of frames) over either
+    carrier, or anything shaped like one.  ``injector`` is the per-session
     :class:`~repro.faults.FaultInjector` (or None): consulted once per
     received request — except ``stop``, which is honoured before the
     schedule so drills cannot block shutdown.  The return value lets a
@@ -322,8 +365,7 @@ def serve_connection(conn, state: ShardState, injector) -> int:
             message = conn.recv()
         except (EOFError, OSError, FrameError):
             break
-        op = message[0]
-        if op == "stop":
+        if isinstance(message, tuple) and message and message[0] == "stop":
             break
         fault = injector.next_fault() if injector is not None else None
         consumed += 1
@@ -338,18 +380,21 @@ def serve_connection(conn, state: ShardState, injector) -> int:
                 send_reply(conn, reply, fault)
             else:
                 conn.send(reply)
-        except (BrokenPipeError, OSError):
+        except OSError:
             break
     with contextlib.suppress(OSError):
         conn.close()
     return consumed
 
 
-def serve_pipe_worker(conn, worker: int, path: str, shard_ids: list[int],
-                      spec_doc: dict, alpha: float, beta: float,
-                      fault_plan, replica: int = 0, fault_start: int = 0) -> None:
+def serve_pipe_worker(sock: socket.socket, worker: int, path: str,
+                      shard_ids: list[int], spec_doc: dict, alpha: float,
+                      beta: float, fault_plan, replica: int = 0,
+                      fault_start: int = 0) -> None:
     """A pool worker process's entry point: open shards via mmap, answer ops.
 
+    ``sock`` is the worker's end of the pool's socketpair, spoken in
+    frames without a checksum (the bytes never leave the host).
     The pipe twin of :class:`ShardServer`; module-level so the ``spawn``
     start method can import it (under ``fork`` the open is dominated by
     the ``np.load(mmap_mode="r")`` calls).  ``fault_plan`` is the opt-in
@@ -357,6 +402,7 @@ def serve_pipe_worker(conn, worker: int, path: str, shard_ids: list[int],
     thread this endpoint's identity and lifetime op count into the plan so
     replica-pinned and ``scope="lifetime"`` specs resolve across respawns.
     """
+    conn = ServerConnection(sock, checksum=False)
     try:
         state = open_shard_state(path, shard_ids, spec_doc, alpha, beta)
         injector = (
@@ -364,7 +410,7 @@ def serve_pipe_worker(conn, worker: int, path: str, shard_ids: list[int],
             if fault_plan
             else None
         )
-        conn.send(("ready", state.sizes()))
+        conn.send(("ready", state.sizes(), WIRE_VERSION))
     except BaseException as exc:
         with contextlib.suppress(OSError):
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -379,8 +425,8 @@ class ShardServer:
     ``path`` exactly like a pool worker, listens on ``host:port``
     (``port=0`` picks a free one, published as :attr:`port`), and runs
     one :func:`serve_connection` session per accepted client.  Each
-    session starts with a ``("ready", {shard: n})`` ack — the same
-    handshake a spawned worker sends — so
+    session starts with a ``("ready", {shard: n}, WIRE_VERSION)`` ack —
+    the same handshake a spawned worker sends — so
     :class:`~repro.service.workers.WorkerPool` treats connect and spawn
     uniformly.
 
@@ -468,7 +514,8 @@ class ShardServer:
     def _serve_one(self, sock: socket.socket) -> None:
         conn = ServerConnection(sock)
         try:
-            conn.send(("ready", self._state.sizes()))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.send(("ready", self._state.sizes(), WIRE_VERSION))
         except OSError:
             conn.close()
             return

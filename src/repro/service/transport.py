@@ -1,24 +1,49 @@
-"""Shard transports: one wire contract, two carriers (pipe and TCP).
+"""Shard transports: one wire frame, two carriers (pipe and TCP).
 
 :class:`~repro.service.workers.WorkerPool` speaks a tuple-based
 request/reply protocol (``("radius", ...)``, ``("insert", ...)``, ...).
-This module abstracts *how* those tuples travel behind a
+This module defines how those messages travel — one versioned frame,
+shared by both carriers — and abstracts the carriers behind a
 :class:`ShardTransport` interface so the pool's deadline / retry /
-breaker machinery is carrier-agnostic — "the transport changes, the
-policy does not":
+breaker machinery is carrier-agnostic: "the transport changes, the
+policy does not".
 
-* :class:`PipeTransport` — the original carrier: a duplex
-  ``multiprocessing`` pipe to a locally spawned worker process.
-  Framing, checksums and reconnection are all delegated to the OS pipe
-  (a broken pipe *is* the crash signal).
-* :class:`TcpTransport` — the same tuples pickled into length-prefixed,
-  CRC32-checksummed frames over a TCP socket to a standalone shard
-  server (:mod:`repro.service.shard_server`, ``repro.cli shard-serve``),
-  so shards can live on other hosts.  Every socket wait is bounded by
-  ``settimeout`` (the socket-level analogue of the bounded ``poll``
-  the ``deadline-required`` lint rule enforces), and a failed checksum
-  or truncated frame surfaces as :class:`FrameError` — never as a
-  half-deserialised object.
+The frame
+---------
+Nothing on the wire is pickled: a peer's bytes are parsed, never
+executed.  A frame is three parts:
+
+* a fixed 24-byte little-endian **prefix** (:data:`_PREFIX`): magic,
+  :data:`WIRE_VERSION`, flags, CRC32, header length, buffer length;
+* a JSON **header** holding the message as a tagged tree — tuples are
+  ``{"t": [...]}``, dicts ``{"d": [[key, value], ...]}`` (so shard-id
+  keys stay ints), arrays ``{"a": [dtype, shape, offset]}`` descriptors
+  with the dtype from a little-endian whitelist (:data:`_DTYPES`);
+* the raw array **buffers**, each 8-byte aligned, which the receiver
+  maps with ``np.frombuffer`` — no copy, no per-element decode.
+
+A decoder checks every descriptor's ``prod(shape) * itemsize`` against
+the bytes it was handed before mapping anything, so damaged or hostile
+frames raise :class:`FrameError` without allocating.  The CRC32 is set
+on TCP only (:class:`TcpTransport`, :class:`ServerConnection` by
+default), where bytes cross a network; a pipe frame leaves it out,
+because checksumming a megabyte reply costs more than the local copy
+it protects.
+
+The carriers
+------------
+* :class:`PipeTransport` — a locally spawned worker process behind one
+  end of a ``socket.socketpair()``.  A broken pipe *is* the crash signal.
+* :class:`TcpTransport` — a standalone shard server
+  (:mod:`repro.service.shard_server`, ``repro.cli shard-serve``) behind
+  a TCP socket, so shards can live on other hosts.
+
+Both read a reply with one deadline over the *whole* frame (the
+socket-level analogue of the bounded ``poll`` the ``deadline-required``
+lint rule enforces), so a peer that stalls mid-frame surfaces as
+:class:`~repro.exceptions.DeadlineExceededError`, and a failed checksum
+or malformed frame as :class:`FrameError` — never as a half-decoded
+object.
 
 Failure *classification* lives with the carrier because the same OS
 error means different things on different wires: an ``EOFError`` from a
@@ -36,134 +61,404 @@ so one bounded ``multiprocessing.connection.wait`` takes pipe ends and
 sockets alike, and :meth:`~ShardTransport.recv_within` reads each ready
 reply under what is left of that endpoint's own deadline.
 
-The server side of the TCP frame protocol is
-:class:`ServerConnection`, which duck-types the subset of the
-``multiprocessing.Connection`` surface the shard-serving loop uses
-(``poll`` / ``recv`` / ``send`` / ``send_bytes`` / ``close``) so one
-loop serves both carriers — plus ``send_corrupt`` as the injection
-point for the ``corrupt_frame`` fault kind.
+The serving side of both carriers is :class:`ServerConnection`
+(``poll`` / ``recv`` / ``send`` / ``close``), so one loop serves both —
+plus ``send_raw``, the injection point for the damaged frames of the
+``corrupt`` and ``corrupt_frame`` fault kinds.
 """
 
 from __future__ import annotations
 
 import contextlib
-import pickle
+import json
+import json.encoder
+import math
 import select
 import socket
 import struct
+import threading
 import time
 import zlib
+
+import numpy as np
 
 from repro.exceptions import DeadlineExceededError
 
 __all__ = [
+    "WIRE_VERSION",
     "FrameError",
     "ShardTransport",
     "PipeTransport",
     "TcpTransport",
     "ServerConnection",
     "encode_frame",
+    "decode_frame",
     "corrupt_frame",
+    "truncated_frame",
 ]
 
-#: frame header: CRC32 of the payload, then the payload length in bytes.
-_HEADER = struct.Struct(">IQ")
+#: bumped whenever the frame layout or the message shapes change; the
+#: prefix carries it and the ``("ready", sizes, version)`` ack repeats it.
+WIRE_VERSION = 1
 
-#: refuse frames claiming more than this many payload bytes — a corrupt
-#: or hostile length prefix must not drive a multi-gigabyte allocation.
+_MAGIC = b"HLSW"
+
+#: magic, wire version, flags, CRC32 (0 when unset), header bytes,
+#: buffer bytes.
+_PREFIX = struct.Struct("<4sHHIIQ")
+
+#: flags bit: the CRC32 field covers header and buffers.
+_CHECKSUMMED = 0x1
+
+#: buffer alignment inside a frame (and the header's padded length).
+_ALIGN = 8
+
+#: refuse frames claiming more than this many bytes — a corrupt or
+#: hostile length prefix must not drive a multi-gigabyte allocation.
+_MAX_HEADER_BYTES = 1 << 24
 _MAX_FRAME_BYTES = 1 << 33
+
+#: the dtypes a frame may carry, by their little-endian ``dtype.str``.
+_DTYPES = {
+    np.dtype(code).str: np.dtype(code)
+    for code in ("?", "i1", "u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8", "<f4", "<f8")
+}
+
+#: the wire code of each whitelisted dtype (native little-endian arrays
+#: look theirs up instead of building ``dtype.str``).
+_WIRE_CODES = {dtype: code for code, dtype in _DTYPES.items()}
+
+#: at most this many array dimensions (numpy's own floor).
+_MAX_NDIM = 32
 
 #: server-side I/O bound: once ``poll`` reports a frame in flight, the
 #: whole frame must arrive within this window or the peer is dropped
 #: (protects the server from half-open clients parking a thread).
 _SERVER_IO_DEADLINE = 30.0
 
-#: socket read chunk size.
-_CHUNK = 1 << 20
+_PAD = bytes(_ALIGN)
+
+#: more parts than this go out as one joined buffer (stays under IOV_MAX).
+_MAX_IOV = 512
 
 
 class FrameError(RuntimeError):
-    """A TCP frame failed its checksum, length, or payload decode.
+    """A frame failed its checksum, length, version or payload decode.
 
     Classified as ``"corrupt"`` by the pool: the connection delivered
     bytes, but not the bytes the peer framed — retry elsewhere.
     """
 
 
-def encode_frame(message: object) -> bytes:
-    """Pickle ``message`` into one checksummed length-prefixed frame."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
+def _frame_parts(message: object, checksum: bool) -> list:
+    """``[prefix, header, *buffers]`` of one frame, the arrays uncopied."""
+    buffers: list = []
+    end = 0
+
+    def array(value: np.ndarray) -> dict:
+        nonlocal end
+        shape = list(value.shape)
+        code = _WIRE_CODES.get(value.dtype)
+        if code is None:
+            wire = value.dtype.newbyteorder("<")
+            if wire.str not in _DTYPES:
+                raise FrameError(f"cannot frame a {value.dtype} array")
+            value, code = np.ascontiguousarray(value, dtype=wire), wire.str
+        if not value.size:
+            return {"a": [code, shape, 0]}
+        try:
+            data = memoryview(value).cast("B")
+        except TypeError:  # not C-contiguous
+            data = memoryview(np.ascontiguousarray(value)).cast("B")
+        offset = -(-end // _ALIGN) * _ALIGN
+        if offset > end:
+            buffers.append(_PAD[: offset - end])
+        buffers.append(data)
+        end = offset + data.nbytes
+        return {"a": [code, shape, offset]}
+
+    def tree(value):
+        if value is None or isinstance(value, (str, int, float)):  # bool is an int
+            return value
+        if isinstance(value, np.ndarray):
+            return array(value)
+        if isinstance(value, tuple):
+            return {"t": [tree(item) for item in value]}
+        if isinstance(value, dict):
+            return {"d": [[tree(k), tree(v)] for k, v in value.items()]}
+        if isinstance(value, list):
+            return [tree(item) for item in value]
+        if isinstance(value, np.generic):
+            return tree(value.item())
+        raise FrameError(f"cannot frame a {type(value).__name__}")
+
+    doc = tree(message)
+    if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        # A number is the one JSON value whose prefixes also parse; box
+        # it so a truncated header can never decode as a smaller number.
+        doc = {"n": doc}
+    header = _json_encode(doc).encode()
+    if end:
+        header += b" " * (-len(header) % _ALIGN)
+    crc = 0
+    if checksum:
+        crc = zlib.crc32(header)
+        for buffer in buffers:
+            crc = zlib.crc32(buffer, crc)
+    flags = _CHECKSUMMED if checksum else 0
+    prefix = _PREFIX.pack(_MAGIC, WIRE_VERSION, flags, crc, len(header), end)
+    return [prefix, header, *buffers]
 
 
-def frame_bytes(payload: bytes) -> bytes:
-    """Frame pre-pickled ``payload`` bytes (checksum over what's sent).
-
-    This is the ``send_bytes`` path: the checksum matches the (possibly
-    deliberately truncated) payload, so the receiver's CRC passes and
-    the *unpickle* step fails — exactly how a ``corrupt`` pipe fault
-    presents, kept equivalent on TCP.
-    """
-    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+def encode_frame(message: object, checksum: bool = False) -> bytes:
+    """``message`` as one frame; ``checksum`` sets the CRC32 (TCP does)."""
+    return b"".join(_frame_parts(message, checksum))
 
 
 def corrupt_frame(message: object) -> bytes:
-    """A frame whose checksum deliberately contradicts its payload.
+    """A checksummed frame whose CRC deliberately contradicts its body.
 
     The injection vector for :attr:`~repro.faults.FaultKind.CORRUPT_FRAME`:
-    length and payload are intact, the CRC is bit-flipped, so the
-    receiver rejects the frame at the checksum gate.
+    lengths and body are intact, the CRC is bit-flipped, so the receiver
+    rejects the frame at the checksum gate.
     """
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(zlib.crc32(payload) ^ 0xFFFFFFFF, len(payload)) + payload
+    parts = _frame_parts(message, checksum=True)
+    magic, version, flags, crc, header_len, buffer_len = _PREFIX.unpack(parts[0])
+    parts[0] = _PREFIX.pack(magic, version, flags, crc ^ 0xFFFFFFFF, header_len, buffer_len)
+    return b"".join(parts)
 
 
-def decode_frame(header: bytes, payload: bytes) -> object:
-    """Verify and unpickle one received frame; :class:`FrameError` on damage."""
-    crc, length = _HEADER.unpack(header)
-    if len(payload) != length:
+def truncated_frame(message: object, checksum: bool = False) -> bytes:
+    """A frame whose body is cut to a third under a prefix that agrees.
+
+    The injection vector for :attr:`~repro.faults.FaultKind.CORRUPT`:
+    magic, version, lengths and (with ``checksum``) the CRC all describe
+    the bytes actually sent, so the frame passes every gate of the
+    prefix and fails in the decode step — the header no longer parses,
+    or its array descriptors overrun the buffers that are left.
+    """
+    parts = _frame_parts(message, checksum=False)
+    header = parts[1]
+    body = b"".join(parts[1:])
+    body = body[: max(1, len(body) // 3)]
+    header_len = min(len(header), len(body))
+    crc = zlib.crc32(body) if checksum else 0
+    flags = _CHECKSUMMED if checksum else 0
+    prefix = _PREFIX.pack(
+        _MAGIC, WIRE_VERSION, flags, crc, header_len, len(body) - header_len
+    )
+    return prefix + body
+
+
+# ----------------------------------------------------------------------
+# Decoding
+# ----------------------------------------------------------------------
+def _check_prefix(prefix) -> tuple[int, int, int | None]:
+    """``(header bytes, buffer bytes, crc or None)`` of a valid prefix."""
+    magic, version, flags, crc, header_len, buffer_len = _PREFIX.unpack(prefix)
+    if magic != _MAGIC:
+        raise FrameError(f"bad frame magic {magic!r}")
+    if version != WIRE_VERSION:
         raise FrameError(
-            f"frame truncated: header promised {length} bytes, got {len(payload)}"
+            f"peer speaks wire version {version}; this end speaks {WIRE_VERSION}"
         )
-    if zlib.crc32(payload) != crc:
-        raise FrameError("frame checksum mismatch")
+    if flags & ~_CHECKSUMMED:
+        raise FrameError(f"unknown frame flags {flags:#x}")
+    if header_len > _MAX_HEADER_BYTES or header_len + buffer_len > _MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame of {header_len} + {buffer_len} bytes exceeds the sanity bound"
+        )
+    return header_len, buffer_len, (crc if flags & _CHECKSUMMED else None)
+
+
+#: per-thread view of the buffers of the frame being decoded, and the
+#: furthest end offset its arrays have mapped so far (the JSON decoder's
+#: object hook maps the arrays, and one decoder serves every thread).
+_decoding = threading.local()
+
+
+def decode_frame(head, body, *, require_checksum: bool = False) -> object:
+    """Verify and decode one received frame; :class:`FrameError` on damage.
+
+    ``head`` is the fixed prefix (``len(encode_frame(None)) - 4`` bytes:
+    the header of ``None`` is the 4-byte ``null``) and ``body`` the rest,
+    which decodes with no copy — the arrays are views of ``body``.
+    ``require_checksum`` refuses frames without a CRC32, as a TCP reader
+    must.
+    """
+    if len(head) != _PREFIX.size:
+        raise FrameError(
+            f"frame truncated: a {len(head)}-byte prefix, not {_PREFIX.size}"
+        )
+    header_len, buffer_len, crc = _check_prefix(head)
+    if len(body) != header_len + buffer_len:
+        raise FrameError(
+            f"frame truncated: prefix promised {header_len + buffer_len} "
+            f"bytes, got {len(body)}"
+        )
+    if crc is not None:
+        if zlib.crc32(body) != crc:
+            raise FrameError("frame checksum mismatch")
+    elif require_checksum:
+        raise FrameError("frame carries no checksum")
+    view = memoryview(body)
+    if view.format != "B" or view.ndim != 1:
+        view = view.cast("B")
+    state = _decoding
+    state.buffers = view[header_len:]
+    state.end = 0
     try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise FrameError(f"frame payload failed to deserialise: {exc!r}") from exc
+        message = _json_decode(str(view[:header_len], "utf-8"))
+    except FrameError:
+        raise
+    except (ValueError, TypeError, RecursionError, OverflowError) as exc:
+        raise FrameError(f"frame header failed to decode: {exc!r}") from exc
+    finally:
+        state.buffers = None
+    if state.end != buffer_len:
+        raise FrameError(
+            f"frame carries {buffer_len} buffer bytes but its arrays end at {state.end}"
+        )
+    return message
 
 
-def _read_frame(sock: socket.socket, deadline: float, what: str) -> object:
+def _map_array(desc) -> np.ndarray:
+    """One ``{"a": [dtype, shape, offset]}`` descriptor as a buffer view."""
+    if type(desc) is not list or len(desc) != 3:
+        raise FrameError(f"malformed array descriptor {desc!r}")
+    code, shape, offset = desc
+    dtype = _DTYPES.get(code) if type(code) is str else None
+    if dtype is None:
+        raise FrameError(f"dtype {code!r} is not on the wire whitelist")
+    if type(shape) is not list or len(shape) > _MAX_NDIM:
+        raise FrameError(f"malformed array shape {shape!r}")
+    count = 1
+    for dim in shape:
+        if type(dim) is not int or dim < 0:
+            raise FrameError(f"malformed array shape {shape!r}")
+        count *= dim
+    if type(offset) is not int or offset < 0 or offset % _ALIGN:
+        raise FrameError(f"malformed array offset {offset!r}")
+    state = _decoding
+    end = offset + count * dtype.itemsize
+    if end > len(state.buffers):
+        raise FrameError(
+            f"array of {count * dtype.itemsize} bytes at offset {offset} "
+            f"overruns the frame's {len(state.buffers)} buffer bytes"
+        )
+    if not count:
+        return np.empty(shape, dtype=dtype)
+    state.end = max(state.end, end)
+    return np.ndarray(shape, dtype, state.buffers, offset)
+
+
+def _tagged(obj: dict) -> object:
+    """Undo the header's tags: tuples, int-keyed dicts, arrays, numbers."""
+    if len(obj) != 1:
+        raise FrameError(f"header object with {len(obj)} keys is no tag")
+    ((tag, value),) = obj.items()
+    if tag == "a":
+        return _map_array(value)
+    if tag == "t" and type(value) is list:
+        return tuple(value)
+    if tag == "d" and type(value) is list:
+        return dict(value)
+    if tag == "n" and type(value) in (int, float):
+        return value
+    raise FrameError(f"malformed header tag {tag!r}")
+
+
+#: ``JSONEncoder.encode`` builds a fresh C encoder per call, which costs
+#: as much as encoding a one-row request; a tagged tree has no cycles, so
+#: one encoder without circular-reference markers serves every frame.
+_c_encoder = json.encoder.c_make_encoder(
+    None, None, json.encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+)
+
+
+def _json_encode(doc: object) -> str:
+    """Compact JSON text of a tagged tree."""
+    return "".join(_c_encoder(doc, 0))
+
+
+_json_decode = json.JSONDecoder(object_hook=_tagged).decode
+
+
+# ----------------------------------------------------------------------
+# Socket I/O (both carriers)
+# ----------------------------------------------------------------------
+def _wait_for(sock: socket.socket, event: int, deadline: float) -> bool:
+    """Whether ``sock`` turns ready for ``event`` before ``deadline``."""
+    budget = deadline - time.monotonic()
+    if budget <= 0:
+        return False
+    poller = select.poll()
+    poller.register(sock, event)
+    return bool(poller.poll(math.ceil(budget * 1000)))
+
+
+def _recv_exact_into(sock: socket.socket, view: memoryview, deadline: float, what: str) -> None:
+    """Fill ``view`` from ``sock``, never blocking past ``deadline``.
+
+    The socket is non-blocking, so bytes already queued cost one
+    ``recv_into`` call and only a short read waits — in one bounded
+    ``poll`` per wait, not a ``poll`` before every read.
+    """
+    if sock.gettimeout() != 0.0:
+        sock.settimeout(0.0)
+    got = 0
+    while got < len(view):
+        try:
+            n = sock.recv_into(view[got:])
+        except BlockingIOError:
+            if not _wait_for(sock, select.POLLIN, deadline):
+                raise DeadlineExceededError(f"{what} exceeded its deadline") from None
+            continue
+        if not n:
+            raise EOFError(f"{what}: peer closed the connection")
+        got += n
+
+
+def _read_frame(sock: socket.socket, deadline: float, what: str, checksum: bool) -> object:
     """Read and decode one frame from ``sock``, never blocking past ``deadline``.
 
-    ``deadline`` is a ``time.monotonic()`` instant covering header and
-    payload together; passing it raises
+    ``deadline`` is a ``time.monotonic()`` instant covering the whole
+    frame; passing it raises
     :class:`~repro.exceptions.DeadlineExceededError`, a peer that closes
-    mid-frame ``EOFError``, damage :class:`FrameError`.
+    mid-frame ``EOFError``, damage :class:`FrameError`.  The prefix is
+    validated before the body is allocated, and the body lands in one
+    uninitialised buffer the decoded arrays then view.
     """
+    prefix = bytearray(_PREFIX.size)
+    _recv_exact_into(sock, memoryview(prefix), deadline, what)
+    header_len, buffer_len, _ = _check_prefix(prefix)
+    body = np.empty(header_len + buffer_len, dtype=np.uint8)
+    _recv_exact_into(sock, memoryview(body), deadline, what)
+    return decode_frame(prefix, body, require_checksum=checksum)
 
-    def read_exact(n: int) -> bytes:
-        chunks: list[bytes] = []
-        while n > 0:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                raise DeadlineExceededError(f"{what} exceeded its deadline")
-            sock.settimeout(budget)
-            try:
-                chunk = sock.recv(min(n, _CHUNK))
-            except TimeoutError as exc:
-                raise DeadlineExceededError(f"{what} exceeded its deadline") from exc
-            if not chunk:
-                raise EOFError(f"{what}: peer closed the connection")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
 
-    header = read_exact(_HEADER.size)
-    _, length = _HEADER.unpack(header)
-    if length > _MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds the sanity bound")
-    return decode_frame(header, read_exact(length))
+def _send_parts(sock: socket.socket, parts: list, seconds: float) -> None:
+    """Send a frame's parts, gathered into as few writes as the socket takes."""
+    deadline = time.monotonic() + seconds
+    views = [memoryview(part) for part in parts if len(part)]
+    if len(views) > _MAX_IOV:
+        views = [memoryview(b"".join(views))]
+    if sock.gettimeout() != 0.0:
+        sock.settimeout(0.0)
+    while views:
+        try:
+            sent = sock.sendmsg(views)
+        except BlockingIOError:
+            if not _wait_for(sock, select.POLLOUT, deadline):
+                raise TimeoutError("frame send exceeded its deadline") from None
+            continue
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
 
 class ShardTransport:
@@ -185,7 +480,7 @@ class ShardTransport:
         raise NotImplementedError
 
     def recv_within(self, seconds: float, what: str) -> object:
-        """Receive one reply, or raise ``DeadlineExceededError``."""
+        """Receive one whole reply, or raise ``DeadlineExceededError``."""
         raise NotImplementedError
 
     def fileno(self) -> int:
@@ -207,33 +502,46 @@ class ShardTransport:
         raise NotImplementedError
 
 
-class PipeTransport(ShardTransport):
-    """A locally spawned worker process behind a duplex pipe."""
+class _SocketTransport(ShardTransport):
+    """Frames over one connected stream socket (both carriers)."""
 
-    def __init__(self, process, conn, endpoint: str = "pipe") -> None:
-        self.process = process
-        self.conn = conn
-        self.endpoint = endpoint
+    #: whether frames carry (and replies must carry) a CRC32.
+    checksum = False
+
+    def __init__(self, sock: socket.socket, send_deadline: float) -> None:
+        self._sock = sock
+        self._send_deadline = float(send_deadline)
 
     def send(self, message: object) -> None:
-        self.conn.send(message)
+        _send_parts(self._sock, _frame_parts(message, self.checksum), self._send_deadline)
 
     def recv_within(self, seconds: float, what: str) -> object:
-        if not self.conn.poll(seconds):
-            raise DeadlineExceededError(
-                f"{what} exceeded its {seconds:.3f}s deadline"
-            )
-        return self.conn.recv()
+        return _read_frame(self._sock, time.monotonic() + float(seconds), what, self.checksum)
 
     def fileno(self) -> int:
-        return self.conn.fileno()
+        return self._sock.fileno()
+
+    def _close_socket(self) -> None:
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
+            self._sock.close()
+
+
+class PipeTransport(_SocketTransport):
+    """A locally spawned worker process behind one end of a socketpair."""
+
+    def __init__(self, process, sock: socket.socket, endpoint: str = "pipe",
+                 send_deadline: float = 30.0) -> None:
+        super().__init__(sock, send_deadline)
+        self.process = process
+        self.endpoint = endpoint
 
     def kill(self) -> None:
         if self.process is not None and self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5.0)
-        with contextlib.suppress(OSError):
-            self.conn.close()
+        self._close_socket()
 
     def shutdown(self) -> None:
         """Join after a clean ``stop``; escalate to terminate on a hang."""
@@ -242,8 +550,7 @@ class PipeTransport(ShardTransport):
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout=5.0)
-        with contextlib.suppress(OSError):
-            self.conn.close()
+        self._close_socket()
 
     def classify_send_error(self, exc: BaseException) -> str:
         return "crash"
@@ -264,8 +571,10 @@ class PipeTransport(ShardTransport):
         return "corrupt"
 
 
-class TcpTransport(ShardTransport):
+class TcpTransport(_SocketTransport):
     """A remote shard server behind checksummed frames on a TCP socket."""
+
+    checksum = True
 
     def __init__(
         self,
@@ -274,28 +583,13 @@ class TcpTransport(ShardTransport):
         connect_timeout: float = 10.0,
         send_deadline: float = 30.0,
     ) -> None:
+        sock = socket.create_connection((host, port), timeout=float(connect_timeout))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        super().__init__(sock, send_deadline)
         self.endpoint = f"{host}:{port}"
-        self._send_deadline = float(send_deadline)
-        self._sock = socket.create_connection(
-            (host, port), timeout=float(connect_timeout)
-        )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-    def send(self, message: object) -> None:
-        self._sock.settimeout(self._send_deadline)
-        self._sock.sendall(encode_frame(message))
-
-    def recv_within(self, seconds: float, what: str) -> object:
-        return _read_frame(self._sock, time.monotonic() + float(seconds), what)
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
 
     def kill(self) -> None:
-        with contextlib.suppress(OSError):
-            self._sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self._sock.close()
+        self._close_socket()
 
     def classify_send_error(self, exc: BaseException) -> str:
         return "disconnect"
@@ -309,19 +603,19 @@ class TcpTransport(ShardTransport):
 
 
 class ServerConnection:
-    """Server side of the frame protocol, pipe-``Connection``-shaped.
+    """The serving side of either carrier: one socket speaking frames.
 
-    Wraps one accepted socket so
-    :func:`repro.service.shard_server.serve_connection` can drive pipes
-    and sockets with identical code.  Every blocking wait is bounded:
-    ``poll`` by its explicit timeout (a ``select`` under the hood) and
-    the frame reads by :data:`_SERVER_IO_DEADLINE` ``settimeout`` calls,
+    :func:`repro.service.shard_server.serve_connection` drives pipe
+    workers and TCP sessions through this one class; ``checksum`` is on
+    for TCP and off for the local socketpair.  Every blocking wait is
+    bounded: ``poll`` by its explicit timeout (a ``select`` under the
+    hood) and the frame reads and writes by :data:`_SERVER_IO_DEADLINE`,
     so a half-open client can never park a serving thread forever.
     """
 
-    def __init__(self, sock: socket.socket) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, sock: socket.socket, checksum: bool = True) -> None:
         self._sock = sock
+        self.checksum = checksum
 
     def poll(self, timeout: float = 0.0) -> bool:
         """Bounded readability check (the socket analogue of pipe poll)."""
@@ -338,23 +632,16 @@ class ServerConnection:
         """Read one frame; raises ``FrameError``/``EOFError`` on damage."""
         deadline = time.monotonic() + _SERVER_IO_DEADLINE
         try:
-            return _read_frame(self._sock, deadline, "request")
+            return _read_frame(self._sock, deadline, "request", self.checksum)
         except DeadlineExceededError as exc:
             raise EOFError("peer stalled mid-frame") from exc
 
     def send(self, message: object) -> None:
-        self._sock.settimeout(_SERVER_IO_DEADLINE)
-        self._sock.sendall(encode_frame(message))
+        _send_parts(self._sock, _frame_parts(message, self.checksum), _SERVER_IO_DEADLINE)
 
-    def send_bytes(self, payload: bytes) -> None:
-        """Frame raw payload bytes (the truncated-pickle corrupt path)."""
-        self._sock.settimeout(_SERVER_IO_DEADLINE)
-        self._sock.sendall(frame_bytes(payload))
-
-    def send_corrupt(self, message: object) -> None:
-        """Ship a frame that fails the receiver's checksum gate."""
-        self._sock.settimeout(_SERVER_IO_DEADLINE)
-        self._sock.sendall(corrupt_frame(message))
+    def send_raw(self, frame: bytes) -> None:
+        """Ship pre-built frame bytes (the damaged-frame fault paths)."""
+        _send_parts(self._sock, [frame], _SERVER_IO_DEADLINE)
 
     def close(self) -> None:
         with contextlib.suppress(OSError):

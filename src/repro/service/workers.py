@@ -27,7 +27,7 @@ Each worker *slot* ``w`` owns shards ``w, w + W, w + 2W, ...`` and is
 backed by one or more replica endpoints:
 
 * the default carrier spawns ``replicas`` local worker processes per
-  slot behind duplex pipes (:class:`~repro.service.transport.PipeTransport`),
+  slot behind socketpair pipes (:class:`~repro.service.transport.PipeTransport`),
   each mmap'ing the same frozen artifact;
 * with ``endpoints=[...]`` the slots connect to standalone shard
   servers (:class:`~repro.service.shard_server.ShardServer`,
@@ -106,16 +106,18 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import shutil
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _dc_replace
+from itertools import accumulate
 
 import numpy as np
 
 from repro.core.cost_model import CostModel
 from repro.core.linear_scan import exact_topk_results
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.distances import get_metric
 from repro.exceptions import (
     ConfigurationError,
@@ -126,13 +128,20 @@ from repro.exceptions import (
 from repro.faults import FaultTolerancePolicy
 from repro.observability import StageTrace, stage_timer
 from repro.service.shard_server import (
+    STATS_COLUMNS,
     _payload_nbytes,
     _shard_dir,
-    _unpack_result,
+    _unpack_block,
     serve_pipe_worker,
 )
 from repro.service.sharded import default_fanout_width, merge_radius_results
-from repro.service.transport import PipeTransport, ShardTransport, TcpTransport
+from repro.service.transport import (
+    WIRE_VERSION,
+    FrameError,
+    PipeTransport,
+    ShardTransport,
+    TcpTransport,
+)
 from repro.utils.fsio import write_json_atomic
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -151,7 +160,7 @@ class _TransportFailure(Exception):
     :class:`~repro.exceptions.ShardUnavailableError` (exhausted
     recovery).  ``cause`` is one of ``"crash"`` (EOF / broken pipe),
     ``"timeout"`` (deadline expired: hang or dropped reply),
-    ``"corrupt"`` (reply failed checksum or deserialisation) or
+    ``"corrupt"`` (reply failed its checksum or frame decode) or
     ``"disconnect"`` (a socket peer closed the connection — the
     endpoint is retried after reconnect, not declared dead).
     """
@@ -237,13 +246,36 @@ class _Endpoint:
         self.poisoned = False
 
 
-def _empty_result(radius: float) -> QueryResult:
-    """The substitute answer for a shard whose worker is unavailable."""
-    return QueryResult(
-        ids=np.empty(0, dtype=np.int64),
-        distances=np.empty(0, dtype=np.float64),
-        radius=radius,
-    )
+#: the stats row a missing shard contributes to a degraded merge: the
+#: :class:`~repro.core.results.QueryStats` defaults, in
+#: :data:`~repro.service.shard_server.STATS_COLUMNS` order.
+_MISSING_STATS = np.array(
+    [0.0, np.nan, -1.0, np.nan, np.nan, 0.0, -1.0, 0.0], dtype=np.float64
+)
+_EXACT_CANDIDATES, _PROBES, _EXACT = (
+    STATS_COLUMNS.index(name) for name in ("exact_candidates", "probes_used", "exact")
+)
+
+
+def _checked_block(reply, shard: int, q: int) -> tuple:
+    """Shard ``shard``'s block of a radius ``reply``, checked against ``q`` rows.
+
+    The arrays must agree with each other before any is indexed: a
+    remote endpoint's reply is outside input.
+    """
+    try:
+        block = counts, ids, distances, stats = reply[shard]
+        ok = (
+            counts.shape == (q,)
+            and stats.shape == (q, len(STATS_COLUMNS))
+            and ids.shape == distances.shape == (int(counts.sum()),)
+            and ids.dtype.kind in "iu"
+        )
+    except (LookupError, TypeError, ValueError, AttributeError):
+        ok = False
+    if not ok:
+        raise WorkerError(f"shard {shard} sent a malformed radius block")
+    return block
 
 
 class WorkerPool:
@@ -486,11 +518,11 @@ class WorkerPool:
     def _spawn_pipe(self, worker: int, replica: int) -> PipeTransport:
         """Start one local worker process and await its ready ack."""
         ep = self._eps[worker][replica]
-        parent_conn, child_conn = self._ctx.Pipe()
+        parent_sock, child_sock = socket.socketpair()
         process = self._ctx.Process(
             target=serve_pipe_worker,
             args=(
-                child_conn,
+                child_sock,
                 worker,
                 self.path,
                 self.worker_shards(worker),
@@ -504,9 +536,16 @@ class WorkerPool:
             name=f"repro-worker-{worker}-{replica}",
             daemon=True,
         )
-        process.start()
-        child_conn.close()
-        transport = PipeTransport(process, parent_conn, endpoint=f"pid {process.pid}")
+        try:
+            process.start()
+        finally:
+            child_sock.close()
+        transport = PipeTransport(
+            process,
+            parent_sock,
+            endpoint=f"pid {process.pid}",
+            send_deadline=max(self.policy.recv_deadline, self.policy.startup_deadline),
+        )
         self._await_ready(transport, worker)
         return transport
 
@@ -537,7 +576,11 @@ class WorkerPool:
         return transport
 
     def _await_ready(self, transport: ShardTransport, worker: int) -> dict:
-        """Wait for the ``("ready", sizes)`` handshake both carriers send."""
+        """Wait for the ``("ready", sizes, version)`` handshake both carriers send.
+
+        A peer that speaks another wire version is refused here, naming
+        both versions, before any request reaches it.
+        """
         try:
             ack = transport.recv_within(
                 self.policy.startup_deadline, f"worker {worker} startup ack"
@@ -548,6 +591,9 @@ class WorkerPool:
                 f"worker {worker} failed to start within "
                 f"{self.policy.startup_deadline}s"
             ) from exc
+        except FrameError as exc:
+            transport.kill()
+            raise WorkerError(f"worker {worker} sent an unreadable ack: {exc}") from exc
         except Exception as exc:
             transport.kill()
             raise WorkerError(f"worker {worker} died during startup") from exc
@@ -561,6 +607,13 @@ class WorkerPool:
                     f"worker {worker} failed to open shards: {detail}"
                 )
             raise WorkerError(f"worker {worker} failed to open shards: {ack!r}")
+        version = ack[2] if len(ack) > 2 else None
+        if version != WIRE_VERSION:
+            transport.kill()
+            raise WorkerError(
+                f"worker {worker} ({transport.endpoint}) speaks wire version "
+                f"{version}; this pool speaks wire version {WIRE_VERSION}"
+            )
         return dict(ack[1])
 
     def _respawn_locked(
@@ -1230,29 +1283,73 @@ class WorkerPool:
         if failures and (not allow_partial or not replies):
             raise failures[min(failures)]
         with stage_timer(trace, "merge"):
-            per_shard = {}
-            for reply in replies.values():
-                per_shard.update(reply)
+            blocks = {
+                s: _checked_block(reply, s, queries.shape[0])
+                for w, reply in replies.items()
+                for s in self.worker_shards(w)
+            }
             missing = tuple(
                 sorted(s for w in failures for s in self.worker_shards(w))
             )
-            results = []
-            for qi in range(queries.shape[0]):
-                shard_results = [
-                    _unpack_result(per_shard[s][qi], radius)
-                    if s in per_shard
-                    else _empty_result(radius)
-                    for s in range(self.num_shards)
-                ]
-                merged = merge_radius_results(
-                    self._shard_gids, shard_results, radius
+            return self._merge_blocks(blocks, queries.shape[0], radius, missing)
+
+    def _merge_blocks(
+        self, blocks: dict, q: int, radius: float, missing: tuple
+    ) -> list[QueryResult]:
+        """Every query's global answer from the shards' flat reply blocks.
+
+        Per shard, one ``take`` translates the local ids through its id
+        map and the ``(q, 8)`` stats matrices are summed in shard order,
+        so every float matches the Python ``sum`` of
+        :func:`~repro.service.sharded.merge_radius_results`; per query,
+        only the concatenate and the stable argsort of that function
+        remain.  A shard absent from ``blocks`` (one of the ``missing``)
+        contributes no neighbours and the default stats.
+        """
+        parts = []
+        total = lowest = None
+        for s in range(self.num_shards):
+            if s in blocks:
+                counts, ids, distances, stats = blocks[s]
+                try:
+                    gids = self._shard_gids[s].take(ids)
+                except IndexError as exc:
+                    raise WorkerError(f"shard {s} answered an unknown id: {exc}") from exc
+                parts.append((gids, distances, list(accumulate(counts.tolist(), initial=0))))
+            else:
+                stats = np.broadcast_to(_MISSING_STATS, (q, len(STATS_COLUMNS)))
+            if total is None:
+                total, lowest = stats + 0.0, stats  # 0 + x, as sum() starts
+            else:
+                total = total + stats
+                lowest = np.minimum(lowest, stats)
+        results = []
+        for i, (row, low) in enumerate(zip(total.tolist(), lowest.tolist())):
+            ids = np.concatenate([gids[b[i]:b[i + 1]] for gids, _, b in parts])
+            distances = np.concatenate([dist[b[i]:b[i + 1]] for _, dist, b in parts])
+            order = np.argsort(ids, kind="stable")
+            stats = QueryStats(
+                num_collisions=int(row[0]),
+                estimated_candidates=row[1],
+                # An untracked (-1) count anywhere poisons the sum.
+                exact_candidates=int(row[2]) if low[_EXACT_CANDIDATES] >= 0 else -1,
+                estimated_lsh_cost=row[3],
+                linear_cost=row[4],
+                strategy=Strategy.HYBRID,
+                probes_used=int(row[6]) if low[_PROBES] >= 0 else -1,
+                exact=low[_EXACT] > 0,
+            )
+            results.append(
+                QueryResult(
+                    ids=ids[order],
+                    distances=distances[order],
+                    radius=radius,
+                    stats=stats,
+                    degraded=bool(missing),
+                    missing_shards=missing,
                 )
-                if missing:
-                    merged = _dc_replace(
-                        merged, degraded=True, missing_shards=missing
-                    )
-                results.append(merged)
-            return results
+            )
+        return results
 
     def shard_query_batch(
         self, shard: int, queries: np.ndarray, radius: float, adaptive=None
@@ -1262,7 +1359,7 @@ class WorkerPool:
         if adaptive is not None:
             message = message + (adaptive.to_dict(),)
         reply = self._request(self._owner(shard), message)
-        return [_unpack_result(packed, radius) for packed in reply[shard]]
+        return _unpack_block(_checked_block(reply, shard, queries.shape[0]), radius)
 
     def merge_radius(
         self, shard_results: list[QueryResult], radius: float

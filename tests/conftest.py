@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
 from repro.index import LSHIndex
+
+
+def max_examples(default: int) -> int:
+    """A property's example budget, capped by ``HYPOTHESIS_MAX_EXAMPLES``.
+
+    Fuzz properties pass ``@settings(max_examples=max_examples(n))``, so
+    one environment variable bounds how long they run (CI sets it low).
+    """
+    cap = os.environ.get("HYPOTHESIS_MAX_EXAMPLES")
+    return default if cap is None else min(default, int(cap))
 
 
 @pytest.fixture

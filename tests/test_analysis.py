@@ -29,6 +29,7 @@ RULE_FIXTURES = {
     "trace-stage": FIXTURES / "stages_bad.py",
     "spec-plumb": FIXTURES / "spec_plumb",
     "deadline-required": FIXTURES / "service",
+    "wire-pickle": FIXTURES / "service" / "pickle_bad.py",
 }
 
 
@@ -108,6 +109,27 @@ class TestTruePositives:
         assert "settimeout(None)" in blob
         assert ".accept()" in blob
         assert ".connect()" in blob
+
+    def test_wire_pickle_reports_imports_calls_and_connections(self):
+        findings = run_check(
+            [str(RULE_FIXTURES["wire-pickle"])], enabled=["wire-pickle"]
+        )
+        # import pickle, pickle.loads, multiprocessing.Pipe(), and the
+        # pipe's send() and recv(); the framed socket reports nothing.
+        assert len(findings) == 5
+        blob = " ".join(f.message for f in findings)
+        assert "imports pickle" in blob
+        assert "pickle.loads" in blob
+        assert "multiprocessing.Pipe()" in blob
+        assert "parent.send()" in blob and "child.recv()" in blob
+
+    def test_wire_pickle_covers_faults_and_leaves_other_layers_alone(self, tmp_path):
+        source = "import pickle\n\n\ndef f(b):\n    return pickle.loads(b)\n"
+        for layer, expected in (("faults", 2), ("service", 2), ("core", 0)):
+            path = tmp_path / layer / "mod.py"
+            path.parent.mkdir()
+            path.write_text(source)
+            assert len(run_check([str(path)], enabled=["wire-pickle"])) == expected
 
     def test_lock_discipline_points_at_the_bare_mutation(self):
         findings = run_check(

@@ -16,27 +16,46 @@ that reconnects after missing inserts.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
-from repro.exceptions import ConfigurationError, ShardUnavailableError
+from repro.core.results import QueryResult
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceededError,
+    ShardUnavailableError,
+)
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
-from repro.service.shard_server import ShardServer
+from repro.service.shard_server import ShardServer, _unpack_block
+from repro.service.sharded import merge_radius_results
 from repro.service.transport import (
+    _PREFIX,
+    WIRE_VERSION,
     FrameError,
+    PipeTransport,
     corrupt_frame,
     decode_frame,
     encode_frame,
-    frame_bytes,
+    truncated_frame,
 )
-from repro.service.workers import WorkerPool
+from repro.service.workers import (
+    WorkerError,
+    WorkerPool,
+    _checked_block,
+    _TransportFailure,
+)
 
 N, DIM, SHARDS = 400, 10, 2
+PREFIX = _PREFIX.size
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -118,6 +137,11 @@ def tcp_pool(artifact):
         server.close()
 
 
+def _split(frame: bytes) -> tuple[bytes, bytes]:
+    """A frame as its prefix and the rest (the zero-copy split)."""
+    return frame[:PREFIX], frame[PREFIX:]
+
+
 def assert_results_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -129,29 +153,211 @@ class TestFrameCodec:
     def test_roundtrip(self):
         message = ("radius", [0, 1], np.arange(6.0).reshape(2, 3), 1.5)
         frame = encode_frame(message)
-        decoded = decode_frame(frame[:12], frame[12:])
+        decoded = decode_frame(frame[:PREFIX], frame[PREFIX:])
         assert decoded[0] == "radius" and decoded[3] == 1.5
         assert np.array_equal(decoded[2], message[2])
 
     def test_truncated_payload_is_rejected_by_length(self):
         frame = encode_frame(("ping",))
         with pytest.raises(FrameError, match="truncated"):
-            decode_frame(frame[:12], frame[12:-1])
+            decode_frame(frame[:PREFIX], frame[PREFIX:-1])
+        with pytest.raises(FrameError, match="truncated"):
+            decode_frame(frame[: PREFIX - 1], b"")
 
     def test_corrupt_frame_fails_the_checksum_gate(self):
         frame = corrupt_frame(("ping",))
         with pytest.raises(FrameError, match="checksum"):
-            decode_frame(frame[:12], frame[12:])
+            decode_frame(frame[:PREFIX], frame[PREFIX:])
 
-    def test_truncated_pickle_fails_at_deserialise(self):
-        # The CORRUPT fault ships a checksummed-but-truncated pickle:
-        # the CRC gate passes and the unpickle step reports the damage.
-        import pickle
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_truncated_body_fails_at_decode(self, checksum):
+        # The CORRUPT fault ships a prefix that agrees with a body cut to
+        # a third: length and CRC gates pass, the decode step reports it.
+        frame = truncated_frame(("stats",), checksum=checksum)
+        with pytest.raises(FrameError, match="failed to decode"):
+            decode_frame(frame[:PREFIX], frame[PREFIX:], require_checksum=checksum)
 
-        payload = pickle.dumps(("stats",))[:4]
-        frame = frame_bytes(payload)
-        with pytest.raises(FrameError, match="deserialise"):
-            decode_frame(frame[:12], frame[12:])
+    @pytest.mark.parametrize("message", [None, 0, 10_032, 2.5, True, "pong", ("stats",)])
+    def test_truncated_small_frames_never_decode(self, message):
+        """A cut header never parses as a smaller value (``10032`` -> ``10``)."""
+        frame = truncated_frame(message)
+        with pytest.raises(FrameError):
+            decode_frame(frame[:PREFIX], frame[PREFIX:])
+
+    def test_none_is_four_body_bytes(self):
+        """Callers split frames at ``len(encode_frame(None)) - 4``."""
+        assert len(encode_frame(None)) - 4 == PREFIX
+
+    def test_types_survive_the_wire(self):
+        message = (
+            "ready",
+            {0: 10, 1: (2, [3, None]), "k": {"nested": True}},
+            WIRE_VERSION,
+            float("inf"),
+        )
+        decoded = decode_frame(*_split(encode_frame(message)))
+        assert decoded == message
+        assert type(decoded) is tuple and type(decoded[1][1]) is tuple
+        assert list(decoded[1]) == [0, 1, "k"]
+
+    def test_arrays_are_views_of_the_received_body(self):
+        block = (
+            np.arange(3, dtype=np.int64),
+            np.empty(0),
+            np.ones((2, 8)),
+            np.array(5, dtype=np.int32),
+            np.array([True, False]),
+            np.arange(12.0).reshape(3, 4)[:, 1],  # non-contiguous
+            np.arange(4, dtype=">i4"),  # big-endian
+        )
+        head, body = _split(encode_frame({7: block}))
+        decoded = decode_frame(head, body)[7]
+        for got, sent in zip(decoded, block):
+            assert got.shape == sent.shape
+            assert np.array_equal(got, sent)
+            assert got.dtype == sent.dtype.newbyteorder("<")
+            if got.size:
+                assert np.shares_memory(got, np.frombuffer(body, np.uint8))
+                assert got.ctypes.data % 8 == (
+                    np.frombuffer(body, np.uint8).ctypes.data % 8
+                )
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, np.array([object()]), np.zeros(2, np.complex128), b"raw"]
+    )
+    def test_unframeable_values_are_refused(self, value):
+        with pytest.raises(FrameError, match="cannot frame"):
+            encode_frame(("reply", value))
+
+    def test_tcp_reader_requires_a_checksum(self):
+        head, body = _split(encode_frame(("ping",)))
+        assert decode_frame(head, body) == ("ping",)
+        with pytest.raises(FrameError, match="no checksum"):
+            decode_frame(head, body, require_checksum=True)
+
+    def test_other_wire_version_is_named(self):
+        frame = bytearray(encode_frame(("ping",)))
+        frame[4:6] = (WIRE_VERSION + 1).to_bytes(2, "little")
+        with pytest.raises(FrameError, match=f"version {WIRE_VERSION + 1}.*{WIRE_VERSION}"):
+            decode_frame(*_split(bytes(frame)))
+
+    def test_oversized_array_claim_is_refused_without_allocating(self):
+        header = b'{"a":["<f8",[1099511627776],0]}'
+        frame = _PREFIX.pack(b"HLSW", WIRE_VERSION, 0, 0, len(header), 8) + header + bytes(8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="overruns"):
+                decode_frame(*_split(frame))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _random_block(rng, q: int, shard_size: int) -> tuple:
+    """A shard's radius-reply block with sorted local ids per query."""
+    counts = rng.integers(0, 6, size=q)
+    ids = np.concatenate(
+        [np.sort(rng.choice(shard_size, size=c, replace=False)) for c in counts]
+    )
+    stats = rng.random((q, 8)) * 50
+    stats[:, [0, 2, 6]] = rng.integers(-1, 40, size=(q, 3))
+    stats[:, 1][rng.random(q) < 0.3] = np.nan
+    stats[:, 5] = rng.integers(0, 2, size=q)
+    stats[:, 7] = rng.integers(0, 2, size=q)
+    return counts, ids, rng.random(ids.size), stats
+
+
+class TestFlatRadiusReply:
+    @pytest.mark.parametrize("missing", [(), (1,)])
+    def test_batch_merge_equals_the_per_query_merge(self, missing):
+        rng = np.random.default_rng(5)
+        q, shards = 7, 3
+        gids = [np.arange(s, 90, shards, dtype=np.int64) for s in range(shards)]
+        fake_pool = SimpleNamespace(
+            n=90, num_shards=shards, _shard_gids=gids
+        )
+        blocks = {
+            s: _random_block(rng, q, gids[s].size)
+            for s in range(shards) if s not in missing
+        }
+        merged = WorkerPool._merge_blocks(fake_pool, blocks, q, 1.5, missing)
+        parts = {s: _unpack_block(block, 1.5) for s, block in blocks.items()}
+        absent = QueryResult(ids=np.empty(0, np.int64), distances=np.empty(0), radius=1.5)
+        for i, got in enumerate(merged):
+            expected = merge_radius_results(
+                gids, [parts[s][i] if s in parts else absent for s in range(shards)], 1.5
+            )
+            assert np.array_equal(got.ids, expected.ids)
+            assert np.array_equal(got.distances, expected.distances)
+            assert repr(got.stats) == repr(expected.stats)  # nan-aware, type-exact
+            assert got.degraded == bool(missing) and got.missing_shards == missing
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {},
+            None,
+            ["not", "a", "dict"],
+            {0: (np.zeros(3, np.int64),)},
+            {0: (np.array([1, 1]), np.arange(3), np.zeros(3), np.zeros((2, 8)))},
+            {0: (np.array([1, 1]), np.arange(2), np.zeros(2), np.zeros((2, 7)))},
+            {0: (np.array([1, 1]), np.zeros(2), np.zeros(2), np.zeros((2, 8)))},
+        ],
+    )
+    def test_malformed_blocks_are_refused(self, reply):
+        with pytest.raises(WorkerError, match="malformed"):
+            _checked_block(reply, 0, 2)
+
+
+class TestBoundedPipeReads:
+    def test_a_stalled_frame_times_out_within_the_deadline(self):
+        """The deadline bounds the whole reply, not just its first byte."""
+        ours, theirs = socket.socketpair()
+        frame = encode_frame(("ready", {0: 1}, WIRE_VERSION))
+        theirs.sendall(frame[: PREFIX + 3])  # a prefix, then a stall
+        transport = PipeTransport(None, ours)
+        fake_pool = SimpleNamespace(
+            _eps=[[SimpleNamespace(transport=transport)]]
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                transport.recv_within(0.3, "reply")
+            assert time.monotonic() - started < 1.0
+            with pytest.raises(_TransportFailure) as failure:
+                WorkerPool._recv_locked(fake_pool, 0, 0, 0.2)
+            assert failure.value.cause == "timeout"
+        finally:
+            transport.kill()
+            theirs.close()
+
+
+class TestVersionHandshake:
+    def test_a_peer_on_another_wire_version_is_refused(self, artifact):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+
+        def fake_server():
+            sock, _ = listener.accept()
+            with sock:
+                ack = ("ready", {0: N // 2, 1: N // 2}, WIRE_VERSION + 1)
+                sock.sendall(encode_frame(ack, checksum=True))
+                sock.settimeout(10.0)
+                sock.recv(1)  # hold the line until the pool hangs up
+
+        server = threading.Thread(target=fake_server, daemon=True)
+        server.start()
+        try:
+            port = listener.getsockname()[1]
+            with pytest.raises(WorkerError) as refused:
+                WorkerPool(artifact, endpoints=[f"127.0.0.1:{port}"])
+            message = str(refused.value)
+            assert f"wire version {WIRE_VERSION + 1}" in message
+            assert f"wire version {WIRE_VERSION}" in message
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
 
 
 class TestEndpointConfig:
@@ -438,7 +644,8 @@ class TestKilledReplicaProcesses:
 
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from conftest import max_examples  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -464,3 +671,120 @@ class TestTransportEquivalenceProperty:
         tcp_k = tcp_pool.query_topk_batch(batch, k=4)
         assert_results_equal(tcp_k, pipe_pool.query_topk_batch(batch, k=4))
         assert_results_equal(tcp_k, thread_index.query(QuerySpec(batch, k=4)))
+
+
+def _valid_frames() -> dict[str, object]:
+    """One message of each wire shape the decoder must survive damage to."""
+    rng = np.random.default_rng(3)
+    counts = np.array([2, 0, 3], dtype=np.int64)
+    block = (
+        counts,
+        rng.integers(0, 200, size=5),
+        rng.random(5),
+        rng.random((3, 8)),
+    )
+    return {
+        "radius-reply": {0: block, 2: block},
+        "insert": ("insert", 1, rng.random((2, 4)), 17),
+        "stats": {"queries_served": 12, "latency": {"buckets": [0, 3, 1]},
+                  "qps": 41.5, "respawns_by_cause": {}},
+        "error": ("error", "KeyError: 9"),
+    }
+
+
+VALID_FRAMES = _valid_frames()
+
+
+def _decodes_or_frame_error(head, body, **kwargs) -> bool:
+    """True when the frame decoded, False on FrameError; anything else fails."""
+    try:
+        decode_frame(head, body, **kwargs)
+    except FrameError:
+        return False
+    return True
+
+
+def _headed(header: bytes, buffers: bytes, flags: int = 0) -> bytes:
+    """A frame whose prefix agrees with the given header and buffers."""
+    return _PREFIX.pack(
+        b"HLSW", WIRE_VERSION, flags, 0, len(header), len(buffers)
+    ) + header + buffers
+
+
+#: JSON header documents built from the codec's own tags, nested.
+_TAGGED_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True) | st.text(max_size=8)
+    | st.lists(
+        st.sampled_from(["<f8", "<i8", "|u1", "<f2", "|O"])
+        | st.integers(-8, 2**40) | st.lists(st.integers(-1, 2**33), max_size=3),
+        max_size=3,
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.builds(lambda tag, value: {tag: value}, st.sampled_from(["t", "d", "a", "n"]), inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=16,
+)
+
+
+class TestDecoderFuzz:
+    """Hostile bytes raise :class:`FrameError` and nothing else.
+
+    The decoder is the trust boundary of the TCP carrier: whatever a
+    peer sends, it must answer with a value or a ``FrameError`` —
+    promptly, and without allocating more than it was handed.
+    """
+
+    @settings(max_examples=max_examples(300), deadline=500)
+    @given(data=st.binary(max_size=2048))
+    @example(data=b"")
+    @example(data=_PREFIX.pack(b"HLSW", WIRE_VERSION, 1, 2**32 - 1, 2**32 - 1, 2**64 - 1))
+    @example(data=_PREFIX.pack(b"HLSW", WIRE_VERSION, 0, 0, 4, 0) + b"nul")
+    def test_arbitrary_bytes(self, data):
+        tracemalloc.start()
+        try:
+            _decodes_or_frame_error(*_split(data))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * len(data) + (1 << 20)
+
+    @settings(max_examples=max_examples(300), deadline=500)
+    @given(
+        header=_TAGGED_JSON.map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=64),
+        buffers=st.binary(max_size=256),
+    )
+    @example(header=b"[" * 100_000, buffers=b"")  # nesting past the recursion limit
+    @example(header=b'{"d":[1]}', buffers=b"")  # a pair that is no pair
+    @example(header=b'{"d":[[[1],2]]}', buffers=b"")  # an unhashable key
+    @example(header=b'{"a":["<f8",[0,18446744073709551616],0]}', buffers=b"")
+    @example(header=b'{"n":' + b"9" * 5000 + b"}", buffers=b"")  # past int digit limits
+    def test_well_framed_hostile_headers(self, header, buffers):
+        _decodes_or_frame_error(*_split(_headed(header, buffers)))
+
+    @pytest.mark.parametrize("name", sorted(VALID_FRAMES))
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_every_truncation_is_rejected(self, name, checksum):
+        frame = encode_frame(VALID_FRAMES[name], checksum=checksum)
+        for size in range(len(frame)):
+            assert not _decodes_or_frame_error(frame[:PREFIX], frame[PREFIX:size])
+
+    @pytest.mark.parametrize("name", sorted(VALID_FRAMES))
+    def test_every_bit_flip_of_a_checksummed_frame_is_rejected(self, name):
+        frame = encode_frame(VALID_FRAMES[name], checksum=True)
+        for bit in range(8 * len(frame)):
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not _decodes_or_frame_error(
+                *_split(bytes(flipped)), require_checksum=True
+            ), f"bit {bit} of the {name} frame went unnoticed"
+
+    @pytest.mark.parametrize("name", sorted(VALID_FRAMES))
+    def test_every_bit_flip_of_a_pipe_frame_decodes_or_raises(self, name):
+        # No checksum: a flipped distance bit is a different float, but
+        # a flip can never raise anything but FrameError.
+        frame = encode_frame(VALID_FRAMES[name])
+        for bit in range(8 * len(frame)):
+            flipped = bytearray(frame)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            _decodes_or_frame_error(*_split(bytes(flipped)))
