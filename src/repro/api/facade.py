@@ -38,6 +38,7 @@ from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridLSH, HybridSearcher
 from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
 from repro.core.linear_scan import exact_topk_results
+from repro.core.overlap import PartitionHelper
 from repro.core.results import QueryResult
 from repro.distances import get_metric
 from repro.distances.matrix import pairwise_distances
@@ -58,12 +59,20 @@ __all__ = ["Index", "ServiceStats"]
 
 
 class _SingleBackend:
-    """Adapter presenting a :class:`BatchQueryEngine` as a 1-shard backend."""
+    """Adapter presenting a :class:`BatchQueryEngine` as a 1-shard backend.
+
+    It owns the engine's :class:`~repro.core.overlap.PartitionHelper`,
+    the thread a batch's linear partition runs on beside its LSH
+    partition.  Shard engines get none: their sibling shards already
+    occupy the cores.
+    """
 
     kind = "single"
 
     def __init__(self, engine: BatchQueryEngine) -> None:
         self.engine = engine
+        self.helper = PartitionHelper()
+        engine.searcher.partition_helper = self.helper
 
     @property
     def num_partitions(self) -> int:
@@ -135,7 +144,9 @@ class _SingleBackend:
         return int(self.engine.recalibrations)
 
     def close(self) -> None:
-        # A fold an insert started must not outlive the index.
+        # Neither the helper thread nor a fold an insert started may
+        # outlive the index; later batches run inline.
+        self.helper.close()
         self.engine.index.wait_for_refreeze()
 
 
@@ -641,9 +652,10 @@ class Index:
     def close(self) -> None:
         """Release backend resources; idempotent.
 
-        Returns once no background re-freeze of an in-process index is
+        Returns once a single index's partition helper thread has
+        exited, no background re-freeze of an in-process index is
         running and the sharded thread pool (or the worker pool) is
-        shut down.
+        shut down.  A single index still answers afterwards, inline.
         """
         self._backend.close()
 

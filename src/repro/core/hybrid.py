@@ -47,6 +47,7 @@ from repro.core.calibration import calibrate_cost_model
 from repro.core.cost_model import CostModel
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
+from repro.core.overlap import PartitionHelper
 from repro.core.presets import paper_parameters
 from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.index.lsh_index import LSHIndex
@@ -70,6 +71,11 @@ class HybridSearcher:
 
     ``candSize`` is the paper's merged-HLL estimate, consulted only on
     rows the exact bounds leave open.
+
+    ``partition_helper`` (``None`` by default) is the
+    :class:`~repro.core.overlap.PartitionHelper` a batch's linear
+    partition runs on, beside its LSH partition; the single-index
+    backend that owns one sets it.
     """
 
     def __init__(self, index: LSHIndex, cost_model: CostModel) -> None:
@@ -88,6 +94,7 @@ class HybridSearcher:
         self.cost_model = cost_model
         self._lsh = LSHSearch(index)
         self._linear = LinearScan(index.points, index.family.metric)
+        self.partition_helper: PartitionHelper | None = None
 
     def _verdict_from_bounds(self, lookup) -> tuple[bool | None, float | None]:
         """Equation (1) from the exact ``candSize`` bounds alone.
@@ -244,6 +251,10 @@ class HybridSearcher:
         layout's ``candidate_ids_batch`` (one sort for rows of at most
         ``n / 8`` collisions), then ``LSHSearch.filter_candidates_batch``
         (one distance pass per block of up to 256 KiB of candidates).
+        With a :attr:`partition_helper`, a batch that has both
+        partitions scans its linear rows on the helper thread while this
+        thread runs the LSH rows; same kernels, same inputs, so the
+        answers and stats are those of the serial order.
 
         ``dedup`` is forwarded to the LSH branch's candidate retrieval;
         both dedup implementations return the identical candidate set,
@@ -254,7 +265,9 @@ class HybridSearcher:
         per-stage wall-time attribution — ``hash`` / ``estimate`` /
         ``linear`` / ``candidates``.  The spans bracket the existing
         computation without touching it, so traced answers are
-        bit-identical to untraced ones.
+        bit-identical to untraced ones.  Each span is its stage's own
+        wall time, so ``linear`` and ``candidates`` overlap when the
+        helper ran the scan.
 
         ``adaptive`` (an :class:`~repro.core.adaptive.AdaptivePolicy`
         with a ``target_candidates`` budget) switches Step S1 to the
@@ -327,35 +340,56 @@ class HybridSearcher:
 
         results: list[QueryResult | None] = [None] * len(lookups)
         linear_rows = [i for i, lsh in enumerate(go_lsh) if not lsh]
-        if linear_rows:
-            with stage_timer(trace, "linear"):
-                scanned = self._linear_scan().query_batch(queries[linear_rows], radius)
-            for i, result in zip(linear_rows, scanned):
-                # A linear scan genuinely examines every point.
-                result.stats = stats_of(i, self.index.n)
-                results[i] = result
         lsh_rows = [i for i, lsh in enumerate(go_lsh) if lsh]
-        with stage_timer(trace if lsh_rows else None, "candidates"):
-            # Step S2 once for the batch on the frozen layout; other
-            # layouts deduplicate per query.
-            batch_dedup = getattr(self.index, "candidate_ids_batch", None)
-            if batch_dedup is not None and lsh_rows:
-                candidate_sets = batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
-            else:
-                candidate_sets = [
-                    self.index.candidate_ids(lookups[i], dedup=dedup) for i in lsh_rows
-                ]
-            filtered = self._lsh.filter_candidates_batch(
-                queries.take(lsh_rows, axis=0), radius, candidate_sets
-            )
-            for i, candidates, (ids, distances) in zip(lsh_rows, candidate_sets, filtered):
-                results[i] = QueryResult(
-                    ids=ids,
-                    distances=distances,
-                    radius=radius,
-                    # LSH rows report the materialised candidate-set size.
-                    stats=stats_of(i, int(candidates.size)),
+        # Resolved on the caller: an insert may replace ``index.points``
+        # while a helper thread scans.
+        scan = self._linear_scan() if linear_rows else None
+
+        def linear_partition() -> list[QueryResult]:
+            return scan.query_batch(queries[linear_rows], radius)
+
+        def lsh_partition() -> None:
+            with stage_timer(trace, "candidates"):
+                # Step S2 once for the batch on the frozen layout; other
+                # layouts deduplicate per query.
+                batch_dedup = getattr(self.index, "candidate_ids_batch", None)
+                if batch_dedup is not None:
+                    candidate_sets = batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
+                else:
+                    candidate_sets = [
+                        self.index.candidate_ids(lookups[i], dedup=dedup) for i in lsh_rows
+                    ]
+                filtered = self._lsh.filter_candidates_batch(
+                    queries.take(lsh_rows, axis=0), radius, candidate_sets
                 )
+                for i, candidates, (ids, distances) in zip(lsh_rows, candidate_sets, filtered):
+                    results[i] = QueryResult(
+                        ids=ids,
+                        distances=distances,
+                        radius=radius,
+                        # LSH rows report the materialised candidate-set size.
+                        stats=stats_of(i, int(candidates.size)),
+                    )
+
+        helper = self.partition_helper
+        if linear_rows and lsh_rows and helper is not None:
+            scanned, linear_s, _ = helper.run_beside(linear_partition, lsh_partition)
+            if trace is not None:
+                # Added after the join, on this thread: StageTrace is not
+                # thread-safe.  It is the scan's own wall time, so the
+                # span overlaps "candidates".
+                trace.add("linear", linear_s)
+        else:
+            scanned = []
+            if linear_rows:
+                with stage_timer(trace, "linear"):
+                    scanned = linear_partition()
+            if lsh_rows:
+                lsh_partition()
+        for i, result in zip(linear_rows, scanned):
+            # A linear scan genuinely examines every point.
+            result.stats = stats_of(i, self.index.n)
+            results[i] = result
         return results
 
     def decide(self, query: np.ndarray) -> Strategy:

@@ -9,6 +9,8 @@ observation that motivates hybrid search.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.results import QueryResult, QueryStats, Strategy
@@ -69,14 +71,19 @@ class LinearScan:
         self.dim = int(self.points.shape[1])
         # Lazily computed metric state (e.g. squared norms for L2),
         # shared by every batch call; the scan object is rebuilt on
-        # insert, so the state can never go stale.
+        # insert, so the state can never go stale.  Callers on several
+        # threads (a partition helper beside concurrent batches) share
+        # one scan, so the first computation is made under a lock.
+        self._prepared_lock = threading.Lock()
         self._prepared_state = None
         self._prepared_ready = False
 
     def _prepared(self):
         if not self._prepared_ready:
-            self._prepared_state = self.metric.prepare_points(self.points)
-            self._prepared_ready = True
+            with self._prepared_lock:
+                if not self._prepared_ready:
+                    self._prepared_state = self.metric.prepare_points(self.points)
+                    self._prepared_ready = True
         return self._prepared_state
 
     def query(self, query: np.ndarray, radius: float) -> QueryResult:
