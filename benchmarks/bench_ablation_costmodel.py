@@ -21,11 +21,10 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import NUM_QUERIES, NUM_TABLES
+from benchmarks.conftest import NUM_QUERIES, paper_index
 from repro.core import CostModel, HybridSearcher
 from repro.core.calibration import calibrate_cost_model
 from repro.datasets import split_queries
-from repro.evaluation.experiments import build_paper_index
 from repro.evaluation.report import format_table
 
 _FACTORS = (0.125, 0.5, 1.0, 2.0, 8.0)
@@ -34,7 +33,8 @@ _FACTORS = (0.125, 0.5, 1.0, 2.0, 8.0)
 @pytest.fixture(scope="module")
 def sweep(webspam_bench):
     data, queries = split_queries(webspam_bench.points, num_queries=NUM_QUERIES, seed=0)
-    index = build_paper_index(data, "cosine", 0.08, num_tables=NUM_TABLES, seed=0)
+    built = paper_index(data, "cosine", 0.08)
+    index = built.engine.index
     measured = calibrate_cost_model(data, "cosine", seed=0).model
     rows = []
     searchers = {}
@@ -54,7 +54,8 @@ def sweep(webspam_bench):
         ["factor", "beta/alpha", "total s", "%linear"],
         [[f"{f:g}", f"{r:.2f}", f"{s:.3f}", f"{100 * ls:.0f}%"] for f, r, s, ls in rows],
     ))
-    return rows, searchers, queries
+    yield rows, searchers, queries
+    built.close()
 
 
 @pytest.mark.parametrize("factor", [0.125, 1.0, 8.0])

@@ -24,12 +24,11 @@ import time
 
 import pytest
 
-from benchmarks.conftest import NUM_QUERIES, NUM_TABLES
+from benchmarks.conftest import NUM_QUERIES, paper_index
 from repro.core import HybridSearcher, LinearScan, LSHSearch
 from repro.core.calibration import calibrate_cost_model
 from repro.datasets import split_queries
 from repro.evaluation import GroundTruth, mean_recall
-from repro.evaluation.experiments import build_paper_index
 from repro.evaluation.report import format_table
 from repro.index import CoveringLSHIndex
 
@@ -39,9 +38,8 @@ _RADIUS = 12
 @pytest.fixture(scope="module")
 def report(mnist_bench):
     data, queries = split_queries(mnist_bench.points, num_queries=NUM_QUERIES, seed=0)
-    classic = build_paper_index(
-        data, "hamming", float(_RADIUS), num_tables=NUM_TABLES, seed=0
-    )
+    built = paper_index(data, "hamming", _RADIUS)
+    classic = built.engine.index
     covering = CoveringLSHIndex(
         dim=data.shape[1], radius=_RADIUS, seed=0
     ).build(data)
@@ -67,7 +65,8 @@ def report(mnist_bench):
         ["configuration", "total s", "recall"],
         [[n, f"{s:.3f}", f"{r:.4f}"] for n, s, r in rows],
     ))
-    return rows, configurations, queries
+    yield rows, configurations, queries
+    built.close()
 
 
 @pytest.mark.parametrize("config", ["covering lsh", "covering + hybrid"])

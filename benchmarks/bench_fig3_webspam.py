@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import NUM_QUERIES, NUM_TABLES
+from benchmarks.conftest import NUM_QUERIES, NUM_TABLES, paper_index
 from repro.core import CostModel, HybridSearcher
 from repro.datasets import split_queries
 from repro.evaluation import figure3_experiment
-from repro.evaluation.experiments import build_paper_index
 from repro.evaluation.report import format_figure3
 
 
@@ -39,13 +38,14 @@ def fig3_rows(webspam_bench):
 def test_fig3_decision_overhead(benchmark, webspam_bench, fig3_rows):
     """Time the Algorithm 2 decision (the hybrid-added overhead)."""
     data, queries = split_queries(webspam_bench.points, num_queries=10, seed=0)
-    index = build_paper_index(data, "cosine", 0.08, num_tables=NUM_TABLES, seed=0)
-    hybrid = HybridSearcher(index, CostModel.from_ratio(10.0))
+    built = paper_index(data, "cosine", 0.08)
+    hybrid = HybridSearcher(built.engine.index, CostModel.from_ratio(10.0))
 
     def decide_all():
         return [hybrid.decide(q) for q in queries]
 
     decisions = benchmark(decide_all)
+    built.close()
     assert len(decisions) == 10
 
 

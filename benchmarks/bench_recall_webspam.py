@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import NUM_QUERIES, NUM_TABLES
+from benchmarks.conftest import NUM_QUERIES, NUM_TABLES, paper_index
 from repro.core import HybridSearcher
 from repro.core.calibration import calibrate_cost_model
 from repro.datasets import split_queries
 from repro.evaluation import GroundTruth, mean_recall, recall_experiment
-from repro.evaluation.experiments import build_paper_index
 from repro.evaluation.report import format_recall
 
 
@@ -40,9 +39,9 @@ def recall_rows(webspam_bench):
 def test_recall_measurement(benchmark, webspam_bench, recall_rows):
     """Time the recall measurement pipeline at one radius."""
     data, queries = split_queries(webspam_bench.points, num_queries=10, seed=0)
-    index = build_paper_index(data, "cosine", 0.08, num_tables=NUM_TABLES, seed=0)
+    built = paper_index(data, "cosine", 0.08)
     model = calibrate_cost_model(data, "cosine", seed=0).model
-    hybrid = HybridSearcher(index, model)
+    hybrid = HybridSearcher(built.engine.index, model)
     truth = GroundTruth(data, queries, "cosine")
     truth_sets = truth.neighbor_sets(0.08)
 
@@ -51,6 +50,7 @@ def test_recall_measurement(benchmark, webspam_bench, recall_rows):
         return mean_recall(reported, truth_sets)
 
     value = benchmark(run)
+    built.close()
     assert 0.5 <= value <= 1.0
 
 

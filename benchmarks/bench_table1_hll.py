@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import NUM_QUERIES, NUM_TABLES
+from benchmarks.conftest import NUM_QUERIES, NUM_TABLES, paper_index
 from repro.datasets import split_queries
 from repro.evaluation import table1_experiment
-from repro.evaluation.experiments import build_paper_index
 from repro.evaluation.report import format_table1
 
 
@@ -39,25 +38,20 @@ def table1_rows(webspam_bench, covertype_bench, corel_bench, mnist_bench):
     return rows
 
 
-def _sketch_merge_case(dataset):
+@pytest.mark.parametrize("name", ["webspam", "covertype", "corel", "mnist"])
+def test_hll_merge_overhead(benchmark, name, table1_rows, request):
+    """Time the O(mL) merge+estimate step per query on each dataset."""
+    dataset = request.getfixturevalue(f"{name}_bench")
     data, queries = split_queries(dataset.points, num_queries=5, seed=0)
-    index = build_paper_index(
-        data, dataset.metric, float(dataset.radii[0]), num_tables=NUM_TABLES, seed=0
-    )
+    built = paper_index(data, dataset.metric, dataset.radii[0])
+    index = built.engine.index
     lookups = [index.lookup(q) for q in queries]
 
     def merge_all():
         return [index.merged_sketch(lookup).estimate() for lookup in lookups]
 
-    return merge_all
-
-
-@pytest.mark.parametrize("name", ["webspam", "covertype", "corel", "mnist"])
-def test_hll_merge_overhead(benchmark, name, table1_rows, request):
-    """Time the O(mL) merge+estimate step per query on each dataset."""
-    dataset = request.getfixturevalue(f"{name}_bench")
-    merge_all = _sketch_merge_case(dataset)
     result = benchmark(merge_all)
+    built.close()
     assert len(result) == 5
     assert all(est >= 0 for est in result)
 

@@ -15,12 +15,23 @@ import os
 
 import pytest
 
+from repro.api import Index, IndexSpec
 from repro.datasets import corel_like, covertype_like, mnist_like, webspam_like
 
 BENCH_N = int(os.environ.get("REPRO_BENCH_N", "12000"))
 NUM_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", "50"))
 NUM_TABLES = int(os.environ.get("REPRO_BENCH_TABLES", "50"))
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "2"))
+
+
+def paper_index(data, metric: str, radius: float) -> Index:
+    """``Index.build`` with the paper presets at ``radius`` (``NUM_TABLES``
+    tables, seed 0); ``.engine.index`` is the index it serves.  Close it
+    when done."""
+    return Index.build(
+        data,
+        IndexSpec(metric=metric, radius=float(radius), num_tables=NUM_TABLES, seed=0),
+    )
 
 
 @pytest.fixture(scope="session")

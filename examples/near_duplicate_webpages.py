@@ -21,9 +21,8 @@ import time
 
 import numpy as np
 
-from repro import CostModel, HybridSearcher, LinearScan, LSHSearch
+from repro import Index, IndexSpec, LinearScan, LSHSearch
 from repro.datasets import split_queries, webspam_like
-from repro.evaluation.experiments import build_paper_index
 
 
 def main() -> None:
@@ -31,9 +30,13 @@ def main() -> None:
     data, queries = split_queries(dataset.points, num_queries=40, seed=3)
     radius = 0.08  # near-duplicate threshold on cosine distance
 
-    index = build_paper_index(data, "cosine", radius, num_tables=50, seed=3)
-    hybrid = HybridSearcher(index, CostModel.from_ratio(dataset.beta_over_alpha))
-    lsh = LSHSearch(index)
+    index = Index.build(data, IndexSpec(
+        metric="cosine", radius=radius, num_tables=50,
+        cost_ratio=dataset.beta_over_alpha, seed=3,
+    ))
+    # The served index's own searcher, and pure LSH over the same tables.
+    hybrid = index.engine.searcher
+    lsh = LSHSearch(index.engine.index)
     linear = LinearScan(data, "cosine")
 
     print(f"corpus: {data.shape[0]} pages, d = {data.shape[1]}, r = {radius}")
@@ -64,6 +67,7 @@ def main() -> None:
             print(f"  {label:>7}: {result.output_size:>5} duplicates "
                   f"in {1000 * elapsed:7.2f} ms{extra}")
 
+    index.close()
     print("\nThe hybrid searcher pays the LSH price on easy pages and the "
           "linear price on farm pages — never the worst case of either.")
 

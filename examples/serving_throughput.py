@@ -7,9 +7,7 @@ through the :class:`repro.Index` facade:
 1. a batched single index answering 200 queries in one
    :class:`~repro.QuerySpec`, bit-identical to the sequential loop —
    served from the **frozen CSR layout** (contiguous bucket arrays,
-   vectorised sketch merging, zero per-bucket Python objects), and
-   bit-identical to its reference, the paper's dict-layout
-   :class:`~repro.LSHIndex` it was frozen from;
+   vectorised sketch merging, zero per-bucket Python objects);
 2. a 4-shard index built from the *same spec document* plus
    ``num_shards=4``, with exact global top-k through the same
    ``query`` method;
@@ -29,7 +27,7 @@ import time
 
 import numpy as np
 
-from repro import HybridLSH, Index, IndexSpec, QuerySpec
+from repro import Index, IndexSpec, QuerySpec
 from repro.datasets import mixed_workload
 
 N, NUM_QUERIES = 8_000, 200
@@ -57,26 +55,8 @@ strategies = [r.stats.strategy.value for r in batched]
 print(f"sequential: {NUM_QUERIES / seq_seconds:7.0f} qps")
 print(f"batched   : {NUM_QUERIES / bat_seconds:7.0f} qps "
       f"({seq_seconds / bat_seconds:.1f}x, identical answers, "
-      f"{strategies.count('linear')}/{NUM_QUERIES} went linear)")
-
-# -- 1b. the served CSR arrays against their dict-layout reference ------
-# HybridLSH builds the paper's LSHIndex from the same parameters and seed
-# the spec resolves to: the index the served arrays were frozen from.
-reference = HybridLSH(
-    points, metric="l2", radius=radius, cost_model=index.cost_model, seed=1
-)
-reference.query_batch(queries[:2])  # warm
-started = time.perf_counter()
-reference_batched = reference.query_batch(queries)
-ref_seconds = time.perf_counter() - started
-assert all(
-    np.array_equal(r.ids, b.ids) and np.array_equal(r.distances, b.distances)
-    for r, b in zip(reference_batched, batched)
-)
-print(f"reference : {NUM_QUERIES / ref_seconds:7.0f} qps "
-      f"({type(reference.index).__name__} buckets, identical answers; "
-      f"served from {type(index.engine.index).__name__} arrays at "
-      f"{ref_seconds / bat_seconds:.1f}x)")
+      f"{strategies.count('linear')}/{NUM_QUERIES} went linear, "
+      f"served from {type(index.engine.index).__name__} arrays)")
 
 # -- 2. sharded index from the same spec + exact top-k ------------------
 sharded = Index.build(points, spec.with_overrides(num_shards=4))

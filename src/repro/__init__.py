@@ -33,7 +33,6 @@ from repro.api import (
 )
 from repro.core import (
     CostModel,
-    HybridLSH,
     HybridSearcher,
     LinearScan,
     LSHSearch,
@@ -68,7 +67,6 @@ __all__ = [
     "register_family",
     "get_family",
     "available_families",
-    "HybridLSH",
     "HybridSearcher",
     "LSHSearch",
     "LinearScan",

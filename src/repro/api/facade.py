@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, cast
 
 import numpy as np
@@ -35,7 +36,7 @@ from repro.core.calibration import (
     measure_distance_profile,
 )
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
 from repro.core.linear_scan import exact_topk_results
 from repro.core.overlap import PartitionHelper
@@ -51,8 +52,9 @@ from repro.index.frozen_probing import FrozenCoveringLSHIndex, FrozenMultiProbeL
 from repro.observability import StageTrace, stage_timer
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
-from repro.service.sharded import ShardedHybridIndex
+from repro.service.sharded import ShardedHybridIndex, default_fanout_width
 from repro.service.stats import ServiceStats
+from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["Index", "ServiceStats"]
@@ -326,20 +328,38 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Froze
     return index.build(points)
 
 
-def _custom_shard_factory(
-    spec: IndexSpec, cost_model: CostModel
-) -> Callable[[np.ndarray, Any], HybridLSH]:
-    """``factory(shard_points, rng) -> HybridLSH`` for every shard.
+def _build_sharded(
+    spec: IndexSpec, points: np.ndarray, cost_model: CostModel
+) -> ShardedHybridIndex:
+    """Partition ``points`` round-robin over ``spec.num_shards`` shards
+    and build them concurrently, shard ``s`` from the ``s``-th stream
+    spawned off the spec's seed.
 
-    The single-index build path per shard, with the shard's spawned
-    randomness driving the family draw.
+    Shard ``s`` owns global rows ``s, s + K, s + 2K, ...`` (balanced to
+    within one point, and insert routing stays trivial).  The builds are
+    numpy kernels that release the GIL, so they overlap on
+    :func:`~repro.service.sharded.default_fanout_width` threads.
     """
-
-    def factory(shard_points: np.ndarray, rng: Any) -> HybridLSH:
-        index = _build_single_index(spec, shard_points, seed=rng)
-        return HybridLSH.from_index(index, spec.radius, cost_model, delta=spec.delta)
-
-    return factory
+    num_shards, n = spec.num_shards, points.shape[0]
+    if num_shards > n:
+        raise ConfigurationError(
+            f"num_shards ({num_shards}) must not exceed the dataset size ({n})"
+        )
+    gids = [np.arange(s, n, num_shards, dtype=np.int64) for s in range(num_shards)]
+    rngs = spawn_rngs(spec.seed, num_shards)
+    with ThreadPoolExecutor(
+        max_workers=default_fanout_width(num_shards), thread_name_prefix="repro-shard-build"
+    ) as pool:
+        shards = list(
+            pool.map(
+                lambda s: _build_single_index(spec, points[gids[s]], seed=rngs[s]),
+                range(num_shards),
+            )
+        )
+    return ShardedHybridIndex(
+        shards, gids, radius=spec.radius, cost_model=cost_model,
+        next_shard=n % num_shards, dedup=spec.dedup,
+    )
 
 
 #: Radius-from-k estimation (:meth:`Index._topk_adaptive`): the first
@@ -438,20 +458,7 @@ class Index:
         cost_model = _resolve_cost_model(spec, points)
         backend: _ShardedBackend | _SingleBackend
         if spec.num_shards > 1:
-            sharded = ShardedHybridIndex(
-                points,
-                metric=spec.metric,
-                radius=spec.radius,
-                num_shards=spec.num_shards,
-                num_tables=spec.num_tables,
-                delta=spec.delta,
-                hll_precision=spec.hll_precision,
-                cost_model=cost_model,
-                seed=spec.seed,
-                dedup=spec.dedup,
-                index_factory=_custom_shard_factory(spec, cost_model),
-            )
-            backend = _ShardedBackend(sharded)
+            backend = _ShardedBackend(_build_sharded(spec, points, cost_model))
         else:
             index = _build_single_index(spec, points, seed=spec.seed)
             searcher = HybridSearcher(index, cost_model)
@@ -754,7 +761,7 @@ class Index:
         shards = getattr(engine, "shards", None)
         if shards:  # ShardedHybridIndex: round-robin partition, so any
             # one shard is an unbiased sample of the dataset.
-            return cast("np.ndarray", shards[0].index.points)
+            return cast("np.ndarray", shards[0].points)
         return None
 
     def _distance_profile(self) -> DistanceProfile | None:
@@ -1074,10 +1081,7 @@ def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
 
 def _fanout_width_of(backend: Any) -> int:
     """The chosen shard fan-out width (0 for an unpartitioned engine)."""
-    engine = getattr(backend, "engine", None)
-    width = getattr(engine, "num_workers", None)  # process pool
-    if width is None:
-        width = getattr(engine, "max_workers", None)  # thread fan-out
+    width = getattr(getattr(backend, "engine", None), "num_workers", None)
     return int(width) if width else 0
 
 

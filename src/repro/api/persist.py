@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.api.spec import IndexSpec
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError, ReproError
 from repro.index.frozen import load_frozen_index, save_frozen_index
 from repro.service.batch import BatchQueryEngine
@@ -155,7 +155,7 @@ def save_index(index: Any, path: str) -> None:
         meta["num_shards"] = engine.num_shards
         meta["next_shard"] = int(engine._next_shard)
         for s, shard in enumerate(engine.shards):
-            save_frozen_index(shard.index, os.path.join(path, _frozen_shard_dir(s)))
+            save_frozen_index(shard, os.path.join(path, _frozen_shard_dir(s)))
         write_shard_gids(path, engine._shard_gids)
     else:
         meta["num_shards"] = 1
@@ -254,15 +254,9 @@ def open_index(
             "the artifact is truncated or corrupt"
         ) from exc
     if num_shards > 1:
-        shard_gids = read_shard_gids(path, num_shards)
-        shards = [
-            HybridLSH.from_index(idx, spec.radius, cost_model, delta=spec.delta)
-            for idx in shard_indexes
-        ]
-        backend_engine = ShardedHybridIndex.from_state(
-            shards,
-            shard_gids,
-            metric=spec.metric,
+        backend_engine = ShardedHybridIndex(
+            shard_indexes,
+            read_shard_gids(path, num_shards),
             radius=spec.radius,
             cost_model=cost_model,
             next_shard=int(meta.get("next_shard", 0)),

@@ -4,10 +4,11 @@
 index — metric, hash family, table count and width, sketch
 configuration, cost model, shard count, cache policy — as one
 immutable, validated value with a JSON round-trip
-(:meth:`IndexSpec.to_dict` / :meth:`IndexSpec.from_dict`).  Every
-frontend (the :class:`repro.api.Index` facade, the CLI, the JSON-lines
-protocol, saved-index files) speaks this document instead of its own
-constructor dialect.
+(:meth:`IndexSpec.to_dict` / :meth:`IndexSpec.from_dict`).
+:meth:`repro.api.Index.build` / :meth:`repro.api.Index.open` are the
+only builders, so every frontend (the CLI, the JSON-lines protocol,
+saved-index files, the paper experiments in :mod:`repro.evaluation`)
+speaks this document; the engines underneath take built indexes.
 
 :class:`QuerySpec` is the request-side counterpart: one value that
 expresses a radius query, an exact top-k query, or a whole batch of

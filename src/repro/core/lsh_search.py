@@ -41,15 +41,16 @@ class LSHSearch:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.hashing import SimHashLSH
-    >>> from repro.index import LSHIndex
+    >>> from repro.api import Index, IndexSpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(500, 16))
-    >>> index = LSHIndex(SimHashLSH(16, seed=1), k=2, num_tables=20).build(points)
-    >>> searcher = LSHSearch(index)
+    >>> built = Index.build(points, IndexSpec(
+    ...     metric="cosine", radius=0.05, k=2, num_tables=20, seed=1))
+    >>> searcher = LSHSearch(built.engine.index)
     >>> result = searcher.query(points[0], radius=0.05)
     >>> 0 in result.ids  # the point itself is at distance 0
     True
+    >>> built.close()
     """
 
     def __init__(self, index: LSHIndex) -> None:

@@ -10,24 +10,26 @@ benchmarks regenerate.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import Index, IndexSpec
 from repro.core.calibration import calibrate_cost_model
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
-from repro.core.presets import paper_parameters
 from repro.core.results import Strategy
 from repro.datasets.base import Dataset
 from repro.datasets.queries import split_queries
 from repro.evaluation.ground_truth import GroundTruth
 from repro.evaluation.metrics import relative_error
 from repro.evaluation.runner import run_queries
-from repro.index.lsh_index import LSHIndex
-from repro.utils.rng import RandomState
+from repro.hashing.params import expected_recall
+from repro.index.frozen import FrozenLSHIndex
 
 __all__ = [
     "Table1Row",
@@ -38,29 +40,23 @@ __all__ = [
     "figure2_experiment",
     "figure3_experiment",
     "recall_experiment",
-    "build_paper_index",
 ]
 
 
-def build_paper_index(
-    data: np.ndarray,
-    metric: str,
-    radius: float,
-    num_tables: int = 50,
-    delta: float = 0.1,
-    hll_precision: int = 7,
-    seed: RandomState = None,
-) -> LSHIndex:
-    """Build one sketched index with the paper's parameter presets."""
-    params = paper_parameters(
-        metric, dim=data.shape[1], radius=radius, num_tables=num_tables, delta=delta, seed=seed
-    )
-    return LSHIndex(
-        params.family,
-        k=params.k,
-        num_tables=params.num_tables,
-        hll_precision=hll_precision,
-    ).build(data)
+@contextmanager
+def _served_index(data: np.ndarray, spec: IndexSpec) -> Iterator[FrozenLSHIndex]:
+    """The index :meth:`~repro.api.Index.build` serves for ``spec``,
+    closed (helper thread joined) when the block exits.
+
+    The experiments drive it with their own searchers and their own
+    (Section 4.2-calibrated) cost model, so the spec's fixed cost ratio
+    only spares :meth:`~repro.api.Index.build` a second calibration.
+    """
+    built = Index.build(data, spec)
+    try:
+        yield built.engine.index
+    finally:
+        built.close()
 
 
 # ----------------------------------------------------------------------
@@ -105,33 +101,29 @@ def table1_experiment(
     """
     radius = float(dataset.radii[0]) if radius is None else float(radius)
     data, queries = split_queries(dataset.points, num_queries=num_queries, seed=seed)
-    index = build_paper_index(
-        data,
-        dataset.metric,
-        radius,
-        num_tables=num_tables,
-        delta=delta,
-        hll_precision=hll_precision,
-        seed=seed,
+    spec = IndexSpec(
+        metric=dataset.metric, radius=radius, num_tables=num_tables, delta=delta,
+        hll_precision=hll_precision, seed=seed,
     )
-    searcher = LSHSearch(index)
 
     errors: list[float] = []
     hll_seconds = 0.0
     total_seconds = 0.0
-    for q in queries:
-        start = time.perf_counter()
-        lookup = index.lookup(q)
-        estimated = index.merged_sketch(lookup).estimate()
-        hll_elapsed = time.perf_counter() - start
-        # Run the S2+S3 pipeline from the same lookup, as hybrid would.
-        result = searcher.query_from_lookup(q, radius, lookup)
-        total_elapsed = time.perf_counter() - start
-        hll_seconds += hll_elapsed - _lookup_seconds_estimate(index, q)
-        total_seconds += total_elapsed
-        exact = result.stats.exact_candidates
-        if exact > 0:
-            errors.append(relative_error(estimated, exact))
+    with _served_index(data, spec) as index:
+        searcher = LSHSearch(index)
+        for q in queries:
+            start = time.perf_counter()
+            lookup = index.lookup(q)
+            estimated = index.merged_sketch(lookup).estimate()
+            hll_elapsed = time.perf_counter() - start
+            # Run the S2+S3 pipeline from the same lookup, as hybrid would.
+            result = searcher.query_from_lookup(q, radius, lookup)
+            total_elapsed = time.perf_counter() - start
+            hll_seconds += hll_elapsed - _lookup_seconds_estimate(index, q)
+            total_seconds += total_elapsed
+            exact = result.stats.exact_candidates
+            if exact > 0:
+                errors.append(relative_error(estimated, exact))
 
     error_arr = np.asarray(errors) if errors else np.asarray([0.0])
     return Table1Row(
@@ -144,7 +136,7 @@ def table1_experiment(
     )
 
 
-def _lookup_seconds_estimate(index: LSHIndex, query: np.ndarray) -> float:
+def _lookup_seconds_estimate(index: FrozenLSHIndex, query: np.ndarray) -> float:
     """Seconds to hash + locate the query's buckets (the Step-S1 share).
 
     Table 1's "% Cost" isolates the HLL overhead from the S1 lookup
@@ -227,25 +219,21 @@ def figure2_experiment(
         cost_model = calibrate_cost_model(data, dataset.metric, seed=seed).model
     linear = LinearScan(data, dataset.metric)
     truth = GroundTruth(data, queries, dataset.metric) if with_recall else None
+    spec = IndexSpec(
+        metric=dataset.metric, radius=radii[0], num_tables=num_tables, delta=delta,
+        hll_precision=hll_precision, seed=seed,
+    )
 
     rows: list[Figure2Row] = []
     for radius in radii:
-        index = build_paper_index(
-            data,
-            dataset.metric,
-            radius,
-            num_tables=num_tables,
-            delta=delta,
-            hll_precision=hll_precision,
-            seed=seed,
-        )
-        hybrid_run = run_queries(
-            HybridSearcher(index, cost_model), queries, radius, "hybrid",
-            repeats=repeats, ground_truth=truth,
-        )
-        lsh_run = run_queries(
-            LSHSearch(index), queries, radius, "lsh", repeats=repeats, ground_truth=truth
-        )
+        with _served_index(data, spec.with_overrides(radius=radius)) as index:
+            hybrid_run = run_queries(
+                HybridSearcher(index, cost_model), queries, radius, "hybrid",
+                repeats=repeats, ground_truth=truth,
+            )
+            lsh_run = run_queries(
+                LSHSearch(index), queries, radius, "lsh", repeats=repeats, ground_truth=truth
+            )
         linear_run = run_queries(
             linear, queries, radius, "linear", repeats=repeats, ground_truth=truth
         )
@@ -309,21 +297,17 @@ def figure3_experiment(
     if cost_model is None:
         cost_model = calibrate_cost_model(data, dataset.metric, seed=seed).model
     truth = GroundTruth(data, queries, dataset.metric)
+    spec = IndexSpec(
+        metric=dataset.metric, radius=radii[0], num_tables=num_tables, delta=delta,
+        hll_precision=hll_precision, seed=seed,
+    )
 
     rows: list[Figure3Row] = []
     for radius in radii:
         sizes = truth.output_sizes(radius)
-        index = build_paper_index(
-            data,
-            dataset.metric,
-            radius,
-            num_tables=num_tables,
-            delta=delta,
-            hll_precision=hll_precision,
-            seed=seed,
-        )
-        hybrid = HybridSearcher(index, cost_model)
-        decisions = [hybrid.decide(q) for q in queries]
+        with _served_index(data, spec.with_overrides(radius=radius)) as index:
+            hybrid = HybridSearcher(index, cost_model)
+            decisions = [hybrid.decide(q) for q in queries]
         linear_share = float(
             np.mean([d == Strategy.LINEAR for d in decisions])
         )
@@ -378,39 +362,33 @@ def recall_experiment(
     ``1 - (1 - p(c)^k)^L`` over the exact neighbor distances, giving
     the theory line the measurements should track.
     """
-    from repro.core.presets import paper_parameters
-    from repro.hashing.params import expected_recall
-
     radii = dataset.radii if radii is None else tuple(radii)
     data, queries = split_queries(dataset.points, num_queries=num_queries, seed=seed)
     if cost_model is None:
         cost_model = calibrate_cost_model(data, dataset.metric, seed=seed).model
     truth = GroundTruth(data, queries, dataset.metric)
+    spec = IndexSpec(
+        metric=dataset.metric, radius=radii[0], num_tables=num_tables, delta=delta,
+        hll_precision=hll_precision, seed=seed,
+    )
 
     rows: list[RecallRow] = []
     for radius in radii:
-        params = paper_parameters(
-            dataset.metric, dim=data.shape[1], radius=float(radius),
-            num_tables=num_tables, delta=delta, seed=seed,
-        )
-        index = LSHIndex(
-            params.family, k=params.k, num_tables=params.num_tables,
-            hll_precision=hll_precision,
-        ).build(data)
-        hybrid_run = run_queries(
-            HybridSearcher(index, cost_model), queries, float(radius), "hybrid",
-            repeats=1, ground_truth=truth,
-        )
-        lsh_run = run_queries(
-            LSHSearch(index), queries, float(radius), "lsh",
-            repeats=1, ground_truth=truth,
-        )
+        with _served_index(data, spec.with_overrides(radius=float(radius))) as index:
+            hybrid_run = run_queries(
+                HybridSearcher(index, cost_model), queries, float(radius), "hybrid",
+                repeats=1, ground_truth=truth,
+            )
+            lsh_run = run_queries(
+                LSHSearch(index), queries, float(radius), "lsh",
+                repeats=1, ground_truth=truth,
+            )
         neighbor_distances = np.concatenate([
             truth.distances(i)[truth.neighbors(i, float(radius))]
             for i in range(queries.shape[0])
         ])
-        probabilities = params.family.collision_probability_batch(neighbor_distances)
-        analytic = expected_recall(probabilities, k=params.k, num_tables=params.num_tables)
+        probabilities = index.family.collision_probability_batch(neighbor_distances)
+        analytic = expected_recall(probabilities, k=index.k, num_tables=index.num_tables)
         rows.append(
             RecallRow(
                 radius=float(radius),

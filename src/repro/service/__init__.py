@@ -10,10 +10,10 @@ preserving the paper's semantics exactly:
   grouped distance-matrix pass for all linear-bound queries, and
   vectorised Step-S2 deduplication for the LSH-bound ones.  Results are
   bit-identical to looping :meth:`~repro.core.hybrid.HybridSearcher.query`.
-* :class:`ShardedHybridIndex` — partitions the dataset across ``K``
-  shards, builds per-shard hybrid indexes in parallel via
-  :mod:`concurrent.futures`, fans queries out, and merges per-shard
-  answers with exact radius (disjoint union) and top-k semantics.
+* :class:`ShardedHybridIndex` — serves ``K`` built shards that
+  partition the dataset, fans queries out on a thread pool, and merges
+  per-shard answers with exact radius (disjoint union) and top-k
+  semantics.
 * :class:`QueryResultCache` — an LRU cache keyed on quantised query
   vectors (shard-tagged, so inserts evict only the touched shards'
   entries), for workloads with repeated or near-duplicate queries.
@@ -33,8 +33,10 @@ preserving the paper's semantics exactly:
 * :class:`ServiceStats` — the counters, latency histogram and gauges an
   index keeps while serving.
 
-:class:`repro.api.Index` assembles these engines from an
-:class:`~repro.api.spec.IndexSpec`; it is the way in.
+None of these builds an index: :meth:`repro.api.Index.build` builds
+(the shards concurrently) and :meth:`repro.api.Index.open` maps saved
+ones, and both assemble these engines from an
+:class:`~repro.api.spec.IndexSpec`; it is the only way in.
 """
 
 from repro.service.batch import BatchQueryEngine

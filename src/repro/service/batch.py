@@ -19,6 +19,10 @@ batch only removes per-query Python overhead.  The deliberate
 scalar dedup of :meth:`~repro.index.lsh_index.LSHIndex.candidate_ids`
 models Equation (1)'s cost structure for the *experiments*; a serving
 layer is exactly where collapsing that constant is appropriate.
+
+The engine builds nothing: :meth:`repro.api.Index.build` (or
+:meth:`~repro.api.Index.open`) wraps the searcher of the index it built
+(or mapped) in one engine per shard, and ``index.engine`` is it.
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, CostModelTuner
-from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH, HybridSearcher
+from repro.core.hybrid import HybridSearcher
 from repro.core.results import QueryResult, Strategy
 from repro.exceptions import ConfigurationError
 from repro.observability import StageTrace
-from repro.utils.rng import RandomState
 
 __all__ = ["BatchQueryEngine"]
 
@@ -61,15 +63,16 @@ class BatchQueryEngine:
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.core import CostModel
+    >>> from repro.api import Index, IndexSpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(500, 16))
-    >>> engine = BatchQueryEngine.from_points(
-    ...     points, metric="l2", radius=1.5,
-    ...     num_tables=8, cost_model=CostModel.from_ratio(6.0), seed=1)
+    >>> index = Index.build(
+    ...     points, IndexSpec(metric="l2", radius=1.5, num_tables=8, seed=1))
+    >>> engine = index.engine
     >>> results = engine.query_batch(points[:4])
     >>> [int(r.ids[0]) for r in results] == [0, 1, 2, 3]
     True
+    >>> index.close()
     """
 
     def __init__(
@@ -88,32 +91,6 @@ class BatchQueryEngine:
         # Online cost-model recalibration state; created lazily by the
         # first batch whose AdaptivePolicy asks for it.
         self._tuner: CostModelTuner | None = None
-
-    @classmethod
-    def from_points(
-        cls,
-        points: np.ndarray,
-        metric: str,
-        radius: float,
-        num_tables: int = 50,
-        delta: float = 0.1,
-        hll_precision: int = 7,
-        cost_model: CostModel | None = None,
-        seed: RandomState = None,
-        dedup: str = "vectorized",
-    ) -> BatchQueryEngine:
-        """Build a paper-configured hybrid index and wrap it for serving."""
-        hybrid = HybridLSH(
-            points,
-            metric=metric,
-            radius=radius,
-            num_tables=num_tables,
-            delta=delta,
-            hll_precision=hll_precision,
-            cost_model=cost_model,
-            seed=seed,
-        )
-        return cls(hybrid.searcher, radius=radius, dedup=dedup)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,12 +1,14 @@
 """A sharded hybrid index: partition the data, fan out, merge exactly.
 
-:class:`ShardedHybridIndex` splits the dataset round-robin across ``K``
-disjoint shards and builds one paper-configured hybrid index per shard
-(in parallel, via :class:`concurrent.futures.ThreadPoolExecutor` —
-index construction is dominated by numpy kernels that release the GIL).
-Each shard runs Algorithm 2 independently, so the cost decision adapts
-to the *shard-local* density landscape, and each shard serves batches
-through its own :class:`~repro.service.batch.BatchQueryEngine`.
+:class:`ShardedHybridIndex` serves ``K`` built frozen shards that
+partition the dataset — :meth:`repro.api.Index.build` splits it
+round-robin and builds one index per shard concurrently,
+:meth:`repro.api.Index.open` maps saved shards from disk; this module
+builds nothing.  Each shard runs Algorithm 2 independently, so the cost
+decision adapts to the *shard-local* density landscape, and each shard
+serves batches through its own
+:class:`~repro.service.batch.BatchQueryEngine`, fanned out on a
+:class:`concurrent.futures.ThreadPoolExecutor`.
 
 Merge semantics are exact because the shards partition the dataset:
 
@@ -33,17 +35,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.calibration import calibrate_cost_model
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridLSH
+from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, QueryStats, Strategy
-from repro.distances import get_metric
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.observability import StageTrace, stage_timer
 from repro.service.batch import BatchQueryEngine
-from repro.utils.rng import RandomState, spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["ShardedHybridIndex", "default_fanout_width", "merge_radius_results"]
@@ -107,160 +106,79 @@ class ShardedHybridIndex:
 
     Parameters
     ----------
-    points:
-        ``(n, d)`` data matrix; row ``i`` keeps the global id ``i``.
-    metric:
-        Metric name (``"l2"``, ``"l1"``, ``"cosine"``, ``"hamming"``,
-        ``"jaccard"``).
+    shards:
+        The ``K`` built frozen shard indexes (one hash-family draw per
+        shard), in shard order.
+    shard_gids:
+        Per shard, the global id of each of its local rows.
     radius:
-        Radius the per-shard indexes are tuned for (also the default
-        query radius).
-    num_shards:
-        ``K``; must not exceed ``n``.
-    num_tables / delta / hll_precision:
-        Per-shard index parameters (paper defaults).
+        Default query radius (the radius the shards are tuned for).
     cost_model:
-        Shared :class:`~repro.core.cost_model.CostModel`; ``None``
-        calibrates once on the full dataset (not per shard — alpha and
-        beta are hardware constants, not data constants).
-    max_workers:
-        Thread-pool width for shard builds and query fan-out; the
-        default is ``min(K, os.cpu_count())`` — more threads than cores
-        only adds scheduling overhead for CPU-bound shard work.
-    index_factory:
-        Optional ``factory(shard_points, rng) -> HybridLSH`` building
-        each shard from its spawned stream; the default is the spec
-        builder of :class:`repro.api.Index` with the paper presets above.
-        The shards serve the index it builds as is (``Index.build``'s
-        factory builds frozen ones).
-    seed:
-        Master randomness; per-shard family draws use spawned streams.
+        The :class:`~repro.core.cost_model.CostModel` every shard's
+        searcher dispatches with (alpha and beta are hardware
+        constants, not data constants, so one model serves all shards).
+    next_shard:
+        The shard the next inserted point is routed to.
+    dedup:
+        Step-S2 deduplication of the shard engines.
+
+    :meth:`repro.api.Index.build` builds the shards concurrently and
+    :meth:`repro.api.Index.open` maps them from disk; both hand them
+    here, so a reopened index answers bit-identically to the one saved.
+    Queries fan out on ``min(K, cpu count)`` threads
+    (:func:`default_fanout_width`).
 
     Examples
     --------
     >>> import numpy as np
-    >>> from repro.core import CostModel
+    >>> from repro.api import Index, IndexSpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(600, 12))
-    >>> sharded = ShardedHybridIndex(
-    ...     points, metric="l2", radius=1.0, num_shards=3,
-    ...     num_tables=6, cost_model=CostModel.from_ratio(6.0), seed=1)
+    >>> index = Index.build(points, IndexSpec(
+    ...     metric="l2", radius=1.0, num_shards=3, num_tables=6, seed=1))
+    >>> sharded = index.engine
     >>> int(sharded.query(points[17]).ids[0])
     17
+    >>> index.close()
     """
 
     def __init__(
         self,
-        points: np.ndarray,
-        metric: str,
-        radius: float,
-        num_shards: int = 4,
-        num_tables: int = 50,
-        delta: float = 0.1,
-        hll_precision: int = 7,
-        cost_model: CostModel | None = None,
-        max_workers: int | None = None,
-        seed: RandomState = None,
-        dedup: str = "vectorized",
-        index_factory=None,
-    ) -> None:
-        points = check_matrix(points, name="points")
-        num_shards = check_positive_int(num_shards, "num_shards")
-        n = points.shape[0]
-        if num_shards > n:
-            raise ConfigurationError(
-                f"num_shards ({num_shards}) must not exceed the dataset size ({n})"
-            )
-        self.metric_name = metric
-        self.metric = get_metric(metric)
-        self.radius = float(radius)
-        self.num_shards = num_shards
-        self._max_workers = (
-            max_workers if max_workers is not None else default_fanout_width(num_shards)
-        )
-        # Round-robin partition: shard s owns global rows s, s+K, s+2K, …
-        # (balanced to within one point, and insert routing stays trivial).
-        self._shard_gids = [
-            np.arange(s, n, num_shards, dtype=np.int64) for s in range(num_shards)
-        ]
-        self._next_shard = n % num_shards
-        if cost_model is None:
-            cost_model = calibrate_cost_model(points, self.metric, seed=seed).model
-        self.cost_model = cost_model
-        shard_rngs = spawn_rngs(seed, num_shards)
-        if index_factory is None:
-            from repro.api.facade import _custom_shard_factory
-            from repro.api.spec import IndexSpec
-
-            spec = IndexSpec(
-                metric=metric, radius=radius, num_tables=num_tables, delta=delta,
-                hll_precision=hll_precision,
-            )
-            index_factory = _custom_shard_factory(spec, cost_model)
-
-        def build_shard(s: int) -> HybridLSH:
-            return index_factory(points[self._shard_gids[s]], shard_rngs[s])
-
-        # One persistent pool for builds and every later fan-out; a
-        # per-call pool would put K thread spawns on the serving hot
-        # path.  Threads are started lazily and reaped at interpreter
-        # exit; close() releases them earlier.
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="repro-shard"
-        )
-        self.shards = list(self._pool.map(build_shard, range(num_shards)))
-        self._engines = [
-            BatchQueryEngine(shard.searcher, radius=radius, dedup=dedup)
-            for shard in self.shards
-        ]
-
-    @classmethod
-    def from_state(
-        cls,
-        shards: list[HybridLSH],
+        shards: list,
         shard_gids: list[np.ndarray],
-        metric: str,
         radius: float,
         cost_model: CostModel,
         next_shard: int = 0,
-        max_workers: int | None = None,
         dedup: str = "vectorized",
-    ) -> ShardedHybridIndex:
-        """Reassemble a sharded index from prebuilt per-shard searchers.
-
-        Persistence (:meth:`repro.api.Index.open`) maps each shard's
-        :class:`~repro.index.frozen.FrozenLSHIndex` from disk, wraps it via
-        :meth:`~repro.core.hybrid.HybridLSH.from_index`, and hands the
-        pieces here — no rehashing, so answers are bit-identical to the
-        instance that was saved.
-        """
+    ) -> None:
         if len(shards) != len(shard_gids) or not shards:
             raise ConfigurationError(
                 f"need matching non-empty shards/gid lists, got "
                 f"{len(shards)}/{len(shard_gids)}"
             )
-        self = cls.__new__(cls)
-        self.metric_name = metric
-        self.metric = get_metric(metric)
+        self.shards = list(shards)
+        self.metric = self.shards[0].family.metric
         self.radius = float(radius)
-        self.num_shards = len(shards)
-        self._max_workers = (
-            max_workers
-            if max_workers is not None
-            else default_fanout_width(self.num_shards)
-        )
+        self.num_shards = len(self.shards)
+        # The fan-out width; named like the process pool's worker count,
+        # which the facade reports as ``pool_workers`` either way.
+        self.num_workers = default_fanout_width(self.num_shards)
         self._shard_gids = [np.asarray(g, dtype=np.int64) for g in shard_gids]
         self._next_shard = int(next_shard) % self.num_shards
         self.cost_model = cost_model
+        # One persistent pool for every fan-out; a per-call pool would
+        # put K thread spawns on the serving hot path.  Threads are
+        # started lazily and reaped at interpreter exit; close()
+        # releases them earlier.
         self._pool = ThreadPoolExecutor(
-            max_workers=self._max_workers, thread_name_prefix="repro-shard"
+            max_workers=self.num_workers, thread_name_prefix="repro-shard"
         )
-        self.shards = list(shards)
         self._engines = [
-            BatchQueryEngine(shard.searcher, radius=self.radius, dedup=dedup)
+            BatchQueryEngine(
+                HybridSearcher(shard, cost_model), radius=self.radius, dedup=dedup
+            )
             for shard in self.shards
         ]
-        return self
 
     # ------------------------------------------------------------------
     # Introspection
@@ -268,28 +186,23 @@ class ShardedHybridIndex:
     @property
     def n(self) -> int:
         """Total number of indexed points across all shards."""
-        return sum(shard.index.n for shard in self.shards)
-
-    @property
-    def max_workers(self) -> int:
-        """The chosen fan-out width (threads serving the shard batches)."""
-        return self._max_workers
+        return sum(shard.n for shard in self.shards)
 
     @property
     def dim(self) -> int:
         """Dimensionality of the indexed points."""
-        return self.shards[0].index.dim
+        return self.shards[0].dim
 
     def gather_points(self) -> np.ndarray:
         """Reassemble the global ``(n, d)`` matrix (row ``i`` = id ``i``)."""
-        out = np.empty((self.n, self.dim), dtype=self.shards[0].index.points.dtype)
+        out = np.empty((self.n, self.dim), dtype=self.shards[0].points.dtype)
         for gids, shard in zip(self._shard_gids, self.shards):
-            out[gids] = shard.index.points
+            out[gids] = shard.points
         return out
 
     def shard_sizes(self) -> list[int]:
         """Current per-shard point counts."""
-        return [shard.index.n for shard in self.shards]
+        return [shard.n for shard in self.shards]
 
     @property
     def recalibrations(self) -> int:
@@ -338,7 +251,7 @@ class ShardedHybridIndex:
         re-freeze of a shard (idempotent)."""
         self._pool.shutdown(wait=True)
         for shard in self.shards:
-            shard.index.wait_for_refreeze()
+            shard.wait_for_refreeze()
 
     # ------------------------------------------------------------------
     # Radius queries
@@ -430,7 +343,7 @@ class ShardedHybridIndex:
             raise ConfigurationError(f"k ({k}) must not exceed the index size ({self.n})")
         with stage_timer(trace, "linear"):
             blocks = self._fan_out(
-                lambda s: pairwise_distances(queries, self.shards[s].index.points, self.metric),
+                lambda s: pairwise_distances(queries, self.shards[s].points, self.metric),
                 self.num_shards,
             )
         with stage_timer(trace, "merge"):
@@ -458,7 +371,7 @@ class ShardedHybridIndex:
             rows = np.flatnonzero(assignment == s)
             if rows.size == 0:
                 continue
-            self.shards[s].index.insert(new_points[rows])
+            self.shards[s].insert(new_points[rows])
             self._shard_gids[s] = np.concatenate([self._shard_gids[s], global_ids[rows]])
         self._next_shard = (self._next_shard + m) % self.num_shards
         return global_ids
@@ -466,5 +379,5 @@ class ShardedHybridIndex:
     def __repr__(self) -> str:
         return (
             f"ShardedHybridIndex(K={self.num_shards}, n={self.n}, "
-            f"dim={self.dim}, metric={self.metric_name}, r={self.radius})"
+            f"dim={self.dim}, metric={self.metric.name}, r={self.radius})"
         )

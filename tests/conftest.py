@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.api.facade import _resolve_family_and_k
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
-from repro.index import LSHIndex
+from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
 
 
 def max_examples(default: int) -> int:
@@ -19,6 +20,36 @@ def max_examples(default: int) -> int:
     """
     cap = os.environ.get("HYPOTHESIS_MAX_EXAMPLES")
     return default if cap is None else min(default, int(cap))
+
+
+def reference_index(points, spec, seed=None):
+    """The dict-layout ``LSHIndex`` of a spec's served index.
+
+    Built here, independently of the served build, from the family and
+    ``k`` the spec resolves to and the spec's seed (or ``seed``, a
+    shard's spawned stream): the reference every bit-identity check
+    compares a served index against.
+    """
+    seed = spec.seed if seed is None else seed
+    sketch = dict(
+        hll_precision=spec.hll_precision,
+        hll_seed=spec.hll_seed,
+        lazy_threshold=spec.lazy_threshold,
+    )
+    if spec.variant == "covering":
+        index = CoveringLSHIndex(
+            dim=points.shape[1], radius=int(spec.radius), seed=seed, **sketch
+        )
+    else:
+        family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
+        if spec.variant == "multiprobe":
+            index = MultiProbeLSHIndex(
+                family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes,
+                **sketch,
+            )
+        else:
+            index = LSHIndex(family, k=k, num_tables=spec.num_tables, **sketch)
+    return index.build(points)
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ import warnings
 import numpy as np
 import pytest
 
-from test_frozen import reference_index
+from conftest import reference_index
 
 from repro.api import (
     AdaptivePolicy,
@@ -527,7 +527,7 @@ class TestEstimatorWorkUnits:
         """The searcher a layout arm drives, and its batch as outcomes:
         ``frozen`` is the served index through the facade, ``dict`` the
         ``LSHIndex`` reference it was frozen from under the same cost
-        model (the layout ``HybridLSH`` and ``evaluation/`` drive)."""
+        model."""
         if layout == "frozen":
             return index.engine.searcher, lambda queries: index.query(QuerySpec(queries))
         searcher = HybridSearcher(reference_index(points, index.spec), index.cost_model)

@@ -1,7 +1,8 @@
 """Tests for the spec-driven Index facade.
 
 The facade's contract is delegation without deviation: answers must be
-bit-identical to the legacy engines it wraps, for every request shape
+bit-identical to the dict-layout reference index of the same spec and
+seed (``conftest.reference_index``), for every request shape
 (radius / top-k / batch, single index / sharded), while adding the
 spec-driven construction, uniform query surface, per-shard cache
 invalidation, and plugin registries.
@@ -22,12 +23,14 @@ from repro.api import (
     available_families,
     register_family,
 )
-from repro.core import CostModel
-from repro.core.hybrid import HybridLSH
+from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.service.sharded import ShardedHybridIndex
+from repro.service.sharded import merge_radius_results
 from repro.service.stream import serve_stream
 from repro.service.workers import WorkerPool
+from repro.utils.rng import spawn_rngs
+
+from conftest import reference_index
 
 
 def _spec(**overrides):
@@ -47,31 +50,41 @@ def sharded_index(gaussian_points) -> Index:
 
 
 class TestBuildParity:
-    def test_single_build_matches_legacy_hybrid(self, gaussian_points):
-        """Default spec == HybridLSH with the same seed, bit for bit."""
-        index = Index.build(gaussian_points, _spec())
-        legacy = HybridLSH(
-            gaussian_points, metric="l2", radius=1.0, num_tables=6,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
+    def test_single_build_matches_reference(self, gaussian_points):
+        """Default spec == the dict-layout reference of the same seed,
+        bit for bit."""
+        spec = _spec()
+        index = Index.build(gaussian_points, spec)
+        reference = HybridSearcher(
+            reference_index(gaussian_points, spec), CostModel.from_ratio(6.0)
         )
         for qi in (0, 101, 599):
             a = index.query(QuerySpec(gaussian_points[qi]))
-            b = legacy.query(gaussian_points[qi])
+            b = reference.query(gaussian_points[qi], spec.radius)
             assert np.array_equal(a.ids, b.ids)
             assert np.array_equal(a.distances, b.distances)
             assert a.stats.strategy == b.stats.strategy
+        index.close()
 
-    def test_sharded_build_matches_legacy_sharded(self, gaussian_points):
-        index = Index.build(gaussian_points, _spec(num_shards=3))
-        legacy = ShardedHybridIndex(
-            gaussian_points, metric="l2", radius=1.0, num_shards=3,
-            num_tables=6, cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
-        a = index.query(QuerySpec(gaussian_points[:20]))
-        b = legacy.query_batch(gaussian_points[:20])
-        for x, y in zip(a, b):
-            assert np.array_equal(x.ids, y.ids)
-            assert np.array_equal(x.distances, y.distances)
+    def test_sharded_build_matches_reference(self, gaussian_points):
+        """Shard ``s`` holds rows ``s, s + K, ...`` hashed from the
+        ``s``-th spawned stream; the merged answers are the references'."""
+        spec = _spec(num_shards=3)
+        index = Index.build(gaussian_points, spec)
+        queries = gaussian_points[:20]
+        gids = [np.arange(s, gaussian_points.shape[0], 3) for s in range(3)]
+        parts = [
+            HybridSearcher(
+                reference_index(gaussian_points[g], spec, seed=rng),
+                CostModel.from_ratio(6.0),
+            ).query_batch(queries, spec.radius)
+            for g, rng in zip(gids, spawn_rngs(spec.seed, 3))
+        ]
+        for qi, got in enumerate(index.query(QuerySpec(queries))):
+            want = merge_radius_results(gids, [p[qi] for p in parts], spec.radius)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
+        index.close()
 
     def test_build_accepts_raw_spec_document(self, gaussian_points):
         index = Index.build(
@@ -97,7 +110,7 @@ class TestBuildParity:
             _spec(num_shards=2, hash_family="pstable_l2", bucket_width=2.0, k=4),
         )
         assert index.num_shards == 2
-        assert all(shard.index.k == 4 for shard in index.engine.shards)
+        assert all(shard.k == 4 for shard in index.engine.shards)
         result = index.query(QuerySpec(gaussian_points[0]))
         assert 0 in result.ids
         index.close()

@@ -206,7 +206,7 @@ class TestCloseWaitsForTheFold:
         frozen = (
             [index.engine.index]
             if num_shards == 1
-            else [shard.index for shard in index.engine.shards]
+            else index.engine.shards
         )
         for shard_index in frozen:
             shard_index.refreeze_threshold = 4

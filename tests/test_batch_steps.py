@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from test_adaptive import _dispatch_case, _spec
-from test_frozen import reference_index
+from conftest import reference_index
 
 from repro.api import Index, IndexSpec
 from repro.core import HybridSearcher

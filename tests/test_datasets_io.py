@@ -93,7 +93,7 @@ class TestLoadDense:
 
     def test_pipeline_integration(self, tmp_path):
         """Loaded data flows into the standard split + index pipeline."""
-        from repro.core import CostModel, HybridLSH
+        from repro.api import Index, IndexSpec, QuerySpec
         from repro.datasets import split_queries
 
         rng = np.random.default_rng(0)
@@ -102,9 +102,7 @@ class TestLoadDense:
         np.savetxt(path, data)
         points, _ = load_dense(str(path))
         train, queries = split_queries(points, num_queries=10, seed=0)
-        searcher = HybridLSH(
-            train, metric="l2", radius=1.5, num_tables=5,
-            cost_model=CostModel.from_ratio(6.0), seed=1,
-        )
-        result = searcher.query(queries[0])
+        index = Index.build(train, IndexSpec(metric="l2", radius=1.5, num_tables=5, seed=1))
+        result = index.query(QuerySpec(queries[0]))
         assert result.output_size >= 0
+        index.close()

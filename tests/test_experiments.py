@@ -1,18 +1,26 @@
 """End-to-end tests of the experiment specs (tiny scale)."""
 
+import dataclasses
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core import CostModel
-from repro.datasets import corel_like, webspam_like
+from repro.datasets import corel_like, covertype_like, mnist_like, webspam_like
 from repro.evaluation import (
+    experiments,
     figure2_experiment,
     figure3_experiment,
     format_figure2,
     format_figure3,
+    recall_experiment,
     table1_experiment,
 )
 from repro.evaluation.report import format_table, format_table1
+from repro.index import FrozenLSHIndex, LSHIndex
+
+from conftest import reference_index
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +163,65 @@ class TestReport:
         )
         text = format_figure3(rows)
         assert "%LS calls" in text
+
+
+#: The wall-clock fields of the paper rows; every other field is
+#: deterministic given the data, the spec, the seed and the cost model.
+TIMINGS = {"cost_percent", "hybrid_seconds", "lsh_seconds", "linear_seconds"}
+
+
+def _paper_rows(dataset):
+    """The deterministic fields of all four experiments on ``dataset``.
+
+    The cost model is fixed: the Section 4.2 calibration times kernels,
+    so two calibrated runs need not dispatch alike.
+    """
+    kw = dict(num_queries=12, num_tables=10, seed=1)
+    model = CostModel.from_ratio(dataset.beta_over_alpha)
+    rows = {
+        "table1": [table1_experiment(dataset, **kw)],
+        "figure2": figure2_experiment(dataset, repeats=1, cost_model=model, **kw),
+        "figure3": figure3_experiment(dataset, cost_model=model, **kw),
+        "recall": recall_experiment(dataset, cost_model=model, **kw),
+    }
+    return {
+        name: [
+            {k: v for k, v in dataclasses.asdict(row).items() if k not in TIMINGS}
+            for row in table
+        ]
+        for name, table in rows.items()
+    }
+
+
+class TestPaperRowsPinned:
+    """Table 1 and Figs. 2-3 run on the index ``Index.build`` serves;
+    their rows equal those of the dict-layout reference of the same spec
+    and seed, field for field (timings aside)."""
+
+    @pytest.mark.parametrize(
+        "make", [corel_like, covertype_like, webspam_like, mnist_like],
+        ids=["l2", "l1", "cosine", "hamming"],
+    )
+    def test_rows_equal_reference_rows(self, make, monkeypatch):
+        dataset = make(n=900, seed=1)
+        served_types = set()
+        served_index = experiments._served_index
+
+        @contextmanager
+        def recording(data, spec):
+            with served_index(data, spec) as index:
+                served_types.add(type(index))
+                yield index
+
+        monkeypatch.setattr(experiments, "_served_index", recording)
+        served = _paper_rows(dataset)
+        assert served_types == {FrozenLSHIndex}
+
+        @contextmanager
+        def reference(data, spec):
+            index = reference_index(data, spec)
+            assert type(index) is LSHIndex
+            yield index
+
+        monkeypatch.setattr(experiments, "_served_index", reference)
+        assert served == _paper_rows(dataset)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import Index, IndexSpec
 from repro.api import facade
-from repro.api.facade import _resolve_family_and_k
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
@@ -35,6 +34,8 @@ from repro.index.frozen import (
 from repro.service import BatchQueryEngine
 from repro.utils.rng import spawn_rngs
 
+from conftest import reference_index
+
 
 def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
     rng = np.random.default_rng(seed)
@@ -47,36 +48,6 @@ def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
         seed=seed,
     ).build(points)
     return points, index, index.freeze()
-
-
-def reference_index(points, spec, seed=None):
-    """The dict-layout ``LSHIndex`` of a spec's served index.
-
-    Built here, independently of the served build, from the family and
-    ``k`` the spec resolves to and the spec's seed (or ``seed``, a
-    shard's spawned stream): the reference every bit-identity check
-    compares a served index against.
-    """
-    seed = spec.seed if seed is None else seed
-    sketch = dict(
-        hll_precision=spec.hll_precision,
-        hll_seed=spec.hll_seed,
-        lazy_threshold=spec.lazy_threshold,
-    )
-    if spec.variant == "covering":
-        index = CoveringLSHIndex(
-            dim=points.shape[1], radius=int(spec.radius), seed=seed, **sketch
-        )
-    else:
-        family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
-        if spec.variant == "multiprobe":
-            index = MultiProbeLSHIndex(
-                family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes,
-                **sketch,
-            )
-        else:
-            index = LSHIndex(family, k=k, num_tables=spec.num_tables, **sketch)
-    return index.build(points)
 
 
 def assert_file_backed(array, directory, name):
@@ -577,7 +548,7 @@ class TestArrayNativeBuild:
         shards = (
             [served.engine.index]
             if tier == "single"
-            else [shard.index for shard in served.engine.shards]
+            else served.engine.shards
         )
         served.save(str(tmp_path / "served"))
         served.close()
@@ -853,7 +824,7 @@ def _served_shard_types(index, path=None):
         }
     if index.num_shards == 1:
         return {type(index.engine.index)}
-    return {type(shard.index) for shard in index.engine.shards}
+    return {type(shard) for shard in index.engine.shards}
 
 
 class TestServingLayout:
@@ -906,7 +877,7 @@ class TestServingLayout:
             reopened = Index.open(path)
             assert _served_shard_types(reopened, path) == {FrozenLSHIndex}
             if tier != "processes":
-                first = reopened.engine.index if num_shards == 1 else reopened.engine.shards[0].index
+                first = reopened.engine.index if num_shards == 1 else reopened.engine.shards[0]
                 assert_file_backed(
                     first.frozen.members, os.path.join(path, "shard_000.frozen"), "members"
                 )

@@ -10,7 +10,8 @@ artifact must reopen via ``np.load(mmap_mode="r")`` and serve under
 
 import numpy as np
 import pytest
-from test_frozen import assert_file_backed, reference_index
+from conftest import reference_index
+from test_frozen import assert_file_backed
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher, LinearScan

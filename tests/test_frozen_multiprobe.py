@@ -11,7 +11,8 @@ save/``np.load(mmap_mode="r")`` reopen, and the
 
 import numpy as np
 import pytest
-from test_frozen import assert_file_backed, reference_index
+from conftest import reference_index
+from test_frozen import assert_file_backed
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher

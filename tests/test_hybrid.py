@@ -1,11 +1,11 @@
-"""Tests for hybrid search (Algorithm 2) and the HybridLSH facade."""
+"""Tests for hybrid search (Algorithm 2): the HybridSearcher dispatch."""
 
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import (
     CostModel,
-    HybridLSH,
     HybridSearcher,
     LinearScan,
     LSHSearch,
@@ -96,75 +96,49 @@ class TestAnswers:
             assert np.all(dists <= 1.2)
 
 
-class TestHybridLSHFacade:
+class TestServedSearcher:
+    """The searcher ``Index.build`` serves: paper presets for the metric,
+    the spec's cost model, Algorithm 2 per query."""
+
+    @staticmethod
+    def served(points, **spec):
+        index = Index.build(points, IndexSpec(**{"seed": 3, **spec}))
+        return index, index.engine.searcher
+
     def test_end_to_end_l2(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=10,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        result = searcher.query(gaussian_points[0])
+        index, searcher = self.served(gaussian_points, metric="l2", radius=1.0, num_tables=10)
+        result = searcher.query(gaussian_points[0], 1.0)
         assert 0 in result.ids
         assert result.radius == 1.0
+        index.close()
 
     def test_query_batch(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        results = searcher.query_batch(gaussian_points[:5])
-        assert len(results) == 5
+        index, searcher = self.served(gaussian_points, metric="l2", radius=1.0, num_tables=6)
+        assert len(searcher.query_batch(gaussian_points[:5], 1.0)) == 5
+        index.close()
 
     def test_radius_override(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        assert searcher.query(gaussian_points[0], radius=0.4).radius == 0.4
+        index, _ = self.served(gaussian_points, metric="l2", radius=1.0, num_tables=6)
+        assert index.query(QuerySpec(gaussian_points[0], radius=0.4)).radius == 0.4
+        index.close()
 
     def test_calibration_path(self, gaussian_points):
-        """cost_model=None triggers timing calibration and still works."""
-        searcher = HybridLSH(
-            gaussian_points[:200],
-            metric="l2",
-            radius=1.0,
-            num_tables=4,
-            seed=3,
+        """cost_ratio=None triggers timing calibration and still works."""
+        index, searcher = self.served(
+            gaussian_points[:200], metric="l2", radius=1.0, num_tables=4, cost_ratio=None
         )
         assert searcher.cost_model.beta_over_alpha > 0
-        result = searcher.query(gaussian_points[0])
-        assert result.output_size >= 1
+        assert searcher.query(gaussian_points[0], 1.0).output_size >= 1
+        index.close()
 
-    def test_binary_facade(self, binary_points):
-        searcher = HybridLSH(
-            binary_points,
-            metric="hamming",
-            radius=4.0,
-            num_tables=10,
-            cost_model=CostModel.from_ratio(1.0),
-            seed=2,
+    def test_binary_points(self, binary_points):
+        index, searcher = self.served(
+            binary_points, metric="hamming", radius=4.0, num_tables=10, cost_ratio=1.0
         )
-        result = searcher.query(binary_points[0])
-        assert 0 in result.ids
+        assert 0 in searcher.query(binary_points[0], 4.0).ids
+        index.close()
 
     def test_repr(self, gaussian_points):
-        searcher = HybridLSH(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=4,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=3,
-        )
-        assert "HybridLSH" in repr(searcher)
+        index, searcher = self.served(gaussian_points, metric="l2", radius=1.0, num_tables=4)
+        assert "HybridSearcher" in repr(searcher)
+        index.close()

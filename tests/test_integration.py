@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher, LinearScan, LSHSearch, Strategy
-from repro.core.presets import paper_parameters
 from repro.datasets import mnist_like, split_queries, webspam_like
 from repro.evaluation import GroundTruth, mean_recall
-from repro.evaluation.experiments import build_paper_index
-from repro.index import LSHIndex
+
+
+def paper_index(data, metric, radius, num_tables, seed) -> Index:
+    """``Index.build`` with the paper presets at ``radius``."""
+    return Index.build(
+        data, IndexSpec(metric=metric, radius=radius, num_tables=num_tables, seed=seed)
+    )
 
 
 class TestHybridMatchesBetterStrategy:
@@ -21,9 +26,10 @@ class TestHybridMatchesBetterStrategy:
         data, queries = split_queries(ds.points, num_queries=30, seed=1)
         # L = 40 keeps the test fast while preserving the collision
         # volume that makes farm-core queries route to linear search.
-        index = build_paper_index(data, "cosine", radius=0.08, num_tables=40, seed=1)
+        built = paper_index(data, "cosine", radius=0.08, num_tables=40, seed=1)
         model = CostModel.from_ratio(10.0)
-        return data, queries, index, model
+        yield data, queries, built.engine.index, model
+        built.close()
 
     def test_hard_queries_route_to_linear(self, webspam_setup):
         """Queries whose collision volume rivals n must go linear."""
@@ -77,8 +83,8 @@ class TestMnistPipeline:
     def test_end_to_end(self):
         ds = mnist_like(n=1500, seed=2)
         data, queries = split_queries(ds.points, num_queries=20, seed=2)
-        index = build_paper_index(data, "hamming", radius=14.0, num_tables=15, seed=2)
-        hybrid = HybridSearcher(index, CostModel.from_ratio(1.0))
+        built = paper_index(data, "hamming", radius=14.0, num_tables=15, seed=2)
+        hybrid = HybridSearcher(built.engine.index, CostModel.from_ratio(1.0))
         scan = LinearScan(data, "hamming")
         found_any = 0
         for q in queries:
@@ -87,6 +93,7 @@ class TestMnistPipeline:
             assert set(result.ids.tolist()) <= set(exact.ids.tolist())
             found_any += result.output_size
         assert found_any > 0
+        built.close()
 
     def test_same_class_images_are_neighbors(self):
         ds = mnist_like(n=1000, seed=3)
@@ -114,29 +121,26 @@ class TestDeltaGuaranteeAcrossFamilies:
             base = rng.integers(0, 2, size=24)
             flips = rng.random(size=(400, 24)) < 0.08
             points = (base ^ flips).astype(np.uint8)
-        params = paper_parameters(metric, dim=24, radius=radius, num_tables=20, delta=0.1, seed=0)
-        index = LSHIndex(params.family, k=params.k, num_tables=20).build(points)
-        searcher = LSHSearch(index)
+        built = paper_index(points, metric, radius=radius, num_tables=20, seed=0)
+        searcher = LSHSearch(built.engine.index)
         scan = LinearScan(points, metric)
         queries = points[:30]
         truth = [scan.query(q, radius).ids for q in queries]
         reported = [searcher.query(q, radius).ids for q in queries]
+        built.close()
         measured = mean_recall(reported, truth)
         assert measured >= 0.75  # 1 - delta = 0.9 target, ceil-rule slack
 
 
 class TestSeededReproducibility:
     def test_full_pipeline_deterministic(self):
-        from repro.core import HybridLSH
-
         rng = np.random.default_rng(0)
         points = rng.normal(size=(500, 16))
 
         def run():
-            searcher = HybridLSH(
-                points, metric="l2", radius=1.0, num_tables=8,
-                cost_model=CostModel.from_ratio(6.0), seed=42,
-            )
-            return [searcher.query(points[i]).ids.tolist() for i in range(5)]
+            built = paper_index(points, "l2", radius=1.0, num_tables=8, seed=42)
+            answers = [built.query(QuerySpec(points[i])).ids.tolist() for i in range(5)]
+            built.close()
+            return answers
 
         assert run() == run()

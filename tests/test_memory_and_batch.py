@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from test_frozen import reference_index
+from conftest import reference_index
 
 from repro.api import Index, IndexSpec
 from repro.core import CostModel, HybridSearcher

@@ -262,9 +262,7 @@ def test_no_bucket_objects_from_build_to_reopen(monkeypatch, tmp_path, variant, 
         index.query(QuerySpec(queries))
         index.query(QuerySpec(queries[0]))
         index.insert(inserts)
-        raws = [index.engine.index] if tier == "single" else [
-            shard.index for shard in index.engine.shards
-        ]
+        raws = [index.engine.index] if tier == "single" else index.engine.shards
         assert all(raw.overflow_count for raw in raws)
         for raw in raws:
             raw.refreeze()

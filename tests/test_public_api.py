@@ -20,10 +20,11 @@ class TestExports:
             assert getattr(repro, name, None) is not None, name
 
     def test_one_front_door(self):
-        """The engines are not top-level names, and nothing is a shim."""
+        """``Index`` builds every index: the engines are not top-level
+        names, and the top-level searcher is the plain core class."""
         import repro.core
 
-        assert repro.HybridLSH is repro.core.HybridLSH
+        assert repro.HybridSearcher is repro.core.HybridSearcher
         for engine in ("QueryService", "BatchQueryEngine", "ShardedHybridIndex"):
             assert not hasattr(repro, engine)
 

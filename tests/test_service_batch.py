@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, HybridLSH, HybridSearcher, Strategy
+from repro.api import Index, IndexSpec
+from repro.core import CostModel, HybridSearcher, Strategy
 from repro.exceptions import ConfigurationError
 from repro.service import BatchQueryEngine
 
 
-@pytest.fixture
-def hybrid(gaussian_points) -> HybridLSH:
-    return HybridLSH(
-        gaussian_points,
-        metric="l2",
-        radius=1.2,
-        num_tables=8,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=3,
+def build(points, radius, num_tables, seed) -> Index:
+    return Index.build(
+        points, IndexSpec(metric="l2", radius=radius, num_tables=num_tables, seed=seed)
     )
+
+
+@pytest.fixture
+def searcher(gaussian_points) -> HybridSearcher:
+    """The searcher ``Index.build`` serves (paper presets, ratio 6)."""
+    index = build(gaussian_points, radius=1.2, num_tables=8, seed=3)
+    yield index.engine.searcher
+    index.close()
 
 
 def assert_results_identical(expected, actual):
@@ -34,10 +37,10 @@ def assert_results_identical(expected, actual):
 
 
 class TestBatchEqualsSequential:
-    def test_default_model(self, hybrid, gaussian_points):
+    def test_default_model(self, searcher, gaussian_points):
         queries = gaussian_points[::9]
-        engine = BatchQueryEngine(hybrid.searcher, radius=1.2)
-        sequential = [hybrid.searcher.query(q, 1.2) for q in queries]
+        engine = BatchQueryEngine(searcher, radius=1.2)
+        sequential = [searcher.query(q, 1.2) for q in queries]
         assert_results_identical(sequential, engine.query_batch(queries))
 
     @pytest.mark.parametrize("alpha", [1e12, 1e-12])
@@ -53,46 +56,41 @@ class TestBatchEqualsSequential:
         assert all(r.stats.strategy == expected for r in batched)
         assert_results_identical(sequential, batched)
 
-    def test_mixed_batch_covers_both_strategies(self, hybrid, gaussian_points):
+    def test_mixed_batch_covers_both_strategies(self, searcher, gaussian_points):
         """On the clustered fixture the default model should split; if it
         does, the batch path must reproduce the split exactly."""
         queries = gaussian_points
-        engine = BatchQueryEngine(hybrid.searcher, radius=1.2)
+        engine = BatchQueryEngine(searcher, radius=1.2)
         batched = engine.query_batch(queries)
-        sequential = [hybrid.searcher.query(q, 1.2) for q in queries]
+        sequential = [searcher.query(q, 1.2) for q in queries]
         assert_results_identical(sequential, batched)
 
-    def test_scalar_dedup_engine_matches_vectorized(self, hybrid, gaussian_points):
+    def test_scalar_dedup_engine_matches_vectorized(self, searcher, gaussian_points):
         queries = gaussian_points[:20]
-        vec = BatchQueryEngine(hybrid.searcher, radius=1.2, dedup="vectorized")
-        scal = BatchQueryEngine(hybrid.searcher, radius=1.2, dedup="scalar")
+        vec = BatchQueryEngine(searcher, radius=1.2, dedup="vectorized")
+        scal = BatchQueryEngine(searcher, radius=1.2, dedup="scalar")
         assert_results_identical(scal.query_batch(queries), vec.query_batch(queries))
 
 
 class TestEngineSurface:
-    def test_from_points_and_single_query(self, gaussian_points):
-        engine = BatchQueryEngine.from_points(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_tables=6,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=1,
-        )
+    def test_built_engine_single_query(self, gaussian_points):
+        index = build(gaussian_points, radius=1.0, num_tables=6, seed=1)
+        engine = index.engine
         result = engine.query(gaussian_points[11])
         assert 11 in result.ids
         assert engine.n == gaussian_points.shape[0]
         assert engine.dim == gaussian_points.shape[1]
+        index.close()
 
-    def test_radius_override_and_missing(self, hybrid, gaussian_points):
-        engine = BatchQueryEngine(hybrid.searcher)  # no default radius
+    def test_radius_override_and_missing(self, searcher, gaussian_points):
+        engine = BatchQueryEngine(searcher)  # no default radius
         with pytest.raises(ConfigurationError):
             engine.query(gaussian_points[0])
         assert engine.query(gaussian_points[0], radius=0.8).radius == 0.8
 
-    def test_rejects_bad_dedup(self, hybrid):
+    def test_rejects_bad_dedup(self, searcher):
         with pytest.raises(ConfigurationError):
-            BatchQueryEngine(hybrid.searcher, dedup="nope")
+            BatchQueryEngine(searcher, dedup="nope")
 
 
 class TestInsertThenBatchQuery:
@@ -120,11 +118,11 @@ class TestInsertThenBatchQuery:
             assert result.stats.strategy == Strategy.LSH
             assert new_id in result.ids
 
-    def test_batch_after_insert_matches_sequential(self, hybrid, gaussian_points):
-        engine = BatchQueryEngine(hybrid.searcher, radius=1.2)
+    def test_batch_after_insert_matches_sequential(self, searcher, gaussian_points):
+        engine = BatchQueryEngine(searcher, radius=1.2)
         engine.insert(gaussian_points[:6] + 2.5)
         queries = gaussian_points[::17]
-        sequential = [hybrid.searcher.query(q, 1.2) for q in queries]
+        sequential = [searcher.query(q, 1.2) for q in queries]
         assert_results_identical(sequential, engine.query_batch(queries))
 
 

@@ -19,10 +19,11 @@ hypothesis = pytest.importorskip(
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CostModel, HybridLSH
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.distances.matrix import pairwise_distances
-from repro.service import BatchQueryEngine, ShardedHybridIndex
 from repro.sketches import HyperLogLog
+
+from conftest import reference_index
 
 
 @st.composite
@@ -49,22 +50,18 @@ class TestBatchEqualsSequential:
     @settings(max_examples=15, deadline=None)
     def test_engine_matches_query_loop(self, data, radius, ratio):
         points, queries, seed = data
-        hybrid = HybridLSH(
-            points,
-            metric="l2",
-            radius=radius,
-            num_tables=5,
-            cost_model=CostModel.from_ratio(ratio),
-            seed=seed,
-        )
-        engine = BatchQueryEngine(hybrid.searcher, radius=radius)
-        sequential = [hybrid.searcher.query(q, radius) for q in queries]
+        index = Index.build(points, IndexSpec(
+            metric="l2", radius=radius, num_tables=5, cost_ratio=ratio, seed=seed,
+        ))
+        engine = index.engine
+        sequential = [engine.searcher.query(q, radius) for q in queries]
         for exp, act in zip(sequential, engine.query_batch(queries)):
             assert np.array_equal(exp.ids, act.ids)
             assert np.array_equal(exp.distances, act.distances)
             assert exp.stats.strategy == act.stats.strategy
             assert exp.stats.estimated_candidates == act.stats.estimated_candidates
             assert exp.stats.estimated_lsh_cost == act.stats.estimated_lsh_cost
+        index.close()
 
 
 class TestShardedTopK:
@@ -77,17 +74,11 @@ class TestShardedTopK:
         noise, ~1e-7 absolute near zero) when candidates are tied."""
         atol = 1e-5
         points, queries, seed = data
-        sharded = ShardedHybridIndex(
-            points,
-            metric="l2",
-            radius=1.0,
-            num_shards=num_shards,
-            num_tables=4,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=seed,
-        )
+        index = Index.build(points, IndexSpec(
+            metric="l2", radius=1.0, num_shards=num_shards, num_tables=4, seed=seed,
+        ))
         for query in queries:
-            result = sharded.query_topk(query, k=k)
+            result = index.query(QuerySpec(query, k=k))
             distances = pairwise_distances(query, points, "l2")[0]
             order = np.lexsort((np.arange(points.shape[0]), distances))[:k]
             kth = distances[order][-1]
@@ -103,6 +94,7 @@ class TestShardedTopK:
             )
             if tie_free and np.all(np.diff(distances[order]) > 2 * atol):
                 assert np.array_equal(result.ids, order)
+        index.close()
 
 
 class TestHllMergeOnBatchPath:
@@ -110,15 +102,8 @@ class TestHllMergeOnBatchPath:
     @settings(max_examples=10, deadline=None)
     def test_batch_merge_identical_to_single(self, data):
         points, queries, seed = data
-        hybrid = HybridLSH(
-            points,
-            metric="l2",
-            radius=1.0,
-            num_tables=5,
-            cost_model=CostModel.from_ratio(6.0),
-            seed=seed,
-        )
-        index = hybrid.index
+        spec = IndexSpec(metric="l2", radius=1.0, num_tables=5, seed=seed)
+        index = reference_index(points, spec)
         lookups = index.lookup_batch(queries)
         for lookup, batched in zip(lookups, index.merged_sketches_batch(lookups)):
             single = index.merged_sketch(lookup)

@@ -3,23 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import CostModel, LinearScan, Strategy
+from repro.api import Index, IndexSpec
+from repro.core import LinearScan, Strategy
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
-from repro.service import ShardedHybridIndex
+
+
+def build_sharded(points, **spec) -> Index:
+    return Index.build(points, IndexSpec(metric="l2", radius=1.0, **spec))
 
 
 @pytest.fixture
-def sharded(gaussian_points) -> ShardedHybridIndex:
-    return ShardedHybridIndex(
-        gaussian_points,
-        metric="l2",
-        radius=1.0,
-        num_shards=3,
-        num_tables=6,
-        cost_model=CostModel.from_ratio(6.0),
-        seed=2,
-    )
+def sharded(gaussian_points):
+    index = build_sharded(gaussian_points, num_shards=3, num_tables=6, seed=2)
+    yield index.engine
+    index.close()
 
 
 def exact_topk(points, query, k):
@@ -36,14 +34,8 @@ class TestConstruction:
         assert np.array_equal(sharded.gather_points(), gaussian_points)
 
     def test_too_many_shards_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            ShardedHybridIndex(
-                rng.normal(size=(4, 3)),
-                metric="l2",
-                radius=1.0,
-                num_shards=5,
-                cost_model=CostModel.from_ratio(1.0),
-            )
+        with pytest.raises(ConfigurationError, match="must not exceed the dataset size"):
+            build_sharded(rng.normal(size=(4, 3)), num_shards=5)
 
 
 class TestRadiusSemantics:
@@ -55,8 +47,8 @@ class TestRadiusSemantics:
             query = gaussian_points[i]
             merged = sharded.query(query, radius=1.5)
             expected = {}
-            for gids, shard in zip(sharded._shard_gids, sharded.shards):
-                local = shard.searcher.query(query, 1.5)
+            for gids, engine in zip(sharded._shard_gids, sharded._engines):
+                local = engine.query(query, 1.5)
                 for local_id, dist in zip(local.ids, local.distances):
                     expected[int(gids[local_id])] = dist
             assert merged.ids.tolist() == sorted(expected)
@@ -69,15 +61,11 @@ class TestRadiusSemantics:
         its points in range; with collisions in the query's own shard,
         alpha -> inf forces that shard linear and the self-neighborhood
         is complete."""
-        sharded = ShardedHybridIndex(
-            gaussian_points,
-            metric="l2",
-            radius=1.0,
-            num_shards=4,
-            num_tables=4,
-            cost_model=CostModel(alpha=1e12, beta=1.0),
-            seed=0,
+        # beta / alpha = 1e-12: the cost model of alpha = 1e12, beta = 1.
+        index = build_sharded(
+            gaussian_points, num_shards=4, num_tables=4, cost_ratio=1e-12, seed=0
         )
+        sharded = index.engine
         scan = LinearScan(gaussian_points, "l2")
         for i in (0, 57, 301, 599):
             merged = sharded.query(gaussian_points[i], radius=1.5)
@@ -90,6 +78,7 @@ class TestRadiusSemantics:
             own_gids = sharded._shard_gids[own_shard]
             exact_in_own = np.intersect1d(exact.ids, own_gids)
             assert set(exact_in_own) <= set(merged.ids)
+        index.close()
 
     def test_hybrid_mode_answers_are_valid(self, sharded, gaussian_points):
         for i in (3, 140, 502):
