@@ -1,20 +1,25 @@
 """Dtype-contract rule: the frozen CSR arrays' declared dtypes.
 
-The whole frozen layout (PR 3..5) hangs off a handful of array-dtype
-invariants — CSR offsets and bucket sizes are int64, member ids are the
-platform index dtype ``intp`` (every consumer is a fancy index; any
-other integer dtype is converted per call), HLL registers are uint8 and
-the 64-bit bucket addresses ``key64`` are uint64 (one typed
-``searchsorted``; a signed or float drift would silently reorder them).
+The whole frozen layout hangs off a handful of array-dtype invariants.
+Member ids and CSR offsets are ``uint32`` (four bytes per entry: the
+index caps ``L * n`` below ``2**32`` and consumers widen a gathered id
+array to ``intp`` once before scattering by it), ``sketch_rows`` is
+``int32`` (-1 marks a lazy bucket), bucket sizes — no longer stored,
+read as an offset difference — are signed ``int64``, per-table slices
+are ``int64``, HLL registers are uint8 and the 64-bit bucket addresses
+``key64`` are uint64 (one typed ``searchsorted``; a signed or float
+drift would silently reorder them).  A drift back to eight-byte ids
+would double the index's largest array without failing one answer.
 The full hash rows ``keys`` are deliberately *not* contracted: their
 dtype is the narrowest integer that holds the stored values, chosen at
 assembly.  They are declared once in :data:`DTYPE_CONTRACTS` and
 checked at every allocation / cast site under ``index/``: an
 ``np.empty``/``np.zeros``/``np.full``/``astype``/``np.asarray`` whose
 result lands in a contracted name (or re-materialises a contracted
-array) must use the contracted dtype.  Platform-equal drifts —
-``int64`` for ``intp`` on 64-bit linux — are exactly what the runtime
-bit-identity properties can never catch, and what this rule exists for.
+array) must use the contracted dtype.  Width drifts that change no
+answer — ``intp`` members, ``int64`` offsets — are exactly what the
+runtime bit-identity properties can never catch, and what this rule
+exists for.
 """
 
 from __future__ import annotations
@@ -37,11 +42,11 @@ __all__ = ["DTYPE_CONTRACTS", "DtypeContractRule"]
 #: (``members``, ``o_members``, ``merged_members`` all bind to the
 #: ``members`` contract).
 DTYPE_CONTRACTS: dict[str, str] = {
-    "offsets": "int64",
+    "offsets": "uint32",
     "table_slices": "int64",
     "sizes": "int64",
-    "sketch_rows": "int64",
-    "members": "intp",
+    "sketch_rows": "int32",
+    "members": "uint32",
     "registers": "uint8",
     "key64": "uint64",
 }
@@ -62,8 +67,9 @@ def _call_dtype(node: ast.Call, np_names: set[str]) -> ast.AST | None:
     for keyword in node.keywords:
         if keyword.arg == "dtype":
             return keyword.value
-    chain = attr_chain(node.func)
-    if chain and chain[-1] == "astype" and node.args:
+    # Any receiver: ``np.concatenate(parts).astype(...)`` and
+    # ``rows[i].astype(...)`` cast as surely as ``ids.astype(...)``.
+    if _is_astype(node) and node.args:
         return node.args[0]
     return None
 
@@ -88,8 +94,9 @@ class DtypeContractRule(Rule):
 
     id = "dtype-contract"
     description = (
-        "CSR arrays have one declared dtype each (offsets/sizes int64, "
-        "members intp, registers uint8, key64 uint64); allocations and casts "
+        "CSR arrays have one declared dtype each (members/offsets uint32, "
+        "sketch_rows int32, sizes int64, registers uint8, key64 uint64); "
+        "allocations and casts "
         "must match the table in repro.analysis.rules.dtypes"
     )
     path_suffixes = ("index/",)

@@ -14,13 +14,15 @@ contiguous arrays instead, fused across all ``L`` tables:
 * ``keys`` — the buckets' full hash rows, in the narrowest integer
   dtype that holds every stored value, kept only to *verify* a
   ``key64`` hit exactly (a mix can collide; the row cannot);
-* ``offsets`` / ``members`` — int64 CSR offsets into one flat member
-  array holding all bucket ids back to back (stored in the platform
-  index dtype so the per-query gathers and scatters skip numpy's
-  index-conversion pass);
-* ``sizes`` — per-bucket occupancy (``#collisions`` is a gather + sum);
+* ``offsets`` / ``members`` — ``uint32`` CSR offsets into one flat
+  ``uint32`` member array holding all bucket ids back to back; a
+  bucket's occupancy is ``offsets[b + 1] - offsets[b]``, read in a
+  signed dtype (``#collisions`` is two gathers + a sum).  Four-byte ids
+  cap an index at ``L * n < 2**32`` entries (:func:`_check_capacity`);
+  a larger one is sharded.  Consumers convert a gathered id array to
+  ``intp`` once before they scatter by it;
 * ``registers`` — the HLL registers of every *materialised* bucket
-  sketch stacked into a single ``(S, m)`` uint8 matrix, with
+  sketch stacked into a single ``(S, m)`` uint8 matrix, with ``int32``
   ``sketch_rows`` mapping buckets to rows (-1 = lazy small bucket).
 
 On this layout ``lookup_batch`` is a fused hash pass plus one binary
@@ -83,12 +85,15 @@ its stored rows as it swaps in).  Answers are bit-identical throughout.
 in-flight background compaction and folds whatever is left.
 
 The frozen arrays persist as a directory of plain ``.npy`` files
-(:func:`save_frozen_index` / :func:`load_frozen_index`; format v2 =
-``key64.npy`` + ``keys.npy`` + the mix salt in ``config.json``), so
+(:func:`save_frozen_index` / :func:`load_frozen_index`; format v3 =
+``key64.npy`` + ``keys.npy`` + the mix salt in ``config.json``, and the
+four-byte ``members`` / ``offsets`` / ``sketch_rows`` above), so
 reopening a saved index is ``np.load(..., mmap_mode="r")`` per array —
 zero-copy, no bucket reconstruction, first query pages in only what it
-touches.  A format-v1 directory (``keys_raw.npy``) still opens: its
-tables are re-assembled in memory and the next save writes v2.
+touches.  Older directories still open and the next save writes v3: a
+format-v2 one (eight-byte ids, offsets and sketch rows, stored
+``sizes``) is narrowed in memory, a format-v1 one (``keys_raw.npy``)
+re-assembled in memory.
 """
 
 from __future__ import annotations
@@ -132,8 +137,12 @@ __all__ = [
 #: triggers an automatic re-freeze.
 DEFAULT_REFREEZE_THRESHOLD = 1024
 
-_FROZEN_FORMAT_VERSION = 2
+_FROZEN_FORMAT_VERSION = 3
 _CONFIG_FILE = "config.json"
+
+#: ``uint32`` ids and CSR offsets: an index holds fewer (point, table)
+#: entries than this.
+ENTRY_LIMIT = 2**32
 
 #: Points hashed per chunk by :meth:`FrozenLSHIndex.build`: bounds the
 #: int64 hash tensor a chunk holds before it is narrowed into the rows.
@@ -148,6 +157,21 @@ SORTED_UNION_RATIO = 8
 MAX_SALT_ATTEMPTS = 8
 
 _U64_MASK = (1 << 64) - 1
+
+
+def _check_capacity(n: int, num_tables: int) -> None:
+    """Refuse an index of ``n`` points that four-byte ids cannot address.
+
+    Every (point, table) pair is one ``uint32`` member entry, so ``n *
+    num_tables`` (and with it ``n``) must stay below
+    :data:`ENTRY_LIMIT`; there is no eight-byte fallback.
+    """
+    if n * num_tables >= ENTRY_LIMIT:
+        raise ConfigurationError(
+            f"{n} points in {num_tables} tables make {n * num_tables} bucket "
+            f"entries, past the {ENTRY_LIMIT} that 4-byte ids address; shard "
+            "the index (IndexSpec(num_shards=...)) so each shard stays below it"
+        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -241,7 +265,9 @@ def _merge_sources(
     num_tables = len(per_table)
     rows = np.concatenate([r for r, _, _ in per_table])
     src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64, copy=False)
-    src_members = np.concatenate([m for _, _, m in per_table])
+    src_members = np.concatenate([m for _, _, m in per_table]).astype(
+        np.uint32, copy=False
+    )
     table_ids = np.repeat(np.arange(num_tables), [r.shape[0] for r, _, _ in per_table])
     salt, order, sorted_key64 = _sorted_addresses(rows, table_ids, num_tables, salt)
     new_bucket = np.ones(order.size, dtype=bool)
@@ -279,8 +305,7 @@ def _slot_occupancy(
     entry ranges (``None`` when the snapshot had no live run); -1 slots
     — empty buckets, or probes an adaptive budget trimmed — count zero.
     """
-    sizes = frozen.sizes.take(positions, mode="clip")
-    sizes[positions < 0] = 0
+    sizes = frozen.spans(positions)[1]
     if overflow is not None:
         sizes += (overflow[:, 1] - overflow[:, 0]).sum(axis=0)
     return sizes.sum(axis=1), sizes.max(axis=1)
@@ -322,13 +347,14 @@ def _row_tagged_members(
     overflow: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, ids)``: the members of ``buckets`` (one CSR gather), each
-    tagged with its ``row_of`` entry, then the rows' live-run ids."""
-    sizes = frozen.sizes[buckets]
-    ids = [_csr_gather(frozen.members, frozen.offsets[buckets], sizes)]
+    tagged with its ``row_of`` entry, then the rows' live-run ids; the
+    ids come back as ``intp``, ready to index by."""
+    starts, sizes = frozen.spans(buckets)
+    ids = [_csr_gather(frozen.members, starts, sizes)]
     ids += [run_ids for run_ids, _ in overflow]
     rows = [np.repeat(row_of, sizes)]
     rows += [np.repeat(np.arange(counts.size), counts) for _, counts in overflow]
-    return np.concatenate(rows), np.concatenate(ids)
+    return np.concatenate(rows), np.concatenate(ids, dtype=np.intp)
 
 
 def _batch_slots(
@@ -366,7 +392,8 @@ class FrozenTables:
     """All ``L`` tables of a frozen index as one fused CSR structure.
 
     Bucket ``b`` (a *global* index across tables) owns members
-    ``members[offsets[b] : offsets[b + 1]]``, has the 64-bit address
+    ``members[offsets[b] : offsets[b + 1]]`` (both ``uint32``; its size
+    is the difference, :meth:`spans`), has the 64-bit address
     ``key64[b]`` and the full hash row ``keys[b]``; ``key64`` is
     strictly increasing, and table ``t`` owns the bucket range
     ``table_slices[t] : table_slices[t + 1]`` (the table id is the
@@ -380,7 +407,6 @@ class FrozenTables:
     keys: np.ndarray
     table_slices: np.ndarray
     offsets: np.ndarray
-    sizes: np.ndarray
     members: np.ndarray
     sketch_rows: np.ndarray
     registers: np.ndarray
@@ -427,17 +453,17 @@ class FrozenTables:
             per_table, salt
         )
         total_buckets = sizes.size
-        offsets = np.zeros(total_buckets + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
+        offsets = np.zeros(total_buckets + 1, dtype=np.uint32)
+        offsets[1:] = np.cumsum(sizes)
 
         m = 1 << hll_precision
-        sketch_rows = np.full(total_buckets, -1, dtype=np.int64)
+        sketch_rows = np.full(total_buckets, -1, dtype=np.int32)
         if hll_hashes is not None:
             sketched = np.flatnonzero(sizes > lazy_threshold)
             sketch_rows[sketched] = np.arange(sketched.size)
             registers = np.zeros((sketched.size, m), dtype=np.uint8)
             if sketched.size:
-                ids = _csr_gather(members, offsets[sketched], sizes[sketched])
+                ids = _csr_gather(members, offsets[sketched], sizes[sketched]).astype(np.intp)
                 sketch_of = np.repeat(np.arange(sketched.size), sizes[sketched])
                 np.maximum.at(
                     registers,
@@ -453,7 +479,6 @@ class FrozenTables:
             keys=keys,
             table_slices=table_slices,
             offsets=offsets,
-            sizes=sizes,
             members=members,
             sketch_rows=sketch_rows,
             registers=registers,
@@ -478,7 +503,7 @@ class FrozenTables:
             return (
                 np.empty((0, width), dtype=np.int64),
                 np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.intp),
+                np.empty(0, dtype=np.int64),
             )
         rows = np.frombuffer(b"".join(table.buckets.keys()), dtype="<i8").reshape(
             num, row_width
@@ -489,9 +514,7 @@ class FrozenTables:
             rows = padded
         buckets = list(table.buckets.values())
         sizes = np.asarray([bucket.size for bucket in buckets], dtype=np.int64)
-        members = np.concatenate([bucket.ids for bucket in buckets]).astype(
-            np.intp, copy=False
-        )
+        members = np.concatenate([bucket.ids for bucket in buckets])
         return rows, sizes, members
 
     def table_source(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -500,7 +523,8 @@ class FrozenTables:
         picks the merged rows' narrowest dtype afresh)."""
         lo, hi = int(self.table_slices[t]), int(self.table_slices[t + 1])
         seg_start, seg_stop = int(self.offsets[lo]), int(self.offsets[hi])
-        return self.keys[lo:hi], self.sizes[lo:hi], self.members[seg_start:seg_stop]
+        sizes = np.diff(self.offsets[lo : hi + 1].astype(np.int64))
+        return self.keys[lo:hi], sizes, self.members[seg_start:seg_stop]
 
     # ------------------------------------------------------------------
     # Query-side primitives
@@ -582,11 +606,18 @@ class FrozenTables:
             positions[slots] = pos
         return positions.reshape(q, num_slots)
 
+    def spans(self, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(first entry, int64 size)`` of each global bucket in ``buckets``.
+
+        Any shape; a -1 (no bucket) reads as the empty span at 0, since
+        ``offsets[0]`` is 0 on both sides of the difference.
+        """
+        starts = self.offsets.take(buckets, mode="clip")
+        return starts, np.subtract(self.offsets.take(buckets + 1), starts, dtype=np.int64)
+
     def gather_members(self, bucket_idx: np.ndarray) -> np.ndarray:
-        """Concatenated member ids of the given global buckets."""
-        return _csr_gather(
-            self.members, self.offsets[bucket_idx], self.sizes[bucket_idx]
-        )
+        """Concatenated member ids of the given global buckets (``uint32``)."""
+        return _csr_gather(self.members, *self.spans(bucket_idx))
 
     @property
     def num_buckets(self) -> int:
@@ -594,10 +625,14 @@ class FrozenTables:
 
     @property
     def memory_bytes(self) -> dict[str, int]:
+        """Bytes of every array, by role (the ids, the addressing, the sketches)."""
         return {
             "bucket_ids": int(self.members.nbytes),
-            "bucket_keys": int(self.key64.nbytes) + int(self.keys.nbytes),
-            "sketches": int(self.registers.nbytes),
+            "bucket_keys": sum(
+                int(a.nbytes)
+                for a in (self.key64, self.keys, self.offsets, self.table_slices)
+            ),
+            "sketches": int(self.registers.nbytes) + int(self.sketch_rows.nbytes),
         }
 
     def __repr__(self) -> str:
@@ -769,6 +804,7 @@ class FrozenLSHIndex(LSHIndex):
         n = points.shape[0]
         if n == 0:
             raise ConfigurationError("cannot build an index over zero points")
+        _check_capacity(n, self.num_tables)
         self._hll_hashes = (
             PrecomputedHllHashes(n, p=self.hll_precision, seed=self.hll_seed)
             if self.with_sketches
@@ -781,7 +817,7 @@ class FrozenLSHIndex(LSHIndex):
             if dtype != rows.dtype:
                 rows = rows.astype(dtype)
             rows[:, start : start + chunk.shape[0]] = chunk.transpose(1, 0, 2)
-        ones, ids = np.ones(n, dtype=np.int64), np.arange(n, dtype=np.intp)
+        ones, ids = np.ones(n, dtype=np.int64), np.arange(n, dtype=np.uint32)
         frozen = FrozenTables.assemble(
             [(table_rows, ones, ids) for table_rows in rows],
             self._hll_hashes,
@@ -799,13 +835,10 @@ class FrozenLSHIndex(LSHIndex):
         """Compact a built dict-layout index (shares points and kernel):
         the reference's path, to the arrays :meth:`build` makes."""
         index._require_built()
+        _check_capacity(index.n, index.num_tables)
         self = cls.__new__(cls)
         self._adopt(index)
         self.points = index.points
-        # Members live in the platform index dtype (intp): every hot-path
-        # consumer is a fancy index (candidate scatter, HLL pair gather,
-        # point gather), and numpy converts any other integer dtype to
-        # intp per call — a measurable per-query tax at serving rates.
         per_table = [
             FrozenTables.table_arrays(table, self.k) for table in index.tables
         ]
@@ -937,8 +970,9 @@ class FrozenLSHIndex(LSHIndex):
         m = new_points.shape[0]
         if m == 0:
             return np.empty(0, dtype=np.int64)
-        rows = self._insert_rows(new_points)
         old_n = self.n
+        _check_capacity(old_n + m, self.num_tables)
+        rows = self._insert_rows(new_points)
         points = np.concatenate([self.points, new_points])
         if self._hll_hashes is not None:
             self._hll_hashes.extend(old_n + m)
@@ -1267,16 +1301,16 @@ class FrozenLSHIndex(LSHIndex):
         m = 1 << self.hll_precision
         regs = np.zeros(m, dtype=np.uint8)
         found = lookup.found_buckets()
-        srows = frozen.sketch_rows[found]
+        srows = frozen.sketch_rows.take(found)
         sketched = srows[srows >= 0]
         if sketched.size:
-            np.maximum.reduce(frozen.registers[sketched], axis=0, out=regs)
+            np.maximum.reduce(frozen.registers.take(sketched, axis=0), axis=0, out=regs)
         # Lazy small buckets and overflow entries alike feed their raw
         # ids into the merged registers (maxima over per-id hash pairs).
         lazy = found[srows < 0]
-        ids = frozen.gather_members(lazy) if lazy.size else lazy
-        if lookup.overflow is not None:
-            ids = np.concatenate([ids, *_overflow_ids([lookup])[0]])
+        ids = np.concatenate(
+            [frozen.gather_members(lazy), *_overflow_ids([lookup])[0]], dtype=np.intp
+        )
         if ids.size:
             np.maximum.at(
                 regs, self._hll_hashes.registers[ids], self._hll_hashes.ranks[ids]
@@ -1311,11 +1345,11 @@ class FrozenLSHIndex(LSHIndex):
         found = bucket_mat >= 0
         qi, _ = np.nonzero(found)  # row-major -> qi ascending
         buckets = bucket_mat[found]
-        srows = frozen.sketch_rows[buckets]
+        srows = frozen.sketch_rows.take(buckets)
         sketched = srows >= 0
         if sketched.any():
             rows = qi[sketched]
-            stacked = frozen.registers[srows[sketched]]
+            stacked = frozen.registers.take(srows[sketched], axis=0)
             # Row-major np.nonzero keeps `rows` sorted, so segments of
             # equal query index are contiguous: one reduceat merges each
             # query's sketched buckets.
@@ -1362,17 +1396,17 @@ class FrozenLSHIndex(LSHIndex):
     ) -> np.ndarray:
         """:meth:`candidate_ids` given the row's ids in each live run."""
         frozen, found = lookup._frozen, lookup.found_buckets()
-        starts = frozen.offsets[found]
-        stops = (starts + frozen.sizes[found]).tolist()
-        parts = [frozen.members[a:b] for a, b in zip(starts.tolist(), stops)]
+        starts = frozen.offsets.take(found).tolist()
+        stops = frozen.offsets.take(found + 1).tolist()
+        parts = [frozen.members[a:b] for a, b in zip(starts, stops)]
         parts += run_ids
         seen = np.zeros(self.n, dtype=bool)
         if dedup == "vectorized":
             # One boolean scatter over the concatenated zero-copy member
-            # slices; members are stored in native index dtype (intp) so
-            # the scatter pays no per-query index conversion.
+            # slices, widened to intp by the concatenate itself: a scatter
+            # by uint32 indices pays numpy's index conversion (2x slower).
             if parts:
-                seen[np.concatenate(parts)] = True
+                seen[np.concatenate(parts, dtype=np.intp)] = True
             return np.flatnonzero(seen)
         # Scalar mode preserves Equation (1)'s per-collision cost
         # structure, exactly like the dict layout's implementation.
@@ -1455,7 +1489,10 @@ class FrozenLSHIndex(LSHIndex):
         frozen, runs = self._snapshot()
         # A run's logical buckets are its distinct addresses.
         all_sizes = np.concatenate(
-            [frozen.sizes, *(np.unique(run.key64, return_counts=True)[1] for run in runs)]
+            [
+                np.diff(frozen.offsets.astype(np.int64)),
+                *(np.unique(run.key64, return_counts=True)[1] for run in runs),
+            ]
         )
         sketched = int(np.count_nonzero(frozen.sketch_rows >= 0))
         return {
@@ -1479,20 +1516,36 @@ class FrozenLSHIndex(LSHIndex):
 # Persistence: a directory of plain .npy files, mmap-loadable
 # ----------------------------------------------------------------------
 
+#: The validated bucket arrays of a saved index, per format version:
+#: each file's dtype ("integer" = any integer dtype) and ndim.  v3 is
+#: v2 with four-byte ids, offsets and sketch rows, and no stored sizes.
+_LAYOUTS = {
+    2: {
+        "key64": ("uint64", 1),
+        "keys": ("integer", 2),
+        "table_slices": ("int64", 1),
+        "offsets": ("int64", 1),
+        "sizes": ("int64", 1),
+        "members": ("integer", 1),
+        "sketch_rows": ("int64", 1),
+        "registers": ("uint8", 2),
+    },
+    3: {
+        "key64": ("uint64", 1),
+        "keys": ("integer", 2),
+        "table_slices": ("int64", 1),
+        "offsets": ("uint32", 1),
+        "members": ("uint32", 1),
+        "sketch_rows": ("int32", 1),
+        "registers": ("uint8", 2),
+    },
+}
+
 #: The bucket arrays of a saved index, per format version ("points"
-#: rides along in both).
+#: rides along in all).
 _TABLE_FILES = {
     1: ("keys_raw", "table_slices", "offsets", "sizes", "members"),
-    2: (
-        "key64",
-        "keys",
-        "table_slices",
-        "offsets",
-        "sizes",
-        "members",
-        "sketch_rows",
-        "registers",
-    ),
+    **{version: tuple(layout) for version, layout in _LAYOUTS.items()},
 }
 
 
@@ -1549,7 +1602,9 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
     frozen = index.frozen
     config["key_salt"] = frozen.salt
     arrays = {"points": index.points}
-    arrays.update((name, getattr(frozen, name)) for name in _TABLE_FILES[2])
+    arrays.update(
+        (name, getattr(frozen, name)) for name in _TABLE_FILES[_FROZEN_FORMAT_VERSION]
+    )
     if batched is not None:
         for name, array in batched.params.items():
             arrays[f"kernel_{name}"] = array
@@ -1577,17 +1632,29 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
         raise
 
 
+def _ids_in_range(members: np.ndarray, n: int) -> bool:
+    """Whether every stored member id lies in ``[0, n)``: one outside
+    would bleed into another row's ``row * n + id`` tag, or wrap."""
+    if not members.size:
+        return True
+    signed = members.dtype.kind != "u"
+    return int(members.max()) < n and not (signed and int(members.min()) < 0)
+
+
 def _checked_tables(
     arrays: dict[str, np.ndarray], config: dict, row_width: int, path: str
 ) -> FrozenTables:
-    """The format-v2 bucket arrays as :class:`FrozenTables`, validated.
+    """Format-v2 or -v3 bucket arrays as :class:`FrozenTables`, validated.
 
     Checks every invariant :meth:`FrozenTables.locate` and the CSR
     gathers index by — dtypes, shapes, ``key64`` strictly increasing
     with each table's tag inside its slice (and, spot-checked, the
-    address of ``keys`` under the persisted salt), offsets consistent
-    with sizes and members — so a damaged artifact fails here, typed,
-    and never as an ``IndexError`` or a silent miss on some later query.
+    address of ``keys`` under the persisted salt), offsets rising from
+    0 to the member count (and equal to the stored sizes of v2), every
+    member id inside ``[0, n)`` — so a damaged artifact fails here,
+    typed, and never as an ``IndexError``, a silent miss or another
+    row's candidate on some later query.  A v2 artifact's eight-byte
+    ids, offsets and sketch rows are narrowed in memory.
     """
 
     def corrupt(what: str) -> CorruptArtifactError:
@@ -1595,22 +1662,15 @@ def _checked_tables(
             f"frozen index at {path!r}: {what}; the artifact is truncated or corrupt"
         )
 
+    version = config["format_version"]
     num_tables, salt = config["num_tables"], config["key_salt"]
     if not (isinstance(num_tables, int) and num_tables >= 1):
         raise corrupt(f"num_tables is {num_tables!r}")
     if not (isinstance(salt, int) and salt >= 0):
         raise corrupt(f"key_salt is {salt!r}")
-    layout = {
-        "key64": ("uint64", 1),
-        "keys": ("integer", 2),
-        "table_slices": ("int64", 1),
-        "offsets": ("int64", 1),
-        "sizes": ("int64", 1),
-        "members": ("integer", 1),
-        "sketch_rows": ("int64", 1),
-        "registers": ("uint8", 2),
-    }
-    for name, (dtype, ndim) in layout.items():
+    n = arrays["points"].shape[0]
+    _check_capacity(n, num_tables)
+    for name, (dtype, ndim) in _LAYOUTS[version].items():
         array = arrays[name]
         right_dtype = (
             array.dtype.kind in "iu" if dtype == "integer" else array.dtype == dtype
@@ -1620,7 +1680,7 @@ def _checked_tables(
                 f"{name}.npy is {array.ndim}-d {array.dtype}, expected {ndim}-d {dtype}"
             )
     key64, slices = arrays["key64"], arrays["table_slices"]
-    offsets, sizes = arrays["offsets"], arrays["sizes"]
+    offsets, members = arrays["offsets"], arrays["members"]
     sketch_rows, registers = arrays["sketch_rows"], arrays["registers"]
     buckets = key64.size
     if (
@@ -1654,13 +1714,14 @@ def _checked_tables(
         raise corrupt(f"key64 is not the address of keys under key_salt {salt}")
     if (
         offsets.shape != (buckets + 1,)
-        or sizes.shape != (buckets,)
         or offsets[0] != 0
-        or offsets[-1] != arrays["members"].size
-        or (sizes < 0).any()
-        or not np.array_equal(np.diff(offsets), sizes)
+        or offsets[-1] != members.size
+        or (offsets[1:] < offsets[:-1]).any()
+        or (version == 2 and not np.array_equal(np.diff(offsets), arrays["sizes"]))
     ):
         raise corrupt("offsets, sizes and members do not describe one CSR structure")
+    if not _ids_in_range(members, n):
+        raise corrupt(f"members holds ids outside [0, {n})")
     if (
         sketch_rows.shape != (buckets,)
         or registers.shape[1] != 1 << config["hll_precision"]
@@ -1668,11 +1729,14 @@ def _checked_tables(
         or (sketch_rows >= registers.shape[0]).any()
     ):
         raise corrupt("sketch_rows points outside the register matrix")
-    return FrozenTables(
-        num_tables=num_tables,
-        salt=salt,
-        **{name: arrays[name] for name in _TABLE_FILES[2]},
-    )
+    tables = {name: arrays[name] for name in _TABLE_FILES[3]}
+    if version == 2:  # narrowed in memory; the next save writes v3
+        tables.update(
+            offsets=offsets.astype(np.uint32),
+            members=members.astype(np.uint32),
+            sketch_rows=sketch_rows.astype(np.int32),
+        )
+    return FrozenTables(num_tables=num_tables, salt=salt, **tables)
 
 
 def _tables_from_v1(
@@ -1685,8 +1749,14 @@ def _tables_from_v1(
     back into per-table source triples and go through
     :meth:`FrozenTables.assemble` like a fresh freeze (which also
     rebuilds the registers), so there is no second lookup path; the
-    next save writes v2.
+    next save writes v3.
     """
+    _check_capacity(index.n, index.num_tables)
+    if not _ids_in_range(arrays["members"], index.n):
+        raise CorruptArtifactError(
+            f"frozen index at {path!r} (format v1): members holds ids outside "
+            f"[0, {index.n}); the artifact is truncated or corrupt"
+        )
     try:
         bounds = arrays["table_slices"].tolist()
         offsets = arrays["offsets"].tolist()
@@ -1773,8 +1843,10 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     bit-identical to the saved instance.  Pass
     ``mmap_mode=None`` to materialise everything in RAM instead.  The
     bucket arrays are validated on the way in (:func:`_checked_tables`).
-    A format-v1 artifact opens too, with its tables re-assembled in
-    memory (:func:`_tables_from_v1`; only ``points`` stays mapped).
+    A format-v2 artifact opens with its ids, offsets and sketch rows
+    narrowed in memory (the rest stays mapped), a format-v1 artifact
+    with its tables re-assembled in memory (:func:`_tables_from_v1`;
+    only ``points`` stays mapped).
     """
     config_path = os.path.join(path, _CONFIG_FILE)
     if not os.path.exists(config_path):
@@ -1807,7 +1879,7 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
         if variant == "covering"
         else {"k", "family", "kernel_params"}
     )
-    if version == 2:
+    if version >= 2:
         required.add("key_salt")
     missing_keys = sorted(required - set(config))
     if missing_keys:
@@ -1888,7 +1960,7 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
         else:
             build = functools.partial(FrozenLSHIndex.from_state, **state_kwargs)
         row_width = config["k"]
-    if version == 2:
+    if version >= 2:
         return build(frozen=_checked_tables(arrays, config, row_width, path))
     # v1: the index first (it owns the HLL hashes assembly needs), then
     # its tables.

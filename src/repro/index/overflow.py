@@ -13,7 +13,8 @@ lookup mixed for the frozen arrays probe every run as they are.
 ``key64`` is sorted, equal addresses in insertion order; ``members``
 holds the entries' point ids; ``rows`` keeps each point's ``L`` padded
 hash rows once, in the narrowest integer dtype — to verify address
-hits, to re-key the run, and for the fold.  A generation's ids are
+hits, to re-key the run, and for the fold.  Ids are ``uint32``, like the
+frozen arrays' members.  A generation's ids are
 consecutive from ``first_id``, so entry ``e`` of table ``t`` carries
 the row ``rows[members[e] - first_id, t]``.
 
@@ -88,7 +89,7 @@ class OverflowRun:
             salt=salt,
             first_id=first_id,
             key64=np.empty(0, dtype=np.uint64),
-            members=np.empty(0, dtype=np.intp),
+            members=np.empty(0, dtype=np.uint32),
             rows=np.empty((0, num_tables, width), dtype=np.int8),
         )
 
@@ -120,7 +121,7 @@ class OverflowRun:
         key64 = np.empty(total, dtype=np.uint64)
         key64[dest] = new_key64
         key64[kept] = self.key64
-        members = np.empty(total, dtype=np.intp)
+        members = np.empty(total, dtype=np.uint32)
         members[dest] = self.first_id + self.count + point
         members[kept] = self.members
         all_rows = np.concatenate([self.rows, rows.astype(_narrowest_int_dtype(rows))])
@@ -174,7 +175,7 @@ class OverflowRun:
         return (
             self.rows[:, t],
             np.ones(count, dtype=np.int64),
-            np.arange(self.first_id, self.first_id + count, dtype=np.intp),
+            np.arange(self.first_id, self.first_id + count, dtype=np.uint32),
         )
 
     def __repr__(self) -> str:

@@ -113,7 +113,8 @@ def _pack_block(results: list[QueryResult]) -> tuple:
     ``(counts, ids, distances, stats)``: ``counts[i]`` neighbours of
     query ``i`` sit at its slice of the concatenated shard-local ``ids``
     / ``distances``, and row ``i`` of the ``(q, 8)`` ``stats`` matrix
-    holds its :data:`STATS_COLUMNS`.
+    holds its :data:`STATS_COLUMNS`.  The ids ship as ``uint32``, the
+    shard's own id width (a shard holds fewer than ``2**32`` points).
     """
     counts = np.array([r.ids.size for r in results], dtype=np.int64)
     stats = np.array(
@@ -133,8 +134,8 @@ def _pack_block(results: list[QueryResult]) -> tuple:
         dtype=np.float64,
     ).reshape(len(results), len(STATS_COLUMNS))
     if not results:
-        return counts, np.empty(0, np.int64), np.empty(0, np.float64), stats
-    ids = np.concatenate([r.ids for r in results])
+        return counts, np.empty(0, np.uint32), np.empty(0, np.float64), stats
+    ids = np.concatenate([r.ids for r in results]).astype(np.uint32)
     distances = np.concatenate([r.distances for r in results])
     return counts, ids, distances, stats
 
@@ -155,8 +156,10 @@ def _stats_from_row(row: list) -> QueryStats:
 
 
 def _unpack_block(block: tuple, radius: float) -> list[QueryResult]:
-    """A radius-reply block back into per-query shard-local results."""
+    """A radius-reply block back into per-query shard-local results
+    (ids widened back to ``int64``, the dtype results carry)."""
     counts, ids, distances, stats = block
+    ids = ids.astype(np.int64)
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     return [
         QueryResult(

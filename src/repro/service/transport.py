@@ -99,7 +99,7 @@ __all__ = [
 
 #: bumped whenever the frame layout or the message shapes change; the
 #: prefix carries it and the ``("ready", sizes, version)`` ack repeats it.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _MAGIC = b"HLSW"
 

@@ -261,15 +261,19 @@ def _checked_block(reply, shard: int, q: int) -> tuple:
     """Shard ``shard``'s block of a radius ``reply``, checked against ``q`` rows.
 
     The arrays must agree with each other before any is indexed: a
-    remote endpoint's reply is outside input.
+    remote endpoint's reply is outside input.  Counts must be
+    non-negative integers and ids unsigned (the wire ships ``uint32``):
+    ``take`` would wrap a negative local id to the shard's last point.
     """
     try:
         block = counts, ids, distances, stats = reply[shard]
         ok = (
             counts.shape == (q,)
+            and counts.dtype.kind in "iu"
+            and not (counts < 0).any()
             and stats.shape == (q, len(STATS_COLUMNS))
             and ids.shape == distances.shape == (int(counts.sum()),)
-            and ids.dtype.kind in "iu"
+            and ids.dtype.kind == "u"
         )
     except (LookupError, TypeError, ValueError, AttributeError):
         ok = False

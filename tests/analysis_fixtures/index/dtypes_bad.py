@@ -7,8 +7,9 @@ Deliberately broken — excluded from lint, never imported.
 import numpy as np
 
 
-def build_layout(counts, ids):
-    offsets = np.zeros(len(counts) + 1, dtype=np.int32)
+def build_layout(counts, ids, parts):
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     members = ids.astype(np.int64)
     flat = np.asarray(members, dtype=np.int32)
-    return offsets, members, flat
+    src_members = np.concatenate(parts).astype(np.int64, copy=False)
+    return offsets, members, flat, src_members

@@ -78,8 +78,10 @@ class TestTruePositives:
         findings = run_check(
             [str(RULE_FIXTURES["dtype-contract"])], enabled=["dtype-contract"]
         )
-        assert len(findings) == 3  # np.zeros, .astype, np.asarray sites
-        assert DTYPE_CONTRACTS["offsets"] == "int64"  # table is the oracle
+        # np.zeros, .astype on a name and on a call, np.asarray sites
+        assert len(findings) == 4
+        assert DTYPE_CONTRACTS["offsets"] == "uint32"  # table is the oracle
+        assert DTYPE_CONTRACTS["members"] == "uint32"
         assert any("offsets" in f.message for f in findings)
         assert any("re-materialising" in f.message for f in findings)
 

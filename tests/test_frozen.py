@@ -8,6 +8,7 @@ structural properties (CSR consistency, overflow re-freeze, zero-copy
 persistence) the serving path relies on.
 """
 
+import dataclasses
 import hashlib
 import json
 import mmap
@@ -21,7 +22,7 @@ import pytest
 from repro.api import Index, IndexSpec
 from repro.api import facade
 from repro.core import CostModel, HybridSearcher
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
 from repro.index import frozen as frozen_module
@@ -94,20 +95,25 @@ class TestFrozenPrimitives:
         for la, lb in zip(batch_a, batch_b):
             assert la.num_collisions == lb.num_collisions
 
-    def test_member_arrays_keep_intp_dtype(self):
-        """The frozen CSR members and every live run's members are ``intp``.
+    def test_stored_arrays_keep_four_byte_dtypes(self):
+        """Members and offsets are ``uint32`` and sketch rows ``int32`` —
+        frozen, in every live run, and after a fold — and no bucket size
+        is stored.
 
-        The members contract is ``np.intp`` (every consumer is a fancy
-        index); re-materialising them under another integer dtype is the
-        silent platform-equal drift the dtype-contract lint exists to
-        catch — pin it at runtime too.
+        A drift back to eight-byte ids changes no answer, which is why
+        the dtype-contract lint exists; pin it at runtime too.
         """
         points, index, frozen = build_pair()
         frozen.insert(points[:3] + 1e-3)
         assert frozen.live_runs
-        assert frozen.frozen.members.dtype == np.intp
         for run in frozen.live_runs:
-            assert run.members.dtype == np.intp
+            assert run.members.dtype == np.uint32
+        for _ in range(2):
+            csr = frozen.frozen
+            assert csr.members.dtype == csr.offsets.dtype == np.uint32
+            assert csr.sketch_rows.dtype == np.int32
+            assert not hasattr(csr, "sizes")
+            frozen.refreeze()
 
     def test_candidates_both_dedups_match(self):
         points, index, frozen = build_pair()
@@ -154,8 +160,11 @@ class TestFrozenPrimitives:
         csr = frozen.frozen
         assert csr.num_tables == index.num_tables
         assert int(csr.table_slices[-1]) == sum(t.num_buckets for t in index.tables)
-        assert int(csr.offsets[-1]) == csr.members.size
-        assert np.array_equal(np.diff(csr.offsets), csr.sizes)
+        assert int(csr.offsets[0]) == 0 and int(csr.offsets[-1]) == csr.members.size
+        starts, sizes = csr.spans(np.arange(-1, csr.num_buckets))
+        assert np.array_equal(starts[1:], csr.offsets[:-1])
+        assert sizes.dtype == np.int64 and sizes[0] == 0  # -1 = no bucket
+        assert (sizes[1:] > 0).all() and sizes.sum() == csr.members.size
         # Addresses globally sorted, each table's tag inside its segment,
         # one full hash row kept per bucket to verify hits against.
         assert csr.key64.dtype == np.uint64
@@ -166,6 +175,28 @@ class TestFrozenPrimitives:
             lo, hi = int(csr.table_slices[t]), int(csr.table_slices[t + 1])
             assert ((csr.key64[lo:hi] >> tag_shift) == t).all()
 
+    def test_memory_report_counts_every_array(self):
+        """The byte meter's total is ``points`` plus every ndarray field of
+        the frozen arrays and of each live run — listed from the
+        dataclasses, so an array added later is counted or fails here."""
+        points, _, frozen = build_pair(lazy_threshold=4)
+        frozen.refreeze_threshold = 10**6
+        frozen.insert(points[:7] + 1e-3)
+        csr, runs = frozen._snapshot()
+        assert runs and csr.registers.shape[0] > 0
+
+        def arrays(obj):
+            values = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+            return [v for v in values if isinstance(v, np.ndarray)]
+
+        assert len(arrays(csr)) >= 7 and len(arrays(runs[0])) >= 3
+        counted = [frozen.points, *arrays(csr), *(a for run in runs for a in arrays(run))]
+        report = frozen.memory_report()
+        assert report["total"] == sum(a.nbytes for a in counted)
+        assert report["total"] == sum(
+            report[k] for k in ("points", "bucket_ids", "bucket_keys", "sketches")
+        )
+
     def test_diagnostics_match_dict_layout(self):
         _, index, frozen = build_pair(lazy_threshold=4)
         a, b = index.bucket_statistics(), frozen.bucket_statistics()
@@ -173,7 +204,9 @@ class TestFrozenPrimitives:
         assert frozen.sketch_memory_bytes == index.sketch_memory_bytes
         report = frozen.memory_report()
         assert report["points"] == index.memory_report()["points"]
-        assert report["sketches"] == index.memory_report()["sketches"]
+        # The same registers, plus the bucket -> register-row map.
+        sketch_rows = frozen.frozen.sketch_rows.nbytes
+        assert report["sketches"] == index.memory_report()["sketches"] + sketch_rows
 
 
 class TestFrozenSearch:
@@ -581,7 +614,7 @@ class TestArrayNativeBuild:
         expected = reference_index(points, spec).freeze().frozen
         monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", chunk)
         built = Index.build(points, spec).engine.index.frozen
-        for name in frozen_module._TABLE_FILES[2]:
+        for name in frozen_module._TABLE_FILES[3]:
             assert np.array_equal(getattr(built, name), getattr(expected, name)), name
             assert getattr(built, name).dtype == getattr(expected, name).dtype, name
 
@@ -651,7 +684,7 @@ class TestFrozenPersistence:
             return [a for a in arrays if isinstance(a, np.ndarray)]
 
         before = hot_arrays()
-        assert len(before) >= 9 and all(type(a) is np.ndarray for a in before)
+        assert len(before) >= 8 and all(type(a) is np.ndarray for a in before)
         assert_file_backed(reopened.points, path, "points")
         reopened.insert(points[:5] if variant == "covering" else rng.normal(size=(5, 10)))
         reopened.refreeze()
@@ -718,10 +751,10 @@ class TestFormatV1Artifacts:
     """``tests/fixtures/frozen_v1``: two artifacts written by the PR 17
     tree (format v1: bytewise-sorted ``keys_raw.npy``), with the answers
     that tree gave in ``expected.json``.  They must keep opening, answer
-    identically, and turn into format v2 on the next save."""
+    identically, and turn into format v3 on the next save."""
 
     @pytest.mark.parametrize("name", ["multiprobe_pstable", "covering"])
-    def test_v1_opens_answers_identically_and_resaves_as_v2(self, name, tmp_path):
+    def test_v1_opens_answers_identically_and_resaves_as_v3(self, name, tmp_path):
         source = os.path.join(V1_FIXTURES, name)
         with open(os.path.join(source, "config.json")) as fh:
             assert json.load(fh)["format_version"] == 1
@@ -734,11 +767,11 @@ class TestFormatV1Artifacts:
         assert opened.n <= 64 and opened.variant == name.split("_")[0]
         assert answers(opened, queries) == expected
 
-        resaved = str(tmp_path / "v2")
+        resaved = str(tmp_path / "v3")
         save_frozen_index(opened, resaved)
         with open(os.path.join(resaved, "config.json")) as fh:
             config = json.load(fh)
-        assert config["format_version"] == 2 and config["key_salt"] == 0
+        assert config["format_version"] == 3 and config["key_salt"] == 0
         assert os.path.exists(os.path.join(resaved, "key64.npy"))
         assert not os.path.exists(os.path.join(resaved, "keys_raw.npy"))
         reopened = load_frozen_index(resaved)
@@ -755,16 +788,121 @@ class TestFormatV1Artifacts:
         with pytest.raises(CorruptArtifactError, match="format v1"):
             load_frozen_index(broken)
 
+    @pytest.mark.parametrize("bad_id", [-3, 48 + 7])
+    def test_v1_member_outside_n_is_a_typed_error(self, bad_id, tmp_path):
+        broken = str(tmp_path / "v1")
+        shutil.copytree(os.path.join(V1_FIXTURES, "multiprobe_pstable"), broken)
+        assert np.load(os.path.join(broken, "points.npy")).shape[0] == 48
+        members = np.load(os.path.join(broken, "members.npy"))
+        members[3] = bad_id
+        np.save(os.path.join(broken, "members.npy"), members)
+        with pytest.raises(CorruptArtifactError, match=r"format v1.*outside \[0, 48\)"):
+            load_frozen_index(broken)
+
     def test_unknown_version_is_refused(self, tmp_path):
-        future = str(tmp_path / "v3")
+        future = str(tmp_path / "v4")
         shutil.copytree(os.path.join(V1_FIXTURES, "covering"), future)
         with open(os.path.join(future, "config.json")) as fh:
             config = json.load(fh)
-        config["format_version"] = 3
+        config["format_version"] = 4
         with open(os.path.join(future, "config.json"), "w") as fh:
             json.dump(config, fh)
         with pytest.raises(ConfigurationError, match="unsupported frozen index version"):
             load_frozen_index(future)
+
+
+V2_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v2")
+
+
+def _set_entry(index, value):
+    def change(array):
+        array[index] = value
+        return array
+
+    return change
+
+
+class TestFormatV2Artifacts:
+    """``tests/fixtures/frozen_v2``: two artifacts written by the last
+    format-v2 tree, commit 00000f2 (eight-byte members, offsets and
+    sketch rows, stored ``sizes``), with the answers that tree gave in
+    ``expected.json``.
+    They open with those arrays narrowed in memory, answer identically,
+    and turn into format v3 on the next save."""
+
+    @pytest.mark.parametrize("name", ["plain_pstable", "multiprobe_simhash"])
+    def test_v2_opens_answers_identically_and_resaves_as_v3(self, name, tmp_path):
+        source = os.path.join(V2_FIXTURES, name)
+        with open(os.path.join(source, "config.json")) as fh:
+            assert json.load(fh)["format_version"] == 2
+        with open(os.path.join(source, "expected.json")) as fh:
+            expected = json.load(fh)
+        queries = np.load(os.path.join(source, "queries.npy"))
+        assert any(expected["candidates"])  # not vacuous
+        assert np.load(os.path.join(source, "members.npy")).dtype == np.int64
+
+        opened = load_frozen_index(source)
+        assert opened.variant == name.split("_")[0]
+        csr = opened.frozen
+        assert csr.members.dtype == csr.offsets.dtype == np.uint32
+        assert csr.sketch_rows.dtype == np.int32
+        assert_file_backed(csr.key64, source, "key64")  # the rest stays mapped
+        assert answers(opened, queries) == expected
+
+        resaved = str(tmp_path / "v3")
+        save_frozen_index(opened, resaved)
+        with open(os.path.join(resaved, "config.json")) as fh:
+            assert json.load(fh)["format_version"] == 3
+        assert not os.path.exists(os.path.join(resaved, "sizes.npy"))
+        reopened = load_frozen_index(resaved)
+        assert_file_backed(reopened.points, resaved, "points")
+        for array in ("members", "offsets", "sketch_rows"):
+            assert_file_backed(getattr(reopened.frozen, array), resaved, array)
+        assert answers(reopened, queries) == expected
+
+    @pytest.mark.parametrize(
+        "name, change, complaint",
+        [
+            pytest.param("members", _set_entry(3, 56 + 7), r"outside \[0, 56\)", id="member-past-n"),
+            pytest.param("members", _set_entry(3, -3), r"outside \[0, 56\)", id="member-negative"),
+            pytest.param("sizes", _set_entry(0, -1), "CSR", id="sizes-negative"),
+            pytest.param("sizes", lambda a: a[1:], "CSR", id="sizes-short"),
+            pytest.param("offsets", lambda a: a.astype(np.uint32), "offsets.npy is 1-d uint32", id="offsets-narrow"),
+        ],
+    )
+    def test_broken_v2_arrays_are_typed_errors(self, name, change, complaint, tmp_path):
+        broken = str(tmp_path / "v2")
+        shutil.copytree(os.path.join(V2_FIXTURES, "plain_pstable"), broken)
+        assert np.load(os.path.join(broken, "points.npy")).shape[0] == 56
+        target = os.path.join(broken, f"{name}.npy")
+        np.save(target, change(np.load(target)))
+        with pytest.raises(CorruptArtifactError, match=complaint):
+            load_frozen_index(broken)
+
+
+class TestEntryLimit:
+    """Ids and offsets are ``uint32``: a build, insert or open of ``L * n
+    >= 2**32`` entries raises a typed error that says to shard.  The
+    limit is lowered here so the index stays small."""
+
+    def test_build_insert_and_open_past_the_limit_say_to_shard(self, monkeypatch, tmp_path):
+        points = np.random.default_rng(4).normal(size=(50, 6))
+
+        def make():
+            return FrozenLSHIndex(PStableLSH(6, w=2.0), k=2, num_tables=4, seed=1)
+
+        path = str(tmp_path / "idx")
+        save_frozen_index(make().build(points), path)  # 200 entries
+        monkeypatch.setattr(frozen_module, "ENTRY_LIMIT", 200)
+        with pytest.raises(ConfigurationError, match="shard the index"):
+            make().build(points)
+        with pytest.raises(ConfigurationError, match="shard the index"):
+            load_frozen_index(path)
+        monkeypatch.setattr(frozen_module, "ENTRY_LIMIT", 201)
+        index = make().build(points)
+        with pytest.raises(ConfigurationError, match="shard the index"):
+            index.insert(points[:1])  # 204 entries
+        assert index.n == 50 and not index.live_runs  # refused before any change
 
 
 #: The serving tiers ``Index.build`` assembles, as spec overrides.

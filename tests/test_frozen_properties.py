@@ -280,7 +280,7 @@ class TestStepS1Properties:
 # ----------------------------------------------------------------------
 
 _TABLE_ARRAYS = (
-    "key64", "keys", "table_slices", "offsets", "sizes", "members",
+    "key64", "keys", "table_slices", "offsets", "members",
     "sketch_rows", "registers",
 )
 

@@ -158,7 +158,7 @@ class TestOverflowRun:
     def test_arrays_take_the_contract_dtypes_and_rows_the_narrowest(self):
         run = OverflowRun.empty(SALT, first_id=0, num_tables=TABLES, width=2)
         run, _ = _extend(run, [[A, A, B]])
-        assert (run.key64.dtype, run.members.dtype) == (np.uint64, np.intp)
+        assert (run.key64.dtype, run.members.dtype) == (np.uint64, np.uint32)
         assert run.rows.dtype == np.int8
         wide, clean = _extend(run, [[C, A, A]])
         assert clean and wide.rows.dtype == np.int16 and run.rows.dtype == np.int8
@@ -378,7 +378,9 @@ def test_diagnostics_count_the_runs_arrays():
     report, stats = raw.memory_report(), raw.bucket_statistics()
     assert report["bucket_ids"] == before["bucket_ids"] + run.members.nbytes
     assert report["bucket_keys"] == before["bucket_keys"] + run.key64.nbytes + run.rows.nbytes
-    assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes
+    # Registers plus the bucket -> register-row map; a run adds neither.
+    sketch_rows = raw.frozen.sketch_rows.nbytes
+    assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes + sketch_rows
     assert report["points"] == raw.points.nbytes
     assert stats["buckets"] == buckets + np.unique(run.key64).size
     raw.refreeze()

@@ -165,15 +165,18 @@ def _swap_first_two(array):
 
 
 def _set(index, value):
+    """Set one entry to ``value`` cast to the array's dtype the way a C
+    writer would (-3 in a ``uint32`` file is ``2**32 - 3``)."""
+
     def change(array):
-        array[index] = value
+        array[index] = np.array(value).astype(array.dtype)
         return array
 
     return change
 
 
 class TestHostileFrozenArrays:
-    """Format v2's bucket arrays are validated when the artifact opens:
+    """Format v3's bucket arrays are validated when the artifact opens:
     a well-formed ``.npy`` with the wrong dtype, shape or contents is a
     :class:`CorruptArtifactError` there — never an ``IndexError`` (or a
     silently wrong bucket) on some later query."""
@@ -197,10 +200,12 @@ class TestHostileFrozenArrays:
             pytest.param("keys", lambda a: a.ravel(), "keys.npy is 1-d", id="keys-flat"),
             pytest.param("members", lambda a: a[:-1], "CSR", id="members-short"),
             pytest.param("members", lambda a: a.astype(np.float64), "members.npy is 1-d float64", id="members-float"),
+            pytest.param("members", lambda a: a.astype(np.int64), "members.npy is 1-d int64", id="members-eight-byte"),
+            pytest.param("members", _set(7, N // SHARDS + 7), r"outside \[0, 150\)", id="members-past-n"),
+            pytest.param("members", _set(7, -3), r"outside \[0, 150\)", id="members-negative"),
             pytest.param("offsets", _set(-1, 10**9), "CSR", id="offsets-end-past-members"),
             pytest.param("offsets", _set(3, -7), "CSR", id="offsets-not-monotone"),
-            pytest.param("sizes", _set(0, -1), "CSR", id="sizes-negative"),
-            pytest.param("sizes", lambda a: a[1:], "CSR", id="sizes-short"),
+            pytest.param("offsets", lambda a: a.astype(np.int64), "offsets.npy is 1-d int64", id="offsets-eight-byte"),
             pytest.param("sketch_rows", _set(0, 10**6), "register matrix", id="sketch-row-past-end"),
             pytest.param("sketch_rows", _set(0, -5), "register matrix", id="sketch-row-below-minus-one"),
             pytest.param("registers", lambda a: a[:, :3], "register matrix", id="registers-narrow"),
@@ -230,7 +235,7 @@ class TestHostileFrozenArrays:
         config_path = os.path.join(saved, "shard_000.frozen", "config.json")
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
-        assert config["format_version"] == 2 and config["key_salt"] == 0
+        assert config["format_version"] == 3 and config["key_salt"] == 0
         if salt == "missing":
             del config["key_salt"]
         else:

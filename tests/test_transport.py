@@ -259,7 +259,7 @@ def _random_block(rng, q: int, shard_size: int) -> tuple:
     counts = rng.integers(0, 6, size=q)
     ids = np.concatenate(
         [np.sort(rng.choice(shard_size, size=c, replace=False)) for c in counts]
-    )
+    ).astype(np.uint32)  # the wire's id dtype
     stats = rng.random((q, 8)) * 50
     stats[:, [0, 2, 6]] = rng.integers(-1, 40, size=(q, 3))
     stats[:, 1][rng.random(q) < 0.3] = np.nan
@@ -308,6 +308,19 @@ class TestFlatRadiusReply:
     def test_malformed_blocks_are_refused(self, reply):
         with pytest.raises(WorkerError, match="malformed"):
             _checked_block(reply, 0, 2)
+
+    def test_negative_ids_and_counts_are_refused(self):
+        """A negative local id would ``take`` the shard's last global id,
+        and a negative count shifts every later query's slice; ids ship
+        unsigned, so a signed id array is refused outright."""
+        stats = np.zeros((2, 8))
+        good = (np.array([1, 1]), np.array([0, 4], np.uint32), np.zeros(2), stats)
+        assert _checked_block({0: good}, 0, 2) is good
+        negative_id = (np.array([1, 1]), np.array([0, -1]), np.zeros(2), stats)
+        negative_count = (np.array([3, -1]), np.array([0, 4], np.uint32), np.zeros(2), stats)
+        for block in (negative_id, negative_count):
+            with pytest.raises(WorkerError, match="malformed"):
+                _checked_block({0: block}, 0, 2)
 
 
 class TestBoundedPipeReads:

@@ -24,7 +24,7 @@ from repro.api.persist import _frozen_shard_dir
 from repro.exceptions import ConfigurationError
 from repro.hashing.batched import BatchedHash
 from repro.index.frozen import FrozenTables
-from repro.service.shard_server import open_shard_state
+from repro.service.shard_server import _pack_block, _unpack_block, open_shard_state
 from repro.service.sharded import default_fanout_width
 from repro.service.workers import WorkerPool
 
@@ -102,6 +102,15 @@ class TestBitIdentity:
             process_index.query(QuerySpec(queries, k=5)),
         ):
             assert_results_equal(ra, rb)
+
+    def test_wire_ships_uint32_ids_and_results_stay_int64(self, process_index, queries):
+        results = process_index.query(queries)
+        assert any(r.ids.size for r in results)
+        assert all(r.ids.dtype == np.int64 for r in results)
+        counts, ids, _, _ = _pack_block(results)
+        assert ids.dtype == np.uint32 and counts.sum() == ids.size
+        for r, back in zip(results, _unpack_block(_pack_block(results), 1.2)):
+            assert back.ids.dtype == np.int64 and np.array_equal(back.ids, r.ids)
 
     def test_stats_expose_pool_width(self, process_index, thread_index):
         assert process_index.stats.pool_workers == 2
@@ -345,6 +354,10 @@ class TestStartupIsMmapBound:
         assert calls == {"hash": 0, "assemble": 0}
         for s, shard in state.indexes.items():
             assert_file_backed(shard.points, os.path.join(path, _frozen_shard_dir(s)), "points")
+        for s, shard in state.indexes.items():
+            shard_dir = os.path.join(path, _frozen_shard_dir(s))
+            assert_file_backed(shard.frozen.members, shard_dir, "members")
+            assert shard.frozen.members.dtype == np.uint32
         assert sum(shard.n for shard in state.indexes.values()) == 4000
         monkeypatch.undo()
         pool = WorkerPool(path, num_workers=2)
