@@ -58,10 +58,13 @@ class AdaptivePolicy:
         Master switch; a disabled policy behaves exactly like having no
         policy at all (fixed probe budgets, exact top-k fallback).
     target_candidates:
-        Per-query probe budget: keep probing rings beyond the home
-        bucket only while the merged HLL estimate of the candidates
-        collected so far stays below this count.  ``None`` keeps the
-        full fixed ``num_probes`` fan-out (bit-identical answers).
+        Per-query probe budget: probing stops at the first ring whose
+        probed prefix certifies this count — its merged HLL estimate,
+        clamped to the prefix's exact bounds ``[largest bucket,
+        min(#collisions, n)]``, reaches it — and a certified row answers
+        by LSH.  An uncertified row probes the full fan-out and is
+        dispatched as without a budget.  ``None`` keeps the full fixed
+        ``num_probes`` fan-out (bit-identical answers).
     quality_floor:
         Minimum certified recall for an adaptive (LSH-path) top-k
         answer.  The hybrid path carries the paper's ``1 - delta``

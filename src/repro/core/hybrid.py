@@ -28,7 +28,8 @@ paper's headline result.  The reported
 :class:`~repro.core.results.QueryStats` stay finite and self-consistent
 throughout: ``estimated_candidates`` is the value the verdict was taken
 at (clamped estimate / exact count of an upper-bound LSH row, which
-Step S2 materialises anyway / lower bound of a lower-bound scan row) and
+Step S2 materialises anyway / lower bound of a lower-bound scan row; a
+row a probe budget certified reports its exact count too) and
 ``estimated_lsh_cost`` is Equation (1) at it.
 
 :class:`HybridSearcher` works on any built sketched index (including
@@ -111,16 +112,14 @@ class HybridSearcher:
     def _verdict_at(self, lookup, estimate: float) -> tuple[bool, float]:
         """Equation (1) at ``estimate`` clamped to the exact bounds — by
         monotonicity what :meth:`_verdict_from_bounds` says wherever it
-        says anything, so the adaptive ring walk's estimates need only this."""
+        says anything."""
         n = self.index.n
         collisions = lookup.num_collisions
         clamped = float(min(max(estimate, lookup.largest_bucket), min(collisions, n)))
         lsh_cost = self.cost_model.lsh_cost(collisions, clamped)
         return lsh_cost < self.cost_model.linear_cost(n), clamped
 
-    def _verdicts(
-        self, lookups, estimates: np.ndarray | None = None
-    ) -> list[tuple[bool, float | None]]:
+    def _verdicts(self, lookups) -> list[tuple[bool, float | None]]:
         """Bound-first Equation (1) per lookup: ``(go LSH?, candSize)``,
         ``candSize`` being the value the verdict was taken at (``None``:
         the exact count Step S2 is about to materialise).
@@ -129,16 +128,8 @@ class HybridSearcher:
         batch of one — so sequential == batched holds by construction.
         The per-row arithmetic is scalar (a vectorised pass costs more
         than it saves below ~25 rows); only the register merge of two
-        or more open rows is batched.  ``estimates`` hands in what the
-        lookup pass already produced (the adaptive ring walk): nothing
-        is merged, and the clamp keeps a non-binding budget's verdicts
-        equal to the fixed path's.
+        or more open rows is batched.
         """
-        if estimates is not None:
-            return [
-                self._verdict_at(lookup, estimate)
-                for lookup, estimate in zip(lookups, estimates.tolist())
-            ]
         verdicts = [self._verdict_from_bounds(lookup) for lookup in lookups]
         open_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh is None]
         if open_rows:
@@ -267,20 +258,19 @@ class HybridSearcher:
         ``adaptive`` (an :class:`~repro.core.adaptive.AdaptivePolicy`
         with a ``target_candidates`` budget) switches Step S1 to the
         index's per-query probe-budget lookup where the layout supports
-        it: probing beyond the home bucket stops once the merged HLL
-        estimate of the candidates collected so far reaches the target.
-        With a budget the full fan-out cannot reach — or ``min_probes``
-        covering every ring — the answers are bit-identical to the
-        fixed path; otherwise the trimmed candidate set is a subset of
-        the fixed one at equal-or-fewer probes.  The budget also caps
-        dispatch: a row whose estimate certifies ``target_candidates``
-        answers from its LSH candidate set even when Equation (1)
-        favours the scan, so a budgeted query never examines all ``n``
-        points once enough candidates are certified (its answers stay a
-        subset of the scan's).  The ring walk's estimates are the
-        decision input here — nothing further is merged — clamped to
-        the trimmed lookup's exact bounds like any other estimate, so a
-        non-binding budget dispatches exactly as the fixed path does.
+        it: probing beyond the home bucket stops at the first ring whose
+        probed prefix *certifies* the target — its ``candSize``
+        estimate, clamped to the prefix's exact bounds, reaches it (the
+        bounds alone decide most rows; see the index's
+        ``lookup_batch_adaptive``).  A certified row answers from its
+        LSH candidate set, even where Equation (1) favours the scan, so
+        a budgeted query never examines all ``n`` points once enough
+        candidates are certified (its answers stay a subset of the
+        scan's).  Every other row kept the full fan-out and gets the
+        fixed path's bound-first verdict, so with a budget the full
+        fan-out cannot certify the answers and stats are bit-identical
+        to the fixed path's; otherwise the trimmed candidate set is a
+        subset of the fixed one at equal-or-fewer probes.
         """
         radius = check_positive(radius, "radius")
         queries = np.asarray(queries)
@@ -290,37 +280,31 @@ class HybridSearcher:
             and hasattr(self.index, "lookup_batch_adaptive")
         )
         probes_used: np.ndarray | None = None
-        ring_estimates: np.ndarray | None = None
         with stage_timer(trace, "hash"):
             if use_adaptive:
-                # The adaptive lookup *is* the estimate pass (ring-prefix
-                # merges), so the whole decision input lands here.
-                lookups, probes_used, ring_estimates = (
-                    self.index.lookup_batch_adaptive(
-                        queries,
-                        adaptive.target_candidates,
-                        min_probes=adaptive.min_probes,
-                    )
+                lookups, probes_used, certified = self.index.lookup_batch_adaptive(
+                    queries,
+                    adaptive.target_candidates,
+                    min_probes=adaptive.min_probes,
                 )
+                # The budget's cap: a row whose probed prefix certifies
+                # ``target_candidates`` answers from its LSH candidate set
+                # even where Equation (1) favours the scan (the scan is
+                # exactly the over-examination a budget exists to avoid);
+                # its stats report the exact count Step S2 materialises.
+                uncertified = np.flatnonzero(~certified).tolist()
             else:
                 lookups = self.index.lookup_batch(queries)
+                uncertified = None
         with stage_timer(trace, "estimate"):
-            verdicts = self._verdicts(lookups, ring_estimates)
+            if uncertified is None:
+                verdicts = self._verdicts(lookups)
+            else:
+                verdicts = [(True, None)] * len(lookups)
+                decided = self._verdicts([lookups[i] for i in uncertified])
+                for i, verdict in zip(uncertified, decided):
+                    verdicts[i] = verdict
         go_lsh = [lsh for lsh, _ in verdicts]
-        if use_adaptive:
-            # Under an adaptive budget, a row whose (trimmed) estimate
-            # already certifies ``target_candidates`` keeps the LSH
-            # candidate set even when Equation (1) favours the scan: the
-            # budget's contract is to stop examining candidates once
-            # enough are certified, and a linear pass over all n points
-            # is exactly the over-examination it exists to avoid.  The
-            # distance filter still runs, so the row's answers remain a
-            # subset of what the scan would return.
-            target = float(adaptive.target_candidates)
-            go_lsh = [
-                lsh or est >= target
-                for lsh, est in zip(go_lsh, ring_estimates.tolist())
-            ]
 
         fixed_probes = self._fixed_probes()
 

@@ -144,30 +144,43 @@ class LSHSearch:
         once, runs :attr:`~repro.distances.base.Metric.rows_prepared`
         into one buffer, thresholds once and splits by row.  A row alone
         in its block (a single query, an empty or a large row, any row
-        of a metric without that kernel) is :meth:`filter_candidates`.
+        of a metric without that kernel) is :meth:`filter_candidates` —
+        except that rows alone with *equal* candidate arrays (queries
+        into one cluster) gather the points and their prepared state
+        once, then each runs the same per-row kernel on that block.
         """
         if len(candidate_sets) == 1:
             return [self.filter_candidates(queries[0], radius, candidate_sets[0])]
         points, state = self.index.points, self._prepared()
-        kernel = self.index.family.metric.rows_prepared
+        metric = self.index.family.metric
+        kernel = metric.rows_prepared
         cap = -1 if kernel is None else FILTER_BLOCK_BYTES // points[0].nbytes
         blocks: list[list[int]] = []
-        alone: list[list[int]] = []
         filled = 0
         for i, candidates in enumerate(candidate_sets):
             if not candidates.size:
-                alone.append([i])
-            elif blocks and filled + candidates.size <= cap:
+                continue
+            if blocks and filled + candidates.size <= cap:
                 blocks[-1].append(i)
                 filled += candidates.size
             else:
                 blocks.append([i])
                 filled = candidates.size
-        out: list = [None] * len(candidate_sets)
-        for rows in blocks + alone:
+        out: list = [
+            None if c.size else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+            for c in candidate_sets
+        ]
+        for rows in _equal_rows(candidate_sets, [b[0] for b in blocks if len(b) == 1]):
+            # Back to back: one gathered block alive at a time.
+            candidates = candidate_sets[rows[0]]
+            gathered = points.take(candidates, axis=0)
+            state_sub = None if state is None else state.take(candidates, axis=0)
+            for i in rows:
+                distances = metric.distances_to_prepared(gathered, queries[i], state_sub)
+                within = distances <= radius
+                out[i] = (candidate_sets[i][within], distances[within])
+        for rows in blocks:
             if len(rows) == 1:
-                i = rows[0]
-                out[i] = self.filter_candidates(queries[i], radius, candidate_sets[i])
                 continue
             flat = np.concatenate([candidate_sets[i] for i in rows])
             bounds = np.cumsum([0, *(candidate_sets[i].size for i in rows)])
@@ -183,3 +196,26 @@ class LSHSearch:
 
     def __repr__(self) -> str:
         return f"LSHSearch(index={self.index!r})"
+
+
+def _equal_rows(candidate_sets: list[np.ndarray], rows: list[int]) -> list[list[int]]:
+    """``rows`` grouped by equal candidate arrays, in first-seen order.
+
+    Rows are keyed by ``(size, first, last, dtype)`` and confirmed equal
+    by :func:`numpy.array_equal`, so unequal arrays that share the key
+    stay apart.
+    """
+    groups: list[list[int]] = []
+    by_key: dict[tuple, list[list[int]]] = {}
+    for i in rows:
+        candidates = candidate_sets[i]
+        key = (candidates.size, int(candidates[0]), int(candidates[-1]), candidates.dtype)
+        same_key = by_key.setdefault(key, [])
+        for group in same_key:
+            if np.array_equal(candidate_sets[group[0]], candidates):
+                group.append(i)
+                break
+        else:
+            same_key.append([i])
+            groups.append(same_key[-1])
+    return groups

@@ -293,14 +293,14 @@ def _merge_sources(
     return salt, key64, keys, table_slices, sizes, members
 
 
-def _slot_occupancy(
+def _slot_sizes(
     frozen: FrozenTables, positions: np.ndarray, overflow: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ``(#collisions, largest bucket)`` per row of a ``(q, S)`` slot matrix.
+) -> np.ndarray:
+    """Exact occupancy of every slot of a ``(q, S)`` slot matrix (int64).
 
     A probed *logical* bucket is one slot's frozen part plus its part in
     every overflow generation (the dict layout holds them as one
-    bucket), so both numbers equal the dict layout's across inserts and
+    bucket), so the sizes equal the dict layout's across inserts and
     re-freezes.  ``overflow`` is the batch's ``(G, 2, q, S)`` tensor of
     entry ranges (``None`` when the snapshot had no live run); -1 slots
     — empty buckets, or probes an adaptive budget trimmed — count zero.
@@ -308,25 +308,44 @@ def _slot_occupancy(
     sizes = frozen.spans(positions)[1]
     if overflow is not None:
         sizes += (overflow[:, 1] - overflow[:, 0]).sum(axis=0)
+    return sizes
+
+
+def _slot_occupancy(
+    frozen: FrozenTables, positions: np.ndarray, overflow: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(#collisions, largest bucket)`` per row of a ``(q, S)`` slot
+    matrix: Equation (1)'s bounds on ``candSize`` (:func:`_slot_sizes`)."""
+    sizes = _slot_sizes(frozen, positions, overflow)
     return sizes.sum(axis=1), sizes.max(axis=1)
+
+
+def _run_members(
+    runs: tuple[OverflowRun, ...], ranges: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per live run, ``(ids, ids per row)`` of a ``(G, 2, rows, S)`` tensor
+    of entry ranges: one CSR gather per run covers every range of every
+    row, and ``ids`` lists them row by row."""
+    gathered = []
+    for run, (lo, hi) in zip(runs, ranges):
+        lens = hi - lo
+        ids = _csr_gather(run.members, lo.ravel(), lens.ravel())
+        gathered.append((ids, lens.sum(axis=1)))
+    return gathered
 
 
 def _overflow_members_by_row(
     lookups: list[FrozenQueryLookup],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per live generation, ``(ids, ids per lookup)`` of one snapshot's lookups.
+    """Per live generation, ``(ids, ids per lookup)`` of one snapshot's lookups."""
+    ranges = np.stack([lk.overflow for lk in lookups], axis=2)  # (G, 2, rows, S)
+    return _run_members(lookups[0]._runs, ranges)
 
-    One CSR gather per generation covers every probed range of every
-    lookup; ``ids`` lists them lookup by lookup.
-    """
-    ranges = np.stack([lk.overflow for lk in lookups])  # (rows, G, 2, S)
-    gathered = []
-    for g, run in enumerate(lookups[0]._runs):
-        lo = ranges[:, g, 0]
-        lens = ranges[:, g, 1] - lo
-        ids = _csr_gather(run.members, lo.ravel(), lens.ravel())
-        gathered.append((ids, lens.sum(axis=1)))
-    return gathered
+
+def _blank_ranges(overflow: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``overflow`` (``(G, 2, rows, S)``) with every range outside the
+    ``(rows, S)`` mask ``keep`` emptied (``hi = lo``)."""
+    return np.where(keep, overflow, overflow[:, :1])
 
 
 def _overflow_ids(lookups: list[FrozenQueryLookup]) -> list[list[np.ndarray]]:
@@ -364,6 +383,32 @@ def _batch_slots(
     live = lookups[0].overflow is not None
     overflow = _overflow_members_by_row(lookups) if live else []
     return lookups[0]._frozen, np.stack([lk.bucket_ids for lk in lookups]), overflow
+
+
+def _assemble_lookups(
+    hash_rows,
+    positions: np.ndarray,
+    frozen: FrozenTables,
+    runs: tuple[OverflowRun, ...],
+    overflow: np.ndarray | None,
+    collisions: np.ndarray,
+    largest: np.ndarray,
+) -> list[FrozenQueryLookup]:
+    """One :class:`FrozenQueryLookup` per row of a located ``(q, S)`` slot
+    matrix, given its live-run ranges and exact occupancy bounds."""
+    collisions, largest = collisions.tolist(), largest.tolist()
+    return [
+        FrozenQueryLookup(
+            bucket_ids=positions[qi],
+            hash_rows=hash_rows[qi],
+            frozen=frozen,
+            runs=runs,
+            overflow=None if overflow is None else overflow[:, :, qi],
+            num_collisions=collisions[qi],
+            largest_bucket=largest[qi],
+        )
+        for qi in range(positions.shape[0])
+    ]
 
 
 def _sorted_union(lookups: list[FrozenQueryLookup], n: int) -> list[np.ndarray]:
@@ -1188,35 +1233,30 @@ class FrozenLSHIndex(LSHIndex):
         """Assemble :class:`FrozenQueryLookup` objects from located slots.
 
         Every live run is probed with the needles :meth:`~FrozenTables.
-        locate` mixed for ``slot_rows`` — one binary search per run, a
-        second over its verified hits.  ``positions`` may hold -1 in
-        place of slots an adaptive probe budget trimmed away
-        (:meth:`lookup_batch_adaptive`, never beside a live run); the
+        locate` mixed for ``slot_rows`` (:meth:`_run_ranges`); the
         vectorised occupancy pass — ``#collisions`` and the largest
         probed bucket, Equation (1)'s exact bounds on ``candSize`` —
-        simply skips them, exactly like empty buckets.
+        skips -1 slots (empty buckets).
         """
-        overflow = None
-        if runs:
-            slot_tables = self._slot_table_ids
-            order, needles = frozen.needles(slot_rows, slot_tables)
-            overflow = np.stack(  # (G, 2, q, S)
-                [run.probe(order, needles, slot_rows, slot_tables) for run in runs]
-            )
+        overflow = self._run_ranges(frozen, runs, slot_rows)
         collisions, largest = _slot_occupancy(frozen, positions, overflow)
-        collisions, largest = collisions.tolist(), largest.tolist()
-        return [
-            FrozenQueryLookup(
-                bucket_ids=positions[qi],
-                hash_rows=hash_rows[qi],
-                frozen=frozen,
-                runs=runs,
-                overflow=None if overflow is None else overflow[:, :, qi],
-                num_collisions=collisions[qi],
-                largest_bucket=largest[qi],
-            )
-            for qi in range(positions.shape[0])
-        ]
+        return _assemble_lookups(
+            hash_rows, positions, frozen, runs, overflow, collisions, largest
+        )
+
+    def _run_ranges(
+        self, frozen: FrozenTables, runs: tuple[OverflowRun, ...], slot_rows: np.ndarray
+    ) -> np.ndarray | None:
+        """The ``(G, 2, q, S)`` entry ranges every slot hits in the live runs
+        (one binary search per run, a second over its verified hits);
+        ``None`` without a live run."""
+        if not runs:
+            return None
+        slot_tables = self._slot_table_ids
+        order, needles = frozen.needles(slot_rows, slot_tables)
+        return np.stack(
+            [run.probe(order, needles, slot_rows, slot_tables) for run in runs]
+        )
 
     def lookup_batch_adaptive(
         self,
@@ -1224,23 +1264,26 @@ class FrozenLSHIndex(LSHIndex):
         target_candidates: int,
         min_probes: int = 0,
     ) -> tuple[list[FrozenQueryLookup], np.ndarray, np.ndarray]:
-        """Per-query probe budgets: stop probing once the estimate suffices.
+        """Per-query probe budgets: stop probing once the target is certified.
 
-        Resolves the full probe fan-out (the slot resolution is one
-        binary search regardless), then merges each query's
-        bucket sketches *ring by ring* — ring ``j`` holds probe ``j`` of
-        every table; ring 0 is the home buckets — and keeps, per query,
-        only the rings up to the first prefix whose merged HLL estimate
-        reaches ``target_candidates``.  Register maxima are associative,
-        so the ring-``j`` prefix registers are bit-identical to merging
-        the first ``1 + j`` probes outright; with ``min_probes`` covering
-        every ring the result is bit-identical to :meth:`lookup_batch`.
+        Ring ``j`` holds probe ``j`` of every table (ring 0: the home
+        buckets).  A row stops at the first ring ``j >= min_probes``
+        whose prefix — rings ``0..j`` — *certifies* ``target_candidates``:
+        its merged-HLL ``candSize`` estimate, clamped to the prefix's
+        exact bounds ``[largest bucket, min(#collisions, n)]`` as every
+        estimate Equation (1) reads is, reaches the target.  The bounds
+        are prefix sums and maxima of the slot sizes the one
+        :meth:`FrozenTables.locate` resolved (live-run parts included),
+        and decide most prefixes alone: a largest bucket at the target
+        certifies, fewer collisions than the target cannot.  Only the
+        ``(row, ring)`` pairs they leave open merge sketches: one
+        register row per pair, all in one vectorised pass.  A row no
+        ring certifies keeps the full fan-out: its lookup is
+        bit-identical to :meth:`lookup_batch`'s.
 
-        Returns ``(lookups, probes_used, estimates)``: the (possibly
-        trimmed) lookups, the stopping ring per query (int64), and the
-        merged estimate of each query's kept candidate set (float64, the
-        exact value :meth:`merged_estimates_batch` would report for the
-        returned lookups).
+        Returns ``(lookups, probes_used, certified)``: the (possibly
+        trimmed, -1 beyond the stop ring) lookups, the stop ring per
+        query (int64) and whether its prefix certified the target (bool).
         """
         self._require_sketches()
         queries = check_matrix(queries, dim=self.dim, name="queries")
@@ -1250,43 +1293,44 @@ class FrozenLSHIndex(LSHIndex):
         frozen, runs = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
         positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
-        if q == 0 or rings == 1 or runs:
-            # The ring walk below merges frozen sketches only, so beside
-            # a live overflow run probe the full fan-out (bit-identical
-            # to the fixed path) until the next re-freeze folds it.
-            # Single-ring layouts (plain, covering) have nothing to trim.
-            lookups = self._finish_lookup_batch(
-                all_rows, slot_rows, positions, frozen, runs
-            )
-            probes = np.full(q, rings - 1, dtype=np.int64)
-            return lookups, probes, self.merged_estimates_batch(lookups)
-        num_tables = self.num_tables
-        # Pseudo-query trick: ring j of query i becomes row
-        # ``i * rings + j`` of a ``(q * rings, L)`` bucket matrix, so one
-        # vectorised register merge yields every ring's registers at
-        # once; a cumulative max over the ring axis then gives every
-        # probe-prefix's merged registers.
-        ring_mat = (
-            positions.reshape(q, num_tables, rings)
-            .transpose(0, 2, 1)
-            .reshape(q * rings, num_tables)
+        overflow = self._run_ranges(frozen, runs, slot_rows)
+        # Slot s probes ring s % rings of table s // rings.
+        sizes = _slot_sizes(frozen, positions, overflow).reshape(q, self.num_tables, rings)
+        collisions = np.cumsum(sizes.sum(axis=1), axis=1)  # (q, rings) prefixes
+        largest = np.maximum.accumulate(sizes.max(axis=1), axis=1)
+        target = int(target_candidates)
+        eligible = np.arange(rings) >= min(max(int(min_probes), 0), rings - 1)
+        reached = eligible & (largest >= target)
+        rows, at = np.nonzero(
+            eligible & ~reached & (np.minimum(collisions, self.n) >= target)
         )
-        ring_regs = self._registers_for_bucket_matrix(frozen, ring_mat)
-        prefix = np.maximum.accumulate(ring_regs.reshape(q, rings, -1), axis=1)
-        estimates = estimates_from_registers(
-            prefix.reshape(q * rings, -1)
-        ).reshape(q, rings)
-        reached = estimates >= float(target_candidates)
-        min_ring = min(max(int(min_probes), 0), rings - 1)
-        if min_ring:
-            reached[:, :min_ring] = False
-        stop = np.where(
-            reached.any(axis=1), reached.argmax(axis=1), rings - 1
-        ).astype(np.int64)
-        slot_rings = np.tile(np.arange(rings), num_tables)  # ring of each slot
-        trimmed = np.where(slot_rings[None, :] <= stop[:, None], positions, -1)
-        lookups = self._finish_lookup_batch(all_rows, slot_rows, trimmed, frozen, ())
-        return lookups, stop, estimates[np.arange(q), stop]
+        slot_rings = np.tile(np.arange(rings), self.num_tables)
+        if rows.size:
+            # One register row per open prefix, bit-identical to the
+            # trimmed lookup's merge (register maxima are associative).
+            # Inside the bounds the clamp is the identity at the target:
+            # the clamped estimate reaches it iff the raw one does.
+            prefix = slot_rings <= at[:, None]
+            members = []
+            if overflow is not None:
+                members = _run_members(runs, _blank_ranges(overflow[:, :, rows], prefix))
+            registers = self._registers_for_bucket_matrix(
+                frozen, np.where(prefix, positions[rows], -1), members
+            )
+            reached[rows, at] = estimates_from_registers(registers) >= float(target)
+        certified = reached.any(axis=1)
+        stop = np.where(certified, reached.argmax(axis=1), rings - 1)
+        keep = slot_rings <= stop[:, None]
+        if not keep.all():
+            positions = np.where(keep, positions, -1)
+            if overflow is not None:
+                overflow = _blank_ranges(overflow, keep)
+        every = np.arange(q)
+        lookups = _assemble_lookups(
+            all_rows, positions, frozen, runs, overflow,
+            collisions[every, stop], largest[every, stop],
+        )
+        return lookups, stop, certified
 
     # ------------------------------------------------------------------
     # Sketch merging (Algorithm 2, line 2)
@@ -1331,9 +1375,9 @@ class FrozenLSHIndex(LSHIndex):
         indexes (-1 = no bucket); the result is the ``(rows, m)`` uint8
         register matrix of each row's merged sketch.  Rows need not map
         one-to-one onto queries — :meth:`lookup_batch_adaptive` feeds it
-        one row per ``(query, probe ring)`` pair.  ``overflow`` lists,
-        per live run, the ids each row hit there
-        (:func:`_overflow_members_by_row`): they fold in exactly like
+        one row per open ``(query, probe ring)`` prefix.  ``overflow``
+        lists, per live run, the ids each row hit there
+        (:func:`_run_members`): they fold in exactly like
         the members of lazy small buckets — registers are maxima over
         per-id hash pairs — in the same single scatter-max.
         """

@@ -124,17 +124,18 @@ class MultiProbeLSHIndex(LSHIndex):
     ) -> tuple[list[QueryLookup], np.ndarray, np.ndarray]:
         """Per-query probe budgets on the dict layout (reference path).
 
-        Mirrors :meth:`~repro.index.frozen.FrozenLSHIndex.lookup_batch_adaptive`:
-        each query's bucket sketches are merged ring by ring (ring ``j``
-        holds probe ``j`` of every table; ring 0 the home buckets) and
-        probing stops at the first ring whose merged HLL estimate
-        reaches ``target_candidates``.  Register maxima are associative,
-        so every prefix estimate is bit-identical to what
-        :meth:`~repro.index.lsh_index.LSHIndex.merged_sketch` reports
-        for the trimmed lookup — the frozen layout computes the same
-        numbers vectorised.
+        The rule of
+        :meth:`~repro.index.frozen.FrozenLSHIndex.lookup_batch_adaptive`,
+        written plainly: each query's bucket sketches are merged ring by
+        ring (ring ``j`` holds probe ``j`` of every table; ring 0 the home
+        buckets), and probing stops at the first ring ``j >= min_probes``
+        whose prefix *certifies* ``target_candidates`` — its merged HLL
+        estimate, clamped to the prefix's exact bounds ``[largest bucket,
+        min(#collisions, n)]``, reaches the target.  Here every ring is
+        merged and clamped; the frozen layout merges only the prefixes
+        the bounds leave open, which cannot change a stop ring.
 
-        Returns ``(lookups, probes_used, estimates)`` with the same
+        Returns ``(lookups, probes_used, certified)`` with the same
         contract as the frozen layout's implementation.
         """
         from repro.exceptions import ConfigurationError
@@ -146,29 +147,26 @@ class MultiProbeLSHIndex(LSHIndex):
         full = self.lookup_batch(queries)
         q = len(full)
         rings = 1 + self._probe_deltas.shape[0]
-        if rings == 1:
-            probes = np.zeros(q, dtype=np.int64)
-            return full, probes, np.asarray(self.merged_estimates_batch(full))
         min_ring = min(max(int(min_probes), 0), rings - 1)
         target = float(target_candidates)
-        probes = np.empty(q, dtype=np.int64)
-        estimates = np.empty(q, dtype=np.float64)
+        probes = np.full(q, rings - 1, dtype=np.int64)
+        certified = np.zeros(q, dtype=bool)
         lookups = []
         for i, lk in enumerate(full):
             merged = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
-            stop = rings - 1
-            estimate = 0.0
+            collisions = largest = 0
             for j in range(rings):
                 for t in range(self.num_tables):
                     bucket = lk.buckets[t * rings + j]
                     if bucket is not None and len(bucket):
                         bucket.contribute_to(merged, self._hll_hashes)
-                estimate = merged.estimate()
-                if j >= min_ring and estimate >= target:
-                    stop = j
+                        collisions += len(bucket)
+                        largest = max(largest, len(bucket))
+                clamped = min(max(merged.estimate(), largest), min(collisions, self.n))
+                if j >= min_ring and clamped >= target:
+                    probes[i], certified[i] = j, True
                     break
-            probes[i] = stop
-            estimates[i] = estimate
+            stop = int(probes[i])
             if stop == rings - 1:
                 lookups.append(lk)
                 continue
@@ -184,7 +182,7 @@ class MultiProbeLSHIndex(LSHIndex):
                     hash_rows=lk.hash_rows,
                 )
             )
-        return lookups, probes, estimates
+        return lookups, probes, certified
 
     def freeze(self, refreeze_threshold: int | None = None):
         """Compact into the frozen CSR layout (multi-probe fast path).

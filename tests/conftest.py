@@ -16,7 +16,8 @@ def max_examples(default: int) -> int:
     """A property's example budget, capped by ``HYPOTHESIS_MAX_EXAMPLES``.
 
     Fuzz properties pass ``@settings(max_examples=max_examples(n))``, so
-    one environment variable bounds how long they run (CI sets it low).
+    one environment variable can bound how long they run locally; no CI
+    workflow sets it, so CI runs every property at its default ``n``.
     """
     cap = os.environ.get("HYPOTHESIS_MAX_EXAMPLES")
     return default if cap is None else min(default, int(cap))

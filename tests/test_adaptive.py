@@ -24,10 +24,12 @@ The contracts under test:
 * dispatch is *bound-first*: ``largest_bucket <= candSize <=
   min(#collisions, n)`` holds exactly on every variant, and equals the
   dict-layout reference's, across inserts and a re-freeze; the verdict
-  is Equation (1) at the estimate clamped to those bounds (a budgeted
-  batch's ring-walk estimates included; only the budget may then force
-  LSH), and the merged-HLL estimate runs on exactly the rows the
-  bounds leave open;
+  is Equation (1) at the estimate clamped to those bounds, and the
+  merged-HLL estimate runs on exactly the rows the bounds leave open;
+* a probe budget stops each row at the first ring whose prefix
+  estimate, clamped to that prefix's exact bounds, reaches the target
+  (such a row answers by LSH; any other row exactly as the fixed path),
+  and its ring walk merges exactly the prefixes the bounds leave open;
 * on those rows the merged HLL estimate keeps the paper's Table 1
   error bound for the configured ``m``, the same floats as the reference.
 """
@@ -54,6 +56,7 @@ from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.results import Strategy
 from repro.exceptions import ConfigurationError
+from repro.sketches.hyperloglog import HyperLogLog
 from repro.service import BatchQueryEngine
 from repro.service.stream import serve_stream
 
@@ -451,52 +454,115 @@ class TestBoundFirstDispatch:
                 assert stats.estimated_candidates == lower
 
 
+def _ring_walks(reference, queries):
+    """Per query, ``(lower, upper, estimate)`` of every probe-ring prefix,
+    merged ring by ring from the dict reference's bucket sketches:
+    Equation (1)'s exact ``candSize`` bounds ``[largest bucket,
+    min(#collisions, n)]`` of rings ``0..j`` and their merged HLL estimate."""
+    walks = []
+    for lookup in reference.lookup_batch(queries):
+        rings = len(lookup.buckets) // reference.num_tables
+        merged = HyperLogLog(p=reference.hll_precision, seed=reference.hll_seed)
+        sizes, walk = [], []
+        for j in range(rings):
+            for t in range(reference.num_tables):
+                bucket = lookup.buckets[t * rings + j]
+                if bucket is not None and len(bucket):
+                    bucket.contribute_to(merged, reference._hll_hashes)
+                    sizes.append(len(bucket))
+            walk.append((max(sizes, default=0), min(sum(sizes), reference.n), merged.estimate()))
+        walks.append(walk)
+    return walks
+
+
+def _stop_ring(walk, target, min_probes=0):
+    """``(stop ring, certified)``: the first ring ``>= min_probes`` whose
+    clamped prefix estimate reaches ``target``, else the last ring."""
+    for j, (lower, upper, estimate) in enumerate(walk):
+        if j >= min_probes and min(max(estimate, lower), upper) >= target:
+            return j, True
+    return len(walk) - 1, False
+
+
 def _budgeted_verdicts(points, queries, target, seed, ratio):
-    """Check every row of a budgeted batch against Equation (1) at the
-    ring-walk estimate clamped to the trimmed lookup's exact bounds;
-    returns how many estimates lay outside them, how many verdicts the
-    clamp changed, and how many rows the budget forced onto LSH."""
+    """Check every row of a budgeted batch against the clamped ring walk:
+    the stop ring and certificate are the reference walk's, a certified
+    row is LSH, any other row is the fixed path's row.  Returns how many
+    prefix estimates lay outside their exact bounds, how many
+    certificates the clamp changed, and how many rows the budget forced
+    onto LSH against the fixed path's verdict."""
     index = Index.build(points, _spec(seed=seed % 97, cost_ratio=ratio))
     searcher = index.engine.searcher
-    raw, model = searcher.index, searcher.cost_model
+    raw, radius = searcher.index, index.spec.radius
     policy = AdaptivePolicy(target_candidates=target)
-    lookups, _, ring = raw.lookup_batch_adaptive(
+    walks = _ring_walks(reference_index(points, index.spec), queries)
+    lookups, probes, certified = raw.lookup_batch_adaptive(
         queries, target, min_probes=policy.min_probes
     )
-    rows = searcher.query_batch(queries, index.spec.radius, adaptive=policy)
+    rows = searcher.query_batch(queries, radius, adaptive=policy)
+    fixed = searcher.query_batch(queries, radius)
     outside = flipped = forced = 0
-    for lookup, estimate, row in zip(lookups, ring.tolist(), rows):
-        collisions = lookup.num_collisions
-        lower, upper = lookup.largest_bucket, min(collisions, raw.n)
-        clamped = min(max(estimate, lower), upper)
-        verdict = model.choose(collisions, clamped, raw.n)
-        assert row.stats.estimated_candidates == clamped
-        # Only the budget overrides Equation (1), only towards LSH, and
-        # on the raw estimate: it certifies what the ring walk collected.
-        assert (row.stats.strategy is Strategy.LSH) == (
-            verdict is Strategy.LSH or estimate >= target
-        )
-        outside += not lower <= estimate <= upper
-        flipped += model.choose(collisions, estimate, raw.n) is not verdict
-        forced += row.stats.strategy is not verdict
+    for walk, lookup, stop, sure, row, base in zip(
+        walks, lookups, probes.tolist(), certified.tolist(), rows, fixed
+    ):
+        assert (stop, sure) == _stop_ring(walk, target, policy.min_probes)
+        lower, upper, _ = walk[stop]
+        assert (lookup.largest_bucket, min(lookup.num_collisions, raw.n)) == (lower, upper)
+        if sure:
+            # The budget's cap: LSH, reporting the exact count it examined.
+            assert row.stats.strategy is Strategy.LSH
+            assert row.stats.estimated_candidates == row.stats.exact_candidates
+            assert row.stats.probes_used == stop
+            forced += base.stats.strategy is not Strategy.LSH
+        else:
+            # The full fan-out, dispatched and reported as the fixed path.
+            assert row.stats == base.stats
+            assert np.array_equal(row.ids, base.ids)
+            assert np.array_equal(row.distances, base.distances)
+        for lower, upper, estimate in walk:
+            outside += not lower <= estimate <= upper
+            flipped += (estimate >= target) != (min(max(estimate, lower), upper) >= target)
     assert flipped <= outside  # the clamp matters only where the HLL was wrong
     return outside, flipped, forced
 
 
+def _pinned_budget_case():
+    """A tight cluster and a far outlier: the cluster query's home
+    buckets alone hold the target (certified at ring 0 by its largest
+    bucket), the outlier collides with fewer points than the target on
+    its whole fan-out (never certified)."""
+    points = _points(240, seed=23)
+    queries = np.stack([points[3], points[-1] + 40.0])
+    return points, queries, 30, 23
+
+
 class TestBudgetedVerdicts:
-    """The adaptive path's decision rule since bound-first dispatch:
-    its free ring-walk estimates are clamped like any other, so a
-    non-binding budget still dispatches exactly as the fixed path."""
+    """The adaptive path's decision rule: a row stops at the first ring
+    whose prefix estimate, clamped to the prefix's exact bounds,
+    certifies the budget — and then answers by LSH; a row no ring
+    certifies is dispatched exactly as the fixed path."""
 
     @given(adaptive_case(), st.sampled_from([0.5, 2.0, 6.0]))
+    @example(_pinned_budget_case(), 2.0)
     @settings(max_examples=12, deadline=None)
     def test_verdict_is_equation_1_at_the_clamped_ring_estimate(self, case, ratio):
         _budgeted_verdicts(*case, ratio)
 
+    def test_the_pin_certifies_by_bound_and_starves_by_collisions(self):
+        points, queries, target, seed = _pinned_budget_case()
+        index = Index.build(points, _spec(seed=seed % 97))
+        walks = _ring_walks(reference_index(points, index.spec), queries)
+        assert walks[0][0][0] >= target  # ring 0's largest bucket certifies
+        assert _stop_ring(walks[0], target) == (0, True)
+        assert walks[1][-1][1] < target  # every ring: too few collisions
+        assert _stop_ring(walks[1], target) == (len(walks[1]) - 1, False)
+
     def test_clamp_and_budget_both_bind_on_a_fig1_landscape(self):
         points = _fig1_points(300, seed=19)
         queries = points[np.random.default_rng(20).choice(300, size=12, replace=False)]
-        outside, flipped, forced = _budgeted_verdicts(points, queries, 40, 19, 2.0)
+        # The dense cluster's largest bucket holds 107 points, its merged
+        # HLL reads 95-99: a target in between is where the clamp binds.
+        outside, flipped, forced = _budgeted_verdicts(points, queries, 100, 19, 2.0)
         assert outside >= flipped >= 1 and forced >= 1
 
 
@@ -578,6 +644,48 @@ class TestEstimatorWorkUnits:
         for query in queries:
             searcher.query(query, index.spec.radius)
         assert len(merged) == len(open_rows)
+
+
+    @pytest.mark.parametrize("target, pairs", [(40, 38), (250, 199)])
+    def test_budgeted_ring_walk_merges_exactly_the_open_prefixes(
+        self, monkeypatch, target, pairs
+    ):
+        """A budget's ring walk merges one register row per ``(row,
+        ring)`` prefix whose exact bounds straddle the target — not one
+        per ring of every row — and the decision after it merges only
+        the uncertified rows the fixed path would."""
+        points = _fig1_points(800, seed=3)
+        index = Index.build(points, _spec(cost_ratio=1.0))
+        searcher = index.engine.searcher
+        raw = searcher.index
+        queries = points[::8]
+        walks = _ring_walks(reference_index(points, index.spec), queries)
+        open_pairs = sum(
+            lower < target <= upper for walk in walks for lower, upper, _ in walk
+        )
+        fed = []
+        merge = raw._registers_for_bucket_matrix
+
+        def spy(frozen, bucket_mat, overflow=()):
+            fed.append(bucket_mat.shape[0])
+            return merge(frozen, bucket_mat, overflow)
+
+        monkeypatch.setattr(raw, "_registers_for_bucket_matrix", spy)
+        _, _, certified = raw.lookup_batch_adaptive(queries, target)
+        assert sum(fed) == open_pairs == pairs
+        assert open_pairs < len(queries) * len(walks[0])  # vs every ring merged
+        # Rows certified by an estimate, and rows never certified.
+        by_bound = sum(walk[0][0] >= target for walk in walks)
+        assert by_bound < certified.sum() < len(queries)
+
+        merged = self._spy(monkeypatch, raw)
+        policy = AdaptivePolicy(target_candidates=target)
+        searcher.query_batch(queries, index.spec.radius, adaptive=policy)
+        full = raw.lookup_batch(queries)
+        uncertified = [full[i] for i in np.flatnonzero(~certified)]
+        assert len(merged) == len(_open_rows(searcher, uncertified))
+        if target == 250:  # the cluster rows stay uncertified, some open
+            assert len(merged) > 0
 
 
 class TestEstimatorFidelity:

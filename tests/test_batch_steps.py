@@ -10,20 +10,30 @@ array for array, and its ``(ids, distances)`` must equal
 1 and 2 live overflow generations, for empty and duplicated rows, and
 through ``HybridSearcher`` on the dict-layout reference as well.
 
-The work-unit test pins what the flat pass saves, as counts: a 64-row
+Rows too large for a block that hold equal candidate arrays (queries
+into one cluster) gather the points once per distinct array: bit for
+bit the per-row filter again, for L2 and for a metric without the
+block kernel, beside empty, block-sized, lone and look-alike rows.
+
+The work-unit tests pin what the flat pass saves, as counts: a 64-row
 batch of sparse-cluster queries gathers its candidate points once and
-deduplicates once, where row-by-row Steps S2/S3 did each 64 times.
+deduplicates once, where row-by-row Steps S2/S3 did each 64 times, and
+a batch's large rows gather once per distinct candidate array.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from test_adaptive import _dispatch_case, _spec
-from conftest import reference_index
+from conftest import max_examples, reference_index
 
 from repro.api import Index, IndexSpec
 from repro.core import HybridSearcher
 from repro.core import lsh_search as lsh_module
+from repro.core.lsh_search import LSHSearch
+from repro.distances import get_metric
 from repro.index import frozen as frozen_module
 
 hypothesis = pytest.importorskip(
@@ -201,3 +211,95 @@ def test_a_sparse_batch_gathers_once_and_deduplicates_once(monkeypatch):
     # Step S3: every row's candidate points in one gather (row by row:
     # 64 gathers).
     assert _CountingPoints.gathers == [sum(row.stats.exact_candidates for row in rows)]
+
+
+#: Step-S3 block size of the sharing property: 21 candidate points at d = 6.
+_SMALL_BLOCK = 1 << 10
+
+
+@st.composite
+def shared_rows_case(draw):
+    """A batch of candidate arrays that mixes equal large arrays (some
+    the same object, some copies), an unequal array with the same
+    ``(size, first, last)``, empty, block-sized and lone rows."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n, dim = 400, 6
+    cap = _SMALL_BLOCK // (dim * 8)
+
+    def even_ids(size):  # sorted distinct even ids: room for a look-alike
+        return 2 * np.sort(rng.choice(n // 2, size=size, replace=False)).astype(np.intp)
+
+    big, other = even_ids(draw(st.integers(cap + 1, 120))), even_ids(cap + 30)
+    twin = big.copy()
+    twin[big.size // 2] += 1  # odd: unequal, same size and ends
+    pool = {
+        "big": lambda: big,
+        "big copy": big.copy,
+        "other": lambda: other,
+        "twin": lambda: twin,
+        "empty": lambda: np.empty(0, dtype=np.intp),
+        "block": lambda: even_ids(int(rng.integers(1, cap // 2 + 1))),
+        "full block": lambda: even_ids(cap),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=12))
+    points = rng.normal(size=(n, dim))
+    queries = points[rng.choice(n, size=len(kinds))]
+    queries = queries + rng.normal(scale=0.3, size=queries.shape)
+    metric = draw(st.sampled_from(["l2", "cosine"]))  # cosine: no block kernel
+    return points, queries, [pool[kind]() for kind in kinds], metric, cap
+
+
+class TestSharedGathers:
+    @given(shared_rows_case())
+    @settings(max_examples=max_examples(40), deadline=None)
+    def test_shared_rows_are_bit_identical_and_gather_once(self, case):
+        points, queries, candidate_sets, metric_name, cap = case
+        metric = get_metric(metric_name)
+        index = SimpleNamespace(
+            points=points.view(_CountingPoints), family=SimpleNamespace(metric=metric)
+        )
+        lsh = LSHSearch(index)
+        radius = 2.5 if metric_name == "l2" else 0.3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lsh_module, "FILTER_BLOCK_BYTES", _SMALL_BLOCK)
+            _CountingPoints.gathers = []
+            batched = lsh.filter_candidates_batch(queries, radius, candidate_sets)
+            gathers = list(_CountingPoints.gathers)
+        for query, candidates, pair in zip(queries, candidate_sets, batched):
+            assert_bit_identical(pair, lsh.filter_candidates(query, radius, candidates))
+        # A row too large for a block never shares one, so every gather
+        # above the cap is one distinct large array; without the block
+        # kernel every non-empty row is alone.
+        alone = cap if metric.rows_prepared is not None else 0
+        distinct = {tuple(c.tolist()) for c in candidate_sets if c.size > alone}
+        assert sum(size > alone for size in gathers) == len(distinct)
+
+
+def test_a_budgeted_batch_gathers_each_cluster_once(monkeypatch):
+    """Queries into one tight cluster are certified at ring 0 with one
+    and the same candidate array: gathered once, not once a row."""
+    monkeypatch.setattr(lsh_module, "FILTER_BLOCK_BYTES", 1 << 12)  # 51 points at d = 10
+    rng = np.random.default_rng(3)
+    points = np.concatenate([  # a cluster far tighter than a bucket, and a background
+        rng.normal(scale=0.01, size=(200, 10)),
+        rng.uniform(-8.0, 8.0, size=(400, 10)),
+    ])
+    spec = _spec(cost_ratio=1.0, adaptive={"target_candidates": 40})
+    index = Index.build(points, spec)
+    raw = index.engine.index
+    queries = points[:200:10]  # twenty cluster rows
+    rows = index.engine.query_batch(queries, spec.radius, adaptive=spec.adaptive)
+    lookups, _, certified = raw.lookup_batch_adaptive(queries, 40)
+    assert certified.all()
+    candidates = raw.candidate_ids_batch(lookups, dedup="vectorized")
+    cap = lsh_module.FILTER_BLOCK_BYTES // raw.points[0].nbytes
+    distinct = {tuple(c.tolist()) for c in candidates if c.size > cap}
+    assert 0 < len(distinct) < sum(c.size > cap for c in candidates)
+    raw.points = raw.points.view(_CountingPoints)
+    _CountingPoints.gathers = []
+    again = index.engine.query_batch(queries, spec.radius, adaptive=spec.adaptive)
+    index.close()
+    assert sum(size > cap for size in _CountingPoints.gathers) == len(distinct)
+    for a, b in zip(rows, again):
+        assert_bit_identical((a.ids, a.distances), (b.ids, b.distances))

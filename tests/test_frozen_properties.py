@@ -33,9 +33,11 @@ import pytest
 hypothesis = pytest.importorskip(
     "hypothesis", reason="property tests need hypothesis"
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import max_examples
+from test_batch_steps import _serve_generations
 from test_adaptive import (
     _dispatch_case,
     _spec,
@@ -273,6 +275,80 @@ class TestStepS1Properties:
         for full, kept in zip(fixed, trimmed):  # a budget only blanks slots
             blanked = kept.bucket_ids != full.bucket_ids
             assert (kept.bucket_ids[blanked] == -1).all()
+
+
+
+def _walk_case(seed, n, variant, generations, target, min_probes):
+    """A Fig. 1 landscape on the plain or multi-probe layout, inserts for
+    ``generations`` live runs, and a probe budget."""
+    points, queries, inserts, overrides = _dispatch_case(seed, n, variant, 1.0, 24)
+    parts = np.array_split(inserts, generations) if generations else []
+    queries = np.concatenate([queries, inserts[:3]])
+    return points, queries, parts, overrides, target, min_probes
+
+
+@st.composite
+def walk_case(draw):
+    return _walk_case(
+        seed=draw(st.integers(0, 2**16)),
+        n=draw(st.integers(150, 400)),
+        variant=draw(st.sampled_from(["plain", "multiprobe"])),
+        generations=draw(st.integers(0, 2)),
+        target=draw(st.integers(1, 120)),
+        min_probes=draw(st.integers(0, 2)),
+    )
+
+
+class TestBudgetedWalkProperties:
+    """The frozen ring walk is the dict reference's, beside live runs:
+    the same stop rings and certificates, and each trimmed lookup is the
+    full one with the slots beyond its stop ring blanked."""
+
+    @settings(max_examples=max_examples(15), deadline=None)
+    @given(walk_case())
+    @example(_walk_case(3, 300, "multiprobe", 2, 40, 0))
+    @example(_walk_case(5, 250, "plain", 1, 30, 0))
+    @example(_walk_case(7, 400, "multiprobe", 0, 60, 1))
+    def test_frozen_walk_is_the_dict_walk(self, case):
+        points, queries, parts, overrides, target, min_probes = case
+        index = Index.build(points, _spec(**overrides))
+        raw, spec = index.engine.index, index.spec
+        if spec.variant == "plain":  # the dict walk lives on the probing index
+            spec = spec.with_overrides(variant="multiprobe", num_probes=0)
+        reference = reference_index(points, spec)
+        _serve_generations(raw, parts)
+        for part in parts:
+            reference.insert(part)
+        full = raw.lookup_batch(queries)
+        lookups, probes, certified = raw.lookup_batch_adaptive(
+            queries, target, min_probes=min_probes
+        )
+        theirs, their_probes, their_certified = reference.lookup_batch_adaptive(
+            queries, target, min_probes=min_probes
+        )
+        assert probes.dtype == np.int64 and certified.dtype == bool
+        assert np.array_equal(probes, their_probes)
+        assert np.array_equal(certified, their_certified)
+        rings = raw.num_slots // raw.num_tables
+        slot_rings = np.tile(np.arange(rings), raw.num_tables)
+        for lookup, whole, ref, stop in zip(lookups, full, theirs, probes.tolist()):
+            kept = slot_rings <= stop
+            assert np.array_equal(lookup.bucket_ids, np.where(kept, whole.bucket_ids, -1))
+            if parts:
+                spans = lookup.overflow[:, 1] - lookup.overflow[:, 0]
+                assert (spans[:, ~kept] == 0).all()
+                assert np.array_equal(lookup.overflow[:, :, kept], whole.overflow[:, :, kept])
+            assert (lookup.num_collisions, lookup.largest_bucket) == (
+                ref.num_collisions,
+                ref.largest_bucket,
+            )
+            assert np.array_equal(
+                raw.candidate_ids(lookup), np.sort(reference.candidate_ids(ref))
+            )
+        assert np.array_equal(
+            raw.merged_estimates_batch(lookups), reference.merged_estimates_batch(theirs)
+        )
+        index.close()
 
 
 # ----------------------------------------------------------------------
