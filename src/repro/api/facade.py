@@ -28,7 +28,7 @@ from typing import Any, cast
 import numpy as np
 
 from repro.api.outcome import BatchOutcome, QueryOutcome
-from repro.api.spec import IndexSpec, QuerySpec
+from repro.api.spec import IndexSpec, QuerySpec, check_probe_budget
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.calibration import (
     DistanceProfile,
@@ -732,7 +732,8 @@ class Index:
         ``adaptive`` / ``target_candidates`` / ``quality_floor`` fields
         override it.  A request can opt *in* on an index with no policy
         (the base is then a disabled default policy) and opt *out* of an
-        index-wide policy with ``adaptive=False``.
+        index-wide policy with ``adaptive=False``.  A probe budget on a
+        covering index is refused (:func:`~repro.api.spec.check_probe_budget`).
         """
         base = self.spec.adaptive
         if base is None:
@@ -746,7 +747,10 @@ class Index:
         policy = base.resolve(
             request.adaptive, request.target_candidates, request.quality_floor
         )
-        return policy if policy.enabled else None
+        if not policy.enabled:
+            return None
+        check_probe_budget(self.spec.variant, policy)
+        return policy
 
     def _backend_recalibrations(self) -> int:
         """Live recalibration total summed over the backend's engines."""

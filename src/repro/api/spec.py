@@ -80,6 +80,23 @@ from repro.utils.validation import (
 
 __all__ = ["IndexSpec", "QuerySpec"]
 
+
+def check_probe_budget(variant: str, policy: AdaptivePolicy | None) -> None:
+    """Refuse an adaptive probe budget on the covering variant.
+
+    A budget trims probe rings (``lookup_batch_adaptive`` walks the
+    fused hash kernel's rings); a covering index has neither — it
+    always probes all ``r + 1`` block tables — so a budget there has
+    nothing to trim.  Checked where an index spec is validated and
+    where a request's adaptive overrides are resolved.
+    """
+    if variant == "covering" and policy is not None and policy.bounds_probes:
+        raise ConfigurationError(
+            'variant="covering" probes every block table and has no probe '
+            "rings to trim; an adaptive probe budget (target_candidates) "
+            "does not apply to it"
+        )
+
 _SPEC_VERSION = 1
 
 #: The values any served index's spec was written with while
@@ -230,6 +247,7 @@ class IndexSpec:
                     f"adaptive must be an AdaptivePolicy, a policy document "
                     f"or None, got {self.adaptive!r}"
                 )
+            check_probe_budget(self.variant, self.adaptive)
         if self.seed is not None and (
             isinstance(self.seed, bool) or not isinstance(self.seed, int)
         ):

@@ -89,7 +89,7 @@ class HybridSearcher:
         self.index = index
         self.cost_model = cost_model
         self._lsh = LSHSearch(index)
-        self._linear = LinearScan(index.points, index.family.metric)
+        self._linear: LinearScan | None = None
         self.partition_helper: PartitionHelper | None = None
 
     def _verdict_from_bounds(self, lookup) -> tuple[bool | None, float | None]:
@@ -192,12 +192,15 @@ class HybridSearcher:
     def _linear_scan(self) -> LinearScan:
         """The exact-scan fallback, refreshed after incremental inserts.
 
-        ``index.insert`` replaces the points array, so a cached scan
-        would silently search the stale copy; rebuilding is cheap (the
-        scan object only holds references).
+        ``index.insert`` publishes a new points array (view), so a
+        cached scan would silently search the stale rows; rebuilding is
+        cheap — the scan holds references to the index's points and
+        their prepared state (:meth:`prepared_points`), which the
+        index keeps current.
         """
-        if self._linear.points is not self.index.points:
-            self._linear = LinearScan(self.index.points, self.index.family.metric)
+        points, state = self.index.prepared_points()
+        if self._linear is None or self._linear.points is not points:
+            self._linear = LinearScan(points, self.index.family.metric, prepared=state)
         return self._linear
 
     def query(self, query: np.ndarray, radius: float) -> QueryResult:

@@ -55,6 +55,11 @@ class LinearScan:
         ``(n, d)`` data matrix.
     metric:
         Metric name or :class:`~repro.distances.base.Metric`.
+    prepared:
+        The metric's prepared per-row state of ``points`` when the
+        caller already holds it (an index's row norms,
+        :meth:`~repro.index.frozen.FrozenLSHIndex.prepared_points`);
+        ``None`` prepares it on the first batch.
 
     Examples
     --------
@@ -64,19 +69,20 @@ class LinearScan:
     [0, 1]
     """
 
-    def __init__(self, points: np.ndarray, metric: str | Metric) -> None:
+    def __init__(self, points: np.ndarray, metric: str | Metric, prepared=None) -> None:
         self.metric = get_metric(metric)
         self.points = check_matrix(points, name="points")
         self.n = int(self.points.shape[0])
         self.dim = int(self.points.shape[1])
-        # Lazily computed metric state (e.g. squared norms for L2),
-        # shared by every batch call; the scan object is rebuilt on
-        # insert, so the state can never go stale.  Callers on several
-        # threads (a partition helper beside concurrent batches) share
-        # one scan, so the first computation is made under a lock.
+        # Metric state (e.g. squared norms for L2) shared by every batch
+        # call: the caller's, or computed on first use.  The scan object
+        # is rebuilt on insert, so the state can never go stale.
+        # Callers on several threads (a partition helper beside
+        # concurrent batches) share one scan, so the first computation
+        # is made under a lock.
         self._prepared_lock = threading.Lock()
-        self._prepared_state = None
-        self._prepared_ready = False
+        self._prepared_state = prepared
+        self._prepared_ready = prepared is not None
 
     def _prepared(self):
         if not self._prepared_ready:

@@ -54,19 +54,10 @@ class LSHSearch:
     """
 
     def __init__(self, index: LSHIndex) -> None:
+        # Step S3 gathers each candidate set's rows and their prepared
+        # metric state (e.g. squared norms for L2) from the index's own
+        # ``prepared_points()``: one array, kept current across inserts.
         self.index = index
-        # Metric state (e.g. squared norms for L2) over the full point
-        # matrix, gathered per candidate set in Step S3; refreshed when
-        # insert() replaces the points array.
-        self._prepared_points: np.ndarray | None = None
-        self._prepared_state = None
-
-    def _prepared(self):
-        points = self.index.points
-        if self._prepared_points is not points:
-            self._prepared_state = self.index.family.metric.prepare_points(points)
-            self._prepared_points = points
-        return self._prepared_state
 
     def query(self, query: np.ndarray, radius: float) -> QueryResult:
         """Report near neighbors via bucket lookup + candidate verification."""
@@ -126,8 +117,8 @@ class LSHSearch:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         # ndarray.take: the same rows as fancy indexing (bit-identical
         # floats downstream) without its index-preparation pass.
-        state = self._prepared()
-        gathered = self.index.points.take(candidates, axis=0)
+        points, state = self.index.prepared_points()
+        gathered = points.take(candidates, axis=0)
         state_sub = None if state is None else state.take(candidates, axis=0)
         metric = self.index.family.metric
         distances = metric.distances_to_prepared(gathered, query, state_sub)
@@ -151,9 +142,9 @@ class LSHSearch:
         """
         if len(candidate_sets) == 1:
             return [self.filter_candidates(queries[0], radius, candidate_sets[0])]
-        points, state = self.index.points, self._prepared()
+        points, state = self.index.prepared_points()
         metric = self.index.family.metric
-        kernel = metric.rows_prepared
+        kernel = None if state is None else metric.rows_prepared
         cap = -1 if kernel is None else FILTER_BLOCK_BYTES // points[0].nbytes
         blocks: list[list[int]] = []
         filled = 0

@@ -177,6 +177,11 @@ class CoveringLSHIndex:
         if self.points is None:
             raise EmptyIndexError("index has not been built; call build(points) first")
 
+    def prepared_points(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The points and the metric's prepared state of those rows
+        (Hamming has no prepared kernel: the state is ``None``)."""
+        return self.points, self.family.metric.prepare_points(self.points)
+
     # ------------------------------------------------------------------
     # Query primitives (same surface as LSHIndex, so HybridSearcher works)
     # ------------------------------------------------------------------

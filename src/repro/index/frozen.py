@@ -66,9 +66,13 @@ Collision counts add ``hi - lo``, sketch merges and candidate unions
 gather the ranges into the scatters the frozen side already runs, so
 reads beside writes never leave numpy.  An insert costs one hash pass,
 a sort of its ``m * L`` addresses and a copy-on-write merge into the
-run; the index re-freezes itself once a run outgrows
-``refreeze_threshold``.  Splitting a logical bucket into a frozen part
-and an overflow part changes no answer, by the same associativity.
+run, and writes only its own rows beside the index: the points, their
+HLL pairs and (on the next read) their prepared row norms sit in
+buffers with geometric spare capacity (:mod:`repro.utils.rows`), so an
+insert appends ``m`` rows instead of copying ``n``.  The index
+re-freezes itself once a run outgrows ``refreeze_threshold``.
+Splitting a logical bucket into a frozen part and an overflow part
+changes no answer, by the same associativity.
 
 Re-freezing is **double-buffered**: the insert that crosses the
 threshold does not pay the compaction — it sets the run aside as the
@@ -76,7 +80,8 @@ threshold does not pay the compaction — it sets the run aside as the
 hands the merge of ``frozen ⊕ compacting`` to a background thread.
 The point matrix, the arrays and both runs change only under one lock
 (``_refreeze_lock``, never held with another): an insert publishes
-``points`` and its new run in one swap and a query takes ``(arrays,
+``points`` (the prefix view of its buffer that covers the new rows) and
+its new run in one swap and a query takes ``(arrays,
 live runs)`` in one snapshot, so it sees whole inserts, never the *new*
 arrays beside the generation they absorbed, and only runs keyed under
 the arrays' salt (a fold that re-salted re-keys the still-live run from
@@ -115,6 +120,7 @@ from repro.hashing.minhash import MinHashLSH, _ABSENT
 from repro.hashing.pstable import PStableLSH
 from repro.hashing.simhash import SimHashLSH
 from repro.utils.fsio import commit_dir, staging_path, write_json_atomic
+from repro.utils.rows import append_rows
 from repro.utils.validation import check_matrix, check_vector
 from repro.index.lsh_index import LSHIndex
 from repro.index.overflow import OverflowRun, _csr_gather, _narrowest_int_dtype
@@ -157,6 +163,11 @@ SORTED_UNION_RATIO = 8
 MAX_SALT_ATTEMPTS = 8
 
 _U64_MASK = (1 << 64) - 1
+
+#: The parts :meth:`FrozenLSHIndex.memory_report` sums into ``total``.
+MEMORY_REPORT_PARTS = (
+    "points", "norms", "hll_pairs", "bucket_ids", "bucket_keys", "sketches",
+)
 
 
 def _check_capacity(n: int, num_tables: int) -> None:
@@ -870,7 +881,7 @@ class FrozenLSHIndex(LSHIndex):
             self.hll_precision,
         )
         with self._refreeze_lock:  # published like an insert's swap
-            self.frozen, self.points = frozen, points
+            self.frozen, self.points, self._point_buffer = frozen, points, points
         return self
 
     @classmethod
@@ -965,6 +976,16 @@ class FrozenLSHIndex(LSHIndex):
         self._run: OverflowRun | None = None
         self._compacting: OverflowRun | None = None
         self._refreeze_lock = threading.Lock()
+        #: The buffer ``points`` is a prefix view of: exactly the built,
+        #: adopted or opened rows until an insert grows it, then spare
+        #: rows past ``n`` that the next inserts write into.
+        self._point_buffer = self.points
+        #: The metric's prepared per-row state (L2: squared row norms),
+        #: prepared on first read by :meth:`prepared_points` and extended
+        #: there by the rows an insert added, in the same kind of buffer.
+        self._norms: np.ndarray | None = None
+        self._norm_buffer: np.ndarray | None = None
+        self._norms_lock = threading.Lock()
         self._refreeze_thread: threading.Thread | None = None
         self._refreeze_error: BaseException | None = None
         #: re-freeze telemetry (read by the observability gauges):
@@ -995,20 +1016,64 @@ class FrozenLSHIndex(LSHIndex):
         """
         return sum(run.count for run in self.live_runs)
 
+    def prepared_points(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The published points and the metric's prepared state of those rows.
+
+        The state (``metric.prepare_points``; L2: the squared row norms
+        every distance kernel subtracts from) is ``None`` for a metric
+        without a prepared kernel.  It is the index's, shared by every
+        searcher over it: the first read prepares all ``n`` rows
+        (exactly ``n``, no spare capacity), and a read after inserts
+        prepares only the rows the state does not cover yet and appends
+        them like the points (:func:`~repro.utils.rows.append_rows`).
+        The preparation is per row, so the appended state equals
+        ``prepare_points(points)`` bit for bit.  The returned state has
+        exactly ``points.shape[0]`` rows.
+        """
+        points = self.points
+        n = points.shape[0]
+        metric = self.family.metric
+        if metric.prepare is None:
+            return points, None
+        norms = self._norms
+        if norms is None or norms.shape[0] < n:
+            with self._norms_lock:
+                norms = self._norms
+                have = 0 if norms is None else norms.shape[0]
+                if have < n:
+                    fresh = metric.prepare_points(points[have:n])
+                    buffer = (
+                        fresh
+                        if self._norm_buffer is None
+                        else append_rows(self._norm_buffer, have, fresh)
+                    )
+                    self._norm_buffer = buffer
+                    self._norms = norms = buffer[:n]
+        return points, norms[:n]
+
     # ------------------------------------------------------------------
     # Mutation: overflow inserts + re-freeze
     # ------------------------------------------------------------------
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points into the live overflow run; re-freeze past the threshold.
 
-        The new entries are merged into a *copy* of the run, and the
-        grown point matrix and the new run are published in one swap
-        under the re-freeze lock (the HLL pairs are extended first): a
-        concurrent lookup sees the whole insert or none of it, and every
-        id it finds is below ``points.shape[0]``.  With
-        :attr:`background_refreeze` (the default) the insert crossing
-        the threshold only *starts* the compaction; queries keep probing
-        both generations until the background swap lands.
+        The ``m`` new rows are written past the published ``n`` of the
+        point buffer — into its spare capacity, or into a fresh buffer
+        with ``(n + m) / 8`` spare rows when it is full
+        (:func:`~repro.utils.rows.append_rows`; a built or opened
+        index holds exactly ``n`` rows, so its first insert makes that
+        one copy).  The HLL pairs are extended the same way, the new
+        entries are merged into a *copy* of the run, and the view
+        ``buffer[:n + m]`` and the new run are published in one swap
+        under the re-freeze lock: a concurrent lookup sees the whole
+        insert or none of it, every id it finds is below
+        ``points.shape[0]``, and a view it already holds never sees the
+        write.  The prepared row state is extended by the next read
+        (:meth:`prepared_points`), by the ``m`` new rows only.  Inserts
+        come from one writer at a time.  With :attr:`background_refreeze`
+        (the default) the insert crossing the threshold only *starts*
+        the compaction; queries keep probing both generations until the
+        background swap lands.
         """
         self._require_built()
         new_points = check_matrix(new_points, dim=self.dim, name="new_points")
@@ -1018,7 +1083,8 @@ class FrozenLSHIndex(LSHIndex):
         old_n = self.n
         _check_capacity(old_n + m, self.num_tables)
         rows = self._insert_rows(new_points)
-        points = np.concatenate([self.points, new_points])
+        buffer = append_rows(self._point_buffer, old_n, new_points)
+        points = buffer[: old_n + m]
         if self._hll_hashes is not None:
             self._hll_hashes.extend(old_n + m)
         while True:
@@ -1033,7 +1099,7 @@ class FrozenLSHIndex(LSHIndex):
             with self._refreeze_lock:
                 if self.frozen is not frozen or self._run is not base:
                     continue  # a fold landed in between: re-address
-                self.points, self._run = points, run
+                self.points, self._point_buffer, self._run = points, buffer, run
                 if not clean:
                     # Two rows of a table share an address inside the
                     # run: fold it before any lookup can probe it.
@@ -1516,16 +1582,25 @@ class FrozenLSHIndex(LSHIndex):
         return int(self.frozen.registers.nbytes)
 
     def memory_report(self) -> dict[str, int]:
+        """Bytes held, by part (:data:`MEMORY_REPORT_PARTS`), and ``total``.
+
+        The per-point buffers — ``points``, the prepared ``norms`` (0
+        until the first read prepares them) and the ``hll_pairs`` —
+        count their full capacity, spare rows past ``n`` included; a
+        freshly built or opened index holds none.  ``bucket_ids`` /
+        ``bucket_keys`` / ``sketches`` count the frozen arrays and every
+        live overflow run.
+        """
         self._require_built()
         frozen, runs = self._snapshot()
         report = frozen.memory_bytes
         for run in runs:
             report["bucket_ids"] += int(run.members.nbytes)
             report["bucket_keys"] += int(run.key64.nbytes) + int(run.rows.nbytes)
-        report["points"] = int(self.points.nbytes)
-        report["total"] = sum(
-            report[k] for k in ("points", "bucket_ids", "bucket_keys", "sketches")
-        )
+        report["points"] = int(self._point_buffer.nbytes)
+        report["norms"] = 0 if self._norm_buffer is None else int(self._norm_buffer.nbytes)
+        report["hll_pairs"] = 0 if self._hll_hashes is None else self._hll_hashes.nbytes
+        report["total"] = sum(report[k] for k in MEMORY_REPORT_PARTS)
         return report
 
     def bucket_statistics(self) -> dict[str, float]:

@@ -175,6 +175,7 @@ class LSHIndex:
             family._rng = ensure_rng(seed)
         self.tables: list[HashTable] = []
         self.points: np.ndarray | None = None
+        self._prepared: tuple[np.ndarray, np.ndarray | None] | None = None
         self._hll_hashes: PrecomputedHllHashes | None = None
         self._batched = None
 
@@ -299,6 +300,20 @@ class LSHIndex:
     def dim(self) -> int:
         """Dimensionality of the indexed points."""
         return self.family.dim
+
+    def prepared_points(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The points and the metric's prepared state of those rows.
+
+        What the searchers' distance kernels read (``None`` for a
+        metric without a prepared kernel).  This reference layout
+        prepares the whole matrix again whenever :meth:`insert` replaced
+        it; the frozen layout appends the new rows' state instead.
+        """
+        points = self.points
+        cached = self._prepared
+        if cached is None or cached[0] is not points:
+            cached = self._prepared = (points, self.family.metric.prepare_points(points))
+        return cached
 
     def _require_built(self) -> None:
         if self.points is None:

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, SketchError
 from repro.sketches.hashing64 import hash64, rho_positions, split_hash
+from repro.utils.rows import append_rows
 
 __all__ = ["HyperLogLog", "PrecomputedHllHashes", "alpha_m", "estimates_from_registers"]
 
@@ -109,6 +110,9 @@ class PrecomputedHllHashes:
         hashes = hash64(np.arange(n, dtype=np.uint64), seed=seed)
         self.registers, rest = split_hash(hashes, p)
         self.ranks = rho_positions(rest, 64 - p)
+        # ``registers`` / ``ranks`` are prefix views of these buffers
+        # (exactly ``n`` rows until the first :meth:`extend`).
+        self._register_buffer, self._rank_buffer = self.registers, self.ranks
 
     def pair(self, point_id: int) -> tuple[int, int]:
         """The ``(register, rank)`` pair of one point id."""
@@ -119,7 +123,11 @@ class PrecomputedHllHashes:
 
         Supports incremental index insertion: the hash of an id depends
         only on ``(id, seed)``, so existing entries are untouched and
-        only the new tail is computed.
+        only the new tail is computed — and appended into the buffers'
+        spare capacity (:func:`~repro.utils.rows.append_rows`), so an
+        extension by ``m`` ids writes ``m`` pairs, not ``new_n``.  The
+        longer views are published after the write: a reader holding
+        the old ``registers`` / ``ranks`` keeps reading valid pairs.
         """
         if new_n < self.n:
             raise ConfigurationError(
@@ -130,9 +138,16 @@ class PrecomputedHllHashes:
         tail = hash64(np.arange(self.n, new_n, dtype=np.uint64), seed=self.seed)
         tail_registers, rest = split_hash(tail, self.p)
         tail_ranks = rho_positions(rest, 64 - self.p)
-        self.registers = np.concatenate([self.registers, tail_registers])
-        self.ranks = np.concatenate([self.ranks, tail_ranks])
+        self._register_buffer = append_rows(self._register_buffer, self.n, tail_registers)
+        self._rank_buffer = append_rows(self._rank_buffer, self.n, tail_ranks)
+        self.registers = self._register_buffer[:new_n]
+        self.ranks = self._rank_buffer[:new_n]
         self.n = int(new_n)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the pair table holds, spare capacity included."""
+        return int(self._register_buffer.nbytes) + int(self._rank_buffer.nbytes)
 
     def __len__(self) -> int:
         return self.n

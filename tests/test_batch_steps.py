@@ -256,8 +256,12 @@ class TestSharedGathers:
     def test_shared_rows_are_bit_identical_and_gather_once(self, case):
         points, queries, candidate_sets, metric_name, cap = case
         metric = get_metric(metric_name)
+        counted = points.view(_CountingPoints)
         index = SimpleNamespace(
-            points=points.view(_CountingPoints), family=SimpleNamespace(metric=metric)
+            points=counted,
+            family=SimpleNamespace(metric=metric),
+            # The index owns the prepared state LSHSearch gathers from.
+            prepared_points=lambda: (counted, metric.prepare_points(points)),
         )
         lsh = LSHSearch(index)
         radius = 2.5 if metric_name == "l2" else 0.3

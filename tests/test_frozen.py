@@ -28,6 +28,7 @@ from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLS
 from repro.index import frozen as frozen_module
 from repro.index.frozen import (
     DEFAULT_REFREEZE_THRESHOLD,
+    MEMORY_REPORT_PARTS,
     FrozenTables,
     load_frozen_index,
     save_frozen_index,
@@ -175,27 +176,55 @@ class TestFrozenPrimitives:
             lo, hi = int(csr.table_slices[t]), int(csr.table_slices[t + 1])
             assert ((csr.key64[lo:hi] >> tag_shift) == t).all()
 
-    def test_memory_report_counts_every_array(self):
-        """The byte meter's total is ``points`` plus every ndarray field of
-        the frozen arrays and of each live run — listed from the
-        dataclasses, so an array added later is counted or fails here."""
-        points, _, frozen = build_pair(lazy_threshold=4)
-        frozen.refreeze_threshold = 10**6
-        frozen.insert(points[:7] + 1e-3)
-        csr, runs = frozen._snapshot()
-        assert runs and csr.registers.shape[0] > 0
+    def test_memory_report_counts_every_array(self, tmp_path):
+        """The byte meter's total is every per-point buffer at its full
+        capacity — points, prepared norms, HLL pairs — plus every ndarray
+        field of the frozen arrays and of each live run, listed from the
+        dataclasses, so an array added later is counted or fails here.
+        A freshly built or opened index holds no spare row; after
+        inserts that grew the buffers, the spare rows are counted."""
+        _, _, frozen = build_pair(lazy_threshold=4)
+        save_frozen_index(frozen, str(tmp_path / "artifact"))
+        opened = load_frozen_index(str(tmp_path / "artifact"))
 
         def arrays(obj):
             values = (getattr(obj, f.name) for f in dataclasses.fields(obj))
             return [v for v in values if isinstance(v, np.ndarray)]
 
+        def counted(index):
+            csr, runs = index._snapshot()
+            pairs = index._hll_hashes
+            held = [index._point_buffer, pairs._register_buffer, pairs._rank_buffer]
+            held += [] if index._norm_buffer is None else [index._norm_buffer]
+            held += [*arrays(csr), *(a for run in runs for a in arrays(run))]
+            return sum(a.nbytes for a in held)
+
+        for fresh in (frozen, opened):
+            assert fresh.memory_report()["norms"] == 0  # prepared on first read
+            _, norms = fresh.prepared_points()
+            report, pairs = fresh.memory_report(), fresh._hll_hashes
+            assert report["points"] == fresh.points.nbytes
+            assert report["norms"] == norms.nbytes == 8 * fresh.n
+            assert report["hll_pairs"] == pairs.registers.nbytes + pairs.ranks.nbytes
+            assert report["total"] == counted(fresh)
+
+        frozen.refreeze_threshold = 10**6
+        rng = np.random.default_rng(5)
+        frozen.insert(rng.normal(size=(7, 12)))
+        frozen.prepared_points()
+        first_capacity = frozen._point_buffer.shape[0]
+        while frozen._point_buffer.shape[0] == first_capacity:  # a second growth
+            frozen.insert(rng.normal(size=(7, 12)))
+            frozen.prepared_points()
+        csr, runs = frozen._snapshot()
+        assert runs and csr.registers.shape[0] > 0
         assert len(arrays(csr)) >= 7 and len(arrays(runs[0])) >= 3
-        counted = [frozen.points, *arrays(csr), *(a for run in runs for a in arrays(run))]
-        report = frozen.memory_report()
-        assert report["total"] == sum(a.nbytes for a in counted)
-        assert report["total"] == sum(
-            report[k] for k in ("points", "bucket_ids", "bucket_keys", "sketches")
-        )
+        report, pairs = frozen.memory_report(), frozen._hll_hashes
+        assert report["points"] == frozen._point_buffer.nbytes > frozen.points.nbytes
+        assert report["norms"] == frozen._norm_buffer.nbytes > 8 * frozen.n
+        assert report["hll_pairs"] > pairs.registers.nbytes + pairs.ranks.nbytes
+        assert report["total"] == counted(frozen)
+        assert report["total"] == sum(report[k] for k in MEMORY_REPORT_PARTS)
 
     def test_diagnostics_match_dict_layout(self):
         _, index, frozen = build_pair(lazy_threshold=4)
@@ -677,7 +706,7 @@ class TestFrozenPersistence:
         def hot_arrays():
             searcher = HybridSearcher(reopened, CostModel.from_ratio(6.0))
             searcher.query_batch(points[:3], radius)
-            arrays = [reopened.points, searcher._lsh._prepared(), searcher._linear._prepared()]
+            arrays = [*reopened.prepared_points(), searcher._linear_scan()._prepared()]
             arrays += [getattr(reopened.frozen, name) for name in FrozenTables.__slots__]
             if variant != "covering":
                 arrays += list(reopened._batched.params.values())

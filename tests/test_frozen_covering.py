@@ -15,6 +15,7 @@ from test_frozen import assert_file_backed
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher, LinearScan
+from repro.core.adaptive import AdaptivePolicy
 from repro.exceptions import ConfigurationError
 from repro.index import CoveringLSHIndex, FrozenCoveringLSHIndex
 from repro.index.frozen import load_frozen_index, save_frozen_index
@@ -162,6 +163,40 @@ class TestSpecAndFacade:
             IndexSpec(metric="hamming", radius=4.5, variant="covering")
         with pytest.raises(ConfigurationError):
             IndexSpec(metric="hamming", radius=4.0, variant="covering", k=3)
+
+    def test_spec_refuses_a_probe_budget(self):
+        """A covering index has no probe rings for a budget to trim; the
+        budget used to fail at query time (``AttributeError`` on the
+        missing fused kernel), now the spec refuses it up front."""
+        budget = AdaptivePolicy(target_candidates=20)
+        with pytest.raises(ConfigurationError, match="covering"):
+            IndexSpec(metric="hamming", radius=4.0, variant="covering", adaptive=budget)
+        document = IndexSpec(metric="hamming", radius=4.0, variant="covering").to_dict()
+        with pytest.raises(ConfigurationError, match="covering"):
+            IndexSpec.from_dict({**document, "adaptive": budget.to_dict()})
+        # A policy that trims no probe (no target) still applies.
+        unbudgeted = AdaptivePolicy(quality_floor=0.9)
+        IndexSpec(metric="hamming", radius=4.0, variant="covering", adaptive=unbudgeted)
+
+    @pytest.mark.parametrize("policy", [None, AdaptivePolicy(quality_floor=0.9)])
+    def test_request_refuses_a_probe_budget(self, policy):
+        """A request that would switch a budget on (opting in, or naming
+        a target under an index-wide policy) is refused, not crashed."""
+        rng = np.random.default_rng(5)
+        points = binary(rng, 200, 32)
+        spec = IndexSpec(
+            metric="hamming", radius=4.0, variant="covering", adaptive=policy, seed=1
+        )
+        index = Index.build(points, spec)
+        opt_in = None if policy is not None else True
+        try:
+            expected = index.query(QuerySpec(points[:4]))
+            with pytest.raises(ConfigurationError, match="covering"):
+                index.query(QuerySpec(points[:4], adaptive=opt_in, target_candidates=20))
+            for ra, rb in zip(expected, index.query(QuerySpec(points[:4], adaptive=True))):
+                assert np.array_equal(ra.ids, rb.ids)
+        finally:
+            index.close()
 
     def test_facade_matches_the_reference(self):
         rng = np.random.default_rng(3)

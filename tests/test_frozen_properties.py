@@ -579,3 +579,80 @@ class TestOverflowRunProperties:
     @given(dispatch_case())
     def test_the_run_is_a_dict_lookup_at_every_stage_of_a_life(self, case):
         _check_runs_through_a_life(case)
+
+
+def _assert_same_answers(ours, theirs, queries, radius):
+    """Batched and single answers, ``QueryStats`` included, bit for bit."""
+    batched = zip(ours.query_batch(queries, radius), theirs.query_batch(queries, radius))
+    singles = ((ours.query(q, radius), theirs.query(q, radius)) for q in queries[:3])
+    for a, b in [*batched, *singles]:
+        assert np.array_equal(a.ids, b.ids)
+        assert a.distances.tobytes() == b.distances.tobytes()
+        assert repr(a.stats) == repr(b.stats)
+
+
+def _assert_norms_are_prepared_points(raw):
+    """The index-owned row state == ``prepare_points`` of every row, bit for bit."""
+    points, state = raw.prepared_points()
+    expected = raw.family.metric.prepare_points(points)
+    if expected is None:
+        assert state is None
+    else:
+        assert state.shape == expected.shape and state.tobytes() == expected.tobytes()
+
+
+class TestAppendedRowsProperties:
+    """Points, norms and HLL pairs appended into spare capacity answer
+    exactly as the dict-layout reference whose inserts concatenate."""
+
+    @settings(max_examples=max_examples(15), deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(200, 400),
+        variant=st.sampled_from(["plain", "multiprobe", "covering"]),
+        opened=st.booleans(),
+        threshold=st.sampled_from([8, 24, 64]),
+        schedule=st.lists(st.integers(1, 24), min_size=2, max_size=8),
+    )
+    @example(
+        seed=1, n=300, variant="covering", opened=True, threshold=16,
+        schedule=[3, 40, 40, 40],
+    )
+    @example(
+        seed=2, n=200, variant="plain", opened=False, threshold=24,
+        schedule=[1, 30, 2, 30],
+    )
+    def test_inserts_into_spare_capacity_answer_as_the_reference(
+        self, seed, n, variant, opened, threshold, schedule
+    ):
+        points, queries, inserts, overrides = _dispatch_case(
+            seed, n, variant, 1.0, sum(schedule)
+        )
+        raw, twin = _build_twins(points, overrides)
+        with tempfile.TemporaryDirectory() as scratch:
+            if opened:
+                path = os.path.join(scratch, "index")
+                save_frozen_index(raw, path)
+                raw = load_frozen_index(path)
+                assert_file_backed(raw.points, path, "points")
+            raw.refreeze_threshold = threshold  # background folds stay on
+            assert raw.background_refreeze
+            cm = CostModel.from_ratio(overrides["cost_ratio"])
+            ours, theirs = HybridSearcher(raw, cm), HybridSearcher(twin, cm)
+            radius = float(_spec(**overrides).radius)
+            _assert_same_answers(ours, theirs, queries, radius)
+            start = 0
+            for size in schedule:
+                batch = inserts[start : start + size]
+                start += size
+                assert raw.insert(batch).tolist() == twin.insert(batch).tolist()
+                queries = np.concatenate([queries, batch[:2]])
+                _assert_same_answers(ours, theirs, queries, radius)
+                _assert_norms_are_prepared_points(raw)
+            raw.wait_for_refreeze()
+            _assert_same_answers(ours, theirs, queries, radius)
+            _assert_norms_are_prepared_points(raw)
+            assert np.array_equal(raw.points, twin.points)
+            pairs, reference = raw._hll_hashes, twin._hll_hashes
+            assert np.array_equal(pairs.registers, reference.registers)
+            assert np.array_equal(pairs.ranks, reference.ranks)

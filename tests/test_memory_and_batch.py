@@ -10,6 +10,7 @@ from repro.core import CostModel, HybridSearcher
 from repro.exceptions import EmptyIndexError
 from repro.hashing import PStableLSH
 from repro.index import LSHIndex
+from repro.index.frozen import MEMORY_REPORT_PARTS
 
 
 class TestMemoryReport:
@@ -76,7 +77,8 @@ class TestBytesPerPointBudget:
         reference = reference_index(self.POINTS, self.SPEC)
         csr = raw.frozen
         assert csr.num_buckets == sum(table.num_buckets for table in reference.tables)
-        # 612 counted; 812 with 8-byte ids, 1206 with format v1's byte keys.
+        # 621 counted (612 before the HLL pairs were); 812 with 8-byte
+        # ids, 1206 with format v1's byte keys.
         assert report["total"] / self.N <= 640
         # bucket_keys counts every byte that addresses a bucket.
         assert csr.key64.dtype == np.uint64 and csr.keys.dtype == np.int8
@@ -87,9 +89,10 @@ class TestBytesPerPointBudget:
             csr.num_buckets * (8 + raw.k + 4) + 4 + 8 * (self.TABLES + 1)
         )
         assert report["bucket_ids"] == 4 * self.N * self.TABLES
-        assert report["total"] == sum(
-            report[part] for part in ("points", "bucket_ids", "bucket_keys", "sketches")
-        )
+        # Each point's HLL pair (int64 register, uint8 rank); the row
+        # norms are prepared by the first query, and none has run.
+        assert report["hll_pairs"] == 9 * self.N and report["norms"] == 0
+        assert report["total"] == sum(report[part] for part in MEMORY_REPORT_PARTS)
 
     def test_dict_layout_report_is_unchanged(self):
         raw = reference_index(self.POINTS, self.SPEC)

@@ -20,6 +20,7 @@ The helpers at the top (``probed_rows``, ``assert_runs_are_dict_lookups``,
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ import pytest
 from test_adaptive import _dispatch_case, _spec
 
 from repro.api import Index, QuerySpec
-from repro.hashing import composite
+from repro.distances import Metric
+from repro.hashing import PStableLSH, composite
 from repro.index import Bucket, HashTable
 from repro.index import frozen as frozen_module
 from repro.index.overflow import OverflowRun
@@ -335,6 +337,121 @@ class TestWorkUnits:
 
 
 # ----------------------------------------------------------------------
+# An insert costs what it writes
+# ----------------------------------------------------------------------
+
+
+def test_steady_state_insert_allocates_o_batch_not_o_n():
+    """A 32-point insert into spare capacity at n = 20 000 allocates well
+    under 1/8 of the point matrix: it writes its own rows, hashes and
+    run entries, never a copy of the points (``np.concatenate`` there
+    peaks above 1x).  The first insert is the one that grows the
+    buffer built with exactly n rows."""
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(20_000, 24))
+    raw = frozen_module.FrozenLSHIndex(
+        PStableLSH(24, w=4.0), k=6, num_tables=10, seed=4
+    ).build(points)
+    raw.background_refreeze = False
+    raw.refreeze_threshold = 10**6
+    assert raw._point_buffer.shape[0] == raw.n  # no slack at build
+    raw.insert(rng.normal(size=(32, 24)))  # grows: the one copy
+    capacity = raw._point_buffer.shape[0]
+    for _ in range(4):
+        batch = rng.normal(size=(32, 24))
+        tracemalloc.start()
+        try:
+            raw.insert(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.points.nbytes / 8, (peak, raw.points.nbytes)
+    # All four landed in the spare rows the first one left.
+    assert raw._point_buffer.shape[0] == capacity >= raw.n
+
+
+def test_first_query_after_an_insert_prepares_only_the_new_rows(monkeypatch):
+    """The row norms are the index's: the first query prepares all n
+    rows once, and the first query after an m-point insert prepares the
+    m new rows — not n + m for each of the scan and the LSH filter."""
+    points, queries, inserts, overrides = _dispatch_case(11, 300, "plain", 1.0, 40)
+    index = Index.build(points, _spec(**overrides))  # ratio 1: both strategies
+    raw = index.engine.index
+    prepared: list[int] = []
+    real = Metric.prepare_points
+
+    def counting(self, rows):
+        prepared.append(rows.shape[0])
+        return real(self, rows)
+
+    monkeypatch.setattr(Metric, "prepare_points", counting)
+    spec = QuerySpec(np.concatenate([queries, points[:40]]))
+    strategies = {o.strategy for o in index.query(spec)}
+    assert strategies == {"lsh", "linear"}  # both searchers read the state
+    assert prepared == [raw.n]
+    for batch in (inserts[:7], inserts[7:]):
+        prepared.clear()
+        raw.insert(batch)
+        index.query(spec)
+        index.query(spec)
+        assert prepared == [len(batch)]
+    _, norms = raw.prepared_points()
+    assert norms.tobytes() == real(raw.family.metric, raw.points).tobytes()
+
+
+def test_readers_beside_appends_see_rows_and_norms_of_one_view():
+    """Readers racing a writer whose inserts cross several growth
+    boundaries: every ``prepared_points()`` pairs a view with exactly its
+    rows' norms, bit for bit, and a view once handed out never changes —
+    the writer only writes past every published ``n``."""
+    raw, _, _, inserts = build_raw("plain", n=400, num_inserts=40)
+    raw.refreeze_threshold = 10**6
+    rng = np.random.default_rng(8)
+    batches = [inserts[rng.choice(40, size=8)] for _ in range(40)]
+    metric = raw.family.metric
+    errors, rounds, stop = [], [0] * 4, threading.Event()
+    deadline = time.monotonic() + 60
+
+    def read(reader):
+        try:
+            held, copy = None, None
+            while not stop.is_set() and time.monotonic() < deadline:
+                points, norms = raw.prepared_points()
+                assert norms.shape[0] == points.shape[0]
+                tail = points[-9:]
+                assert norms[-9:].tobytes() == metric.prepare_points(tail).tobytes()
+                if held is None or rounds[reader] % 16 == 0:
+                    held, copy = points, points.copy()
+                assert np.array_equal(held, copy)
+                rounds[reader] += 1
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in readers:
+            thread.start()
+        buffers = set()
+        for batch in batches:
+            raw.insert(batch)
+            buffers.add(raw._point_buffer.shape[0])
+        while min(rounds) < 3 and not errors and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not errors, errors
+    assert min(rounds) >= 3 and len(buffers) >= 3  # several growths
+    points, norms = raw.prepared_points()
+    assert norms.tobytes() == metric.prepare_points(points).tobytes()
+
+
+# ----------------------------------------------------------------------
 # Sharing survives an insert
 # ----------------------------------------------------------------------
 
@@ -381,7 +498,8 @@ def test_diagnostics_count_the_runs_arrays():
     # Registers plus the bucket -> register-row map; a run adds neither.
     sketch_rows = raw.frozen.sketch_rows.nbytes
     assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes + sketch_rows
-    assert report["points"] == raw.points.nbytes
+    # The point buffer at its capacity: the insert grew it past n.
+    assert report["points"] == raw._point_buffer.nbytes > raw.points.nbytes
     assert stats["buckets"] == buckets + np.unique(run.key64).size
     raw.refreeze()
     assert raw.bucket_statistics()["buckets"] == raw.frozen.num_buckets
