@@ -3,9 +3,11 @@
 The whole frozen layout hangs off a handful of array-dtype invariants.
 Member ids and CSR offsets are ``uint32`` (four bytes per entry: the
 index caps ``L * n`` below ``2**32`` and consumers widen a gathered id
-array to ``intp`` once before scattering by it), ``sketch_rows`` is
-``int32`` (-1 marks a lazy bucket), bucket sizes — no longer stored,
-read as an offset difference — are signed ``int64``, per-table slices
+array to ``intp`` once before scattering by it), ``sketched`` — the
+strictly increasing ids of the buckets that own a register row, one
+entry per sketched bucket and none per lazy one — is ``uint32``, bucket
+sizes — no longer stored, read as an offset difference — are signed
+``int64``, per-table slices
 are ``int64``, HLL registers are uint8 and the 64-bit bucket addresses
 ``key64`` are uint64 (one typed ``searchsorted``; a signed or float
 drift would silently reorder them).  A drift back to eight-byte ids
@@ -45,7 +47,7 @@ DTYPE_CONTRACTS: dict[str, str] = {
     "offsets": "uint32",
     "table_slices": "int64",
     "sizes": "int64",
-    "sketch_rows": "int32",
+    "sketched": "uint32",
     "members": "uint32",
     "registers": "uint8",
     "key64": "uint64",
@@ -95,7 +97,7 @@ class DtypeContractRule(Rule):
     id = "dtype-contract"
     description = (
         "CSR arrays have one declared dtype each (members/offsets uint32, "
-        "sketch_rows int32, sizes int64, registers uint8, key64 uint64); "
+        "sketched uint32, sizes int64, registers uint8, key64 uint64); "
         "allocations and casts "
         "must match the table in repro.analysis.rules.dtypes"
     )

@@ -22,17 +22,20 @@ contiguous arrays instead, fused across all ``L`` tables:
   a larger one is sharded.  Consumers convert a gathered id array to
   ``intp`` once before they scatter by it;
 * ``registers`` — the HLL registers of every *materialised* bucket
-  sketch stacked into a single ``(S, m)`` uint8 matrix, with ``int32``
-  ``sketch_rows`` mapping buckets to rows (-1 = lazy small bucket).
+  sketch stacked into a single ``(S, m)`` uint8 matrix, row ``i``
+  belonging to bucket ``sketched[i]``: ``sketched`` holds the strictly
+  increasing ``uint32`` ids of the ``S`` sketched buckets and nothing
+  for a lazy small one, so a reader finds a bucket's register row with
+  one ``searchsorted`` into a few-KB array (:meth:`FrozenTables.register_rows`).
 
 On this layout ``lookup_batch`` is a fused hash pass plus one binary
-search per batch, merged-sketch estimation is a row-gathered
-``np.maximum.reduceat`` over the register matrix, and candidate
-deduplication is one sort of a batch's small rows' tagged member ids (a
-boolean scatter over ``n`` for a large row) — all vectorised across
-queries *and* tables with zero per-bucket Python objects, and all
-**bit-identical** to the dict layout (register maxima and id unions are
-associative, so regrouping cannot change a single byte).
+search per batch, merged-sketch estimation is one gather of the
+register matrix's rows and one contiguous ``np.maximum`` reduce per
+query, and candidate deduplication is one sort of a batch's small
+rows' tagged member ids (a boolean scatter over ``n`` for a large row)
+— all vectorised across tables with zero per-bucket Python objects,
+and all **bit-identical** to the dict layout (register maxima and id
+unions are associative, so regrouping cannot change a single byte).
 
 :meth:`FrozenLSHIndex.build` is Algorithm 1 written straight into these
 arrays: a chunked hash pass into one narrow table-major row matrix,
@@ -90,14 +93,16 @@ its stored rows as it swaps in).  Answers are bit-identical throughout.
 in-flight background compaction and folds whatever is left.
 
 The frozen arrays persist as a directory of plain ``.npy`` files
-(:func:`save_frozen_index` / :func:`load_frozen_index`; format v3 =
-``key64.npy`` + ``keys.npy`` + the mix salt in ``config.json``, and the
-four-byte ``members`` / ``offsets`` / ``sketch_rows`` above), so
-reopening a saved index is ``np.load(..., mmap_mode="r")`` per array —
-zero-copy, no bucket reconstruction, first query pages in only what it
-touches.  Older directories still open and the next save writes v3: a
+(:func:`save_frozen_index` / :func:`load_frozen_index`; format v4 =
+``key64.npy`` + ``keys.npy`` + the mix salt in ``config.json``, the
+four-byte ``members`` / ``offsets`` and the ``sketched.npy`` list
+above), so reopening a saved index is ``np.load(..., mmap_mode="r")``
+per array — zero-copy, no bucket reconstruction, first query pages in
+only what it touches.  Older directories still open and the next save
+writes v4: a format-v3 one (a per-bucket ``int32`` ``sketch_rows`` map,
+-1 for a lazy bucket) has the map turned into ``sketched`` in memory, a
 format-v2 one (eight-byte ids, offsets and sketch rows, stored
-``sizes``) is narrowed in memory, a format-v1 one (``keys_raw.npy``)
+``sizes``) is narrowed as well, a format-v1 one (``keys_raw.npy``)
 re-assembled in memory.
 """
 
@@ -143,7 +148,7 @@ __all__ = [
 #: triggers an automatic re-freeze.
 DEFAULT_REFREEZE_THRESHOLD = 1024
 
-_FROZEN_FORMAT_VERSION = 3
+_FROZEN_FORMAT_VERSION = 4
 _CONFIG_FILE = "config.json"
 
 #: ``uint32`` ids and CSR offsets: an index holds fewer (point, table)
@@ -455,6 +460,8 @@ class FrozenTables:
     ``table_slices[t] : table_slices[t + 1]`` (the table id is the
     address's high bits).  ``salt`` selects the mix the addresses were
     computed with; :meth:`locate` must — and does — use the same one.
+    Register row ``i`` is the sketch of bucket ``sketched[i]``
+    (``sketched`` strictly increasing, one entry per sketched bucket).
     """
 
     num_tables: int
@@ -464,7 +471,7 @@ class FrozenTables:
     table_slices: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
-    sketch_rows: np.ndarray
+    sketched: np.ndarray
     registers: np.ndarray
     #: ``(slot_rows, order, sorted addresses)`` of the latest :meth:`needles` call.
     _needles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -513,10 +520,8 @@ class FrozenTables:
         offsets[1:] = np.cumsum(sizes)
 
         m = 1 << hll_precision
-        sketch_rows = np.full(total_buckets, -1, dtype=np.int32)
         if hll_hashes is not None:
-            sketched = np.flatnonzero(sizes > lazy_threshold)
-            sketch_rows[sketched] = np.arange(sketched.size)
+            sketched = np.flatnonzero(sizes > lazy_threshold).astype(np.uint32)
             registers = np.zeros((sketched.size, m), dtype=np.uint8)
             if sketched.size:
                 ids = _csr_gather(members, offsets[sketched], sizes[sketched]).astype(np.intp)
@@ -527,6 +532,7 @@ class FrozenTables:
                     hll_hashes.ranks[ids],
                 )
         else:
+            sketched = np.empty(0, dtype=np.uint32)
             registers = np.zeros((0, m), dtype=np.uint8)
         return cls(
             num_tables=num_tables,
@@ -536,7 +542,7 @@ class FrozenTables:
             table_slices=table_slices,
             offsets=offsets,
             members=members,
-            sketch_rows=sketch_rows,
+            sketched=sketched,
             registers=registers,
         )
 
@@ -675,6 +681,20 @@ class FrozenTables:
         """Concatenated member ids of the given global buckets (``uint32``)."""
         return _csr_gather(self.members, *self.spans(bucket_idx))
 
+    def register_rows(self, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(has_sketch, rows)`` of the non-negative global bucket ids in
+        ``buckets``: whether each owns a register row, and that row
+        (meaningless where it does not — a lazy bucket).
+
+        One ``searchsorted`` into ``sketched`` — a few KB, however many
+        buckets the index holds — so no per-bucket map is stored.
+        """
+        sketched = self.sketched
+        if not sketched.size:
+            return np.zeros(buckets.shape, dtype=bool), np.zeros(buckets.shape, dtype=np.intp)
+        rows = sketched.searchsorted(buckets)
+        return sketched.take(rows, mode="clip") == buckets, rows
+
     @property
     def num_buckets(self) -> int:
         return int(self.table_slices[-1])
@@ -688,7 +708,7 @@ class FrozenTables:
                 int(a.nbytes)
                 for a in (self.key64, self.keys, self.offsets, self.table_slices)
             ),
-            "sketches": int(self.registers.nbytes) + int(self.sketch_rows.nbytes),
+            "sketches": int(self.registers.nbytes) + int(self.sketched.nbytes),
         }
 
     def __repr__(self) -> str:
@@ -1411,13 +1431,14 @@ class FrozenLSHIndex(LSHIndex):
         m = 1 << self.hll_precision
         regs = np.zeros(m, dtype=np.uint8)
         found = lookup.found_buckets()
-        srows = frozen.sketch_rows.take(found)
-        sketched = srows[srows >= 0]
-        if sketched.size:
-            np.maximum.reduce(frozen.registers.take(sketched, axis=0), axis=0, out=regs)
+        has_sketch, rows = frozen.register_rows(found)
+        if has_sketch.any():
+            np.maximum.reduce(
+                frozen.registers.take(rows[has_sketch], axis=0), axis=0, out=regs
+            )
         # Lazy small buckets and overflow entries alike feed their raw
         # ids into the merged registers (maxima over per-id hash pairs).
-        lazy = found[srows < 0]
+        lazy = found[~has_sketch]
         ids = np.concatenate(
             [frozen.gather_members(lazy), *_overflow_ids([lookup])[0]], dtype=np.intp
         )
@@ -1455,18 +1476,20 @@ class FrozenLSHIndex(LSHIndex):
         found = bucket_mat >= 0
         qi, _ = np.nonzero(found)  # row-major -> qi ascending
         buckets = bucket_mat[found]
-        srows = frozen.sketch_rows.take(buckets)
-        sketched = srows >= 0
-        if sketched.any():
-            rows = qi[sketched]
-            stacked = frozen.registers.take(srows[sketched], axis=0)
+        has_sketch, srows = frozen.register_rows(buckets)
+        if has_sketch.any():
+            rows = qi[has_sketch]
+            stacked = frozen.registers.take(srows[has_sketch], axis=0)
             # Row-major np.nonzero keeps `rows` sorted, so segments of
-            # equal query index are contiguous: one reduceat merges each
-            # query's sketched buckets.
+            # equal query index are contiguous: one contiguous reduce per
+            # row merges its sketched buckets (about twice as fast as one
+            # reduceat over axis 0, whose inner loop strides across the
+            # register columns).
             seg_starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            seg_max = np.maximum.reduceat(stacked, seg_starts, axis=0)
-            registers[rows[seg_starts]] = seg_max
-        lazy = ~sketched
+            stops = [*seg_starts[1:].tolist(), rows.size]
+            for row, start, stop in zip(rows[seg_starts].tolist(), seg_starts.tolist(), stops):
+                np.maximum.reduce(stacked[start:stop], axis=0, out=registers[row])
+        lazy = ~has_sketch
         rows, ids = _row_tagged_members(frozen, qi[lazy], buckets[lazy], overflow)
         if ids.size:
             # A flat 1-d scatter: numpy's indexed fast path is ~10x the
@@ -1613,13 +1636,12 @@ class FrozenLSHIndex(LSHIndex):
                 *(np.unique(run.key64, return_counts=True)[1] for run in runs),
             ]
         )
-        sketched = int(np.count_nonzero(frozen.sketch_rows >= 0))
         return {
             "tables": float(self.num_tables),
             "buckets": float(all_sizes.size),
             "mean_size": float(all_sizes.mean()),
             "max_size": float(all_sizes.max()),
-            "sketched_fraction": sketched / all_sizes.size,
+            "sketched_fraction": frozen.sketched.size / all_sizes.size,
         }
 
     def __repr__(self) -> str:
@@ -1637,7 +1659,9 @@ class FrozenLSHIndex(LSHIndex):
 
 #: The validated bucket arrays of a saved index, per format version:
 #: each file's dtype ("integer" = any integer dtype) and ndim.  v3 is
-#: v2 with four-byte ids, offsets and sketch rows, and no stored sizes.
+#: v2 with four-byte ids, offsets and sketch rows, and no stored sizes;
+#: v4 is v3 with the sorted ids of the sketched buckets in place of the
+#: per-bucket ``sketch_rows`` map.
 _LAYOUTS = {
     2: {
         "key64": ("uint64", 1),
@@ -1656,6 +1680,15 @@ _LAYOUTS = {
         "offsets": ("uint32", 1),
         "members": ("uint32", 1),
         "sketch_rows": ("int32", 1),
+        "registers": ("uint8", 2),
+    },
+    4: {
+        "key64": ("uint64", 1),
+        "keys": ("integer", 2),
+        "table_slices": ("int64", 1),
+        "offsets": ("uint32", 1),
+        "members": ("uint32", 1),
+        "sketched": ("uint32", 1),
         "registers": ("uint8", 2),
     },
 }
@@ -1763,17 +1796,21 @@ def _ids_in_range(members: np.ndarray, n: int) -> bool:
 def _checked_tables(
     arrays: dict[str, np.ndarray], config: dict, row_width: int, path: str
 ) -> FrozenTables:
-    """Format-v2 or -v3 bucket arrays as :class:`FrozenTables`, validated.
+    """Format-v2, -v3 or -v4 bucket arrays as :class:`FrozenTables`, validated.
 
     Checks every invariant :meth:`FrozenTables.locate` and the CSR
     gathers index by — dtypes, shapes, ``key64`` strictly increasing
     with each table's tag inside its slice (and, spot-checked, the
     address of ``keys`` under the persisted salt), offsets rising from
     0 to the member count (and equal to the stored sizes of v2), every
-    member id inside ``[0, n)`` — so a damaged artifact fails here,
-    typed, and never as an ``IndexError``, a silent miss or another
-    row's candidate on some later query.  A v2 artifact's eight-byte
-    ids, offsets and sketch rows are narrowed in memory.
+    member id inside ``[0, n)``, ``sketched`` strictly increasing below
+    the bucket count with one entry per register row — so a damaged
+    artifact fails here, typed, and never as an ``IndexError``, a silent
+    miss, another row's candidate or another bucket's registers on some
+    later query.  A v2 or v3 artifact's ``sketch_rows`` map becomes
+    ``sketched`` in memory, and only if it is the in-order map
+    :meth:`FrozenTables.assemble` writes; a v2 one's eight-byte ids and
+    offsets are narrowed as well.
     """
 
     def corrupt(what: str) -> CorruptArtifactError:
@@ -1800,7 +1837,7 @@ def _checked_tables(
             )
     key64, slices = arrays["key64"], arrays["table_slices"]
     offsets, members = arrays["offsets"], arrays["members"]
-    sketch_rows, registers = arrays["sketch_rows"], arrays["registers"]
+    registers = arrays["registers"]
     buckets = key64.size
     if (
         slices.shape != (num_tables + 1,)
@@ -1841,21 +1878,42 @@ def _checked_tables(
         raise corrupt("offsets, sizes and members do not describe one CSR structure")
     if not _ids_in_range(members, n):
         raise corrupt(f"members holds ids outside [0, {n})")
-    if (
-        sketch_rows.shape != (buckets,)
-        or registers.shape[1] != 1 << config["hll_precision"]
-        or (sketch_rows < -1).any()
-        or (sketch_rows >= registers.shape[0]).any()
-    ):
-        raise corrupt("sketch_rows points outside the register matrix")
-    tables = {name: arrays[name] for name in _TABLE_FILES[3]}
-    if version == 2:  # narrowed in memory; the next save writes v3
-        tables.update(
-            offsets=offsets.astype(np.uint32),
-            members=members.astype(np.uint32),
-            sketch_rows=sketch_rows.astype(np.int32),
+    if registers.shape[1] != 1 << config["hll_precision"]:
+        raise corrupt(
+            f"registers.npy has {registers.shape[1]} columns; the register matrix "
+            f"of hll_precision {config['hll_precision']} has {1 << config['hll_precision']}"
         )
-    return FrozenTables(num_tables=num_tables, salt=salt, **tables)
+    if version < 4:
+        # Row i of registers must belong to the i-th sketched bucket, as
+        # assemble writes it: any other map (two buckets on one row, rows
+        # out of order or unused) would merge foreign registers into Eq. 1.
+        sketch_rows = arrays["sketch_rows"]
+        if sketch_rows.shape != (buckets,) or (sketch_rows < -1).any():
+            raise corrupt("sketch_rows does not map the buckets to register rows")
+        sketched = np.flatnonzero(sketch_rows >= 0)
+        if not np.array_equal(sketch_rows[sketched], np.arange(registers.shape[0])):
+            raise corrupt(
+                "sketch_rows is not the in-order map of the sketched buckets onto "
+                "the register rows"
+            )
+        sketched = sketched.astype(np.uint32)
+    else:
+        sketched = arrays["sketched"]
+        if sketched.shape != (registers.shape[0],):
+            raise corrupt(
+                f"sketched.npy lists {sketched.size} buckets for "
+                f"{registers.shape[0]} register rows"
+            )
+        if sketched.size and not (
+            (sketched[1:] > sketched[:-1]).all() and int(sketched[-1]) < buckets
+        ):
+            raise corrupt(
+                f"sketched is not a strictly increasing list of bucket ids below {buckets}"
+            )
+    tables = {name: arrays[name] for name in _TABLE_FILES[4] if name != "sketched"}
+    if version == 2:  # narrowed in memory; the next save writes v4
+        tables.update(offsets=offsets.astype(np.uint32), members=members.astype(np.uint32))
+    return FrozenTables(num_tables=num_tables, salt=salt, sketched=sketched, **tables)
 
 
 def _tables_from_v1(
@@ -1868,7 +1926,7 @@ def _tables_from_v1(
     back into per-table source triples and go through
     :meth:`FrozenTables.assemble` like a fresh freeze (which also
     rebuilds the registers), so there is no second lookup path; the
-    next save writes v3.
+    next save writes v4.
     """
     _check_capacity(index.n, index.num_tables)
     if not _ids_in_range(arrays["members"], index.n):
@@ -1962,8 +2020,9 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     bit-identical to the saved instance.  Pass
     ``mmap_mode=None`` to materialise everything in RAM instead.  The
     bucket arrays are validated on the way in (:func:`_checked_tables`).
-    A format-v2 artifact opens with its ids, offsets and sketch rows
-    narrowed in memory (the rest stays mapped), a format-v1 artifact
+    A format-v3 artifact opens with its ``sketch_rows`` map turned into
+    ``sketched`` in memory, a format-v2 one with its ids and offsets
+    narrowed as well (the rest stays mapped), a format-v1 artifact
     with its tables re-assembled in memory (:func:`_tables_from_v1`;
     only ``points`` stays mapped).
     """

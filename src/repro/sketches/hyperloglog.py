@@ -95,7 +95,9 @@ class PrecomputedHllHashes:
     Attributes
     ----------
     registers:
-        int64 array, ``registers[i]`` is the register index of point i.
+        ``registers[i]`` is the register index of point i, in the
+        narrowest unsigned dtype that holds ``m - 1`` (uint8 up to
+        ``p = 8``, uint16 up to 16, uint32 beyond).
     ranks:
         uint8 array, ``ranks[i]`` is the rho-value of point i.
     """
@@ -107,12 +109,17 @@ class PrecomputedHllHashes:
         self.n = int(n)
         self.p = int(p)
         self.seed = int(seed)
-        hashes = hash64(np.arange(n, dtype=np.uint64), seed=seed)
-        self.registers, rest = split_hash(hashes, p)
-        self.ranks = rho_positions(rest, 64 - p)
+        self.registers, self.ranks = self._pairs(0, n)
         # ``registers`` / ``ranks`` are prefix views of these buffers
         # (exactly ``n`` rows until the first :meth:`extend`).
         self._register_buffer, self._rank_buffer = self.registers, self.ranks
+
+    def _pairs(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The narrowed ``(registers, ranks)`` of ids ``start .. stop - 1``."""
+        hashes = hash64(np.arange(start, stop, dtype=np.uint64), seed=self.seed)
+        registers, rest = split_hash(hashes, self.p)
+        narrow = np.min_scalar_type((1 << self.p) - 1)
+        return registers.astype(narrow), rho_positions(rest, 64 - self.p)
 
     def pair(self, point_id: int) -> tuple[int, int]:
         """The ``(register, rank)`` pair of one point id."""
@@ -135,9 +142,7 @@ class PrecomputedHllHashes:
             )
         if new_n == self.n:
             return
-        tail = hash64(np.arange(self.n, new_n, dtype=np.uint64), seed=self.seed)
-        tail_registers, rest = split_hash(tail, self.p)
-        tail_ranks = rho_positions(rest, 64 - self.p)
+        tail_registers, tail_ranks = self._pairs(self.n, new_n)
         self._register_buffer = append_rows(self._register_buffer, self.n, tail_registers)
         self._rank_buffer = append_rows(self._rank_buffer, self.n, tail_ranks)
         self.registers = self._register_buffer[:new_n]

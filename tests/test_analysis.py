@@ -85,6 +85,27 @@ class TestTruePositives:
         assert any("offsets" in f.message for f in findings)
         assert any("re-materialising" in f.message for f in findings)
 
+    def test_dtype_contract_holds_the_sketched_bucket_ids_to_uint32(self, tmp_path):
+        """``sketched`` (the sorted ids of the sketched buckets) is a
+        ``uint32`` contract under ``index/``; the per-bucket
+        ``sketch_rows`` map it replaced is no longer one."""
+        assert DTYPE_CONTRACTS["sketched"] == "uint32"
+        assert "sketch_rows" not in DTYPE_CONTRACTS
+        path = tmp_path / "index" / "mod.py"
+        path.parent.mkdir()
+        for dtype, expected in (("int32", 2), ("uint32", 0)):
+            path.write_text(
+                "import numpy as np\n\n\n"
+                "def f(sizes, t):\n"
+                f"    sketched = np.flatnonzero(sizes > t).astype(np.{dtype})\n"
+                f"    empty_sketched = np.empty(0, dtype=np.{dtype})\n"
+                "    sketch_rows = np.full(sizes.size, -1, dtype=np.int64)\n"
+                "    return sketched, empty_sketched, sketch_rows\n"
+            )
+            findings = run_check([str(path)], enabled=["dtype-contract"])
+            assert len(findings) == expected
+            assert all("'sketched'" in f.message for f in findings)
+
     def test_spec_plumb_names_the_dead_fields_only(self):
         findings = run_check([str(RULE_FIXTURES["spec-plumb"])], enabled=["spec-plumb"])
         # metric/radius (IndexSpec) and k/adaptive (QuerySpec) are

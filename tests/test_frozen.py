@@ -97,9 +97,9 @@ class TestFrozenPrimitives:
             assert la.num_collisions == lb.num_collisions
 
     def test_stored_arrays_keep_four_byte_dtypes(self):
-        """Members and offsets are ``uint32`` and sketch rows ``int32`` —
+        """Members, offsets and the sketched bucket ids are ``uint32`` —
         frozen, in every live run, and after a fold — and no bucket size
-        is stored.
+        or per-bucket sketch map is stored.
 
         A drift back to eight-byte ids changes no answer, which is why
         the dtype-contract lint exists; pin it at runtime too.
@@ -112,9 +112,30 @@ class TestFrozenPrimitives:
         for _ in range(2):
             csr = frozen.frozen
             assert csr.members.dtype == csr.offsets.dtype == np.uint32
-            assert csr.sketch_rows.dtype == np.int32
-            assert not hasattr(csr, "sizes")
+            assert csr.sketched.dtype == np.uint32
+            assert csr.sketched.shape == (csr.registers.shape[0],)
+            assert not hasattr(csr, "sizes") and not hasattr(csr, "sketch_rows")
             frozen.refreeze()
+
+    def test_sketched_lists_the_buckets_past_the_lazy_threshold(self):
+        """``sketched`` is the sorted ids of the buckets above the lazy
+        threshold, register row ``i`` is the dict sketch of bucket
+        ``sketched[i]``, and ``register_rows`` finds exactly those."""
+        _, index, frozen = build_pair(lazy_threshold=4)
+        csr = frozen.frozen
+        sizes = np.diff(csr.offsets.astype(np.int64))
+        assert np.array_equal(csr.sketched, np.flatnonzero(sizes > 4))
+        assert 0 < csr.sketched.size < csr.num_buckets
+        has_sketch, rows = csr.register_rows(np.arange(csr.num_buckets))
+        assert np.array_equal(has_sketch, sizes > 4)
+        assert np.array_equal(rows[has_sketch], np.arange(csr.sketched.size))
+        dict_sketches = [
+            bucket.sketch.registers
+            for table in index.tables
+            for _, bucket in sorted(table.buckets.items())
+            if bucket.has_sketch
+        ]
+        assert sorted(map(bytes, dict_sketches)) == sorted(map(bytes, csr.registers))
 
     def test_candidates_both_dedups_match(self):
         points, index, frozen = build_pair()
@@ -219,6 +240,11 @@ class TestFrozenPrimitives:
         csr, runs = frozen._snapshot()
         assert runs and csr.registers.shape[0] > 0
         assert len(arrays(csr)) >= 7 and len(arrays(runs[0])) >= 3
+        # The sketches cost what they hold: the registers and one uint32
+        # id per sketched bucket, nothing per lazy bucket.
+        assert frozen.memory_report()["sketches"] == (
+            csr.registers.nbytes + csr.sketched.nbytes
+        ) == (csr.registers.shape[1] + 4) * csr.sketched.size
         report, pairs = frozen.memory_report(), frozen._hll_hashes
         assert report["points"] == frozen._point_buffer.nbytes > frozen.points.nbytes
         assert report["norms"] == frozen._norm_buffer.nbytes > 8 * frozen.n
@@ -233,9 +259,9 @@ class TestFrozenPrimitives:
         assert frozen.sketch_memory_bytes == index.sketch_memory_bytes
         report = frozen.memory_report()
         assert report["points"] == index.memory_report()["points"]
-        # The same registers, plus the bucket -> register-row map.
-        sketch_rows = frozen.frozen.sketch_rows.nbytes
-        assert report["sketches"] == index.memory_report()["sketches"] + sketch_rows
+        # The same registers, plus the ids of the sketched buckets.
+        sketched = frozen.frozen.sketched.nbytes
+        assert report["sketches"] == index.memory_report()["sketches"] + sketched
 
 
 class TestFrozenSearch:
@@ -643,7 +669,7 @@ class TestArrayNativeBuild:
         expected = reference_index(points, spec).freeze().frozen
         monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", chunk)
         built = Index.build(points, spec).engine.index.frozen
-        for name in frozen_module._TABLE_FILES[3]:
+        for name in frozen_module._TABLE_FILES[frozen_module._FROZEN_FORMAT_VERSION]:
             assert np.array_equal(getattr(built, name), getattr(expected, name)), name
             assert getattr(built, name).dtype == getattr(expected, name).dtype, name
 
@@ -780,10 +806,10 @@ class TestFormatV1Artifacts:
     """``tests/fixtures/frozen_v1``: two artifacts written by the PR 17
     tree (format v1: bytewise-sorted ``keys_raw.npy``), with the answers
     that tree gave in ``expected.json``.  They must keep opening, answer
-    identically, and turn into format v3 on the next save."""
+    identically, and turn into format v4 on the next save."""
 
     @pytest.mark.parametrize("name", ["multiprobe_pstable", "covering"])
-    def test_v1_opens_answers_identically_and_resaves_as_v3(self, name, tmp_path):
+    def test_v1_opens_answers_identically_and_resaves_as_v4(self, name, tmp_path):
         source = os.path.join(V1_FIXTURES, name)
         with open(os.path.join(source, "config.json")) as fh:
             assert json.load(fh)["format_version"] == 1
@@ -796,11 +822,11 @@ class TestFormatV1Artifacts:
         assert opened.n <= 64 and opened.variant == name.split("_")[0]
         assert answers(opened, queries) == expected
 
-        resaved = str(tmp_path / "v3")
+        resaved = str(tmp_path / "v4")
         save_frozen_index(opened, resaved)
         with open(os.path.join(resaved, "config.json")) as fh:
             config = json.load(fh)
-        assert config["format_version"] == 3 and config["key_salt"] == 0
+        assert config["format_version"] == 4 and config["key_salt"] == 0
         assert os.path.exists(os.path.join(resaved, "key64.npy"))
         assert not os.path.exists(os.path.join(resaved, "keys_raw.npy"))
         reopened = load_frozen_index(resaved)
@@ -829,11 +855,11 @@ class TestFormatV1Artifacts:
             load_frozen_index(broken)
 
     def test_unknown_version_is_refused(self, tmp_path):
-        future = str(tmp_path / "v4")
+        future = str(tmp_path / "v5")
         shutil.copytree(os.path.join(V1_FIXTURES, "covering"), future)
         with open(os.path.join(future, "config.json")) as fh:
             config = json.load(fh)
-        config["format_version"] = 4
+        config["format_version"] = 5
         with open(os.path.join(future, "config.json"), "w") as fh:
             json.dump(config, fh)
         with pytest.raises(ConfigurationError, match="unsupported frozen index version"):
@@ -841,6 +867,7 @@ class TestFormatV1Artifacts:
 
 
 V2_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v2")
+V3_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v3")
 
 
 def _set_entry(index, value):
@@ -854,40 +881,86 @@ def _set_entry(index, value):
 class TestFormatV2Artifacts:
     """``tests/fixtures/frozen_v2``: two artifacts written by the last
     format-v2 tree, commit 00000f2 (eight-byte members, offsets and
-    sketch rows, stored ``sizes``), with the answers that tree gave in
-    ``expected.json``.
-    They open with those arrays narrowed in memory, answer identically,
-    and turn into format v3 on the next save."""
+    sketch rows, stored ``sizes``), and ``tests/fixtures/frozen_v3``: two
+    written by the last format-v3 tree, commit bf2e6b7 (a per-bucket
+    ``int32`` ``sketch_rows`` map), each with the answers that tree gave
+    in ``expected.json`` (v3: its bucket statistics too).
+    They open with those arrays narrowed, and the sketch map turned into
+    the sorted ids of the sketched buckets, in memory; they answer
+    identically, and turn into format v4 on the next save."""
 
-    @pytest.mark.parametrize("name", ["plain_pstable", "multiprobe_simhash"])
-    def test_v2_opens_answers_identically_and_resaves_as_v3(self, name, tmp_path):
-        source = os.path.join(V2_FIXTURES, name)
+    @pytest.mark.parametrize(
+        "version, name",
+        [
+            (version, name)
+            for version in (2, 3)
+            for name in ("plain_pstable", "multiprobe_simhash")
+        ],
+    )
+    def test_old_format_opens_answers_identically_and_resaves_as_v4(
+        self, version, name, tmp_path
+    ):
+        source = os.path.join(V2_FIXTURES if version == 2 else V3_FIXTURES, name)
         with open(os.path.join(source, "config.json")) as fh:
-            assert json.load(fh)["format_version"] == 2
+            assert json.load(fh)["format_version"] == version
         with open(os.path.join(source, "expected.json")) as fh:
             expected = json.load(fh)
+        stats = expected.pop("stats", None)
+        assert (stats is None) == (version == 2)
         queries = np.load(os.path.join(source, "queries.npy"))
         assert any(expected["candidates"])  # not vacuous
-        assert np.load(os.path.join(source, "members.npy")).dtype == np.int64
+        stored = np.load(os.path.join(source, "sketch_rows.npy"))
+        assert stored.dtype == (np.int64 if version == 2 else np.int32)
+        assert (stored >= 0).sum() >= 2
 
         opened = load_frozen_index(source)
         assert opened.variant == name.split("_")[0]
         csr = opened.frozen
-        assert csr.members.dtype == csr.offsets.dtype == np.uint32
-        assert csr.sketch_rows.dtype == np.int32
+        assert csr.members.dtype == csr.offsets.dtype == csr.sketched.dtype == np.uint32
+        assert np.array_equal(csr.sketched, np.flatnonzero(stored >= 0))
         assert_file_backed(csr.key64, source, "key64")  # the rest stays mapped
+        assert_file_backed(csr.registers, source, "registers")
         assert answers(opened, queries) == expected
+        if stats is not None:
+            assert opened.bucket_statistics() == stats
 
-        resaved = str(tmp_path / "v3")
+        resaved = str(tmp_path / "v4")
         save_frozen_index(opened, resaved)
         with open(os.path.join(resaved, "config.json")) as fh:
-            assert json.load(fh)["format_version"] == 3
-        assert not os.path.exists(os.path.join(resaved, "sizes.npy"))
+            assert json.load(fh)["format_version"] == 4
+        for gone in ("sizes", "sketch_rows"):
+            assert not os.path.exists(os.path.join(resaved, f"{gone}.npy"))
         reopened = load_frozen_index(resaved)
         assert_file_backed(reopened.points, resaved, "points")
-        for array in ("members", "offsets", "sketch_rows"):
+        for array in ("members", "offsets", "sketched"):
             assert_file_backed(getattr(reopened.frozen, array), resaved, array)
         assert answers(reopened, queries) == expected
+        if stats is not None:
+            assert reopened.bucket_statistics() == stats
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda a: np.where(a == 1, 0, a), id="row-repeated"),
+            pytest.param(lambda a: np.where(a == 0, 1, np.where(a == 1, 0, a)), id="rows-swapped"),
+            pytest.param(lambda a: np.where(a == a.max(), -1, a), id="last-row-unused"),
+            pytest.param(lambda a: np.where(a == a.max(), 10**6, a), id="row-past-end"),
+            pytest.param(lambda a: np.where(a == -1, -2, a), id="below-minus-one"),
+            pytest.param(lambda a: a[:-1], id="short"),
+        ],
+    )
+    def test_a_v3_sketch_map_that_assemble_cannot_write_is_refused(
+        self, change, tmp_path
+    ):
+        """The v3 map is converted only if it is the order-preserving
+        injection of the sketched buckets onto the register rows; any
+        other would merge another bucket's registers into Eq. 1."""
+        broken = str(tmp_path / "v3")
+        shutil.copytree(os.path.join(V3_FIXTURES, "plain_pstable"), broken)
+        target = os.path.join(broken, "sketch_rows.npy")
+        np.save(target, change(np.load(target)))
+        with pytest.raises(CorruptArtifactError, match="sketch_rows"):
+            load_frozen_index(broken)
 
     @pytest.mark.parametrize(
         "name, change, complaint",

@@ -357,7 +357,7 @@ class TestBudgetedWalkProperties:
 
 _TABLE_ARRAYS = (
     "key64", "keys", "table_slices", "offsets", "members",
-    "sketch_rows", "registers",
+    "sketched", "registers",
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SketchError
 from repro.sketches import HyperLogLog, PrecomputedHllHashes
+from repro.sketches.hashing64 import hash64, split_hash
 from repro.sketches.hyperloglog import alpha_m, estimates_from_registers
 
 
@@ -332,6 +333,22 @@ class TestPrecomputed:
     def test_extend_cannot_shrink(self):
         with pytest.raises(ConfigurationError):
             PrecomputedHllHashes(50, p=6).extend(49)
+
+    @pytest.mark.parametrize(
+        "p, dtype",
+        [(4, np.uint8), (7, np.uint8), (8, np.uint8), (9, np.uint16),
+         (16, np.uint16), (17, np.uint32), (18, np.uint32)],
+    )
+    def test_register_indexes_are_stored_at_their_width(self, p, dtype):
+        """A register index is below ``m = 2**p``: it is stored in the
+        narrowest unsigned dtype that holds ``m - 1``, also after an
+        extension, with the values of the int64 split."""
+        hashes = PrecomputedHllHashes(40, p=p, seed=4)
+        hashes.extend(70)
+        assert hashes.registers.dtype == hashes._register_buffer.dtype == dtype
+        assert hashes.nbytes == (np.dtype(dtype).itemsize + 1) * hashes._rank_buffer.shape[0]
+        wide, _ = split_hash(hash64(np.arange(70, dtype=np.uint64), seed=4), p)
+        assert np.array_equal(hashes.registers, wide)
 
     def test_pair_is_plain_ints(self):
         register, rank = PrecomputedHllHashes(10, p=6, seed=1).pair(3)

@@ -77,9 +77,10 @@ class TestBytesPerPointBudget:
         reference = reference_index(self.POINTS, self.SPEC)
         csr = raw.frozen
         assert csr.num_buckets == sum(table.num_buckets for table in reference.tables)
-        # 621 counted (612 before the HLL pairs were); 812 with 8-byte
-        # ids, 1206 with format v1's byte keys.
-        assert report["total"] / self.N <= 640
+        # 566 counted; 621 with a per-bucket int32 sketch map and int64
+        # HLL registers, 812 with 8-byte ids, 1206 with format v1's byte
+        # keys.
+        assert report["total"] / self.N <= 580
         # bucket_keys counts every byte that addresses a bucket.
         assert csr.key64.dtype == np.uint64 and csr.keys.dtype == np.int8
         assert report["bucket_keys"] == sum(
@@ -89,9 +90,13 @@ class TestBytesPerPointBudget:
             csr.num_buckets * (8 + raw.k + 4) + 4 + 8 * (self.TABLES + 1)
         )
         assert report["bucket_ids"] == 4 * self.N * self.TABLES
-        # Each point's HLL pair (int64 register, uint8 rank); the row
-        # norms are prepared by the first query, and none has run.
-        assert report["hll_pairs"] == 9 * self.N and report["norms"] == 0
+        # A sketched bucket costs its m registers and its uint32 id; a
+        # lazy one costs nothing.
+        assert report["sketches"] == (128 + 4) * csr.sketched.size
+        # Each point's HLL pair (uint8 register index at m = 128, uint8
+        # rank); the row norms are prepared by the first query, and none
+        # has run.
+        assert report["hll_pairs"] == 2 * self.N and report["norms"] == 0
         assert report["total"] == sum(report[part] for part in MEMORY_REPORT_PARTS)
 
     def test_dict_layout_report_is_unchanged(self):

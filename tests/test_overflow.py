@@ -495,9 +495,9 @@ def test_diagnostics_count_the_runs_arrays():
     report, stats = raw.memory_report(), raw.bucket_statistics()
     assert report["bucket_ids"] == before["bucket_ids"] + run.members.nbytes
     assert report["bucket_keys"] == before["bucket_keys"] + run.key64.nbytes + run.rows.nbytes
-    # Registers plus the bucket -> register-row map; a run adds neither.
-    sketch_rows = raw.frozen.sketch_rows.nbytes
-    assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes + sketch_rows
+    # Registers plus the ids of the sketched buckets; a run adds neither.
+    sketched = raw.frozen.sketched.nbytes
+    assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes + sketched
     # The point buffer at its capacity: the insert grew it past n.
     assert report["points"] == raw._point_buffer.nbytes > raw.points.nbytes
     assert stats["buckets"] == buckets + np.unique(run.key64).size

@@ -46,8 +46,9 @@ def points():
 
 @pytest.fixture()
 def saved(tmp_path, points):
-    """A freshly saved frozen-layout artifact, one per test (mutated)."""
-    index = Index.build(points, _spec())
+    """A freshly saved frozen-layout artifact, one per test (mutated);
+    the low lazy threshold gives it sketched buckets to corrupt."""
+    index = Index.build(points, _spec(lazy_threshold=1))
     path = str(tmp_path / "idx")
     index.save(path)
     index.close()
@@ -159,6 +160,30 @@ def _rewrite(saved, name, change):
     np.save(target, change(np.load(target)))
 
 
+def _as_format_v3(saved):
+    """Rewrite shard 0 as the format-v3 tree wrote it: a per-bucket
+    ``int32`` ``sketch_rows`` map (-1 = lazy) in place of ``sketched``."""
+    shard = os.path.join(saved, "shard_000.frozen")
+    sketched = np.load(os.path.join(shard, "sketched.npy"))
+    sketch_rows = np.full(np.load(os.path.join(shard, "key64.npy")).size, -1, np.int32)
+    sketch_rows[sketched] = np.arange(sketched.size)
+    np.save(os.path.join(shard, "sketch_rows.npy"), sketch_rows)
+    os.remove(os.path.join(shard, "sketched.npy"))
+    config_path = os.path.join(shard, "config.json")
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["format_version"] = 3
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+
+
+def _repeat_a_row(sketch_rows):
+    """Point the second sketched bucket at the first one's register row."""
+    first, second = np.flatnonzero(sketch_rows >= 0)[:2]
+    sketch_rows[second] = sketch_rows[first]
+    return sketch_rows
+
+
 def _swap_first_two(array):
     array[[0, 1]] = array[[1, 0]]
     return array
@@ -176,10 +201,11 @@ def _set(index, value):
 
 
 class TestHostileFrozenArrays:
-    """Format v3's bucket arrays are validated when the artifact opens:
-    a well-formed ``.npy`` with the wrong dtype, shape or contents is a
-    :class:`CorruptArtifactError` there — never an ``IndexError`` (or a
-    silently wrong bucket) on some later query."""
+    """Format v4's bucket arrays (and a v3 sketch map) are validated when
+    the artifact opens: a well-formed ``.npy`` with the wrong dtype,
+    shape or contents is a :class:`CorruptArtifactError` there — never
+    an ``IndexError`` (or a silently wrong bucket, or another bucket's
+    registers) on some later query."""
 
     @pytest.mark.parametrize(
         "name, change, complaint",
@@ -206,8 +232,12 @@ class TestHostileFrozenArrays:
             pytest.param("offsets", _set(-1, 10**9), "CSR", id="offsets-end-past-members"),
             pytest.param("offsets", _set(3, -7), "CSR", id="offsets-not-monotone"),
             pytest.param("offsets", lambda a: a.astype(np.int64), "offsets.npy is 1-d int64", id="offsets-eight-byte"),
-            pytest.param("sketch_rows", _set(0, 10**6), "register matrix", id="sketch-row-past-end"),
-            pytest.param("sketch_rows", _set(0, -5), "register matrix", id="sketch-row-below-minus-one"),
+            pytest.param("sketched", _swap_first_two, "strictly increasing", id="sketched-unsorted"),
+            pytest.param("sketched", lambda a: a[np.maximum(np.arange(a.size) - 1, 0)], "strictly increasing", id="sketched-duplicate"),
+            pytest.param("sketched", _set(-1, 10**6), "bucket ids below", id="sketched-past-last-bucket"),
+            pytest.param("sketched", lambda a: a[:-1], "register rows", id="sketched-short"),
+            pytest.param("sketched", lambda a: a.astype(np.int32), "sketched.npy is 1-d int32", id="sketched-signed"),
+            pytest.param("sketch_rows", _repeat_a_row, "in-order map", id="v3-sketch-row-repeated"),
             pytest.param("registers", lambda a: a[:, :3], "register matrix", id="registers-narrow"),
             pytest.param("registers", lambda a: a.astype(np.int16), "registers.npy is 2-d int16", id="registers-int16"),
         ],
@@ -215,6 +245,8 @@ class TestHostileFrozenArrays:
     def test_broken_invariant_is_a_typed_error_at_open(
         self, saved, name, change, complaint
     ):
+        if name == "sketch_rows":
+            _as_format_v3(saved)
         _rewrite(saved, name, change)
         with pytest.raises(CorruptArtifactError, match=complaint):
             Index.open(saved)
@@ -235,7 +267,7 @@ class TestHostileFrozenArrays:
         config_path = os.path.join(saved, "shard_000.frozen", "config.json")
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
-        assert config["format_version"] == 3 and config["key_salt"] == 0
+        assert config["format_version"] == 4 and config["key_salt"] == 0
         if salt == "missing":
             del config["key_salt"]
         else:
