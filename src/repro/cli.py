@@ -14,6 +14,7 @@ Usage::
     python -m repro.cli serve    --index idx/ --connect 127.0.0.1:7401 --connect 127.0.0.1:7402
     python -m repro.cli shard-serve --artifact idx/ [--shards 0,2] [--port 7401]
     python -m repro.cli loadgen  --index idx/ --rate 200 --duration 5 [--json out.json]
+    python -m repro.cli migrate  idx/
 
 Every experiment command prints the same text tables the
 ``benchmarks/bench_*.py`` files emit, so results can be generated in CI
@@ -31,7 +32,8 @@ standalone :class:`~repro.service.shard_server.ShardServer` process);
 commas separating replicas of that slot) serves through such servers
 instead of spawning local workers.  ``loadgen`` offers open-loop
 Poisson load against a saved or connected index and reports tail
-latency (:mod:`repro.service.loadgen`).
+latency (:mod:`repro.service.loadgen`).  ``migrate`` rewrites an
+older-format saved index as the one format the loader reads.
 """
 
 from __future__ import annotations
@@ -190,6 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default 0: let the OS pick; the chosen port is "
              "printed in the startup JSON line)",
     )
+
+    p_migrate = sub.add_parser("migrate", help="re-hash an older-format saved index as v4")
+    p_migrate.add_argument("path", metavar="PATH", help="an Index.save or frozen index directory")
 
     p_lg = sub.add_parser(
         "loadgen",
@@ -721,6 +726,17 @@ def _line_stream_with_probe(stdin):
     return lines(), more_ready
 
 
+def _cmd_migrate(args: argparse.Namespace) -> None:
+    from repro.exceptions import ReproError
+    from repro.index.frozen import migrate
+
+    try:
+        migrated = migrate(args.path)
+    except ReproError as exc:
+        sys.exit(f"error: {exc}")
+    print("\n".join(f"migrated {target}" for target in migrated) or "nothing to do")
+
+
 _COMMANDS = {
     "table1": _cmd_table1,
     "figure2": _cmd_figure2,
@@ -731,6 +747,7 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "shard-serve": _cmd_shard_serve,
     "loadgen": _cmd_loadgen,
+    "migrate": _cmd_migrate,
 }
 
 

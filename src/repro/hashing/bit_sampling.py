@@ -50,22 +50,22 @@ class BitSamplingLSH(LSHFamily):
 
     def sample_batch(self, k: int, num_tables: int):
         """Concatenated coordinate samples for all ``L`` tables."""
-        from repro.hashing.batched import BatchedHash
-
         k = check_positive_int(k, "k")
         num_tables = check_positive_int(num_tables, "num_tables")
         coords = self._rng.integers(0, self.dim, size=k * num_tables)
+        return self.batch_from_params({"coords": coords}, k, num_tables)
+
+    def batch_from_params(self, params: dict, k: int, num_tables: int):
+        """The fused kernel over drawn or stored :meth:`sample_batch` params."""
+        from repro.hashing.batched import BatchedHash
+
+        coords = params["coords"]
 
         def fused(points: np.ndarray) -> np.ndarray:
             return np.ascontiguousarray(points[:, coords], dtype=np.int64)
 
         return BatchedHash(
-            fused,
-            k=k,
-            num_tables=num_tables,
-            dim=self.dim,
-            kind="bit_sampling",
-            params={"coords": coords},
+            fused, k=k, num_tables=num_tables, dim=self.dim, kind="bit_sampling", params=params
         )
 
     def collision_probability(self, distance: float) -> float:

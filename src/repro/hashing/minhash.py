@@ -72,15 +72,19 @@ class MinHashLSH(LSHFamily):
         priority matrix; dataset hashing loops per atomic function to
         keep memory at ``O(n * d)``.
         """
-        from repro.hashing.batched import BatchedHash
-        from repro.utils.validation import check_positive_int
-
         k = check_positive_int(k, "k")
         num_tables = check_positive_int(num_tables, "num_tables")
-        total = k * num_tables
         priorities = np.stack(
-            [self._rng.permutation(self.dim) for _ in range(total)]
+            [self._rng.permutation(self.dim) for _ in range(k * num_tables)]
         ).astype(np.int64)
+        return self.batch_from_params({"priorities": priorities}, k, num_tables)
+
+    def batch_from_params(self, params: dict, k: int, num_tables: int):
+        """The fused kernel over drawn or stored :meth:`sample_batch` params."""
+        from repro.hashing.batched import BatchedHash
+
+        priorities = params["priorities"]
+        total = k * num_tables
 
         def fused(points: np.ndarray) -> np.ndarray:
             present = np.asarray(points).astype(bool)
@@ -95,12 +99,7 @@ class MinHashLSH(LSHFamily):
             return values
 
         return BatchedHash(
-            fused,
-            k=k,
-            num_tables=num_tables,
-            dim=self.dim,
-            kind="minhash",
-            params={"priorities": priorities},
+            fused, k=k, num_tables=num_tables, dim=self.dim, kind="minhash", params=params
         )
 
     def collision_probability(self, distance: float) -> float:

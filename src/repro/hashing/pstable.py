@@ -113,8 +113,6 @@ class PStableLSH(LSHFamily):
 
     def sample_batch(self, k: int, num_tables: int):
         """Stacked projections for all ``L`` tables (one matmul per query)."""
-        from repro.hashing.batched import BatchedHash
-
         k = check_positive_int(k, "k")
         num_tables = check_positive_int(num_tables, "num_tables")
         total = k * num_tables
@@ -123,19 +121,22 @@ class PStableLSH(LSHFamily):
         else:
             projections = self._rng.standard_cauchy(size=(self.dim, total))
         offsets = self._rng.uniform(0.0, self.w, size=total)
-        width = self.w
+        return self.batch_from_params(
+            {"projections": projections, "offsets": offsets}, k, num_tables
+        )
+
+    def batch_from_params(self, params: dict, k: int, num_tables: int):
+        """The fused kernel over drawn or stored :meth:`sample_batch` params."""
+        from repro.hashing.batched import BatchedHash
+
+        projections, offsets, width = params["projections"], params["offsets"], self.w
 
         def fused(points: np.ndarray) -> np.ndarray:
             shifted = np.asarray(points, dtype=np.float64) @ projections + offsets
             return np.floor(shifted / width).astype(np.int64)
 
         return BatchedHash(
-            fused,
-            k=k,
-            num_tables=num_tables,
-            dim=self.dim,
-            kind="pstable",
-            params={"projections": projections, "offsets": offsets},
+            fused, k=k, num_tables=num_tables, dim=self.dim, kind="pstable", params=params
         )
 
     def collision_probability(self, distance: float) -> float:

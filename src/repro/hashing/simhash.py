@@ -59,23 +59,23 @@ class SimHashLSH(LSHFamily):
 
     def sample_batch(self, k: int, num_tables: int):
         """Stacked hyperplanes for all ``L`` tables (one matmul per query)."""
-        from repro.hashing.batched import BatchedHash
-
         k = check_positive_int(k, "k")
         num_tables = check_positive_int(num_tables, "num_tables")
         planes = self._rng.standard_normal(size=(self.dim, k * num_tables))
+        return self.batch_from_params({"planes": planes}, k, num_tables)
+
+    def batch_from_params(self, params: dict, k: int, num_tables: int):
+        """The fused kernel over drawn or stored :meth:`sample_batch` params."""
+        from repro.hashing.batched import BatchedHash
+
+        planes = params["planes"]
 
         def fused(points: np.ndarray) -> np.ndarray:
             projections = np.asarray(points, dtype=np.float64) @ planes
             return (projections > 0.0).astype(np.int64)
 
         return BatchedHash(
-            fused,
-            k=k,
-            num_tables=num_tables,
-            dim=self.dim,
-            kind="simhash",
-            params={"planes": planes},
+            fused, k=k, num_tables=num_tables, dim=self.dim, kind="simhash", params=params
         )
 
     def collision_probability(self, distance: float) -> float:

@@ -44,7 +44,6 @@ import numpy as np
 from repro.hashing.probing import probe_deltas
 from repro.index.covering import CoveringLSHIndex, hamming_family_facade
 from repro.index.frozen import FrozenLSHIndex, FrozenQueryLookup, FrozenTables
-from repro.sketches.hyperloglog import PrecomputedHllHashes
 from repro.utils.validation import check_matrix
 
 __all__ = ["FrozenMultiProbeLSHIndex", "FrozenCoveringLSHIndex"]
@@ -221,8 +220,8 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     @classmethod
     def from_state(
         cls,
-        points: np.ndarray,
-        frozen: FrozenTables,
+        points: np.ndarray | None,
+        frozen: FrozenTables | None,
         dim: int,
         radius: int,
         blocks: list,
@@ -233,7 +232,8 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
         dedup: str,
         refreeze_threshold: int | None = None,
     ) -> FrozenCoveringLSHIndex:
-        """Reassemble from persisted arrays (no bucket reconstruction)."""
+        """Reassemble from persisted arrays (no bucket reconstruction;
+        ``None`` for both: unbuilt, as :meth:`FrozenLSHIndex.from_state`)."""
         self = cls.__new__(cls)
         self._adopt_covering(
             dim=dim,
@@ -245,14 +245,10 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
             with_sketches=with_sketches,
             dedup=dedup,
             points=points,
-            hll_hashes=(
-                PrecomputedHllHashes(
-                    points.shape[0], p=int(hll_precision), seed=int(hll_seed)
-                )
-                if with_sketches
-                else None
-            ),
+            hll_hashes=None,
         )
+        if points is not None:
+            self._hll_hashes = self._hll_pairs(points.shape[0])
         self.frozen = frozen
         self._init_overflow(refreeze_threshold)
         return self

@@ -34,7 +34,7 @@ from repro.core import HybridSearcher
 from repro.core import lsh_search as lsh_module
 from repro.core.lsh_search import LSHSearch
 from repro.distances import get_metric
-from repro.index import frozen as frozen_module
+from repro.index.frozen import lookup as frozen_lookup
 
 hypothesis = pytest.importorskip(
     "hypothesis", reason="property tests need hypothesis"
@@ -96,7 +96,7 @@ def _check_batched_steps(case):
     for part in parts:
         reference.insert(part)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frozen_module, "SORTED_UNION_RATIO", ratio)
+        patch.setattr(frozen_lookup, "SORTED_UNION_RATIO", ratio)
         patch.setattr(lsh_module, "FILTER_BLOCK_BYTES", block_bytes)
         lookups = raw.lookup_batch(batch)
         # Step S2: array for array the scalar per-row union.
@@ -196,7 +196,7 @@ def test_a_sparse_batch_gathers_once_and_deduplicates_once(monkeypatch):
     lookups = raw.lookup_batch(queries)
     raw.points = raw.points.view(_CountingPoints)
     counting = _CountingBitmaps(raw.n)
-    monkeypatch.setattr(frozen_module, "np", counting)
+    monkeypatch.setattr(frozen_lookup, "np", counting)
     _CountingPoints.gathers = []
     rows = index.engine.query_batch(queries, spec.radius)
     index.close()
@@ -205,7 +205,7 @@ def test_a_sparse_batch_gathers_once_and_deduplicates_once(monkeypatch):
     # 64 bitmaps) — the dense-region row, the one above the crossover;
     # the other 63 share one sorted union.
     assert counting.bitmaps == 1
-    limit = raw.n // frozen_module.SORTED_UNION_RATIO
+    limit = raw.n // frozen_lookup.SORTED_UNION_RATIO
     assert lookups[63].num_collisions > limit
     assert all(lookup.num_collisions <= limit for lookup in lookups[:63])
     # Step S3: every row's candidate points in one gather (row by row:

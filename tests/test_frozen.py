@@ -25,7 +25,9 @@ from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
-from repro.index import frozen as frozen_module
+from repro.index.frozen import index as frozen_index
+from repro.index.frozen import persist as frozen_persist
+from repro.index.frozen import tables as frozen_tables
 from repro.index.frozen import (
     DEFAULT_REFREEZE_THRESHOLD,
     MEMORY_REPORT_PARTS,
@@ -432,7 +434,7 @@ class TestLocate:
 def colliding_mix(salts):
     """An address mix that sends every row to 0 under ``salts`` (a set
     the caller may grow) and is the real one otherwise."""
-    real = frozen_module._mix_rows
+    real = frozen_tables._mix_rows
 
     def mix(rows, salt):
         if salt in salts:
@@ -443,7 +445,7 @@ def colliding_mix(salts):
 
 
 def collide_on(monkeypatch, salts):
-    monkeypatch.setattr(frozen_module, "_mix_rows", colliding_mix(salts))
+    monkeypatch.setattr(frozen_tables, "_mix_rows", colliding_mix(salts))
 
 
 class TestKey64Collisions:
@@ -491,7 +493,7 @@ class TestKey64Collisions:
         with pytest.raises(ConfigurationError, match="collision-free 64-bit"):
             hand_tables([AA, BB])
         # ... and the attempts are bounded, starting at the given salt.
-        collide_on(monkeypatch, set(range(5, 5 + frozen_module.MAX_SALT_ATTEMPTS)))
+        collide_on(monkeypatch, set(range(5, 5 + frozen_tables.MAX_SALT_ATTEMPTS)))
         per_table = [
             (np.array([AA, BB]), np.ones(2, dtype=np.int64), np.arange(2, dtype=np.intp))
         ]
@@ -501,14 +503,14 @@ class TestKey64Collisions:
             )
 
     def test_address_hit_with_another_row_is_a_miss(self, monkeypatch):
-        real = frozen_module._mix_rows
+        real = frozen_tables._mix_rows
         # Mix only the first column: (2, 2) and (2, 5) share an address.
         monkeypatch.setattr(
-            frozen_module, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
+            frozen_tables, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
         )
         tables = hand_tables([CC, BB], [AA])
         probe = (2, 5)
-        needle = frozen_module._tagged_key64(np.array([probe]), np.array([0]), 2, 0)
+        needle = frozen_tables._tagged_key64(np.array([probe]), np.array([0]), 2, 0)
         assert needle[0] == tables.key64[bucket(tables, 0, CC)]  # the address hits
         assert tables.locate(needles([probe, AA], [CC, probe])).tolist() == [
             [-1, bucket(tables, 1, AA)],
@@ -518,11 +520,11 @@ class TestKey64Collisions:
     def test_value_outside_the_stored_dtype_is_a_miss_not_an_overflow(
         self, monkeypatch
     ):
-        real = frozen_module._mix_rows
+        real = frozen_tables._mix_rows
         # Mix what int8 would keep of a value: 300 and 44 share an address,
         # and an int8 compare of the rows would wrap 300 onto 44 as well.
         monkeypatch.setattr(
-            frozen_module,
+            frozen_tables,
             "_mix_rows",
             lambda rows, salt: real(rows.astype(np.int8), salt),
         )
@@ -623,7 +625,7 @@ class TestArrayNativeBuild:
         if case == "resalted":
             collide_on(monkeypatch, {0})
         # Chunks of 97 points: several per build, a ragged last one.
-        monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", 97)
+        monkeypatch.setattr(frozen_index, "BUILD_CHUNK_ROWS", 97)
         points = _build_case_points(case)
         spec = IndexSpec(
             **{
@@ -667,9 +669,9 @@ class TestArrayNativeBuild:
         points = _build_case_points("plain-pstable", n=300)
         spec = IndexSpec(metric="l2", radius=1.0, num_tables=5, seed=2)
         expected = reference_index(points, spec).freeze().frozen
-        monkeypatch.setattr(frozen_module, "BUILD_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(frozen_index, "BUILD_CHUNK_ROWS", chunk)
         built = Index.build(points, spec).engine.index.frozen
-        for name in frozen_module._TABLE_FILES[frozen_module._FROZEN_FORMAT_VERSION]:
+        for name in frozen_persist._LAYOUT:
             assert np.array_equal(getattr(built, name), getattr(expected, name)), name
             assert getattr(built, name).dtype == getattr(expected, name).dtype, name
 
@@ -789,7 +791,20 @@ class TestFrozenPersistence:
         assert loaded.n == 123
 
 
-V1_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v1")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+#: The committed old-format artifacts (``tests/fixtures/frozen_v*``),
+#: each written by the last tree of its format with that tree's answers
+#: in ``expected.json`` (v3: its ``bucket_statistics()`` too).
+OLD_FIXTURES = [
+    pytest.param(version, name, id=f"v{version}-{name}")
+    for version, names in (
+        (1, ("multiprobe_pstable", "covering")),
+        (2, ("plain_pstable", "multiprobe_simhash")),
+        (3, ("plain_pstable", "multiprobe_simhash")),
+    )
+    for name in names
+]
 
 
 def answers(index, queries):
@@ -802,184 +817,166 @@ def answers(index, queries):
     }
 
 
-class TestFormatV1Artifacts:
-    """``tests/fixtures/frozen_v1``: two artifacts written by the PR 17
-    tree (format v1: bytewise-sorted ``keys_raw.npy``), with the answers
-    that tree gave in ``expected.json``.  They must keep opening, answer
-    identically, and turn into format v4 on the next save."""
+def file_hashes(directory):
+    """sha256 of every file under ``directory``, by relative path."""
+    hashes = {}
+    for root, _, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
 
-    @pytest.mark.parametrize("name", ["multiprobe_pstable", "covering"])
-    def test_v1_opens_answers_identically_and_resaves_as_v4(self, name, tmp_path):
-        source = os.path.join(V1_FIXTURES, name)
-        with open(os.path.join(source, "config.json")) as fh:
-            assert json.load(fh)["format_version"] == 1
+
+def format_version(directory):
+    with open(os.path.join(directory, "config.json")) as fh:
+        return json.load(fh)["format_version"]
+
+
+def as_format_v3(shard):
+    """Rewrite a v4 frozen directory as the format-v3 tree wrote it: a
+    per-bucket ``int32`` ``sketch_rows`` map (-1 = lazy) in place of
+    ``sketched``, and ``format_version`` 3 in the config."""
+    sketched = np.load(os.path.join(shard, "sketched.npy"))
+    sketch_rows = np.full(np.load(os.path.join(shard, "key64.npy")).size, -1, np.int32)
+    sketch_rows[sketched] = np.arange(sketched.size)
+    np.save(os.path.join(shard, "sketch_rows.npy"), sketch_rows)
+    os.remove(os.path.join(shard, "sketched.npy"))
+    with open(os.path.join(shard, "config.json")) as fh:
+        config = json.load(fh)
+    config["format_version"] = 3
+    with open(os.path.join(shard, "config.json"), "w") as fh:
+        json.dump(config, fh)
+
+
+class TestMigrate:
+    """The loader reads format v4 only; ``repro.cli migrate`` rewrites an
+    older directory by re-hashing its stored points under its stored
+    kernel, never reading its bucket arrays."""
+
+    @pytest.mark.parametrize("version, name", OLD_FIXTURES)
+    def test_migrated_fixture_is_v4_and_answers_as_recorded(self, version, name, tmp_path):
+        source = os.path.join(FIXTURES, f"frozen_v{version}", name)
+        assert format_version(source) == version
         with open(os.path.join(source, "expected.json")) as fh:
             expected = json.load(fh)
+        stats = expected.pop("stats", None)
+        assert (stats is None) == (version < 3)
         queries = np.load(os.path.join(source, "queries.npy"))
         assert any(expected["candidates"])  # not vacuous
 
-        opened = load_frozen_index(source)
-        assert opened.n <= 64 and opened.variant == name.split("_")[0]
-        assert answers(opened, queries) == expected
+        copy = str(tmp_path / name)
+        shutil.copytree(source, copy)
+        assert frozen_persist.migrate(copy) == [copy]
+        assert format_version(copy) == 4
+        migrated = load_frozen_index(copy)
+        assert migrated.variant == name.split("_")[0]
+        assert_file_backed(migrated.frozen.key64, copy, "key64")
+        assert answers(migrated, queries) == expected
+        if stats is not None:
+            assert migrated.bucket_statistics() == stats
 
-        resaved = str(tmp_path / "v4")
-        save_frozen_index(opened, resaved)
-        with open(os.path.join(resaved, "config.json")) as fh:
-            config = json.load(fh)
-        assert config["format_version"] == 4 and config["key_salt"] == 0
-        assert os.path.exists(os.path.join(resaved, "key64.npy"))
-        assert not os.path.exists(os.path.join(resaved, "keys_raw.npy"))
-        reopened = load_frozen_index(resaved)
-        assert_file_backed(reopened.frozen.key64, resaved, "key64")
-        assert answers(reopened, queries) == expected
+    @pytest.mark.parametrize("version, name", OLD_FIXTURES)
+    def test_migrate_reads_no_bucket_array(self, version, name, tmp_path):
+        """Without any of the old bucket arrays the migrated directory is
+        byte for byte the one migrated from the whole fixture."""
+        source = os.path.join(FIXTURES, f"frozen_v{version}", name)
+        whole, stripped = str(tmp_path / "whole"), str(tmp_path / "stripped")
+        shutil.copytree(source, whole)
+        shutil.copytree(source, stripped)
+        buckets = ("keys_raw", "key64", "keys", "table_slices", "offsets", "sizes",
+                   "members", "sketch_rows", "registers")
+        for array in buckets:
+            if os.path.exists(os.path.join(stripped, f"{array}.npy")):
+                os.remove(os.path.join(stripped, f"{array}.npy"))
+        frozen_persist.migrate(whole)
+        frozen_persist.migrate(stripped)
+        assert file_hashes(stripped) == file_hashes(whole)
 
-    def test_v1_with_a_torn_key_matrix_is_a_typed_error(self, tmp_path):
-        from repro.exceptions import CorruptArtifactError
+    def test_a_v4_directory_is_left_untouched(self, tmp_path):
+        points, _, frozen = build_pair(n=120)
+        path = str(tmp_path / "v4")
+        save_frozen_index(frozen, path)
+        before = file_hashes(path)
+        assert frozen_persist.migrate(path) == []
+        assert file_hashes(path) == before
 
-        broken = str(tmp_path / "v1")
-        shutil.copytree(os.path.join(V1_FIXTURES, "multiprobe_pstable"), broken)
-        keys = np.load(os.path.join(broken, "keys_raw.npy"))
-        np.save(os.path.join(broken, "keys_raw.npy"), keys[:, :-3])
-        with pytest.raises(CorruptArtifactError, match="format v1"):
-            load_frozen_index(broken)
+        copy = str(tmp_path / "v3")
+        shutil.copytree(os.path.join(FIXTURES, "frozen_v3", "plain_pstable"), copy)
+        assert frozen_persist.migrate(copy) == [copy]
+        migrated = file_hashes(copy)
+        assert frozen_persist.migrate(copy) == []  # a second run is a no-op
+        assert file_hashes(copy) == migrated
 
-    @pytest.mark.parametrize("bad_id", [-3, 48 + 7])
-    def test_v1_member_outside_n_is_a_typed_error(self, bad_id, tmp_path):
-        broken = str(tmp_path / "v1")
-        shutil.copytree(os.path.join(V1_FIXTURES, "multiprobe_pstable"), broken)
-        assert np.load(os.path.join(broken, "points.npy")).shape[0] == 48
-        members = np.load(os.path.join(broken, "members.npy"))
-        members[3] = bad_id
-        np.save(os.path.join(broken, "members.npy"), members)
-        with pytest.raises(CorruptArtifactError, match=r"format v1.*outside \[0, 48\)"):
-            load_frozen_index(broken)
-
-    def test_unknown_version_is_refused(self, tmp_path):
+    def test_a_future_version_is_refused(self, tmp_path):
         future = str(tmp_path / "v5")
-        shutil.copytree(os.path.join(V1_FIXTURES, "covering"), future)
+        shutil.copytree(os.path.join(FIXTURES, "frozen_v1", "covering"), future)
         with open(os.path.join(future, "config.json")) as fh:
             config = json.load(fh)
         config["format_version"] = 5
         with open(os.path.join(future, "config.json"), "w") as fh:
             json.dump(config, fh)
-        with pytest.raises(ConfigurationError, match="unsupported frozen index version"):
+        with pytest.raises(ConfigurationError, match="unsupported frozen index version 5"):
+            frozen_persist.migrate(future)
+        with pytest.raises(ConfigurationError, match="unsupported frozen index version 5"):
             load_frozen_index(future)
 
+    def test_migrate_checks_the_config(self, tmp_path):
+        copy = str(tmp_path / "v3")
+        shutil.copytree(os.path.join(FIXTURES, "frozen_v3", "plain_pstable"), copy)
+        with open(os.path.join(copy, "config.json")) as fh:
+            config = json.load(fh)
+        config["with_sketches"] = "no"
+        with open(os.path.join(copy, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(CorruptArtifactError, match="with_sketches"):
+            frozen_persist.migrate(copy)
+        assert format_version(copy) == 3
 
-V2_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v2")
-V3_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "frozen_v3")
+    @pytest.mark.parametrize("version, name", OLD_FIXTURES)
+    def test_an_unmigrated_directory_is_refused_naming_migrate(self, version, name):
+        with pytest.raises(ConfigurationError, match="python -m repro.cli migrate"):
+            load_frozen_index(os.path.join(FIXTURES, f"frozen_v{version}", name))
 
+    def test_cli_migrates_the_stale_shard_of_an_index_save_directory(self, tmp_path, capsys):
+        from repro.cli import main
 
-def _set_entry(index, value):
-    def change(array):
-        array[index] = value
-        return array
+        points = np.random.default_rng(5).normal(size=(200, 8))
+        index = Index.build(points, IndexSpec(metric="l2", radius=1.5, num_shards=2, seed=9))
+        path = str(tmp_path / "idx")
+        index.save(path)
+        index.close()
+        saved = file_hashes(path)
+        as_format_v3(os.path.join(path, "shard_001.frozen"))
+        with pytest.raises(ConfigurationError, match="repro.cli migrate"):
+            Index.open(path)
 
-    return change
-
-
-class TestFormatV2Artifacts:
-    """``tests/fixtures/frozen_v2``: two artifacts written by the last
-    format-v2 tree, commit 00000f2 (eight-byte members, offsets and
-    sketch rows, stored ``sizes``), and ``tests/fixtures/frozen_v3``: two
-    written by the last format-v3 tree, commit bf2e6b7 (a per-bucket
-    ``int32`` ``sketch_rows`` map), each with the answers that tree gave
-    in ``expected.json`` (v3: its bucket statistics too).
-    They open with those arrays narrowed, and the sketch map turned into
-    the sorted ids of the sketched buckets, in memory; they answer
-    identically, and turn into format v4 on the next save."""
-
-    @pytest.mark.parametrize(
-        "version, name",
-        [
-            (version, name)
-            for version in (2, 3)
-            for name in ("plain_pstable", "multiprobe_simhash")
-        ],
-    )
-    def test_old_format_opens_answers_identically_and_resaves_as_v4(
-        self, version, name, tmp_path
-    ):
-        source = os.path.join(V2_FIXTURES if version == 2 else V3_FIXTURES, name)
-        with open(os.path.join(source, "config.json")) as fh:
-            assert json.load(fh)["format_version"] == version
-        with open(os.path.join(source, "expected.json")) as fh:
-            expected = json.load(fh)
-        stats = expected.pop("stats", None)
-        assert (stats is None) == (version == 2)
-        queries = np.load(os.path.join(source, "queries.npy"))
-        assert any(expected["candidates"])  # not vacuous
-        stored = np.load(os.path.join(source, "sketch_rows.npy"))
-        assert stored.dtype == (np.int64 if version == 2 else np.int32)
-        assert (stored >= 0).sum() >= 2
-
-        opened = load_frozen_index(source)
-        assert opened.variant == name.split("_")[0]
-        csr = opened.frozen
-        assert csr.members.dtype == csr.offsets.dtype == csr.sketched.dtype == np.uint32
-        assert np.array_equal(csr.sketched, np.flatnonzero(stored >= 0))
-        assert_file_backed(csr.key64, source, "key64")  # the rest stays mapped
-        assert_file_backed(csr.registers, source, "registers")
-        assert answers(opened, queries) == expected
-        if stats is not None:
-            assert opened.bucket_statistics() == stats
-
-        resaved = str(tmp_path / "v4")
-        save_frozen_index(opened, resaved)
-        with open(os.path.join(resaved, "config.json")) as fh:
-            assert json.load(fh)["format_version"] == 4
-        for gone in ("sizes", "sketch_rows"):
-            assert not os.path.exists(os.path.join(resaved, f"{gone}.npy"))
-        reopened = load_frozen_index(resaved)
-        assert_file_backed(reopened.points, resaved, "points")
-        for array in ("members", "offsets", "sketched"):
-            assert_file_backed(getattr(reopened.frozen, array), resaved, array)
-        assert answers(reopened, queries) == expected
-        if stats is not None:
-            assert reopened.bucket_statistics() == stats
+        assert main(["migrate", path]) == 0
+        out = capsys.readouterr().out
+        assert "shard_001.frozen" in out and "shard_000.frozen" not in out
+        assert file_hashes(path) == saved  # the rebuilt shard is the saved one
+        assert main(["migrate", path]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        Index.open(path).close()
 
     @pytest.mark.parametrize(
-        "change",
-        [
-            pytest.param(lambda a: np.where(a == 1, 0, a), id="row-repeated"),
-            pytest.param(lambda a: np.where(a == 0, 1, np.where(a == 1, 0, a)), id="rows-swapped"),
-            pytest.param(lambda a: np.where(a == a.max(), -1, a), id="last-row-unused"),
-            pytest.param(lambda a: np.where(a == a.max(), 10**6, a), id="row-past-end"),
-            pytest.param(lambda a: np.where(a == -1, -2, a), id="below-minus-one"),
-            pytest.param(lambda a: a[:-1], id="short"),
-        ],
+        "tier",
+        [{}, {"num_shards": 2}, {"num_shards": 2, "execution": "processes"}],
+        ids=["single", "threads", "processes"],
     )
-    def test_a_v3_sketch_map_that_assemble_cannot_write_is_refused(
-        self, change, tmp_path
-    ):
-        """The v3 map is converted only if it is the order-preserving
-        injection of the sketched buckets onto the register rows; any
-        other would merge another bucket's registers into Eq. 1."""
-        broken = str(tmp_path / "v3")
-        shutil.copytree(os.path.join(V3_FIXTURES, "plain_pstable"), broken)
-        target = os.path.join(broken, "sketch_rows.npy")
-        np.save(target, change(np.load(target)))
-        with pytest.raises(CorruptArtifactError, match="sketch_rows"):
-            load_frozen_index(broken)
-
-    @pytest.mark.parametrize(
-        "name, change, complaint",
-        [
-            pytest.param("members", _set_entry(3, 56 + 7), r"outside \[0, 56\)", id="member-past-n"),
-            pytest.param("members", _set_entry(3, -3), r"outside \[0, 56\)", id="member-negative"),
-            pytest.param("sizes", _set_entry(0, -1), "CSR", id="sizes-negative"),
-            pytest.param("sizes", lambda a: a[1:], "CSR", id="sizes-short"),
-            pytest.param("offsets", lambda a: a.astype(np.uint32), "offsets.npy is 1-d uint32", id="offsets-narrow"),
-        ],
-    )
-    def test_broken_v2_arrays_are_typed_errors(self, name, change, complaint, tmp_path):
-        broken = str(tmp_path / "v2")
-        shutil.copytree(os.path.join(V2_FIXTURES, "plain_pstable"), broken)
-        assert np.load(os.path.join(broken, "points.npy")).shape[0] == 56
-        target = os.path.join(broken, f"{name}.npy")
-        np.save(target, change(np.load(target)))
-        with pytest.raises(CorruptArtifactError, match=complaint):
-            load_frozen_index(broken)
+    def test_a_stale_shard_fails_the_same_way_on_every_tier(self, tier, tmp_path):
+        points = np.random.default_rng(6).normal(size=(120, 6))
+        spec = IndexSpec(metric="l2", radius=1.5, seed=2, **tier)
+        index = Index.build(points, spec)
+        path = str(tmp_path / "idx")
+        index.save(path)
+        index.close()
+        as_format_v3(os.path.join(path, f"shard_{spec.num_shards - 1:03d}.frozen"))
+        # The process pool reports a worker's error as its message only.
+        expected = Exception if spec.execution == "processes" else ConfigurationError
+        with pytest.raises(expected) as info:
+            Index.open(path).close()
+        assert "repro.cli migrate" in str(info.value)
 
 
 class TestEntryLimit:
@@ -995,12 +992,12 @@ class TestEntryLimit:
 
         path = str(tmp_path / "idx")
         save_frozen_index(make().build(points), path)  # 200 entries
-        monkeypatch.setattr(frozen_module, "ENTRY_LIMIT", 200)
+        monkeypatch.setattr(frozen_tables, "ENTRY_LIMIT", 200)
         with pytest.raises(ConfigurationError, match="shard the index"):
             make().build(points)
         with pytest.raises(ConfigurationError, match="shard the index"):
             load_frozen_index(path)
-        monkeypatch.setattr(frozen_module, "ENTRY_LIMIT", 201)
+        monkeypatch.setattr(frozen_tables, "ENTRY_LIMIT", 201)
         index = make().build(points)
         with pytest.raises(ConfigurationError, match="shard the index"):
             index.insert(points[:1])  # 204 entries

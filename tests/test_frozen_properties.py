@@ -56,7 +56,7 @@ from repro.api import Index
 from repro.core import CostModel, HybridSearcher
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import LSHIndex
-from repro.index import frozen as frozen_module
+from repro.index.frozen import tables as frozen_tables
 from repro.index.frozen import FrozenTables, load_frozen_index, save_frozen_index
 
 
@@ -220,7 +220,7 @@ def _check_locate_through_a_life(case, salted=False):
         patch.setattr(FrozenTables, "locate", _checked_locate(calls))
         if salted:
             colliding.add(0)
-            patch.setattr(frozen_module, "_mix_rows", colliding_mix(colliding))
+            patch.setattr(frozen_tables, "_mix_rows", colliding_mix(colliding))
         index = Index.build(points, _spec(**overrides))
         raw = index.engine.index
         built_salt = raw.frozen.salt
@@ -450,7 +450,7 @@ def aliasing_mix(aliases):
     """The real address mix, except that under salt ``s`` row ``src``
     takes row ``dst``'s address for every ``(s, src, dst)`` in
     ``aliases`` (a list the caller may grow)."""
-    real = frozen_module._mix_rows
+    real = frozen_tables._mix_rows
 
     def mix(rows, salt):
         out = real(rows, salt)
@@ -506,7 +506,7 @@ class TestOverflowAddressCollisions:
     def test_an_overflow_row_on_a_frozen_rows_address(self, monkeypatch, variant):
         points, queries, first, second, overrides = _collision_case(variant)
         aliases = []
-        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
         raw, twin = _build_twins(points, overrides)
         built_salt = raw.frozen.salt
         new, witness = _alias_onto_a_frozen_row(raw, points, first, aliases)
@@ -530,7 +530,7 @@ class TestOverflowAddressCollisions:
     ):
         points, queries, first, second, overrides = _collision_case(variant)
         aliases = []
-        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
         raw, twin = _build_twins(points, overrides)
         built_salt = raw.frozen.salt
         raw.insert(first), twin.insert(first)
@@ -548,7 +548,7 @@ class TestOverflowAddressCollisions:
     ):
         points, queries, first, second, overrides = _collision_case(variant)
         aliases = []
-        monkeypatch.setattr(frozen_module, "_mix_rows", aliasing_mix(aliases))
+        monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
         gate = _hold_background_folds(monkeypatch)
         raw, twin = _build_twins(points, overrides)
         built_salt = raw.frozen.salt

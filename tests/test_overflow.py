@@ -30,8 +30,9 @@ from test_adaptive import _dispatch_case, _spec
 from repro.api import Index, QuerySpec
 from repro.distances import Metric
 from repro.hashing import PStableLSH, composite
-from repro.index import Bucket, HashTable
-from repro.index import frozen as frozen_module
+from repro.index import Bucket, FrozenLSHIndex, HashTable
+from repro.index.frozen import lookup as frozen_lookup
+from repro.index.frozen import tables as frozen_tables
 from repro.index.overflow import OverflowRun
 
 VARIANTS = ["plain", "multiprobe", "covering"]
@@ -118,7 +119,7 @@ TABLES, SALT = 3, 0
 
 
 def _addresses(rows):
-    return frozen_module._tagged_key64(rows, np.arange(TABLES), TABLES, SALT)
+    return frozen_tables._tagged_key64(rows, np.arange(TABLES), TABLES, SALT)
 
 
 def _extend(run, rows):
@@ -169,10 +170,10 @@ class TestOverflowRun:
         assert [wide.members[a:b].tolist() for a, b in zip(lo, hi)] == [[1], [0, 1], [1]]
 
     def test_an_address_shared_by_two_rows_makes_the_run_unclean(self, monkeypatch):
-        real = frozen_module._mix_rows
+        real = frozen_tables._mix_rows
         # Mix only the first column: (1, 1) and (1, 7) share an address.
         monkeypatch.setattr(
-            frozen_module, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
+            frozen_tables, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
         )
         empty = OverflowRun.empty(SALT, first_id=0, num_tables=TABLES, width=2)
         run, clean = _extend(empty, [[A, A, B]])
@@ -306,7 +307,7 @@ class TestWorkUnits:
         assert hit > len(lookups)  # many overflow buckets under the merge
         counting = _CountingNumpy()
         expected = raw._merged_registers_batch(lookups)
-        monkeypatch.setattr(frozen_module, "np", counting)
+        monkeypatch.setattr(frozen_lookup, "np", counting)
         assert np.array_equal(raw._merged_registers_batch(lookups), expected)
         assert 1 <= counting.at_calls <= 2
         counting.at_calls = 0
@@ -349,7 +350,7 @@ def test_steady_state_insert_allocates_o_batch_not_o_n():
     buffer built with exactly n rows."""
     rng = np.random.default_rng(4)
     points = rng.normal(size=(20_000, 24))
-    raw = frozen_module.FrozenLSHIndex(
+    raw = FrozenLSHIndex(
         PStableLSH(24, w=4.0), k=6, num_tables=10, seed=4
     ).build(points)
     raw.background_refreeze = False
@@ -469,13 +470,13 @@ def test_identical_rows_share_one_union_beside_a_live_run(monkeypatch, variant):
     }
     assert len(keys) < len(lookups)
     calls = []
-    union, sorted_union = raw.candidate_ids, frozen_module._sorted_union
+    union, sorted_union = raw.candidate_ids, frozen_lookup._sorted_union
     bitmap_union = raw._bitmap_union
     monkeypatch.setattr(
         raw, "_bitmap_union", lambda lk, *args: calls.append(lk) or bitmap_union(lk, *args)
     )
     monkeypatch.setattr(
-        frozen_module,
+        frozen_lookup,
         "_sorted_union",
         lambda lks, n: calls.extend(lks) or sorted_union(lks, n),
     )

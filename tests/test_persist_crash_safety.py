@@ -160,30 +160,6 @@ def _rewrite(saved, name, change):
     np.save(target, change(np.load(target)))
 
 
-def _as_format_v3(saved):
-    """Rewrite shard 0 as the format-v3 tree wrote it: a per-bucket
-    ``int32`` ``sketch_rows`` map (-1 = lazy) in place of ``sketched``."""
-    shard = os.path.join(saved, "shard_000.frozen")
-    sketched = np.load(os.path.join(shard, "sketched.npy"))
-    sketch_rows = np.full(np.load(os.path.join(shard, "key64.npy")).size, -1, np.int32)
-    sketch_rows[sketched] = np.arange(sketched.size)
-    np.save(os.path.join(shard, "sketch_rows.npy"), sketch_rows)
-    os.remove(os.path.join(shard, "sketched.npy"))
-    config_path = os.path.join(shard, "config.json")
-    with open(config_path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    config["format_version"] = 3
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(config, fh)
-
-
-def _repeat_a_row(sketch_rows):
-    """Point the second sketched bucket at the first one's register row."""
-    first, second = np.flatnonzero(sketch_rows >= 0)[:2]
-    sketch_rows[second] = sketch_rows[first]
-    return sketch_rows
-
-
 def _swap_first_two(array):
     array[[0, 1]] = array[[1, 0]]
     return array
@@ -201,11 +177,12 @@ def _set(index, value):
 
 
 class TestHostileFrozenArrays:
-    """Format v4's bucket arrays (and a v3 sketch map) are validated when
-    the artifact opens: a well-formed ``.npy`` with the wrong dtype,
-    shape or contents is a :class:`CorruptArtifactError` there — never
-    an ``IndexError`` (or a silently wrong bucket, or another bucket's
-    registers) on some later query."""
+    """A frozen artifact's bucket arrays and configuration are validated
+    when it opens: a well-formed ``.npy`` with the wrong dtype, shape or
+    contents, or a config value of the wrong type or range, is a
+    :class:`CorruptArtifactError` there — never an ``IndexError``, a raw
+    ``TypeError`` (or a silently wrong bucket, or another bucket's
+    registers) on some later query or insert."""
 
     @pytest.mark.parametrize(
         "name, change, complaint",
@@ -237,7 +214,6 @@ class TestHostileFrozenArrays:
             pytest.param("sketched", _set(-1, 10**6), "bucket ids below", id="sketched-past-last-bucket"),
             pytest.param("sketched", lambda a: a[:-1], "register rows", id="sketched-short"),
             pytest.param("sketched", lambda a: a.astype(np.int32), "sketched.npy is 1-d int32", id="sketched-signed"),
-            pytest.param("sketch_rows", _repeat_a_row, "in-order map", id="v3-sketch-row-repeated"),
             pytest.param("registers", lambda a: a[:, :3], "register matrix", id="registers-narrow"),
             pytest.param("registers", lambda a: a.astype(np.int16), "registers.npy is 2-d int16", id="registers-int16"),
         ],
@@ -245,10 +221,34 @@ class TestHostileFrozenArrays:
     def test_broken_invariant_is_a_typed_error_at_open(
         self, saved, name, change, complaint
     ):
-        if name == "sketch_rows":
-            _as_format_v3(saved)
         _rewrite(saved, name, change)
         with pytest.raises(CorruptArtifactError, match=complaint):
+            Index.open(saved)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("hll_precision", "7"),
+            ("hll_precision", -1),
+            ("dim", "6"),
+            ("w", "x"),
+            ("refreeze_threshold", "x"),
+            ("hll_seed", "x"),
+            ("variant", "bogus"),
+            ("dedup", "bogus"),
+            ("lazy_threshold", "x"),
+            ("with_sketches", "no"),
+        ],
+    )
+    def test_hostile_config_value_is_a_typed_error_at_open(self, saved, key, value):
+        config_path = os.path.join(saved, "shard_000.frozen", "config.json")
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+        assert key in config
+        config[key] = value
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with pytest.raises(CorruptArtifactError, match=key):
             Index.open(saved)
 
     @pytest.mark.parametrize("name", ["key64", "keys"])
