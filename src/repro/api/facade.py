@@ -706,8 +706,9 @@ class Index:
                 allow_partial=request.allow_partial,
                 policy=policy,
             )
-        outcomes = tuple(QueryOutcome.from_result(r) for r in results)
-        return outcomes[0] if request.single else BatchOutcome(outcomes)
+        if request.single:
+            return QueryOutcome.from_result(results[0])
+        return BatchOutcome(tuple(QueryOutcome.from_result(r) for r in results))
 
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points; only the receiving shards' cache entries drop.

@@ -39,6 +39,8 @@ it serves comes from :meth:`repro.api.Index.build` (``index.engine.searcher``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy
@@ -92,14 +94,14 @@ class HybridSearcher:
         self._linear: LinearScan | None = None
         self.partition_helper: PartitionHelper | None = None
 
-    def _verdict_from_bounds(self, lookup) -> tuple[bool | None, float | None]:
-        """Equation (1) from the exact ``candSize`` bounds alone.
+    def _verdict_from_bounds(self, lookup, n: int) -> tuple[bool | None, float | None]:
+        """Equation (1) from the exact ``candSize`` bounds alone, for an
+        index of ``n`` points.
 
         ``(True, None)`` — LSH wins even at the upper bound (Step S2
         will supply the exact count); ``(False, lower)`` — it loses
         even at the lower bound; ``(None, None)`` — open, estimate it.
         """
-        n = self.index.n
         collisions = lookup.num_collisions
         lower = lookup.largest_bucket
         certain, possible = self.cost_model.lsh_bounds(
@@ -109,17 +111,16 @@ class HybridSearcher:
             return True, None
         return (None, None) if possible else (False, float(lower))
 
-    def _verdict_at(self, lookup, estimate: float) -> tuple[bool, float]:
+    def _verdict_at(self, lookup, estimate: float, n: int) -> tuple[bool, float]:
         """Equation (1) at ``estimate`` clamped to the exact bounds — by
         monotonicity what :meth:`_verdict_from_bounds` says wherever it
         says anything."""
-        n = self.index.n
         collisions = lookup.num_collisions
         clamped = float(min(max(estimate, lookup.largest_bucket), min(collisions, n)))
         lsh_cost = self.cost_model.lsh_cost(collisions, clamped)
         return lsh_cost < self.cost_model.linear_cost(n), clamped
 
-    def _verdicts(self, lookups) -> list[tuple[bool, float | None]]:
+    def _verdicts(self, lookups, n: int) -> list[tuple[bool, float | None]]:
         """Bound-first Equation (1) per lookup: ``(go LSH?, candSize)``,
         ``candSize`` being the value the verdict was taken at (``None``:
         the exact count Step S2 is about to materialise).
@@ -130,34 +131,37 @@ class HybridSearcher:
         than it saves below ~25 rows); only the register merge of two
         or more open rows is batched.
         """
-        verdicts = [self._verdict_from_bounds(lookup) for lookup in lookups]
+        verdicts = [self._verdict_from_bounds(lookup, n) for lookup in lookups]
         open_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh is None]
         if open_rows:
             open_lookups = [lookups[i] for i in open_rows]
             if len(open_lookups) == 1:
                 # The same floats as the batch merge (pinned by the
-                # layouts' own tests) at half its fixed cost for one row:
-                # 28 vs 62 us on the frozen layout, L = 50.
+                # layouts' own tests) at half its fixed cost for one
+                # row: 70 vs 142 us, medians over the open rows of the
+                # frozen `mixed_batch` index (L = 50), timed interleaved.
                 estimates = [self.index.merged_sketch(open_lookups[0]).estimate()]
             else:
                 # One vectorised pass over the open rows' merged registers.
                 estimates = self.index.merged_estimates_batch(open_lookups).tolist()
             for i, estimate in zip(open_rows, estimates):
-                verdicts[i] = self._verdict_at(lookups[i], estimate)
+                verdicts[i] = self._verdict_at(lookups[i], estimate, n)
         return verdicts
 
     def _stats(
         self,
         num_collisions: int,
-        cand_size: float | None,
-        go_lsh: bool,
+        verdict: tuple[bool, float | None],
         examined: int,
         probes_used: int,
+        linear_cost: float,
     ) -> QueryStats:
-        """One row's decision diagnostics, built once.  ``cand_size`` is
-        what :meth:`_verdicts` returned; ``None`` reports the exact count
-        ``examined``, so the stats stay finite and ``estimated_lsh_cost
-        < linear_cost`` keeps matching the strategy."""
+        """One row's decision diagnostics, built once.  ``verdict`` is the
+        ``(go LSH?, candSize)`` :meth:`_verdicts` returned; a ``None``
+        ``candSize`` reports the exact count ``examined``, so the stats
+        stay finite and ``estimated_lsh_cost < linear_cost`` keeps
+        matching the strategy."""
+        go_lsh, cand_size = verdict
         if cand_size is None:
             cand_size = float(examined)
         return QueryStats(
@@ -165,20 +169,22 @@ class HybridSearcher:
             estimated_candidates=cand_size,
             exact_candidates=examined,
             estimated_lsh_cost=self.cost_model.lsh_cost(num_collisions, cand_size),
-            linear_cost=self.cost_model.linear_cost(self.index.n),
+            linear_cost=linear_cost,
             strategy=Strategy.LSH if go_lsh else Strategy.LINEAR,
             probes_used=probes_used,
             # A linear scan is exact by construction; an LSH answer is not.
             exact=not go_lsh,
         )
 
+    @functools.cached_property
     def _fixed_probes(self) -> int:
         """Probe rings beyond the home bucket the fixed fan-out examines.
 
         Derived from the index's *effective* probe set (the enumeration
         may run dry below the configured ``num_probes``), so a full-ring
         adaptive lookup reports the same ``probes_used`` as the fixed
-        path — a precondition for the bit-identity properties.
+        path — a precondition for the bit-identity properties.  Fixed
+        for the index's lifetime, so read once.
         """
         index = self.index
         num_slots = getattr(index, "num_slots", None)
@@ -277,52 +283,41 @@ class HybridSearcher:
         """
         radius = check_positive(radius, "radius")
         queries = np.asarray(queries)
-        use_adaptive = (
+        index = self.index
+        n = index.n  # one size for the whole batch's verdicts and stats
+        if (
             adaptive is not None
             and adaptive.bounds_probes
-            and hasattr(self.index, "lookup_batch_adaptive")
-        )
-        probes_used: np.ndarray | None = None
-        with stage_timer(trace, "hash"):
-            if use_adaptive:
-                lookups, probes_used, certified = self.index.lookup_batch_adaptive(
+            and hasattr(index, "lookup_batch_adaptive")
+        ):
+            with stage_timer(trace, "hash"):
+                lookups, probes_used, certified = index.lookup_batch_adaptive(
                     queries,
                     adaptive.target_candidates,
                     min_probes=adaptive.min_probes,
                 )
+            with stage_timer(trace, "estimate"):
                 # The budget's cap: a row whose probed prefix certifies
                 # ``target_candidates`` answers from its LSH candidate set
                 # even where Equation (1) favours the scan (the scan is
                 # exactly the over-examination a budget exists to avoid);
                 # its stats report the exact count Step S2 materialises.
                 uncertified = np.flatnonzero(~certified).tolist()
-            else:
-                lookups = self.index.lookup_batch(queries)
-                uncertified = None
-        with stage_timer(trace, "estimate"):
-            if uncertified is None:
-                verdicts = self._verdicts(lookups)
-            else:
                 verdicts = [(True, None)] * len(lookups)
-                decided = self._verdicts([lookups[i] for i in uncertified])
+                decided = self._verdicts([lookups[i] for i in uncertified], n)
                 for i, verdict in zip(uncertified, decided):
                     verdicts[i] = verdict
-        go_lsh = [lsh for lsh, _ in verdicts]
-
-        fixed_probes = self._fixed_probes()
-
-        def stats_of(i: int, examined: int) -> QueryStats:
-            return self._stats(
-                lookups[i].num_collisions,
-                verdicts[i][1],
-                go_lsh[i],
-                examined,
-                int(probes_used[i]) if probes_used is not None else fixed_probes,
-            )
-
+            probes = probes_used.tolist()
+        else:
+            with stage_timer(trace, "hash"):
+                lookups = index.lookup_batch(queries)
+            with stage_timer(trace, "estimate"):
+                verdicts = self._verdicts(lookups, n)
+            probes = [self._fixed_probes] * len(lookups)
+        linear_cost = self.cost_model.linear_cost(n)
         results: list[QueryResult | None] = [None] * len(lookups)
-        linear_rows = [i for i, lsh in enumerate(go_lsh) if not lsh]
-        lsh_rows = [i for i, lsh in enumerate(go_lsh) if lsh]
+        linear_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if not go_lsh]
+        lsh_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh]
         # Resolved on the caller: an insert may replace ``index.points``
         # while a helper thread scans.
         scan = self._linear_scan() if linear_rows else None
@@ -332,26 +327,26 @@ class HybridSearcher:
 
         def lsh_partition() -> None:
             with stage_timer(trace, "candidates"):
+                if len(lsh_rows) == len(lookups):  # every row: no gathers
+                    lsh_lookups, lsh_queries = lookups, queries
+                else:
+                    lsh_lookups = [lookups[i] for i in lsh_rows]
+                    lsh_queries = queries.take(lsh_rows, axis=0)
                 # Step S2 once for the batch on the frozen layout; other
                 # layouts deduplicate per query.
-                batch_dedup = getattr(self.index, "candidate_ids_batch", None)
+                batch_dedup = getattr(index, "candidate_ids_batch", None)
                 if batch_dedup is not None:
-                    candidate_sets = batch_dedup([lookups[i] for i in lsh_rows], dedup=dedup)
+                    candidate_sets = batch_dedup(lsh_lookups, dedup=dedup)
                 else:
-                    candidate_sets = [
-                        self.index.candidate_ids(lookups[i], dedup=dedup) for i in lsh_rows
-                    ]
-                filtered = self._lsh.filter_candidates_batch(
-                    queries.take(lsh_rows, axis=0), radius, candidate_sets
-                )
+                    candidate_sets = [index.candidate_ids(lk, dedup=dedup) for lk in lsh_lookups]
+                filtered = self._lsh.filter_candidates_batch(lsh_queries, radius, candidate_sets)
                 for i, candidates, (ids, distances) in zip(lsh_rows, candidate_sets, filtered):
-                    results[i] = QueryResult(
-                        ids=ids,
-                        distances=distances,
-                        radius=radius,
-                        # LSH rows report the materialised candidate-set size.
-                        stats=stats_of(i, int(candidates.size)),
+                    # LSH rows report the materialised candidate-set size.
+                    stats = self._stats(
+                        lookups[i].num_collisions, verdicts[i], int(candidates.size),
+                        probes[i], linear_cost,
                     )
+                    results[i] = QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
 
         helper = self.partition_helper
         if linear_rows and lsh_rows and helper is not None:
@@ -370,7 +365,9 @@ class HybridSearcher:
                 lsh_partition()
         for i, result in zip(linear_rows, scanned):
             # A linear scan genuinely examines every point.
-            result.stats = stats_of(i, self.index.n)
+            result.stats = self._stats(
+                lookups[i].num_collisions, verdicts[i], n, probes[i], linear_cost
+            )
             results[i] = result
         return results
 
@@ -381,7 +378,7 @@ class HybridSearcher:
         of linear-search calls without needing the answers.
         """
         query = check_vector(query, dim=self.index.dim, name="query")
-        ((go_lsh, _),) = self._verdicts([self.index.lookup(query)])
+        ((go_lsh, _),) = self._verdicts([self.index.lookup(query)], self.index.n)
         return Strategy.LSH if go_lsh else Strategy.LINEAR
 
     def __repr__(self) -> str:

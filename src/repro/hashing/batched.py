@@ -77,8 +77,19 @@ class BatchedHash:
         Computed in row chunks so transient memory stays bounded for
         large ``n``.
         """
-        points = check_matrix(points, dim=self.dim, name="points")
+        return self.hash_rows(check_matrix(points, dim=self.dim, name="points"))
+
+    def hash_rows(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`hash_points` of a matrix the caller already validated.
+
+        A matrix of one chunk (every query batch) is the kernel's own
+        output, reshaped; only a larger one is copied chunk by chunk
+        into a fresh ``(n, L, k)`` buffer.
+        """
         n = points.shape[0]
+        if n <= _CHUNK_ROWS:
+            flat = self._kernel(points).astype(np.int64, copy=False)
+            return flat.reshape(n, self.num_tables, self.k)
         out = np.empty((n, self.num_tables, self.k), dtype=np.int64)
         for start in range(0, n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, n)

@@ -155,12 +155,20 @@ def _assemble_lookups(
     ]
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted in place, each repeat of its predecessor dropped."""
+    values.sort()
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _sorted_union(lookups: list[FrozenQueryLookup], n: int) -> list[np.ndarray]:
     """Step S2 of many rows in one pass: each row's sorted distinct ids.
 
     The members of every row, tagged ``row * n + id`` (int32 wherever
-    that fits: it sorts twice as fast), are sorted once; dropping each
-    repeat of its predecessor dedups all rows, a binary search splits them.
+    that fits: it sorts twice as fast), are sorted and deduplicated
+    once; a binary search splits the rows.
     """
     frozen, bucket_mat, overflow = _batch_slots(lookups)
     found = bucket_mat >= 0
@@ -168,12 +176,18 @@ def _sorted_union(lookups: list[FrozenQueryLookup], n: int) -> list[np.ndarray]:
         frozen, np.nonzero(found)[0], bucket_mat[found], overflow
     )
     tagged = (rows * n + ids).astype(np.int32 if len(lookups) * n < 2**31 else np.int64)
-    tagged.sort()
-    first = np.ones(tagged.size, dtype=bool)
-    np.not_equal(tagged[1:], tagged[:-1], out=first[1:])
-    rows, ids = np.divmod(tagged[first].astype(np.intp), n)  # the bitmap's dtype
+    rows, ids = np.divmod(_sorted_distinct(tagged).astype(np.intp), n)  # the bitmap's dtype
     bounds = rows.searchsorted(np.arange(len(lookups) + 1)).tolist()
     return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _row_union(lookup: FrozenQueryLookup) -> np.ndarray:
+    """:func:`_sorted_union` of one row, which needs no tags: one CSR
+    gather of its slots (a -1 slot gathers nothing) and live-run ids."""
+    ids = lookup._frozen.gather_members(lookup.bucket_ids)
+    if lookup.overflow is not None:
+        ids = np.concatenate([ids, *_overflow_ids([lookup])[0]])
+    return _sorted_distinct(ids).astype(np.intp)  # the bitmap's dtype
 
 
 class FrozenQueryLookup:
@@ -286,7 +300,7 @@ class FrozenReads:
         """
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        all_rows = self._batched.hash_points(queries)  # (q, L, k)
+        all_rows = self._batched.hash_rows(queries)  # (q, L, k)
         frozen, runs = self._snapshot()
         slot_rows = self._slot_rows(all_rows)  # (q, S, k)
         positions = frozen.locate(slot_rows, self._slot_table_ids)  # (q, S)
@@ -357,7 +371,7 @@ class FrozenReads:
         """
         self._require_sketches()
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        all_rows = self._batched.hash_points(queries)  # (q, L, k)
+        all_rows = self._batched.hash_rows(queries)  # (q, L, k)
         q = all_rows.shape[0]
         rings = self.num_slots // self.num_tables
         frozen, runs = self._snapshot()
@@ -412,14 +426,11 @@ class FrozenReads:
         # swap self.frozen between lookup and merge, but the lookup's
         # bucket indexes address the arrays it was taken against.
         frozen = lookup._frozen
-        m = 1 << self.hll_precision
-        regs = np.zeros(m, dtype=np.uint8)
         found = lookup.found_buckets()
         has_sketch, rows = frozen.register_rows(found)
-        if has_sketch.any():
-            np.maximum.reduce(
-                frozen.registers.take(rows[has_sketch], axis=0), axis=0, out=regs
-            )
+        # One contiguous reduce; ``initial`` is the all-zero sketch of a
+        # lookup without sketched buckets.
+        regs = frozen.registers.take(rows[has_sketch], axis=0).max(axis=0, initial=0)
         # Lazy small buckets and overflow entries alike feed their raw
         # ids into the merged registers (maxima over per-id hash pairs).
         lazy = found[~has_sketch]
@@ -500,13 +511,19 @@ class FrozenReads:
         """Step S2 of one row: its buckets' zero-copy member slices and
         live-run ranges, deduplicated by a boolean scatter over ``n``."""
         self._require_built()
+        return self._bitmap_union(
+            lookup, _overflow_ids([lookup])[0], self._dedup_mode(dedup)
+        )
+
+    def _dedup_mode(self, dedup: str | None) -> str:
+        """``dedup``, validated; ``None`` is the index's own mode."""
         if dedup is None:
-            dedup = self.dedup
-        elif dedup not in ("scalar", "vectorized"):
+            return self.dedup
+        if dedup not in ("scalar", "vectorized"):
             raise ConfigurationError(
                 f'dedup must be "scalar" or "vectorized", got {dedup!r}'
             )
-        return self._bitmap_union(lookup, _overflow_ids([lookup])[0], dedup)
+        return dedup
 
     def _bitmap_union(
         self, lookup: FrozenQueryLookup, run_ids: list[np.ndarray], dedup: str
@@ -548,14 +565,14 @@ class FrozenReads:
         and the resulting array shared (Step S3 reads it only).
 
         Distinct rows of at most ``n //`` :data:`SORTED_UNION_RATIO`
-        collisions share one :func:`_sorted_union` instead of ~``L``
-        slices and an ``n``-bitmap each; larger rows (and a lone small
-        one) keep the bitmap, which wins past that crossover.
+        collisions share one :func:`_sorted_union` (a single such row,
+        the untagged :func:`_row_union`) instead of ~``L`` slices and an
+        ``n``-bitmap each; larger rows keep the bitmap, which wins past
+        that crossover.
         """
         self._require_built()
-        if dedup is None:
-            dedup = self.dedup
-        if dedup == "scalar" or len(lookups) <= 1:
+        dedup = self._dedup_mode(dedup)
+        if dedup == "scalar" or not lookups:
             return [self.candidate_ids(lk, dedup=dedup) for lk in lookups]
         live = lookups[0].overflow is not None
         groups: dict[bytes, int] = {}
@@ -575,6 +592,8 @@ class FrozenReads:
         unions = {}
         if len(small) > 1:
             unions = dict(zip(small, _sorted_union([distinct[g] for g in small], self.n)))
+        elif small:  # a lone query's row, or a batch's one small row
+            unions = {small[0]: _row_union(distinct[small[0]])}
         alone = [g for g in range(len(distinct)) if g not in unions]
         for g, run_ids in zip(alone, _overflow_ids([distinct[g] for g in alone])):
             unions[g] = self._bitmap_union(distinct[g], run_ids, dedup)

@@ -219,7 +219,7 @@ class FrozenTables:
     sketched: np.ndarray
     registers: np.ndarray
     #: ``(slot_rows, order, sorted addresses)`` of the latest :meth:`needles` call.
-    _needles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    _needles: tuple[np.ndarray, np.ndarray | None, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -357,12 +357,15 @@ class FrozenTables:
 
     def needles(
         self, slot_rows: np.ndarray, slot_tables: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         """A lookup's probes as search needles: ``(order, sorted addresses)``.
 
         ``order[i]`` is the flat ``(query, slot)`` index of the ``i``-th
         smallest address.  Sorted needles let a binary search walk its
-        array front to back (3x faster than unsorted ones).  The latest
+        array front to back (3x faster than unsorted ones).  A lone row
+        with one slot per table (the plain and covering layouts) is
+        sorted already — the table tag is the top bits — so it skips the
+        sort, and ``order`` is ``None``: the identity.  The latest
         result is kept, keyed by the identity of ``slot_rows``, so the
         overflow probes of a lookup reuse what its :meth:`locate` mixed
         and sorted; a racing lookup on another thread only re-mixes.
@@ -371,8 +374,11 @@ class FrozenTables:
         if latest is not None and latest[0] is slot_rows:
             return latest[1], latest[2]
         flat = self.addresses(slot_rows, slot_tables).ravel()
-        order = np.argsort(flat)
-        needles = flat.take(order)
+        if flat.size == self.num_tables and slot_rows.shape[0] == 1:
+            order, needles = None, flat
+        else:
+            order = np.argsort(flat)
+            needles = flat.take(order)
         self._needles = (slot_rows, order, needles)
         return order, needles
 
@@ -402,8 +408,8 @@ class FrozenTables:
         positions.fill(-1)
         if self.key64.size and q:
             pos = self.key64.searchsorted(needles)
-            hit = np.flatnonzero(self.key64.take(pos, mode="clip") == needles)
-            pos, slots = pos.take(hit), order.take(hit)
+            hit = (self.key64.take(pos, mode="clip") == needles).nonzero()[0]
+            pos, slots = pos.take(hit), hit if order is None else order.take(hit)
             wrong = self.keys.take(pos, axis=0) != slot_rows.reshape(-1, width).take(
                 slots, axis=0
             )
@@ -420,7 +426,8 @@ class FrozenTables:
         ``offsets[0]`` is 0 on both sides of the difference.
         """
         starts = self.offsets.take(buckets, mode="clip")
-        return starts, np.subtract(self.offsets.take(buckets + 1), starts, dtype=np.int64)
+        # uint32 offsets never decrease, so the unsigned difference is exact.
+        return starts, (self.offsets.take(buckets + 1) - starts).astype(np.int64)
 
     def gather_members(self, bucket_idx: np.ndarray) -> np.ndarray:
         """Concatenated member ids of the given global buckets (``uint32``)."""

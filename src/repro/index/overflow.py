@@ -58,11 +58,13 @@ def _csr_gather(
     members: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> np.ndarray:
     """Concatenate ``members[starts[i] : starts[i] + lens[i]]`` slices."""
-    total = int(lens.sum())
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=members.dtype)
-    exclusive = np.concatenate(([0], np.cumsum(lens[:-1])))
-    idx = np.repeat(starts - exclusive, lens) + np.arange(total, dtype=np.int64)
+    # Entry j of slice i lands at output position ends[i] - lens[i] + j.
+    idx = np.repeat(starts - (ends - lens), lens)
+    idx += np.arange(total)
     return members.take(idx)
 
 
@@ -142,17 +144,18 @@ class OverflowRun:
 
         ``(order, needles)`` are the sorted addresses of the ``(q, S,
         w)`` probed rows (:meth:`~repro.index.frozen.FrozenTables.
-        needles`), slot ``s`` probing table ``slot_tables[s]``.  One
+        needles`; ``order`` ``None``: already in slot order), slot ``s``
+        probing table ``slot_tables[s]``.  One
         binary search finds each needle's first entry, a second — over
         the verified hits only — its range end; a miss, and an address
         hit whose stored row differs from the probed one, is ``(0, 0)``.
         """
         q, num_slots, width = slot_rows.shape
         lo = self.key64.searchsorted(needles)
-        hit = np.flatnonzero(self.key64.take(lo, mode="clip") == needles)
+        hit = (self.key64.take(lo, mode="clip") == needles).nonzero()[0]
         ranges = np.zeros((2, q * num_slots), dtype=np.int64)
         if hit.size:
-            lo, slots = lo.take(hit), order.take(hit)
+            lo, slots = lo.take(hit), hit if order is None else order.take(hit)
             stored = self.rows[
                 self.members.take(lo) - self.first_id, slot_tables.take(slots % num_slots)
             ]

@@ -21,6 +21,7 @@ under merging and JSON round-trips.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any
 
 import numpy as np
@@ -50,6 +51,9 @@ _EDGES: npt.NDArray[np.float64] = np.power(
     / BUCKETS_PER_DECADE,
 )
 _EDGES.setflags(write=False)
+#: The same edges as Python floats, for :meth:`LatencyHistogram.record`'s
+#: scalar bisect.
+_EDGE_VALUES = tuple(_EDGES.tolist())
 
 #: A scheme tag persisted with every snapshot; merging or loading counts
 #: recorded under a different bucket layout would silently corrupt the
@@ -97,7 +101,9 @@ class LatencyHistogram:
         units of work — e.g. every query in a batch experienced the
         batch's latency — without ``count`` searchsorted calls.
         """
-        idx = int(np.searchsorted(_EDGES, seconds, side="left"))
+        # ``np.searchsorted(_EDGES, seconds, side="left")`` without its
+        # scalar-to-array round trip; a NaN sorts last there, so here too.
+        idx = bisect_left(_EDGE_VALUES, seconds) if seconds == seconds else len(_EDGE_VALUES)
         self.counts[idx] += count
         self.total_seconds += float(seconds) * count
 

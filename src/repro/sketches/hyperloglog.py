@@ -45,6 +45,10 @@ __all__ = ["HyperLogLog", "PrecomputedHllHashes", "alpha_m", "estimates_from_reg
 _MIN_PRECISION = 2
 _MAX_PRECISION = 18
 
+#: ``2**-v`` for every one-byte register value ``v``, exactly (``ldexp``):
+#: an estimate's harmonic sum is one gather from it.
+_INV_POW2 = np.ldexp(1.0, -np.arange(256))
+
 
 def alpha_m(m: int) -> float:
     """Bias-correction constant for ``m`` registers.
@@ -74,7 +78,7 @@ def estimates_from_registers(registers: np.ndarray) -> np.ndarray:
     the cost decision can never disagree about what an estimate is.
     """
     m = registers.shape[1]
-    inv_sums = np.sum(np.exp2(-registers.astype(np.float64)), axis=1)
+    inv_sums = np.sum(_INV_POW2.take(registers), axis=1)
     zero_counts = m - np.count_nonzero(registers, axis=1)
     out = (alpha_m(m) * m * m) / inv_sums
     corrected = np.flatnonzero((out <= 2.5 * m) & (zero_counts > 0))
@@ -227,14 +231,14 @@ class HyperLogLog:
     # ------------------------------------------------------------------
     def raw_estimate(self) -> float:
         """Bias-corrected harmonic-mean estimate, no range corrections."""
-        inv_sum = float(np.sum(np.exp2(-self.registers.astype(np.float64))))
+        inv_sum = float(np.sum(_INV_POW2.take(self.registers)))
         return alpha_m(self.m) * self.m * self.m / inv_sum
 
     def estimate(self) -> float:
         """Cardinality estimate with small-range (linear counting) correction."""
         raw = self.raw_estimate()
         if raw <= 2.5 * self.m:
-            zeros = int(np.count_nonzero(self.registers == 0))
+            zeros = self.m - int(np.count_nonzero(self.registers))
             if zeros > 0:
                 return self.m * math.log(self.m / zeros)
         return raw

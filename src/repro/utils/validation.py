@@ -8,6 +8,7 @@ shape problems) with a consistent wording.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -29,7 +30,7 @@ def check_positive(value: float, name: str) -> float:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
     return value
 

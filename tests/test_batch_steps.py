@@ -17,8 +17,9 @@ block kernel, beside empty, block-sized, lone and look-alike rows.
 
 The work-unit tests pin what the flat pass saves, as counts: a 64-row
 batch of sparse-cluster queries gathers its candidate points once and
-deduplicates once, where row-by-row Steps S2/S3 did each 64 times, and
-a batch's large rows gather once per distinct candidate array.
+deduplicates once, where row-by-row Steps S2/S3 did each 64 times, a
+batch's large rows gather once per distinct candidate array, and a lone
+sparse-cluster query builds no ``n``-sized bitmap at all.
 """
 
 from types import SimpleNamespace
@@ -29,11 +30,12 @@ import pytest
 from test_adaptive import _dispatch_case, _spec
 from conftest import max_examples, reference_index
 
-from repro.api import Index, IndexSpec
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import HybridSearcher
 from repro.core import lsh_search as lsh_module
 from repro.core.lsh_search import LSHSearch
 from repro.distances import get_metric
+from repro.exceptions import ConfigurationError
 from repro.index.frozen import lookup as frozen_lookup
 
 hypothesis = pytest.importorskip(
@@ -95,9 +97,16 @@ def _check_batched_steps(case):
     _serve_generations(raw, parts)
     for part in parts:
         reference.insert(part)
+    row_unions = []  # one entry per untagged one-row union
+
+    def counted_union(lookup, union=frozen_lookup._row_union):
+        row_unions.append(lookup)
+        return union(lookup)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(frozen_lookup, "SORTED_UNION_RATIO", ratio)
         patch.setattr(lsh_module, "FILTER_BLOCK_BYTES", block_bytes)
+        patch.setattr(frozen_lookup, "_row_union", counted_union)
         lookups = raw.lookup_batch(batch)
         # Step S2: array for array the scalar per-row union.
         batched = raw.candidate_ids_batch(lookups, dedup="vectorized")
@@ -115,14 +124,31 @@ def _check_batched_steps(case):
         twin = HybridSearcher(reference, searcher.cost_model).query_batch(
             batch, radius, dedup="vectorized"
         )
+        # A lone row is served both ways: in the index's own dedup mode
+        # and, as ``Index.query`` serves it, vectorized.
+        lone_sorted = []
         for query, row, theirs in zip(batch, rows, twin):
             alone = searcher.query(query, radius)
-            for other in (alone, theirs):
+            calls = len(row_unions)
+            lone = searcher.query_batch(query[None], radius, dedup="vectorized")[0]
+            lone_sorted.append(len(row_unions) > calls)
+            for other in (alone, lone, theirs):
                 assert_bit_identical((row.ids, row.distances), (other.ids, other.distances))
                 assert row.stats == other.stats
+    live_runs = len(raw.live_runs)  # what the lone rows were served beside
     index.close()
     small = [lk.num_collisions <= raw.n // ratio for lk in lookups]
-    return small, [c.size for c in batched]
+    lone_lsh = [row.stats.strategy.value == "lsh" for row in rows]
+    # Served alone and vectorized, an LSH row is unioned by the sort
+    # exactly when it is small; the others keep the bitmap.
+    assert lone_sorted == [s and lsh for s, lsh in zip(small, lone_lsh)]
+    return SimpleNamespace(
+        small=small,
+        sizes=[c.size for c in batched],
+        # Per LSH row served alone: did the sort (not the bitmap) union it?
+        lone_small=[s for s, lsh in zip(lone_sorted, lone_lsh) if lsh],
+        live_runs=live_runs,
+    )
 
 
 class TestBatchedStepsEqualPerRow:
@@ -136,10 +162,19 @@ class TestBatchedStepsEqualPerRow:
         _check_batched_steps(case)
 
     def test_the_pins_cover_both_sides_of_each_crossover(self):
-        small, sizes = _check_batched_steps(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
-        assert any(small) and not all(small)  # S2: both sides of n // 8
-        assert 0 in sizes  # an empty row
-        _, sizes = _check_batched_steps(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10))
+        plain = _check_batched_steps(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
+        assert any(plain.small) and not all(plain.small)  # S2: both sides of n // 8
+        assert 0 in plain.sizes  # an empty row
+        # Lone rows too, beside live overflow runs: the one-row sort
+        # below the crossover, the bitmap above it.
+        assert any(plain.lone_small) and not all(plain.lone_small)
+        assert plain.live_runs == 2
+        # ... and multi-probe ones beside a live run (ratio 1: the rows
+        # of more than n collisions keep the bitmap).
+        probed = _check_batched_steps(_batch_case(5, 400, "multiprobe", 1, 1, 1 << 12))
+        assert any(probed.lone_small) and not all(probed.lone_small)
+        assert probed.live_runs == 1
+        sizes = _check_batched_steps(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10)).sizes
         cap = (1 << 10) // (10 * 8)  # S3: candidate points a block holds at d = 10
         assert any(0 < s <= cap // 2 for s in sizes) and max(sizes) > cap
 
@@ -211,6 +246,38 @@ def test_a_sparse_batch_gathers_once_and_deduplicates_once(monkeypatch):
     # Step S3: every row's candidate points in one gather (row by row:
     # 64 gathers).
     assert _CountingPoints.gathers == [sum(row.stats.exact_candidates for row in rows)]
+
+
+def test_a_lone_query_pays_a_bitmap_only_above_the_crossover(monkeypatch):
+    """A lone sparse-cluster query unions its buckets by one sort — no
+    ``n``-sized bitmap — and the lone dense-region query keeps its one."""
+    points, queries = _sparse_batch()
+    spec = IndexSpec(metric="l2", radius=1.0, num_tables=10, seed=1)
+    index = Index.build(points, spec)
+    raw = index.engine.index
+    limit = raw.n // frozen_lookup.SORTED_UNION_RATIO
+    assert raw.lookup(queries[0]).num_collisions <= limit
+    assert raw.lookup(queries[63]).num_collisions > limit
+    counting = _CountingBitmaps(raw.n)
+    monkeypatch.setattr(frozen_lookup, "np", counting)
+    sparse = index.query(QuerySpec(queries[0]))
+    assert sparse.strategy == "lsh" and counting.bitmaps == 0
+    dense = index.query(QuerySpec(queries[63]))
+    index.close()
+    assert dense.strategy == "lsh" and counting.bitmaps == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_bad_dedup_is_refused_for_one_row_and_for_a_batch(rows):
+    points, queries = _sparse_batch()
+    index = Index.build(points, IndexSpec(metric="l2", radius=1.0, num_tables=10, seed=1))
+    raw, searcher = index.engine.index, index.engine.searcher
+    lookups = raw.lookup_batch(queries[:rows])
+    with pytest.raises(ConfigurationError, match="dedup"):
+        raw.candidate_ids_batch(lookups, dedup="bogus")
+    with pytest.raises(ConfigurationError, match="dedup"):
+        searcher.query_batch(queries[:rows], 1.0, dedup="bogus")
+    index.close()
 
 
 #: Step-S3 block size of the sharing property: 21 candidate points at d = 6.
