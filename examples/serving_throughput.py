@@ -103,3 +103,9 @@ with tempfile.TemporaryDirectory() as tmp:
         for x, y in zip(a, b)
     )
     print(f"persisted : {reopened!r} reopened from disk, identical answers")
+    reopened.close()
+
+# A sharded index's worker pool serves the shards from an artifact
+# ``Index.build`` wrote; closing an index releases it.
+for built in (index, sharded, served):
+    built.close()

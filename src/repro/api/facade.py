@@ -3,9 +3,10 @@
 :class:`Index` is the package's serving surface:
 
 * :meth:`Index.build` consumes an :class:`~repro.api.spec.IndexSpec`
-  and assembles the right engine underneath (batched single index,
-  sharded thread fan-out or worker-process pool), the cost model (fixed
-  ratio or timing-calibrated), and the optional result cache;
+  and assembles the right engine underneath (a batched single index,
+  or the :class:`~repro.service.workers.WorkerPool` that serves every
+  sharded or process-served index), the cost model (fixed ratio or
+  timing-calibrated), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
   radius, exact top-k, single or batch — through one method, returning
   a :class:`~repro.api.outcome.QueryOutcome` /
@@ -20,6 +21,8 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -52,8 +55,8 @@ from repro.index.frozen_probing import FrozenCoveringLSHIndex, FrozenMultiProbeL
 from repro.observability import StageTrace, stage_timer
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
-from repro.service.sharded import ShardedHybridIndex, default_fanout_width
 from repro.service.stats import ServiceStats
+from repro.service.workers import WorkerPool, default_fanout_width
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
@@ -68,8 +71,6 @@ class _SingleBackend:
     partition.  Shard engines get none: their sibling shards already
     occupy the cores.
     """
-
-    kind = "single"
 
     def __init__(self, engine: BatchQueryEngine) -> None:
         self.engine = engine
@@ -153,17 +154,11 @@ class _SingleBackend:
 
 
 class _ShardedBackend:
-    """Adapter presenting a K-shard engine as a backend.
+    """Adapter presenting the :class:`~repro.service.workers.WorkerPool`
+    as a backend, wherever its endpoints run."""
 
-    Works for both partitioned engines — the thread fan-out
-    (:class:`ShardedHybridIndex`) and the process pool
-    (:class:`~repro.service.workers.WorkerPool`) — because they share
-    one query/insert surface.
-    """
-
-    def __init__(self, sharded: Any) -> None:
-        self.engine = sharded
-        self.kind = getattr(sharded, "kind", "sharded")
+    def __init__(self, pool: WorkerPool) -> None:
+        self.engine = pool
 
     @property
     def num_partitions(self) -> int:
@@ -228,9 +223,8 @@ class _ShardedBackend:
 
     @property
     def recalibrations(self) -> int:
-        # Worker pools recalibrate inside the worker processes; the
-        # parent-side engine then has no counter of its own.
-        return int(getattr(self.engine, "recalibrations", 0))
+        # The endpoints count their own (the ``workers`` document).
+        return 0
 
     def close(self) -> None:
         self.engine.close()
@@ -328,17 +322,18 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Froze
     return index.build(points)
 
 
-def _build_sharded(
-    spec: IndexSpec, points: np.ndarray, cost_model: CostModel
-) -> ShardedHybridIndex:
-    """Partition ``points`` round-robin over ``spec.num_shards`` shards
-    and build them concurrently, shard ``s`` from the ``s``-th stream
-    spawned off the spec's seed.
+def _build_shards(
+    spec: IndexSpec, points: np.ndarray
+) -> tuple[list[FrozenLSHIndex], list[np.ndarray]]:
+    """The spec's shards and their global-id maps.
 
+    Partitions ``points`` round-robin over ``spec.num_shards`` shards
+    and builds them concurrently, shard ``s`` from the ``s``-th stream
+    spawned off the spec's seed (one shard uses the seed itself).
     Shard ``s`` owns global rows ``s, s + K, s + 2K, ...`` (balanced to
     within one point, and insert routing stays trivial).  The builds are
     numpy kernels that release the GIL, so they overlap on
-    :func:`~repro.service.sharded.default_fanout_width` threads.
+    :func:`~repro.service.workers.default_fanout_width` threads.
     """
     num_shards, n = spec.num_shards, points.shape[0]
     if num_shards > n:
@@ -346,6 +341,8 @@ def _build_sharded(
             f"num_shards ({num_shards}) must not exceed the dataset size ({n})"
         )
     gids = [np.arange(s, n, num_shards, dtype=np.int64) for s in range(num_shards)]
+    if num_shards == 1:
+        return [_build_single_index(spec, points, seed=spec.seed)], gids
     rngs = spawn_rngs(spec.seed, num_shards)
     with ThreadPoolExecutor(
         max_workers=default_fanout_width(num_shards), thread_name_prefix="repro-shard-build"
@@ -356,10 +353,64 @@ def _build_sharded(
                 range(num_shards),
             )
         )
-    return ShardedHybridIndex(
-        shards, gids, radius=spec.radius, cost_model=cost_model,
-        next_shard=n % num_shards, dedup=spec.dedup,
-    )
+    return shards, gids
+
+
+def _serve_through_pool(
+    spec: IndexSpec,
+    points: np.ndarray,
+    cost_model: CostModel,
+    num_workers: int | None,
+    fault_policy: FaultTolerancePolicy | None,
+    fault_plan: FaultPlan | None,
+) -> Index:
+    """Build the spec's shards into a transient artifact and serve it
+    through a :class:`~repro.service.workers.WorkerPool`.
+
+    The artifact is what the endpoints open, wherever they run; it is
+    deleted when the returned index is closed, or at once if the write
+    or the pool fails.
+    """
+    from repro.api.persist import write_artifact
+
+    shards, gids = _build_shards(spec, points)
+    path = tempfile.mkdtemp(prefix="repro-shards-")
+    try:
+        write_artifact(path, spec, cost_model, shards, gids)
+        del shards  # the endpoints map the written copy; drop the built one first
+        pool = WorkerPool(
+            path,
+            num_workers=num_workers,
+            owns_path=True,
+            policy=fault_policy,
+            fault_plan=fault_plan,
+            replicas=spec.replicas,
+        )
+    except BaseException:
+        shutil.rmtree(path, ignore_errors=True)
+        raise
+    return Index(_ShardedBackend(pool), spec=spec, cache=_cache_from_spec(spec))
+
+
+def _refuse_pool_arguments(spec: IndexSpec, **arguments: Any) -> None:
+    """Refuse the arguments only a process pool takes, for any other spec.
+
+    :meth:`Index.build` and :meth:`Index.open` both check here.
+    Dropping them silently would let the caller believe they configured
+    a process pool; in-process shards take no fault plan either, since a
+    crash fault ends the process it runs in.  A process spec's
+    ``num_workers`` is checked before anything is built.
+    """
+    if spec.execution == "processes":
+        if arguments.get("num_workers") is not None:
+            check_positive_int(arguments["num_workers"], "num_workers")
+        return
+    for name, value in arguments.items():
+        if value is not None:
+            raise ConfigurationError(
+                f'{name} applies to execution="processes" indexes only; '
+                f"this index has execution={spec.execution!r}"
+            )
 
 
 #: Radius-from-k estimation (:meth:`Index._topk_adaptive`): the first
@@ -401,7 +452,7 @@ class Index:
         self._backend = backend
         self.spec = spec
         self.cache = cache
-        self.stats = ServiceStats(pool_workers=_fanout_width_of(backend))
+        self.stats = ServiceStats(pool_workers=_pool_width_of(backend))
         self._tracing = False
         # Lazily measured distance profile for radius-from-k estimation
         # (None when the backend has no in-process points to sample).
@@ -427,53 +478,34 @@ class Index:
     ) -> Index:
         """Build an index over ``points`` as described by ``spec``.
 
-        ``execution="processes"`` builds the sharded frozen index, saves
-        it to a transient artifact, and serves it through a
-        :class:`~repro.service.workers.WorkerPool` of ``num_workers``
-        processes (default ``min(num_shards, cpu count)``); the artifact
-        is removed when the returned index is closed.  ``fault_policy``
-        tunes that pool's deadlines / retries / circuit breakers, and
-        ``fault_plan`` installs a deterministic chaos schedule
-        (:mod:`repro.faults`) — both are process-pool-only knobs.
+        A spec with ``num_shards > 1`` or ``execution="processes"``
+        builds its frozen shards into a transient artifact and serves it
+        through a :class:`~repro.service.workers.WorkerPool`; the
+        artifact is removed when the returned index is closed.
+        ``spec.execution`` says where the pool's endpoints run: inline
+        on the caller's thread (``"threads"``) or in ``num_workers``
+        processes (default ``min(num_shards, cpu count)``).
+        ``fault_policy`` tunes a process pool's deadlines / retries /
+        circuit breakers, and ``fault_plan`` installs a deterministic
+        chaos schedule (:mod:`repro.faults`) — all three are
+        process-pool-only knobs.
         """
         if not isinstance(spec, IndexSpec):
             spec = IndexSpec.from_dict(spec)
-        if spec.execution != "processes":
-            # Mirror Index.open: dropping the arguments silently would
-            # let the caller believe they configured a process pool.
-            if num_workers is not None:
-                raise ConfigurationError(
-                    'num_workers applies to execution="processes" specs only; '
-                    f"this spec has execution={spec.execution!r}"
-                )
-            if fault_policy is not None or fault_plan is not None:
-                raise ConfigurationError(
-                    'fault_policy/fault_plan apply to execution="processes" '
-                    f"specs only; this spec has execution={spec.execution!r}"
-                )
-        elif num_workers is not None:
-            # The pool would refuse it only after the build and the save.
-            check_positive_int(num_workers, "num_workers")
+        _refuse_pool_arguments(
+            spec, num_workers=num_workers, fault_policy=fault_policy, fault_plan=fault_plan
+        )
         points = check_matrix(points, name="points")
         cost_model = _resolve_cost_model(spec, points)
-        backend: _ShardedBackend | _SingleBackend
-        if spec.num_shards > 1:
-            backend = _ShardedBackend(_build_sharded(spec, points, cost_model))
-        else:
-            index = _build_single_index(spec, points, seed=spec.seed)
-            searcher = HybridSearcher(index, cost_model)
-            backend = _SingleBackend(
-                BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
+        if spec.num_shards > 1 or spec.execution == "processes":
+            return _serve_through_pool(
+                spec, points, cost_model, num_workers, fault_policy, fault_plan
             )
-        built = cls(backend, spec=spec, cache=_cache_from_spec(spec))
-        if spec.execution == "processes":
-            return _as_process_pool(
-                built,
-                num_workers=num_workers,
-                fault_policy=fault_policy,
-                fault_plan=fault_plan,
-            )
-        return built
+        index = _build_single_index(spec, points, seed=spec.seed)
+        engine = BatchQueryEngine(
+            HybridSearcher(index, cost_model), radius=spec.radius, dedup=spec.dedup
+        )
+        return cls(_SingleBackend(engine), spec=spec, cache=_cache_from_spec(spec))
 
     @classmethod
     def open(
@@ -519,7 +551,7 @@ class Index:
     # ------------------------------------------------------------------
     @property
     def engine(self) -> Any:
-        """The underlying engine (batched single index or sharded fan-out)."""
+        """The underlying engine (batched single index or worker pool)."""
         return self._backend.engine
 
     @property
@@ -540,21 +572,25 @@ class Index:
     @property
     def cost_model(self) -> CostModel:
         """The cost model driving the per-query dispatch."""
-        engine = self._backend.engine
-        searcher = getattr(engine, "searcher", None)
-        if searcher is not None:
-            return searcher.cost_model
-        return engine.cost_model  # sharded fan-out / worker pool
+        pool = self._pool()
+        if pool is not None:
+            return pool.cost_model
+        return self._backend.engine.searcher.cost_model
 
     @property
     def execution(self) -> str:
-        """How shard work fans out: ``"threads"`` or ``"processes"``."""
-        return "processes" if self._backend.kind == "processes" else "threads"
+        """Where shard endpoints run: ``"threads"`` (in this process) or
+        ``"processes"``."""
+        return self.spec.execution
+
+    def _pool(self) -> WorkerPool | None:
+        """The worker pool serving this index, or None for a single index."""
+        return self._backend.engine if isinstance(self._backend, _ShardedBackend) else None
 
     def reset_stats(self) -> None:
         """Zero the counters (cache contents are kept).
 
-        Pool-lifetime counters owned by a process-pool backend — pipe
+        Pool-lifetime counters owned by a worker-pool backend — pipe
         bytes, respawns, the failure counters — cannot be zeroed in
         place (the pool keeps accumulating), so their current values are
         captured as a baseline that :meth:`stats_snapshot` subtracts;
@@ -562,10 +598,9 @@ class Index:
         pool's ``reset`` op.  A snapshot right after a reset therefore
         reads all-zero everywhere, including ``workers.*``.
         """
-        pool = self._backend.engine if self._backend.kind == "processes" else None
+        pool = self._pool()
         if pool is not None:
-            if hasattr(pool, "reset_worker_stats"):
-                pool.reset_worker_stats()
+            pool.reset_worker_stats()
             failure = pool.failure_counters()
             self._transport_baseline = {
                 "bytes_shipped": int(pool.bytes_shipped),
@@ -576,7 +611,7 @@ class Index:
                 "replica_failovers": int(failure.get("replica_failovers", 0)),
                 "respawns_by_cause": dict(failure["respawns_by_cause"]),
             }
-        self._recalibration_baseline = self._backend_recalibrations()
+        self._recalibration_baseline = self._backend.recalibrations
         self.stats.reset()
 
     def enable_tracing(self, enabled: bool = True) -> None:
@@ -598,12 +633,12 @@ class Index:
     def stats_snapshot(self) -> dict[str, object]:
         """Enriched stats document: facade counters + live worker stats.
 
-        For a process-pool backend, each worker's own ``ServiceStats``
+        For a worker-pool backend, each endpoint's own ``ServiceStats``
         (latency histogram, bytes shipped over its pipe, its gauges) is
         fetched via the pool's ``stats`` op and merged — exactly — into
         a ``workers`` sub-document alongside the per-worker breakdown.
         """
-        pool = self._backend.engine if self._backend.kind == "processes" else None
+        pool = self._pool()
         if pool is not None:
             # Pipes, respawns and the failure counters are parent-side
             # pool-lifetime counters; sync them into the facade stats at
@@ -640,10 +675,10 @@ class Index:
                 respawns_by_cause={k: v for k, v in causes.items() if v},
             )
         self.stats.set_recalibrations(
-            max(0, self._backend_recalibrations() - self._recalibration_baseline)
+            max(0, self._backend.recalibrations - self._recalibration_baseline)
         )
         doc = self.stats.as_dict()
-        if pool is not None and hasattr(pool, "worker_stats"):
+        if pool is not None:
             per_worker = pool.worker_stats()
             aggregate = ServiceStats()
             for worker_doc in per_worker:
@@ -660,9 +695,9 @@ class Index:
         """Release backend resources; idempotent.
 
         Returns once a single index's partition helper thread has
-        exited, no background re-freeze of an in-process index is
-        running and the sharded thread pool (or the worker pool) is
-        shut down.  A single index still answers afterwards, inline.
+        exited, no background re-freeze of an in-process shard is
+        running and the worker pool is shut down.  A single index still
+        answers afterwards, inline.
         """
         self._backend.close()
 
@@ -753,29 +788,19 @@ class Index:
         check_probe_budget(self.spec.variant, policy)
         return policy
 
-    def _backend_recalibrations(self) -> int:
-        """Live recalibration total summed over the backend's engines."""
-        return int(getattr(self._backend, "recalibrations", 0))
-
     def _profile_points(self) -> np.ndarray | None:
         """A point sample reachable in-process (None for worker pools)."""
-        engine = self._backend.engine
-        index = getattr(engine, "index", None)
-        if index is not None:  # BatchQueryEngine
-            return cast("np.ndarray", index.points)
-        shards = getattr(engine, "shards", None)
-        if shards:  # ShardedHybridIndex: round-robin partition, so any
-            # one shard is an unbiased sample of the dataset.
-            return cast("np.ndarray", shards[0].points)
+        if isinstance(self._backend, _SingleBackend):
+            return cast("np.ndarray", self._backend.engine.index.points)
         return None
 
     def _distance_profile(self) -> DistanceProfile | None:
         """Lazily measured distance profile for radius-from-k estimation.
 
         Measured once, on first adaptive top-k use, from in-process
-        points with the spec's seed (deterministic); ``None`` when the
-        backend ships its points to worker processes — those requests
-        keep the exact top-k path.
+        points with the spec's seed (deterministic); ``None`` when a
+        worker pool serves the points — those requests keep the exact
+        top-k path.
         """
         if self._profile_ready:
             return self._profile
@@ -1043,89 +1068,31 @@ def _cache_from_spec(spec: IndexSpec) -> QueryResultCache | None:
     return QueryResultCache(maxsize=spec.cache_size, quantum=spec.cache_quantum)
 
 
-def _frozen_indexes_of(backend: Any) -> list[Any]:
-    """Frozen indexes reachable in-process from ``backend`` (may be [])."""
-    engine = getattr(backend, "engine", None)
-    if engine is None:
-        return []
-    if isinstance(engine, BatchQueryEngine):
-        return [engine.index]
-    # A worker pool has no in-process indexes (its workers ship these
-    # gauges back through the ``stats`` op instead).
-    return [eng.index for eng in getattr(engine, "_engines", [])]
-
-
 def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
     """Wire live backend gauges into the stats object.
 
-    Frozen layouts expose their overflow size (points in live runs) and background
-    re-freeze counters; hooks read the *current* values at snapshot
-    time, so the gauges track inserts and re-freezes without the stats
-    layer polling anything.
+    A single index exposes its overflow size (points in live runs) and
+    background re-freeze counters; hooks read the *current* values at
+    snapshot time, so the gauges track inserts and re-freezes without
+    the stats layer polling anything.  A pool's endpoints keep those
+    gauges for their own shards (the snapshot's ``workers`` document);
+    the pool itself reports its open breakers.
     """
-    engine = getattr(backend, "engine", None)
-    if hasattr(engine, "open_breaker_count"):
-        counter = engine.open_breaker_count
+    if isinstance(backend, _ShardedBackend):
+        counter = backend.engine.open_breaker_count
         stats.gauge_hooks["breaker_open_workers"] = lambda: float(counter())
-    indexes = _frozen_indexes_of(backend)
-    if not indexes:
         return
-    stats.gauge_hooks["overflow_points"] = lambda: float(
-        sum(ix.overflow_count for ix in indexes)
-    )
-    stats.gauge_hooks["refreeze_generations"] = lambda: float(
-        sum(ix.refreeze_count for ix in indexes)
-    )
+    index = backend.engine.index
+    stats.gauge_hooks["overflow_points"] = lambda: float(index.overflow_count)
+    stats.gauge_hooks["refreeze_generations"] = lambda: float(index.refreeze_count)
     stats.gauge_hooks["refreeze_seconds_total"] = lambda: float(
-        sum(ix.refreeze_seconds_total for ix in indexes)
+        index.refreeze_seconds_total
     )
     stats.gauge_hooks["last_refreeze_seconds"] = lambda: float(
-        max((ix.last_refreeze_seconds for ix in indexes), default=0.0)
+        index.last_refreeze_seconds
     )
 
 
-def _fanout_width_of(backend: Any) -> int:
-    """The chosen shard fan-out width (0 for an unpartitioned engine)."""
-    width = getattr(getattr(backend, "engine", None), "num_workers", None)
-    return int(width) if width else 0
-
-
-def _as_process_pool(
-    index: Index,
-    num_workers: int | None = None,
-    fault_policy: FaultTolerancePolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-) -> Index:
-    """Re-serve a freshly built sharded frozen index through a WorkerPool.
-
-    Saves the index to a transient artifact (the workers' mmap source),
-    releases the thread-backed engine, and opens the pool over it; the
-    artifact is deleted when the returned index is closed, or at once
-    if the save or the pool fails.
-    """
-    import shutil
-    import tempfile
-
-    from repro.api.persist import save_index
-    from repro.service.workers import WorkerPool
-
-    path = tempfile.mkdtemp(prefix="repro-worker-pool-")
-    try:
-        try:
-            save_index(index, path)
-        finally:
-            index.close()
-        pool = WorkerPool(
-            path,
-            num_workers=num_workers,
-            owns_path=True,
-            policy=fault_policy,
-            fault_plan=fault_plan,
-            replicas=index.spec.replicas,
-        )
-    except BaseException:
-        shutil.rmtree(path, ignore_errors=True)
-        raise
-    return Index(
-        _ShardedBackend(pool), spec=index.spec, cache=_cache_from_spec(index.spec)
-    )
+def _pool_width_of(backend: Any) -> int:
+    """The pool's worker-slot count (0 for a single index)."""
+    return backend.engine.num_workers if isinstance(backend, _ShardedBackend) else 0

@@ -1,6 +1,6 @@
 """The typed result envelope returned by :meth:`repro.api.Index.query`.
 
-Every execution path — single index, batched, sharded threads, worker
+Every execution path — single index, batched, in-process shards, worker
 processes, TCP shard servers — answers with the same two types.
 
 :class:`QueryOutcome` carries the payload arrays plus the serving facts

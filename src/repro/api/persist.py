@@ -35,10 +35,9 @@ from repro.core.hybrid import HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError, ReproError
 from repro.index.frozen import load_frozen_index, save_frozen_index
 from repro.service.batch import BatchQueryEngine
-from repro.service.sharded import ShardedHybridIndex
 from repro.utils.fsio import write_json_atomic
 
-__all__ = ["save_index", "open_index"]
+__all__ = ["save_index", "open_index", "write_artifact"]
 
 _FORMAT_VERSION = 1
 _META_FILE = "index.json"
@@ -70,9 +69,10 @@ def read_shard_gids(path: str, num_shards: int) -> list[np.ndarray]:
 def write_shard_gids(path: str, shard_gids: list[np.ndarray]) -> None:
     """Write the per-shard global-id maps archive (single layout owner).
 
-    Every writer of a sharded artifact — :func:`save_index` for both
-    engine kinds and :meth:`~repro.service.workers.WorkerPool.checkpoint`
-    — goes through here so the archive's keying scheme has one home.
+    Every writer of a sharded artifact — :func:`write_artifact`,
+    :func:`save_index` and
+    :meth:`~repro.service.workers.WorkerPool.checkpoint` — goes through
+    here so the archive's keying scheme has one home.
     """
     target = os.path.join(path, _GIDS_FILE)
     tmp = f"{target}.tmp-{os.getpid()}"
@@ -121,49 +121,79 @@ def _read_meta(meta_path: str) -> dict[str, Any]:
     return meta
 
 
+def _write_meta(
+    path: str, spec: IndexSpec, cost_model: CostModel, n: int, dim: int,
+    num_shards: int, next_shard: int,
+) -> None:
+    """Commit ``index.json``: last and atomically, so readers that find a
+    complete one are guaranteed complete shard artifacts too."""
+    meta = {
+        "format_version": _FORMAT_VERSION,
+        "spec": spec.to_dict(),
+        "cost_model": {"alpha": cost_model.alpha, "beta": cost_model.beta},
+        "n": n,
+        "dim": dim,
+        "layout": _LAYOUT,
+        "num_shards": num_shards,
+        "next_shard": next_shard,
+    }
+    write_json_atomic(os.path.join(path, _META_FILE), meta)
+
+
+def write_artifact(
+    path: str,
+    spec: IndexSpec,
+    cost_model: CostModel,
+    shards: list[Any],
+    shard_gids: list[np.ndarray],
+) -> None:
+    """Write in-process frozen shards as a whole artifact under ``path``.
+
+    The one writer of built shards: :meth:`repro.api.Index.build` writes
+    the transient artifact its pool serves through here, and
+    :func:`save_index` a single index.  Shard ``s`` owns the global ids
+    ``shard_gids[s]``, dealt round-robin, so the next insert goes to
+    shard ``n % K``.
+    """
+    os.makedirs(path, exist_ok=True)
+    for s, shard in enumerate(shards):
+        save_frozen_index(shard, os.path.join(path, _frozen_shard_dir(s)))
+    if len(shards) > 1:
+        write_shard_gids(path, shard_gids)
+    n = sum(shard.n for shard in shards)
+    _write_meta(
+        path, spec, cost_model, n, shards[0].dim, len(shards), n % len(shards)
+    )
+
+
 def save_index(index: Any, path: str) -> None:
     """Persist ``index`` (an :class:`repro.api.Index`) under directory ``path``."""
     from repro.api.facade import Index
+    from repro.service.workers import WorkerPool
 
     if not isinstance(index, Index):
         raise ConfigurationError(
             f"save_index persists repro.api.Index objects, got {type(index).__name__}"
         )
     engine = index.engine
-    cost_model = index.cost_model
-    meta: dict[str, Any] = {
-        "format_version": _FORMAT_VERSION,
-        "spec": index.spec.to_dict(),
-        "cost_model": {"alpha": cost_model.alpha, "beta": cost_model.beta},
-        "n": index.n,
-        "dim": index.dim,
-        "layout": _LAYOUT,
-    }
+    if not isinstance(engine, WorkerPool):
+        single = engine.index
+        write_artifact(
+            path, index.spec, index.cost_model, [single],
+            [np.arange(single.n, dtype=np.int64)],
+        )
+        return
+    # The parent holds no shard state: each owning endpoint writes its
+    # shards (compacting any overflow first), the parent writes the id
+    # maps and metadata around them.
     os.makedirs(path, exist_ok=True)
-    from repro.service.workers import WorkerPool
-
-    if isinstance(engine, WorkerPool):
-        # The parent holds no shard state: each owning worker writes its
-        # shards (compacting any overflow first), the parent writes the
-        # id maps and metadata around them.
-        meta["num_shards"] = engine.num_shards
-        meta["next_shard"] = int(engine._next_shard)
-        engine.save_shards(path)
-        if engine.num_shards > 1:
-            write_shard_gids(path, engine._shard_gids)
-    elif isinstance(engine, ShardedHybridIndex):
-        meta["num_shards"] = engine.num_shards
-        meta["next_shard"] = int(engine._next_shard)
-        for s, shard in enumerate(engine.shards):
-            save_frozen_index(shard, os.path.join(path, _frozen_shard_dir(s)))
+    engine.save_shards(path)
+    if engine.num_shards > 1:
         write_shard_gids(path, engine._shard_gids)
-    else:
-        meta["num_shards"] = 1
-        meta["next_shard"] = 0
-        save_frozen_index(engine.index, os.path.join(path, _frozen_shard_dir(0)))
-    # The metadata commits last and atomically: readers that find a
-    # complete index.json are guaranteed complete shard artifacts too.
-    write_json_atomic(os.path.join(path, _META_FILE), meta)
+    _write_meta(
+        path, index.spec, index.cost_model, index.n, index.dim,
+        engine.num_shards, int(engine._next_shard),
+    )
 
 
 def open_index(
@@ -179,10 +209,11 @@ def open_index(
     answers are bit-identical to the saved instance's: the per-shard
     hash kernels, buckets and sketches are reconstructed exactly, and
     the cost model is restored from its saved constants (calibration is
-    never re-run).  A spec carrying ``execution="processes"`` is served
-    through a :class:`~repro.service.workers.WorkerPool` — ``K`` worker
-    processes mmap the saved frozen shards, no arrays are loaded in the
-    parent; ``num_workers`` overrides the pool width, ``fault_policy``
+    never re-run).  A sharded artifact, or one whose spec carries
+    ``execution="processes"``, is served through a
+    :class:`~repro.service.workers.WorkerPool` whose endpoints mmap the
+    saved frozen shards — in this process (``"threads"``) or in worker
+    processes; ``num_workers`` overrides a process pool's width, ``fault_policy``
     (a :class:`~repro.faults.FaultTolerancePolicy`) tunes its deadlines
     / retries / breaker, and ``fault_plan`` installs a deterministic
     :class:`~repro.faults.FaultPlan` for chaos drills.  ``endpoints``
@@ -191,7 +222,14 @@ def open_index(
     worker processes — one ``"host:port,host:port"`` replica group per
     worker slot.
     """
-    from repro.api.facade import Index, _cache_from_spec, _ShardedBackend
+    from repro.api.facade import (
+        Index,
+        _cache_from_spec,
+        _refuse_pool_arguments,
+        _ShardedBackend,
+        _SingleBackend,
+    )
+    from repro.service.workers import WorkerPool
 
     meta_path = os.path.join(path, _META_FILE)
     if not os.path.exists(meta_path):
@@ -210,9 +248,11 @@ def open_index(
             f"Index.build and save it again"
         )
     spec = IndexSpec.from_dict(meta["spec"])
-    if spec.execution == "processes":
-        from repro.service.workers import WorkerPool
-
+    _refuse_pool_arguments(
+        spec, num_workers=num_workers, fault_policy=fault_policy,
+        fault_plan=fault_plan, endpoints=endpoints,
+    )
+    if int(meta["num_shards"]) > 1 or spec.execution == "processes":
         pool = WorkerPool(
             path,
             num_workers=num_workers,
@@ -221,31 +261,11 @@ def open_index(
             endpoints=endpoints,
         )
         return Index(_ShardedBackend(pool), spec=spec, cache=_cache_from_spec(spec))
-    if num_workers is not None:
-        raise ConfigurationError(
-            "num_workers applies to execution=\"processes\" indexes only; "
-            f"this artifact was saved with execution={spec.execution!r}"
-        )
-    if fault_policy is not None or fault_plan is not None:
-        raise ConfigurationError(
-            "fault_policy/fault_plan apply to execution=\"processes\" indexes "
-            f"only; this artifact was saved with execution={spec.execution!r}"
-        )
-    if endpoints is not None:
-        raise ConfigurationError(
-            "endpoints apply to execution=\"processes\" indexes only; "
-            f"this artifact was saved with execution={spec.execution!r}"
-        )
     cost_model = CostModel(
         alpha=float(meta["cost_model"]["alpha"]), beta=float(meta["cost_model"]["beta"])
     )
-    num_shards = int(meta["num_shards"])
-    backend: Any
     try:
-        shard_indexes = [
-            load_frozen_index(os.path.join(path, _frozen_shard_dir(s)))
-            for s in range(num_shards)
-        ]
+        index = load_frozen_index(os.path.join(path, _frozen_shard_dir(0)))
     except ReproError:
         raise
     except Exception as exc:
@@ -253,20 +273,6 @@ def open_index(
             f"saved index at {path!r} has unreadable shard data ({exc}); "
             "the artifact is truncated or corrupt"
         ) from exc
-    if num_shards > 1:
-        backend_engine = ShardedHybridIndex(
-            shard_indexes,
-            read_shard_gids(path, num_shards),
-            radius=spec.radius,
-            cost_model=cost_model,
-            next_shard=int(meta.get("next_shard", 0)),
-            dedup=spec.dedup,
-        )
-        backend = _ShardedBackend(backend_engine)
-    else:
-        from repro.api.facade import _SingleBackend
-
-        searcher = HybridSearcher(shard_indexes[0], cost_model)
-        engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
-        backend = _SingleBackend(engine)
-    return Index(backend, spec=spec, cache=_cache_from_spec(spec))
+    searcher = HybridSearcher(index, cost_model)
+    engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
+    return Index(_SingleBackend(engine), spec=spec, cache=_cache_from_spec(spec))

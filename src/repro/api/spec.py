@@ -40,8 +40,8 @@ JSON schema (all keys optional unless noted)::
       "variant":       "plain",        # index variant: "plain" | "multiprobe"
                                        # | "covering" (hamming only, integer radius)
       "num_probes":    2,              # extra probed buckets per table (multiprobe)
-      "execution":     "threads",      # shard fan-out: "threads" | "processes"
-                                       # ("processes" = mmap'd worker pool)
+      "execution":     "threads",      # where shard endpoints run: "threads"
+                                       # (in this process) | "processes"
       "replicas":      1,              # endpoints per worker slot; > 1
                                        # replicates every shard for failover
                                        # (requires execution "processes")

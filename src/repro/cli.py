@@ -270,8 +270,9 @@ def _add_spec_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--execution", choices=("threads", "processes"), default="threads",
-        help="shard fan-out: 'processes' serves mmap'd frozen shards from "
-             "a pool of worker processes",
+        help="where shard endpoints run: 'threads' answers them in this "
+             "process, 'processes' in a pool of worker processes that "
+             "mmap the frozen shards",
     )
 
 
@@ -529,7 +530,10 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
         for response in responses:
             print(response, file=stdout, flush=True)
     finally:
-        stop_stats()
+        try:
+            stop_stats()
+        finally:
+            index.close()
 
 
 def _cmd_shard_serve(args: argparse.Namespace) -> None:

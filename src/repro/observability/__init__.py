@@ -1,8 +1,8 @@
 """Serving telemetry: latency histograms, stage tracing, and exposition.
 
 This package is the measurement layer threaded through every serving
-path (sequential, batched, sharded threads, worker processes).  It has
-three deliberately small pieces:
+path (sequential, batched, and the worker pool wherever its shard
+endpoints run).  It has three deliberately small pieces:
 
 - :class:`~repro.observability.histogram.LatencyHistogram` — fixed
   log-bucket counts that merge *exactly* across shards and processes;

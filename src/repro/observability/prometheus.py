@@ -40,7 +40,7 @@ _COUNTERS = {
 }
 
 _GAUGES = {
-    "pool_workers": ("repro_pool_workers", "Configured fan-out width (threads or processes)."),
+    "pool_workers": ("repro_pool_workers", "Configured worker-pool slot count (0 for a single index)."),
     "elapsed_seconds": ("repro_query_busy_seconds", "Accumulated wall time spent answering queries."),
 }
 

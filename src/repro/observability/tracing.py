@@ -1,8 +1,8 @@
 """Per-stage wall-time attribution for the query pipeline.
 
 A :class:`StageTrace` is an opt-in accumulator handed down the call
-chain (facade -> batch engine -> hybrid searcher -> shard/worker
-backends).  Each layer brackets its named pipeline stage with
+chain (facade -> batch engine -> hybrid searcher, or facade -> worker
+pool).  Each layer brackets its named pipeline stage with
 :func:`stage_timer`; when no trace was requested the bracket degrades to
 a shared no-op span, so the disabled path costs one ``is None`` check
 and no allocation — tracing must be safe to leave compiled into every
@@ -27,8 +27,8 @@ the Prometheus exposition can rely on stable label values:
 ``merge``
     Cross-shard / cross-worker result merging.
 ``ipc``
-    Pipe round-trips to pool workers (includes worker compute time,
-    since the parent only observes the blocking request/reply).
+    Round trips to the pool's shard endpoints (includes their compute
+    time, since the coordinator only observes the request/reply).
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ STAGES = ("hash", "estimate", "candidates", "linear", "merge", "ipc")
 class StageTrace:
     """Accumulated seconds and call counts per pipeline stage.
 
-    Not thread-safe by design: concurrent fan-outs give each branch its
-    own trace and :meth:`merge` them afterwards (exactly like the
-    latency histograms), which keeps the hot path free of locks.
+    Not thread-safe by design: one trace follows one request, which
+    keeps the hot path free of locks.
     """
 
     __slots__ = ("seconds", "calls")
@@ -60,12 +59,6 @@ class StageTrace:
         """Attribute ``seconds`` of wall time to ``stage``."""
         self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
         self.calls[stage] = self.calls.get(stage, 0) + calls
-
-    def merge(self, other: StageTrace) -> StageTrace:
-        """Fold another trace (e.g. a per-shard branch) into this one."""
-        for stage, seconds in other.seconds.items():
-            self.add(stage, seconds, other.calls.get(stage, 0))
-        return self
 
     @property
     def total_seconds(self) -> float:

@@ -5,7 +5,9 @@ same ops, same fault hooks, same telemetry — so this module owns it:
 
 * :class:`ShardState` — the opened shards: mmap'd frozen indexes,
   per-shard batch engines, worker-local :class:`~repro.service.stats.ServiceStats`,
-  and the applied-seq sets that make replicated inserts idempotent.
+  and the applied-seq sets that make replicated inserts idempotent
+  (an in-process pool answers from one directly, through
+  :class:`~repro.service.transport.InlineTransport`).
 * :func:`open_shard_state` — reopen saved frozen shards
   (``np.load(mmap_mode="r")``; O(mmap) startup).
 * :func:`serve_connection` — the request/reply loop over a
@@ -305,7 +307,7 @@ class ShardState:
 
 def open_shard_state(path: str, shard_ids: list[int], spec_doc: dict,
                      alpha: float, beta: float) -> ShardState:
-    """Reopen saved frozen shards via mmap — the worker startup path.
+    """Reopen saved frozen shards via mmap — every endpoint's startup path.
 
     Lazy api-layer imports keep module load light (and keep ``spawn``
     start-method workers importable without the full facade).

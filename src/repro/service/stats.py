@@ -51,8 +51,8 @@ class ServiceStats:
     #: engine work avoided, but not by the cache store.
     deduplicated: int = 0
     elapsed_seconds: float = 0.0
-    #: chosen shard fan-out width — thread-pool threads or worker
-    #: processes serving the shards; 0 for an unpartitioned engine.
+    #: the worker pool's slot count (the endpoints serving the
+    #: shards); 0 for an unpartitioned engine.
     pool_workers: int = 0
     strategy_counts: dict[str, int] = field(default_factory=dict)
     #: bytes of query/result payload that crossed worker-pool pipes.

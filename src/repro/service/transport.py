@@ -1,4 +1,5 @@
-"""Shard transports: one wire frame, two carriers (pipe and TCP).
+"""Shard transports: one wire frame, two carriers (pipe and TCP), and
+an inline endpoint for shards served in-process.
 
 :class:`~repro.service.workers.WorkerPool` speaks a tuple-based
 request/reply protocol (``("radius", ...)``, ``("insert", ...)``, ...).
@@ -37,6 +38,10 @@ The carriers
 * :class:`TcpTransport` — a standalone shard server
   (:mod:`repro.service.shard_server`, ``repro.cli shard-serve``) behind
   a TCP socket, so shards can live on other hosts.
+
+:class:`InlineTransport` carries no frames at all: it holds the shards'
+:class:`~repro.service.shard_server.ShardState` in this process and
+answers a request on the caller's thread (``execution="threads"``).
 
 Both read a reply with one deadline over the *whole* frame (the
 socket-level analogue of the bounded ``poll`` the ``deadline-required``
@@ -78,6 +83,7 @@ import socket
 import struct
 import threading
 import time
+import weakref
 import zlib
 
 import numpy as np
@@ -90,6 +96,7 @@ __all__ = [
     "ShardTransport",
     "PipeTransport",
     "TcpTransport",
+    "InlineTransport",
     "ServerConnection",
     "encode_frame",
     "decode_frame",
@@ -600,6 +607,69 @@ class TcpTransport(_SocketTransport):
         if isinstance(exc, (EOFError, ConnectionError, OSError)):
             return "disconnect"
         return "corrupt"
+
+
+def _close_sockets(*socks: socket.socket) -> None:
+    for sock in socks:
+        with contextlib.suppress(OSError):
+            sock.close()
+
+
+class InlineTransport(ShardTransport):
+    """In-process shards: a request is answered on the caller's thread.
+
+    ``state`` is the slot's :class:`~repro.service.shard_server.ShardState`
+    (opened by ``open_shard_state``, as a worker opens it).  :meth:`send`
+    runs ``state.handle(message)`` at once and keeps the reply, with no
+    frame, codec or thread on the way, then writes one byte into a
+    ``socketpair`` so the pool's ``multiprocessing.connection.wait``
+    sees the reply as ready; :meth:`recv_within` drains that byte
+    (bounded, like every socket read here) and hands the reply over.
+    The ready ack is queued at construction, so the pool's startup
+    handshake runs unchanged.  The socketpair is this object's own
+    wake-up device, so it is closed with it even if the pool never is.
+    """
+
+    endpoint = "inline"
+
+    def __init__(self, state) -> None:
+        self.state = state
+        self._reader, self._writer = socket.socketpair()
+        self._close = weakref.finalize(self, _close_sockets, self._reader, self._writer)
+        self._reply: object = None
+        self._post(("ready", state.sizes(), WIRE_VERSION))
+
+    def _post(self, reply: object) -> None:
+        self._reply = reply
+        self._writer.send(b"\0")
+
+    def send(self, message: object) -> None:
+        if message[0] != "stop":  # ``stop`` ends a peer's loop; none runs here
+            self._post(self.state.handle(message))
+
+    def recv_within(self, seconds: float, what: str) -> object:
+        ready = memoryview(bytearray(1))
+        _recv_exact_into(self._reader, ready, time.monotonic() + float(seconds), what)
+        reply, self._reply = self._reply, None
+        return reply
+
+    def fileno(self) -> int:
+        return self._reader.fileno()
+
+    def kill(self) -> None:
+        self._close()
+
+    def shutdown(self) -> None:
+        """Close once the shards' background re-freezes have landed."""
+        for index in self.state.indexes.values():
+            index.wait_for_refreeze()
+        self.kill()
+
+    def classify_send_error(self, exc: BaseException) -> str:
+        return "crash"
+
+    def classify_recv_error(self, exc: BaseException) -> str:
+        return "crash"
 
 
 class ServerConnection:

@@ -1,31 +1,35 @@
-"""Replicated multi-process serving: frozen shards behind a transport tier.
+"""The shard coordinator: every sharded index is served by :class:`WorkerPool`.
 
-The thread fan-out of :class:`~repro.service.sharded.ShardedHybridIndex`
-tops out on one core: per-shard dedup/merge work is GIL-bound Python.
-This module cashes in the frozen CSR persistence design instead — each
-shard of a saved frozen index is a directory of plain ``.npy`` files
-reopened with ``np.load(mmap_mode="r")`` — so ``K`` worker *endpoints*
-can each open their assigned shards zero-copy from the shared page
-cache, with no pickling of index state and no per-worker build cost.
+In the paper a sharded index runs Algorithm 2 on each shard and merges
+the answers by exact disjoint union.  :class:`WorkerPool` is the one
+place that does it: it serves a saved artifact (the layout written by
+:meth:`repro.api.Index.save`: each shard a directory of plain ``.npy``
+files reopened with ``np.load(mmap_mode="r")``), sends every request
+to the endpoints that own the shards, and merges their answers
+(:func:`merge_radius_results` /
+:func:`~repro.core.linear_scan.exact_topk_results`).  Answers therefore
+have one code path whatever the host; ``spec.execution`` chooses only
+where the endpoints run:
 
-:class:`WorkerPool` serves a saved artifact (the layout written by
-:meth:`repro.api.Index.save`) over a set of endpoints, distributes
-query batches through :class:`~repro.service.transport.ShardTransport`
-channels, and merges per-shard answers with the exact semantics of the
-thread path (shared :func:`~repro.service.sharded.merge_radius_results`
-/ :func:`~repro.core.linear_scan.exact_topk_results` kernels), so
-``execution="processes"`` answers are **bit-identical** to
-``execution="threads"``.  The public surface mirrors
-``ShardedHybridIndex`` — ``query`` / ``query_batch`` / ``query_topk`` /
-``query_topk_batch`` / ``insert`` / ``shard_query_batch`` /
-``merge_radius`` / ``map_shards`` — so :class:`repro.api.Index` and the
-stream protocol work unchanged on top.
+* ``"threads"`` — in this process: each slot's shards are opened by
+  :func:`~repro.service.shard_server.open_shard_state` and answered on
+  the caller's thread behind an
+  :class:`~repro.service.transport.InlineTransport` (no frames, no
+  codec, no threads);
+* ``"processes"`` — spawned worker processes behind socketpair pipes;
+* ``endpoints=[...]`` — standalone shard servers over TCP.
+
+:class:`repro.api.Index` and the stream protocol work on top through
+``query_batch`` / ``query_topk_batch`` / ``insert`` /
+``shard_query_batch`` / ``merge_radius`` / ``map_shards``.
 
 Transports and replica sets
 ---------------------------
 Each worker *slot* ``w`` owns shards ``w, w + W, w + 2W, ...`` and is
 backed by one or more replica endpoints:
 
+* an ``execution="threads"`` artifact opens one inline endpoint per
+  slot (no replicas: the shards cannot fail apart from this process);
 * the default carrier spawns ``replicas`` local worker processes per
   slot behind socketpair pipes (:class:`~repro.service.transport.PipeTransport`),
   each mmap'ing the same frozen artifact;
@@ -84,8 +88,8 @@ Operational contract:
   :class:`~repro.faults.FaultTolerancePolicy`): an endpoint that
   crashes, hangs, disconnects, drops a reply or ships a corrupt payload
   is detected within ``recv_deadline``, torn down and revived from the
-  artifact (respawn for pipes, reconnect for TCP — the parent's
-  per-slot insert log replayed either way);
+  artifact (respawn for pipes, reconnect for TCP, a reopened state
+  inline — the parent's per-slot insert log replayed each way);
 * **per-endpoint circuit breakers** open after ``breaker_threshold``
   consecutive exhausted-retry failures, fail that endpoint fast during
   ``breaker_cooldown``, then admit one half-open probe;
@@ -109,6 +113,7 @@ import shutil
 import socket
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _dc_replace
 from itertools import accumulate
@@ -132,12 +137,13 @@ from repro.service.shard_server import (
     _payload_nbytes,
     _shard_dir,
     _unpack_block,
+    open_shard_state,
     serve_pipe_worker,
 )
-from repro.service.sharded import default_fanout_width, merge_radius_results
 from repro.service.transport import (
     WIRE_VERSION,
     FrameError,
+    InlineTransport,
     PipeTransport,
     ShardTransport,
     TcpTransport,
@@ -145,7 +151,58 @@ from repro.service.transport import (
 from repro.utils.fsio import write_json_atomic
 from repro.utils.validation import check_matrix, check_positive_int
 
-__all__ = ["WorkerPool", "WorkerError"]
+__all__ = ["WorkerPool", "WorkerError", "default_fanout_width", "merge_radius_results"]
+
+
+def default_fanout_width(num_shards: int) -> int:
+    """The default pool width: ``min(K, cpu count)`` worker slots.
+
+    More slots than cores only adds scheduling overhead — each shard
+    task is CPU-bound — and more slots than shards would sit idle.
+    """
+    return max(1, min(int(num_shards), os.cpu_count() or 1))
+
+
+def merge_radius_results(
+    shard_gids: list[np.ndarray], shard_results: list[QueryResult], radius: float
+) -> QueryResult:
+    """Merge one query's per-shard local radius answers into the global one.
+
+    The shards partition the dataset, so the global answer is the
+    disjoint union of the local answers with shard-local ids translated
+    through the id maps; stats are summed and the strategy labelled
+    :attr:`~repro.core.results.Strategy.HYBRID`.  The cache path merges
+    its per-shard partials here; :meth:`WorkerPool._merge_blocks` is
+    the same merge over a whole batch's flat reply blocks.
+    """
+    ids = np.concatenate(
+        [gids[res.ids] for gids, res in zip(shard_gids, shard_results)]
+    )
+    distances = np.concatenate([res.distances for res in shard_results])
+    order = np.argsort(ids, kind="stable")
+    exact = [res.stats.exact_candidates for res in shard_results]
+    probes = [res.stats.probes_used for res in shard_results]
+    stats = QueryStats(
+        num_collisions=sum(res.stats.num_collisions for res in shard_results),
+        estimated_candidates=float(
+            sum(res.stats.estimated_candidates for res in shard_results)
+        ),
+        exact_candidates=sum(exact) if all(e >= 0 for e in exact) else -1,
+        estimated_lsh_cost=float(
+            sum(res.stats.estimated_lsh_cost for res in shard_results)
+        ),
+        linear_cost=float(sum(res.stats.linear_cost for res in shard_results)),
+        strategy=Strategy.HYBRID,
+        # Summed probe rings across shards (each shard probes its own
+        # tables); untracked (-1) anywhere poisons the sum, like
+        # exact_candidates.  The merged answer is exact only if every
+        # shard's part was.
+        probes_used=sum(probes) if all(p >= 0 for p in probes) else -1,
+        exact=all(res.stats.exact for res in shard_results),
+    )
+    return QueryResult(
+        ids=ids[order], distances=distances[order], radius=radius, stats=stats
+    )
 
 
 class WorkerError(RuntimeError):
@@ -297,9 +354,10 @@ class WorkerPool:
         Worker slot ``w`` owns shards ``w, w + W, w + 2W, ...``.  With
         ``endpoints`` the width is the number of endpoint groups.
     owns_path:
-        When True the artifact directory is deleted on :meth:`close`
-        (used for the transient artifact ``Index.build`` writes when a
-        spec asks for ``execution="processes"``).
+        When True the artifact directory is deleted on :meth:`close`, or
+        at interpreter exit if the pool is never closed (used for the
+        transient artifact ``Index.build`` writes for a sharded or
+        process-served spec).
     start_method:
         ``multiprocessing`` start method; default prefers ``fork``
         (instant worker start, inherited imports) and falls back to
@@ -312,7 +370,8 @@ class WorkerPool:
         An optional deterministic :class:`~repro.faults.FaultPlan`
         shipped to every spawned worker — chaos drills only; ``None``
         (the default) keeps workers on the production path.  Rejected
-        with remote ``endpoints`` (install the plan on the servers).
+        with remote ``endpoints`` (install the plan on the servers) and
+        with inline endpoints (a crash fault would end this process).
     replicas:
         Endpoints per worker slot (default: the spec's ``replicas``).
         Each replica of slot ``w`` serves the same shards; reads rotate
@@ -323,20 +382,22 @@ class WorkerPool:
         (or list) naming that slot's replicas.  Every server in group
         ``w`` must serve (at least) slot ``w``'s shards.
 
+    The host of the endpoints is the artifact's ``spec.execution``
+    (module docstring) unless ``endpoints`` names shard servers.
+
     Examples
     --------
     >>> import numpy as np
     >>> from repro.api import Index, IndexSpec, QuerySpec
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(600, 12))
-    >>> spec = IndexSpec(metric="l2", radius=1.0, num_tables=6,
-    ...                  num_shards=3, execution="processes", seed=1)
-    >>> index = Index.build(points, spec)  # doctest: +SKIP
-    >>> int(index.query(QuerySpec(points[17])).ids[0])  # doctest: +SKIP
-    17
+    >>> index = Index.build(points, IndexSpec(
+    ...     metric="l2", radius=1.0, num_shards=3, num_tables=6, seed=1))
+    >>> pool = index.engine
+    >>> int(pool.query_batch(points[17:18])[0].ids[0]), pool.shard_sizes()
+    (17, [200, 200, 200])
+    >>> index.close()
     """
-
-    kind = "processes"
 
     def __init__(
         self,
@@ -359,7 +420,13 @@ class WorkerPool:
             )
         meta = _read_meta(meta_path)
         self.path = path
-        self._owns_path = owns_path
+        #: an owned artifact is removed on close, or at exit if the pool
+        #: is never closed (a finalizer holds no reference to the pool).
+        self._remove_artifact = (
+            weakref.finalize(self, shutil.rmtree, path, ignore_errors=True)
+            if owns_path
+            else None
+        )
         self.policy = policy if policy is not None else FaultTolerancePolicy()
         self._fault_plan = fault_plan
         self.spec = IndexSpec.from_dict(meta["spec"])
@@ -377,6 +444,12 @@ class WorkerPool:
         else:
             self._shard_gids = [np.arange(int(meta["n"]), dtype=np.int64)]
         self._next_shard = int(meta.get("next_shard", 0)) % self.num_shards
+        self._inline = endpoints is None and self.spec.execution == "threads"
+        if self._inline and fault_plan is not None:
+            raise ConfigurationError(
+                "fault_plan cannot be installed on in-process shards "
+                '(a crash fault would end this process); serve execution="processes"'
+            )
         if endpoints is not None:
             if fault_plan is not None:
                 raise ConfigurationError(
@@ -514,10 +587,26 @@ class WorkerPool:
         return shard % self.num_workers
 
     def _connect(self, worker: int, replica: int) -> ShardTransport:
-        """A ready transport to one endpoint: spawn (pipes) or connect (TCP)."""
+        """A ready transport to one endpoint: open (inline), spawn (pipes)
+        or connect (TCP)."""
         if self._endpoints_cfg is not None:
             return self._connect_tcp(worker, replica)
+        if self._inline:
+            return self._open_inline(worker)
         return self._spawn_pipe(worker, replica)
+
+    def _open_inline(self, worker: int) -> InlineTransport:
+        """Open one slot's shards in this process, as a worker opens them."""
+        state = open_shard_state(
+            self.path,
+            self.worker_shards(worker),
+            self.spec.to_dict(),
+            self.cost_model.alpha,
+            self.cost_model.beta,
+        )
+        transport = InlineTransport(state)
+        self._await_ready(transport, worker)
+        return transport
 
     def _spawn_pipe(self, worker: int, replica: int) -> PipeTransport:
         """Start one local worker process and await its ready ack."""
@@ -630,7 +719,8 @@ class WorkerPool:
         ``heartbeat`` / ``rollback`` / ``reconnect``).  Killing the old
         transport first is what recovers a *hung* endpoint: the stale
         channel is closed, so a late reply can never desynchronise a
-        future request.  Pipes respawn a fresh process; TCP endpoints
+        future request.  Pipes respawn a fresh process and an inline
+        endpoint reopens its state from the artifact; TCP endpoints
         reconnect to a server whose state survived — the seq-stamped
         replay makes both converge, and a TCP endpoint is additionally
         checked against the parent's committed shard sizes (a restarted
@@ -851,7 +941,8 @@ class WorkerPool:
             nbytes = 0
             for w, reply in answered.items():
                 last.pop(w, None)
-                nbytes += _payload_nbytes(messages[w]) + _payload_nbytes(reply)
+                if not self._inline:  # an inline reply crosses no wire
+                    nbytes += _payload_nbytes(messages[w]) + _payload_nbytes(reply)
                 if isinstance(reply, tuple) and reply and reply[0] == "error":
                     failures[w] = WorkerError(reply[1])
                 else:
@@ -1201,11 +1292,11 @@ class WorkerPool:
                     ep.transport.shutdown()
                 ep.transport = None
         self._fanout.shutdown(wait=True)
-        if self._owns_path:
-            shutil.rmtree(self.path, ignore_errors=True)
+        if self._remove_artifact is not None:
+            self._remove_artifact()
 
     # ------------------------------------------------------------------
-    # Introspection (ShardedHybridIndex-compatible)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
@@ -1231,10 +1322,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Radius queries
     # ------------------------------------------------------------------
-    def query(self, query: np.ndarray, radius: float | None = None) -> QueryResult:
-        """Answer one rNNR query across all shards."""
-        return self.query_batch(np.asarray(query)[None, :], radius)[0]
-
     def query_batch(
         self,
         queries: np.ndarray,
@@ -1245,11 +1332,10 @@ class WorkerPool:
     ) -> list[QueryResult]:
         """Answer a ``(q, d)`` matrix: one round trip per worker slot.
 
-        Each endpoint runs the identical per-shard
-        :class:`~repro.service.batch.BatchQueryEngine` batch the thread
-        path runs, so the merged answers are bit-identical to
-        :meth:`ShardedHybridIndex.query_batch` — over pipes and TCP
-        alike, replicated or not.
+        Each endpoint runs the same per-shard
+        :class:`~repro.service.batch.BatchQueryEngine` batch, so the
+        merged answers are bit-identical whatever the host — inline,
+        pipes or TCP, replicated or not.
 
         With ``allow_partial=True`` an unrecoverable slot (every
         replica's retries exhausted or breaker open) degrades the
@@ -1305,7 +1391,7 @@ class WorkerPool:
         Per shard, one ``take`` translates the local ids through its id
         map and the ``(q, 8)`` stats matrices are summed in shard order,
         so every float matches the Python ``sum`` of
-        :func:`~repro.service.sharded.merge_radius_results`; per query,
+        :func:`merge_radius_results`; per query,
         only the concatenate and the stable argsort of that function
         remain.  A shard absent from ``blocks`` (one of the ``missing``)
         contributes no neighbours and the default stats.
@@ -1381,10 +1467,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Top-k queries (exact)
     # ------------------------------------------------------------------
-    def query_topk(self, query: np.ndarray, k: int) -> QueryResult:
-        """Exact k-nearest-neighbors of one query."""
-        return self.query_topk_batch(np.asarray(query)[None, :], k)[0]
-
     def query_topk_batch(
         self,
         queries: np.ndarray,
@@ -1394,7 +1476,7 @@ class WorkerPool:
     ) -> list[QueryResult]:
         """Exact k-NN: workers compute local distance blocks, parent selects.
 
-        Same merge kernel as the thread path
+        The merge kernel is the unsharded index's
         (:func:`~repro.core.linear_scan.exact_topk_results`), so the
         deterministic ``(distance, id)`` tie-breaking is shared.
 

@@ -53,6 +53,23 @@ def reference_index(points, spec, seed=None):
     return index.build(points)
 
 
+def shard_states(index) -> list:
+    """The :class:`~repro.service.shard_server.ShardState` behind each
+    inline endpoint of an in-process sharded index's worker pool."""
+    return [row[0].transport.state for row in index.engine._eps]
+
+
+def served_shards(index) -> list:
+    """The frozen indexes an in-process ``Index`` serves, in shard order:
+    a single index's own, or its inline endpoints' shards."""
+    if index.num_shards == 1 and index.execution == "threads":
+        return [index.engine.index]
+    shards = {}
+    for state in shard_states(index):
+        shards.update(state.indexes)
+    return [shards[s] for s in range(index.num_shards)]
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -25,12 +25,11 @@ from repro.api import (
 )
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, DimensionMismatchError
-from repro.service.sharded import merge_radius_results
 from repro.service.stream import serve_stream
-from repro.service.workers import WorkerPool
+from repro.service.workers import WorkerPool, merge_radius_results
 from repro.utils.rng import spawn_rngs
 
-from conftest import reference_index
+from conftest import reference_index, served_shards, shard_states
 
 
 def _spec(**overrides):
@@ -66,10 +65,13 @@ class TestBuildParity:
             assert a.stats.strategy == b.stats.strategy
         index.close()
 
-    def test_sharded_build_matches_reference(self, gaussian_points):
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_sharded_build_matches_reference(self, gaussian_points, execution):
         """Shard ``s`` holds rows ``s, s + K, ...`` hashed from the
-        ``s``-th spawned stream; the merged answers are the references'."""
-        spec = _spec(num_shards=3)
+        ``s``-th spawned stream; the pool's merged answers are the
+        per-shard dict-layout references' merged by
+        ``merge_radius_results``, wherever the endpoints run."""
+        spec = _spec(num_shards=3, execution=execution)
         index = Index.build(gaussian_points, spec)
         queries = gaussian_points[:20]
         gids = [np.arange(s, gaussian_points.shape[0], 3) for s in range(3)]
@@ -110,7 +112,7 @@ class TestBuildParity:
             _spec(num_shards=2, hash_family="pstable_l2", bucket_width=2.0, k=4),
         )
         assert index.num_shards == 2
-        assert all(shard.k == 4 for shard in index.engine.shards)
+        assert all(shard.k == 4 for shard in served_shards(index))
         result = index.query(QuerySpec(gaussian_points[0]))
         assert 0 in result.ids
         index.close()
@@ -130,7 +132,9 @@ class TestBuildParity:
 
     def test_spec_dedup_reaches_sharded_engines(self, gaussian_points):
         index = Index.build(gaussian_points, _spec(num_shards=2, dedup="scalar"))
-        assert all(e.dedup == "scalar" for e in index.engine._engines)
+        engines = [e for state in shard_states(index) for e in state.engines.values()]
+        assert len(engines) == 2 and all(e.dedup == "scalar" for e in engines)
+        index.close()
 
 
 class TestProcessPoolArtifact:
@@ -388,5 +392,7 @@ class TestStreamTelemetryOps:
         ] + [json.dumps({"op": "metrics"})]
         out = [json.loads(line) for line in serve_stream(sharded_index, lines)]
         text = out[-1]["metrics"]
-        assert 'repro_stage_seconds_total{stage="hash"}' in text
+        # A sharded index's spans are the pool's: its endpoints' round
+        # trip and the merge.
+        assert 'repro_stage_seconds_total{stage="ipc"}' in text
         assert 'repro_stage_seconds_total{stage="merge"}' in text

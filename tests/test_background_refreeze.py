@@ -10,7 +10,7 @@ in a worker thread.  These tests pin down the three contract points:
   to the dict layout (both overflow generations stay probed);
 * explicit :meth:`FrozenLSHIndex.refreeze` remains synchronous;
 * ``Index.close()`` does not return while a fold an insert started is
-  still running, on the single and the thread-sharded tier.
+  still running, on the single and the in-process sharded tier.
 """
 
 import threading
@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import served_shards
 from repro.api import Index, IndexSpec
 from repro.core import CostModel
 from repro.core.hybrid import HybridSearcher
@@ -203,11 +204,7 @@ class TestCloseWaitsForTheFold:
             rng.normal(size=(300, 12)),
             IndexSpec(metric="l2", radius=1.5, num_tables=6, num_shards=num_shards, seed=4),
         )
-        frozen = (
-            [index.engine.index]
-            if num_shards == 1
-            else index.engine.shards
-        )
+        frozen = served_shards(index)
         for shard_index in frozen:
             shard_index.refreeze_threshold = 4
         index.insert(rng.normal(size=(5 * num_shards, 12)))  # crosses on every shard
@@ -216,7 +213,8 @@ class TestCloseWaitsForTheFold:
         assert all(fold.name == "repro-refreeze" and fold.is_alive() for fold in folds)
 
         def generations():
-            return index.stats_snapshot()["gauges"]["refreeze_generations"]
+            # Read off the shards: a closed pool answers no ``stats`` op.
+            return sum(shard_index.refreeze_count for shard_index in frozen)
 
         assert generations() == 0
         seen = []

@@ -34,17 +34,34 @@ def queries(points):
     return np.concatenate([points[:32], rng.normal(size=(32, DIM))])
 
 
-@pytest.fixture(scope="module")
-def artifact(tmp_path_factory, points):
+def _saved(tmp_path_factory, points, execution):
     spec = IndexSpec(
         metric="l2", radius=1.2, num_tables=8, num_shards=SHARDS,
-        layout="frozen", execution="processes", cost_ratio=6.0, seed=7,
+        layout="frozen", execution=execution, cost_ratio=6.0, seed=7,
     )
-    index = Index.build(points, spec, num_workers=WORKERS)
+    index = Index.build(points, spec)
     path = str(tmp_path_factory.mktemp("exchange") / "idx")
     index.save(path)
     index.close()
     return path
+
+
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory, points):
+    return _saved(tmp_path_factory, points, "processes")
+
+
+@pytest.fixture(scope="module")
+def inline_artifact(tmp_path_factory, points):
+    """The same index saved with ``execution="threads"``: a pool opened
+    on it serves the shards in-process, behind inline endpoints."""
+    return _saved(tmp_path_factory, points, "threads")
+
+
+@pytest.fixture(params=["processes", "threads"])
+def host_artifact(request, artifact, inline_artifact):
+    """``(execution, path)``: each test runs on both hosts."""
+    return request.param, artifact if request.param == "processes" else inline_artifact
 
 
 def same_answers(got, expected):
@@ -55,7 +72,7 @@ def same_answers(got, expected):
 
 
 class TestHealthyPathStartsNoThread:
-    def test_no_executor_submit_and_no_new_thread(self, artifact, queries, monkeypatch):
+    def test_no_executor_submit_and_no_new_thread(self, host_artifact, queries, monkeypatch):
         submits = []
         submit = concurrent.futures.ThreadPoolExecutor.submit
         monkeypatch.setattr(
@@ -63,7 +80,8 @@ class TestHealthyPathStartsNoThread:
             "submit",
             lambda self, *a, **kw: submits.append(a) or submit(self, *a, **kw),
         )
-        pool = WorkerPool(artifact, num_workers=WORKERS)
+        _, path = host_artifact
+        pool = WorkerPool(path, num_workers=WORKERS)
         try:
             exchanges = []
             exchange = pool._exchange
@@ -147,8 +165,12 @@ class TestLockDiscipline:
         finally:
             pool.close()
 
-    def test_concurrent_callers_get_the_sequential_answers(self, artifact, queries):
-        """8 callers x 50 mixed reads, an insert between two phases."""
+    def test_concurrent_callers_get_the_sequential_answers(self, host_artifact, queries):
+        """8 callers x 50 mixed reads, an insert between two phases.
+
+        Replicated worker processes, or in-process shards whose replies
+        the inline endpoints hand over under the endpoint locks.
+        """
         callers, per_caller = 8, 50
         rng = np.random.default_rng(99)
         schedule = [
@@ -159,7 +181,10 @@ class TestLockDiscipline:
             ]
             for _ in range(callers)
         ]
-        pool = WorkerPool(artifact, num_workers=WORKERS, replicas=2)
+        execution, path = host_artifact
+        pool = WorkerPool(
+            path, num_workers=WORKERS, replicas=2 if execution == "processes" else 1
+        )
 
         def run(op):
             kind, at = op

@@ -38,7 +38,7 @@ from repro.index.frozen import (
 from repro.service import BatchQueryEngine
 from repro.utils.rng import spawn_rngs
 
-from conftest import reference_index
+from conftest import reference_index, served_shards
 
 
 def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
@@ -635,11 +635,7 @@ class TestArrayNativeBuild:
             }
         )
         served = Index.build(points, spec)
-        shards = (
-            [served.engine.index]
-            if tier == "single"
-            else served.engine.shards
-        )
+        shards = served_shards(served)
         served.save(str(tmp_path / "served"))
         served.close()
 
@@ -1059,9 +1055,7 @@ def _served_shard_types(index, path=None):
             type(load_frozen_index(os.path.join(path, f"shard_{s:03d}.frozen")))
             for s in range(index.num_shards)
         }
-    if index.num_shards == 1:
-        return {type(index.engine.index)}
-    return {type(shard) for shard in index.engine.shards}
+    return {type(shard) for shard in served_shards(index)}
 
 
 class TestServingLayout:
@@ -1114,7 +1108,7 @@ class TestServingLayout:
             reopened = Index.open(path)
             assert _served_shard_types(reopened, path) == {FrozenLSHIndex}
             if tier != "processes":
-                first = reopened.engine.index if num_shards == 1 else reopened.engine.shards[0]
+                first = served_shards(reopened)[0]
                 assert_file_backed(
                     first.frozen.members, os.path.join(path, "shard_000.frozen"), "members"
                 )

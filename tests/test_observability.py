@@ -136,12 +136,11 @@ class TestLatencyHistogram:
 
 
 class TestStageTrace:
-    def test_add_and_merge(self):
-        a, b = StageTrace(), StageTrace()
+    def test_add_accumulates(self):
+        a = StageTrace()
         a.add("hash", 0.5)
-        b.add("hash", 0.25, calls=2)
-        b.add("merge", 1.0)
-        a.merge(b)
+        a.add("hash", 0.25, calls=2)
+        a.add("merge", 1.0)
         assert a.seconds["hash"] == pytest.approx(0.75)
         assert a.calls["hash"] == 3
         assert a.total_seconds == pytest.approx(1.75)
@@ -417,12 +416,14 @@ class TestStatsSnapshot:
             json.dumps(snapshot)
             assert snapshot["queries_served"] == 12
             assert snapshot["latency"]["count"] == 12
-            # Frozen backends register live overflow/refreeze gauges.
-            gauges = snapshot["gauges"]
+            # The pool's endpoints report their frozen shards' live
+            # overflow/refreeze gauges in the workers document.
+            gauges = snapshot["workers"]["aggregate"]["gauges"]
             assert gauges["overflow_points"] == 0.0
             assert gauges["refreeze_generations"] == 0.0
             # Insert enough to trigger overflow accounting.
             index.insert(rng.normal(size=(3, 8)))
-            assert index.stats_snapshot()["gauges"]["overflow_points"] == 3.0
+            workers = index.stats_snapshot()["workers"]["aggregate"]
+            assert workers["gauges"]["overflow_points"] == 3.0
         finally:
             index.close()

@@ -25,6 +25,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import served_shards
 from test_adaptive import _dispatch_case, _spec
 
 from repro.api import Index, QuerySpec
@@ -265,7 +266,7 @@ def test_no_bucket_objects_from_build_to_reopen(monkeypatch, tmp_path, variant, 
         index.query(QuerySpec(queries))
         index.query(QuerySpec(queries[0]))
         index.insert(inserts)
-        raws = [index.engine.index] if tier == "single" else index.engine.shards
+        raws = served_shards(index)
         assert all(raw.overflow_count for raw in raws)
         for raw in raws:
             raw.refreeze()

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import max_examples
+from conftest import max_examples, shard_states
 from test_adaptive import _dispatch_case, _spec
 from test_batch_steps import _serve_generations, assert_bit_identical
 
@@ -330,7 +330,7 @@ class TestLifecycle:
         known = helper_threads()
         with pytest.raises(RuntimeError, match="no pool today"):
             Index.build(points, spec.with_overrides(execution="processes"))
-        assert len(closed) == 1  # the transient single index's helper
+        assert closed == []  # the shards go straight to the artifact: no helper
         assert helper_threads() - known == set()
 
     def test_a_failing_linear_partition_reaches_the_caller(self):
@@ -365,7 +365,8 @@ class TestShardEnginesGetNoHelper:
         index = Index.build(points, spec.with_overrides(num_shards=2))
         known = helper_threads()
         try:
-            assert [e.searcher.partition_helper for e in index.engine._engines] == [None, None]
+            engines = [e for state in shard_states(index) for e in state.engines.values()]
+            assert [e.searcher.partition_helper for e in engines] == [None, None]
             with usable_cpus(2):
                 index.query(QuerySpec(batch))
             assert helper_threads() - known == set()

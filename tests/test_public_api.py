@@ -25,7 +25,7 @@ class TestExports:
         import repro.core
 
         assert repro.HybridSearcher is repro.core.HybridSearcher
-        for engine in ("QueryService", "BatchQueryEngine", "ShardedHybridIndex"):
+        for engine in ("QueryService", "BatchQueryEngine", "WorkerPool"):
             assert not hasattr(repro, engine)
 
     def test_version(self):

@@ -51,8 +51,11 @@ def _normalise(line):
     # the loops group batches differently, so wall-clock counters, the
     # latency bucket distribution, per-stage seconds, and live gauges
     # all legitimately diverge.  Count-style fields stay compared.
-    for volatile in ("elapsed_seconds", "qps", "batches", "latency", "stages", "gauges"):
-        doc.pop(volatile, None)
+    # The shard endpoints' own documents (``workers``) group the same way.
+    workers = doc.get("workers", {})
+    for part in [doc, workers.get("aggregate", {}), *workers.get("per_worker", [])]:
+        for volatile in ("elapsed_seconds", "qps", "batches", "latency", "stages", "gauges"):
+            part.pop(volatile, None)
     return doc
 
 

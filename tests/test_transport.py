@@ -36,7 +36,6 @@ from repro.exceptions import (
 )
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
 from repro.service.shard_server import ShardServer, _unpack_block
-from repro.service.sharded import merge_radius_results
 from repro.service.transport import (
     _PREFIX,
     WIRE_VERSION,
@@ -52,6 +51,7 @@ from repro.service.workers import (
     WorkerPool,
     _checked_block,
     _TransportFailure,
+    merge_radius_results,
 )
 
 N, DIM, SHARDS = 400, 10, 2
@@ -399,6 +399,12 @@ class TestEndpointConfig:
         plan = FaultPlan.scripted(FaultSpec(FaultKind.CRASH, worker=0, op_index=0))
         with pytest.raises(ConfigurationError, match="shard servers"):
             WorkerPool(artifact, endpoints=["a:1"], fault_plan=plan)
+
+    def test_fault_plan_cannot_ride_inline_endpoints(self, thread_index):
+        """A crash fault would end the serving process itself."""
+        plan = FaultPlan.scripted(FaultSpec(FaultKind.CRASH, worker=0, op_index=0))
+        with pytest.raises(ConfigurationError, match="in-process"):
+            WorkerPool(thread_index.engine.path, fault_plan=plan)
 
     def test_num_workers_must_match_group_count(self, artifact):
         with pytest.raises(ConfigurationError, match="conflicts"):

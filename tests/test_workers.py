@@ -22,11 +22,11 @@ import pytest
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.api.persist import _frozen_shard_dir
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
 from repro.hashing.batched import BatchedHash
 from repro.index.frozen import FrozenTables
 from repro.service.shard_server import _pack_block, _unpack_block, open_shard_state
-from repro.service.sharded import default_fanout_width
-from repro.service.workers import WorkerPool
+from repro.service.workers import WorkerPool, default_fanout_width
 
 from test_frozen import assert_file_backed
 
@@ -286,17 +286,44 @@ class TestPersistence:
         finally:
             procs.close()
 
-    def test_build_rejects_workers_arg_on_thread_specs(self, points):
-        with pytest.raises(ConfigurationError):
-            Index.build(points, _spec(), num_workers=2)
-
-    def test_open_rejects_workers_flag_on_thread_artifacts(self, points, tmp_path):
+    @pytest.mark.parametrize(
+        ("entry", "argument"),
+        [
+            ("build", "num_workers"),
+            ("build", "fault_policy"),
+            ("build", "fault_plan"),
+            ("open", "num_workers"),
+            ("open", "fault_policy"),
+            ("open", "fault_plan"),
+            ("open", "endpoints"),
+        ],
+    )
+    def test_build_rejects_workers_arg_on_thread_specs(
+        self, points, tmp_path, entry, argument
+    ):
+        """Both entry points refuse every process-pool-only argument on a
+        threads spec, with one message."""
+        value = {
+            "num_workers": 2,
+            "fault_policy": FaultTolerancePolicy(),
+            "fault_plan": FaultPlan.scripted(
+                FaultSpec(kind=FaultKind.CRASH, worker=0, op_index=0)
+            ),
+            "endpoints": ["127.0.0.1:1"],
+        }[argument]
+        refused = pytest.raises(
+            ConfigurationError, match=f'^{argument} applies to execution="processes"'
+        )
+        if entry == "build":
+            with refused:
+                Index.build(points, _spec(), **{argument: value})
+            return
         index = Index.build(points, _spec())
         path = str(tmp_path / "threads-saved")
         index.save(path)
         index.close()
-        with pytest.raises(ConfigurationError):
-            Index.open(path, num_workers=2)
+        with refused:
+            Index.open(path, **{argument: value})
 
     def test_pool_rejects_dict_layout_artifacts(self, points, tmp_path):
         """An artifact whose metadata names the dict layout — what a
