@@ -24,7 +24,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, cast
 
@@ -40,19 +39,17 @@ from repro.core.calibration import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
-from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
-from repro.core.linear_scan import exact_topk_results
 from repro.core.overlap import PartitionHelper
+from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
 from repro.core.results import QueryResult
 from repro.distances import get_metric
-from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultTolerancePolicy
 from repro.hashing.base import family_for_metric, get_family
 from repro.hashing.params import concatenation_width
 from repro.index.frozen import FrozenLSHIndex
 from repro.index.frozen_probing import FrozenCoveringLSHIndex, FrozenMultiProbeLSHIndex
-from repro.observability import StageTrace, stage_timer
+from repro.observability import StageTrace
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
 from repro.service.stats import ServiceStats
@@ -61,173 +58,6 @@ from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = ["Index", "ServiceStats"]
-
-
-class _SingleBackend:
-    """Adapter presenting a :class:`BatchQueryEngine` as a 1-shard backend.
-
-    It owns the engine's :class:`~repro.core.overlap.PartitionHelper`,
-    the thread a batch's linear partition runs on beside its LSH
-    partition.  Shard engines get none: their sibling shards already
-    occupy the cores.
-    """
-
-    def __init__(self, engine: BatchQueryEngine) -> None:
-        self.engine = engine
-        self.helper = PartitionHelper()
-        engine.searcher.partition_helper = self.helper
-
-    @property
-    def num_partitions(self) -> int:
-        return 1
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def dim(self) -> int:
-        return self.engine.dim
-
-    def resolve_radius(self, radius: float | None) -> float:
-        return self.engine._resolve_radius(radius)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        # A single in-process engine has no independently failing shards
-        # — ``allow_partial`` is accepted for surface parity and ignored.
-        return self.engine.query_batch(queries, radius, trace=trace, adaptive=adaptive)
-
-    def shard_query_batch(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        radius: float,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.query_batch(queries, radius, adaptive=adaptive)
-
-    def merge(self, parts: list[QueryResult], radius: float) -> QueryResult:
-        return parts[0]
-
-    def map_shards(
-        self, work: Callable[[int], list[QueryResult]]
-    ) -> list[list[QueryResult]]:
-        return [work(0)]
-
-    def topk_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        index = self.engine.index
-        if k > index.n:
-            raise ConfigurationError(f"k ({k}) must not exceed the index size ({index.n})")
-        with stage_timer(trace, "linear"):
-            block = pairwise_distances(queries, index.points, index.family.metric)
-        with stage_timer(trace, "merge"):
-            return exact_topk_results(
-                np.arange(index.n, dtype=np.int64), [block], k, index.n
-            )
-
-    def insert(self, new_points: np.ndarray) -> tuple[np.ndarray, set[int]]:
-        ids = self.engine.insert(new_points)
-        return ids, ({0} if ids.size else set())
-
-    @property
-    def recalibrations(self) -> int:
-        return int(self.engine.recalibrations)
-
-    def close(self) -> None:
-        # Neither the helper thread nor a fold an insert started may
-        # outlive the index; later batches run inline.
-        self.helper.close()
-        self.engine.index.wait_for_refreeze()
-
-
-class _ShardedBackend:
-    """Adapter presenting the :class:`~repro.service.workers.WorkerPool`
-    as a backend, wherever its endpoints run."""
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self.engine = pool
-
-    @property
-    def num_partitions(self) -> int:
-        return self.engine.num_shards
-
-    @property
-    def n(self) -> int:
-        return self.engine.n
-
-    @property
-    def dim(self) -> int:
-        return self.engine.dim
-
-    def resolve_radius(self, radius: float | None) -> float:
-        return self.engine._resolve_radius(radius)
-
-    def query_batch(
-        self,
-        queries: np.ndarray,
-        radius: float,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.query_batch(
-            queries, radius, trace=trace, allow_partial=allow_partial,
-            adaptive=adaptive,
-        )
-
-    def shard_query_batch(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        radius: float,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        return self.engine.shard_query_batch(shard, queries, radius, adaptive=adaptive)
-
-    def merge(self, parts: list[QueryResult], radius: float) -> QueryResult:
-        return self.engine.merge_radius(parts, radius)
-
-    def map_shards(
-        self, work: Callable[[int], list[QueryResult]]
-    ) -> list[list[QueryResult]]:
-        return self.engine.map_shards(work)
-
-    def topk_batch(
-        self,
-        queries: np.ndarray,
-        k: int,
-        trace: StageTrace | None = None,
-        allow_partial: bool = False,
-    ) -> list[QueryResult]:
-        return self.engine.query_topk_batch(
-            queries, k, trace=trace, allow_partial=allow_partial
-        )
-
-    def insert(self, new_points: np.ndarray) -> tuple[np.ndarray, set[int]]:
-        affected = set(int(s) for s in self.engine.peek_assignment(new_points.shape[0]))
-        ids = self.engine.insert(new_points)
-        return ids, (affected if ids.size else set())
-
-    @property
-    def recalibrations(self) -> int:
-        # The endpoints count their own (the ``workers`` document).
-        return 0
-
-    def close(self) -> None:
-        self.engine.close()
 
 
 def _resolve_cost_model(spec: IndexSpec, points: np.ndarray) -> CostModel:
@@ -389,7 +219,22 @@ def _serve_through_pool(
     except BaseException:
         shutil.rmtree(path, ignore_errors=True)
         raise
-    return Index(_ShardedBackend(pool), spec=spec, cache=_cache_from_spec(spec))
+    return Index(pool, spec)
+
+
+def _serve_index(index: FrozenLSHIndex, spec: IndexSpec, cost_model: CostModel) -> Index:
+    """Serve one frozen index in this process: the one assembly of an
+    unsharded :class:`Index`, for :meth:`Index.build` and
+    :meth:`Index.open`.
+
+    The engine's searcher gets a :class:`~repro.core.overlap.PartitionHelper`,
+    the thread a batch's linear partition runs on beside its LSH
+    partition (the engine's ``close`` joins it).  Shard engines get
+    none: their sibling shards already occupy the cores.
+    """
+    searcher = HybridSearcher(index, cost_model)
+    searcher.partition_helper = PartitionHelper()
+    return Index(BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup), spec)
 
 
 def _refuse_pool_arguments(spec: IndexSpec, **arguments: Any) -> None:
@@ -443,26 +288,25 @@ class Index:
     (3,)
     """
 
-    def __init__(
-        self,
-        backend: Any,
-        spec: IndexSpec,
-        cache: QueryResultCache | None = None,
-    ) -> None:
-        self._backend = backend
+    def __init__(self, engine: BatchQueryEngine | WorkerPool, spec: IndexSpec) -> None:
+        #: the engine answering every request: a batched single index,
+        #: or the worker pool serving a sharded or process-served one.
+        #: Both present one surface, and each owns its counters, gauges
+        #: and shutdown.
+        self.engine = engine
         self.spec = spec
-        self.cache = cache
-        self.stats = ServiceStats(pool_workers=_pool_width_of(backend))
+        self.cache = (
+            QueryResultCache(maxsize=spec.cache_size, quantum=spec.cache_quantum)
+            if spec.cache_size > 0
+            else None
+        )
+        self.stats = ServiceStats(pool_workers=engine.pool_workers)
+        self.stats.gauge_hooks.update(engine.gauge_hooks())
         self._tracing = False
         # Lazily measured distance profile for radius-from-k estimation
-        # (None when the backend has no in-process points to sample).
+        # (None when the engine has no in-process points to sample).
         self._profile: DistanceProfile | None = None
         self._profile_ready = False
-        # Pool-lifetime counter values captured at the last reset_stats,
-        # so snapshots after a reset report deltas, not lifetime totals.
-        self._transport_baseline: dict[str, Any] | None = None
-        self._recalibration_baseline = 0
-        _register_gauge_hooks(self.stats, backend)
 
     # ------------------------------------------------------------------
     # Construction
@@ -501,11 +345,7 @@ class Index:
             return _serve_through_pool(
                 spec, points, cost_model, num_workers, fault_policy, fault_plan
             )
-        index = _build_single_index(spec, points, seed=spec.seed)
-        engine = BatchQueryEngine(
-            HybridSearcher(index, cost_model), radius=spec.radius, dedup=spec.dedup
-        )
-        return cls(_SingleBackend(engine), spec=spec, cache=_cache_from_spec(spec))
+        return _serve_index(_build_single_index(spec, points, seed=spec.seed), spec, cost_model)
 
     @classmethod
     def open(
@@ -550,32 +390,24 @@ class Index:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def engine(self) -> Any:
-        """The underlying engine (batched single index or worker pool)."""
-        return self._backend.engine
-
-    @property
     def num_shards(self) -> int:
         """Number of data partitions (1 for a single index)."""
-        return self._backend.num_partitions
+        return self.engine.num_shards
 
     @property
     def n(self) -> int:
         """Number of served points."""
-        return self._backend.n
+        return self.engine.n
 
     @property
     def dim(self) -> int:
         """Expected query dimensionality."""
-        return self._backend.dim
+        return self.engine.dim
 
     @property
     def cost_model(self) -> CostModel:
         """The cost model driving the per-query dispatch."""
-        pool = self._pool()
-        if pool is not None:
-            return pool.cost_model
-        return self._backend.engine.searcher.cost_model
+        return self.engine.cost_model
 
     @property
     def execution(self) -> str:
@@ -583,35 +415,16 @@ class Index:
         ``"processes"``."""
         return self.spec.execution
 
-    def _pool(self) -> WorkerPool | None:
-        """The worker pool serving this index, or None for a single index."""
-        return self._backend.engine if isinstance(self._backend, _ShardedBackend) else None
-
     def reset_stats(self) -> None:
         """Zero the counters (cache contents are kept).
 
-        Pool-lifetime counters owned by a worker-pool backend — pipe
-        bytes, respawns, the failure counters — cannot be zeroed in
-        place (the pool keeps accumulating), so their current values are
-        captured as a baseline that :meth:`stats_snapshot` subtracts;
-        worker-local stats are reset in the workers themselves via the
-        pool's ``reset`` op.  A snapshot right after a reset therefore
-        reads all-zero everywhere, including ``workers.*``.
+        The engine zeroes the counters it owns in place — a pool its
+        bytes shipped, respawns, failure counters and every reachable
+        endpoint's own stats; a single engine its recalibrations — so a
+        snapshot right after a reset reads all-zero everywhere,
+        including ``workers.*``.
         """
-        pool = self._pool()
-        if pool is not None:
-            pool.reset_worker_stats()
-            failure = pool.failure_counters()
-            self._transport_baseline = {
-                "bytes_shipped": int(pool.bytes_shipped),
-                "worker_respawns": int(pool.respawns),
-                "worker_timeouts": int(failure["worker_timeouts"]),
-                "worker_retries": int(failure["worker_retries"]),
-                "breaker_opens": int(failure["breaker_opens"]),
-                "replica_failovers": int(failure.get("replica_failovers", 0)),
-                "respawns_by_cause": dict(failure["respawns_by_cause"]),
-            }
-        self._recalibration_baseline = self._backend.recalibrations
+        self.engine.reset_stats()
         self.stats.reset()
 
     def enable_tracing(self, enabled: bool = True) -> None:
@@ -631,55 +444,20 @@ class Index:
         return self._tracing
 
     def stats_snapshot(self) -> dict[str, object]:
-        """Enriched stats document: facade counters + live worker stats.
+        """Enriched stats document: facade counters + the engine's own.
 
-        For a worker-pool backend, each endpoint's own ``ServiceStats``
-        (latency histogram, bytes shipped over its pipe, its gauges) is
-        fetched via the pool's ``stats`` op and merged — exactly — into
-        a ``workers`` sub-document alongside the per-worker breakdown.
+        The engine's counters (``engine.counters()``) are copied in at
+        snapshot time.  A worker pool's endpoints each keep their own
+        ``ServiceStats`` (latency histogram, bytes shipped over its
+        wire, the gauges of its shards), fetched via the pool's
+        ``stats`` op and merged — exactly — into a ``workers``
+        sub-document alongside the per-worker breakdown.
         """
-        pool = self._pool()
-        if pool is not None:
-            # Pipes, respawns and the failure counters are parent-side
-            # pool-lifetime counters; sync them into the facade stats at
-            # snapshot time, net of the last reset_stats baseline.
-            failure = pool.failure_counters()
-            base = self._transport_baseline or {}
-            base_causes = base.get("respawns_by_cause") or {}
-            causes = {
-                str(cause): max(0, int(n) - int(base_causes.get(cause, 0)))
-                for cause, n in failure["respawns_by_cause"].items()
-            }
-            self.stats.set_transport(
-                max(0, int(pool.bytes_shipped) - int(base.get("bytes_shipped", 0))),
-                max(0, int(pool.respawns) - int(base.get("worker_respawns", 0))),
-                worker_timeouts=max(
-                    0,
-                    int(failure["worker_timeouts"])
-                    - int(base.get("worker_timeouts", 0)),
-                ),
-                worker_retries=max(
-                    0,
-                    int(failure["worker_retries"])
-                    - int(base.get("worker_retries", 0)),
-                ),
-                breaker_opens=max(
-                    0,
-                    int(failure["breaker_opens"]) - int(base.get("breaker_opens", 0)),
-                ),
-                replica_failovers=max(
-                    0,
-                    int(failure.get("replica_failovers", 0))
-                    - int(base.get("replica_failovers", 0)),
-                ),
-                respawns_by_cause={k: v for k, v in causes.items() if v},
-            )
-        self.stats.set_recalibrations(
-            max(0, self._backend.recalibrations - self._recalibration_baseline)
-        )
+        engine = self.engine
+        self.stats.set_counters(engine.counters())
         doc = self.stats.as_dict()
-        if pool is not None:
-            per_worker = pool.worker_stats()
+        if engine.pool_workers:
+            per_worker = engine.worker_stats()
             aggregate = ServiceStats()
             for worker_doc in per_worker:
                 aggregate.merge(ServiceStats.from_dict(worker_doc))
@@ -692,14 +470,14 @@ class Index:
         return doc
 
     def close(self) -> None:
-        """Release backend resources; idempotent.
+        """Release the engine's resources; idempotent.
 
         Returns once a single index's partition helper thread has
         exited, no background re-freeze of an in-process shard is
         running and the worker pool is shut down.  A single index still
         answers afterwards, inline.
         """
-        self._backend.close()
+        self.engine.close()
 
     # ------------------------------------------------------------------
     # Queries
@@ -752,9 +530,10 @@ class Index:
         hold, so entries for untouched shards stay hot across inserts.
         """
         new_points = check_matrix(new_points, dim=self.dim, name="new_points")
-        ids, affected_shards = self._backend.insert(new_points)
-        if self.cache is not None and ids.size:
-            for shard in affected_shards:
+        ids = self.engine.insert(new_points)
+        if self.cache is not None:
+            # New id ``i`` lives on shard ``i % K``.
+            for shard in np.unique(ids % self.num_shards).tolist():
                 self.cache.invalidate_shard(shard)
         return ids
 
@@ -788,12 +567,6 @@ class Index:
         check_probe_budget(self.spec.variant, policy)
         return policy
 
-    def _profile_points(self) -> np.ndarray | None:
-        """A point sample reachable in-process (None for worker pools)."""
-        if isinstance(self._backend, _SingleBackend):
-            return cast("np.ndarray", self._backend.engine.index.points)
-        return None
-
     def _distance_profile(self) -> DistanceProfile | None:
         """Lazily measured distance profile for radius-from-k estimation.
 
@@ -804,7 +577,7 @@ class Index:
         """
         if self._profile_ready:
             return self._profile
-        points = self._profile_points()
+        points = self.engine.local_points
         if points is not None and points.shape[0] > 0:
             self._profile = measure_distance_profile(
                 points,
@@ -829,7 +602,7 @@ class Index:
         if policy is not None and policy.enabled:
             results = self._topk_adaptive(queries, k, policy, allow_partial, trace)
         if results is None:
-            results = self._backend.topk_batch(
+            results = self.engine.query_topk_batch(
                 queries, k, trace=trace, allow_partial=allow_partial
             )
         self._account(results, queries.shape[0], started, trace)
@@ -876,7 +649,7 @@ class Index:
         for _ in range(_MAX_ESCALATIONS + 1):
             if not pending:
                 break
-            rows = self._backend.query_batch(
+            rows = self.engine.query_batch(
                 queries[pending], float(radius), trace=trace, adaptive=adaptive
             )
             still: list[int] = []
@@ -896,7 +669,7 @@ class Index:
             pending = still
             radius *= _RADIUS_GROWTH
         if pending:
-            fallback = self._backend.topk_batch(
+            fallback = self.engine.query_topk_batch(
                 queries[pending], k, trace=trace, allow_partial=allow_partial
             )
             for pos, row in zip(pending, fallback):
@@ -913,7 +686,7 @@ class Index:
         started = time.perf_counter()
         trace = StageTrace() if self._tracing else None
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        radius = self._backend.resolve_radius(radius)
+        radius = self.engine.resolve_radius(radius)
         adaptive = policy if policy is not None and policy.enabled else None
         bypass_cache = allow_partial or (
             adaptive is not None and (adaptive.bounds_probes or adaptive.recalibrate)
@@ -926,7 +699,7 @@ class Index:
             # that trims probes (or mutates the cost model) bypasses it
             # too — trimmed partials must never serve fixed-budget
             # reads, and vice versa.
-            results = self._backend.query_batch(
+            results = self.engine.query_batch(
                 queries,
                 radius,
                 trace=trace,
@@ -956,7 +729,8 @@ class Index:
         """
         cache = self.cache
         assert cache is not None  # only called on the cache-enabled path
-        num_shards = self._backend.num_partitions
+        engine = self.engine
+        num_shards = engine.num_shards
         num_queries = queries.shape[0]
         results: list[QueryResult | None] = [None] * num_queries
         base_keys = [cache.make_key(q, radius) for q in queries]
@@ -978,7 +752,7 @@ class Index:
             ]
             missing = [s for s, part in enumerate(parts) if part is None]
             if not missing:
-                results[i] = self._backend.merge(parts, radius)
+                results[i] = engine.merge_radius(cast("list[QueryResult]", parts), radius)
                 hits += 1
             else:
                 miss_rep[base] = i
@@ -992,16 +766,16 @@ class Index:
                 rows = shard_miss_rows[shard]
                 if not rows:
                     return []
-                return self._backend.shard_query_batch(shard, queries[rows], radius)
+                return engine.shard_query_batch(shard, queries[rows], radius)
 
-            fresh = self._backend.map_shards(work)
+            fresh = engine.map_shards(work)
             for s in range(num_shards):
                 for row, part in zip(shard_miss_rows[s], fresh[s]):
                     parts_by_row[row][s] = part
                     key = base_keys[row] if s == 0 else cache.retag_key(base_keys[row], s)
                     cache.put(key, part)
             for row, parts in parts_by_row.items():
-                results[row] = self._backend.merge(parts, radius)
+                results[row] = engine.merge_radius(cast("list[QueryResult]", parts), radius)
         for i, rep in duplicates:
             results[i] = results[rep]
 
@@ -1060,39 +834,3 @@ def _topk_from_radius(row: QueryResult, k: int) -> QueryResult:
         degraded=row.degraded,
         missing_shards=row.missing_shards,
     )
-
-
-def _cache_from_spec(spec: IndexSpec) -> QueryResultCache | None:
-    if spec.cache_size <= 0:
-        return None
-    return QueryResultCache(maxsize=spec.cache_size, quantum=spec.cache_quantum)
-
-
-def _register_gauge_hooks(stats: ServiceStats, backend: Any) -> None:
-    """Wire live backend gauges into the stats object.
-
-    A single index exposes its overflow size (points in live runs) and
-    background re-freeze counters; hooks read the *current* values at
-    snapshot time, so the gauges track inserts and re-freezes without
-    the stats layer polling anything.  A pool's endpoints keep those
-    gauges for their own shards (the snapshot's ``workers`` document);
-    the pool itself reports its open breakers.
-    """
-    if isinstance(backend, _ShardedBackend):
-        counter = backend.engine.open_breaker_count
-        stats.gauge_hooks["breaker_open_workers"] = lambda: float(counter())
-        return
-    index = backend.engine.index
-    stats.gauge_hooks["overflow_points"] = lambda: float(index.overflow_count)
-    stats.gauge_hooks["refreeze_generations"] = lambda: float(index.refreeze_count)
-    stats.gauge_hooks["refreeze_seconds_total"] = lambda: float(
-        index.refreeze_seconds_total
-    )
-    stats.gauge_hooks["last_refreeze_seconds"] = lambda: float(
-        index.last_refreeze_seconds
-    )
-
-
-def _pool_width_of(backend: Any) -> int:
-    """The pool's worker-slot count (0 for a single index)."""
-    return backend.engine.num_workers if isinstance(backend, _ShardedBackend) else 0

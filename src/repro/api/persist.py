@@ -31,10 +31,8 @@ import numpy as np
 
 from repro.api.spec import IndexSpec
 from repro.core.cost_model import CostModel
-from repro.core.hybrid import HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError, ReproError
 from repro.index.frozen import load_frozen_index, save_frozen_index
-from repro.service.batch import BatchQueryEngine
 from repro.utils.fsio import write_json_atomic
 
 __all__ = ["save_index", "open_index", "write_artifact"]
@@ -152,8 +150,9 @@ def write_artifact(
     The one writer of built shards: :meth:`repro.api.Index.build` writes
     the transient artifact its pool serves through here, and
     :func:`save_index` a single index.  Shard ``s`` owns the global ids
-    ``shard_gids[s]``, dealt round-robin, so the next insert goes to
-    shard ``n % K``.
+    ``shard_gids[s]``, dealt round-robin: new id ``i`` goes to shard
+    ``i % K``.  ``index.json`` records ``next_shard = n % K`` for
+    readers of the file; the pool derives it from ``n``.
     """
     os.makedirs(path, exist_ok=True)
     for s, shard in enumerate(shards):
@@ -192,7 +191,7 @@ def save_index(index: Any, path: str) -> None:
         write_shard_gids(path, engine._shard_gids)
     _write_meta(
         path, index.spec, index.cost_model, index.n, index.dim,
-        engine.num_shards, int(engine._next_shard),
+        engine.num_shards, index.n % engine.num_shards,
     )
 
 
@@ -222,13 +221,7 @@ def open_index(
     worker processes — one ``"host:port,host:port"`` replica group per
     worker slot.
     """
-    from repro.api.facade import (
-        Index,
-        _cache_from_spec,
-        _refuse_pool_arguments,
-        _ShardedBackend,
-        _SingleBackend,
-    )
+    from repro.api.facade import Index, _refuse_pool_arguments, _serve_index
     from repro.service.workers import WorkerPool
 
     meta_path = os.path.join(path, _META_FILE)
@@ -260,7 +253,7 @@ def open_index(
             fault_plan=fault_plan,
             endpoints=endpoints,
         )
-        return Index(_ShardedBackend(pool), spec=spec, cache=_cache_from_spec(spec))
+        return Index(pool, spec)
     cost_model = CostModel(
         alpha=float(meta["cost_model"]["alpha"]), beta=float(meta["cost_model"]["beta"])
     )
@@ -273,6 +266,4 @@ def open_index(
             f"saved index at {path!r} has unreadable shard data ({exc}); "
             "the artifact is truncated or corrupt"
         ) from exc
-    searcher = HybridSearcher(index, cost_model)
-    engine = BatchQueryEngine(searcher, radius=spec.radius, dedup=spec.dedup)
-    return Index(_SingleBackend(engine), spec=spec, cache=_cache_from_spec(spec))
+    return _serve_index(index, spec, cost_model)

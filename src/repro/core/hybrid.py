@@ -72,8 +72,9 @@ class HybridSearcher:
 
     ``partition_helper`` (``None`` by default) is the
     :class:`~repro.core.overlap.PartitionHelper` a batch's linear
-    partition runs on, beside its LSH partition; the single-index
-    backend that owns one sets it.
+    partition runs on, beside its LSH partition; an unsharded
+    ``Index`` sets one on its engine's searcher, and the engine's
+    ``close`` joins it.
     """
 
     def __init__(self, index: LSHIndex, cost_model: CostModel) -> None:

@@ -1,10 +1,10 @@
 """The batched query engine — the serving-side face of Algorithm 2.
 
 :class:`BatchQueryEngine` wraps a :class:`~repro.core.hybrid.HybridSearcher`
-and answers whole query matrices:
+over a frozen index and answers whole query matrices:
 
 * Step S1 is one fused hashing kernel call for the entire batch
-  (:meth:`~repro.index.lsh_index.LSHIndex.lookup_batch`);
+  (:meth:`~repro.index.frozen.FrozenLSHIndex.lookup_batch`);
 * the cost decision of Algorithm 2 is still made *per query* — that is
   the paper's contribution and is preserved exactly;
 * every query the model sends to linear search joins one
@@ -15,25 +15,32 @@ and answers whole query matrices:
   blocks of up to 256 KiB of candidates filter in one distance pass.
 
 Every row's answer is bit-identical to the query answered alone; the
-batch only removes per-query Python overhead.  The deliberate
-scalar dedup of :meth:`~repro.index.lsh_index.LSHIndex.candidate_ids`
-models Equation (1)'s cost structure for the *experiments*; a serving
-layer is exactly where collapsing that constant is appropriate.
+batch only removes per-query Python overhead.
 
-The engine builds nothing: :meth:`repro.api.Index.build` (or
-:meth:`~repro.api.Index.open`) wraps the searcher of the index it built
-(or mapped) in one engine per shard, and ``index.engine`` is it.
+An unsharded :class:`repro.api.Index` calls its engine directly: the
+engine presents the same surface as the
+:class:`~repro.service.workers.WorkerPool` that serves a sharded one —
+it is shard 0 of 1, its local ids are global, and it owns its counters,
+gauges and shutdown.  The engine builds nothing:
+:meth:`repro.api.Index.build` (or :meth:`~repro.api.Index.open`) wraps
+the searcher of the index it built (or mapped), and ``index.engine`` is
+it; every endpoint of a worker pool serves one engine per shard.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, CostModelTuner
+from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
+from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, Strategy
+from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
-from repro.observability import StageTrace
+from repro.observability import StageTrace, stage_timer
 
 __all__ = ["BatchQueryEngine"]
 
@@ -45,6 +52,8 @@ class BatchQueryEngine:
     ----------
     searcher:
         The :class:`~repro.core.hybrid.HybridSearcher` to serve from.
+        A searcher with a ``partition_helper`` runs a batch's linear
+        rows on it; :meth:`close` joins it.
     radius:
         Default query radius (``None`` forces callers to pass one).
     dedup:
@@ -75,6 +84,10 @@ class BatchQueryEngine:
     >>> index.close()
     """
 
+    #: one engine is one shard, and no worker pool serves it.
+    num_shards = 1
+    pool_workers = 0
+
     def __init__(
         self,
         searcher: HybridSearcher,
@@ -97,7 +110,7 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
     @property
     def index(self):
-        """The underlying :class:`~repro.index.lsh_index.LSHIndex`."""
+        """The served :class:`~repro.index.frozen.FrozenLSHIndex`."""
         return self.searcher.index
 
     @property
@@ -110,7 +123,17 @@ class BatchQueryEngine:
         """Dimensionality of the indexed points."""
         return self.index.dim
 
-    def _resolve_radius(self, radius: float | None) -> float:
+    @property
+    def cost_model(self) -> CostModel:
+        """The cost model driving the per-query dispatch."""
+        return self.searcher.cost_model
+
+    @property
+    def local_points(self) -> np.ndarray:
+        """The served points, held in this process."""
+        return self.index.points
+
+    def resolve_radius(self, radius: float | None) -> float:
         if radius is not None:
             return float(radius)
         if self.radius is None:
@@ -131,6 +154,7 @@ class BatchQueryEngine:
         queries: np.ndarray,
         radius: float | None = None,
         trace: StageTrace | None = None,
+        allow_partial: bool = False,
         adaptive: AdaptivePolicy | None = None,
     ) -> list[QueryResult]:
         """Answer a ``(q, d)`` query matrix.
@@ -138,9 +162,10 @@ class BatchQueryEngine:
         Returns exactly the same results (ids, distances, and decision
         stats) as looping :meth:`HybridSearcher.query` over the rows.
         ``trace`` opts into per-stage timing (forwarded to the searcher;
-        answers are unaffected).  ``adaptive`` forwards an
-        :class:`~repro.core.adaptive.AdaptivePolicy` to the searcher
-        (per-query probe budgets) and, when the policy asks for
+        answers are unaffected).  One engine has no shard that can go
+        missing, so ``allow_partial`` changes nothing.  ``adaptive``
+        forwards an :class:`~repro.core.adaptive.AdaptivePolicy` to the
+        searcher (per-query probe budgets) and, when the policy asks for
         ``recalibrate``, feeds the batch's observed per-stage timings
         into a :class:`~repro.core.adaptive.CostModelTuner` so
         subsequent batches dispatch with EWMA-recalibrated coefficients.
@@ -151,7 +176,7 @@ class BatchQueryEngine:
             inner_trace = StageTrace()
         results = self.searcher.query_batch(
             np.asarray(queries),
-            self._resolve_radius(radius),
+            self.resolve_radius(radius),
             dedup=self.dedup,
             trace=inner_trace,
             adaptive=adaptive,
@@ -189,10 +214,51 @@ class BatchQueryEngine:
         )
         self.searcher.cost_model = tuner.model
 
-    @property
-    def recalibrations(self) -> int:
-        """Completed cost-model coefficient updates (0 when never tuned)."""
-        return 0 if self._tuner is None else self._tuner.recalibrations
+    def query_topk_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        trace: StageTrace | None = None,
+        allow_partial: bool = False,
+    ) -> list[QueryResult]:
+        """Exact k-NN: one distance block over every point, then selection.
+
+        The selection kernel is the worker pool's
+        (:func:`~repro.core.linear_scan.exact_topk_results`), so the
+        deterministic ``(distance, id)`` tie-breaking is shared.
+        """
+        index = self.index
+        if k > index.n:
+            raise ConfigurationError(f"k ({k}) must not exceed the index size ({index.n})")
+        with stage_timer(trace, "linear"):
+            block = pairwise_distances(queries, index.points, index.family.metric)
+        with stage_timer(trace, "merge"):
+            return exact_topk_results(
+                np.arange(index.n, dtype=np.int64), [block], k, index.n
+            )
+
+    # ------------------------------------------------------------------
+    # The cache path: shard 0 of 1
+    # ------------------------------------------------------------------
+    def shard_query_batch(
+        self,
+        shard: int,
+        queries: np.ndarray,
+        radius: float,
+        adaptive: AdaptivePolicy | None = None,
+    ) -> list[QueryResult]:
+        """The one shard's answers (its local ids are the global ones)."""
+        return self.query_batch(queries, radius, adaptive=adaptive)
+
+    def merge_radius(self, parts: list[QueryResult], radius: float) -> QueryResult:
+        """One shard's part is the whole answer."""
+        return parts[0]
+
+    def map_shards(
+        self, work: Callable[[int], list[QueryResult]]
+    ) -> list[list[QueryResult]]:
+        """``work(0)``, on the calling thread."""
+        return [work(0)]
 
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Add points to the served index; returns their assigned ids.
@@ -201,6 +267,45 @@ class BatchQueryEngine:
         once (the searcher refreshes its scan on the next query).
         """
         return self.index.insert(new_points)
+
+    # ------------------------------------------------------------------
+    # Telemetry and shutdown
+    # ------------------------------------------------------------------
+    def counters(self) -> dict[str, int]:
+        """The :class:`~repro.service.stats.ServiceStats` counters this
+        engine owns: its cost-model coefficient updates since it was
+        built or last reset."""
+        tuner = self._tuner
+        return {"recalibrations": 0 if tuner is None else tuner.recalibrations}
+
+    def reset_stats(self) -> None:
+        """Zero :meth:`counters` in place."""
+        if self._tuner is not None:
+            self._tuner.recalibrations = 0
+
+    def worker_stats(self) -> list[dict]:
+        """No worker serves one engine."""
+        return []
+
+    def gauge_hooks(self) -> dict[str, Callable[[], float]]:
+        """Live gauges over the served index: its overflow size (points
+        in live runs) and background re-freeze counters, read at
+        snapshot time."""
+        index = self.index
+        return {
+            "overflow_points": lambda: float(index.overflow_count),
+            "refreeze_generations": lambda: float(index.refreeze_count),
+            "refreeze_seconds_total": lambda: float(index.refreeze_seconds_total),
+            "last_refreeze_seconds": lambda: float(index.last_refreeze_seconds),
+        }
+
+    def close(self) -> None:
+        """Join the partition helper and wait for a fold an insert
+        started; idempotent.  Later batches run inline."""
+        helper = self.searcher.partition_helper
+        if helper is not None:
+            helper.close()
+        self.index.wait_for_refreeze()
 
     def __repr__(self) -> str:
         return (

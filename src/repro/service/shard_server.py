@@ -210,10 +210,6 @@ class ShardState:
         #: per-shard set of applied insert seqs (idempotence under
         #: broadcast + replay delivery; see module docstring).
         self.applied_seqs: dict[int, set[int]] = {s: set() for s in shard_ids}
-        #: engine recalibration total at the last ``reset`` op, so the
-        #: ``stats`` op reports a delta (the engines' own counters are
-        #: lifetime values that cannot be zeroed in place).
-        self._recal_baseline = 0
 
     def sizes(self) -> dict[int, int]:
         return {s: self.indexes[s].n for s in self.shard_ids}
@@ -284,18 +280,18 @@ class ShardState:
                 if op == "shard_sizes":
                     return self.sizes()
                 if op == "stats":
-                    total = sum(e.recalibrations for e in self.engines.values())
-                    self.stats.set_recalibrations(
-                        max(0, total - self._recal_baseline)
-                    )
+                    self.stats.set_counters({
+                        "recalibrations": sum(
+                            e.counters()["recalibrations"] for e in self.engines.values()
+                        )
+                    })
                     return self.stats.as_dict()
                 if op == "reset":
-                    # Zero this endpoint's worker-local stats; the
-                    # facade's reset_stats broadcasts this so a snapshot
-                    # right after a reset reads all-zero workers too.
-                    self._recal_baseline = sum(
-                        e.recalibrations for e in self.engines.values()
-                    )
+                    # Zero this endpoint's worker-local stats; the pool's
+                    # reset_stats broadcasts this so a snapshot right
+                    # after a reset reads all-zero workers too.
+                    for engine in self.engines.values():
+                        engine.reset_stats()
                     self.stats.reset()
                     return True
                 if op == "ping":

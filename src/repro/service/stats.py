@@ -10,7 +10,7 @@ attributions fed by the opt-in tracing layer,
 worker-pool transport counters (``bytes_shipped``, ``worker_respawns``),
 and two gauge channels: ``gauges`` holds point-in-time values shipped
 from another process (e.g. a worker's overflow size), while
-``gauge_hooks`` holds zero-arg callables the owning backend registers so
+``gauge_hooks`` holds zero-arg callables the serving engine provides so
 :meth:`ServiceStats.read_gauges` always reads live values (frozen-index
 overflow size, background re-freeze counters).  Hooks are process-local
 by nature and are deliberately excluded from serialisation, merging,
@@ -95,7 +95,7 @@ class ServiceStats:
     #: point-in-time gauge values (used when shipping snapshots across
     #: process boundaries; merged by summation).
     gauges: dict[str, float] = field(default_factory=dict)
-    #: live gauge callables registered by the owning backend; read at
+    #: live gauge callables provided by the serving engine; read at
     #: snapshot time, never serialised or merged.
     gauge_hooks: dict[str, Callable[[], float]] = field(
         default_factory=dict, repr=False, compare=False
@@ -158,30 +158,17 @@ class ServiceStats:
             self.cache_misses += misses
             self.deduplicated += deduplicated
 
-    def set_transport(
-        self,
-        bytes_shipped: int,
-        worker_respawns: int,
-        worker_timeouts: int = 0,
-        worker_retries: int = 0,
-        breaker_opens: int = 0,
-        replica_failovers: int = 0,
-        respawns_by_cause: dict[str, int] | None = None,
-    ) -> None:
-        """Sync the worker-pool transport/failure counters into a snapshot.
+    def set_counters(self, counters: dict[str, Any]) -> None:
+        """Copy an engine's own counters (``engine.counters()``) into a snapshot.
 
-        The pool owns the live counters; the facade copies them over
+        The engine owns the live values (a pool's bytes shipped,
+        respawns and failure counters; an engine's recalibrations) and
+        zeroes them itself; the owner of this object copies them over
         just before reading a snapshot, so they all land atomically.
         """
         with self._lock:
-            self.bytes_shipped = bytes_shipped
-            self.worker_respawns = worker_respawns
-            self.worker_timeouts = worker_timeouts
-            self.worker_retries = worker_retries
-            self.breaker_opens = breaker_opens
-            self.replica_failovers = replica_failovers
-            if respawns_by_cause is not None:
-                self.respawns_by_cause = dict(respawns_by_cause)
+            for name, value in counters.items():
+                setattr(self, name, dict(value) if isinstance(value, dict) else value)
 
     def record_degraded(self, count: int = 1) -> None:
         """Account ``count`` responses served with missing shards."""
@@ -195,16 +182,6 @@ class ServiceStats:
         with self._lock:
             self.adaptive_probes += probe_queries
             self.radius_estimates += radius_estimates
-
-    def set_recalibrations(self, count: int) -> None:
-        """Sync the engines' recalibration total into a snapshot.
-
-        The engines own the live counter (one per completed EWMA
-        coefficient update); the facade copies it over just before
-        reading a snapshot, exactly like :meth:`set_transport`.
-        """
-        with self._lock:
-            self.recalibrations = count
 
     def merge(self, other: ServiceStats) -> ServiceStats:
         """Fold another stats object (e.g. a worker's) into this one.
@@ -251,7 +228,7 @@ class ServiceStats:
         """Zero all measurements in place.
 
         Structural attributes survive: ``pool_workers`` (a property of
-        the backend, not of traffic) and the registered ``gauge_hooks``.
+        the engine, not of traffic) and the registered ``gauge_hooks``.
         Keeping reset here — instead of re-creating the object at each
         call site — means new fields can't be silently dropped.
         """

@@ -359,7 +359,7 @@ def serve_stream_concurrent(
     always sees its real backlog; consecutive radius queries are grouped
     into batches of up to ``batch_size`` and submitted to a small thread
     pool with at most ``window`` batches in flight.  While one batch
-    blocks — most productively on the worker-pool backend, where the
+    blocks — most productively on the worker-pool engine, where the
     parent thread just waits on pipe replies from the shard processes —
     the next batch is already being hashed.  Responses are emitted
     strictly in request order: in-flight futures are consumed in

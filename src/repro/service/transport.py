@@ -660,9 +660,10 @@ class InlineTransport(ShardTransport):
         self._close()
 
     def shutdown(self) -> None:
-        """Close once the shards' background re-freezes have landed."""
-        for index in self.state.indexes.values():
-            index.wait_for_refreeze()
+        """Close the shards' engines (their background re-freezes land
+        first), then this transport."""
+        for engine in self.state.engines.values():
+            engine.close()
         self.kill()
 
     def classify_send_error(self, exc: BaseException) -> str:

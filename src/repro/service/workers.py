@@ -6,7 +6,7 @@ place that does it: it serves a saved artifact (the layout written by
 :meth:`repro.api.Index.save`: each shard a directory of plain ``.npy``
 files reopened with ``np.load(mmap_mode="r")``), sends every request
 to the endpoints that own the shards, and merges their answers
-(:func:`merge_radius_results` /
+(:meth:`WorkerPool._merge_blocks` /
 :func:`~repro.core.linear_scan.exact_topk_results`).  Answers therefore
 have one code path whatever the host; ``spec.execution`` chooses only
 where the endpoints run:
@@ -19,9 +19,10 @@ where the endpoints run:
 * ``"processes"`` — spawned worker processes behind socketpair pipes;
 * ``endpoints=[...]`` — standalone shard servers over TCP.
 
-:class:`repro.api.Index` and the stream protocol work on top through
-``query_batch`` / ``query_topk_batch`` / ``insert`` /
-``shard_query_batch`` / ``merge_radius`` / ``map_shards``.
+:class:`repro.api.Index` calls the pool directly: it presents the
+same surface as the unsharded :class:`~repro.service.batch.BatchQueryEngine`
+(queries, the cache path's per-shard members, inserts, its own counters,
+gauges and shutdown), so the facade never asks which engine serves it.
 
 Transports and replica sets
 ---------------------------
@@ -134,6 +135,7 @@ from repro.faults import FaultTolerancePolicy
 from repro.observability import StageTrace, stage_timer
 from repro.service.shard_server import (
     STATS_COLUMNS,
+    _pack_block,
     _payload_nbytes,
     _shard_dir,
     _unpack_block,
@@ -151,7 +153,7 @@ from repro.service.transport import (
 from repro.utils.fsio import write_json_atomic
 from repro.utils.validation import check_matrix, check_positive_int
 
-__all__ = ["WorkerPool", "WorkerError", "default_fanout_width", "merge_radius_results"]
+__all__ = ["WorkerPool", "WorkerError", "default_fanout_width"]
 
 
 def default_fanout_width(num_shards: int) -> int:
@@ -161,48 +163,6 @@ def default_fanout_width(num_shards: int) -> int:
     task is CPU-bound — and more slots than shards would sit idle.
     """
     return max(1, min(int(num_shards), os.cpu_count() or 1))
-
-
-def merge_radius_results(
-    shard_gids: list[np.ndarray], shard_results: list[QueryResult], radius: float
-) -> QueryResult:
-    """Merge one query's per-shard local radius answers into the global one.
-
-    The shards partition the dataset, so the global answer is the
-    disjoint union of the local answers with shard-local ids translated
-    through the id maps; stats are summed and the strategy labelled
-    :attr:`~repro.core.results.Strategy.HYBRID`.  The cache path merges
-    its per-shard partials here; :meth:`WorkerPool._merge_blocks` is
-    the same merge over a whole batch's flat reply blocks.
-    """
-    ids = np.concatenate(
-        [gids[res.ids] for gids, res in zip(shard_gids, shard_results)]
-    )
-    distances = np.concatenate([res.distances for res in shard_results])
-    order = np.argsort(ids, kind="stable")
-    exact = [res.stats.exact_candidates for res in shard_results]
-    probes = [res.stats.probes_used for res in shard_results]
-    stats = QueryStats(
-        num_collisions=sum(res.stats.num_collisions for res in shard_results),
-        estimated_candidates=float(
-            sum(res.stats.estimated_candidates for res in shard_results)
-        ),
-        exact_candidates=sum(exact) if all(e >= 0 for e in exact) else -1,
-        estimated_lsh_cost=float(
-            sum(res.stats.estimated_lsh_cost for res in shard_results)
-        ),
-        linear_cost=float(sum(res.stats.linear_cost for res in shard_results)),
-        strategy=Strategy.HYBRID,
-        # Summed probe rings across shards (each shard probes its own
-        # tables); untracked (-1) anywhere poisons the sum, like
-        # exact_candidates.  The merged answer is exact only if every
-        # shard's part was.
-        probes_used=sum(probes) if all(p >= 0 for p in probes) else -1,
-        exact=all(res.stats.exact for res in shard_results),
-    )
-    return QueryResult(
-        ids=ids[order], distances=distances[order], radius=radius, stats=stats
-    )
 
 
 class WorkerError(RuntimeError):
@@ -443,7 +403,6 @@ class WorkerPool:
             self._shard_gids = read_shard_gids(path, self.num_shards)
         else:
             self._shard_gids = [np.arange(int(meta["n"]), dtype=np.int64)]
-        self._next_shard = int(meta.get("next_shard", 0)) % self.num_shards
         self._inline = endpoints is None and self.spec.execution == "threads"
         if self._inline and fault_plan is not None:
             raise ConfigurationError(
@@ -523,8 +482,8 @@ class WorkerPool:
         #: per-slot replay log of (shard, points, seq) inserts, in
         #: order — the only state a revived endpoint cannot recover
         #: from disk.  Guarded by ``_route_lock`` together with the
-        #: routing state (``_shard_gids``, ``_next_shard``,
-        #: ``_insert_seq``): a query thread can trigger a respawn —
+        #: routing state (``_shard_gids``, ``_insert_seq``; a new point
+        #: goes to shard ``id % K``): a query thread can trigger a respawn —
         #: which replays this log — while an insert commit is appending
         #: to it.  Lock order is endpoint lock -> route lock, never the
         #: reverse.
@@ -1232,26 +1191,39 @@ class WorkerPool:
         replies, _ = self._exchange({w: ("stats",) for w in range(self.num_workers)})
         return [replies[w] for w in sorted(replies)]
 
-    def reset_worker_stats(self) -> None:
-        """Zero every reachable endpoint's worker-local stats.
-
-        Broadcast of the ``reset`` op; unreachable slots are skipped
-        (they restart with zeroed counters anyway when respawned).  Used
-        by the facade's ``reset_stats`` so a ``stats_snapshot`` right
-        after a reset reads all-zero ``workers.*`` documents too.
-        """
-        self._exchange({w: ("reset",) for w in range(self.num_workers)})
-
-    def failure_counters(self) -> dict:
-        """Snapshot of the parent-side failure telemetry (thread-safe)."""
+    def counters(self) -> dict:
+        """The pool's own :class:`~repro.service.stats.ServiceStats`
+        counters (thread-safe): payload bytes shipped, respawns (total
+        and by cause) and the failure counters, since the pool opened
+        or its last :meth:`reset_stats`."""
         with self._counter_lock:
             return {
+                "bytes_shipped": self.bytes_shipped,
+                "worker_respawns": self.respawns,
                 "worker_timeouts": self.worker_timeouts,
                 "worker_retries": self.worker_retries,
                 "breaker_opens": self.breaker_opens,
                 "replica_failovers": self.replica_failovers,
                 "respawns_by_cause": dict(self.respawns_by_cause),
             }
+
+    def reset_stats(self) -> None:
+        """Zero every reachable endpoint's stats, then :meth:`counters`.
+
+        The endpoints hear a broadcast ``reset`` op (unreachable slots
+        are skipped: a respawned one starts from zero anyway); the
+        counters are zeroed after it, so the broadcast's own bytes and
+        any respawn it triggered are not counted either.
+        """
+        self._exchange({w: ("reset",) for w in range(self.num_workers)})
+        with self._counter_lock:
+            self.bytes_shipped = 0
+            self.respawns = 0
+            self.worker_timeouts = 0
+            self.worker_retries = 0
+            self.breaker_opens = 0
+            self.replica_failovers = 0
+            self.respawns_by_cause = {}
 
     def open_breaker_count(self) -> int:
         """How many endpoints' circuit breakers are currently open.
@@ -1264,6 +1236,12 @@ class WorkerPool:
         return sum(
             1 for row in self._eps for ep in row if ep.breaker.is_open
         )
+
+    def gauge_hooks(self) -> dict:
+        """The pool's live gauge: its open breakers.  The endpoints keep
+        the overflow and re-freeze gauges of their own shards (the
+        ``stats`` op)."""
+        return {"breaker_open_workers": lambda: float(self.open_breaker_count())}
 
     def close(self) -> None:
         """Stop every endpoint and release the artifact (idempotent).
@@ -1312,12 +1290,21 @@ class WorkerPool:
         """Current per-shard point counts (from the parent's id maps)."""
         return [int(gids.size) for gids in self._shard_gids]
 
-    def _resolve_radius(self, radius: float | None) -> float:
+    @property
+    def pool_workers(self) -> int:
+        """The worker-slot count."""
+        return self.num_workers
+
+    #: the parent holds no points: the endpoints do.
+    local_points = None
+
+    def resolve_radius(self, radius: float | None) -> float:
         return self.radius if radius is None else float(radius)
 
     def peek_assignment(self, count: int) -> np.ndarray:
-        """Shard ids the next ``count`` inserted points would be routed to."""
-        return (self._next_shard + np.arange(count)) % self.num_shards
+        """Shard ids the next ``count`` inserted points would be routed
+        to: new id ``i`` goes to shard ``i % K``."""
+        return (self.n + np.arange(count)) % self.num_shards
 
     # ------------------------------------------------------------------
     # Radius queries
@@ -1354,7 +1341,7 @@ class WorkerPool:
         parent-side merge to ``merge``.  Per-stage attribution inside
         the workers lives in their own stats (:meth:`worker_stats`).
         """
-        radius = self._resolve_radius(radius)
+        radius = self.resolve_radius(radius)
         queries = check_matrix(queries, dim=self.dim, name="queries")
         # The adaptive policy ships as its JSON document, appended as an
         # optional 5th element so the wire shape stays backward
@@ -1388,12 +1375,14 @@ class WorkerPool:
     ) -> list[QueryResult]:
         """Every query's global answer from the shards' flat reply blocks.
 
-        Per shard, one ``take`` translates the local ids through its id
-        map and the ``(q, 8)`` stats matrices are summed in shard order,
-        so every float matches the Python ``sum`` of
-        :func:`merge_radius_results`; per query,
-        only the concatenate and the stable argsort of that function
-        remain.  A shard absent from ``blocks`` (one of the ``missing``)
+        The shards partition the dataset, so a query's answer is the
+        disjoint union of the shards' local answers translated through
+        the id maps, its stats summed and labelled
+        :attr:`~repro.core.results.Strategy.HYBRID`.  Per shard, one
+        ``take`` translates the local ids and the ``(q, 8)`` stats
+        matrices are summed in shard order, as Python's ``sum`` would
+        add them; per query, a concatenate and a stable argsort remain.
+        A shard absent from ``blocks`` (one of the ``missing``)
         contributes no neighbours and the default stats.
         """
         parts = []
@@ -1451,11 +1440,11 @@ class WorkerPool:
         reply = self._request(self._owner(shard), message)
         return _unpack_block(_checked_block(reply, shard, queries.shape[0]), radius)
 
-    def merge_radius(
-        self, shard_results: list[QueryResult], radius: float
-    ) -> QueryResult:
-        """Merge one query's per-shard local results into the global answer."""
-        return merge_radius_results(self._shard_gids, shard_results, radius)
+    def merge_radius(self, parts: list[QueryResult], radius: float) -> QueryResult:
+        """Merge one query's per-shard local results into the global
+        answer: :meth:`_merge_blocks` over one-row blocks."""
+        blocks = {s: _pack_block([part]) for s, part in enumerate(parts)}
+        return self._merge_blocks(blocks, 1, radius, ())[0]
 
     def map_shards(self, work) -> list:
         """Run ``work(s)`` for every shard on the parent fan-out threads."""
@@ -1560,7 +1549,7 @@ class WorkerPool:
             return np.empty(0, dtype=np.int64)
         start = self.n
         global_ids = np.arange(start, start + m, dtype=np.int64)
-        assignment = (self._next_shard + np.arange(m)) % self.num_shards
+        assignment = global_ids % self.num_shards
         routed_by_shard = []
         for s in range(self.num_shards):
             rows = np.flatnonzero(assignment == s)
@@ -1598,7 +1587,6 @@ class WorkerPool:
                 self._shard_gids[s] = np.concatenate(
                     [self._shard_gids[s], global_ids[rows]]
                 )
-            self._next_shard = (self._next_shard + m) % self.num_shards
         return global_ids
 
     # ------------------------------------------------------------------
@@ -1648,7 +1636,7 @@ class WorkerPool:
         meta_path = os.path.join(self.path, _META_FILE)
         meta = _read_meta(meta_path)
         meta["n"] = self.n
-        meta["next_shard"] = int(self._next_shard)
+        meta["next_shard"] = self.n % self.num_shards
         write_json_atomic(meta_path, meta)
 
     def __repr__(self) -> str:

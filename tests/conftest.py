@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.api.facade import _resolve_family_and_k
+from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
 from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
 
@@ -53,6 +54,35 @@ def reference_index(points, spec, seed=None):
     return index.build(points)
 
 
+def merge_radius_results(shard_gids, shard_results, radius) -> QueryResult:
+    """One query's per-shard local radius answers merged into the global one.
+
+    The per-query reference the pool's batch merge
+    (``WorkerPool._merge_blocks``) is checked against, written
+    independently of it: the shards partition the dataset, so the global
+    answer is the disjoint union of the local answers with shard-local
+    ids translated through the id maps, stats summed and the strategy
+    labelled ``HYBRID``.  An untracked (-1) count anywhere poisons its
+    sum, and the merged answer is exact only if every shard's part was.
+    """
+    ids = np.concatenate([gids[res.ids] for gids, res in zip(shard_gids, shard_results)])
+    distances = np.concatenate([res.distances for res in shard_results])
+    order = np.argsort(ids, kind="stable")
+    exact = [res.stats.exact_candidates for res in shard_results]
+    probes = [res.stats.probes_used for res in shard_results]
+    stats = QueryStats(
+        num_collisions=sum(res.stats.num_collisions for res in shard_results),
+        estimated_candidates=float(sum(res.stats.estimated_candidates for res in shard_results)),
+        exact_candidates=sum(exact) if all(e >= 0 for e in exact) else -1,
+        estimated_lsh_cost=float(sum(res.stats.estimated_lsh_cost for res in shard_results)),
+        linear_cost=float(sum(res.stats.linear_cost for res in shard_results)),
+        strategy=Strategy.HYBRID,
+        probes_used=sum(probes) if all(p >= 0 for p in probes) else -1,
+        exact=all(res.stats.exact for res in shard_results),
+    )
+    return QueryResult(ids=ids[order], distances=distances[order], radius=radius, stats=stats)
+
+
 def shard_states(index) -> list:
     """The :class:`~repro.service.shard_server.ShardState` behind each
     inline endpoint of an in-process sharded index's worker pool."""
@@ -62,7 +92,7 @@ def shard_states(index) -> list:
 def served_shards(index) -> list:
     """The frozen indexes an in-process ``Index`` serves, in shard order:
     a single index's own, or its inline endpoints' shards."""
-    if index.num_shards == 1 and index.execution == "threads":
+    if index.num_shards == 1:
         return [index.engine.index]
     shards = {}
     for state in shard_states(index):

@@ -8,8 +8,10 @@ spec-driven construction, uniform query surface, per-shard cache
 invalidation, and plugin registries.
 """
 
+import inspect
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -26,10 +28,10 @@ from repro.api import (
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.service.stream import serve_stream
-from repro.service.workers import WorkerPool, merge_radius_results
+from repro.service.workers import WorkerPool
 from repro.utils.rng import spawn_rngs
 
-from conftest import reference_index, served_shards, shard_states
+from conftest import merge_radius_results, reference_index, served_shards, shard_states
 
 
 def _spec(**overrides):
@@ -236,19 +238,38 @@ class TestInsertAndCacheInvalidation:
         index.insert(gaussian_points[:1] + 2e-5)
         assert len(index.cache) == 6 * 3
 
-    def test_cached_sharded_answers_stay_correct_after_insert(self, gaussian_points):
-        cached = Index.build(gaussian_points, _spec(num_shards=3, cache_size=512))
-        bare = Index.build(gaussian_points, _spec(num_shards=3))
-        queries = gaussian_points[:8]
-        cached.query(QuerySpec(queries))  # warm the cache
-        new = queries[:3] + 1e-5
-        cached.insert(new)
-        bare.insert(new)
-        a = cached.query(QuerySpec(queries))  # part cached, part recomputed
-        b = bare.query(QuerySpec(queries))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.ids, y.ids)
-            assert np.array_equal(x.distances, y.distances)
+    @pytest.mark.parametrize("execution", ["threads", "processes"])
+    def test_cached_sharded_answers_stay_correct_after_insert(
+        self, gaussian_points, execution
+    ):
+        """The cache path (per-shard partials, merged one query at a
+        time) reports what the batch path does: ids, distances and every
+        field of each row's ``QueryStats``."""
+        cached = Index.build(
+            gaussian_points, _spec(num_shards=3, cache_size=512, execution=execution)
+        )
+        bare = Index.build(gaussian_points, _spec(num_shards=3, execution=execution))
+        try:
+            queries = gaussian_points[:8]
+            cached.query(QuerySpec(queries))  # warm the cache
+            new = queries[:3] + 1e-5
+            cached.insert(new)
+            bare.insert(new)
+            a = cached.query(QuerySpec(queries))  # part cached, part recomputed
+            b = bare.query(QuerySpec(queries))
+            assert cached.stats.cache_misses > 0
+            for x, y in zip(a, b):
+                assert np.array_equal(x.ids, y.ids)
+                assert np.array_equal(x.distances, y.distances)
+                assert x.stats.strategy == y.stats.strategy
+                assert x.stats.num_collisions == y.stats.num_collisions
+                assert x.stats.exact_candidates == y.stats.exact_candidates
+                assert x.stats.probes_used == y.stats.probes_used
+                assert x.stats.exact == y.stats.exact
+                assert repr(x.stats) == repr(y.stats)  # the floats too, nan-aware
+        finally:
+            cached.close()
+            bare.close()
 
     def test_cache_hits_count_full_hits_only(self, gaussian_points):
         index = Index.build(gaussian_points, _spec(num_shards=2, cache_size=64))
@@ -263,6 +284,86 @@ class TestInsertAndCacheInvalidation:
         ids = index.insert(gaussian_points[:1] + 1e-5)
         after = index.query(QuerySpec(gaussian_points[0]))
         assert ids[0] in after.ids and ids[0] not in before.ids
+
+
+    def test_inserts_route_by_id_whatever_next_shard_says(self, gaussian_points, tmp_path):
+        """New id ``i`` goes to shard ``i % K`` and drops only that
+        shard's cache entries, even when ``index.json``'s ``next_shard``
+        names another shard."""
+        built = Index.build(gaussian_points, _spec(num_shards=3, cache_size=64))
+        path = str(tmp_path / "idx")
+        built.save(path)
+        built.close()
+        meta_path = os.path.join(path, "index.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        n = meta["n"]
+        target = n % 3
+        meta["next_shard"] = (target + 1) % 3
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        index = Index.open(path)
+        try:
+            queries = gaussian_points[:5]
+            index.query(QuerySpec(queries))  # every shard's partials cached
+            sizes = [shard.n for shard in served_shards(index)]
+            assert index.insert(gaussian_points[:1] + 1e-5).tolist() == [n]
+            sizes[target] += 1
+            assert [shard.n for shard in served_shards(index)] == sizes
+            cache = index.cache
+            for q in queries:
+                cached = [
+                    cache.get(cache.make_key(q, index.spec.radius, shard=s)) is not None
+                    for s in range(3)
+                ]
+                assert cached == [s != target for s in range(3)]
+        finally:
+            index.close()
+
+
+#: every engine member ``Index`` calls, with its parameter names (None:
+#: read as an attribute or property).
+ENGINE_SURFACE = {
+    "n": None,
+    "dim": None,
+    "num_shards": None,
+    "cost_model": None,
+    "pool_workers": None,
+    "local_points": None,
+    "resolve_radius": ("radius",),
+    "query_batch": ("queries", "radius", "trace", "allow_partial", "adaptive"),
+    "query_topk_batch": ("queries", "k", "trace", "allow_partial"),
+    "shard_query_batch": ("shard", "queries", "radius", "adaptive"),
+    "merge_radius": ("parts", "radius"),
+    "map_shards": ("work",),
+    "insert": ("new_points",),
+    "counters": (),
+    "reset_stats": (),
+    "worker_stats": (),
+    "gauge_hooks": (),
+    "close": (),
+}
+
+
+class TestEngineSurface:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"num_shards": 2}, {"num_shards": 2, "execution": "processes"}],
+        ids=["single", "threads", "processes"],
+    )
+    def test_every_engine_presents_what_the_facade_calls(self, gaussian_points, overrides):
+        called = set(re.findall(r"\bengine\.(\w+)", inspect.getsource(facade)))
+        assert called == set(ENGINE_SURFACE)
+        index = Index.build(gaussian_points, _spec(**overrides))
+        try:
+            engine = index.engine
+            for name, params in ENGINE_SURFACE.items():
+                assert hasattr(engine, name), name
+                if params is not None:
+                    signature = inspect.signature(getattr(engine, name))
+                    assert tuple(signature.parameters) == params, name
+        finally:
+            index.close()
 
 
 class TestRegistries:

@@ -159,7 +159,7 @@ class TestLockDiscipline:
             a.join(timeout=4 * deadline + 30.0)
             assert not a.is_alive()
             assert same_answers(box["a"], expected)  # retried, bit-identical
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["worker_timeouts"] == 1 and counters["worker_retries"] == 1
             assert counters["respawns_by_cause"] == {"timeout": 1}
         finally:
@@ -216,7 +216,7 @@ class TestLockDiscipline:
                     )
                 if phase == 0:
                     pool.insert(queries[:16] + 0.25)
-            assert pool.failure_counters()["worker_retries"] == 0
+            assert pool.counters()["worker_retries"] == 0
             assert pool.open_breaker_count() == 0
         finally:
             sys.setswitchinterval(interval)

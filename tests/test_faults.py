@@ -239,7 +239,7 @@ class TestRecovery:
             assert_results_equal(pool.query_batch(queries), baseline["radius"])
             # Request 1 trips the fault; recovery must be invisible.
             assert_results_equal(pool.query_batch(queries), baseline["radius"])
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["worker_retries"] >= 1
             assert sum(counters["respawns_by_cause"].values()) >= 1
             if spec.kind in (FaultKind.HANG, FaultKind.DROP):
@@ -260,7 +260,7 @@ class TestRecovery:
         )  # SLOW never respawns, so op_index=0 is safe here
         try:
             assert_results_equal(pool.query_batch(queries), baseline["radius"])
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["worker_retries"] == 0
             assert counters["respawns_by_cause"] == {}
         finally:
@@ -291,7 +291,7 @@ class TestRecovery:
         try:
             assert_results_equal(pool.query_batch(queries), baseline["radius"])
             assert_results_equal(pool.query_batch(queries), baseline["radius"])
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["respawns_by_cause"].get("crash", 0) == 1
         finally:
             pool.close()
@@ -398,7 +398,7 @@ class TestDegradation:
             with pytest.raises(ShardUnavailableError):
                 pool.query_batch(queries)
             assert pool.open_breaker_count() == 1
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["breaker_opens"] == 1
             # While open (30s cooldown) the worker fails fast: the
             # degraded path answers without paying another deadline.
@@ -511,7 +511,7 @@ class TestFacadeAndStream:
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                counters = pool.failure_counters()
+                counters = pool.counters()
                 if counters["respawns_by_cause"].get("heartbeat", 0) >= 1:
                     break
                 time.sleep(0.05)
@@ -549,7 +549,7 @@ class TestFacadeAndStream:
             # respawn it with cause "crash" before the heartbeat runs.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                counters = index.engine.failure_counters()
+                counters = index.engine.counters()
                 if counters["respawns_by_cause"].get("heartbeat", 0) >= 1:
                     break
                 time.sleep(0.05)

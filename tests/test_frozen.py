@@ -1030,11 +1030,7 @@ def _assert_shards_match(index, references, queries):
             dedup=spec.dedup,
         )
         expected = engine.query_batch(queries)
-        got = (
-            index.engine.query_batch(queries)
-            if index.num_shards == 1
-            else index.engine.shard_query_batch(s, queries, spec.radius)
-        )
+        got = index.engine.shard_query_batch(s, queries, spec.radius)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_results_equal(a, b)
@@ -1082,12 +1078,9 @@ class TestServingLayout:
             # threshold: each starts a background re-freeze.
             num_shards = spec.num_shards
             new = rng.normal(size=(num_shards * (DEFAULT_REFREEZE_THRESHOLD + 1), 10))
-            route = (
-                index.engine.peek_assignment(len(new))
-                if num_shards > 1
-                else np.zeros(len(new), dtype=np.int64)
-            )
-            assert index.insert(new).tolist() == list(range(400, 400 + len(new)))
+            ids = index.insert(new)
+            assert ids.tolist() == list(range(400, 400 + len(new)))
+            route = ids % num_shards
             for s, reference in enumerate(references):
                 reference.insert(new[route == s])
             queries = np.concatenate([queries, new[:3]])

@@ -51,8 +51,9 @@ from repro.service.workers import (
     WorkerPool,
     _checked_block,
     _TransportFailure,
-    merge_radius_results,
 )
+
+from conftest import merge_radius_results
 
 N, DIM, SHARDS = 400, 10, 2
 PREFIX = _PREFIX.size
@@ -477,7 +478,7 @@ class TestReplicatedPipes:
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             for _ in range(4):
                 assert_results_equal(pool.query_batch(queries), expected)
-            counters = pool.failure_counters()
+            counters = pool.counters()
             assert counters["replica_failovers"] >= 1
         finally:
             pool.close()
@@ -515,7 +516,7 @@ class TestTcpReplicaFailover:
         try:
             for _ in range(4):
                 assert_results_equal(pool.query_batch(queries), expected)
-            assert pool.failure_counters()["replica_failovers"] >= 1
+            assert pool.counters()["replica_failovers"] >= 1
         finally:
             pool.close()
             faulty.close()
