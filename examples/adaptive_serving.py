@@ -14,8 +14,8 @@ background), then walks the adaptive layer end to end:
    bit-identical to the exact reference;
 4. online cost-model recalibration from observed stage timings, with
    the decision counters surfaced in ``stats_snapshot()``;
-5. the JSON-lines stream protocol v2 envelope carrying the same
-   outcome metadata per response.
+5. the JSON-lines stream protocol v2 body carrying the same
+   result metadata per response.
 
 Run with::
 

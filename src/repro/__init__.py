@@ -22,10 +22,8 @@ True
 
 from repro.api import (
     AdaptivePolicy,
-    BatchOutcome,
     Index,
     IndexSpec,
-    QueryOutcome,
     QuerySpec,
     available_families,
     get_family,
@@ -59,10 +57,8 @@ __version__ = "1.1.0"
 
 __all__ = [
     "AdaptivePolicy",
-    "BatchOutcome",
     "Index",
     "IndexSpec",
-    "QueryOutcome",
     "QuerySpec",
     "register_family",
     "get_family",

@@ -8,7 +8,9 @@ gives it a single surface:
   (``to_dict`` / ``from_dict``) so the CLI, the JSON-lines protocol
   and saved-index files all speak the same document;
 * :class:`Index` — ``Index.build(points, spec)``, one
-  ``index.query(QuerySpec)`` for radius / top-k / batch,
+  ``index.query(QuerySpec)`` for radius / top-k / batch, answered with
+  the engine's frozen :class:`QueryResult` (a tuple of them for a
+  batch),
   ``insert``, and full ``save`` / ``Index.open`` persistence
   (including sharded indexes);
 * the LSH-family registry — :func:`register_family` /
@@ -18,18 +20,17 @@ gives it a single surface:
 """
 
 from repro.api.facade import Index, ServiceStats
-from repro.api.outcome import BatchOutcome, QueryOutcome
 from repro.api.persist import open_index, save_index
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
+from repro.core.results import QueryResult
 from repro.hashing.base import available_families, get_family, register_family
 
 __all__ = [
     "AdaptivePolicy",
-    "BatchOutcome",
     "Index",
     "IndexSpec",
-    "QueryOutcome",
+    "QueryResult",
     "QuerySpec",
     "ServiceStats",
     "save_index",

@@ -9,8 +9,8 @@
   timing-calibrated), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
   radius, exact top-k, single or batch — through one method, returning
-  a :class:`~repro.api.outcome.QueryOutcome` /
-  :class:`~repro.api.outcome.BatchOutcome`;
+  the engine's own frozen :class:`~repro.core.results.QueryResult` (a
+  tuple of them for a batch);
 * :meth:`Index.insert` routes new points in and invalidates only the
   affected shards' cache entries (the cache stores per-shard partial
   answers under shard-tagged keys);
@@ -29,7 +29,6 @@ from typing import Any, cast
 
 import numpy as np
 
-from repro.api.outcome import BatchOutcome, QueryOutcome
 from repro.api.spec import IndexSpec, QuerySpec, check_probe_budget
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.calibration import (
@@ -484,14 +483,15 @@ class Index:
     # ------------------------------------------------------------------
     def query(
         self, request: QuerySpec | np.ndarray, radius: float | None = None
-    ) -> QueryOutcome | BatchOutcome:
+    ) -> QueryResult | tuple[QueryResult, ...]:
         """Answer one :class:`~repro.api.spec.QuerySpec` (or raw vector/matrix).
 
         Radius requests return points within the radius; ``k`` requests
         return the exact k nearest neighbors.  A single-vector request
-        returns one :class:`~repro.api.outcome.QueryOutcome`, a matrix a
-        :class:`~repro.api.outcome.BatchOutcome` (answered through the
-        batched engine) — the same envelope on every execution path.
+        returns one :class:`~repro.core.results.QueryResult`, a matrix a
+        tuple of them, one per row (answered through the batched
+        engine) — the engine's own frozen results, the same type on
+        every execution path.
 
         The request's ``adaptive`` / ``target_candidates`` /
         ``quality_floor`` fields override the index's
@@ -520,8 +520,8 @@ class Index:
                 policy=policy,
             )
         if request.single:
-            return QueryOutcome.from_result(results[0])
-        return BatchOutcome(tuple(QueryOutcome.from_result(r) for r in results))
+            return results[0]
+        return tuple(results)
 
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points; only the receiving shards' cache entries drop.

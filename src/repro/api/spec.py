@@ -307,8 +307,8 @@ class QuerySpec:
 
     ``queries`` is normalised to a ``(q, d)`` float matrix; ``single``
     records whether the caller passed one vector (the facade then
-    returns one :class:`~repro.api.outcome.QueryOutcome` instead of a
-    :class:`~repro.api.outcome.BatchOutcome`).
+    returns one :class:`~repro.core.results.QueryResult` instead of a
+    tuple of them).
 
     Examples
     --------

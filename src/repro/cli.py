@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--inflight", type=int, default=1, metavar="B",
-        help="in-flight batch window; > 1 enables the concurrent request "
-             "loop (reader thread, responses kept in request order)",
+        help="in-flight batch window: up to B micro-batches run at once "
+             "(responses kept in request order)",
     )
     p_serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -443,7 +443,7 @@ def _fault_policy_from_args(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
     from repro.api import Index
     from repro.exceptions import ConfigurationError
-    from repro.service import serve_stream, serve_stream_concurrent
+    from repro.service import serve_stream
 
     stdin = sys.stdin if stdin is None else stdin
     stdout = sys.stdout if stdout is None else stdout
@@ -506,23 +506,15 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
         "(one JSON request per line; Ctrl-D to stop)",
         file=sys.stderr,
     )
-    if args.inflight > 1:
-        responses = serve_stream_concurrent(
-            index,
-            stdin,
-            batch_size=args.batch_size,
-            window=args.inflight,
-            default_allow_partial=args.allow_partial,
-        )
-    else:
-        lines, more_ready = _line_stream_with_probe(stdin)
-        responses = serve_stream(
-            index,
-            lines,
-            batch_size=args.batch_size,
-            more_ready=more_ready,
-            default_allow_partial=args.allow_partial,
-        )
+    lines, more_ready = _line_stream_with_probe(stdin)
+    responses = serve_stream(
+        index,
+        lines,
+        batch_size=args.batch_size,
+        more_ready=more_ready,
+        window=args.inflight,
+        default_allow_partial=args.allow_partial,
+    )
     stop_stats = _start_stats_reporter(
         index, getattr(args, "stats_interval", 0.0), getattr(args, "stats_log", None)
     )

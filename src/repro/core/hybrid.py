@@ -364,12 +364,14 @@ class HybridSearcher:
                     scanned = linear_partition()
             if lsh_rows:
                 lsh_partition()
-        for i, result in zip(linear_rows, scanned):
+        for i, row in zip(linear_rows, scanned):
             # A linear scan genuinely examines every point.
-            result.stats = self._stats(
+            stats = self._stats(
                 lookups[i].num_collisions, verdicts[i], n, probes[i], linear_cost
             )
-            results[i] = result
+            results[i] = QueryResult(
+                ids=row.ids, distances=row.distances, radius=row.radius, stats=stats
+            )
         return results
 
     def decide(self, query: np.ndarray) -> Strategy:

@@ -1,6 +1,7 @@
 """Result and statistics types returned by the search strategies.
 
-Every searcher returns a :class:`QueryResult`; hybrid search fills in
+Every searcher returns a :class:`QueryResult`, and so does
+:meth:`repro.api.Index.query`; hybrid search fills in
 the decision diagnostics (:class:`QueryStats`) that the Figure 3 and
 Table 1 experiments aggregate — which strategy ran, the exact collision
 count, and the estimated vs. exact candidate-set size.
@@ -53,8 +54,6 @@ class QueryStats:
         when it is below ``linear_cost``.
     strategy:
         The strategy that produced the answer.
-    elapsed_seconds:
-        Wall-clock time of the query (set by the evaluation runner).
     probes_used:
         Probe rings examined per table beyond the home bucket; -1 when
         the path does not track probing (plain layouts, pure linear).
@@ -72,14 +71,19 @@ class QueryStats:
     estimated_lsh_cost: float = float("nan")
     linear_cost: float = float("nan")
     strategy: Strategy = Strategy.LSH
-    elapsed_seconds: float = 0.0
     probes_used: int = -1
     exact: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryResult:
     """Answer to one rNNR query.
+
+    Every execution path answers with this type, and
+    :meth:`repro.api.Index.query` hands it to the caller as is.  It is
+    frozen because one object may be shared: a cached answer, the lone
+    part of a one-shard merge and in-batch duplicate queries all hand
+    out the same result.
 
     Attributes
     ----------
@@ -88,7 +92,7 @@ class QueryResult:
     distances:
         Distances of the reported points, aligned with ``ids``.
     radius:
-        The query radius ``r``.
+        The query radius ``r`` (for top-k answers: the k-th distance).
     stats:
         Decision diagnostics (see :class:`QueryStats`).
     degraded:
@@ -112,6 +116,31 @@ class QueryResult:
         """Number of reported near neighbors."""
         return int(self.ids.shape[0])
 
+    @property
+    def strategy(self) -> str:
+        """The answering strategy as a plain string: lsh, linear or hybrid."""
+        return self.stats.strategy.value
+
+    @property
+    def probes_used(self) -> int:
+        """Probe rings examined per table beyond the home bucket (-1: untracked)."""
+        return int(self.stats.probes_used)
+
+    @property
+    def candidates_examined(self) -> int:
+        """Distinct candidates whose exact distance was computed (-1: unknown)."""
+        return int(self.stats.exact_candidates)
+
+    @property
+    def estimated_candidates(self) -> float:
+        """The ``candSize`` the dispatch verdict was taken at (``nan``: no decision)."""
+        return float(self.stats.estimated_candidates)
+
+    @property
+    def exact(self) -> bool:
+        """True when the answer is exact by construction."""
+        return bool(self.stats.exact)
+
     def recall_against(self, true_ids: np.ndarray) -> float:
         """Fraction of ``true_ids`` present in this result.
 
@@ -123,8 +152,33 @@ class QueryResult:
             return 1.0
         return float(np.isin(true_ids, self.ids).mean())
 
+    def as_dict(self) -> dict[str, object]:
+        """JSON-friendly answer document (the stream protocol's body).
+
+        ``ids`` and ``distances`` become plain lists; a ``nan``
+        ``estimated_candidates`` (no dispatch decision was taken — a
+        dispatched row always carries a finite one) becomes ``None``
+        (JSON has no NaN); the engine diagnostics are deliberately
+        excluded — they are in-process objects.
+        """
+        estimated: float | None = self.estimated_candidates
+        if estimated != estimated:  # nan
+            estimated = None
+        return {
+            "ids": [int(i) for i in self.ids],
+            "distances": [float(d) for d in self.distances],
+            "radius": float(self.radius),
+            "strategy": self.strategy,
+            "probes_used": self.probes_used,
+            "candidates_examined": self.candidates_examined,
+            "estimated_candidates": estimated,
+            "exact": self.exact,
+            "degraded": bool(self.degraded),
+            "missing_shards": list(self.missing_shards),
+        }
+
     def __repr__(self) -> str:
         return (
             f"QueryResult(r={self.radius}, found={self.output_size}, "
-            f"strategy={self.stats.strategy.value})"
+            f"strategy={self.strategy})"
         )

@@ -23,10 +23,10 @@ preserving the paper's semantics exactly:
   in standalone :class:`ShardServer` processes behind a
   :class:`TcpTransport` (``python -m repro.cli shard-serve``), with
   replica endpoints and automatic failover.
-* :func:`serve_stream` — a JSON-lines request/response protocol over a
-  :class:`repro.api.Index` (see ``python -m repro.cli serve``);
-  :func:`serve_stream_concurrent` overlaps in-flight batches behind a
-  reader thread while keeping responses in request order.
+* :func:`serve_stream` — the JSON-lines request/response loop over a
+  :class:`repro.api.Index` (see ``python -m repro.cli serve``); up to
+  ``window`` micro-batches run at once, and responses stay in request
+  order.
 * :class:`ServiceStats` — the counters, latency histogram and gauges an
   index keeps while serving.
 
@@ -41,7 +41,7 @@ from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
 from repro.service.shard_server import ShardServer
 from repro.service.stats import ServiceStats
-from repro.service.stream import serve_stream, serve_stream_concurrent
+from repro.service.stream import serve_stream
 from repro.service.transport import (
     InlineTransport,
     PipeTransport,
@@ -61,5 +61,4 @@ __all__ = [
     "TcpTransport",
     "WorkerPool",
     "serve_stream",
-    "serve_stream_concurrent",
 ]

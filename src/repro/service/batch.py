@@ -145,10 +145,6 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def query(self, query: np.ndarray, radius: float | None = None) -> QueryResult:
-        """Answer one query (a batch of size one)."""
-        return self.query_batch(np.asarray(query)[None, :], radius)[0]
-
     def query_batch(
         self,
         queries: np.ndarray,

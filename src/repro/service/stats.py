@@ -34,8 +34,8 @@ class ServiceStats:
     """Running counters, histograms, and gauges of a served index.
 
     One stats object is shared by every thread of a concurrent serving
-    front-end (``serve_stream_concurrent`` fans batches out to a thread
-    pool and every worker accounts into the same object), so all
+    front-end (``serve_stream`` with ``window > 1`` runs batches on a
+    thread pool and every thread accounts into the same object), so all
     mutating accessors take an internal lock.  Reads of a single
     counter are atomic anyway; :meth:`as_dict` locks so a snapshot is
     internally consistent.  The object never crosses a process boundary

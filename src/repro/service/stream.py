@@ -8,7 +8,7 @@ One request per line, one response per line, in order:
   "strategy": "lsh", "radius": r, "probes_used": p,
   "candidates_examined": c, "estimated_candidates": e, "exact": bool,
   "degraded": bool, "missing_shards": [..]}`` — the JSON rendering of
-  :class:`repro.api.QueryOutcome`;
+  :class:`repro.api.QueryResult` (:meth:`~repro.core.results.QueryResult.as_dict`);
 * ``{"query": [..], "k": 10}`` — a top-k query (same response shape,
   ordered by ascending distance);
 * either query kind may add the adaptive-execution fields ``"adaptive"``
@@ -38,8 +38,9 @@ One request per line, one response per line, in order:
 Consecutive radius-query lines are micro-batched: while more input is
 already waiting (see ``more_ready``), up to ``batch_size`` of them are
 answered with one engine batch (grouped by radius), which is where the
-batched engine's throughput comes from; an idle interactive client
-always gets its response immediately.  Request lines are untrusted
+batched engine's throughput comes from, and up to ``window`` batches
+run at once; an idle interactive client always gets its response
+immediately.  Request lines are untrusted
 input: a malformed line, a wrongly typed field or a non-finite number
 produces ``{"error": "..."}`` without disturbing neighbouring requests.
 
@@ -48,13 +49,10 @@ produces ``{"error": "..."}`` without disturbing neighbouring requests.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import queue as queue_mod
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -64,7 +62,7 @@ from repro.utils.validation import (
     check_probability,
 )
 
-__all__ = ["serve_stream", "serve_stream_concurrent"]
+__all__ = ["serve_stream"]
 
 
 def _boolean(value: object, name: str) -> bool:
@@ -117,8 +115,8 @@ def _parse_query(
     return query, radius, k, allow_partial, adaptive_key
 
 
-def _answer(outcome) -> str:
-    return json.dumps({"v": 2, "found": outcome.output_size, **outcome.as_dict()})
+def _answer(result) -> str:
+    return json.dumps({"v": 2, "found": result.output_size, **result.as_dict()})
 
 
 def _query_spec_kwargs(
@@ -156,7 +154,7 @@ def _flush(index, pending: list) -> list[str]:
     for (radius, allow_partial, adaptive_key), rows in groups.items():
         batch = np.stack([pending[j][0] for j in rows])
         try:
-            outcomes = index.query(
+            results = index.query(
                 QuerySpec(
                     batch, **_query_spec_kwargs(radius, allow_partial, adaptive_key)
                 )
@@ -168,9 +166,8 @@ def _flush(index, pending: list) -> list[str]:
             for j in rows:
                 responses[j] = error
             continue
-        for j, outcome in zip(rows, outcomes):
-            responses[j] = _answer(outcome)
-    pending.clear()
+        for j, result in zip(rows, results):
+            responses[j] = _answer(result)
     return responses
 
 
@@ -266,53 +263,109 @@ def serve_stream(
     lines: Iterable[str],
     batch_size: int = 64,
     more_ready: Callable[[], bool] | None = None,
+    window: int = 1,
     default_allow_partial: bool = False,
 ) -> Iterator[str]:
     """Yield one JSON response line per JSON request line, in order.
 
     ``index`` is the :class:`repro.api.Index` to serve.  ``more_ready``
     reports whether further input is already waiting (e.g. a ``select``
-    probe on stdin).  Queries are only buffered toward ``batch_size``
-    while it returns ``True``; without it every query is answered
-    immediately, so an interactive client that sends one request and
-    waits never deadlocks — bulk pipes keep the micro-batching because
-    their backlog keeps ``more_ready`` true.
+    probe on stdin).  Radius queries are only buffered toward
+    ``batch_size`` while it returns ``True``; bulk pipes keep the
+    micro-batching because their backlog keeps it true.
+
+    Each radius batch runs on a thread pool of ``window`` threads, and
+    up to ``window`` batches are in flight at once.  While one blocks —
+    most productively on a worker pool, where this side only waits on
+    the shards' replies — the next is already being read and hashed.
+    While batches are in flight and no input is waiting, the loop waits
+    on the oldest batch, probing ``more_ready`` every 20 ms: a finished
+    batch reaches an idle client without waiting for its next line, and
+    a line that arrives mid-batch is read at once.  Without
+    ``more_ready`` every line is answered before the next is read, so a
+    client that sends one request and waits never deadlocks.  Ops,
+    top-k queries and malformed lines are barriers: everything in
+    flight is answered first.  A batch that raises still owes one
+    ``{"error": ...}`` line per query, so responses stay aligned.
 
     ``default_allow_partial=True`` (the CLI's ``--allow-partial``) opts
     every query line into degraded answers; individual requests can
     still ask for ``"allow_partial": true`` themselves, but cannot opt
     back out of a server-level default — partiality only ever widens.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    input_waiting = more_ready or (lambda: False)
     state = {"target": index, "owned": False}
     pending: list = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            yield from _flush(state["target"], pending)
-            yield json.dumps({"error": f"bad request: {exc}"})
-            continue
+    inflight: deque = deque()  # (future -> list[str], batch size), in order
+    executor = ThreadPoolExecutor(max_workers=window, thread_name_prefix="repro-serve")
 
-        if "query" in request:
+    def submit() -> None:
+        if pending:
+            batch = list(pending)
+            pending.clear()
+            inflight.append((executor.submit(_flush, state["target"], batch), len(batch)))
+
+    def oldest() -> list[str]:
+        future, count = inflight.popleft()
+        try:
+            return future.result()
+        except Exception as exc:
+            # A failed batch still owes ``count`` lines, or every later
+            # response in the stream is misaligned.
+            return [json.dumps({"error": f"query failed: {exc}"})] * count
+
+    def drain() -> Iterator[str]:
+        submit()
+        while inflight:
+            yield from oldest()
+
+    stream = iter(lines)
+    try:
+        while True:
+            # Reading the next line may block: first hand back what is
+            # done, and wait on the oldest batch while no input waits.
+            while inflight:
+                if inflight[0][0].done():
+                    yield from oldest()
+                elif not input_waiting():
+                    wait([inflight[0][0]], timeout=0.02)
+                else:
+                    break
+            line = next(stream, None)
+            if line is None:
+                break
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+            except ValueError as exc:
+                yield from drain()
+                yield json.dumps({"error": f"bad request: {exc}"})
+                continue
+
+            if "query" not in request:
+                # Ops act on the index state: barrier on everything in flight.
+                yield from drain()
+                yield _handle_op(state, request)
+                continue
             try:
                 query, radius, k, allow_partial, adaptive_key = _parse_query(
                     request, state["target"].dim
                 )
             except (ValueError, TypeError) as exc:
-                yield from _flush(state["target"], pending)
+                yield from drain()
                 yield json.dumps({"error": str(exc)})
                 continue
             allow_partial = allow_partial or default_allow_partial
             if k is not None:
-                # Top-k requests are answered immediately (no batching
-                # across k values); queued radius queries drain first to
-                # keep responses aligned with request order.
-                yield from _flush(state["target"], pending)
+                # Top-k requests are answered at once (no batching across
+                # k values), after everything queued before them.
+                yield from drain()
                 try:
                     yield _answer(
                         _topk(state["target"], query, k, allow_partial, adaptive_key)
@@ -321,15 +374,13 @@ def serve_stream(
                     yield json.dumps({"error": f"query failed: {exc}"})
                 continue
             pending.append((query, radius, allow_partial, adaptive_key))
-            if len(pending) >= batch_size or not (more_ready and more_ready()):
-                yield from _flush(state["target"], pending)
-            continue
-
-        # Non-query ops act on the index state, so drain queued queries
-        # first to keep responses aligned with request order.
-        yield from _flush(state["target"], pending)
-        yield _handle_op(state, request)
-    yield from _flush(state["target"], pending)
+            if len(pending) >= batch_size or not input_waiting():
+                submit()
+            while len(inflight) >= window:
+                yield from oldest()
+        yield from drain()
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _topk(
@@ -344,177 +395,3 @@ def _topk(
 
     kwargs = _query_spec_kwargs(None, allow_partial, adaptive_key)
     return index.query(QuerySpec(query, k=k, **kwargs))
-
-
-def serve_stream_concurrent(
-    index,
-    lines: Iterable[str],
-    batch_size: int = 64,
-    window: int = 4,
-    default_allow_partial: bool = False,
-) -> Iterator[str]:
-    """The concurrent front-end: overlapped batches, ordered responses.
-
-    A reader thread drains ``lines`` into a queue so the serving loop
-    always sees its real backlog; consecutive radius queries are grouped
-    into batches of up to ``batch_size`` and submitted to a small thread
-    pool with at most ``window`` batches in flight.  While one batch
-    blocks — most productively on the worker-pool engine, where the
-    parent thread just waits on pipe replies from the shard processes —
-    the next batch is already being hashed.  Responses are emitted
-    strictly in request order: in-flight futures are consumed in
-    submission order, and every non-query line (ops, top-k, malformed
-    input) acts as a barrier that drains the window first, exactly like
-    the synchronous loop's flush discipline.
-
-    Yields the same responses, in the same order, as
-    :func:`serve_stream` over the same input; only the wall-clock
-    overlap differs.  Result caching on the served index should be left
-    off (or treated as best-effort) — the cache store itself is locked,
-    but hit-rate accounting across overlapped batches is approximate.
-
-    Failure containment: a batch whose worker died mid-flight must not
-    stall the stream.  ``_flush`` already converts per-group engine
-    failures into per-line errors, and anything that still escapes the
-    future (pool shutdown, allocation failures) is converted here into
-    one ``{"error": ...}`` line per buffered query, so responses stay
-    aligned with requests and the loop keeps serving.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    state = {"target": index, "owned": False}
-    inbox: queue_mod.Queue[object] = queue_mod.Queue(maxsize=max(4 * batch_size, 256))
-    _EOF = object()
-    stop = threading.Event()
-
-    def _read_all() -> None:
-        # Bounded puts checked against ``stop`` so the reader can always
-        # exit: if the consumer loop dies (or the generator is closed)
-        # with the inbox full, an unconditional put would pin this
-        # thread — and whatever file handle ``lines`` wraps — forever.
-        try:
-            for line in lines:
-                while not stop.is_set():
-                    try:
-                        inbox.put(line, timeout=0.1)
-                        break
-                    except queue_mod.Full:
-                        continue
-                if stop.is_set():
-                    return
-        finally:
-            while not stop.is_set():
-                try:
-                    inbox.put(_EOF, timeout=0.1)
-                    break
-                except queue_mod.Full:
-                    continue
-
-    reader = threading.Thread(
-        target=_read_all, name="repro-serve-reader", daemon=True
-    )
-    reader.start()
-    executor = ThreadPoolExecutor(max_workers=window, thread_name_prefix="repro-serve")
-    inflight: deque = deque()  # (future -> list[str], batch size), in order
-    pending: list = []
-
-    def _submit() -> None:
-        if pending:
-            batch = list(pending)
-            pending.clear()
-            target = state["target"]
-            inflight.append(
-                (executor.submit(_flush, target, batch), len(batch))
-            )
-
-    def _results_of(future, count: int) -> list[str]:
-        # A failed batch still owes exactly ``count`` response lines,
-        # otherwise every later response in the stream is misaligned.
-        try:
-            return future.result()
-        except Exception as exc:
-            return [json.dumps({"error": f"query failed: {exc}"})] * count
-
-    def _drain_completed():
-        while inflight and inflight[0][0].done():
-            yield from _results_of(*inflight.popleft())
-
-    def _drain_all():
-        _submit()
-        while inflight:
-            yield from _results_of(*inflight.popleft())
-
-    try:
-        while True:
-            # While responses are in flight, poll the inbox instead of
-            # blocking: an interactive client that sent one query and is
-            # now waiting would otherwise deadlock against us — its
-            # response sitting completed in the window, us blocked on
-            # its next line (the concurrent analogue of the synchronous
-            # loop's ``more_ready`` discipline).
-            if inflight:
-                try:
-                    item = inbox.get(timeout=0.02)
-                except queue_mod.Empty:
-                    yield from _drain_completed()
-                    continue
-            else:
-                item = inbox.get()
-            if item is _EOF:
-                break
-            line = str(item).strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                yield from _drain_all()
-                yield json.dumps({"error": f"bad request: {exc}"})
-                continue
-
-            if "query" in request:
-                try:
-                    query, radius, k, allow_partial, adaptive_key = _parse_query(
-                        request, state["target"].dim
-                    )
-                except (ValueError, TypeError) as exc:
-                    yield from _drain_all()
-                    yield json.dumps({"error": str(exc)})
-                    continue
-                allow_partial = allow_partial or default_allow_partial
-                if k is not None:
-                    yield from _drain_all()
-                    try:
-                        yield _answer(
-                            _topk(
-                                state["target"], query, k,
-                                allow_partial, adaptive_key,
-                            )
-                        )
-                    except Exception as exc:
-                        yield json.dumps({"error": f"query failed: {exc}"})
-                    continue
-                pending.append((query, radius, allow_partial, adaptive_key))
-                if len(pending) >= batch_size or inbox.empty():
-                    # Full batch, or no backlog waiting: keep latency low
-                    # by dispatching now (the synchronous loop's
-                    # ``more_ready`` discipline, via the reader queue).
-                    _submit()
-                yield from _drain_completed()
-                while len(inflight) >= window:
-                    yield from _results_of(*inflight.popleft())
-                continue
-
-            # Ops mutate serving state: barrier on everything in flight.
-            yield from _drain_all()
-            yield _handle_op(state, request)
-        yield from _drain_all()
-    finally:
-        stop.set()
-        with contextlib.suppress(queue_mod.Empty):
-            while True:
-                inbox.get_nowait()
-        reader.join(timeout=5.0)
-        executor.shutdown(wait=True)

@@ -1343,9 +1343,8 @@ class WorkerPool:
         """
         radius = self.resolve_radius(radius)
         queries = check_matrix(queries, dim=self.dim, name="queries")
-        # The adaptive policy ships as its JSON document, appended as an
-        # optional 5th element so the wire shape stays backward
-        # compatible (older endpoints see the familiar 4-tuple).
+        # The adaptive policy ships as its JSON document, a fifth
+        # element of the message only when a policy is set.
         if adaptive is not None:
             message_tail = (radius, adaptive.to_dict())
         else:

@@ -1,19 +1,19 @@
-"""Query-adaptive execution and the typed result envelope.
+"""Query-adaptive execution and the one result shape.
 
 The contracts under test:
 
-* :class:`~repro.api.QueryOutcome` / :class:`~repro.api.BatchOutcome`
-  are the only shapes :meth:`repro.api.Index.query` returns, on every
-  execution path; the envelope wraps the engine's own arrays (never a
-  copy) and the stream's response line is its JSON rendering;
+* :meth:`repro.api.Index.query` returns the engine's frozen
+  :class:`~repro.api.QueryResult` (a tuple of them for a batch) on
+  every execution path, and the stream's response line is its JSON
+  rendering;
 * a bounded probe budget (``target_candidates``) only ever *trims*:
   adaptive radius answers are a subset of the fixed-budget answers with
   ``probes_used`` never above the fixed fan-out — and with a
   non-binding budget the answers are bit-identical;
 * adaptive top-k under the default ``quality_floor`` certifies only
-  exact rows, so its answers are bit-identical to the exact top-k
-  reference — across inserts/re-freezes and across the thread, process
-  and TCP transports;
+  exact rows, so its answers — certified rows included — are
+  bit-identical to the exact top-k reference, across inserts/re-freezes
+  and across the thread, process and TCP transports;
 * the EWMA-recalibrated cost model never dispatches a strategy whose
   true cost exceeds 2x the oracle's choice on the calibration set;
 * ``Index.reset_stats()`` propagates through a worker pool: transport
@@ -34,6 +34,7 @@ The contracts under test:
   error bound for the configured ``m``, the same floats as the reference.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -43,12 +44,12 @@ import pytest
 
 from conftest import reference_index
 
+import repro.api.facade as facade
 from repro.api import (
     AdaptivePolicy,
-    BatchOutcome,
     Index,
     IndexSpec,
-    QueryOutcome,
+    QueryResult,
     QuerySpec,
 )
 from repro.core.adaptive import CostModelTuner
@@ -187,7 +188,7 @@ class TestEnvelope:
 
     def test_single_query_returns_outcome(self, index):
         out = index.query(QuerySpec(_points(500, seed=0)[7]))
-        assert isinstance(out, QueryOutcome)
+        assert isinstance(out, QueryResult)
         assert out.output_size == len(out.ids) == len(out.distances)
         assert out.strategy in ("lsh", "linear")
         assert out.stats.strategy.value == out.strategy
@@ -195,15 +196,33 @@ class TestEnvelope:
     def test_batch_is_a_sequence(self, index):
         queries = _points(500, seed=0)[:6]
         batch = index.query(QuerySpec(queries))
-        assert isinstance(batch, BatchOutcome)
+        assert isinstance(batch, tuple)
         assert len(batch) == 6
-        assert isinstance(batch[0], QueryOutcome)
-        assert isinstance(batch[1:3], BatchOutcome) and len(batch[1:3]) == 2
+        assert all(isinstance(row, QueryResult) for row in batch)
+        assert isinstance(batch[1:3], tuple) and len(batch[1:3]) == 2
         assert [o.output_size for o in batch] == [
             batch[i].output_size for i in range(6)
         ]
-        assert sum(batch.strategy_counts.values()) == 6
-        assert batch.degraded_count == 0
+        assert not any(row.degraded for row in batch)
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_results_refuse_attribute_writes(self, cache_size):
+        """A result may be shared (a cache hit, a one-shard merge's lone
+        part, an in-batch duplicate), so no caller can write to one."""
+        points = _points(500, seed=0)
+        index = Index.build(points, _spec(num_shards=2, cache_size=cache_size))
+        try:
+            for _ in range(2):  # with a cache, the second pass is all hits
+                single = index.query(QuerySpec(points[7]))
+                (row, twin) = index.query(QuerySpec(points[[3, 3]]))
+                for result in (single, row, twin):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        result.ids = np.empty(0, dtype=np.int64)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        result.stats = result.stats
+            assert index.stats_snapshot()["cache_hits"] == (3 if cache_size else 0)
+        finally:
+            index.close()
 
     def test_topk_outcome_is_exact(self, index):
         out = index.query(QuerySpec(_points(500, seed=0)[7], k=5))
@@ -293,9 +312,7 @@ class TestOneEnvelope:
                 assert np.array_equal(outcome.ids, row.ids)
                 assert np.array_equal(outcome.distances, row.distances)
                 assert outcome.strategy == outcome.stats.strategy.value
-                wrapped = QueryOutcome.from_result(row)
-                assert wrapped.ids is row.ids  # the envelope never copies
-                assert wrapped.distances is row.distances
+                assert outcome.as_dict() == row.as_dict()
             (reply,) = serve_stream(
                 index, [json.dumps({"query": queries[0].tolist()})]
             )
@@ -590,7 +607,7 @@ class TestEstimatorWorkUnits:
 
     @staticmethod
     def _arm(index, points, layout):
-        """The searcher a layout arm drives, and its batch as outcomes:
+        """The searcher a layout arm drives, and its batch's results:
         ``frozen`` is the served index through the facade, ``dict`` the
         ``LSHIndex`` reference it was frozen from under the same cost
         model."""
@@ -598,9 +615,7 @@ class TestEstimatorWorkUnits:
             return index.engine.searcher, lambda queries: index.query(QuerySpec(queries))
         searcher = HybridSearcher(reference_index(points, index.spec), index.cost_model)
         engine = BatchQueryEngine(searcher, radius=index.spec.radius, dedup=index.spec.dedup)
-        return searcher, lambda queries: [
-            QueryOutcome.from_result(result) for result in engine.query_batch(queries)
-        ]
+        return searcher, engine.query_batch
 
     @pytest.mark.parametrize("layout", ["dict", "frozen"])
     def test_many_small_clusters_merge_nothing(self, monkeypatch, layout):
@@ -754,6 +769,35 @@ class TestAdaptiveTopKProperties:
                 # not break the certification rule.
                 adaptive.insert(extra)
                 fixed.insert(extra)
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_certified_rows_equal_exact_topk(self, monkeypatch, k):
+        """Rows radius-from-k certifies are answered from the radius
+        batch, and at the default ``quality_floor`` each equals the
+        exact top-k row.  Fig. 1's dense cluster at ``beta / alpha = 1``
+        (MNIST's ratio) sends enough rows to the scan to certify some."""
+        certified = []
+
+        def counting(row, k):
+            certified.append(row)
+            return topk_from_radius(row, k)
+
+        topk_from_radius = facade._topk_from_radius
+        monkeypatch.setattr(facade, "_topk_from_radius", counting)
+        points = _fig1_points(400, seed=4)
+        index = Index.build(points, _spec(cost_ratio=1.0, adaptive=AdaptivePolicy()))
+        try:
+            queries = points[::10]
+            answers = index.query(QuerySpec(queries, k=k))
+            exact = index.engine.query_topk_batch(queries, k)
+        finally:
+            index.close()
+        assert certified and all(row.exact for row in certified)
+        assert len(answers) == len(exact) == len(queries)
+        for got, want in zip(answers, exact):
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
+            assert got.radius == want.radius
 
     def test_adaptive_topk_records_radius_estimates(self):
         points = _points(300, seed=9)

@@ -76,7 +76,7 @@ class TestEngineSurface:
     def test_built_engine_single_query(self, gaussian_points):
         index = build(gaussian_points, radius=1.0, num_tables=6, seed=1)
         engine = index.engine
-        result = engine.query(gaussian_points[11])
+        result = engine.query_batch(gaussian_points[11][None])[0]
         assert 11 in result.ids
         assert engine.n == gaussian_points.shape[0]
         assert engine.dim == gaussian_points.shape[1]
@@ -85,8 +85,8 @@ class TestEngineSurface:
     def test_radius_override_and_missing(self, searcher, gaussian_points):
         engine = BatchQueryEngine(searcher)  # no default radius
         with pytest.raises(ConfigurationError):
-            engine.query(gaussian_points[0])
-        assert engine.query(gaussian_points[0], radius=0.8).radius == 0.8
+            engine.query_batch(gaussian_points[0][None])
+        assert engine.query_batch(gaussian_points[0][None], radius=0.8)[0].radius == 0.8
 
     def test_rejects_bad_dedup(self, searcher):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,7 @@
 """ServiceStats is accounted into from many threads at once.
 
-``serve_stream_concurrent`` fans batches out to a thread pool, and every
-worker thread accounts into the *same* stats object; before the stats
+``serve_stream(..., window=W)`` runs batches on a thread pool, and every
+pool thread accounts into the *same* stats object; before the stats
 lock landed, the bare ``+=`` counters silently lost updates under
 contention.  These tests hammer the mutating accessors from many
 threads and assert the totals are exact.

@@ -1,20 +1,23 @@
-"""The concurrent request loop must be observationally synchronous.
+"""The request loop's in-flight window must be observationally synchronous.
 
-``serve_stream_concurrent`` overlaps in-flight batches behind a reader
-thread, but the wire contract is unchanged: same responses as
-``serve_stream``, in request order, with ops and top-k acting as
-barriers.  These tests replay mixed request scripts through both loops
+``serve_stream(..., window=W)`` runs up to ``W`` micro-batches at once,
+but the wire contract is the one-at-a-time loop's: the same responses,
+in request order, with ops and top-k acting as barriers.  These tests
+replay mixed request scripts with ``window=1`` and no backlog probe
+(every line answered before the next is read) and with a wider window
+behind a probe that always reports a backlog, as a bulk pipe would,
 and require byte-equal response sequences (modulo timing counters in
 the stats payload).
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec
-from repro.service.stream import serve_stream, serve_stream_concurrent
+from repro.service.stream import serve_stream
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,15 @@ def _normalise(line):
     return doc
 
 
+def _backlog():
+    """A ``more_ready`` probe for a pipe whose next line always waits."""
+    return True
+
+
+def _windowed(index, lines, window, **kwargs):
+    return serve_stream(index, lines, more_ready=_backlog, window=window, **kwargs)
+
+
 class TestConcurrentLoop:
     @pytest.mark.parametrize("window", [1, 2, 4])
     def test_matches_synchronous_loop_in_order(self, served_index, window):
@@ -66,11 +78,7 @@ class TestConcurrentLoop:
         served_index.reset_stats()
         sync = list(serve_stream(served_index, lines, batch_size=8))
         served_index.reset_stats()
-        concurrent = list(
-            serve_stream_concurrent(
-                served_index, lines, batch_size=8, window=window
-            )
-        )
+        concurrent = list(_windowed(served_index, lines, window, batch_size=8))
         assert len(sync) == len(concurrent) == len(lines)
         for a, b in zip(sync, concurrent):
             assert _normalise(a) == _normalise(b)
@@ -80,9 +88,7 @@ class TestConcurrentLoop:
         served_index.reset_stats()
         sync = list(serve_stream(served_index, lines, batch_size=2))
         served_index.reset_stats()
-        concurrent = list(
-            serve_stream_concurrent(served_index, lines, batch_size=2, window=4)
-        )
+        concurrent = list(_windowed(served_index, lines, 4, batch_size=2))
         for a, b in zip(sync, concurrent):
             assert _normalise(a) == _normalise(b)
 
@@ -114,7 +120,7 @@ class TestConcurrentLoop:
         list(serve_stream(served_index, lines, batch_size=1))
         sync_totals = totals()
         served_index.reset_stats()
-        list(serve_stream_concurrent(served_index, lines, batch_size=1, window=4))
+        list(_windowed(served_index, lines, 4, batch_size=1))
         concurrent_totals = totals()
 
         assert sync_totals == concurrent_totals
@@ -132,7 +138,7 @@ class TestConcurrentLoop:
             for _ in range(30)
         ]
         served_index.reset_stats()
-        list(serve_stream_concurrent(served_index, lines, batch_size=8, window=4))
+        list(_windowed(served_index, lines, 4, batch_size=8))
         stats = served_index.stats
         assert stats.queries_served == len(lines)
         assert stats.latency.count == stats.queries_served
@@ -148,7 +154,7 @@ class TestConcurrentLoop:
         ]
         out = [
             json.loads(r)
-            for r in serve_stream_concurrent(served_index, lines, window=4)
+            for r in _windowed(served_index, lines, 4)
         ]
         assert out[1]["inserted"] == 1
         # The post-insert query must see the point the barrier added.
@@ -156,7 +162,7 @@ class TestConcurrentLoop:
 
     def test_window_must_be_positive(self, served_index):
         with pytest.raises(ValueError):
-            list(serve_stream_concurrent(served_index, [], window=0))
+            list(serve_stream(served_index, [], window=0))
 
     def test_failing_backend_yields_per_line_errors_and_stream_survives(
         self, served_index
@@ -189,7 +195,7 @@ class TestConcurrentLoop:
         ]
         out = [
             json.loads(r)
-            for r in serve_stream_concurrent(flaky, lines, batch_size=4, window=2)
+            for r in _windowed(flaky, lines, 2, batch_size=4)
         ]
         assert len(out) == len(lines)  # alignment preserved
         assert all("error" in doc for doc in out)
@@ -217,68 +223,79 @@ class TestConcurrentLoop:
         good = json.dumps(
             {"query": np.zeros(target.dim).tolist(), "radius": 1.2}
         )
-        out = list(serve_stream_concurrent(target, [good], window=2))
+        out = list(_windowed(target, [good], 2))
         assert len(out) == 1
         assert "found" in json.loads(out[0])
 
     def test_closing_the_generator_early_stops_the_reader(self, served_index):
-        """Abandoning the response stream must not leak a blocked reader.
+        """Abandoning the response stream must not leak a serving thread.
 
-        The reader thread fills a bounded queue; if the consumer stops
-        early the ``finally`` path has to unstick and join it rather
-        than leave it pinned on a full queue forever.
+        Closing the generator with batches in flight runs its
+        ``finally``: the window's thread pool shuts down and every
+        ``repro-serve`` thread has exited when ``close()`` returns.
         """
         rng = np.random.default_rng(19)
         lines = [
             json.dumps({"query": rng.normal(size=served_index.dim).tolist(),
                         "radius": 1.2})
-            for _ in range(3000)  # far more than the inbox bound
+            for _ in range(3000)
         ]
-        responses = serve_stream_concurrent(
-            served_index, iter(lines), batch_size=8, window=2
-        )
+        responses = _windowed(served_index, iter(lines), 2, batch_size=8)
         assert "found" in json.loads(next(responses))
-        responses.close()  # runs the finally: stop, drain, join
+        responses.close()  # runs the finally: shut the pool down, join
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("repro-serve")]
+        assert alive == []
 
     def test_interactive_client_is_never_starved(self, served_index):
         """A client that sends one request and waits must get its answer.
 
         Regression: the loop used to drain completed futures only when
         the *next* input line arrived, deadlocking against a
-        request/response client.
+        request/response client.  Without a backlog probe every line is
+        answered before the next is read, whatever the window.
         """
-        import queue
-        import threading
+        _lockstep(served_index, more_ready=None)
 
-        requests: queue.Queue[str | None] = queue.Queue()
+    def test_idle_client_gets_a_finished_batch_behind_a_probe(self, served_index):
+        """With a probe that sees no waiting input, the loop waits on the
+        in-flight batch instead of blocking on the next line."""
+        _lockstep(served_index, more_ready=lambda requests: not requests.empty())
 
-        def lines():
-            while True:
-                item = requests.get()
-                if item is None:
-                    return
-                yield item
 
-        responses = serve_stream_concurrent(
-            served_index, lines(), batch_size=8, window=2
-        )
-        rng = np.random.default_rng(3)
-        received = []
+def _lockstep(served_index, more_ready):
+    """Send three queries one at a time, each awaited before the next."""
+    import queue
 
-        def consume_one():
-            received.append(json.loads(next(responses)))
+    requests: queue.Queue[str | None] = queue.Queue()
 
-        for _ in range(3):  # strict request -> response lockstep
-            requests.put(
-                json.dumps(
-                    {"query": rng.normal(size=served_index.dim).tolist(),
-                     "radius": 1.2}
-                )
+    def lines():
+        while True:
+            item = requests.get()
+            if item is None:
+                return
+            yield item
+
+    probe = None if more_ready is None else lambda: more_ready(requests)
+    responses = serve_stream(
+        served_index, lines(), batch_size=8, more_ready=probe, window=2
+    )
+    rng = np.random.default_rng(3)
+    received = []
+
+    def consume_one():
+        received.append(json.loads(next(responses)))
+
+    for _ in range(3):  # strict request -> response lockstep
+        requests.put(
+            json.dumps(
+                {"query": rng.normal(size=served_index.dim).tolist(),
+                 "radius": 1.2}
             )
-            consumer = threading.Thread(target=consume_one)
-            consumer.start()
-            consumer.join(timeout=10.0)
-            assert not consumer.is_alive(), "interactive client starved"
-        requests.put(None)
-        assert len(list(responses)) == 0
-        assert all("found" in r for r in received)
+        )
+        consumer = threading.Thread(target=consume_one)
+        consumer.start()
+        consumer.join(timeout=10.0)
+        assert not consumer.is_alive(), "interactive client starved"
+    requests.put(None)
+    assert len(list(responses)) == 0
+    assert all("found" in r for r in received)
