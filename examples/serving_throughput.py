@@ -13,8 +13,8 @@ through the :class:`repro.Index` facade:
    ``query`` method;
 3. live inserts that every later query sees immediately;
 4. a cache-fronted index (``cache_size`` in the spec) absorbing a
-   repeat-heavy query stream — inserts only evict the touched shard's
-   entries;
+   repeat-heavy query stream — it holds whole answers, so an insert
+   drops them all;
 5. save / reopen round-trip: the persisted index answers identically.
 
 Run with::
@@ -82,8 +82,8 @@ rng = np.random.default_rng(0)
 stream = queries[rng.integers(0, 20, size=500)]  # hot set of 20 queries
 for start in range(0, len(stream), 50):          # arrives in micro-batches
     served.query(QuerySpec(stream[start : start + 50]))
-served.insert(queries[:1] + 5e-4)                # evicts ONE shard's partials
-served.query(QuerySpec(stream[:50]))             # 3 of 4 shards still cached
+served.insert(queries[:1] + 5e-4)                # drops every cached answer
+served.query(QuerySpec(stream[:50]))             # recomputed in one batch
 stats = served.stats
 saved = stats.cache_hits + stats.deduplicated
 print(f"service   : {stats.queries_served} served in {stats.batches} batches, "

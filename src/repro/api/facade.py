@@ -11,9 +11,8 @@
   radius, exact top-k, single or batch — through one method, returning
   the engine's own frozen :class:`~repro.core.results.QueryResult` (a
   tuple of them for a batch);
-* :meth:`Index.insert` routes new points in and invalidates only the
-  affected shards' cache entries (the cache stores per-shard partial
-  answers under shard-tagged keys);
+* :meth:`Index.insert` routes new points in and drops every cached
+  answer (the cache stores whole answers, which any insert can change);
 * :meth:`Index.save` / :meth:`Index.open` persist everything —
   per-shard tables and sketches, shard id maps, the spec, and the
   calibrated cost model — so a process restart never rebuilds.
@@ -524,17 +523,16 @@ class Index:
         return tuple(results)
 
     def insert(self, new_points: np.ndarray) -> np.ndarray:
-        """Insert points; only the receiving shards' cache entries drop.
+        """Insert points; returns their ids and drops every cached answer.
 
-        Cache keys are tagged with the shard whose partial answer they
-        hold, so entries for untouched shards stay hot across inserts.
+        A cached entry is a query's whole answer, which a point added
+        to any shard can change, so an insert that assigns ids clears
+        the cache whatever the shard count.
         """
         new_points = check_matrix(new_points, dim=self.dim, name="new_points")
         ids = self.engine.insert(new_points)
-        if self.cache is not None:
-            # New id ``i`` lives on shard ``i % K``.
-            for shard in np.unique(ids % self.num_shards).tolist():
-                self.cache.invalidate_shard(shard)
+        if self.cache is not None and ids.size:
+            self.cache.clear()
         return ids
 
     # ------------------------------------------------------------------
@@ -694,10 +692,9 @@ class Index:
         if self.cache is None or bypass_cache:
             # allow_partial bypasses the cache even when one is
             # configured: a degraded partial answer must never be stored
-            # (it would poison later full-fidelity reads) and per-shard
-            # cache assembly cannot express missing shards.  A policy
+            # (it would poison later full-fidelity reads).  A policy
             # that trims probes (or mutates the cost model) bypasses it
-            # too — trimmed partials must never serve fixed-budget
+            # too — trimmed answers must never serve fixed-budget
             # reads, and vice versa.
             results = self.engine.query_batch(
                 queries,
@@ -707,82 +704,53 @@ class Index:
                 adaptive=adaptive,
             )
         else:
-            # The cache path fans out per shard through map_shards; its
-            # engine work is accounted in the batch latency but not
-            # attributed to stages (the trace stays empty here).
-            results = self._radius_batch_cached(queries, radius)
+            results = self._radius_batch_cached(queries, radius, trace)
         if adaptive is not None and adaptive.bounds_probes:
             self.stats.record_adaptive(probe_queries=len(results))
         self._account(results, queries.shape[0], started, trace)
         return results
 
     def _radius_batch_cached(
-        self, queries: np.ndarray, radius: float
+        self, queries: np.ndarray, radius: float, trace: StageTrace | None
     ) -> list[QueryResult]:
-        """Cache-fronted batch: per-shard partials under shard-tagged keys.
+        """Cache-fronted batch: whole answers keyed on (query, radius).
 
-        A query's answer is the merge of ``K`` shard partials; each
-        partial is cached under its own shard tag, so a query after an
-        insert recomputes only the shards the insert touched.  In-batch
-        duplicates of a missing query are answered once and shared
-        (popular-item storms).
+        A row is a hit or a miss as a whole.  The misses go out in one
+        ``engine.query_batch`` — the uncached path, traced and merged
+        once per batch like any other — and in-batch duplicates of a
+        missing query are answered once and shared (popular-item
+        storms).
         """
         cache = self.cache
         assert cache is not None  # only called on the cache-enabled path
-        engine = self.engine
-        num_shards = engine.num_shards
-        num_queries = queries.shape[0]
-        results: list[QueryResult | None] = [None] * num_queries
-        base_keys = [cache.make_key(q, radius) for q in queries]
-        miss_rep: dict[bytes, int] = {}
+        results: list[QueryResult | None] = [None] * queries.shape[0]
+        misses: dict[bytes, int] = {}  # key -> the row that carries it
         duplicates: list[tuple[int, int]] = []
-        parts_by_row: dict[int, list[QueryResult | None]] = {}
-        shard_miss_rows: list[list[int]] = [[] for _ in range(num_shards)]
-        hits = 0
-        for i, base in enumerate(base_keys):
-            if base in miss_rep:
+        for i, query in enumerate(queries):
+            key = cache.make_key(query, radius)
+            if key in misses:
                 # A batch-mate already carries this missing key: answer
-                # it once and share the result, without touching the
-                # store's hit/miss counters.
-                duplicates.append((i, miss_rep[base]))
+                # it once and share the result.
+                duplicates.append((i, misses[key]))
                 continue
-            parts = [
-                cache.get(base if s == 0 else cache.retag_key(base, s))
-                for s in range(num_shards)
-            ]
-            missing = [s for s, part in enumerate(parts) if part is None]
-            if not missing:
-                results[i] = engine.merge_radius(cast("list[QueryResult]", parts), radius)
-                hits += 1
-            else:
-                miss_rep[base] = i
-                parts_by_row[i] = parts
-                for s in missing:
-                    shard_miss_rows[s].append(i)
-
-        if parts_by_row:
-
-            def work(shard: int) -> list[QueryResult]:
-                rows = shard_miss_rows[shard]
-                if not rows:
-                    return []
-                return engine.shard_query_batch(shard, queries[rows], radius)
-
-            fresh = engine.map_shards(work)
-            for s in range(num_shards):
-                for row, part in zip(shard_miss_rows[s], fresh[s]):
-                    parts_by_row[row][s] = part
-                    key = base_keys[row] if s == 0 else cache.retag_key(base_keys[row], s)
-                    cache.put(key, part)
-            for row, parts in parts_by_row.items():
-                results[row] = engine.merge_radius(cast("list[QueryResult]", parts), radius)
+            results[i] = cache.get(key)
+            if results[i] is None:
+                misses[key] = i
+        if misses:
+            rows = list(misses.values())
+            fresh = self.engine.query_batch(queries[rows], radius, trace=trace)
+            for key, row, result in zip(misses, rows, fresh):
+                cache.put(key, result)
+                results[row] = result
         for i, rep in duplicates:
             results[i] = results[rep]
 
         self.stats.record_cache(
-            hits=hits, misses=len(parts_by_row), deduplicated=len(duplicates)
+            hits=len(results) - len(misses) - len(duplicates),
+            misses=len(misses),
+            deduplicated=len(duplicates),
         )
-        # Every row was filled above (hit, fresh merge, or duplicate share).
+        # Every row was filled above (hit, fresh answer, or duplicate share).
         return cast("list[QueryResult]", results)
 
     def _account(

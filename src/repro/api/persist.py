@@ -67,9 +67,9 @@ def read_shard_gids(path: str, num_shards: int) -> list[np.ndarray]:
 def write_shard_gids(path: str, shard_gids: list[np.ndarray]) -> None:
     """Write the per-shard global-id maps archive (single layout owner).
 
-    Every writer of a sharded artifact — :func:`write_artifact`,
-    :func:`save_index` and
-    :meth:`~repro.service.workers.WorkerPool.checkpoint` — goes through
+    Every writer of a sharded artifact — :func:`write_artifact` and
+    :meth:`~repro.service.workers.WorkerPool.save_shards` (behind
+    :func:`save_index` and ``WorkerPool.checkpoint``) — goes through
     here so the archive's keying scheme has one home.
     """
     target = os.path.join(path, _GIDS_FILE)
@@ -148,10 +148,9 @@ def write_artifact(
     """Write in-process frozen shards as a whole artifact under ``path``.
 
     The one writer of built shards: :meth:`repro.api.Index.build` writes
-    the transient artifact its pool serves through here, and
-    :func:`save_index` a single index.  Shard ``s`` owns the global ids
-    ``shard_gids[s]``, dealt round-robin: new id ``i`` goes to shard
-    ``i % K``.  ``index.json`` records ``next_shard = n % K`` for
+    the transient artifact its pool serves through here.  Shard ``s``
+    owns the global ids ``shard_gids[s]``, dealt round-robin: new id
+    ``i`` goes to shard ``i % K``.  ``index.json`` records ``next_shard = n % K`` for
     readers of the file; the pool derives it from ``n``.
     """
     os.makedirs(path, exist_ok=True)
@@ -166,32 +165,23 @@ def write_artifact(
 
 
 def save_index(index: Any, path: str) -> None:
-    """Persist ``index`` (an :class:`repro.api.Index`) under directory ``path``."""
+    """Persist ``index`` (an :class:`repro.api.Index`) under directory ``path``.
+
+    The engine writes its shards (and, when sharded, the id maps) —
+    a worker pool through the endpoints that own them, compacting any
+    overflow first — and ``index.json`` is committed last around them.
+    """
     from repro.api.facade import Index
-    from repro.service.workers import WorkerPool
 
     if not isinstance(index, Index):
         raise ConfigurationError(
             f"save_index persists repro.api.Index objects, got {type(index).__name__}"
         )
-    engine = index.engine
-    if not isinstance(engine, WorkerPool):
-        single = engine.index
-        write_artifact(
-            path, index.spec, index.cost_model, [single],
-            [np.arange(single.n, dtype=np.int64)],
-        )
-        return
-    # The parent holds no shard state: each owning endpoint writes its
-    # shards (compacting any overflow first), the parent writes the id
-    # maps and metadata around them.
     os.makedirs(path, exist_ok=True)
-    engine.save_shards(path)
-    if engine.num_shards > 1:
-        write_shard_gids(path, engine._shard_gids)
+    index.engine.save_shards(path)
     _write_meta(
         path, index.spec, index.cost_model, index.n, index.dim,
-        engine.num_shards, index.n % engine.num_shards,
+        index.num_shards, index.n % index.num_shards,
     )
 
 

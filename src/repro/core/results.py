@@ -25,9 +25,10 @@ class Strategy(str, enum.Enum):
     HYBRID = "hybrid"  # used only as a label for the dispatching searcher
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryStats:
-    """Decision diagnostics for one query.
+    """Decision diagnostics for one query (frozen, like the
+    :class:`QueryResult` that carries it: a cached answer is shared).
 
     Attributes
     ----------
@@ -81,9 +82,9 @@ class QueryResult:
 
     Every execution path answers with this type, and
     :meth:`repro.api.Index.query` hands it to the caller as is.  It is
-    frozen because one object may be shared: a cached answer, the lone
-    part of a one-shard merge and in-batch duplicate queries all hand
-    out the same result.
+    frozen, and so are its :class:`QueryStats`, because one object may
+    be shared: every hit on a cached answer, and in-batch duplicate
+    queries, hand out the same result.
 
     Attributes
     ----------

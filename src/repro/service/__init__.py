@@ -10,9 +10,9 @@ preserving the paper's semantics exactly:
   grouped distance-matrix pass for all linear-bound queries, and
   vectorised Step-S2 deduplication for the LSH-bound ones.  Results are
   bit-identical to looping :meth:`~repro.core.hybrid.HybridSearcher.query`.
-* :class:`QueryResultCache` — an LRU cache keyed on quantised query
-  vectors (shard-tagged, so inserts evict only the touched shards'
-  entries), for workloads with repeated or near-duplicate queries.
+* :class:`QueryResultCache` — an LRU cache of whole answers keyed on
+  quantised query vectors (an insert drops them all), for workloads
+  with repeated or near-duplicate queries.
 * :class:`WorkerPool` — the one shard coordinator: it serves a saved
   artifact's ``K`` frozen shards, sends each request to the endpoints
   that own them, and merges their answers with exact radius (disjoint

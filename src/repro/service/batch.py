@@ -40,6 +40,7 @@ from repro.core.linear_scan import exact_topk_results
 from repro.core.results import QueryResult, Strategy
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
+from repro.index.frozen import save_frozen_index
 from repro.observability import StageTrace, stage_timer
 
 __all__ = ["BatchQueryEngine"]
@@ -233,29 +234,6 @@ class BatchQueryEngine:
                 np.arange(index.n, dtype=np.int64), [block], k, index.n
             )
 
-    # ------------------------------------------------------------------
-    # The cache path: shard 0 of 1
-    # ------------------------------------------------------------------
-    def shard_query_batch(
-        self,
-        shard: int,
-        queries: np.ndarray,
-        radius: float,
-        adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
-        """The one shard's answers (its local ids are the global ones)."""
-        return self.query_batch(queries, radius, adaptive=adaptive)
-
-    def merge_radius(self, parts: list[QueryResult], radius: float) -> QueryResult:
-        """One shard's part is the whole answer."""
-        return parts[0]
-
-    def map_shards(
-        self, work: Callable[[int], list[QueryResult]]
-    ) -> list[list[QueryResult]]:
-        """``work(0)``, on the calling thread."""
-        return [work(0)]
-
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Add points to the served index; returns their assigned ids.
 
@@ -263,6 +241,13 @@ class BatchQueryEngine:
         once (the searcher refreshes its scan on the next query).
         """
         return self.index.insert(new_points)
+
+    def save_shards(self, path: str) -> None:
+        """Write the served index under ``path`` as the artifact's shard
+        0; the caller writes ``index.json`` around it."""
+        from repro.service.shard_server import _shard_dir
+
+        save_frozen_index(self.index, _shard_dir(path, 0))
 
     # ------------------------------------------------------------------
     # Telemetry and shutdown

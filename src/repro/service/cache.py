@@ -11,11 +11,11 @@ entry.  With the default tiny quantum this only canonicalises float
 noise (and ``-0.0`` vs ``0.0``); pass a coarser quantum to trade exact
 answers for hit rate, or ``quantum=0`` to key on raw bytes.
 
-Every key carries a *shard tag* (default shard 0).  A sharded serving
-layer stores each shard's partial answer under its own tag, so an
-insert that touches only some shards can evict exactly those shards'
-entries (:meth:`QueryResultCache.invalidate_shard`) and keep the rest
-hot — instead of dropping the whole cache on every insert.
+An entry is a query's whole answer — on a sharded index, the merged
+one — so any insert makes every entry stale: :meth:`repro.api.Index.insert`
+drops them all (:meth:`QueryResultCache.clear`).  Hits and misses are
+counted by the serving layer (``ServiceStats.cache_hits`` /
+``cache_misses``), not here.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class QueryResultCache:
     Notes
     -----
     Cached :class:`~repro.core.results.QueryResult` objects are returned
-    by reference; callers must treat them as immutable.
+    by reference; they and their stats are frozen, so no caller can
+    alter what a later hit reads.
 
     Examples
     --------
@@ -68,14 +69,9 @@ class QueryResultCache:
         # (overlapped in-flight batches) can share one cache; the
         # OrderedDict relink in get()/put() is not atomic under threads.
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
 
-    #: byte width of the shard tag prefixed to every key
-    _TAG_BYTES = 4
-
-    def make_key(self, query: np.ndarray, radius: float, shard: int = 0) -> bytes:
-        """Build the cache key for one query vector, radius and shard tag."""
+    def make_key(self, query: np.ndarray, radius: float) -> bytes:
+        """Build the cache key for one query vector and radius."""
         query = np.ascontiguousarray(query, dtype=np.float64)
         if self.quantum:
             # + 0.0 canonicalises -0.0 so symmetric queries share a key.
@@ -89,41 +85,14 @@ class QueryResultCache:
                 payload = b"r" + query.tobytes()
         else:
             payload = b"r" + query.tobytes()
-        return self._tag(shard) + np.float64(radius).tobytes() + payload
-
-    def _tag(self, shard: int) -> bytes:
-        return int(shard).to_bytes(self._TAG_BYTES, "little")
-
-    def retag_key(self, key: bytes, shard: int) -> bytes:
-        """The same (query, radius) key under a different shard tag.
-
-        Cheaper than re-quantising the vector when one query needs a
-        key per shard.
-        """
-        return self._tag(shard) + key[self._TAG_BYTES:]
-
-    def invalidate_shard(self, shard: int) -> int:
-        """Drop every entry tagged with ``shard``; returns the count dropped.
-
-        Hit/miss counters are kept — unlike :meth:`clear`, this is a
-        partial, consistency-driven eviction, not a reset.
-        """
-        tag = self._tag(shard)
-        with self._lock:
-            stale = [key for key in self._store if key[: self._TAG_BYTES] == tag]
-            for key in stale:
-                del self._store[key]
-        return len(stale)
+        return np.float64(radius).tobytes() + payload
 
     def get(self, key: bytes) -> QueryResult | None:
-        """Look up a key, refreshing its recency; counts the hit/miss."""
+        """Look up a key, refreshing its recency (None on a miss)."""
         with self._lock:
             result = self._store.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._store.move_to_end(key)
-            self.hits += 1
+            if result is not None:
+                self._store.move_to_end(key)
             return result
 
     def put(self, key: bytes, result: QueryResult) -> None:
@@ -134,18 +103,10 @@ class QueryResultCache:
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def clear(self) -> None:
-        """Drop all entries and reset the counters."""
+        """Drop every entry."""
         with self._lock:
             self._store.clear()
-            self.hits = 0
-            self.misses = 0
 
     def __len__(self) -> int:
         return len(self._store)
@@ -153,5 +114,5 @@ class QueryResultCache:
     def __repr__(self) -> str:
         return (
             f"QueryResultCache(size={len(self)}/{self.maxsize}, "
-            f"quantum={self.quantum:g}, hit_rate={self.hit_rate:.2f})"
+            f"quantum={self.quantum:g})"
         )

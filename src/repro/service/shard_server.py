@@ -61,7 +61,7 @@ import time
 import numpy as np
 
 from repro.core.cost_model import CostModel
-from repro.core.results import QueryResult, QueryStats, Strategy
+from repro.core.results import QueryResult, Strategy
 from repro.distances import get_metric
 from repro.distances.matrix import pairwise_distances
 from repro.faults import send_reply, swallow_request
@@ -104,9 +104,8 @@ STATS_COLUMNS = (
     "exact",
 )
 
-#: stats-matrix code of each strategy (its position here).
-_STRATEGIES = tuple(Strategy)
-_STRATEGY_CODES = {strategy: code for code, strategy in enumerate(_STRATEGIES)}
+#: stats-matrix code of each strategy (its position in ``Strategy``).
+_STRATEGY_CODES = {strategy: code for code, strategy in enumerate(Strategy)}
 
 
 def _pack_block(results: list[QueryResult]) -> tuple:
@@ -140,38 +139,6 @@ def _pack_block(results: list[QueryResult]) -> tuple:
     ids = np.concatenate([r.ids for r in results]).astype(np.uint32)
     distances = np.concatenate([r.distances for r in results])
     return counts, ids, distances, stats
-
-
-def _stats_from_row(row: list) -> QueryStats:
-    """One :data:`STATS_COLUMNS` row back into a :class:`QueryStats`."""
-    nc, est, exact_cands, lsh_cost, lin_cost, strategy, probes, exact = row
-    return QueryStats(
-        num_collisions=int(nc),
-        estimated_candidates=float(est),
-        exact_candidates=int(exact_cands),
-        estimated_lsh_cost=float(lsh_cost),
-        linear_cost=float(lin_cost),
-        strategy=_STRATEGIES[int(strategy)],
-        probes_used=int(probes),
-        exact=bool(exact),
-    )
-
-
-def _unpack_block(block: tuple, radius: float) -> list[QueryResult]:
-    """A radius-reply block back into per-query shard-local results
-    (ids widened back to ``int64``, the dtype results carry)."""
-    counts, ids, distances, stats = block
-    ids = ids.astype(np.int64)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [
-        QueryResult(
-            ids=ids[bounds[i]:bounds[i + 1]],
-            distances=distances[bounds[i]:bounds[i + 1]],
-            radius=radius,
-            stats=_stats_from_row(row),
-        )
-        for i, row in enumerate(stats.tolist())
-    ]
 
 
 def _payload_nbytes(obj) -> int:

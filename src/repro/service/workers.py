@@ -21,8 +21,8 @@ where the endpoints run:
 
 :class:`repro.api.Index` calls the pool directly: it presents the
 same surface as the unsharded :class:`~repro.service.batch.BatchQueryEngine`
-(queries, the cache path's per-shard members, inserts, its own counters,
-gauges and shutdown), so the facade never asks which engine serves it.
+(queries, inserts, saves, its own counters, gauges and shutdown), so the
+facade never asks which engine serves it.
 
 Transports and replica sets
 ---------------------------
@@ -47,8 +47,8 @@ replica that was down when the insert happened.
 
 The exchange loop
 -----------------
-Every request — radius, top-k, ``stats``, ``reset``, insert, one shard's
-``shard_query_batch`` — travels :meth:`WorkerPool._exchange`, scatter and
+Every request — radius, top-k, ``stats``, ``reset``, insert, save —
+travels :meth:`WorkerPool._exchange`, scatter and
 gather both on the calling thread: no thread is started or woken on the
 way.  Per attempt round, in ascending worker order, it picks one replica
 per still-pending worker (reads rotate round-robin across a slot's
@@ -115,7 +115,6 @@ import socket
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _dc_replace
 from itertools import accumulate
 
@@ -138,7 +137,6 @@ from repro.service.shard_server import (
     _pack_block,
     _payload_nbytes,
     _shard_dir,
-    _unpack_block,
     open_shard_state,
     serve_pipe_worker,
 )
@@ -490,9 +488,6 @@ class WorkerPool:
         self._route_lock = threading.Lock()
         self._insert_log: list[list] = [[] for _ in range(self.num_workers)]
         self._insert_seq = [0] * self.num_shards
-        self._fanout = ThreadPoolExecutor(
-            max_workers=self.num_workers, thread_name_prefix="repro-pool"
-        )
         self._hb_stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
         try:
@@ -1269,7 +1264,6 @@ class WorkerPool:
                 with contextlib.suppress(Exception):
                     ep.transport.shutdown()
                 ep.transport = None
-        self._fanout.shutdown(wait=True)
         if self._remove_artifact is not None:
             self._remove_artifact()
 
@@ -1429,28 +1423,16 @@ class WorkerPool:
             )
         return results
 
-    def shard_query_batch(
-        self, shard: int, queries: np.ndarray, radius: float, adaptive=None
-    ) -> list[QueryResult]:
-        """One shard's *local* radius answers (ids are shard-local)."""
-        message = ("radius", [shard], queries, radius)
-        if adaptive is not None:
-            message = message + (adaptive.to_dict(),)
-        reply = self._request(self._owner(shard), message)
-        return _unpack_block(_checked_block(reply, shard, queries.shape[0]), radius)
-
     def merge_radius(self, parts: list[QueryResult], radius: float) -> QueryResult:
         """Merge one query's per-shard local results into the global
-        answer: :meth:`_merge_blocks` over one-row blocks."""
+        answer: :meth:`_merge_blocks` over one-row blocks.
+
+        No product path calls it: its one caller is the benchmark's
+        ``--trace 1`` layer replay (``benchmarks/perf/layers.py``), and
+        ROADMAP item 16(d) deletes it along with that replay.
+        """
         blocks = {s: _pack_block([part]) for s, part in enumerate(parts)}
         return self._merge_blocks(blocks, 1, radius, ())[0]
-
-    def map_shards(self, work) -> list:
-        """Run ``work(s)`` for every shard on the parent fan-out threads."""
-        futures = [
-            self._fanout.submit(work, s) for s in range(self.num_shards)
-        ]
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # Top-k queries (exact)
@@ -1592,11 +1574,12 @@ class WorkerPool:
     # Persistence support
     # ------------------------------------------------------------------
     def save_shards(self, path: str) -> None:
-        """Have each owner write its shards under ``path`` (frozen dirs).
+        """Have each owner write its shards under ``path`` (frozen dirs),
+        and write the id maps beside them when there are several shards.
 
         Workers compact their overflow first (``save_frozen_index``
-        does), so the artifact is pure CSR arrays; the caller writes the
-        metadata and id maps around them.  One serving replica per
+        does), so the artifact is pure CSR arrays; the caller writes
+        ``index.json`` around them.  One serving replica per
         shard performs the save — replicas hold converged state, so any
         of them may.  Note the multi-host caveat in
         :mod:`repro.service.shard_server`: through a TCP endpoint the
@@ -1607,6 +1590,10 @@ class WorkerPool:
                 self._request(
                     w, ("save_shard", s, _shard_dir(path, s))
                 )
+        if self.num_shards > 1:
+            from repro.api.persist import write_shard_gids
+
+            write_shard_gids(path, self._shard_gids)
         if os.path.realpath(path) == os.path.realpath(self.path):
             # Saving in place makes the artifact canonical: a respawned
             # worker now loads the inserts from disk, so replaying the
@@ -1625,11 +1612,9 @@ class WorkerPool:
         swap it in under the live mmaps; the metadata rewrite is a
         fsync'd rename too).
         """
-        from repro.api.persist import _META_FILE, _read_meta, write_shard_gids
+        from repro.api.persist import _META_FILE, _read_meta
 
         self.save_shards(self.path)
-        if self.num_shards > 1:
-            write_shard_gids(self.path, self._shard_gids)
         # Keep the metadata honest: n grows with inserts, and a
         # reopened single-shard pool derives its id map from it.
         meta_path = os.path.join(self.path, _META_FILE)

@@ -83,6 +83,48 @@ def merge_radius_results(shard_gids, shard_results, radius) -> QueryResult:
     return QueryResult(ids=ids[order], distances=distances[order], radius=radius, stats=stats)
 
 
+def unpack_block(block, radius) -> list[QueryResult]:
+    """One shard's flat radius-reply block (``shard_server._pack_block``)
+    back into per-query shard-local results, ids widened to ``int64``."""
+    counts, ids, distances, stats = block
+    ids = ids.astype(np.int64)
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    strategies = tuple(Strategy)
+    return [
+        QueryResult(
+            ids=ids[bounds[i]:bounds[i + 1]],
+            distances=distances[bounds[i]:bounds[i + 1]],
+            radius=radius,
+            stats=QueryStats(
+                num_collisions=int(nc),
+                estimated_candidates=float(est),
+                exact_candidates=int(exact_cands),
+                estimated_lsh_cost=float(lsh_cost),
+                linear_cost=float(lin_cost),
+                strategy=strategies[int(strategy)],
+                probes_used=int(probes),
+                exact=bool(exact),
+            ),
+        )
+        for i, (nc, est, exact_cands, lsh_cost, lin_cost, strategy, probes, exact)
+        in enumerate(stats.tolist())
+    ]
+
+
+def shard_answers(engine, shard, queries, radius) -> list[QueryResult]:
+    """Shard ``shard``'s *local* radius answers (ids are shard-local).
+
+    A worker pool is sent the radius op for that one shard, to the slot
+    that owns it; a single engine is shard 0 of 1 and answers itself.
+    """
+    if not hasattr(engine, "_request"):
+        return engine.query_batch(queries, radius)
+    reply = engine._request(
+        shard % engine.num_workers, ("radius", [shard], queries, radius)
+    )
+    return unpack_block(reply[shard], radius)
+
+
 def shard_states(index) -> list:
     """The :class:`~repro.service.shard_server.ShardState` behind each
     inline endpoint of an in-process sharded index's worker pool."""

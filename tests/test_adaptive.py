@@ -205,13 +205,18 @@ class TestEnvelope:
         ]
         assert not any(row.degraded for row in batch)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
     @pytest.mark.parametrize("cache_size", [0, 64])
-    def test_results_refuse_attribute_writes(self, cache_size):
-        """A result may be shared (a cache hit, a one-shard merge's lone
-        part, an in-batch duplicate), so no caller can write to one."""
+    def test_results_refuse_attribute_writes(self, cache_size, num_shards):
+        """A result may be shared (every hit on a cached answer, an
+        in-batch duplicate), so no caller can write to one or to its
+        stats."""
         points = _points(500, seed=0)
-        index = Index.build(points, _spec(num_shards=2, cache_size=cache_size))
+        index = Index.build(
+            points, _spec(num_shards=num_shards, cache_size=cache_size)
+        )
         try:
+            passes = []
             for _ in range(2):  # with a cache, the second pass is all hits
                 single = index.query(QuerySpec(points[7]))
                 (row, twin) = index.query(QuerySpec(points[[3, 3]]))
@@ -220,6 +225,12 @@ class TestEnvelope:
                         result.ids = np.empty(0, dtype=np.int64)
                     with pytest.raises(dataclasses.FrozenInstanceError):
                         result.stats = result.stats
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        result.stats.exact_candidates = -7
+                passes.append((single, row, twin))
+            # A hit hands out the stored object itself, on every K.
+            shared = [a is b for a, b in zip(*passes)]
+            assert shared == [bool(cache_size)] * 3
             assert index.stats_snapshot()["cache_hits"] == (3 if cache_size else 0)
         finally:
             index.close()

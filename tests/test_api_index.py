@@ -4,8 +4,8 @@ The facade's contract is delegation without deviation: answers must be
 bit-identical to the dict-layout reference index of the same spec and
 seed (``conftest.reference_index``), for every request shape
 (radius / top-k / batch, single index / sharded), while adding the
-spec-driven construction, uniform query surface, per-shard cache
-invalidation, and plugin registries.
+spec-driven construction, uniform query surface, the result cache,
+and plugin registries.
 """
 
 import inspect
@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.api import facade
+from repro.api import facade, persist
 from repro.api import (
     Index,
     IndexSpec,
@@ -226,47 +226,51 @@ class TestInsertAndCacheInvalidation:
         result = sharded_index.query(QuerySpec(gaussian_points[0]))
         assert 600 in result.ids
 
-    def test_insert_only_invalidates_affected_shards(self, gaussian_points):
-        """The ROADMAP item: whole-cache drops become per-shard drops."""
+    def test_insert_drops_every_cached_answer(self, gaussian_points):
+        """A cached entry is a whole answer, which a point on any shard
+        can change: one insert empties the cache, whatever K is."""
         index = Index.build(
             gaussian_points, _spec(num_shards=4, cache_size=256)
         )
-        index.query(QuerySpec(gaussian_points[:6]))
-        assert len(index.cache) == 6 * 4  # one partial per (query, shard)
-        # One point routes to exactly one shard; the other 3 shards'
-        # partials must survive.
-        index.insert(gaussian_points[:1] + 2e-5)
-        assert len(index.cache) == 6 * 3
+        try:
+            index.query(QuerySpec(gaussian_points[:6]))
+            assert len(index.cache) == 6  # one whole answer per query
+            index.insert(gaussian_points[:1] + 2e-5)
+            assert len(index.cache) == 0
+        finally:
+            index.close()
 
     @pytest.mark.parametrize("execution", ["threads", "processes"])
+    @pytest.mark.parametrize("num_shards", [1, 3])
     def test_cached_sharded_answers_stay_correct_after_insert(
-        self, gaussian_points, execution
+        self, gaussian_points, num_shards, execution
     ):
-        """The cache path (per-shard partials, merged one query at a
-        time) reports what the batch path does: ids, distances and every
-        field of each row's ``QueryStats``."""
-        cached = Index.build(
-            gaussian_points, _spec(num_shards=3, cache_size=512, execution=execution)
-        )
-        bare = Index.build(gaussian_points, _spec(num_shards=3, execution=execution))
+        """Through misses, a fully cached repeat, an insert and in-batch
+        duplicates, the cache reports what the uncached batch path does:
+        ids, distances and every field of each row's ``QueryStats``."""
+        spec = _spec(num_shards=num_shards, execution=execution)
+        cached = Index.build(gaussian_points, spec.with_overrides(cache_size=512))
+        bare = Index.build(gaussian_points, spec)
         try:
             queries = gaussian_points[:8]
-            cached.query(QuerySpec(queries))  # warm the cache
+
+            def check(batch):
+                for x, y in zip(cached.query(QuerySpec(batch)), bare.query(QuerySpec(batch))):
+                    assert np.array_equal(x.ids, y.ids)
+                    assert np.array_equal(x.distances, y.distances)
+                    assert x.radius == y.radius
+                    assert repr(x.stats) == repr(y.stats)  # the floats too, nan-aware
+                    assert (x.degraded, x.missing_shards) == (y.degraded, y.missing_shards)
+
+            check(queries)  # 8 misses
+            check(queries)  # 8 hits
             new = queries[:3] + 1e-5
             cached.insert(new)
             bare.insert(new)
-            a = cached.query(QuerySpec(queries))  # part cached, part recomputed
-            b = bare.query(QuerySpec(queries))
-            assert cached.stats.cache_misses > 0
-            for x, y in zip(a, b):
-                assert np.array_equal(x.ids, y.ids)
-                assert np.array_equal(x.distances, y.distances)
-                assert x.stats.strategy == y.stats.strategy
-                assert x.stats.num_collisions == y.stats.num_collisions
-                assert x.stats.exact_candidates == y.stats.exact_candidates
-                assert x.stats.probes_used == y.stats.probes_used
-                assert x.stats.exact == y.stats.exact
-                assert repr(x.stats) == repr(y.stats)  # the floats too, nan-aware
+            assert len(cached.cache) == 0
+            check(np.concatenate([queries, queries[:3]]))  # 8 misses, 3 shared
+            stats = cached.stats
+            assert (stats.cache_hits, stats.cache_misses, stats.deduplicated) == (8, 16, 3)
         finally:
             cached.close()
             bare.close()
@@ -287,10 +291,9 @@ class TestInsertAndCacheInvalidation:
 
 
     def test_inserts_route_by_id_whatever_next_shard_says(self, gaussian_points, tmp_path):
-        """New id ``i`` goes to shard ``i % K`` and drops only that
-        shard's cache entries, even when ``index.json``'s ``next_shard``
-        names another shard."""
-        built = Index.build(gaussian_points, _spec(num_shards=3, cache_size=64))
+        """New id ``i`` goes to shard ``i % K``, even when
+        ``index.json``'s ``next_shard`` names another shard."""
+        built = Index.build(gaussian_points, _spec(num_shards=3))
         path = str(tmp_path / "idx")
         built.save(path)
         built.close()
@@ -304,25 +307,16 @@ class TestInsertAndCacheInvalidation:
             json.dump(meta, fh)
         index = Index.open(path)
         try:
-            queries = gaussian_points[:5]
-            index.query(QuerySpec(queries))  # every shard's partials cached
             sizes = [shard.n for shard in served_shards(index)]
             assert index.insert(gaussian_points[:1] + 1e-5).tolist() == [n]
             sizes[target] += 1
             assert [shard.n for shard in served_shards(index)] == sizes
-            cache = index.cache
-            for q in queries:
-                cached = [
-                    cache.get(cache.make_key(q, index.spec.radius, shard=s)) is not None
-                    for s in range(3)
-                ]
-                assert cached == [s != target for s in range(3)]
         finally:
             index.close()
 
 
-#: every engine member ``Index`` calls, with its parameter names (None:
-#: read as an attribute or property).
+#: every engine member ``Index`` and its persistence call, with its
+#: parameter names (None: read as an attribute or property).
 ENGINE_SURFACE = {
     "n": None,
     "dim": None,
@@ -333,10 +327,8 @@ ENGINE_SURFACE = {
     "resolve_radius": ("radius",),
     "query_batch": ("queries", "radius", "trace", "allow_partial", "adaptive"),
     "query_topk_batch": ("queries", "k", "trace", "allow_partial"),
-    "shard_query_batch": ("shard", "queries", "radius", "adaptive"),
-    "merge_radius": ("parts", "radius"),
-    "map_shards": ("work",),
     "insert": ("new_points",),
+    "save_shards": ("path",),
     "counters": (),
     "reset_stats": (),
     "worker_stats": (),
@@ -352,7 +344,12 @@ class TestEngineSurface:
         ids=["single", "threads", "processes"],
     )
     def test_every_engine_presents_what_the_facade_calls(self, gaussian_points, overrides):
-        called = set(re.findall(r"\bengine\.(\w+)", inspect.getsource(facade)))
+        called = set(
+            re.findall(
+                r"\bengine\.(\w+)",
+                inspect.getsource(facade) + inspect.getsource(persist),
+            )
+        )
         assert called == set(ENGINE_SURFACE)
         index = Index.build(gaussian_points, _spec(**overrides))
         try:

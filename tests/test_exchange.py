@@ -20,6 +20,8 @@ from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
 from repro.service import workers as workers_module
 from repro.service.workers import WorkerPool
 
+from conftest import shard_answers
+
 N, DIM, SHARDS, WORKERS = 400, 12, 2, 2
 
 
@@ -96,7 +98,7 @@ class TestHealthyPathStartsNoThread:
                 "batch": lambda: pool.query_batch(queries),
                 "topk": lambda: pool.query_topk_batch(queries[:8], 5),
                 "stats": pool.worker_stats,
-                "shard": lambda: pool.shard_query_batch(1, queries[:2], 1.2),
+                "shard": lambda: shard_answers(pool, 1, queries[:2], 1.2),
                 "insert": lambda: pool.insert(queries[-4:] + 0.5),
             }
             for name, op in ops.items():
@@ -106,9 +108,11 @@ class TestHealthyPathStartsNoThread:
             # _request is the loop with one entry: the fan-outs address
             # every worker, the one-shard read and each routed insert one.
             assert exchanges == [[0, 1]] * 4 + [[1]] + [[0], [1]]
-            # ... and map_shards is what the executor is still for.
-            assert pool.map_shards(lambda s: s) == [0, 1]
-            assert len(submits) == SHARDS
+            # ... and the pool holds no executor to submit to.
+            assert not any(
+                isinstance(value, concurrent.futures.Executor)
+                for value in vars(pool).values()
+            )
         finally:
             pool.close()
 
@@ -134,7 +138,7 @@ class TestLockDiscipline:
         )
         try:
             expected = pool.query_batch(queries)  # op 0 everywhere: clean
-            local = pool.shard_query_batch(1, queries[:4], 1.2)  # worker 1's op 1
+            local = shard_answers(pool, 1, queries[:4], 1.2)  # worker 1's op 1
             sent_both = threading.Event()
             send = pool._send_locked
 
@@ -149,7 +153,7 @@ class TestLockDiscipline:
             a.start()
             assert sent_both.wait(timeout=10.0)  # A holds both endpoints' locks
             b = threading.Thread(
-                target=lambda: box.update(b=pool.shard_query_batch(1, queries[:4], 1.2))
+                target=lambda: box.update(b=shard_answers(pool, 1, queries[:4], 1.2))
             )
             b.start()
             b.join(timeout=deadline / 2)

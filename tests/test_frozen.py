@@ -38,7 +38,7 @@ from repro.index.frozen import (
 from repro.service import BatchQueryEngine
 from repro.utils.rng import spawn_rngs
 
-from conftest import reference_index, served_shards
+from conftest import reference_index, served_shards, shard_answers
 
 
 def build_pair(n=600, dim=12, k=3, num_tables=8, lazy_threshold=None, seed=3):
@@ -1030,7 +1030,7 @@ def _assert_shards_match(index, references, queries):
             dedup=spec.dedup,
         )
         expected = engine.query_batch(queries)
-        got = index.engine.shard_query_batch(s, queries, spec.radius)
+        got = shard_answers(index.engine, s, queries, spec.radius)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_results_equal(a, b)

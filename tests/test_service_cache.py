@@ -17,14 +17,13 @@ def _dummy_result(ids=(1, 2)) -> QueryResult:
 
 
 class TestLruSemantics:
-    def test_hit_miss_and_counters(self):
+    def test_miss_then_hit_returns_the_stored_object(self):
         cache = QueryResultCache(maxsize=4)
         key = cache.make_key(np.array([1.0, 2.0]), radius=0.5)
         assert cache.get(key) is None
-        cache.put(key, _dummy_result())
-        assert cache.get(key).ids.tolist() == [1, 2]
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
+        stored = _dummy_result()
+        cache.put(key, stored)
+        assert cache.get(key) is stored
 
     def test_eviction_order_is_lru(self):
         cache = QueryResultCache(maxsize=2)
@@ -41,9 +40,8 @@ class TestLruSemantics:
         cache = QueryResultCache(maxsize=2)
         key = cache.make_key(np.array([0.0]), radius=1.0)
         cache.put(key, _dummy_result())
-        cache.get(key)
         cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+        assert len(cache) == 0 and cache.get(key) is None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ Every sharded index is served by the worker pool; with the default
 import numpy as np
 import pytest
 
-from conftest import served_shards
+from conftest import served_shards, shard_answers
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import LinearScan, Strategy
 from repro.distances.matrix import pairwise_distances
@@ -62,7 +62,7 @@ class TestRadiusSemantics:
             merged = sharded.query(QuerySpec(query, radius=1.5))
             expected = {}
             for s, rows in enumerate(gids):
-                (local,) = pool.shard_query_batch(s, query[None, :], 1.5)
+                (local,) = shard_answers(pool, s, query[None, :], 1.5)
                 for local_id, dist in zip(local.ids, local.distances):
                     expected[int(rows[local_id])] = dist
             assert merged.ids.tolist() == sorted(expected)

@@ -35,7 +35,7 @@ from repro.exceptions import (
     ShardUnavailableError,
 )
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
-from repro.service.shard_server import ShardServer, _unpack_block
+from repro.service.shard_server import ShardServer
 from repro.service.transport import (
     _PREFIX,
     WIRE_VERSION,
@@ -53,7 +53,7 @@ from repro.service.workers import (
     _TransportFailure,
 )
 
-from conftest import merge_radius_results
+from conftest import merge_radius_results, unpack_block
 
 N, DIM, SHARDS = 400, 10, 2
 PREFIX = _PREFIX.size
@@ -283,7 +283,7 @@ class TestFlatRadiusReply:
             for s in range(shards) if s not in missing
         }
         merged = WorkerPool._merge_blocks(fake_pool, blocks, q, 1.5, missing)
-        parts = {s: _unpack_block(block, 1.5) for s, block in blocks.items()}
+        parts = {s: unpack_block(block, 1.5) for s, block in blocks.items()}
         absent = QueryResult(ids=np.empty(0, np.int64), distances=np.empty(0), radius=1.5)
         for i, got in enumerate(merged):
             expected = merge_radius_results(

@@ -25,9 +25,10 @@ from repro.exceptions import ConfigurationError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
 from repro.hashing.batched import BatchedHash
 from repro.index.frozen import FrozenTables
-from repro.service.shard_server import _pack_block, _unpack_block, open_shard_state
+from repro.service.shard_server import _pack_block, open_shard_state
 from repro.service.workers import WorkerPool, default_fanout_width
 
+from conftest import unpack_block
 from test_frozen import assert_file_backed
 
 N, DIM, SHARDS = 700, 12, 3
@@ -109,7 +110,7 @@ class TestBitIdentity:
         assert all(r.ids.dtype == np.int64 for r in results)
         counts, ids, _, _ = _pack_block(results)
         assert ids.dtype == np.uint32 and counts.sum() == ids.size
-        for r, back in zip(results, _unpack_block(_pack_block(results), 1.2)):
+        for r, back in zip(results, unpack_block(_pack_block(results), 1.2)):
             assert back.ids.dtype == np.int64 and np.array_equal(back.ids, r.ids)
 
     def test_stats_expose_pool_width(self, process_index, thread_index):
