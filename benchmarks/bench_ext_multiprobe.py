@@ -5,11 +5,11 @@ multi-probe LSH schemes ... which typically require a large number of
 probes.  Applying hybrid search on these LSH schemes for rNNS will be
 our future work."
 
-This benchmark implements that future work: a multi-probe index with
-L = 10 tables and 8 probes per table (examining 90 buckets per query,
+This benchmark implements that future work: the index with L = 10
+tables and ``num_probes=8`` per table (examining 90 buckets per query,
 close to the classic L = 50's 50 buckets but with 5x less memory) is
-compared against the classic index, both searched classically and
-hybridly.
+compared against the same index at ``num_probes=0`` (the classic
+scheme), both searched classically and hybridly.
 
 Expected shape: multi-probe reaches comparable recall with far fewer
 tables; because it examines *more* buckets per query its collision
@@ -30,7 +30,7 @@ from repro.core.presets import paper_parameters
 from repro.datasets import split_queries
 from repro.evaluation import GroundTruth, mean_recall
 from repro.evaluation.report import format_table
-from repro.index import LSHIndex, MultiProbeLSHIndex
+from repro.index import LSHIndex
 
 _RADIUS = 0.08
 
@@ -47,7 +47,7 @@ def setup(webspam_bench):
     params_mp = paper_parameters(
         "cosine", dim=data.shape[1], radius=_RADIUS, num_tables=10, seed=1
     )
-    multiprobe = MultiProbeLSHIndex(
+    multiprobe = LSHIndex(
         params_mp.family, k=params_mp.k, num_tables=10, hll_precision=7, num_probes=8
     ).build(data)
     model = calibrate_cost_model(data, "cosine", seed=0).model

@@ -49,7 +49,7 @@ from repro.hashing import (
     concatenation_width,
     family_for_metric,
 )
-from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import CoveringLSHIndex, LSHIndex
 from repro.service import QueryResultCache
 from repro.sketches import HyperLogLog
 
@@ -73,7 +73,6 @@ __all__ = [
     "Strategy",
     "paper_parameters",
     "LSHIndex",
-    "MultiProbeLSHIndex",
     "CoveringLSHIndex",
     "QueryResultCache",
     "HyperLogLog",

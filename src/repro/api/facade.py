@@ -46,7 +46,7 @@ from repro.faults import FaultPlan, FaultTolerancePolicy
 from repro.hashing.base import family_for_metric, get_family
 from repro.hashing.params import concatenation_width
 from repro.index.frozen import FrozenLSHIndex
-from repro.index.frozen_probing import FrozenCoveringLSHIndex, FrozenMultiProbeLSHIndex
+from repro.index.frozen_probing import FrozenCoveringLSHIndex
 from repro.observability import StageTrace
 from repro.service.batch import BatchQueryEngine
 from repro.service.cache import QueryResultCache
@@ -115,11 +115,12 @@ def _resolve_family_and_k(spec: IndexSpec, dim: int, seed: Any = None) -> tuple[
 def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> FrozenLSHIndex:
     """Build the frozen index the spec describes — one index, or one shard.
 
-    ``variant`` selects the index class: ``"plain"`` and
-    ``"multiprobe"`` share the family/``k`` resolution above;
-    ``"covering"`` derives its ``r + 1`` block tables from the spec
-    radius instead of drawing a hash family.  ``seed`` drives the draw
-    (the spec's own seed for one index, a spawned stream per shard).
+    ``variant`` selects the index class: ``"multiprobe"`` draws the
+    family and ``k`` resolved above and probes ``1 + num_probes``
+    buckets per table; ``"covering"`` derives its ``r + 1`` block
+    tables from the spec radius instead of drawing a hash family.
+    ``seed`` drives the draw (the spec's own seed for one index, a
+    spawned stream per shard).
     :meth:`~repro.index.frozen.FrozenLSHIndex.build` hashes the points
     straight into the CSR arrays: byte for byte what the dict-layout
     ``LSHIndex`` of the same spec and seed freezes into, the reference
@@ -136,17 +137,15 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Froze
         )
     else:
         family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
-        kwargs = dict(
+        index = FrozenLSHIndex(
+            family,
             k=k,
             num_tables=spec.num_tables,
             hll_precision=spec.hll_precision,
             hll_seed=spec.hll_seed,
             lazy_threshold=spec.lazy_threshold,
+            num_probes=spec.num_probes,
         )
-        if spec.variant == "multiprobe":
-            index = FrozenMultiProbeLSHIndex(family, num_probes=spec.num_probes, **kwargs)
-        else:
-            index = FrozenLSHIndex(family, **kwargs)
     return index.build(points)
 
 
@@ -726,8 +725,7 @@ class Index:
         results: list[QueryResult | None] = [None] * queries.shape[0]
         misses: dict[bytes, int] = {}  # key -> the row that carries it
         duplicates: list[tuple[int, int]] = []
-        for i, query in enumerate(queries):
-            key = cache.make_key(query, radius)
+        for i, key in enumerate(cache.make_keys(queries, radius)):
             if key in misses:
                 # A batch-mate already carries this missing key: answer
                 # it once and share the result.

@@ -37,9 +37,10 @@ JSON schema (all keys optional unless noted)::
                                        # only serving layout (a dict-layout
                                        # LSHIndex is its bit-identity
                                        # reference)
-      "variant":       "plain",        # index variant: "plain" | "multiprobe"
-                                       # | "covering" (hamming only, integer radius)
-      "num_probes":    2,              # extra probed buckets per table (multiprobe)
+      "variant":       "multiprobe",   # index variant: "multiprobe" | "covering"
+                                       # (hamming only, integer radius)
+      "num_probes":    0,              # extra probed buckets per table
+                                       # (multiprobe; 0 = classic LSH)
       "execution":     "threads",      # where shard endpoints run: "threads"
                                        # (in this process) | "processes"
       "replicas":      1,              # endpoints per worker slot; > 1
@@ -53,6 +54,8 @@ JSON schema (all keys optional unless noted)::
 ``candSize`` is always estimated from the query's merged HyperLogLog
 sketches (Algorithm 2), so the schema has no estimator key; documents
 saved while it was one still load (see :meth:`IndexSpec.from_dict`).
+Likewise ``"variant": "plain"``, from before the plain index became
+multi-probe at ``num_probes=0``.
 
 :class:`QuerySpec` additionally carries per-request adaptive overrides
 (``adaptive`` / ``target_candidates`` / ``quality_floor``, all ``None``
@@ -136,8 +139,8 @@ class IndexSpec:
     cache_quantum: float = 1e-9
     dedup: str = "vectorized"
     layout: str = "frozen"
-    variant: str = "plain"
-    num_probes: int = 2
+    variant: str = "multiprobe"
+    num_probes: int = 0
     execution: str = "threads"
     replicas: int = 1
     adaptive: AdaptivePolicy | None = None
@@ -192,10 +195,14 @@ class IndexSpec:
                 "a frozen index is checked against: build one directly to "
                 "use it"
             )
-        if self.variant not in ("plain", "multiprobe", "covering"):
+        if self.variant == "plain":
             raise ConfigurationError(
-                f'variant must be "plain", "multiprobe" or "covering", '
-                f"got {self.variant!r}"
+                'variant "plain" is variant="multiprobe" with num_probes=0 '
+                "(the default)"
+            )
+        if self.variant not in ("multiprobe", "covering"):
+            raise ConfigurationError(
+                f'variant must be "multiprobe" or "covering", got {self.variant!r}'
             )
         if not isinstance(self.num_probes, int) or isinstance(self.num_probes, bool) or self.num_probes < 0:
             raise ConfigurationError(
@@ -280,6 +287,11 @@ class IndexSpec:
                 "always the merged-HLL estimate (legacy values "
                 f"{list(_RETIRED_ESTIMATORS)} still load)"
             )
+        # Likewise documents written while "plain" was a variant: their
+        # num_probes (2, the old default) was never read, so they load
+        # at zero probes, the index they were built as.
+        if doc.get("variant") == "plain":
+            doc.update(variant="multiprobe", num_probes=0)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:

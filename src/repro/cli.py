@@ -258,14 +258,14 @@ def _add_spec_options(parser: argparse.ArgumentParser) -> None:
         help="beta/alpha cost ratio (0 = calibrate by timing)",
     )
     parser.add_argument(
-        "--variant", choices=("plain", "multiprobe", "covering"), default="plain",
-        help="index variant: 'multiprobe' probes extra buckets per table "
-             "(see --probes), 'covering' builds the no-false-negative "
+        "--variant", choices=("multiprobe", "covering"), default="multiprobe",
+        help="index variant: 'multiprobe' probes --probes extra buckets "
+             "per table (0: classic LSH), 'covering' builds the no-false-negative "
              "Hamming construction (requires a hamming dataset and an "
              "integer radius)",
     )
     parser.add_argument(
-        "--probes", type=int, default=2, metavar="P",
+        "--probes", type=int, default=0, metavar="P",
         help="extra probed buckets per table for --variant multiprobe",
     )
     parser.add_argument(
@@ -384,7 +384,7 @@ def _build_index(args: argparse.Namespace):
         else args.radius
     )
     if (
-        getattr(args, "variant", "plain") == "covering"
+        getattr(args, "variant", "multiprobe") == "covering"
         and args.radius is None
         and dataset.metric == "hamming"
     ):
@@ -467,8 +467,8 @@ def _cmd_serve(args: argparse.Namespace, stdin=None, stdout=None) -> None:
                 ("--shards", args.shards != 1),
                 ("--cache-size", args.cache_size != 0),
                 ("--ratio", args.ratio != 6.0),
-                ("--variant", args.variant != "plain"),
-                ("--probes", args.probes != 2),
+                ("--variant", args.variant != "multiprobe"),
+                ("--probes", args.probes != 0),
                 ("--execution", args.execution != "threads"),
             )
             if given

@@ -32,14 +32,13 @@ Step S2 materialises anyway / lower bound of a lower-bound scan row; a
 row a probe budget certified reports its exact count too) and
 ``estimated_lsh_cost`` is Equation (1) at it.
 
-:class:`HybridSearcher` works on any built sketched index (including
-:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`); the index
-it serves comes from :meth:`repro.api.Index.build` (``index.engine.searcher``).
+:class:`HybridSearcher` works on any built sketched index (a
+multi-probe one included: its probed buckets are simply more buckets);
+the index it serves comes from :meth:`repro.api.Index.build`
+(``index.engine.searcher``).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -177,25 +176,6 @@ class HybridSearcher:
             exact=not go_lsh,
         )
 
-    @functools.cached_property
-    def _fixed_probes(self) -> int:
-        """Probe rings beyond the home bucket the fixed fan-out examines.
-
-        Derived from the index's *effective* probe set (the enumeration
-        may run dry below the configured ``num_probes``), so a full-ring
-        adaptive lookup reports the same ``probes_used`` as the fixed
-        path — a precondition for the bit-identity properties.  Fixed
-        for the index's lifetime, so read once.
-        """
-        index = self.index
-        num_slots = getattr(index, "num_slots", None)
-        if num_slots is not None:  # frozen layouts: slots per table - 1
-            return int(num_slots) // int(index.num_tables) - 1
-        deltas = getattr(index, "_probe_deltas", None)
-        if deltas is not None:  # dict multi-probe: effective enumeration
-            return int(deltas.shape[0])
-        return 0
-
     def _linear_scan(self) -> LinearScan:
         """The exact-scan fallback, refreshed after incremental inserts.
 
@@ -236,7 +216,7 @@ class HybridSearcher:
         the per-query hashing overhead is amortised through
         :meth:`~repro.index.lsh_index.LSHIndex.lookup_batch`, and all
         queries the cost model sends to linear search are answered by
-        one :meth:`~repro.core.linear_scan.LinearScan.query_batch`
+        one :meth:`~repro.core.linear_scan.LinearScan.scan_batch`
         distance-matrix pass (same kernel per row, so bit-identical
         answers).  Equation (1) is decided bound-first, as in
         :meth:`query` (see the module docstring): only the rows the
@@ -314,7 +294,10 @@ class HybridSearcher:
                 lookups = index.lookup_batch(queries)
             with stage_timer(trace, "estimate"):
                 verdicts = self._verdicts(lookups, n)
-            probes = [self._fixed_probes] * len(lookups)
+            # The effective probe set (the enumeration may run dry
+            # below ``num_probes``), as a full-ring adaptive lookup
+            # reports it.
+            probes = [index.probe_count] * len(lookups)
         linear_cost = self.cost_model.linear_cost(n)
         results: list[QueryResult | None] = [None] * len(lookups)
         linear_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if not go_lsh]
@@ -323,8 +306,8 @@ class HybridSearcher:
         # while a helper thread scans.
         scan = self._linear_scan() if linear_rows else None
 
-        def linear_partition() -> list[QueryResult]:
-            return scan.query_batch(queries[linear_rows], radius)
+        def linear_partition() -> list[tuple[np.ndarray, np.ndarray]]:
+            return scan.scan_batch(queries[linear_rows], radius)
 
         def lsh_partition() -> None:
             with stage_timer(trace, "candidates"):
@@ -364,14 +347,12 @@ class HybridSearcher:
                     scanned = linear_partition()
             if lsh_rows:
                 lsh_partition()
-        for i, row in zip(linear_rows, scanned):
+        for i, (ids, distances) in zip(linear_rows, scanned):
             # A linear scan genuinely examines every point.
             stats = self._stats(
                 lookups[i].num_collisions, verdicts[i], n, probes[i], linear_cost
             )
-            results[i] = QueryResult(
-                ids=row.ids, distances=row.distances, radius=row.radius, stats=stats
-            )
+            results[i] = QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
         return results
 
     def decide(self, query: np.ndarray) -> Strategy:

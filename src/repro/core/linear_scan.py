@@ -104,14 +104,18 @@ class LinearScan:
         )
         return QueryResult(ids=ids, distances=distances[mask], radius=radius, stats=stats)
 
-    def query_batch(self, queries: np.ndarray, radius: float) -> list[QueryResult]:
-        """Answer a query set with one distance-matrix pass.
+    def scan_batch(
+        self, queries: np.ndarray, radius: float
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(ids, distances)`` within ``radius`` per query, one
+        distance-matrix pass.
 
         Computes the full ``(q, n)`` distance matrix with one batch
         kernel call per row — bit-identical to looping :meth:`query`
         (the prepared kernel reuses the query-independent terms but
         reproduces the plain kernel's floats exactly) — and thresholds
-        each row.
+        each row.  No result objects: a caller with its own stats
+        (the hybrid searcher's linear rows) builds them once.
         """
         queries = check_matrix(queries, dim=self.dim, name="queries")
         radius = check_positive(radius, "radius")
@@ -121,21 +125,27 @@ class LinearScan:
             distance_matrix[i] = self.metric.distances_to_prepared(
                 self.points, q, state
             )
-        results = []
+        rows = []
         for row in distance_matrix:
             mask = row <= radius
-            stats = QueryStats(
-                strategy=Strategy.LINEAR, linear_cost=float(self.n), exact=True
+            rows.append((np.flatnonzero(mask), row[mask]))
+        return rows
+
+    def query_batch(self, queries: np.ndarray, radius: float) -> list[QueryResult]:
+        """Answer a query set with one distance-matrix pass
+        (:meth:`scan_batch`, each row a linear :class:`QueryResult`)."""
+        radius = check_positive(radius, "radius")
+        return [
+            QueryResult(
+                ids=ids,
+                distances=distances,
+                radius=radius,
+                stats=QueryStats(
+                    strategy=Strategy.LINEAR, linear_cost=float(self.n), exact=True
+                ),
             )
-            results.append(
-                QueryResult(
-                    ids=np.flatnonzero(mask),
-                    distances=row[mask],
-                    radius=radius,
-                    stats=stats,
-                )
-            )
-        return results
+            for ids, distances in self.scan_batch(queries, radius)
+        ]
 
     def query_ids(self, query: np.ndarray, radius: float) -> np.ndarray:
         """Just the neighbor ids (used as ground truth by the evaluator)."""

@@ -57,9 +57,10 @@ class QueryStats:
         The strategy that produced the answer.
     probes_used:
         Probe rings examined per table beyond the home bucket; -1 when
-        the path does not track probing (plain layouts, pure linear).
+        the path does not track probing (pure linear, exact top-k).
         Under an adaptive probe budget this is the per-query stopping
-        ring; fixed-budget paths report the configured ``num_probes``.
+        ring; fixed-budget paths report the index's ``probe_count``
+        (``num_probes``, unless the enumeration ran dry; 0 without probes).
     exact:
         True when the answer is exact by construction (linear scan or
         exact top-k selection) — the certification bit the adaptive

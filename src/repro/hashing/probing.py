@@ -19,11 +19,10 @@ We implement the structural part of multi-probe generically:
   layout applies to a whole ``(q, L, k)`` hash tensor at once.
 
 Both orderings have exactly one home: the probed bucket sequence of the
-dict layout (:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`)
-and of the frozen layout
-(:class:`~repro.index.frozen_probing.FrozenMultiProbeLSHIndex`) are
-derived from the same enumerations, so the two layouts can never
-disagree about which buckets a query probes, or in which order.
+dict layout (:class:`~repro.index.lsh_index.LSHIndex`) and of the
+frozen layout (:class:`~repro.index.frozen.FrozenLSHIndex`) are derived
+from the same enumerations, so the two layouts can never disagree about
+which buckets a query probes, or in which order.
 """
 
 from __future__ import annotations
@@ -50,11 +49,10 @@ def probe_deltas(family, k: int, num_probes: int) -> tuple[bool, np.ndarray]:
     XOR for the bit-valued families (SimHash, bit sampling), addition
     for integer-valued p-stable quantisers.  This is the *single*
     classification point shared by the dict layout
-    (:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`) and the
-    frozen layout
-    (:class:`~repro.index.frozen_probing.FrozenMultiProbeLSHIndex`):
-    a family added here changes both layouts together, so they cannot
-    disagree about the probed bucket set.  ``P`` may be smaller than
+    (:class:`~repro.index.lsh_index.LSHIndex`) and the frozen layout
+    (:class:`~repro.index.frozen.FrozenLSHIndex`): a family added here
+    changes both layouts together, so they cannot disagree about the
+    probed bucket set.  ``P`` may be smaller than
     ``num_probes`` when the enumeration runs dry.
     """
     from repro.hashing.bit_sampling import BitSamplingLSH

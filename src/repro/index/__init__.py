@@ -11,14 +11,13 @@ query time).
 * :class:`HashTable` — one composite hash function and its buckets;
 * :class:`LSHIndex` — the ``L``-table index with the query-side
   primitives Algorithm 2 needs (``#collisions``, merged sketch,
-  candidate set);
+  candidate set), probing ``1 + num_probes`` buckets per table: the
+  multi-probe extension the paper names as future work, the classic
+  index at ``num_probes=0``;
 * :class:`FrozenLSHIndex` — the same index as contiguous CSR arrays,
   built straight into them (or compacted by ``LSHIndex.freeze()``):
   vectorised batch primitives, zero per-bucket Python objects,
   mmap-able persistence;
-* :class:`MultiProbeLSHIndex` — the multi-probe extension the paper
-  names as future work (and :class:`FrozenMultiProbeLSHIndex`, its
-  frozen CSR counterpart);
 * :class:`CoveringLSHIndex` — the no-false-negative covering scheme
   (and :class:`FrozenCoveringLSHIndex`, its frozen CSR counterpart).
 """
@@ -26,12 +25,8 @@ query time).
 from repro.index.bucket import Bucket
 from repro.index.covering import CoveringLSHIndex
 from repro.index.frozen import FrozenLSHIndex, FrozenQueryLookup, FrozenTables
-from repro.index.frozen_probing import (
-    FrozenCoveringLSHIndex,
-    FrozenMultiProbeLSHIndex,
-)
+from repro.index.frozen_probing import FrozenCoveringLSHIndex
 from repro.index.lsh_index import LSHIndex, QueryLookup
-from repro.index.multiprobe_index import MultiProbeLSHIndex
 from repro.index.table import HashTable
 
 __all__ = [
@@ -42,8 +37,6 @@ __all__ = [
     "FrozenLSHIndex",
     "FrozenQueryLookup",
     "FrozenTables",
-    "MultiProbeLSHIndex",
-    "FrozenMultiProbeLSHIndex",
     "CoveringLSHIndex",
     "FrozenCoveringLSHIndex",
 ]

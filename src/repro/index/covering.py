@@ -89,6 +89,8 @@ class CoveringLSHIndex:
     #: Storage layout / variant tags (the frozen counterpart overrides).
     layout = "dict"
     variant = "covering"
+    #: One bucket per block table: the covering guarantee needs no probes.
+    probe_count = 0
 
     def __init__(
         self,

@@ -35,6 +35,7 @@ in-flight background compaction and folds whatever is left.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -74,7 +75,11 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
     dict-layout index of the same draws, while the batched serving path
     runs entirely in numpy.  Supports :meth:`insert` through a sorted
     overflow run (:mod:`repro.index.overflow`) that is automatically
-    re-frozen once it exceeds ``refreeze_threshold`` points.
+    re-frozen once it exceeds ``refreeze_threshold`` points.  With
+    ``num_probes = P`` every query probes ``1 + P`` buckets per table
+    (multi-probe changes queries, not construction: the arrays are
+    those of ``P = 0``), and inserts are found under probe addresses
+    too.
 
     Examples
     --------
@@ -83,9 +88,11 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
     >>> from repro.index import LSHIndex
     >>> rng = np.random.default_rng(0)
     >>> points = rng.normal(size=(300, 16))
-    >>> frozen = FrozenLSHIndex(SimHashLSH(16), k=4, num_tables=8, seed=2)
+    >>> frozen = FrozenLSHIndex(SimHashLSH(16), k=4, num_tables=8, seed=2, num_probes=3)
     >>> frozen = frozen.build(points)
-    >>> index = LSHIndex(SimHashLSH(16), k=4, num_tables=8, seed=2).build(points)
+    >>> index = LSHIndex(
+    ...     SimHashLSH(16), k=4, num_tables=8, seed=2, num_probes=3
+    ... ).build(points)
     >>> frozen.num_collisions(points[0]) == index.num_collisions(points[0])
     True
     >>> lookup = frozen.lookup(points[0])
@@ -95,8 +102,6 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
     """
 
     layout = "frozen"
-    #: Index-variant tag; the probing subclasses override this.
-    variant = "plain"
 
     @property
     def row_width(self) -> int:
@@ -107,6 +112,41 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         """``(m, L, w)`` stored hash rows of points being inserted (the
         covering layout pads its block rows to the widest block)."""
         return self._batched.hash_points(new_points)
+
+    # ------------------------------------------------------------------
+    # Slot model
+    #
+    # A *slot* is one probed bucket address per query: ``1 + P``
+    # consecutive slots per table, home first, then the probes in
+    # enumeration order (``P = 0``: one slot per table).  Everything
+    # downstream of the lookup — collision counts, sketch merges,
+    # candidate unions, overflow probing — is written against slots.
+    # ------------------------------------------------------------------
+    @property
+    def num_slots(self) -> int:
+        """Probed bucket addresses per query: ``L * (1 + P)``."""
+        return self.num_tables * (1 + self.probe_count)
+
+    @functools.cached_property
+    def _slot_table_ids(self) -> np.ndarray:
+        """Table owning each slot (fixed for the index's lifetime)."""
+        return np.repeat(np.arange(self.num_tables), 1 + self.probe_count)
+
+    def _slot_rows(self, all_rows: np.ndarray) -> np.ndarray:
+        """``(q, L, k)`` home rows -> ``(q, L * (1 + P), k)`` probed rows
+        (the home rows themselves at ``P = 0``): one vectorised XOR
+        (binary families) or add (p-stable offsets) over the batch."""
+        probes = self.probe_count
+        if probes == 0:
+            return all_rows
+        q, num_tables, k = all_rows.shape
+        home = all_rows[:, :, None, :]
+        if self._binary_values:
+            probed = home ^ self._probe_deltas[None, None, :, :]
+        else:
+            probed = home + self._probe_deltas[None, None, :, :]
+        stacked = np.concatenate([home, probed], axis=2)  # (q, L, 1 + P, k)
+        return stacked.reshape(q, num_tables * (1 + probes), k)
 
     # ------------------------------------------------------------------
     # Construction
@@ -197,6 +237,7 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         with_sketches: bool,
         dedup: str,
         refreeze_threshold: int | None = None,
+        num_probes: int = 0,
     ) -> FrozenLSHIndex:
         """Reassemble from persisted arrays (no bucket reconstruction);
         ``points`` and ``frozen`` both ``None``: unbuilt, for :meth:`build`."""
@@ -209,6 +250,7 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         self.lazy_threshold = lazy_threshold
         self.with_sketches = bool(with_sketches)
         self.dedup = dedup
+        self._init_probing(num_probes)
         self.points = points
         self._batched = batched
         self._hll_hashes = None if points is None else self._hll_pairs(points.shape[0])
@@ -227,6 +269,8 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         self.lazy_threshold = index.lazy_threshold
         self.with_sketches = index.with_sketches
         self.dedup = index.dedup
+        self.num_probes = index.num_probes
+        self._binary_values, self._probe_deltas = index._binary_values, index._probe_deltas
         self._hll_hashes = index._hll_hashes
         self._batched = index._batched
 
@@ -592,6 +636,6 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         built = f"n={self.n}" if self.is_built else "unbuilt"
         return (
             f"{type(self).__name__}(family={type(self.family).__name__}, "
-            f"k={self.k}, L={self.num_tables}, {built}, "
+            f"k={self.k}, L={self.num_tables}, probes={self.num_probes}, {built}, "
             f"overflow={self.overflow_count})"
         )

@@ -255,32 +255,10 @@ class FrozenQueryLookup:
 class FrozenReads:
     """The Step S1/S2 read methods of a frozen index: a base class of
     :class:`~repro.index.frozen.index.FrozenLSHIndex`, which supplies the
-    hash kernel, the HLL hashes and ``_snapshot()``, the consistent
-    ``(arrays, live runs)`` pair every read works on."""
-
-    # ------------------------------------------------------------------
-    # Slot model
-    #
-    # A *slot* is one probed bucket address per query: the plain layout
-    # has one slot per table (S == L), the multi-probe layout has
-    # ``1 + P`` consecutive slots per table.  Everything downstream of
-    # the lookup — collision counts, sketch merges, candidate unions,
-    # overflow probing — is written against slots, so the probing
-    # subclasses only override the three hooks below.
-    # ------------------------------------------------------------------
-    @property
-    def num_slots(self) -> int:
-        """Probed bucket addresses per query (``L`` for the plain layout)."""
-        return self.num_tables
-
-    @property
-    def _slot_table_ids(self) -> np.ndarray:
-        """Table owning each slot (identity for the plain layout)."""
-        return np.arange(self.num_tables)
-
-    def _slot_rows(self, all_rows: np.ndarray) -> np.ndarray:
-        """``(q, L, k)`` hash tensor -> ``(q, S, k)`` probed hash rows."""
-        return all_rows
+    hash kernel, the HLL hashes, the slot hooks (``num_slots``,
+    ``_slot_table_ids``, ``_slot_rows``: ``1 + P`` probed addresses per
+    table) and ``_snapshot()``, the consistent ``(arrays, live runs)``
+    pair every read works on."""
 
     # ------------------------------------------------------------------
     # Step S1: lookups
@@ -295,8 +273,7 @@ class FrozenReads:
         """Locate many queries' probed buckets: fused hash pass + searchsorted.
 
         One binary search covers every probe slot of every query in the
-        batch (the multi-probe layout's ``1 + P`` slots per table
-        included).
+        batch (``1 + P`` slots per table).
         """
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")

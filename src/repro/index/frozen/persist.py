@@ -113,6 +113,8 @@ _CONFIG_KEYS = {
     "kernel_params": (_HASHED, "its family's arrays", lambda v, c: v == _FAMILIES[c["family"]][1]),
     "p": (_PSTABLE, "1 or 2", _ints(1, 2)),
     "w": (_PSTABLE, "a positive number", lambda v, _: type(v) in (int, float) and v > 0),
+    # A v4 "plain" directory (written before plain became multi-probe
+    # at zero probes) carries no num_probes and loads with 0.
     "num_probes": (_when("variant", "multiprobe"), "an int >= 0", _ints(0)),
 }
 
@@ -222,8 +224,7 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
         if batched.kind == "pstable":
             config["p"] = index.family.p
             config["w"] = index.family.w
-        if index.variant == "multiprobe":
-            config["num_probes"] = index.num_probes
+        config["num_probes"] = index.num_probes
     index.refreeze()
     frozen = index.frozen
     config["key_salt"] = frozen.salt
@@ -390,12 +391,14 @@ def _stored_index(
     )
     k, num_tables = config["k"], config["num_tables"]
     batched = family.batch_from_params(kernel_params, k, num_tables)
-    common.update(family=family, batched=batched, k=k, num_tables=num_tables)
-    if config["variant"] == "multiprobe":
-        from repro.index.frozen_probing import FrozenMultiProbeLSHIndex
-
-        return FrozenMultiProbeLSHIndex.from_state(num_probes=config["num_probes"], **common)
-    return FrozenLSHIndex.from_state(**common)
+    return FrozenLSHIndex.from_state(
+        family=family,
+        batched=batched,
+        k=k,
+        num_tables=num_tables,
+        num_probes=config["num_probes"] if config["variant"] == "multiprobe" else 0,
+        **common,
+    )
 
 
 def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:

@@ -363,7 +363,7 @@ class FrozenTables:
         ``order[i]`` is the flat ``(query, slot)`` index of the ``i``-th
         smallest address.  Sorted needles let a binary search walk its
         array front to back (3x faster than unsorted ones).  A lone row
-        with one slot per table (the plain and covering layouts) is
+        with one slot per table (no probes, or the covering layout) is
         sorted already — the table tag is the top bits — so it skips the
         sort, and ``order`` is ``None``: the identity.  The latest
         result is kept, keyed by the identity of ``slot_rows``, so the
@@ -390,8 +390,8 @@ class FrozenTables:
         ``slot_rows`` is the ``(q, S, w)`` integer tensor of a query
         batch's probed hash rows and ``slot_tables`` names the table
         each of the ``S`` slots probes (default: slot ``s`` probes table
-        ``s``, the plain and covering layouts; the multi-probe layout
-        passes ``1 + P`` consecutive slots per table).
+        ``s``; an index with ``P`` probes passes ``1 + P`` consecutive
+        slots per table).
 
         One binary search resolves every slot of every query: the rows
         are mixed into tagged 64-bit needles, sorted (:meth:`needles`)

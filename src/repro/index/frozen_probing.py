@@ -1,38 +1,20 @@
-"""Frozen CSR layouts for the probing index variants (multi-probe, covering).
+"""The frozen CSR layout of the covering index.
 
-PR 3's frozen layout compacted the plain :class:`~repro.index.lsh_index.LSHIndex`
-into contiguous CSR arrays; this module extends the same compaction to
-the two probing variants the paper's conclusion singles out:
+The covering index (:class:`~repro.index.covering.CoveringLSHIndex`)
+hashes each point by ``r + 1`` bit-*blocks* of different widths, so
+its hash rows are not uniformly ``k`` values long.  The fused key
+matrix pads every row on the right with zeros up to the widest block's
+width; padding cannot make two distinct rows of one table equal (same
+true width), so the buckets are the dict layout's and all downstream
+primitives (collision counts, register maxima, candidate unions) are
+bit-identical.  It probes one slot per table (``probe_count`` 0).
 
-* :class:`FrozenMultiProbeLSHIndex` — the tables are byte-identical to
-  the plain layout's (multi-probe changes *queries*, not construction),
-  so only the lookup differs: every query probes ``1 + P`` buckets per
-  table.  The probe hash rows are generated for the whole batch with
-  one vectorised XOR (binary families) or add (p-stable offsets) over
-  the ``(q, L, k)`` hash tensor, and all ``q * L * (1 + P)`` bucket
-  addresses resolve with one binary search plus one vectorised verify
-  (:meth:`~repro.index.frozen.FrozenTables.locate`, fed the probed
-  hash rows and each slot's table id).
-  The probe enumeration is shared with the dict layout
-  (:func:`~repro.hashing.probing.hamming_flip_masks` /
-  :func:`~repro.hashing.probing.perturbation_offsets`), so the probed
-  bucket sequence — and therefore every answer — is bit-identical.
-
-* :class:`FrozenCoveringLSHIndex` — the covering index hashes each
-  point by ``r + 1`` bit-*blocks* of different widths, so its hash
-  rows are not uniformly ``k`` values long.  The fused key matrix pads
-  every row on the right with zeros up to the widest block's width;
-  padding cannot make two distinct rows of one table equal (same true
-  width), so the buckets are the dict layout's and all downstream
-  primitives (collision counts, register maxima, candidate unions) are
-  bit-identical.
-
-Both variants keep the full overflow-insert story of the base class —
-inserts land in a sorted run (:mod:`repro.index.overflow`) keyed by the
-same addresses as the frozen buckets and probed with the lookup's own
-needles (the multi-probe layout's ``1 + P`` slots per table included;
-the covering layout stores its zero-padded block rows), with
-double-buffered background re-freeze — and both persist through :func:`~repro.index.frozen.save_frozen_index` /
+It keeps the full overflow-insert story of
+:class:`~repro.index.frozen.FrozenLSHIndex` — inserts land in a sorted
+run (:mod:`repro.index.overflow`) keyed by the same addresses as the
+frozen buckets (the zero-padded block rows), with double-buffered
+background re-freeze — and persists through
+:func:`~repro.index.frozen.save_frozen_index` /
 :func:`~repro.index.frozen.load_frozen_index` as plain ``.npy``
 directories reopened with ``np.load(mmap_mode="r")``.
 """
@@ -41,121 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.probing import probe_deltas
 from repro.index.covering import CoveringLSHIndex, hamming_family_facade
 from repro.index.frozen import FrozenLSHIndex, FrozenQueryLookup, FrozenTables
 from repro.utils.validation import check_matrix
 
-__all__ = ["FrozenMultiProbeLSHIndex", "FrozenCoveringLSHIndex"]
-
-
-class FrozenMultiProbeLSHIndex(FrozenLSHIndex):
-    """A multi-probe index held in contiguous CSR arrays.
-
-    Built like the plain one plus ``num_probes``, or produced by
-    :meth:`repro.index.multiprobe_index.MultiProbeLSHIndex.freeze`;
-    answers every primitive bit-identically to the dict-layout
-    multi-probe index of the same draws, including after ``insert``
-    (overflow run, probed under home *and* probe addresses) and
-    re-freeze.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.hashing import SimHashLSH
-    >>> from repro.index import MultiProbeLSHIndex
-    >>> rng = np.random.default_rng(0)
-    >>> points = rng.normal(size=(300, 16))
-    >>> index = MultiProbeLSHIndex(
-    ...     SimHashLSH(16, seed=1), k=4, num_tables=6, num_probes=3, seed=2
-    ... ).build(points)
-    >>> frozen = FrozenMultiProbeLSHIndex(
-    ...     SimHashLSH(16), k=4, num_tables=6, num_probes=3, seed=2
-    ... ).build(points)
-    >>> frozen.num_collisions(points[0]) == index.num_collisions(points[0])
-    True
-    >>> bool(np.array_equal(
-    ...     frozen.candidate_ids(frozen.lookup(points[0])),
-    ...     index.candidate_ids(index.lookup(points[0]))))
-    True
-    """
-
-    variant = "multiprobe"
-
-    def __init__(self, *args, num_probes: int = 2, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._init_probing(num_probes)
-
-    def _adopt(self, index) -> None:
-        super()._adopt(index)
-        self._init_probing(index.num_probes)
-
-    @classmethod
-    def from_state(cls, *args, num_probes: int = 0, **kwargs):
-        """Reassemble from persisted arrays (adds the probe config)."""
-        self = super().from_state(*args, **kwargs)
-        self._init_probing(num_probes)
-        return self
-
-    def _init_probing(self, num_probes: int) -> None:
-        """Precompute the probe deltas as one ``(P, k)`` matrix.
-
-        Mirrors :class:`~repro.index.multiprobe_index.MultiProbeLSHIndex`:
-        XOR bit-flip masks for binary hash values, additive ±1 offsets
-        for p-stable quantisers — drawn from the same enumerations, in
-        the same order, truncated the same way.
-        """
-        if num_probes < 0:
-            from repro.exceptions import ConfigurationError
-
-            raise ConfigurationError(f"num_probes must be >= 0, got {num_probes}")
-        self.num_probes = int(num_probes)
-        self._binary_values, self._probe_deltas = probe_deltas(
-            self.family, self.k, self.num_probes
-        )
-        # Slot metadata is fixed for the index's lifetime; precomputed
-        # here so the per-query lookup path never reallocates it.
-        self._probe_count = int(self._probe_deltas.shape[0])
-        self._num_slots = self.num_tables * (1 + self._probe_count)
-        self._slot_tables = np.repeat(
-            np.arange(self.num_tables), 1 + self._probe_count
-        )
-
-    @property
-    def probe_count(self) -> int:
-        """Effective probes per table (the enumeration may run dry)."""
-        return self._probe_count
-
-    @property
-    def num_slots(self) -> int:
-        return self._num_slots
-
-    @property
-    def _slot_table_ids(self) -> np.ndarray:
-        return self._slot_tables
-
-    def _slot_rows(self, all_rows: np.ndarray) -> np.ndarray:
-        """``(q, L, k)`` home rows -> ``(q, L * (1 + P), k)`` probed rows.
-
-        Slot order per table is home first, then the probes in
-        enumeration order — exactly the dict layout's
-        ``_lookup_from_rows`` sequence.
-        """
-        probes = self.probe_count
-        if probes == 0:
-            return all_rows
-        q, num_tables, k = all_rows.shape
-        home = all_rows[:, :, None, :]
-        if self._binary_values:
-            probed = home ^ self._probe_deltas[None, None, :, :]
-        else:
-            probed = home + self._probe_deltas[None, None, :, :]
-        stacked = np.concatenate([home, probed], axis=2)  # (q, L, 1 + P, k)
-        return stacked.reshape(q, num_tables * (1 + probes), k)
-
-    def __repr__(self) -> str:
-        base = super().__repr__()
-        return base[:-1] + f", probes={self.num_probes})"
+__all__ = ["FrozenCoveringLSHIndex"]
 
 
 class FrozenCoveringLSHIndex(FrozenLSHIndex):
@@ -184,6 +56,8 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     """
 
     variant = "covering"
+    #: One slot per block table: the covering guarantee needs no probes.
+    probe_count = 0
 
     # ------------------------------------------------------------------
     # Construction

@@ -12,6 +12,14 @@ primitives Algorithm 2 consumes:
 
 The index stores the data matrix so the search layers
 (:mod:`repro.core`) can verify candidates without re-threading it.
+
+It is also multi-probe LSH (Lv et al., VLDB 2007), the extension the
+paper's conclusion names: with ``num_probes = P > 0`` each table
+contributes its home bucket plus up to ``P`` perturbed buckets (bit
+flips for binary hash values, ±1 offsets for p-stable quantisers,
+:func:`~repro.hashing.probing.probe_deltas`).  Every sketch and
+collision primitive covers the probed buckets, so the hybrid searcher
+runs on it unchanged; ``P = 0`` (the default) is the classic index.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, EmptyIndexError
 from repro.hashing.base import LSHFamily
+from repro.hashing.composite import encode_rows
+from repro.hashing.probing import probe_deltas
 from repro.index.bucket import Bucket
 from repro.index.table import HashTable
 from repro.sketches.hyperloglog import (
@@ -52,6 +62,9 @@ class QueryLookup:
     hash_rows:
         The raw ``(L, k)`` composite hash values (multi-probe needs
         them to generate neighbouring keys).
+
+    With ``P`` probes, ``keys`` and ``buckets`` hold ``1 + P`` entries
+    per table: the home bucket, then the probes in enumeration order.
     """
 
     keys: list[bytes]
@@ -96,7 +109,7 @@ class QueryLookup:
 
 
 class LSHIndex:
-    """Classic multi-table LSH index with per-bucket cardinality sketches.
+    """Multi-table (multi-probe) LSH index with per-bucket cardinality sketches.
 
     Parameters
     ----------
@@ -140,8 +153,8 @@ class LSHIndex:
 
     #: Storage layout tag; the CSR-compacted subclass overrides this.
     layout = "dict"
-    #: Index-variant tag; the probing subclasses override this.
-    variant = "plain"
+    #: Index-variant tag (the covering index has its own).
+    variant = "multiprobe"
 
     def __init__(
         self,
@@ -154,6 +167,7 @@ class LSHIndex:
         with_sketches: bool = True,
         dedup: str = "scalar",
         seed: int | None = None,
+        num_probes: int = 0,
     ) -> None:
         self.family = family
         self.k = check_positive_int(k, "k")
@@ -173,11 +187,30 @@ class LSHIndex:
             from repro.utils.rng import ensure_rng
 
             family._rng = ensure_rng(seed)
+        self._init_probing(num_probes)
         self.tables: list[HashTable] = []
         self.points: np.ndarray | None = None
         self._prepared: tuple[np.ndarray, np.ndarray | None] | None = None
         self._hll_hashes: PrecomputedHllHashes | None = None
         self._batched = None
+
+    def _init_probing(self, num_probes: int) -> None:
+        """The probe deltas as one ``(P, k)`` matrix: XOR bit-flip masks
+        for binary hash values, additive offsets for p-stable quantisers
+        (one enumeration for both layouts, so they probe the same
+        buckets in the same order)."""
+        if num_probes < 0:
+            raise ConfigurationError(f"num_probes must be >= 0, got {num_probes}")
+        self.num_probes = int(num_probes)
+        self._binary_values, self._probe_deltas = probe_deltas(
+            self.family, self.k, self.num_probes
+        )
+
+    @property
+    def probe_count(self) -> int:
+        """Effective probes per table (the enumeration may run dry below
+        ``num_probes``): what a full fan-out reports as ``probes_used``."""
+        return int(self._probe_deltas.shape[0])
 
     # ------------------------------------------------------------------
     # Build (Algorithm 1)
@@ -243,8 +276,6 @@ class LSHIndex:
         if self._hll_hashes is not None:
             self._hll_hashes.extend(old_n + m)
         hashes = self._batched.hash_points(new_points)  # (m, L, k)
-        from repro.hashing.composite import encode_rows
-
         for t, table in enumerate(self.tables):
             keys = encode_rows(np.ascontiguousarray(hashes[:, t, :]))
             for point_id, key in zip(new_ids, keys):
@@ -271,15 +302,10 @@ class LSHIndex:
         """
         from repro.index.frozen import FrozenLSHIndex
 
-        self._require_built()
         if type(self) is not LSHIndex:
-            # MultiProbeLSHIndex and CoveringLSHIndex override freeze()
-            # with their own frozen layouts; anything else is a custom
-            # subclass whose query surface we cannot assume.
+            # A custom subclass: its query surface cannot be assumed.
             raise ConfigurationError(
-                f"freeze() has no frozen layout for {type(self).__name__}; "
-                f"built-in variants (LSHIndex, MultiProbeLSHIndex, "
-                f"CoveringLSHIndex) each provide their own freeze()"
+                f"freeze() has no frozen layout for {type(self).__name__}"
             )
         return FrozenLSHIndex.from_dict_index(
             self, refreeze_threshold=refreeze_threshold
@@ -327,19 +353,34 @@ class LSHIndex:
     # ------------------------------------------------------------------
     # Query-side primitives (Algorithm 2 inputs)
     # ------------------------------------------------------------------
+    def _lookup_from_rows(self, rows: np.ndarray, home_keys: list[bytes]) -> QueryLookup:
+        """One query's home + probe buckets from its ``(L, k)`` hash rows.
+
+        Shared by :meth:`lookup` and :meth:`lookup_batch`, so the probed
+        bucket set and its order (per table: home, then the probes in
+        enumeration order) cannot diverge between them.
+        """
+        keys: list[bytes] = []
+        for row, home_key in zip(rows, home_keys):
+            keys.append(home_key)
+            if self._probe_deltas.shape[0]:
+                row = np.asarray(row, dtype=np.int64)[None, :]
+                keys += encode_rows(
+                    row ^ self._probe_deltas if self._binary_values else row + self._probe_deltas
+                )
+        slots = 1 + self._probe_deltas.shape[0]
+        buckets = [self.tables[s // slots].get(key) for s, key in enumerate(keys)]
+        return QueryLookup(keys=keys, buckets=buckets, hash_rows=list(rows))
+
     def lookup(self, query: np.ndarray) -> QueryLookup:
-        """Locate the query's bucket in every table (Step S1).
+        """Locate the query's probed buckets in every table (Step S1).
 
         One fused kernel call hashes the query into all ``L`` tables,
-        then each table is probed with one dict lookup.
+        then each probed bucket is one dict lookup.
         """
-        from repro.hashing.composite import encode_rows
-
         self._require_built()
         rows = self._batched.query_rows(query)  # validates dim; (L, k)
-        keys = encode_rows(rows)
-        buckets = [table.get(key) for table, key in zip(self.tables, keys)]
-        return QueryLookup(keys=keys, buckets=buckets, hash_rows=list(rows))
+        return self._lookup_from_rows(rows, encode_rows(rows))
 
     def lookup_batch(self, queries: np.ndarray) -> list[QueryLookup]:
         """Locate many queries' buckets with one fused hashing pass.
@@ -348,21 +389,78 @@ class LSHIndex:
         Step-S1 hashing of the whole query set is a single vectorised
         kernel call.
         """
-        from repro.hashing.composite import encode_rows
-
         self._require_built()
         queries = check_matrix(queries, dim=self.dim, name="queries")
         all_rows = self._batched.hash_points(queries)  # (q, L, k)
         num_queries = all_rows.shape[0]
-        # One encode call for all q * L rows (row qi*L + t is query qi,
-        # table t) instead of one per query.
+        # One encode call for all q * L home rows (row qi*L + t is query
+        # qi, table t) instead of one per query.
         flat_keys = encode_rows(all_rows.reshape(num_queries * self.num_tables, self.k))
+        return [
+            self._lookup_from_rows(
+                rows, flat_keys[qi * self.num_tables : (qi + 1) * self.num_tables]
+            )
+            for qi, rows in enumerate(all_rows)
+        ]
+
+    def lookup_batch_adaptive(
+        self,
+        queries: np.ndarray,
+        target_candidates: int,
+        min_probes: int = 0,
+    ) -> tuple[list[QueryLookup], np.ndarray, np.ndarray]:
+        """Per-query probe budgets on the dict layout (reference path).
+
+        The rule of
+        :meth:`~repro.index.frozen.FrozenLSHIndex.lookup_batch_adaptive`,
+        written plainly: each query's bucket sketches are merged ring by
+        ring (ring ``j`` holds probe ``j`` of every table; ring 0 the home
+        buckets), and probing stops at the first ring ``j >= min_probes``
+        whose prefix *certifies* ``target_candidates`` — its merged HLL
+        estimate, clamped to the prefix's exact bounds ``[largest bucket,
+        min(#collisions, n)]``, reaches the target.  Here every ring is
+        merged and clamped; the frozen layout merges only the prefixes
+        the bounds leave open, which cannot change a stop ring.
+
+        Returns ``(lookups, probes_used, certified)`` with the same
+        contract as the frozen layout's implementation.
+        """
+        self._require_sketches()
+        full = self.lookup_batch(queries)
+        q = len(full)
+        rings = 1 + self.probe_count
+        min_ring = min(max(int(min_probes), 0), rings - 1)
+        target = float(target_candidates)
+        probes = np.full(q, rings - 1, dtype=np.int64)
+        certified = np.zeros(q, dtype=bool)
         lookups = []
-        for qi, rows in enumerate(all_rows):
-            keys = flat_keys[qi * self.num_tables : (qi + 1) * self.num_tables]
-            buckets = [table.get(key) for table, key in zip(self.tables, keys)]
-            lookups.append(QueryLookup(keys=keys, buckets=buckets, hash_rows=list(rows)))
-        return lookups
+        for i, lk in enumerate(full):
+            merged = HyperLogLog(p=self.hll_precision, seed=self.hll_seed)
+            collisions = largest = 0
+            for j in range(rings):
+                for t in range(self.num_tables):
+                    bucket = lk.buckets[t * rings + j]
+                    if bucket is not None and len(bucket):
+                        bucket.contribute_to(merged, self._hll_hashes)
+                        collisions += len(bucket)
+                        largest = max(largest, len(bucket))
+                clamped = min(max(merged.estimate(), largest), min(collisions, self.n))
+                if j >= min_ring and clamped >= target:
+                    probes[i], certified[i] = j, True
+                    break
+            stop = int(probes[i])
+            if stop == rings - 1:
+                lookups.append(lk)
+                continue
+            keep = [t * rings + j for t in range(self.num_tables) for j in range(stop + 1)]
+            lookups.append(
+                QueryLookup(
+                    keys=[lk.keys[s] for s in keep],
+                    buckets=[lk.buckets[s] for s in keep],
+                    hash_rows=lk.hash_rows,
+                )
+            )
+        return lookups, probes, certified
 
     def num_collisions(self, query: np.ndarray) -> int:
         """Exact ``#collisions`` of Equation (1) for this query."""
@@ -550,5 +648,5 @@ class LSHIndex:
         built = f"n={self.n}" if self.is_built else "unbuilt"
         return (
             f"{type(self).__name__}(family={type(self.family).__name__}, "
-            f"k={self.k}, L={self.num_tables}, {built})"
+            f"k={self.k}, L={self.num_tables}, probes={self.num_probes}, {built})"
         )

@@ -54,7 +54,7 @@ class QueryResultCache:
     --------
     >>> cache = QueryResultCache(maxsize=2)
     >>> import numpy as np
-    >>> key = cache.make_key(np.array([1.0, 2.0]), radius=0.5)
+    >>> (key,) = cache.make_keys(np.array([[1.0, 2.0]]), radius=0.5)
     >>> cache.get(key) is None
     True
     """
@@ -70,22 +70,33 @@ class QueryResultCache:
         # OrderedDict relink in get()/put() is not atomic under threads.
         self._lock = threading.RLock()
 
-    def make_key(self, query: np.ndarray, radius: float) -> bytes:
-        """Build the cache key for one query vector and radius."""
-        query = np.ascontiguousarray(query, dtype=np.float64)
-        if self.quantum:
-            # + 0.0 canonicalises -0.0 so symmetric queries share a key.
-            scaled = np.round(query / self.quantum) + 0.0
-            # Quantised coordinates beyond int64 range (huge values, or
-            # non-finite ones) would wrap/saturate in the cast and make
-            # distinct queries collide; key those on the raw bytes.
-            if np.all(np.abs(scaled) < 2**62):
-                payload = b"q" + scaled.astype(np.int64).tobytes()
-            else:
-                payload = b"r" + query.tobytes()
-        else:
-            payload = b"r" + query.tobytes()
-        return np.float64(radius).tobytes() + payload
+    def make_keys(self, queries: np.ndarray, radius: float) -> list[bytes]:
+        """The cache key of every row of a ``(q, d)`` query matrix at ``radius``.
+
+        One pass over the whole matrix (divide, round, cast), then one
+        bytes slice per row: the radius's float64 bytes, then ``b"q"``
+        and the row's quantised coordinates as int64, or ``b"r"`` and
+        its raw float64 bytes.
+        """
+        queries = np.ascontiguousarray(queries, dtype=np.float64)
+        prefix = np.float64(radius).tobytes()
+        width = queries.shape[1] * 8
+        raw = queries.tobytes()
+        if not self.quantum:
+            return [prefix + b"r" + raw[i * width : (i + 1) * width] for i in range(len(queries))]
+        # + 0.0 canonicalises -0.0 so symmetric queries share a key.
+        scaled = np.round(queries / self.quantum) + 0.0
+        # A row with a quantised coordinate beyond int64 range (huge
+        # values, or non-finite ones) would wrap/saturate in the cast and
+        # collide with another; such rows key on their raw bytes.
+        fits = (np.abs(scaled) < 2**62).all(axis=1)
+        quantised = np.where(fits[:, None], scaled, 0.0).astype(np.int64).tobytes()
+        return [
+            prefix + b"q" + quantised[i * width : (i + 1) * width]
+            if fit
+            else prefix + b"r" + raw[i * width : (i + 1) * width]
+            for i, fit in enumerate(fits.tolist())
+        ]
 
     def get(self, key: bytes) -> QueryResult | None:
         """Look up a key, refreshing its recency (None on a miss)."""

@@ -10,7 +10,7 @@ import pytest
 from repro.api.facade import _resolve_family_and_k
 from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
-from repro.index import CoveringLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import CoveringLSHIndex, LSHIndex
 
 
 def max_examples(default: int) -> int:
@@ -44,13 +44,9 @@ def reference_index(points, spec, seed=None):
         )
     else:
         family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
-        if spec.variant == "multiprobe":
-            index = MultiProbeLSHIndex(
-                family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes,
-                **sketch,
-            )
-        else:
-            index = LSHIndex(family, k=k, num_tables=spec.num_tables, **sketch)
+        index = LSHIndex(
+            family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes, **sketch
+        )
     return index.build(points)
 
 

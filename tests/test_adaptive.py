@@ -103,6 +103,16 @@ def _spec(**overrides):
     return IndexSpec(**base)
 
 
+#: What a property's variant label builds on top of :func:`_spec`:
+#: multi-probe at its 4 probes, at zero probes (the classic index), or
+#: the covering construction (a Hamming-space one).
+VARIANT_SPECS = {
+    "multiprobe": {},
+    "zero-probes": {"num_probes": 0},
+    "covering": {"variant": "covering", "metric": "hamming", "radius": 2.0},
+}
+
+
 def _assert_id_subset(a_ids, a_dists, b_ids, b_dists):
     """ids nest exactly; distances agree within float tolerance.
 
@@ -271,13 +281,11 @@ def adaptive_case(draw):
 def envelope_case(draw):
     """An index of any variant x shard count, plus a batch."""
     points, queries, _, seed = draw(adaptive_case())
+    variant = draw(st.sampled_from(["zero-probes", "multiprobe", "covering"]))
     overrides = dict(
-        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
-        num_shards=draw(st.sampled_from([1, 3])),
-        seed=seed % 97,
+        num_shards=draw(st.sampled_from([1, 3])), seed=seed % 97, **VARIANT_SPECS[variant]
     )
-    if overrides["variant"] == "covering":  # a Hamming-space construction
-        overrides.update(metric="hamming", radius=2.0)
+    if variant == "covering":  # a Hamming-space construction
         points, queries = (points > 0).astype(float), (queries > 0).astype(float)
     return points, queries, overrides
 
@@ -287,9 +295,8 @@ def _dispatch_case(seed, n, variant, ratio, num_inserts):
     rng = np.random.default_rng(seed + 1)
     queries = points[rng.choice(n, size=12, replace=False)]
     inserts = _fig1_points(n, seed + 2)[rng.choice(n, size=num_inserts, replace=False)]
-    overrides = dict(variant=variant, cost_ratio=ratio, seed=seed % 97)
+    overrides = dict(cost_ratio=ratio, seed=seed % 97, **VARIANT_SPECS[variant])
     if variant == "covering":  # a Hamming-space construction
-        overrides.update(metric="hamming", radius=2.0)
         points, queries, inserts = (
             (a > 0).astype(float) for a in (points, queries, inserts)
         )
@@ -303,7 +310,7 @@ def dispatch_case(draw):
     return _dispatch_case(
         seed=draw(st.integers(0, 2**16)),
         n=draw(st.integers(150, 400)),
-        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        variant=draw(st.sampled_from(["zero-probes", "multiprobe", "covering"])),
         ratio=draw(st.sampled_from([0.5, 1.0, 2.0, 6.0])),
         num_inserts=draw(st.integers(1, 40)),
     )
@@ -440,7 +447,7 @@ class TestBoundFirstDispatch:
         assert _occupancy(raw, queries) == grown
 
     @given(dispatch_case())
-    @example(_dispatch_case(3, 400, "plain", 1.0, 1))
+    @example(_dispatch_case(3, 400, "zero-probes", 1.0, 1))
     @example(_dispatch_case(3, 400, "multiprobe", 2.0, 1))
     @settings(max_examples=15, deadline=None)
     def test_verdict_is_equation_1_at_the_clamped_estimate(self, case):
@@ -633,7 +640,7 @@ class TestEstimatorWorkUnits:
         rng = np.random.default_rng(5)
         centres = rng.uniform(-8.0, 8.0, size=(60, 1, DIM))
         points = (centres + rng.normal(scale=0.2, size=(60, 20, DIM))).reshape(-1, DIM)
-        index = Index.build(points, _spec(variant="plain"))
+        index = Index.build(points, _spec(num_probes=0))
         searcher, query_batch = self._arm(index, points, layout)
         merged = self._spy(monkeypatch, searcher.index)
         queries = points[::7]
@@ -646,13 +653,13 @@ class TestEstimatorWorkUnits:
         # Undisturbed by the shortcut: the stats stay finite and exact.
         assert all(o.estimated_candidates == o.candidates_examined for o in batch)
 
-    @pytest.mark.parametrize("variant", ["plain", "multiprobe"])
+    @pytest.mark.parametrize("num_probes", [0, 4])
     @pytest.mark.parametrize("layout", ["dict", "frozen"])
     def test_fig1_landscape_merges_exactly_the_open_rows(
-        self, monkeypatch, variant, layout
+        self, monkeypatch, num_probes, layout
     ):
         points = _fig1_points(800, seed=3)
-        index = Index.build(points, _spec(cost_ratio=1.0, variant=variant))
+        index = Index.build(points, _spec(cost_ratio=1.0, num_probes=num_probes))
         searcher, query_batch = self._arm(index, points, layout)
         queries = points[::8]
         lookups = searcher.index.lookup_batch(queries)
@@ -725,7 +732,7 @@ class TestEstimatorFidelity:
         queries = points[::4]
         index = Index.build(
             points,
-            _spec(variant="plain", cost_ratio=1.0, hll_precision=precision),
+            _spec(num_probes=0, cost_ratio=1.0, hll_precision=precision),
         )
         searcher = index.engine.searcher
         per_index = []

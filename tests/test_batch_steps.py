@@ -63,7 +63,7 @@ def batch_case(draw):
     return _batch_case(
         seed=draw(st.integers(0, 2**16)),
         n=draw(st.integers(150, 400)),
-        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        variant=draw(st.sampled_from(["zero-probes", "multiprobe", "covering"])),
         generations=draw(st.integers(0, 2)),
         ratio=draw(st.sampled_from([1, 8, 64, 10**9])),
         block_bytes=draw(st.sampled_from([0, 1 << 10, 1 << 12, 1 << 18])),
@@ -153,16 +153,16 @@ def _check_batched_steps(case):
 
 class TestBatchedStepsEqualPerRow:
     @given(batch_case())
-    @example(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
+    @example(_batch_case(3, 300, "zero-probes", 2, 8, 1 << 18))
     @example(_batch_case(5, 400, "multiprobe", 1, 1, 1 << 12))
     @example(_batch_case(7, 200, "covering", 2, 10**9, 0))
-    @example(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10))
+    @example(_batch_case(11, 300, "zero-probes", 0, 10**9, 1 << 10))
     @settings(max_examples=15, deadline=None)
     def test_batched_s2_and_s3_equal_the_per_row_steps(self, case):
         _check_batched_steps(case)
 
     def test_the_pins_cover_both_sides_of_each_crossover(self):
-        plain = _check_batched_steps(_batch_case(3, 300, "plain", 2, 8, 1 << 18))
+        plain = _check_batched_steps(_batch_case(3, 300, "zero-probes", 2, 8, 1 << 18))
         assert any(plain.small) and not all(plain.small)  # S2: both sides of n // 8
         assert 0 in plain.sizes  # an empty row
         # Lone rows too, beside live overflow runs: the one-row sort
@@ -174,7 +174,7 @@ class TestBatchedStepsEqualPerRow:
         probed = _check_batched_steps(_batch_case(5, 400, "multiprobe", 1, 1, 1 << 12))
         assert any(probed.lone_small) and not all(probed.lone_small)
         assert probed.live_runs == 1
-        sizes = _check_batched_steps(_batch_case(11, 300, "plain", 0, 10**9, 1 << 10)).sizes
+        sizes = _check_batched_steps(_batch_case(11, 300, "zero-probes", 0, 10**9, 1 << 10)).sizes
         cap = (1 << 10) // (10 * 8)  # S3: candidate points a block holds at d = 10
         assert any(0 < s <= cap // 2 for s in sizes) and max(sizes) > cap
 

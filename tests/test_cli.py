@@ -123,12 +123,19 @@ class TestCli:
         responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert 0 in responses[0]["ids"]
         assert responses[1]["spec"]["num_shards"] == 2
+        # The default build: multi-probe at zero extra probes.
+        assert responses[1]["spec"]["variant"] == "multiprobe"
+        assert responses[1]["spec"]["num_probes"] == 0
 
     def test_serve_index_rejects_conflicting_build_flags(self, tmp_path):
         """--index serves the saved spec; silently ignoring --cache-size
         etc. would serve a different policy than the operator asked for."""
         with pytest.raises(SystemExit, match="cache-size"):
             main(["serve", "--index", str(tmp_path / "x"), "--cache-size", "64"])
+        with pytest.raises(SystemExit, match="--probes") as refused:
+            main(["serve", "--index", str(tmp_path / "x"), "--probes", "2",
+                  "--variant", "multiprobe"])
+        assert "--variant" not in str(refused.value)  # the default is no conflict
 
     def test_serve_sharded(self, capsys, monkeypatch):
         from repro.datasets import corel_like

@@ -19,12 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Index, IndexSpec
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.api import facade
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.hashing import PStableLSH, SimHashLSH
-from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import CoveringLSHIndex, FrozenLSHIndex, LSHIndex
 from repro.index.frozen import index as frozen_index
 from repro.index.frozen import persist as frozen_persist
 from repro.index.frozen import tables as frozen_tables
@@ -554,14 +554,15 @@ class TestFrozenGuards:
             index.freeze()
 
     def test_freeze_rejects_unknown_subclasses(self):
-        """Built-in variants freeze (multi-probe since PR 5); a custom
-        subclass with an unknown query surface still must not."""
+        """Built-in indexes freeze (a probing one keeps its probes); a
+        custom subclass with an unknown query surface must not."""
         rng = np.random.default_rng(0)
         points = rng.normal(size=(100, 8))
-        probe = MultiProbeLSHIndex(
+        probe = LSHIndex(
             SimHashLSH(8, seed=1), k=2, num_tables=3, num_probes=1, seed=2
         ).build(points)
-        assert probe.freeze().variant == "multiprobe"
+        frozen = probe.freeze()
+        assert frozen.variant == "multiprobe" and frozen.probe_count == 1
 
         class CustomIndex(LSHIndex):
             pass
@@ -704,8 +705,12 @@ class TestFrozenPersistence:
         for q in queries:
             assert_results_equal(a.query(q, 1.5), b.query(q, 1.5))
 
-    @pytest.mark.parametrize("variant", ["plain", "multiprobe", "covering"])
-    def test_query_path_reads_no_memmap_instance(self, variant, tmp_path):
+    @pytest.mark.parametrize(
+        "variant, num_probes",
+        [("multiprobe", 0), ("multiprobe", 2), ("covering", 0)],
+        ids=["no-probes", "two-probes", "covering"],
+    )
+    def test_query_path_reads_no_memmap_instance(self, variant, num_probes, tmp_path):
         """Reopened, the hot path's arrays are plain ndarrays — and stay so.
 
         The ``np.memmap`` subclass charges ``__getitem__`` /
@@ -720,12 +725,14 @@ class TestFrozenPersistence:
             built, radius = CoveringLSHIndex(dim=32, radius=4, seed=1), 4.0
         else:
             points = rng.normal(size=(200, 10))
-            cls = MultiProbeLSHIndex if variant == "multiprobe" else LSHIndex
-            built, radius = cls(PStableLSH(10, w=2.0), k=3, num_tables=5, seed=2), 1.5
+            built = LSHIndex(
+                PStableLSH(10, w=2.0), k=3, num_tables=5, seed=2, num_probes=num_probes
+            )
+            radius = 1.5
         path = str(tmp_path / "artifact")
         save_frozen_index(built.build(points).freeze(), path)
         reopened = load_frozen_index(path)
-        assert reopened.variant == variant
+        assert reopened.variant == variant and reopened.probe_count == num_probes
 
         def hot_arrays():
             searcher = HybridSearcher(reopened, CostModel.from_ratio(6.0))
@@ -866,7 +873,9 @@ class TestMigrate:
         assert frozen_persist.migrate(copy) == [copy]
         assert format_version(copy) == 4
         migrated = load_frozen_index(copy)
-        assert migrated.variant == name.split("_")[0]
+        # A plain index migrates as what it always was: zero probes.
+        assert migrated.variant == ("covering" if name == "covering" else "multiprobe")
+        assert migrated.probe_count == (2 if name.startswith("multiprobe") else 0)
         assert_file_backed(migrated.frozen.key64, copy, "key64")
         assert answers(migrated, queries) == expected
         if stats is not None:
@@ -973,6 +982,37 @@ class TestMigrate:
         with pytest.raises(expected) as info:
             Index.open(path).close()
         assert "repro.cli migrate" in str(info.value)
+
+
+class TestFormatV4Labels:
+    """``Index.save`` directories of format v4 written while ``"plain"``
+    was a variant (``tests/fixtures/frozen_v4``, by commit c2d5996): a
+    plain index, whose spec carries the ``num_probes`` 2 it never read,
+    and a 2-probe index of the same points.  Both open as they are (no
+    ``migrate``) and answer as recorded; the plain one has zero probes."""
+
+    @pytest.mark.parametrize("name, probes", [("plain", 0), ("multiprobe", 2)])
+    def test_opens_without_migrate_and_answers_as_recorded(self, name, probes):
+        source = os.path.join(FIXTURES, "frozen_v4", name)
+        with open(os.path.join(source, "index.json")) as fh:
+            assert json.load(fh)["spec"]["variant"] == name
+        with open(os.path.join(FIXTURES, "frozen_v4", "expected.json")) as fh:
+            expected = json.load(fh)
+        before = file_hashes(source)
+        index = Index.open(source)
+        try:
+            assert (index.spec.variant, index.spec.num_probes) == ("multiprobe", probes)
+            assert index.engine.index.probe_count == probes
+            results = index.query(QuerySpec(np.asarray(expected["queries"])))
+            got = [
+                {"ids": r.ids.tolist(), "distances": r.distances.tolist(), "stats": repr(r.stats)}
+                for r in results
+            ]
+        finally:
+            index.close()
+        assert got == expected[name]
+        assert {r.stats.strategy.value for r in results} == {"lsh", "linear"}
+        assert file_hashes(source) == before  # opened, not rewritten
 
 
 class TestEntryLimit:

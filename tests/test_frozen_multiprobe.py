@@ -1,8 +1,8 @@
 """Frozen multi-probe layout: unit tests + bit-identity properties.
 
-The contract is the same as the plain frozen layout's
+The contract is the same as at zero probes
 (:mod:`tests.test_frozen`): byte-level agreement with the dict-layout
-:class:`~repro.index.multiprobe_index.MultiProbeLSHIndex` for every
+:class:`~repro.index.lsh_index.LSHIndex` of the same probes for every
 primitive and every serving path — single queries, batches, exact
 top-k, inserts through the overflow side-table, re-freeze, a
 save/``np.load(mmap_mode="r")`` reopen, and the
@@ -18,7 +18,7 @@ from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError
 from repro.hashing import PStableLSH, SimHashLSH
-from repro.index import FrozenMultiProbeLSHIndex, LSHIndex, MultiProbeLSHIndex
+from repro.index import FrozenLSHIndex, LSHIndex
 from repro.index.frozen import load_frozen_index, save_frozen_index
 
 
@@ -30,7 +30,7 @@ def build_pair(family="pstable", num_probes=3, n=300, dim=10, seed=0):
         if family == "pstable"
         else SimHashLSH(dim, seed=1)
     )
-    index = MultiProbeLSHIndex(
+    index = LSHIndex(
         fam, k=3, num_tables=5, num_probes=num_probes, seed=2
     ).build(points)
     return rng, points, index, index.freeze(refreeze_threshold=8)
@@ -46,13 +46,13 @@ def assert_equal_results(a, b):
 class TestFreeze:
     def test_freeze_returns_frozen_multiprobe(self):
         _, _, index, frozen = build_pair()
-        assert isinstance(frozen, FrozenMultiProbeLSHIndex)
+        assert isinstance(frozen, FrozenLSHIndex)
         assert frozen.layout == "frozen"
         assert frozen.variant == "multiprobe"
         assert frozen.num_probes == index.num_probes
 
     def test_unbuilt_rejected(self):
-        index = MultiProbeLSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=3)
+        index = LSHIndex(SimHashLSH(8, seed=0), k=2, num_tables=3, num_probes=2)
         with pytest.raises(Exception):
             index.freeze()
 
@@ -66,7 +66,7 @@ class TestFreeze:
         truncates exactly like the dict layout."""
         rng = np.random.default_rng(0)
         points = rng.normal(size=(120, 6))
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             SimHashLSH(6, seed=1), k=1, num_tables=4, num_probes=5, seed=2
         ).build(points)
         frozen = index.freeze()
@@ -164,8 +164,8 @@ class TestPersistence:
         path = str(tmp_path / "mp.frozen")
         save_frozen_index(frozen, path)
         reopened = load_frozen_index(path, mmap_mode="r")
-        assert isinstance(reopened, FrozenMultiProbeLSHIndex)
-        assert reopened.num_probes == frozen.num_probes
+        assert isinstance(reopened, FrozenLSHIndex)
+        assert reopened.num_probes == frozen.num_probes == 3
         # Arrays really are memory-mapped, not copies.
         assert_file_backed(reopened.frozen.members, path, "members")
         cm = CostModel.from_ratio(6.0)
@@ -211,9 +211,9 @@ class TestSpecAndFacade:
             variant="multiprobe", num_probes=3, seed=1,
         )
         index = Index.build(points, spec)
-        assert isinstance(index.engine.index, FrozenMultiProbeLSHIndex)
+        assert isinstance(index.engine.index, FrozenLSHIndex)
         reference = HybridSearcher(reference_index(points, spec), index.cost_model)
-        assert isinstance(reference.index, MultiProbeLSHIndex)
+        assert isinstance(reference.index, LSHIndex)
         for ra, rb in zip(
             index.query(QuerySpec(points[:15])),
             reference.query_batch(points[:15], spec.radius),
@@ -306,7 +306,7 @@ class TestMultiProbeProperties:
         rng = np.random.default_rng(seed)
         points = rng.normal(size=(n, dim))
         fam = PStableLSH(dim, w=2.0) if family == "pstable" else SimHashLSH(dim)
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             fam, k=k, num_tables=num_tables, num_probes=num_probes, seed=seed
         ).build(points)
         frozen = index.freeze(refreeze_threshold=4)

@@ -279,7 +279,7 @@ class TestStepS1Properties:
 
 
 def _walk_case(seed, n, variant, generations, target, min_probes):
-    """A Fig. 1 landscape on the plain or multi-probe layout, inserts for
+    """A Fig. 1 landscape at zero or four probes, inserts for
     ``generations`` live runs, and a probe budget."""
     points, queries, inserts, overrides = _dispatch_case(seed, n, variant, 1.0, 24)
     parts = np.array_split(inserts, generations) if generations else []
@@ -292,7 +292,7 @@ def walk_case(draw):
     return _walk_case(
         seed=draw(st.integers(0, 2**16)),
         n=draw(st.integers(150, 400)),
-        variant=draw(st.sampled_from(["plain", "multiprobe"])),
+        variant=draw(st.sampled_from(["zero-probes", "multiprobe"])),
         generations=draw(st.integers(0, 2)),
         target=draw(st.integers(1, 120)),
         min_probes=draw(st.integers(0, 2)),
@@ -307,14 +307,12 @@ class TestBudgetedWalkProperties:
     @settings(max_examples=max_examples(15), deadline=None)
     @given(walk_case())
     @example(_walk_case(3, 300, "multiprobe", 2, 40, 0))
-    @example(_walk_case(5, 250, "plain", 1, 30, 0))
+    @example(_walk_case(5, 250, "zero-probes", 1, 30, 0))
     @example(_walk_case(7, 400, "multiprobe", 0, 60, 1))
     def test_frozen_walk_is_the_dict_walk(self, case):
         points, queries, parts, overrides, target, min_probes = case
         index = Index.build(points, _spec(**overrides))
         raw, spec = index.engine.index, index.spec
-        if spec.variant == "plain":  # the dict walk lives on the probing index
-            spec = spec.with_overrides(variant="multiprobe", num_probes=0)
         reference = reference_index(points, spec)
         _serve_generations(raw, parts)
         for part in parts:
@@ -609,7 +607,7 @@ class TestAppendedRowsProperties:
     @given(
         seed=st.integers(0, 2**16),
         n=st.integers(200, 400),
-        variant=st.sampled_from(["plain", "multiprobe", "covering"]),
+        variant=st.sampled_from(["zero-probes", "multiprobe", "covering"]),
         opened=st.booleans(),
         threshold=st.sampled_from([8, 24, 64]),
         schedule=st.lists(st.integers(1, 24), min_size=2, max_size=8),
@@ -619,7 +617,7 @@ class TestAppendedRowsProperties:
         schedule=[3, 40, 40, 40],
     )
     @example(
-        seed=2, n=200, variant="plain", opened=False, threshold=24,
+        seed=2, n=200, variant="zero-probes", opened=False, threshold=24,
         schedule=[1, 30, 2, 30],
     )
     def test_inserts_into_spare_capacity_answer_as_the_reference(

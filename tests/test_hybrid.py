@@ -9,6 +9,7 @@ from repro.core import (
     HybridSearcher,
     LinearScan,
     LSHSearch,
+    QueryStats,
     Strategy,
 )
 from repro.exceptions import ConfigurationError, EmptyIndexError
@@ -94,6 +95,42 @@ class TestAnswers:
             result = hybrid.query(q, radius=1.2)
             dists = np.linalg.norm(gaussian_points[result.ids] - q, axis=1)
             assert np.all(dists <= 1.2)
+
+
+class TestStatsBuiltOnce:
+    def test_one_query_stats_per_row_of_a_mixed_batch(self, monkeypatch, gaussian_points):
+        """Each row's ``QueryStats`` is built once, with the dispatch facts:
+        the linear rows get the scan's ``(ids, distances)``, not a result
+        with stats of its own to throw away.  Counted on a batch whose
+        rows go both ways, and on an all-linear one."""
+        import repro.core.hybrid as hybrid_module
+        import repro.core.linear_scan as linear_module
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("strategy"))
+            return QueryStats(*args, **kwargs)
+
+        index = Index.build(
+            gaussian_points, IndexSpec(metric="l2", radius=1.2, cost_ratio=1.0, seed=4)
+        )
+        searcher = index.engine.searcher
+        queries = gaussian_points[::10]
+        expected = searcher.query_batch(queries, 1.2)
+        assert {r.stats.strategy for r in expected} == {Strategy.LSH, Strategy.LINEAR}
+        monkeypatch.setattr(hybrid_module, "QueryStats", counting)
+        monkeypatch.setattr(linear_module, "QueryStats", counting)
+        results = searcher.query_batch(queries, 1.2)
+        assert len(built) == len(queries)
+        assert [r.stats for r in results] == [r.stats for r in expected]
+
+        del built[:]
+        all_linear = HybridSearcher(searcher.index, CostModel(alpha=1e12, beta=1.0))
+        results = all_linear.query_batch(queries, 1.2)
+        assert len(built) == len(queries)
+        assert {r.stats.strategy for r in results} == {Strategy.LINEAR}
+        index.close()
 
 
 class TestServedSearcher:

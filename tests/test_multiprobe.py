@@ -5,29 +5,29 @@ import pytest
 from repro.core import CostModel, HybridSearcher, LSHSearch
 from repro.exceptions import ConfigurationError
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
-from repro.index import LSHIndex, MultiProbeLSHIndex
+from repro.index import LSHIndex
 
 
 class TestMultiProbeLookup:
     def test_probe_count_per_table(self, gaussian_points):
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             SimHashLSH(16, seed=1), k=6, num_tables=5, num_probes=3
         ).build(gaussian_points)
         lookup = index.lookup(gaussian_points[0])
         assert len(lookup.keys) == 5 * (1 + 3)
         assert len(lookup.hash_rows) == 5
 
-    def test_zero_probes_equals_classic(self, gaussian_points):
+    def test_zero_probes_is_the_default_and_classic(self, gaussian_points):
         classic = LSHIndex(SimHashLSH(16, seed=1), k=6, num_tables=5).build(gaussian_points)
-        probed = MultiProbeLSHIndex(
-            SimHashLSH(16, seed=1), k=6, num_tables=5, num_probes=0
-        ).build(gaussian_points)
+        assert classic.num_probes == classic.probe_count == 0
         q = gaussian_points[3]
-        assert classic.lookup(q).keys == probed.lookup(q).keys
+        lookup = classic.lookup(q)
+        assert len(lookup.keys) == 5
+        assert [t.get(key) for t, key in zip(classic.tables, lookup.keys)] == lookup.buckets
 
     def test_probing_never_loses_candidates(self, gaussian_points):
         classic = LSHIndex(SimHashLSH(16, seed=1), k=6, num_tables=5).build(gaussian_points)
-        probed = MultiProbeLSHIndex(
+        probed = LSHIndex(
             SimHashLSH(16, seed=1), k=6, num_tables=5, num_probes=4
         ).build(gaussian_points)
         q = gaussian_points[7]
@@ -42,7 +42,7 @@ class TestMultiProbeLookup:
         classic = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=2), k=6, num_tables=3
         ).build(gaussian_points)
-        probed = MultiProbeLSHIndex(
+        probed = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=2), k=6, num_tables=3, num_probes=8
         ).build(gaussian_points)
         found_classic = LSHSearch(classic).query(q, radius).output_size
@@ -51,31 +51,31 @@ class TestMultiProbeLookup:
 
     def test_negative_probes_raises(self):
         with pytest.raises(ConfigurationError):
-            MultiProbeLSHIndex(SimHashLSH(4, seed=0), k=2, num_tables=2, num_probes=-1)
+            LSHIndex(SimHashLSH(4, seed=0), k=2, num_tables=2, num_probes=-1)
 
     def test_binary_family_uses_bit_flips(self, binary_points):
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             BitSamplingLSH(32, seed=1), k=5, num_tables=4, num_probes=3
         ).build(binary_points)
         lookup = index.lookup(binary_points[0])
         assert len(lookup.keys) == 4 * 4
 
     def test_pstable_offsets_precomputed(self, gaussian_points):
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=1), k=4, num_tables=2, num_probes=5
         )
         assert not index._binary_values
         assert index._probe_deltas.shape == (5, 4)
 
     def test_repr_mentions_probes(self):
-        index = MultiProbeLSHIndex(SimHashLSH(4, seed=0), k=2, num_tables=2, num_probes=7)
+        index = LSHIndex(SimHashLSH(4, seed=0), k=2, num_tables=2, num_probes=7)
         assert "probes=7" in repr(index)
 
 
 class TestHybridOnMultiProbe:
     def test_hybrid_searcher_works_unchanged(self, gaussian_points):
         """The paper's future-work claim: hybrid drops onto multi-probe."""
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=3), k=4, num_tables=4, num_probes=4
         ).build(gaussian_points)
         hybrid = HybridSearcher(index, CostModel.from_ratio(5.0))
@@ -84,7 +84,7 @@ class TestHybridOnMultiProbe:
         assert result.stats.num_collisions >= 4
 
     def test_merged_sketch_covers_probed_buckets(self, gaussian_points):
-        index = MultiProbeLSHIndex(
+        index = LSHIndex(
             PStableLSH(16, w=2.0, p=2, seed=3), k=4, num_tables=4, num_probes=4
         ).build(gaussian_points)
         lookup = index.lookup(gaussian_points[0])

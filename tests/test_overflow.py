@@ -36,7 +36,7 @@ from repro.index.frozen import lookup as frozen_lookup
 from repro.index.frozen import tables as frozen_tables
 from repro.index.overflow import OverflowRun
 
-VARIANTS = ["plain", "multiprobe", "covering"]
+VARIANTS = ["zero-probes", "multiprobe", "covering"]
 
 
 def build_raw(variant, seed=11, n=300, num_inserts=40):
@@ -376,7 +376,7 @@ def test_first_query_after_an_insert_prepares_only_the_new_rows(monkeypatch):
     """The row norms are the index's: the first query prepares all n
     rows once, and the first query after an m-point insert prepares the
     m new rows — not n + m for each of the scan and the LSH filter."""
-    points, queries, inserts, overrides = _dispatch_case(11, 300, "plain", 1.0, 40)
+    points, queries, inserts, overrides = _dispatch_case(11, 300, "zero-probes", 1.0, 40)
     index = Index.build(points, _spec(**overrides))  # ratio 1: both strategies
     raw = index.engine.index
     prepared: list[int] = []
@@ -406,7 +406,7 @@ def test_readers_beside_appends_see_rows_and_norms_of_one_view():
     boundaries: every ``prepared_points()`` pairs a view with exactly its
     rows' norms, bit for bit, and a view once handed out never changes —
     the writer only writes past every published ``n``."""
-    raw, _, _, inserts = build_raw("plain", n=400, num_inserts=40)
+    raw, _, _, inserts = build_raw("zero-probes", n=400, num_inserts=40)
     raw.refreeze_threshold = 10**6
     rng = np.random.default_rng(8)
     batches = [inserts[rng.choice(40, size=8)] for _ in range(40)]
@@ -489,7 +489,7 @@ def test_identical_rows_share_one_union_beside_a_live_run(monkeypatch, variant):
 
 
 def test_diagnostics_count_the_runs_arrays():
-    raw, points, queries, inserts = build_raw("plain")
+    raw, points, queries, inserts = build_raw("zero-probes")
     raw.refreeze_threshold = 10**6
     before, buckets = raw.memory_report(), raw.bucket_statistics()["buckets"]
     raw.insert(inserts)
@@ -513,7 +513,7 @@ def test_diagnostics_count_the_runs_arrays():
 
 
 def test_readers_only_ever_see_whole_inserts():
-    raw, points, queries, inserts = build_raw("plain", n=400, num_inserts=40)
+    raw, points, queries, inserts = build_raw("zero-probes", n=400, num_inserts=40)
     rng = np.random.default_rng(3)
     batches = [
         inserts[rng.choice(len(inserts), size=8)] + rng.normal(scale=0.01, size=(8, 10))

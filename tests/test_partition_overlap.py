@@ -7,7 +7,7 @@ answers and counts, never as timings:
 
 * ids, distances and every ``QueryStats`` field equal the inline run's
   (the helper forced off through the module-level
-  ``overlap._usable_cpus`` hook), on plain, multi-probe and covering
+  ``overlap._usable_cpus`` hook), on zero-probe, multi-probe and covering
   indexes beside live overflow runs, traced and untraced;
 * work units, counted as helper submits: a lone query, an all-LSH and
   an all-linear batch hand over nothing, a two-partition batch exactly
@@ -75,7 +75,7 @@ def assert_same_rows(got, expected):
 
 def _fig1():
     """A Fig. 1 index spec, its points, and a batch that splits both ways."""
-    points, queries, inserts, overrides = _dispatch_case(3, 300, "plain", 0.5, 24)
+    points, queries, inserts, overrides = _dispatch_case(3, 300, "zero-probes", 0.5, 24)
     return points, np.concatenate([queries, inserts]), _spec(**overrides)
 
 
@@ -98,7 +98,7 @@ def overlap_case(draw):
     return _overlap_case(
         seed=draw(st.integers(0, 2**16)),
         n=draw(st.integers(150, 400)),
-        variant=draw(st.sampled_from(["plain", "multiprobe", "covering"])),
+        variant=draw(st.sampled_from(["zero-probes", "multiprobe", "covering"])),
         ratio=draw(st.sampled_from([0.5, 1.0, 2.0])),
         generations=draw(st.integers(1, 2)),
         scale=draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -127,7 +127,7 @@ def _serve_both_ways(case):
 
 
 PINS = (
-    _overlap_case(3, 300, "plain", 0.5, 1, 1.0, True),
+    _overlap_case(3, 300, "zero-probes", 0.5, 1, 1.0, True),
     _overlap_case(5, 400, "multiprobe", 1.0, 2, 2.0, False),
     _overlap_case(7, 300, "covering", 0.5, 1, 1.0, True),
 )
@@ -347,7 +347,7 @@ class TestLifecycle:
             with usable_cpus(2):
                 expected = index.query(QuerySpec(batch))
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(LinearScan, "query_batch", failing)
+                    patch.setattr(LinearScan, "scan_batch", failing)
                     with pytest.raises(RuntimeError, match="linear partition failed"):
                         index.query(QuerySpec(batch))
                 assert len(ran_on) == 1 and ran_on[0].startswith(THREAD_NAME)

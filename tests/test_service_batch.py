@@ -133,9 +133,9 @@ class TestMultiProbeBatch:
     @pytest.fixture
     def probed_index(self, gaussian_points):
         from repro.hashing import PStableLSH
-        from repro.index import MultiProbeLSHIndex
+        from repro.index import LSHIndex
 
-        return MultiProbeLSHIndex(
+        return LSHIndex(
             PStableLSH(dim=16, w=2.0, p=2, seed=7),
             k=4,
             num_tables=6,

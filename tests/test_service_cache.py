@@ -4,11 +4,32 @@ import json
 
 import numpy as np
 import pytest
+from conftest import max_examples
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.core.results import QueryResult
 from repro.exceptions import ConfigurationError
 from repro.service import QueryResultCache, serve_stream
+
+
+def _key(cache, query, radius) -> bytes:
+    """One row's key through the batch call."""
+    (key,) = cache.make_keys(np.asarray(query, dtype=np.float64)[None, :], radius)
+    return key
+
+
+def _reference_key(cache, query, radius) -> bytes:
+    """The per-row keying rule, written out: the radius's float64 bytes,
+    then ``b"q"`` + the quantised coordinates as int64 (``-0.0`` folded
+    into ``0.0``), or ``b"r"`` + the raw float64 bytes when the quantum
+    is 0 or a quantised coordinate is non-finite or reaches 2**62."""
+    query = np.ascontiguousarray(query, dtype=np.float64)
+    payload = b"r" + query.tobytes()
+    if cache.quantum:
+        scaled = np.round(query / cache.quantum) + 0.0
+        if np.all(np.abs(scaled) < 2**62):
+            payload = b"q" + scaled.astype(np.int64).tobytes()
+    return np.float64(radius).tobytes() + payload
 
 
 def _dummy_result(ids=(1, 2)) -> QueryResult:
@@ -19,7 +40,7 @@ def _dummy_result(ids=(1, 2)) -> QueryResult:
 class TestLruSemantics:
     def test_miss_then_hit_returns_the_stored_object(self):
         cache = QueryResultCache(maxsize=4)
-        key = cache.make_key(np.array([1.0, 2.0]), radius=0.5)
+        key = _key(cache, np.array([1.0, 2.0]), 0.5)
         assert cache.get(key) is None
         stored = _dummy_result()
         cache.put(key, stored)
@@ -27,7 +48,7 @@ class TestLruSemantics:
 
     def test_eviction_order_is_lru(self):
         cache = QueryResultCache(maxsize=2)
-        keys = [cache.make_key(np.array([float(i)]), radius=1.0) for i in range(3)]
+        keys = [_key(cache, np.array([float(i)]), 1.0) for i in range(3)]
         cache.put(keys[0], _dummy_result())
         cache.put(keys[1], _dummy_result())
         assert cache.get(keys[0]) is not None  # refresh 0; 1 becomes LRU
@@ -38,7 +59,7 @@ class TestLruSemantics:
 
     def test_clear(self):
         cache = QueryResultCache(maxsize=2)
-        key = cache.make_key(np.array([0.0]), radius=1.0)
+        key = _key(cache, np.array([0.0]), 1.0)
         cache.put(key, _dummy_result())
         cache.clear()
         assert len(cache) == 0 and cache.get(key) is None
@@ -54,37 +75,76 @@ class TestKeying:
     def test_radius_is_part_of_the_key(self):
         cache = QueryResultCache()
         q = np.array([1.0, 2.0])
-        assert cache.make_key(q, 0.5) != cache.make_key(q, 0.6)
+        assert _key(cache, q, 0.5) != _key(cache, q, 0.6)
 
     def test_quantisation_buckets_nearby_queries(self):
         cache = QueryResultCache(quantum=0.1)
-        a = cache.make_key(np.array([1.00, 2.00]), 0.5)
-        b = cache.make_key(np.array([1.04, 1.96]), 0.5)
-        c = cache.make_key(np.array([1.30, 2.00]), 0.5)
+        a = _key(cache, np.array([1.00, 2.00]), 0.5)
+        b = _key(cache, np.array([1.04, 1.96]), 0.5)
+        c = _key(cache, np.array([1.30, 2.00]), 0.5)
         assert a == b
         assert a != c
 
     def test_zero_quantum_keys_exact_bytes(self):
         cache = QueryResultCache(quantum=0.0)
-        a = cache.make_key(np.array([1.0]), 0.5)
-        b = cache.make_key(np.array([1.0 + 1e-12]), 0.5)
+        a = _key(cache, np.array([1.0]), 0.5)
+        b = _key(cache, np.array([1.0 + 1e-12]), 0.5)
         assert a != b
 
     def test_huge_coordinates_do_not_collide(self):
         """Regression: values past int64 range after quantisation must
         not saturate onto one key."""
         cache = QueryResultCache(quantum=1e-9)
-        a = cache.make_key(np.array([1e10, 0.0]), 1.0)
-        b = cache.make_key(np.array([2e10, 0.0]), 1.0)
+        a = _key(cache, np.array([1e10, 0.0]), 1.0)
+        b = _key(cache, np.array([2e10, 0.0]), 1.0)
         assert a != b
-        nan_key = cache.make_key(np.array([np.nan, 0.0]), 1.0)
+        nan_key = _key(cache, np.array([np.nan, 0.0]), 1.0)
         assert nan_key not in (a, b)
 
     def test_negative_zero_canonicalised(self):
         cache = QueryResultCache(quantum=1e-6)
-        assert cache.make_key(np.array([0.0]), 1.0) == cache.make_key(
-            np.array([-0.0]), 1.0
+        assert _key(cache, np.array([0.0]), 1.0) == _key(cache, np.array([-0.0]), 1.0)
+
+    def test_one_batch_keys_every_row_like_the_per_row_rule(self):
+        """A batch mixing quantised rows, raw-bytes fallbacks (a huge
+        coordinate, NaN, inf) and ``-0.0`` keys each row as alone."""
+        rows = np.array(
+            [[0.0, -0.0], [-0.0, 1e10], [2.0**62 * 1e-9, 0.0], [np.nan, 1.0],
+             [np.inf, 0.0], [-np.inf, -2.5], [1.00000000049, 3.0]]
         )
+        for quantum in (1e-9, 0.1, 0.0):
+            cache = QueryResultCache(quantum=quantum)
+            assert cache.make_keys(rows, 0.75) == [
+                _reference_key(cache, row, 0.75) for row in rows
+            ]
+
+
+hypothesis = pytest.importorskip("hypothesis", reason="property tests need hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestKeyingProperty:
+    @settings(max_examples=max_examples(200), deadline=None)
+    @given(
+        rows=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 2.0**62, -(2.0**62), 1e-9, 4.6e9]),
+            ),
+        ),
+        quantum=st.sampled_from([0.0, 1e-9, 1e-6, 0.5, 1e6]),
+        radius=st.floats(1e-6, 1e6),
+    )
+    def test_batch_keys_equal_the_per_row_rule(self, rows, quantum, radius):
+        cache = QueryResultCache(quantum=quantum)
+        assert cache.make_keys(rows, radius) == [
+            _reference_key(cache, row, radius) for row in rows
+        ]
 
 
 def _spec(**overrides) -> IndexSpec:
