@@ -12,9 +12,7 @@ are ``int64``, HLL registers are uint8 and the 64-bit bucket addresses
 ``key64`` are uint64 (one typed ``searchsorted``; a signed or float
 drift would silently reorder them).  A drift back to eight-byte ids
 would double the index's largest array without failing one answer.
-The full hash rows ``keys`` are deliberately *not* contracted: their
-dtype is the narrowest integer that holds the stored values, chosen at
-assembly.  They are declared once in :data:`DTYPE_CONTRACTS` and
+The contracts are declared once in :data:`DTYPE_CONTRACTS` and
 checked at every allocation / cast site under ``index/``: an
 ``np.empty``/``np.zeros``/``np.full``/``astype``/``np.asarray`` whose
 result lands in a contracted name (or re-materialises a contracted

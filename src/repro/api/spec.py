@@ -54,8 +54,9 @@ JSON schema (all keys optional unless noted)::
 ``candSize`` is always estimated from the query's merged HyperLogLog
 sketches (Algorithm 2), so the schema has no estimator key; documents
 saved while it was one still load (see :meth:`IndexSpec.from_dict`).
-Likewise ``"variant": "plain"``, from before the plain index became
-multi-probe at ``num_probes=0``.
+A ``"variant": "plain"`` document, from before the plain index became
+multi-probe at ``num_probes=0``, is refused: ``python -m repro.cli
+migrate PATH`` rewrites a saved one.
 
 :class:`QuerySpec` additionally carries per-request adaptive overrides
 (``adaptive`` / ``target_candidates`` / ``quality_floor``, all ``None``
@@ -198,7 +199,8 @@ class IndexSpec:
         if self.variant == "plain":
             raise ConfigurationError(
                 'variant "plain" is variant="multiprobe" with num_probes=0 '
-                "(the default)"
+                "(the default); `python -m repro.cli migrate PATH` rewrites a "
+                "saved index whose index.json still says it"
             )
         if self.variant not in ("multiprobe", "covering"):
             raise ConfigurationError(
@@ -287,11 +289,6 @@ class IndexSpec:
                 "always the merged-HLL estimate (legacy values "
                 f"{list(_RETIRED_ESTIMATORS)} still load)"
             )
-        # Likewise documents written while "plain" was a variant: their
-        # num_probes (2, the old default) was never read, so they load
-        # at zero probes, the index they were built as.
-        if doc.get("variant") == "plain":
-            doc.update(variant="multiprobe", num_probes=0)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:

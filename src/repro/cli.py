@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "printed in the startup JSON line)",
     )
 
-    p_migrate = sub.add_parser("migrate", help="re-hash an older-format saved index as v4")
+    p_migrate = sub.add_parser("migrate", help="re-hash an older-format saved index in the current format")
     p_migrate.add_argument("path", metavar="PATH", help="an Index.save or frozen index directory")
 
     p_lg = sub.add_parser(

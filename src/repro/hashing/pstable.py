@@ -31,6 +31,21 @@ from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["PStableLSH", "l1_collision_probability", "l2_collision_probability"]
 
+#: Bucket indexes are clipped to ``[-2**62, 2**62]`` before the int64
+#: cast: a finite but huge coordinate (say 1e300) would otherwise leave
+#: the int64 range and land in an implementation-defined bucket.
+_BUCKET_LIMIT = float(2**62)
+
+
+def _buckets(shifted: np.ndarray, width: float) -> np.ndarray:
+    """``floor(shifted / width)`` as int64, clipped; computed in place
+    in ``shifted`` (a fresh array the caller gives up)."""
+    shifted /= width
+    np.floor(shifted, out=shifted)
+    np.minimum(shifted, _BUCKET_LIMIT, out=shifted)
+    np.maximum(shifted, -_BUCKET_LIMIT, out=shifted)
+    return shifted.astype(np.int64)
+
 
 def l2_collision_probability(w: float, distance: float) -> float:
     """Gaussian p-stable collision probability at distance ``c``.
@@ -106,8 +121,9 @@ class PStableLSH(LSHFamily):
         width = self.w
 
         def kernel(points: np.ndarray) -> np.ndarray:
-            shifted = np.asarray(points, dtype=np.float64) @ projections + offsets
-            return np.floor(shifted / width).astype(np.int64)
+            shifted = np.asarray(points, dtype=np.float64) @ projections
+            shifted += offsets
+            return _buckets(shifted, width)
 
         return CompositeHash(kernel, k=k, dim=self.dim)
 
@@ -132,8 +148,9 @@ class PStableLSH(LSHFamily):
         projections, offsets, width = params["projections"], params["offsets"], self.w
 
         def fused(points: np.ndarray) -> np.ndarray:
-            shifted = np.asarray(points, dtype=np.float64) @ projections + offsets
-            return np.floor(shifted / width).astype(np.int64)
+            shifted = np.asarray(points, dtype=np.float64) @ projections
+            shifted += offsets
+            return _buckets(shifted, width)
 
         return BatchedHash(
             fused, k=k, num_tables=num_tables, dim=self.dim, kind="pstable", params=params

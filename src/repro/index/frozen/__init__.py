@@ -1,6 +1,7 @@
 """Frozen CSR index layout — the ``L`` hash tables as contiguous arrays.
 
-Bit-identical to the dict layout of :class:`~repro.index.lsh_index.LSHIndex`:
+Bit-identical to the dict layout of :class:`~repro.index.lsh_index.LSHIndex`
+(but for the address aliases :mod:`~repro.index.frozen.tables` bounds):
 :mod:`~repro.index.frozen.tables` holds the arrays and their bucket
 addressing, :mod:`~repro.index.frozen.lookup` Steps S1 and S2 on them,
 :mod:`~repro.index.frozen.index` the build, inserts and re-freezes of

@@ -26,9 +26,10 @@ The point matrix, the arrays and both runs change only under one lock
 ``points`` (the prefix view of its buffer that covers the new rows) and
 its new run in one swap and a query takes ``(arrays,
 live runs)`` in one snapshot, so it sees whole inserts, never the *new*
-arrays beside the generation they absorbed, and only runs keyed under
-the arrays' salt (a fold that re-salted re-keys the still-live run from
-its stored rows as it swaps in).  Answers are bit-identical throughout.
+arrays beside the generation they absorbed.  A fold merges on ``key64``
+under the salt the build chose (:meth:`FrozenTables.folded`) and reads
+no hash row, so the salt never changes and a live run stays keyed as it
+is.  Answers are bit-identical throughout.
 :meth:`FrozenLSHIndex.refreeze` remains synchronous — it waits for any
 in-flight background compaction and folds whatever is left.
 """
@@ -45,7 +46,7 @@ from repro.exceptions import ConfigurationError
 from repro.index.frozen.lookup import FrozenReads
 from repro.index.frozen.tables import FrozenTables, _check_capacity
 from repro.index.lsh_index import LSHIndex
-from repro.index.overflow import OverflowRun, _narrowest_int_dtype
+from repro.index.overflow import OverflowRun
 from repro.sketches.hyperloglog import PrecomputedHllHashes
 from repro.utils.rows import append_rows
 from repro.utils.validation import check_matrix
@@ -62,6 +63,16 @@ BUILD_CHUNK_ROWS = 4096
 MEMORY_REPORT_PARTS = (
     "points", "norms", "hll_pairs", "bucket_ids", "bucket_keys", "sketches",
 )
+
+
+def _narrowest_int_dtype(values: np.ndarray) -> np.dtype:
+    """The smallest signed integer dtype that holds every entry of ``values``."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 class FrozenLSHIndex(FrozenReads, LSHIndex):
@@ -105,11 +116,11 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
 
     @property
     def row_width(self) -> int:
-        """Hash values per stored key row (covering: its widest block)."""
+        """Hash values per hash row (covering: its widest block)."""
         return self.k
 
     def _insert_rows(self, new_points: np.ndarray) -> np.ndarray:
-        """``(m, L, w)`` stored hash rows of points being inserted (the
+        """``(m, L, w)`` hash rows of points being built or inserted (the
         covering layout pads its block rows to the widest block)."""
         return self._batched.hash_points(new_points)
 
@@ -402,29 +413,22 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
             return np.empty(0, dtype=np.int64)
         old_n = self.n
         _check_capacity(old_n + m, self.num_tables)
-        rows = self._insert_rows(new_points)
+        # The salt is the build's for good: these addresses stay valid
+        # whatever fold lands meanwhile.
+        addresses = self.frozen.addresses(self._insert_rows(new_points))
         buffer = append_rows(self._point_buffer, old_n, new_points)
         points = buffer[: old_n + m]
         if self._hll_hashes is not None:
             self._hll_hashes.extend(old_n + m)
         while True:
             with self._refreeze_lock:
-                frozen, base = self.frozen, self._run
-            run = base or OverflowRun.empty(
-                frozen.salt, old_n, self.num_tables, rows.shape[2]
-            )
-            run, clean = run.extended(frozen.addresses(rows), rows)
-            if not clean:
-                self.wait_for_refreeze()
+                base = self._run
+            run = (base or OverflowRun.empty(old_n)).extended(addresses)
             with self._refreeze_lock:
-                if self.frozen is not frozen or self._run is not base:
-                    continue  # a fold landed in between: re-address
+                if self._run is not base:
+                    continue  # a fold took the run in between: extend the new one
                 self.points, self._point_buffer, self._run = points, buffer, run
-                if not clean:
-                    # Two rows of a table share an address inside the
-                    # run: fold it before any lookup can probe it.
-                    self._fold_all_locked()
-                trigger = clean and run.count > self.refreeze_threshold
+                trigger = run.count > self.refreeze_threshold
             break
         if trigger:
             if self.background_refreeze:
@@ -475,41 +479,14 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
                 # fold was in flight; its arrays already contain every
                 # generation — swapping in ours would drop newer points.
                 return
-            folds, run = 1, self._run
-            if run is not None and run.salt != merged.salt:
-                # The fold re-salted: the still-live run is re-keyed from
-                # its stored rows (and folded too should the new mix
-                # break its collision rule).
-                rekeyed = OverflowRun.empty(
-                    merged.salt, run.first_id, self.num_tables, run.rows.shape[2]
-                )
-                run, clean = rekeyed.extended(merged.addresses(run.rows), run.rows)
-                if not clean:
-                    merged, run, folds = self._fold_generation(merged, run), None, 2
-            self.frozen, self._run, self._compacting = merged, run, None
+            self.frozen, self._compacting = merged, None
             self._refreeze_error = None
-            self._record_refreeze_locked(folds, elapsed)
+            self._record_refreeze_locked(1, elapsed)
 
     def _fold_generation(self, frozen: FrozenTables, run: OverflowRun) -> FrozenTables:
-        """Merge one overflow generation into ``frozen`` (pure function).
-
-        Per table the frozen buckets come first and the run's entries
-        follow in insertion order, so a bucket present on both sides
-        keeps the id order the dict layout's append path produces.
-        """
-        per_table = [
-            tuple(
-                np.concatenate(pair)
-                for pair in zip(frozen.table_source(t), run.table_source(t))
-            )
-            for t in range(self.num_tables)
-        ]
-        return FrozenTables.assemble(
-            per_table,
-            self._hll_hashes,
-            self._effective_lazy_threshold,
-            self.hll_precision,
-            salt=frozen.salt,
+        """Merge one overflow generation into ``frozen`` (pure function)."""
+        return frozen.folded(
+            run, self._hll_hashes, self._effective_lazy_threshold, self.hll_precision
         )
 
     def _record_refreeze_locked(self, folds: int, elapsed: float) -> None:
@@ -574,9 +551,8 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
 
         Taken under the re-freeze lock so a concurrent background swap
         can never hand a lookup the *new* arrays together with the
-        compacting generation (double counting), the *old* arrays
-        without it (missed points), or a run keyed under another salt
-        than the arrays'.  Runs are ordered oldest first.
+        compacting generation (double counting) or the *old* arrays
+        without it (missed points).  Runs are ordered oldest first.
         """
         with self._refreeze_lock:
             runs = tuple(
@@ -607,7 +583,7 @@ class FrozenLSHIndex(FrozenReads, LSHIndex):
         report = frozen.memory_bytes
         for run in runs:
             report["bucket_ids"] += int(run.members.nbytes)
-            report["bucket_keys"] += int(run.key64.nbytes) + int(run.rows.nbytes)
+            report["bucket_keys"] += int(run.key64.nbytes)
         report["points"] = int(self._point_buffer.nbytes)
         report["norms"] = 0 if self._norm_buffer is None else int(self._norm_buffer.nbytes)
         report["hll_pairs"] = 0 if self._hll_hashes is None else self._hll_hashes.nbytes

@@ -309,14 +309,13 @@ class FrozenReads:
         self, frozen: FrozenTables, runs: tuple[OverflowRun, ...], slot_rows: np.ndarray
     ) -> np.ndarray | None:
         """The ``(G, 2, q, S)`` entry ranges every slot hits in the live runs
-        (one binary search per run, a second over its verified hits);
-        ``None`` without a live run."""
+        (one binary search per run, a second over its hits); ``None``
+        without a live run."""
         if not runs:
             return None
-        slot_tables = self._slot_table_ids
-        order, needles = frozen.needles(slot_rows, slot_tables)
-        return np.stack(
-            [run.probe(order, needles, slot_rows, slot_tables) for run in runs]
+        order, needles = frozen.needles(slot_rows, self._slot_table_ids)
+        return np.stack([run.probe(order, needles) for run in runs]).reshape(
+            len(runs), 2, *slot_rows.shape[:2]
         )
 
     def lookup_batch_adaptive(

@@ -1,13 +1,17 @@
 """Persistence: a frozen index as a directory of plain ``.npy`` files.
 
-The arrays of :mod:`repro.index.frozen.tables` persist as format v4
-(:func:`save_frozen_index`; ``key64.npy`` + ``keys.npy`` + the mix
-salt in ``config.json``, the four-byte ``members`` / ``offsets`` and
-``sketched.npy``), so reopening a saved index (:func:`load_frozen_index`)
-is ``np.load(..., mmap_mode="r")`` per array — zero-copy, no bucket
-reconstruction, the first query pages in only what it touches.
+The arrays of :mod:`repro.index.frozen.tables` persist as format v5
+(:func:`save_frozen_index`; ``key64.npy`` with the mix salt in
+``config.json`` and no hash rows, the four-byte ``members`` /
+``offsets`` and ``sketched.npy``), so reopening a saved index
+(:func:`load_frozen_index`) is ``np.load(..., mmap_mode="r")`` per
+array — zero-copy, no bucket reconstruction, the first query pages in
+only what it touches.  At open one member point per table is re-hashed
+through the stored kernel: its address must be the ``key64`` of the
+bucket that files it, which catches a wrong salt or a foreign
+``key64.npy``.
 
-The loader reads v4 only.  ``python -m repro.cli migrate PATH``
+The loader reads v5 only.  ``python -m repro.cli migrate PATH``
 (:func:`migrate`) rewrites an older directory from its configuration,
 ``points.npy`` and hash kernel alone: old bucket arrays hold nothing
 those do not, so :meth:`FrozenLSHIndex.build` re-hashing the points
@@ -30,18 +34,17 @@ from repro.hashing.minhash import MinHashLSH
 from repro.hashing.pstable import PStableLSH
 from repro.hashing.simhash import SimHashLSH
 from repro.index.frozen.index import FrozenLSHIndex
-from repro.index.frozen.tables import FrozenTables, _check_capacity, _tagged_key64
+from repro.index.frozen.tables import FrozenTables, _check_capacity, _table_tags
 from repro.sketches.hyperloglog import _MAX_PRECISION as _P_MAX, _MIN_PRECISION as _P_MIN
 from repro.utils.fsio import commit_dir, staging_path, write_json_atomic
 
-_FROZEN_FORMAT_VERSION = 4
+_FROZEN_FORMAT_VERSION = 5
 _CONFIG_FILE = "config.json"
+_INDEX_META_FILE = "index.json"  # of an Index.save directory around the shards
 
-#: The validated bucket arrays of a saved index: each file's dtype
-#: ("integer" = any integer dtype) and ndim.
+#: The validated bucket arrays of a saved index: each file's dtype and ndim.
 _LAYOUT = {
     "key64": ("uint64", 1),
-    "keys": ("integer", 2),
     "table_slices": ("int64", 1),
     "offsets": ("uint32", 1),
     "members": ("uint32", 1),
@@ -87,7 +90,7 @@ def _valid_blocks(blocks, config: dict) -> bool:
     )
 
 
-_HASHED = _when("variant", "plain", "multiprobe")
+_HASHED = _when("variant", "multiprobe")
 _PSTABLE = _when("family", "pstable")
 
 #: Every ``config.json`` key the loader and :func:`migrate` read:
@@ -96,7 +99,10 @@ _PSTABLE = _when("family", "pstable")
 #: an earlier key).  A hostile value fails at open, typed and naming
 #: its key, never as a raw ``TypeError`` / ``ValueError`` there or later.
 _CONFIG_KEYS = {
-    "variant": (None, "plain, multiprobe or covering", _one_of("plain", "multiprobe", "covering")),
+    "variant": (
+        None, 'multiprobe or covering (`python -m repro.cli migrate PATH` rewrites "plain")',
+        _one_of("multiprobe", "covering"),
+    ),
     "num_tables": (None, "an int >= 1", _ints(1)),
     "dim": (None, "an int >= 1", _ints(1)),
     "hll_precision": (None, f"an int in [{_P_MIN}, {_P_MAX}]", _ints(_P_MIN, _P_MAX)),
@@ -113,9 +119,7 @@ _CONFIG_KEYS = {
     "kernel_params": (_HASHED, "its family's arrays", lambda v, c: v == _FAMILIES[c["family"]][1]),
     "p": (_PSTABLE, "1 or 2", _ints(1, 2)),
     "w": (_PSTABLE, "a positive number", lambda v, _: type(v) in (int, float) and v > 0),
-    # A v4 "plain" directory (written before plain became multi-probe
-    # at zero probes) carries no num_probes and loads with 0.
-    "num_probes": (_when("variant", "multiprobe"), "an int >= 0", _ints(0)),
+    "num_probes": (_HASHED, "an int >= 0", _ints(0)),
 }
 
 
@@ -125,11 +129,11 @@ def _corrupt(path: str, what: str) -> CorruptArtifactError:
     )
 
 
-def _read_config(path: str) -> dict:
-    """The parsed ``config.json`` of the frozen index directory ``path``."""
-    config_path = os.path.join(path, _CONFIG_FILE)
+def _read_config(path: str, name: str = _CONFIG_FILE) -> dict:
+    """The parsed ``config.json`` (or ``name``) of the directory ``path``."""
+    config_path = os.path.join(path, name)
     if not os.path.exists(config_path):
-        raise ConfigurationError(f"no frozen index at {path!r} (missing {_CONFIG_FILE})")
+        raise ConfigurationError(f"no frozen index at {path!r} (missing {name})")
     with open(config_path) as fh:
         try:
             config = json.load(fh)
@@ -264,28 +268,22 @@ def _checked_tables(arrays: dict[str, np.ndarray], config: dict, path: str) -> F
 
     Checks every invariant :meth:`FrozenTables.locate` and the CSR
     gathers index by — dtypes, shapes, ``key64`` strictly increasing
-    with each table's tag inside its slice (and, spot-checked, the
-    address of ``keys`` under the persisted salt), offsets rising from
-    0 to the member count, every member id inside ``[0, n)``,
-    ``sketched`` strictly increasing below the bucket count with one
-    entry per register row — so a damaged artifact fails here, typed,
-    and never as an ``IndexError``, a silent miss, another row's
-    candidate or another bucket's registers on some later query.
+    with each table's tag inside its slice, offsets rising from 0 to the
+    member count, every member id inside ``[0, n)``, ``sketched``
+    strictly increasing below the bucket count with one entry per
+    register row — so a damaged artifact fails here, typed, and never as
+    an ``IndexError``, another row's candidate or another bucket's
+    registers on some later query.  That ``key64`` addresses the stored
+    points under ``key_salt`` needs the kernel: :func:`_check_addresses`.
     """
 
     corrupt = functools.partial(_corrupt, path)
-    num_tables, salt = config["num_tables"], config["key_salt"]
-    row_width = (
-        max(map(len, config["blocks"])) if config["variant"] == "covering" else config["k"]
-    )
+    num_tables = config["num_tables"]
     n = arrays["points"].shape[0]
     _check_capacity(n, num_tables)
     for name, (dtype, ndim) in _LAYOUT.items():
         array = arrays[name]
-        right_dtype = (
-            array.dtype.kind in "iu" if dtype == "integer" else array.dtype == dtype
-        )
-        if not right_dtype or array.ndim != ndim:
+        if array.dtype != dtype or array.ndim != ndim:
             raise corrupt(
                 f"{name}.npy is {array.ndim}-d {array.dtype}, expected {ndim}-d {dtype}"
             )
@@ -305,23 +303,9 @@ def _checked_tables(arrays: dict[str, np.ndarray], config: dict, path: str) -> F
         )
     if not (key64[1:] > key64[:-1]).all():
         raise corrupt("key64 is not strictly increasing")
-    tag_bits = (num_tables - 1).bit_length()
-    tags = key64 >> np.uint64(64 - tag_bits) if tag_bits else np.zeros_like(key64)
+    tags = _table_tags(key64, num_tables)
     if not np.array_equal(tags, np.repeat(np.arange(num_tables), np.diff(slices))):
         raise corrupt("key64 carries another table's tag inside a table's slice")
-    if arrays["keys"].shape != (buckets, row_width):
-        raise corrupt(
-            f"keys.npy has shape {arrays['keys'].shape}, expected "
-            f"{(buckets, row_width)}"
-        )
-    # Re-mixing every row would page the whole of keys in; each table's
-    # first bucket is enough to catch a wrong salt or a foreign keys.npy.
-    probe = slices[:-1][np.diff(slices) > 0]
-    readdressed = _tagged_key64(
-        arrays["keys"][probe], tags[probe], num_tables, salt
-    )
-    if not np.array_equal(readdressed, key64[probe]):
-        raise corrupt(f"key64 is not the address of keys under key_salt {salt}")
     if (
         offsets.shape != (buckets + 1,)
         or offsets[0] != 0
@@ -349,8 +333,27 @@ def _checked_tables(arrays: dict[str, np.ndarray], config: dict, path: str) -> F
             f"sketched is not a strictly increasing list of bucket ids below {buckets}"
         )
     return FrozenTables(
-        num_tables=num_tables, salt=salt, **{name: arrays[name] for name in _LAYOUT}
+        num_tables=num_tables,
+        salt=config["key_salt"],
+        **{name: arrays[name] for name in _LAYOUT},
     )
+
+
+def _check_addresses(index: FrozenLSHIndex, path: str) -> None:
+    """Re-hash one member point per non-empty table through the stored
+    kernel: its address under ``key_salt`` must be the ``key64`` of the
+    table's first bucket, which files it.  A wrong salt, kernel or
+    ``key64.npy`` fails here instead of turning hits into misses."""
+    frozen = index.frozen
+    tables = np.flatnonzero(np.diff(frozen.table_slices) > 0)
+    if not tables.size:
+        return
+    buckets = frozen.table_slices[tables]
+    ids = frozen.members[frozen.offsets[buckets]].astype(np.intp)
+    rows = index._insert_rows(np.asarray(index.points[ids]))  # (T, L, w)
+    addresses = frozen.addresses(rows)[np.arange(tables.size), tables]
+    if not np.array_equal(addresses, frozen.key64[buckets]):
+        raise _corrupt(path, f"key64.npy does not address points.npy under key_salt {frozen.salt}")
 
 
 def _stored_index(
@@ -396,7 +399,7 @@ def _stored_index(
         batched=batched,
         k=k,
         num_tables=num_tables,
-        num_probes=config["num_probes"] if config["variant"] == "multiprobe" else 0,
+        num_probes=config["num_probes"],
         **common,
     )
 
@@ -409,8 +412,9 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     mappings — with no bucket reconstruction, no rehashing and answers
     bit-identical to the saved instance.  Pass ``mmap_mode=None`` to
     materialise everything in RAM instead.  The configuration
-    (:data:`_CONFIG_KEYS`) and the bucket arrays (:func:`_checked_tables`)
-    are validated on the way in.  A directory of another format is a
+    (:data:`_CONFIG_KEYS`), the bucket arrays (:func:`_checked_tables`)
+    and their addresses (:func:`_check_addresses`) are validated on the
+    way in.  A directory of another format is a
     :class:`~repro.exceptions.ConfigurationError` naming
     ``python -m repro.cli migrate``.
     """
@@ -425,19 +429,34 @@ def load_frozen_index(path: str, mmap_mode: str | None = "r") -> FrozenLSHIndex:
     _check_config(config, path)
     arrays = {name: _load_array(path, name, mmap_mode) for name in ("points", *_LAYOUT)}
     frozen = _checked_tables(arrays, config, path)
-    return _stored_index(config, path, mmap_mode, arrays["points"], frozen)
+    index = _stored_index(config, path, mmap_mode, arrays["points"], frozen)
+    _check_addresses(index, path)
+    return index
+
+
+def _relabel_plain(document: dict) -> bool:
+    """Relabel a ``"variant": "plain"`` config or spec (its ``num_probes``
+    was never read) as the index it was built as; whether it was one."""
+    if document.get("variant") == "plain":
+        document.update(variant="multiprobe", num_probes=0)
+        return True
+    return False
 
 
 def migrate(path: str) -> list[str]:
-    """Rewrite every frozen index under ``path`` older than format v4 as v4.
+    """Rewrite every frozen index under ``path`` older than the current
+    format in it.
 
     ``path`` is a frozen index directory or an ``Index.save`` directory
     (each of its ``shard_NNN.frozen``).  Only an old directory's config,
     ``points.npy`` and ``kernel_*.npy`` are read: :meth:`FrozenLSHIndex.build`
     re-hashes the points, :func:`save_frozen_index` replaces the
-    directory atomically.  Returns the rewritten directories; a v4 one
-    is left untouched.
+    directory atomically.  A config or ``index.json`` spec labelled
+    ``"variant": "plain"`` is written as ``"multiprobe"`` at zero
+    probes, ``index.json`` last.  Returns the rewritten directories (and
+    ``index.json``); a current directory is left untouched.
     """
+    meta_path = os.path.join(path, _INDEX_META_FILE)
     if os.path.exists(os.path.join(path, _CONFIG_FILE)):
         targets = [path]
     else:
@@ -458,9 +477,14 @@ def migrate(path: str) -> list[str]:
                 f"unsupported frozen index version {version!r} at {target!r}: "
                 f"migrate rewrites formats 1-{_FROZEN_FORMAT_VERSION - 1}"
             )
+        _relabel_plain(config)
         _check_config(config, target)
         points = _load_array(target, "points", None)
         index = _stored_index(config, target, None, None, None).build(points)
         save_frozen_index(index, target)
         migrated.append(target)
+    meta = _read_config(path, _INDEX_META_FILE) if os.path.exists(meta_path) else {}
+    if isinstance(meta.get("spec"), dict) and _relabel_plain(meta["spec"]):
+        write_json_atomic(meta_path, meta)
+        migrated.append(meta_path)
     return migrated

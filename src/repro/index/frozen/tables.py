@@ -9,10 +9,8 @@ all ``L`` tables as CSR-style contiguous arrays instead:
   the top ``ceil(log2 L)`` bits, a salted multilinear mix of the
   bucket's hash row in the rest, one globally sorted ``uint64`` array
   (sorted by table first, because the tag is the high bits) so a lookup
-  is one typed binary search for all tables at once;
-* ``keys`` — the buckets' full hash rows, in the narrowest integer
-  dtype that holds every stored value, kept only to *verify* a
-  ``key64`` hit exactly (a mix can collide; the row cannot);
+  is one typed binary search for all tables at once.  The hash rows
+  themselves are not kept;
 * ``offsets`` / ``members`` — ``uint32`` CSR offsets into one flat
   ``uint32`` member array holding all bucket ids back to back; a
   bucket's occupancy is ``offsets[b + 1] - offsets[b]``, read in a
@@ -28,11 +26,19 @@ all ``L`` tables as CSR-style contiguous arrays instead:
   one ``searchsorted`` into a few-KB array (:meth:`FrozenTables.register_rows`).
 
 Step S1 is one ``uint64`` ``searchsorted`` over the whole of ``key64``
-for every table, probe and query of a batch, then one vectorised verify
-of the stored rows (:meth:`FrozenTables.locate`): a probe is a hit iff
-``key64`` *and* the full row match, and assembly re-salts the mix until
-no two buckets of a table share a ``key64``, so answers are exactly the
-dict layout's.
+for every table, probe and query of a batch, and a probe is a hit iff
+its address equals the one found (:meth:`FrozenTables.locate`).  The
+build re-salts the mix until no two stored buckets of a table share an
+address, and a fold merges on ``key64`` under that salt
+(:meth:`FrozenTables.folded`).  A probed row that matches no stored
+bucket can still *alias* one, with probability about ``B_t / 2**58``
+per probe (``B_t``: the table's bucket count; 58 = 64 minus the tag
+bits at ``L = 50``), as can an inserted row that the fold then files
+into that bucket.  An alias only adds candidates, and Step S3's exact
+distance test keeps only those inside the radius: every answer is still
+exact (true r-near neighbours at their exact distances), and its ids,
+distances and ``QueryStats`` counts equal the dict reference's except
+with that probability.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import functools
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.index.overflow import _csr_gather, _narrowest_int_dtype
+from repro.index.overflow import OverflowRun, _csr_gather
 from repro.index.table import HashTable
 from repro.sketches.hyperloglog import PrecomputedHllHashes
 
@@ -106,8 +112,8 @@ def _mix_rows(rows: np.ndarray, salt: int) -> np.ndarray:
     constants = _mix_constants(salt, rows.shape[-1])
     if rows.dtype == np.int64:  # hashed rows (the query path)
         return rows.view(np.uint64) @ constants[1:] + constants[0]
-    # Narrow stored rows (assembly, run re-keying): widened a column at
-    # a time, never as a whole 8-byte copy of the matrix.
+    # Narrow rows (the build's row matrix): widened a column at a time,
+    # never as a whole 8-byte copy of the matrix.
     mixed = np.full(rows.shape[:-1], constants[0])
     for column, constant in enumerate(constants[1:]):
         mixed += rows[..., column].astype(np.uint64) * constant
@@ -129,6 +135,14 @@ def _tagged_key64(
     if tag_bits:
         key64 |= table_ids.astype(np.uint64) << np.uint64(64 - tag_bits)
     return key64
+
+
+def _table_tags(key64: np.ndarray, num_tables: int) -> np.ndarray:
+    """The table id each address carries in its top bits (``uint64``)."""
+    tag_bits = (num_tables - 1).bit_length()
+    if not tag_bits:
+        return np.zeros(key64.shape, dtype=np.uint64)
+    return key64 >> np.uint64(64 - tag_bits)
 
 
 def _sorted_addresses(
@@ -155,31 +169,18 @@ def _sorted_addresses(
     )
 
 
-def _merge_sources(
-    per_table: list[tuple[np.ndarray, np.ndarray, np.ndarray]], salt: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(salt, key64, keys, table_slices, sizes, members)`` of
-    :meth:`FrozenTables.assemble`; the concatenated sources and the sort
-    order die with this frame, before the registers are built."""
-    num_tables = len(per_table)
-    rows = np.concatenate([r for r, _, _ in per_table])
-    src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64, copy=False)
-    src_members = np.concatenate([m for _, _, m in per_table]).astype(
-        np.uint32, copy=False
-    )
-    table_ids = np.repeat(np.arange(num_tables), [r.shape[0] for r, _, _ in per_table])
-    salt, order, sorted_key64 = _sorted_addresses(rows, table_ids, num_tables, salt)
+def _bucketed(
+    sorted_key64: np.ndarray, order: np.ndarray, src_sizes: np.ndarray, src_members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(key64, sizes, members)`` of source buckets merged on their address.
+
+    ``order`` is the stable sort of the sources by address and
+    ``sorted_key64`` their addresses in that order; sources with equal
+    addresses become one bucket whose members keep source order.
+    """
     new_bucket = np.ones(order.size, dtype=bool)
     new_bucket[1:] = sorted_key64[1:] != sorted_key64[:-1]
     first = np.flatnonzero(new_bucket)  # each merged bucket's first source
-    key64 = sorted_key64[first]
-    keys = rows[order[first]]
-    keys = keys.astype(_narrowest_int_dtype(keys))
-    table_slices = np.zeros(num_tables + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(table_ids[order[first]], minlength=num_tables),
-        out=table_slices[1:],
-    )
     if (src_sizes == 1).all():
         # One-member sources (a build): the sort order *is* the member order.
         sizes = np.diff(first, append=order.size)
@@ -189,8 +190,24 @@ def _merge_sources(
         sizes = np.add.reduceat(ordered_sizes, first) if first.size else ordered_sizes
         src_starts = np.cumsum(src_sizes) - src_sizes
         members = _csr_gather(src_members, src_starts[order], ordered_sizes)
-    return salt, key64, keys, table_slices, sizes, members
+    return sorted_key64[first], sizes, members
 
+
+def _merge_sources(
+    per_table: list[tuple[np.ndarray, np.ndarray, np.ndarray]], salt: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(salt, key64, sizes, members)`` of :meth:`FrozenTables.assemble`;
+    the concatenated sources and the sort order die with this frame,
+    before the registers are built."""
+    num_tables = len(per_table)
+    rows = np.concatenate([r for r, _, _ in per_table])
+    src_sizes = np.concatenate([s for _, s, _ in per_table]).astype(np.int64, copy=False)
+    src_members = np.concatenate([m for _, _, m in per_table]).astype(
+        np.uint32, copy=False
+    )
+    table_ids = np.repeat(np.arange(num_tables), [r.shape[0] for r, _, _ in per_table])
+    salt, order, sorted_key64 = _sorted_addresses(rows, table_ids, num_tables, salt)
+    return (salt, *_bucketed(sorted_key64, order, src_sizes, src_members))
 
 
 @dataclasses.dataclass(slots=True, eq=False, repr=False)
@@ -199,9 +216,9 @@ class FrozenTables:
 
     Bucket ``b`` (a *global* index across tables) owns members
     ``members[offsets[b] : offsets[b + 1]]`` (both ``uint32``; its size
-    is the difference, :meth:`spans`), has the 64-bit address
-    ``key64[b]`` and the full hash row ``keys[b]``; ``key64`` is
-    strictly increasing, and table ``t`` owns the bucket range
+    is the difference, :meth:`spans`) and has the 64-bit address
+    ``key64[b]``; ``key64`` is strictly increasing, and table ``t`` owns
+    the bucket range
     ``table_slices[t] : table_slices[t + 1]`` (the table id is the
     address's high bits).  ``salt`` selects the mix the addresses were
     computed with; :meth:`locate` must — and does — use the same one.
@@ -212,7 +229,6 @@ class FrozenTables:
     num_tables: int
     salt: int
     key64: np.ndarray
-    keys: np.ndarray
     table_slices: np.ndarray
     offsets: np.ndarray
     members: np.ndarray
@@ -238,17 +254,55 @@ class FrozenTables:
         Table ``t``'s triple lists source buckets in any order: an
         ``(B, w)`` integer matrix of hash rows, each bucket's size, and
         the member ids back to back.  Equal rows of one table merge into
-        one bucket whose members keep source order — which is how a
-        re-freeze folds an overflow generation in
-        (:meth:`table_source` lists the frozen buckets first), and how
+        one bucket whose members keep source order — which is how
         :meth:`FrozenLSHIndex.build` groups its one-member sources.
 
         One stable ``uint64`` argsort over all tables orders the
         buckets by ``key64``.  Two *different* rows of a table sharing a
-        ``key64`` would make :meth:`locate` ambiguous, so the mix is
+        ``key64`` would be one bucket to :meth:`locate`, so the mix is
         re-salted (``salt``, ``salt + 1``, ... — deterministic, and
         persisted) until there is no such pair;
-        :data:`MAX_SALT_ATTEMPTS` failures raise.
+        :data:`MAX_SALT_ATTEMPTS` failures raise.  The rows are not kept.
+        """
+        salt, key64, sizes, members = _merge_sources(per_table, salt)
+        return cls._from_buckets(
+            len(per_table), salt, key64, sizes, members,
+            hll_hashes, lazy_threshold, hll_precision,
+        )
+
+    def folded(
+        self, run: OverflowRun, hll_hashes: PrecomputedHllHashes | None,
+        lazy_threshold: int, hll_precision: int,
+    ) -> FrozenTables:
+        """These arrays with an overflow run's entries merged in (a fold).
+
+        The run is keyed under this salt, so the merge is on ``key64``
+        alone and reads no hash row: one stable argsort, the buckets
+        ahead of the entries, so a bucket keeps its members before the
+        run's, and those in insertion order — the dict layout's append
+        order.  An entry that aliases a stored bucket's address joins it
+        (the module docstring's contract); the salt never changes.
+        """
+        addresses = np.concatenate([self.key64, run.key64])
+        order = np.argsort(addresses, kind="stable")
+        sizes = np.concatenate(
+            [np.diff(self.offsets.astype(np.int64)), np.ones(run.key64.size, dtype=np.int64)]
+        )
+        key64, sizes, members = _bucketed(
+            addresses[order], order, sizes, np.concatenate([self.members, run.members])
+        )
+        return self._from_buckets(
+            self.num_tables, self.salt, key64, sizes, members,
+            hll_hashes, lazy_threshold, hll_precision,
+        )
+
+    @classmethod
+    def _from_buckets(
+        cls, num_tables: int, salt: int, key64: np.ndarray, sizes: np.ndarray,
+        members: np.ndarray, hll_hashes: PrecomputedHllHashes | None,
+        lazy_threshold: int, hll_precision: int,
+    ) -> FrozenTables:
+        """The arrays of merged buckets, in ``key64`` order.
 
         Sketch materialisation follows the dict layout's invariant —
         a bucket is sketched iff its size exceeds the lazy threshold —
@@ -256,12 +310,10 @@ class FrozenTables:
         scatter-max (bit-identical to incrementally maintained sketches,
         because registers are maxima over per-id hash pairs).
         """
-        num_tables = len(per_table)
-        salt, key64, keys, table_slices, sizes, members = _merge_sources(
-            per_table, salt
-        )
-        total_buckets = sizes.size
-        offsets = np.zeros(total_buckets + 1, dtype=np.uint32)
+        tags = _table_tags(key64, num_tables)  # non-decreasing, like key64
+        bounds = tags.searchsorted(np.arange(num_tables + 1, dtype=np.uint64))
+        table_slices = bounds.astype(np.int64, copy=False)
+        offsets = np.zeros(sizes.size + 1, dtype=np.uint32)
         offsets[1:] = np.cumsum(sizes)
 
         m = 1 << hll_precision
@@ -283,7 +335,6 @@ class FrozenTables:
             num_tables=num_tables,
             salt=salt,
             key64=key64,
-            keys=keys,
             table_slices=table_slices,
             offsets=offsets,
             members=members,
@@ -300,7 +351,7 @@ class FrozenTables:
         ``row_width`` is the number of hash values in the table's dict
         keys; ``pad_to`` (>= ``row_width``) zero-pads every row on the
         right so tables with different widths — the covering index's
-        variable blocks — can share one fused key matrix.  Padding
+        variable blocks — can be addressed together.  Padding
         cannot make two distinct rows of one table equal (same true
         width), so the buckets are the dict layout's either way.
         """
@@ -323,15 +374,6 @@ class FrozenTables:
         sizes = np.asarray([bucket.size for bucket in buckets], dtype=np.int64)
         members = np.concatenate([bucket.ids for bucket in buckets])
         return rows, sizes, members
-
-    def table_source(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Table ``t``'s buckets as an :meth:`assemble` source triple (a
-        re-freeze puts the overflow run's behind it; :meth:`assemble`
-        picks the merged rows' narrowest dtype afresh)."""
-        lo, hi = int(self.table_slices[t]), int(self.table_slices[t + 1])
-        seg_start, seg_stop = int(self.offsets[lo]), int(self.offsets[hi])
-        sizes = np.diff(self.offsets[lo : hi + 1].astype(np.int64))
-        return self.keys[lo:hi], sizes, self.members[seg_start:seg_stop]
 
     # ------------------------------------------------------------------
     # Query-side primitives
@@ -396,27 +438,19 @@ class FrozenTables:
         One binary search resolves every slot of every query: the rows
         are mixed into tagged 64-bit needles, sorted (:meth:`needles`)
         and searched in a single typed ``searchsorted``.  A slot is a
-        hit iff the address found equals the needle *and* the full row
-        stored there equals the probed row — a needle of another table
-        can never match (different tag), and a value the narrow ``keys``
-        dtype cannot hold compares unequal rather than wrapping, because
-        the comparison promotes.
+        hit iff the address found equals the needle — a needle of
+        another table can never match (different tag); one of a row no
+        bucket holds matches only by aliasing (the module docstring's
+        contract).
         """
-        q, num_slots, width = slot_rows.shape
+        q, num_slots = slot_rows.shape[:2]
         order, needles = self.needles(slot_rows, slot_tables)
         positions = np.empty(q * num_slots, dtype=np.int64)
         positions.fill(-1)
         if self.key64.size and q:
             pos = self.key64.searchsorted(needles)
             hit = (self.key64.take(pos, mode="clip") == needles).nonzero()[0]
-            pos, slots = pos.take(hit), hit if order is None else order.take(hit)
-            wrong = self.keys.take(pos, axis=0) != slot_rows.reshape(-1, width).take(
-                slots, axis=0
-            )
-            if wrong.any():  # same address, different row: a key64 collision
-                same = ~wrong.any(axis=1)
-                pos, slots = pos[same], slots[same]
-            positions[slots] = pos
+            positions[hit if order is None else order.take(hit)] = pos.take(hit)
         return positions.reshape(q, num_slots)
 
     def spans(self, buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +491,7 @@ class FrozenTables:
         return {
             "bucket_ids": int(self.members.nbytes),
             "bucket_keys": sum(
-                int(a.nbytes)
-                for a in (self.key64, self.keys, self.offsets, self.table_slices)
+                int(a.nbytes) for a in (self.key64, self.offsets, self.table_slices)
             ),
             "sketches": int(self.registers.nbytes) + int(self.sketched.nbytes),
         }

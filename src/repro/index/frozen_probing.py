@@ -2,10 +2,10 @@
 
 The covering index (:class:`~repro.index.covering.CoveringLSHIndex`)
 hashes each point by ``r + 1`` bit-*blocks* of different widths, so
-its hash rows are not uniformly ``k`` values long.  The fused key
-matrix pads every row on the right with zeros up to the widest block's
-width; padding cannot make two distinct rows of one table equal (same
-true width), so the buckets are the dict layout's and all downstream
+its hash rows are not uniformly ``k`` values long.  Every row is
+addressed zero-padded on the right to the widest block's width;
+padding cannot make two distinct rows of one table equal (same true
+width), so the buckets are the dict layout's and all downstream
 primitives (collision counts, register maxima, candidate unions) are
 bit-identical.  It probes one slot per table (``probe_count`` 0).
 
@@ -36,10 +36,10 @@ class FrozenCoveringLSHIndex(FrozenLSHIndex):
     Built from the arguments of
     :class:`~repro.index.covering.CoveringLSHIndex`, or produced by
     :meth:`repro.index.covering.CoveringLSHIndex.freeze`.
-    The ``r + 1`` block tables have different row widths, so the fused
-    key matrix stores every row zero-padded to the widest block's
-    width; the no-false-negative covering guarantee is untouched
-    because the bucket contents are identical to the dict layout's.
+    The ``r + 1`` block tables have different row widths, so every row
+    is addressed zero-padded to the widest block's width; the
+    no-false-negative covering guarantee is untouched because the
+    bucket contents are identical to the dict layout's.
 
     Examples
     --------

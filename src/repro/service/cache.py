@@ -84,8 +84,11 @@ class QueryResultCache:
         raw = queries.tobytes()
         if not self.quantum:
             return [prefix + b"r" + raw[i * width : (i + 1) * width] for i in range(len(queries))]
-        # + 0.0 canonicalises -0.0 so symmetric queries share a key.
-        scaled = np.round(queries / self.quantum) + 0.0
+        # + 0.0 canonicalises -0.0 so symmetric queries share a key.  A
+        # huge coordinate overflows the divide to inf: no warning, since
+        # such a row keys on its raw bytes below.
+        with np.errstate(over="ignore"):
+            scaled = np.round(queries / self.quantum) + 0.0
         # A row with a quantised coordinate beyond int64 range (huge
         # values, or non-finite ones) would wrap/saturate in the cast and
         # collide with another; such rows key on their raw bytes.

@@ -120,14 +120,15 @@ class TestIndexSpecRoundTrip:
         with pytest.raises(ConfigurationError, match="estimator"):
             IndexSpec.from_dict(doc)
 
-    def test_retired_plain_variant_loads_at_zero_probes(self):
-        """Specs saved while ``"plain"`` was a variant carry the
-        ``num_probes`` default of then (2), which plain never read: they
-        open as the index they built, multi-probe at zero probes."""
+    def test_retired_plain_variant_is_refused_naming_migrate(self):
+        """Specs saved while ``"plain"`` was a variant are refused: ``migrate``
+        rewrites a saved index's ``index.json`` as multi-probe at zero
+        probes (``tests/test_frozen.py::TestFormatV4Labels``)."""
         spec = IndexSpec(metric="l2", radius=1.0, seed=3)
         assert (spec.variant, spec.num_probes) == ("multiprobe", 0)
         legacy = {**spec.to_dict(), "variant": "plain", "num_probes": 2}
-        assert IndexSpec.from_dict(legacy) == spec
+        with pytest.raises(ConfigurationError, match="repro.cli migrate"):
+            IndexSpec.from_dict(legacy)
 
     def test_plain_variant_built_directly_names_zero_probes(self):
         with pytest.raises(ConfigurationError, match="num_probes=0"):

@@ -5,7 +5,7 @@ insert that crossed ``refreeze_threshold``; it now runs double-buffered
 in a worker thread.  These tests pin down the three contract points:
 
 * the triggering insert returns without waiting for the compaction
-  (asserted against an artificially slowed ``FrozenTables.assemble``);
+  (asserted against an artificially slowed ``FrozenTables.folded``);
 * queries issued *while* the compaction is in flight are bit-identical
   to the dict layout (both overflow generations stay probed);
 * explicit :meth:`FrozenLSHIndex.refreeze` remains synchronous;
@@ -38,22 +38,22 @@ def _build_pair(n=400, dim=12, threshold=8):
     return points, index, frozen
 
 
-def _slow_assemble(monkeypatch, delay):
+def _slow_fold(monkeypatch, delay):
     """Make every compaction pay ``delay`` seconds, deterministically."""
-    original = FrozenTables.assemble.__func__
+    original = FrozenTables.folded
 
-    def slowed(cls, *args, **kwargs):
+    def slowed(self, *args, **kwargs):
         time.sleep(delay)
-        return original(cls, *args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(FrozenTables, "assemble", classmethod(slowed))
+    monkeypatch.setattr(FrozenTables, "folded", slowed)
 
 
 class TestBackgroundRefreeze:
     def test_triggering_insert_does_not_pay_compaction_latency(self, monkeypatch):
         _, _, frozen = _build_pair(threshold=8)
         delay = 0.5
-        _slow_assemble(monkeypatch, delay)
+        _slow_fold(monkeypatch, delay)
         rng = np.random.default_rng(3)
         started = time.perf_counter()
         frozen.insert(rng.normal(size=(9, 12)))
@@ -67,7 +67,7 @@ class TestBackgroundRefreeze:
 
     def test_queries_during_compaction_are_bit_identical(self, monkeypatch):
         points, index, frozen = _build_pair(threshold=8)
-        _slow_assemble(monkeypatch, 0.3)
+        _slow_fold(monkeypatch, 0.3)
         rng = np.random.default_rng(4)
         new = rng.normal(size=(9, 12))
         index.insert(new)
@@ -89,7 +89,7 @@ class TestBackgroundRefreeze:
 
     def test_inserts_during_compaction_open_a_new_generation(self, monkeypatch):
         points, index, frozen = _build_pair(threshold=8)
-        _slow_assemble(monkeypatch, 0.3)
+        _slow_fold(monkeypatch, 0.3)
         rng = np.random.default_rng(5)
         first, second = rng.normal(size=(9, 12)), rng.normal(size=(5, 12))
         index.insert(first), index.insert(second)
@@ -114,7 +114,7 @@ class TestBackgroundRefreeze:
         """The merged HLL and the exact candidate set must cover every
         live overflow generation, or the cost dispatch can silently flip."""
         points, index, frozen = _build_pair(threshold=8)
-        _slow_assemble(monkeypatch, 0.3)
+        _slow_fold(monkeypatch, 0.3)
         rng = np.random.default_rng(8)
         first, second = rng.normal(size=(9, 12)), rng.normal(size=(4, 12))
         index.insert(first), index.insert(second)
@@ -137,16 +137,16 @@ class TestBackgroundRefreeze:
 
     def test_failed_background_fold_is_retried_and_loses_nothing(self, monkeypatch):
         points, index, frozen = _build_pair(threshold=4)
-        original = FrozenTables.assemble.__func__
+        original = FrozenTables.folded
         failures = {"left": 1}
 
-        def flaky(cls, *args, **kwargs):
+        def flaky(self, *args, **kwargs):
             if failures["left"]:
                 failures["left"] -= 1
                 raise MemoryError("simulated compaction failure")
-            return original(cls, *args, **kwargs)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(FrozenTables, "assemble", classmethod(flaky))
+        monkeypatch.setattr(FrozenTables, "folded", flaky)
         rng = np.random.default_rng(7)
         first, second = rng.normal(size=(5, 12)), rng.normal(size=(5, 12))
         index.insert(first)
@@ -190,15 +190,15 @@ class TestCloseWaitsForTheFold:
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_close_returns_only_after_the_fold_landed(self, monkeypatch, num_shards):
         entered, gate = threading.Event(), threading.Event()
-        original = FrozenTables.assemble.__func__
+        original = FrozenTables.folded
 
-        def held(cls, *args, **kwargs):
+        def held(self, *args, **kwargs):
             if threading.current_thread().name == "repro-refreeze":
                 entered.set()
                 assert gate.wait(timeout=60)
-            return original(cls, *args, **kwargs)
+            return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(FrozenTables, "assemble", classmethod(held))
+        monkeypatch.setattr(FrozenTables, "folded", held)
         rng = np.random.default_rng(9)
         index = Index.build(
             rng.normal(size=(300, 12)),

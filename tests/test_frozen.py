@@ -189,11 +189,11 @@ class TestFrozenPrimitives:
         assert np.array_equal(starts[1:], csr.offsets[:-1])
         assert sizes.dtype == np.int64 and sizes[0] == 0  # -1 = no bucket
         assert (sizes[1:] > 0).all() and sizes.sum() == csr.members.size
-        # Addresses globally sorted, each table's tag inside its segment,
-        # one full hash row kept per bucket to verify hits against.
+        # Addresses globally sorted, each table's tag inside its segment;
+        # no hash row is kept.
         assert csr.key64.dtype == np.uint64
         assert (csr.key64[1:] > csr.key64[:-1]).all()
-        assert csr.keys.shape == (csr.num_buckets, index.k)
+        assert not hasattr(csr, "keys")
         tag_shift = np.uint64(64 - (csr.num_tables - 1).bit_length())
         for t in range(csr.num_tables):
             lo, hi = int(csr.table_slices[t]), int(csr.table_slices[t + 1])
@@ -241,7 +241,7 @@ class TestFrozenPrimitives:
             frozen.prepared_points()
         csr, runs = frozen._snapshot()
         assert runs and csr.registers.shape[0] > 0
-        assert len(arrays(csr)) >= 7 and len(arrays(runs[0])) >= 3
+        assert len(arrays(csr)) >= 6 and len(arrays(runs[0])) >= 2
         # The sketches cost what they hold: the registers and one uint32
         # id per sketched bucket, nothing per lazy bucket.
         assert frozen.memory_report()["sketches"] == (
@@ -355,9 +355,12 @@ def needles(*rows):
 
 def bucket(tables, t, row):
     """The global bucket of ``row`` in table ``t``, found by scanning
-    the table's slice of the stored hash rows."""
+    the table's slice of ``key64`` for the row's address."""
     lo, hi = int(tables.table_slices[t]), int(tables.table_slices[t + 1])
-    (hits,) = np.nonzero((tables.keys[lo:hi] == np.asarray(row)).all(axis=1))
+    address = frozen_tables._tagged_key64(
+        np.asarray([row]), np.array([t]), tables.num_tables, tables.salt
+    )
+    (hits,) = np.nonzero(tables.key64[lo:hi] == address[0])
     assert hits.size == 1
     return lo + int(hits[0])
 
@@ -428,7 +431,6 @@ class TestLocate:
         assert (np.diff(tables.key64.astype(object)) > 0).all()
         assert (tables.key64 >> np.uint64(62)).tolist() == [0, 0, 0, 1, 1, 2]
         assert tables.table_slices.tolist() == [0, 3, 5, 6]
-        assert tables.keys.dtype == np.int8
 
 
 def colliding_mix(salts):
@@ -449,9 +451,13 @@ def collide_on(monkeypatch, salts):
 
 
 class TestKey64Collisions:
-    """The 64-bit address is a hash: stored rows of a table must never
-    share one (assembly re-salts), and a probe that shares one with a
-    *different* stored row must miss (the full row is verified)."""
+    """The 64-bit address is a hash.  The build re-salts until no two of
+    its rows of a table share one.  Past the build an address hit is a
+    hit: a row that merely *aliases* a stored bucket's address reads that
+    bucket, and a fold merges on ``key64`` alone, reading no hash row, so
+    the salt never changes.  An alias only adds candidates, which Step
+    S3's exact distance test judges (``TestOverflowAddressCollisions`` in
+    ``test_frozen_properties.py`` holds the answers to that)."""
 
     def test_assemble_resalts_until_collision_free(self, monkeypatch):
         collide_on(monkeypatch, {0, 1})
@@ -467,26 +473,21 @@ class TestKey64Collisions:
         collide_on(monkeypatch, {0})
         assert hand_tables([AA], [AA]).salt == 0  # the tag tells them apart
 
-    def test_refreeze_merge_resalts(self, monkeypatch):
+    def test_a_fold_reads_no_row_and_keeps_the_salt(self, monkeypatch):
         points, index, frozen = build_pair(n=200)
-        assert frozen.frozen.salt == 0
         rng = np.random.default_rng(4)
         new = rng.normal(size=(30, 12))
         index.insert(new)
         frozen.insert(new)
+        expected = FrozenLSHIndex.from_dict_index(index).frozen
+        # Every row now mixes to one address: a fold that re-mixed the
+        # rows would merge whole tables, or re-salt.
         collide_on(monkeypatch, {0})
         frozen.refreeze()
         csr = frozen.frozen
-        assert csr.salt == 1
-        assert (csr.key64[1:] > csr.key64[:-1]).all()
-        assert csr.num_buckets == sum(t.num_buckets for t in index.tables)
-        for q in np.concatenate([points[:5], new[:5]]):
-            la, lb = index.lookup(q), frozen.lookup(q)
-            assert la.num_collisions == lb.num_collisions
-            assert np.array_equal(
-                index.candidate_ids(la, dedup="vectorized"),
-                frozen.candidate_ids(lb, dedup="vectorized"),
-            )
+        assert csr.salt == expected.salt == 0
+        for name in frozen_persist._LAYOUT:
+            assert np.array_equal(getattr(csr, name), getattr(expected, name)), name
 
     def test_degenerate_mix_is_a_clear_error(self, monkeypatch):
         collide_on(monkeypatch, set(range(100)))
@@ -502,7 +503,7 @@ class TestKey64Collisions:
                 per_table, hll_hashes=None, lazy_threshold=0, hll_precision=4, salt=5
             )
 
-    def test_address_hit_with_another_row_is_a_miss(self, monkeypatch):
+    def test_an_address_hit_with_another_row_is_an_alias_hit(self, monkeypatch):
         real = frozen_tables._mix_rows
         # Mix only the first column: (2, 2) and (2, 5) share an address.
         monkeypatch.setattr(
@@ -513,37 +514,18 @@ class TestKey64Collisions:
         needle = frozen_tables._tagged_key64(np.array([probe]), np.array([0]), 2, 0)
         assert needle[0] == tables.key64[bucket(tables, 0, CC)]  # the address hits
         assert tables.locate(needles([probe, AA], [CC, probe])).tolist() == [
-            [-1, bucket(tables, 1, AA)],
-            [bucket(tables, 0, CC), -1],
+            [bucket(tables, 0, CC), bucket(tables, 1, AA)],
+            [bucket(tables, 0, CC), -1],  # (2, 5) aliases no row of table 1
         ]
 
-    def test_value_outside_the_stored_dtype_is_a_miss_not_an_overflow(
-        self, monkeypatch
-    ):
-        real = frozen_tables._mix_rows
-        # Mix what int8 would keep of a value: 300 and 44 share an address,
-        # and an int8 compare of the rows would wrap 300 onto 44 as well.
-        monkeypatch.setattr(
-            frozen_tables,
-            "_mix_rows",
-            lambda rows, salt: real(rows.astype(np.int8), salt),
-        )
-        tables = hand_tables([(44, 0), BB], [(44, 0)])
-        assert tables.keys.dtype == np.int8
-        assert tables.locate(needles([(300, 0), (300, 0)], [(44, 0), (-212, 0)])).tolist() == [
-            [-1, -1],
-            [bucket(tables, 0, (44, 0)), -1],
-        ]
-
-    def test_keys_widen_when_a_merge_needs_it(self):
+    def test_hash_values_past_int8_are_inserted_and_folded(self):
         _, _, frozen = build_pair(n=200)
-        assert frozen.frozen.keys.dtype == np.int8
         far = np.full((1, 12), 1.0e4)  # hash values far outside int8
+        assert np.abs(frozen._insert_rows(far)).max() > 127
         frozen.insert(far)
+        assert 200 in frozen.candidate_ids(frozen.lookup(far[0]))
         frozen.refreeze()
-        wide = frozen.frozen.keys
-        assert wide.dtype in (np.int16, np.int32)
-        assert np.abs(wide.astype(np.int64)).max() > 127
+        assert not frozen.live_runs
         assert 200 in frozen.candidate_ids(frozen.lookup(far[0]))
 
 
@@ -652,12 +634,14 @@ class TestArrayNativeBuild:
         reference.close()
         assert len(frozen_from_dict) == spec.num_shards
         served_files = _artifact_digests(tmp_path / "served")
-        assert len(served_files) >= 10
+        assert len(served_files) >= 9
         assert served_files == _artifact_digests(tmp_path / "reference")
 
         assert {shard.frozen.salt for shard in shards} == {1 if case == "resalted" else 0}
         if case == "int16-rows":
-            assert {shard.frozen.keys.dtype for shard in shards} == {np.dtype(np.int16)}
+            for shard in shards:
+                all_rows = shard._insert_rows(np.asarray(shard.points))
+                assert 127 < np.abs(all_rows).max() <= 2**15 - 1
             first_chunk = shards[0]._insert_rows(np.asarray(shards[0].points[:97]))
             assert np.abs(first_chunk).max() <= 127  # ... but the first chunk fit int8
 
@@ -744,11 +728,55 @@ class TestFrozenPersistence:
             return [a for a in arrays if isinstance(a, np.ndarray)]
 
         before = hot_arrays()
-        assert len(before) >= 8 and all(type(a) is np.ndarray for a in before)
+        assert len(before) >= 7 and all(type(a) is np.ndarray for a in before)
         assert_file_backed(reopened.points, path, "points")
         reopened.insert(points[:5] if variant == "covering" else rng.normal(size=(5, 10)))
         reopened.refreeze()
         assert all(type(a) is np.ndarray for a in hot_arrays())
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"num_probes": 2}, {"variant": "covering", "metric": "hamming", "radius": 2.0}],
+        ids=["zero-probes", "multiprobe", "covering"],
+    )
+    def test_open_rehashes_one_member_per_table_against_key64(
+        self, overrides, tmp_path, monkeypatch
+    ):
+        """The open-time address check: one member point of each
+        non-empty table's first bucket goes through the stored kernel,
+        and its address under ``key_salt`` must be that bucket's
+        ``key64`` — so a wrong salt is refused on every variant."""
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(150, 10))
+        if "variant" in overrides:
+            points = (points > 0).astype(np.float64)
+        spec = IndexSpec(**{"metric": "l2", "radius": 1.5, "num_tables": 5, "seed": 4, **overrides})
+        index = Index.build(points, spec)
+        path = str(tmp_path / "idx")
+        index.save(path)
+        index.close()
+        shard = os.path.join(path, "shard_000.frozen")
+        hashed = []
+        real = frozen_persist._check_addresses
+
+        def spy(opened, where):
+            rows = opened._insert_rows
+            opened._insert_rows = lambda batch: hashed.append(len(batch)) or rows(batch)
+            try:
+                real(opened, where)
+            finally:
+                del opened._insert_rows
+
+        monkeypatch.setattr(frozen_persist, "_check_addresses", spy)
+        opened = load_frozen_index(shard)
+        assert hashed == [opened.num_tables]  # one point per table, nothing else
+        with open(os.path.join(shard, "config.json")) as fh:
+            config = json.load(fh)
+        config["key_salt"] += 1
+        with open(os.path.join(shard, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(CorruptArtifactError, match=r"key64\.npy .* key_salt 1"):
+            load_frozen_index(shard)
 
     def test_save_compacts_overflow_first(self, tmp_path):
         points, _, frozen = build_pair()
@@ -837,7 +865,7 @@ def format_version(directory):
 
 
 def as_format_v3(shard):
-    """Rewrite a v4 frozen directory as the format-v3 tree wrote it: a
+    """Rewrite a current frozen directory as the format-v3 tree wrote it: a
     per-bucket ``int32`` ``sketch_rows`` map (-1 = lazy) in place of
     ``sketched``, and ``format_version`` 3 in the config."""
     sketched = np.load(os.path.join(shard, "sketched.npy"))
@@ -853,12 +881,12 @@ def as_format_v3(shard):
 
 
 class TestMigrate:
-    """The loader reads format v4 only; ``repro.cli migrate`` rewrites an
+    """The loader reads format v5 only; ``repro.cli migrate`` rewrites an
     older directory by re-hashing its stored points under its stored
     kernel, never reading its bucket arrays."""
 
     @pytest.mark.parametrize("version, name", OLD_FIXTURES)
-    def test_migrated_fixture_is_v4_and_answers_as_recorded(self, version, name, tmp_path):
+    def test_migrated_fixture_is_v5_and_answers_as_recorded(self, version, name, tmp_path):
         source = os.path.join(FIXTURES, f"frozen_v{version}", name)
         assert format_version(source) == version
         with open(os.path.join(source, "expected.json")) as fh:
@@ -871,7 +899,8 @@ class TestMigrate:
         copy = str(tmp_path / name)
         shutil.copytree(source, copy)
         assert frozen_persist.migrate(copy) == [copy]
-        assert format_version(copy) == 4
+        assert format_version(copy) == 5
+        assert not os.path.exists(os.path.join(copy, "keys.npy"))
         migrated = load_frozen_index(copy)
         # A plain index migrates as what it always was: zero probes.
         assert migrated.variant == ("covering" if name == "covering" else "multiprobe")
@@ -898,9 +927,9 @@ class TestMigrate:
         frozen_persist.migrate(stripped)
         assert file_hashes(stripped) == file_hashes(whole)
 
-    def test_a_v4_directory_is_left_untouched(self, tmp_path):
+    def test_a_v5_directory_is_left_untouched(self, tmp_path):
         points, _, frozen = build_pair(n=120)
-        path = str(tmp_path / "v4")
+        path = str(tmp_path / "v5")
         save_frozen_index(frozen, path)
         before = file_hashes(path)
         assert frozen_persist.migrate(path) == []
@@ -914,16 +943,16 @@ class TestMigrate:
         assert file_hashes(copy) == migrated
 
     def test_a_future_version_is_refused(self, tmp_path):
-        future = str(tmp_path / "v5")
+        future = str(tmp_path / "v6")
         shutil.copytree(os.path.join(FIXTURES, "frozen_v1", "covering"), future)
         with open(os.path.join(future, "config.json")) as fh:
             config = json.load(fh)
-        config["format_version"] = 5
+        config["format_version"] = 6
         with open(os.path.join(future, "config.json"), "w") as fh:
             json.dump(config, fh)
-        with pytest.raises(ConfigurationError, match="unsupported frozen index version 5"):
+        with pytest.raises(ConfigurationError, match="unsupported frozen index version 6"):
             frozen_persist.migrate(future)
-        with pytest.raises(ConfigurationError, match="unsupported frozen index version 5"):
+        with pytest.raises(ConfigurationError, match="unsupported frozen index version 6"):
             load_frozen_index(future)
 
     def test_migrate_checks_the_config(self, tmp_path):
@@ -988,18 +1017,46 @@ class TestFormatV4Labels:
     """``Index.save`` directories of format v4 written while ``"plain"``
     was a variant (``tests/fixtures/frozen_v4``, by commit c2d5996): a
     plain index, whose spec carries the ``num_probes`` 2 it never read,
-    and a 2-probe index of the same points.  Both open as they are (no
-    ``migrate``) and answer as recorded; the plain one has zero probes."""
+    and a 2-probe index of the same points.  They are ``migrate``'s
+    inputs: a migrated copy holds the fixture's bucket arrays minus
+    ``keys.npy``, says ``"multiprobe"`` (the plain one at zero probes)
+    in both ``config.json`` and ``index.json``, and answers as recorded.
+    The fixtures themselves are never rewritten."""
 
     @pytest.mark.parametrize("name, probes", [("plain", 0), ("multiprobe", 2)])
-    def test_opens_without_migrate_and_answers_as_recorded(self, name, probes):
+    def test_migrated_copy_answers_as_recorded(self, name, probes, tmp_path):
         source = os.path.join(FIXTURES, "frozen_v4", name)
         with open(os.path.join(source, "index.json")) as fh:
             assert json.load(fh)["spec"]["variant"] == name
         with open(os.path.join(FIXTURES, "frozen_v4", "expected.json")) as fh:
             expected = json.load(fh)
         before = file_hashes(source)
-        index = Index.open(source)
+        with pytest.raises(ConfigurationError, match="python -m repro.cli migrate"):
+            Index.open(source)
+
+        copy = str(tmp_path / name)
+        shutil.copytree(source, copy)
+        shard = os.path.join(copy, "shard_000.frozen")
+        rewritten = [shard] + ([os.path.join(copy, "index.json")] if name == "plain" else [])
+        assert frozen_persist.migrate(copy) == rewritten
+        assert frozen_persist.migrate(copy) == []  # a second run is a no-op
+        assert file_hashes(source) == before
+        old, new = file_hashes(source), file_hashes(copy)
+        for array in ("key64", "table_slices", "offsets", "members", "sketched", "registers"):
+            key = os.path.join("shard_000.frozen", f"{array}.npy")
+            assert new[key] == old[key], array
+        assert os.path.join("shard_000.frozen", "keys.npy") in old
+        assert os.path.join("shard_000.frozen", "keys.npy") not in new
+        with open(os.path.join(shard, "config.json")) as fh:
+            config = json.load(fh)
+        with open(os.path.join(copy, "index.json")) as fh:
+            spec = json.load(fh)["spec"]
+        assert (config["format_version"], config["variant"], config["num_probes"]) == (
+            5, "multiprobe", probes
+        )
+        assert (spec["variant"], spec["num_probes"]) == ("multiprobe", probes)
+
+        index = Index.open(copy)
         try:
             assert (index.spec.variant, index.spec.num_probes) == ("multiprobe", probes)
             assert index.engine.index.probe_count == probes
@@ -1012,7 +1069,23 @@ class TestFormatV4Labels:
             index.close()
         assert got == expected[name]
         assert {r.stats.strategy.value for r in results} == {"lsh", "linear"}
-        assert file_hashes(source) == before  # opened, not rewritten
+
+    def test_plain_is_refused_after_migrate_naming_it(self, tmp_path):
+        copy = str(tmp_path / "plain")
+        shutil.copytree(os.path.join(FIXTURES, "frozen_v4", "plain"), copy)
+        frozen_persist.migrate(copy)
+        shard = os.path.join(copy, "shard_000.frozen")
+        with open(os.path.join(shard, "config.json")) as fh:
+            config = json.load(fh)
+        config["variant"] = "plain"
+        with open(os.path.join(shard, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        with pytest.raises(CorruptArtifactError, match="variant.*repro.cli migrate"):
+            load_frozen_index(shard)
+        with open(os.path.join(copy, "index.json")) as fh:
+            spec = json.load(fh)["spec"]
+        with pytest.raises(ConfigurationError, match="repro.cli migrate"):
+            IndexSpec.from_dict({**spec, "variant": "plain"})
 
 
 class TestEntryLimit:

@@ -48,11 +48,11 @@ class TestFreeze:
         assert frozen.radius == index.radius
         assert frozen.num_tables == index.num_tables
 
-    def test_key_width_is_widest_block(self):
-        _, _, index, frozen = build_pair(dim=30, radius=3)
+    def test_row_width_is_widest_block(self):
+        _, points, index, frozen = build_pair(dim=30, radius=3)
         widest = max(block.size for block in index._blocks)
         assert frozen.row_width == widest
-        assert frozen.frozen.keys.shape[1] == widest
+        assert frozen._insert_rows(points[:2]).shape == (2, frozen.num_tables, widest)
 
     def test_unbuilt_rejected(self):
         index = CoveringLSHIndex(dim=16, radius=2)

@@ -8,19 +8,26 @@ answers after ``insert`` + re-freeze.
 
 Step S1 itself is pinned one level down: on every frozen variant and at
 every stage of an index's life, ``FrozenTables.locate`` must equal a
-dict lookup of each probed ``(table, hash row)``, and a lone ``lookup``
-must equal the matching row of ``lookup_batch`` — also when the 64-bit
-address mix is forced to collide, so assembly and re-freeze re-salt.
+dict lookup of each probed ``(table, hash row)`` (a bucket's row being
+its members' re-hashed row), and a lone ``lookup`` must equal the
+matching row of ``lookup_batch`` — also when the 64-bit address mix is
+forced to collide at the build, so it re-salts.
 
 The overflow generations are held to the same standard: through build,
 inserts, a background fold held open (two live runs), its landing, a
-synchronous re-freeze, save and mmap reopen, every run's verified entry
-ranges equal a dict built from the run's own points, every primitive
-equals the dict-layout ``LSHIndex`` reference's (built from the same
-spec and seed), and the folded arrays equal a fresh
-``assemble`` over everything — also under the three collisions the
-run's addressing can meet (an overflow row on a frozen row's address,
-two rows on one address inside a run, a fold that lands on a new salt).
+synchronous re-freeze, save and mmap reopen, every run's entry ranges
+equal a dict built from the run's own points, every primitive equals
+the dict-layout ``LSHIndex`` reference's (built from the same spec and
+seed), and the folded arrays equal a fresh ``assemble`` over everything
+— and a fresh ``build`` of all the points, inline fold or background.
+
+These equalities are the contract's common case.  Past the build an
+address hit is a hit: a row that aliases another row's address (about
+``B_t / 2**58`` a probe, ``B_t`` the table's bucket count) reads, and
+once folded joins, that row's bucket.  Answers stay exact — Step S3's
+distance test judges every candidate — and only ``QueryStats`` counts
+may then differ from the reference's;
+``TestOverflowAddressCollisions`` forces such aliases and checks that.
 """
 
 import os
@@ -53,7 +60,7 @@ from test_overflow import (
 )
 
 from repro.api import Index
-from repro.core import CostModel, HybridSearcher
+from repro.core import CostModel, HybridSearcher, LinearScan, LSHSearch
 from repro.hashing import PStableLSH, SimHashLSH
 from repro.index import LSHIndex
 from repro.index.frozen import tables as frozen_tables
@@ -165,11 +172,19 @@ class TestFrozenProperties:
         )
 
 
-def _reference_locate(frozen, slot_rows, slot_tables):
+def _bucket_rows(raw, frozen):
+    """Each stored bucket's hash row: its first member re-hashed."""
+    first = frozen.members[frozen.offsets[:-1]].astype(np.intp)
+    rows = raw._insert_rows(np.asarray(raw.points[first]))  # (B, L, w)
+    tables = np.repeat(np.arange(frozen.num_tables), np.diff(frozen.table_slices))
+    return rows[np.arange(first.size), tables]
+
+
+def _reference_locate(frozen, bucket_rows, slot_rows, slot_tables):
     """``locate`` by dict: every ``(table, hash row)`` -> global bucket."""
     bounds = frozen.table_slices.tolist()
     buckets = {
-        (t, tuple(frozen.keys[b].tolist())): b
+        (t, tuple(bucket_rows[b].tolist())): b
         for t in range(frozen.num_tables)
         for b in range(bounds[t], bounds[t + 1])
     }
@@ -184,14 +199,17 @@ def _reference_locate(frozen, slot_rows, slot_tables):
     ]
 
 
-def _checked_locate(calls):
-    """``FrozenTables.locate``, every call compared with the reference."""
+def _checked_locate(calls, owner):
+    """``FrozenTables.locate``, every call compared with the reference
+    over the arrays of ``owner[-1]`` (unchecked while ``owner`` is empty)."""
     real = FrozenTables.locate
 
     def locate(self, slot_rows, slot_tables=None):
         out = real(self, slot_rows, slot_tables)
         assert out.dtype == np.int64 and out.shape == slot_rows.shape[:2]
-        assert out.tolist() == _reference_locate(self, slot_rows, slot_tables)
+        if owner:
+            rows = _bucket_rows(owner[-1], self)
+            assert out.tolist() == _reference_locate(self, rows, slot_rows, slot_tables)
         calls.append(out)
         return out
 
@@ -212,17 +230,17 @@ def _assert_sequential_equals_batched(raw, queries):
 def _check_locate_through_a_life(case, salted=False):
     """Build -> overflow insert -> re-freeze -> save -> mmap reopen, every
     ``locate`` checked against the reference.  ``salted`` makes the mix
-    collide under salt 0 at the build and under the build's salt at the
-    re-freeze, so both must move on to a fresh one."""
+    collide under salt 0, so the build must move on to a fresh salt —
+    which the fold then keeps (it reads no row)."""
     points, queries, inserts, overrides = case
-    calls, colliding = [], set()
+    calls, owner = [], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FrozenTables, "locate", _checked_locate(calls))
+        patch.setattr(FrozenTables, "locate", _checked_locate(calls, owner))
         if salted:
-            colliding.add(0)
-            patch.setattr(frozen_tables, "_mix_rows", colliding_mix(colliding))
+            patch.setattr(frozen_tables, "_mix_rows", colliding_mix({0}))
         index = Index.build(points, _spec(**overrides))
         raw = index.engine.index
+        owner.append(raw)
         built_salt = raw.frozen.salt
         assert (built_salt > 0) == salted
         _assert_sequential_equals_batched(raw, queries)
@@ -230,17 +248,15 @@ def _check_locate_through_a_life(case, salted=False):
         queries = np.concatenate([queries, inserts[:3]])
         _assert_sequential_equals_batched(raw, queries)
         assert raw.lookup_batch(queries)[0].overflow is not None
-        if salted:
-            colliding.add(built_salt)
         raw.refreeze()
-        assert (raw.frozen.salt > built_salt) == salted
+        assert raw.frozen.salt == built_salt
         _assert_sequential_equals_batched(raw, queries)
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "index")
             save_frozen_index(raw, path)
             reopened = load_frozen_index(path)
+            owner.append(reopened)
             assert_file_backed(reopened.frozen.key64, path, "key64")
-            assert_file_backed(reopened.frozen.keys, path, "keys")
             assert reopened.frozen.salt == raw.frozen.salt
             _assert_sequential_equals_batched(reopened, queries)
             for a, b in zip(
@@ -258,7 +274,7 @@ class TestStepS1Properties:
 
     @settings(max_examples=8, deadline=None)
     @given(dispatch_case())
-    def test_locate_survives_forced_salt_changes(self, case):
+    def test_locate_survives_a_forced_salt_change_at_the_build(self, case):
         _check_locate_through_a_life(case, salted=True)
 
     @settings(max_examples=10, deadline=None)
@@ -268,7 +284,7 @@ class TestStepS1Properties:
         raw = Index.build(points, _spec(seed=seed % 97)).engine.index
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(FrozenTables, "locate", _checked_locate(calls))
+            patch.setattr(FrozenTables, "locate", _checked_locate(calls, [raw]))
             fixed = raw.lookup_batch(queries)
             trimmed, _, _ = raw.lookup_batch_adaptive(queries, target)
         assert len(calls) == 2 and np.array_equal(*calls)
@@ -354,22 +370,21 @@ class TestBudgetedWalkProperties:
 # ----------------------------------------------------------------------
 
 _TABLE_ARRAYS = (
-    "key64", "keys", "table_slices", "offsets", "members",
-    "sketched", "registers",
+    "key64", "table_slices", "offsets", "members", "sketched", "registers",
 )
 
 
 def _hold_background_folds(patch):
-    """Background folds block in ``assemble`` until the returned event is set."""
+    """Background folds block in ``folded`` until the returned event is set."""
     gate = threading.Event()
-    assemble = FrozenTables.assemble.__func__
+    folded = FrozenTables.folded
 
-    def gated(cls, *args, **kwargs):
+    def gated(self, *args, **kwargs):
         if threading.current_thread().name == "repro-refreeze":
             assert gate.wait(timeout=60)
-        return assemble(cls, *args, **kwargs)
+        return folded(self, *args, **kwargs)
 
-    patch.setattr(FrozenTables, "assemble", classmethod(gated))
+    patch.setattr(FrozenTables, "folded", gated)
     return gate
 
 
@@ -475,101 +490,139 @@ def _collision_case(variant):
     return points, queries, spread[:12], spread[12:], overrides
 
 
-def _stored_row_sets(raw, t):
-    """Table ``t``'s frozen rows (as tuples) and its first bucket's index."""
-    lo, hi = raw.frozen.table_slices[t : t + 2].tolist()
-    return {tuple(row) for row in raw.frozen.keys[lo:hi].tolist()}, lo
-
-
 def _alias_onto_a_frozen_row(raw, points, batch, aliases):
-    """Make one of ``batch``'s rows, new to table 0, share a frozen row's
-    address; returns ``(the batch point, a frozen point of that row)``."""
+    """Make one of ``batch``'s rows, new to table 0, share the address of
+    table 0's first frozen bucket; returns ``(that row's index in the
+    batch, a frozen point of that bucket, the bucket's members)``."""
     frozen = raw.frozen
-    have, bucket = _stored_row_sets(raw, 0)
+    lo, hi = frozen.table_slices[:2].tolist()
+    stored = {tuple(row) for row in _bucket_rows(raw, frozen)[lo:hi].tolist()}
+    members = frozen.members[frozen.offsets[lo] : frozen.offsets[lo + 1]].astype(np.intp)
+    witness = points[members[0]]
     rows = raw._insert_rows(batch)[:, 0].tolist()
-    fresh = next(i for i, row in enumerate(rows) if tuple(row) not in have)
-    aliases.append((frozen.salt, rows[fresh], frozen.keys[bucket].tolist()))
-    witness = points[frozen.members[frozen.offsets[bucket]]]
-    return batch[fresh], witness
+    fresh = next(i for i, row in enumerate(rows) if tuple(row) not in stored)
+    target = raw._insert_rows(witness[None])[0, 0].tolist()
+    aliases.append((frozen.salt, rows[fresh], target))
+    return fresh, witness, members
 
 
 def _two_rows_of_table_zero(raw, batch):
+    """Two different table-0 rows of ``batch``: ``(rows, their indexes)``."""
     rows = raw._insert_rows(batch)[:, 0].tolist()
-    other = next(row for row in rows if row != rows[0])
-    return rows[0], other
+    j = next(j for j, row in enumerate(rows) if row != rows[0])
+    return (rows[0], rows[j]), (0, j)
+
+
+def _assert_answers_are_exact(raw, twin, queries, radius, far_apart):
+    """The alias contract: Step S3 judges every candidate, so the ids of
+    the LSH answers equal the dict reference's, every one a brute-force
+    neighbour, and so do the distances — to the ulps a different
+    candidate matrix may move them by.  ``far_apart`` lists pairs of
+    aliased points, asserted to lie beyond the radius of each other
+    (the only way an alias could add a neighbour)."""
+    metric = raw.family.metric
+    for a, b in far_apart:
+        assert metric(np.asarray(a), np.asarray(b)) > radius
+    brute = LinearScan(np.asarray(raw.points), metric)
+    ours = LSHSearch(raw).query_batch(queries, radius)
+    theirs = LSHSearch(twin).query_batch(queries, radius)
+    for query, mine, ref in zip(queries, ours, theirs):
+        assert np.array_equal(mine.ids, ref.ids)
+        assert np.allclose(mine.distances, ref.distances, rtol=0, atol=1e-5)
+        exact = brute.query(query, radius)
+        assert set(mine.ids.tolist()) <= set(exact.ids.tolist())
+    return ours, theirs
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 class TestOverflowAddressCollisions:
-    def test_an_overflow_row_on_a_frozen_rows_address(self, monkeypatch, variant):
-        points, queries, first, second, overrides = _collision_case(variant)
-        aliases = []
-        monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
-        raw, twin = _build_twins(points, overrides)
-        built_salt = raw.frozen.salt
-        new, witness = _alias_onto_a_frozen_row(raw, points, first, aliases)
-        raw.insert(first), twin.insert(first)
-        assert raw.overflow_count == len(first)  # published as it is
-        # Both sides reject the other's row on read: the new point misses
-        # the frozen bucket its address names, the bucket's own point
-        # misses the run entry.
-        for_new, for_old = raw.lookup_batch(np.stack([new, witness]))
-        assert for_new.bucket_ids[0] == -1 and for_new.overflow[0, 1, 0] > 0
-        assert for_old.bucket_ids[0] >= 0 and for_old.overflow[0, 1, 0] == 0
-        queries = np.concatenate([queries, first[:4], [new, witness]])
-        _assert_stage(raw, twin, queries, live_runs=1)
-        raw.refreeze()  # ... and the fold re-salts
-        assert raw.frozen.salt > built_salt
-        _assert_stage(raw, twin, queries, live_runs=0)
-        _assert_arrays_are_a_fresh_assemble(raw, twin)
+    """Aliases forced through ``_mix_rows``: each adds candidates and
+    changes counts, never an answer, and no fold re-salts."""
 
-    def test_two_rows_on_one_address_inside_a_run_fold_inline(
+    def test_an_overflow_row_aliasing_a_frozen_row_adds_candidates_only(
         self, monkeypatch, variant
     ):
         points, queries, first, second, overrides = _collision_case(variant)
+        radius = _spec(**overrides).radius
+        aliases = []
+        monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
+        raw, twin = _build_twins(points, overrides)
+        built_salt = raw.frozen.salt
+        fresh, witness, members = _alias_onto_a_frozen_row(raw, points, first, aliases)
+        new, new_id = first[fresh], len(points) + fresh
+        raw.insert(first), twin.insert(first)
+        assert raw.overflow_count == len(first)  # published as it is
+        # Each side reads the other's row: the new point hits the frozen
+        # bucket its address names, the bucket's own point the run entry.
+        for_new, for_old = raw.lookup_batch(np.stack([new, witness]))
+        assert for_new.bucket_ids[0] >= 0 and for_new.overflow[0, 1, 0] > 0
+        assert for_old.bucket_ids[0] >= 0 and for_old.overflow[0, 1, 0] > 0
+        ref_new, ref_old = twin.lookup_batch(np.stack([new, witness]))
+        assert for_new.num_collisions == ref_new.num_collisions + members.size
+        assert for_old.num_collisions == ref_old.num_collisions + 1
+        queries = np.concatenate([queries, first[:4], [new, witness]])
+        pairs = [(new, points[m]) for m in members]
+        _assert_answers_are_exact(raw, twin, queries, radius, pairs)
+        raw.refreeze()  # ... the fold files the new point into that bucket
+        assert raw.frozen.salt == built_salt and not raw.live_runs
+        bucket = raw.lookup(witness).bucket_ids[0]
+        assert new_id in raw.frozen.gather_members(np.array([bucket])).tolist()
+        _assert_answers_are_exact(raw, twin, queries, radius, pairs)
+
+    def test_two_rows_on_one_address_inside_a_run_share_its_range(
+        self, monkeypatch, variant
+    ):
+        points, queries, first, second, overrides = _collision_case(variant)
+        radius = _spec(**overrides).radius
         aliases = []
         monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
         raw, twin = _build_twins(points, overrides)
         built_salt = raw.frozen.salt
         raw.insert(first), twin.insert(first)
-        aliases.append((built_salt, *_two_rows_of_table_zero(raw, second)))
+        rows, (i, j) = _two_rows_of_table_zero(raw, second)
+        aliases.append((built_salt, *rows))
+        pair = (second[i], second[j])
         queries = np.concatenate([queries, first[:4], second[:4]])
         raw.insert(second), twin.insert(second)  # far below the threshold
-        assert raw._refreeze_thread is None and raw.refreeze_count == 1
-        assert raw.overflow_count == 0 and raw.frozen.salt > built_salt
-        _assert_stage(raw, twin, queries, live_runs=0)
-        _assert_arrays_are_a_fresh_assemble(raw, twin)
+        assert raw.refreeze_count == 0 and raw.frozen.salt == built_salt
+        assert raw.overflow_count == len(first) + len(second)
+        (run,) = raw.live_runs
+        lookups = raw.lookup_batch(np.stack(pair))
+        ranges = [tuple(lookup.overflow[0, :, 0].tolist()) for lookup in lookups]
+        assert ranges[0] == ranges[1]  # one address, one range, both points in it
+        lo, hi = ranges[0]
+        base = len(points) + len(first)
+        assert {base + i, base + j} <= set(run.members[lo:hi].tolist())
+        _assert_answers_are_exact(raw, twin, queries, radius, [pair])
+        raw.refreeze()
+        assert raw.frozen.salt == built_salt
+        _assert_answers_are_exact(raw, twin, queries, radius, [pair])
 
-    @pytest.mark.parametrize("rekeyed_run_collides", [False, True])
-    def test_a_fold_landing_on_a_new_salt_rekeys_the_live_run(
-        self, monkeypatch, variant, rekeyed_run_collides
+    def test_a_background_fold_beside_an_aliasing_run_keeps_salt_and_run(
+        self, monkeypatch, variant
     ):
         points, queries, first, second, overrides = _collision_case(variant)
+        radius = _spec(**overrides).radius
         aliases = []
         monkeypatch.setattr(frozen_tables, "_mix_rows", aliasing_mix(aliases))
         gate = _hold_background_folds(monkeypatch)
         raw, twin = _build_twins(points, overrides)
         built_salt = raw.frozen.salt
         raw.refreeze_threshold = len(first) - 1
-        _alias_onto_a_frozen_row(raw, points, first, aliases)
+        fresh, _, members = _alias_onto_a_frozen_row(raw, points, first, aliases)
+        new = first[fresh]
         raw.insert(first), twin.insert(first)  # crosses: the held-open fold
-        raw.insert(second), twin.insert(second)  # keyed under the build's salt
-        assert [run.salt for run in raw.live_runs] == [built_salt, built_salt]
-        if rekeyed_run_collides:
-            aliases.append((built_salt + 1, *_two_rows_of_table_zero(raw, second)))
-        queries = np.concatenate([queries, first[:4], second[:4]])
-        _assert_stage(raw, twin, queries, live_runs=2)
+        raw.insert(second), twin.insert(second)  # a second live run
+        live = raw.live_runs[-1]
+        queries = np.concatenate([queries, first[:4], second[:4], [new]])
+        pairs = [(new, points[m]) for m in members]
+        _assert_answers_are_exact(raw, twin, queries, radius, pairs)
         gate.set()
         raw.wait_for_refreeze()
-        assert raw.last_refreeze_error is None
-        if rekeyed_run_collides:  # ... so the landing folds it as well
-            assert raw.refreeze_count == 2 and raw.frozen.salt > built_salt + 1
-            _assert_stage(raw, twin, queries, live_runs=0)
-            _assert_arrays_are_a_fresh_assemble(raw, twin)
-        else:
-            assert raw.refreeze_count == 1 and raw.frozen.salt == built_salt + 1
-            assert [run.salt for run in raw.live_runs] == [built_salt + 1]
-            _assert_stage(raw, twin, queries, live_runs=1)
+        assert raw.last_refreeze_error is None and raw.refreeze_count == 1
+        assert raw.frozen.salt == built_salt
+        assert raw.live_runs == (live,)  # kept as it was: nothing to re-key
+        _assert_answers_are_exact(raw, twin, queries, radius, pairs)
 
 
 class TestOverflowRunProperties:
@@ -577,6 +630,50 @@ class TestOverflowRunProperties:
     @given(dispatch_case())
     def test_the_run_is_a_dict_lookup_at_every_stage_of_a_life(self, case):
         _check_runs_through_a_life(case)
+
+
+def _fold_case(seed, n, variant, num_inserts, split, background):
+    points, _, inserts, overrides = _dispatch_case(seed, n, variant, 6.0, num_inserts)
+    return points, inserts, overrides, min(split, num_inserts), background
+
+
+@st.composite
+def fold_case(draw):
+    num_inserts = draw(st.integers(1, 40))
+    return _fold_case(
+        seed=draw(st.integers(0, 2**16)),
+        n=draw(st.integers(150, 400)),
+        variant=draw(st.sampled_from(VARIANTS)),
+        num_inserts=num_inserts,
+        split=draw(st.integers(0, num_inserts)),
+        background=draw(st.booleans()),
+    )
+
+
+class TestFoldProperties:
+    """A fold merges on ``key64`` and reads no hash row; its arrays are
+    those a fresh ``build`` of every point makes, array for array."""
+
+    @settings(max_examples=max_examples(20), deadline=None)
+    @given(fold_case())
+    @example(_fold_case(3, 200, "covering", 30, 12, True))
+    @example(_fold_case(5, 300, "multiprobe", 1, 0, False))
+    def test_build_insert_past_the_threshold_fold_is_a_fresh_build(self, case):
+        points, inserts, overrides, split, background = case
+        spec = _spec(**overrides)
+        raw = Index.build(points, spec).engine.index
+        raw.background_refreeze = background
+        raw.refreeze_threshold = len(inserts) - 1  # the last insert crosses it
+        for part in (inserts[:split], inserts[split:]):
+            raw.insert(part)
+        raw.wait_for_refreeze()
+        assert raw.last_refreeze_error is None
+        assert raw.refreeze_count == 1 and not raw.live_runs
+        fresh = Index.build(np.concatenate([points, inserts]), spec).engine.index
+        assert raw.frozen.salt == fresh.frozen.salt
+        for name in _TABLE_ARRAYS:
+            ours, theirs = getattr(raw.frozen, name), getattr(fresh.frozen, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
 
 
 def _assert_same_answers(ours, theirs, queries, radius):

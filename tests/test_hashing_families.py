@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.distances import cosine_distance, hamming_distance, jaccard_distance
 from repro.exceptions import ConfigurationError, UnknownMetricError
 from repro.hashing import (
@@ -160,6 +161,45 @@ class TestPStable:
         fam = PStableLSH(dim=8, w=1.5, p=2, seed=5)
         values = fam.sample(k=3).hash_matrix(RNG.normal(size=(10, 8)))
         assert values.dtype == np.int64
+
+    def test_in_range_hashes_are_the_floor_of_the_shifted_projection(self):
+        fam = PStableLSH(dim=8, w=1.5, p=2, seed=5)
+        batched = fam.sample_batch(k=3, num_tables=4)
+        points = RNG.normal(size=(50, 8)) * 40
+        params = batched.params
+        expected = np.floor(
+            (points @ params["projections"] + params["offsets"]) / 1.5
+        ).astype(np.int64)
+        assert np.array_equal(batched.hash_points(points).reshape(50, -1), expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cache_size", [0, 16])
+    def test_a_huge_finite_coordinate_hashes_quietly_and_stably(self, cache_size):
+        """floor((a . x + b) / w) past the int64 range is clipped to
+        +-2**62 before the cast: no warning (an error here), the same
+        bucket on every call, and the answers brute force gives."""
+        points = RNG.normal(size=(300, 8))
+        index = Index.build(
+            points, IndexSpec(metric="l2", radius=1.5, num_tables=8, seed=3, cache_size=cache_size)
+        )
+        try:
+            huge = points[:3].copy()
+            huge[:, 3] = [1e300, -1e300, 1e300]
+            queries = np.concatenate([huge, points[3:5]])
+            kernel = index.engine.index._batched
+            first, again = kernel.hash_points(huge), kernel.hash_points(huge)
+            assert np.array_equal(first, again)
+            assert np.abs(first).max() == 2**62
+            for _ in range(2):
+                results = index.query(QuerySpec(queries))
+                single = index.query(QuerySpec(huge[0]))
+            with np.errstate(over="ignore"):
+                gaps = np.sqrt(((points[None, :, :] - queries[:, None, :]) ** 2).sum(axis=2))
+            for result, row in zip(results, gaps):
+                assert result.ids.tolist() == np.flatnonzero(row <= 1.5).tolist()
+            assert single.ids.size == 0
+        finally:
+            index.close()
 
 
 class TestMinHash:

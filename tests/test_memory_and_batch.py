@@ -60,10 +60,10 @@ def fig1_landscape(n, dim, seed):
 class TestBytesPerPointBudget:
     """The benchmark's ``index_bytes_per_point`` as a deterministic
     tier-1 count (n = 2000, L = 50, k = 7): the frozen layout's bucket
-    addressing — a uint64 ``key64``, the narrow full hash row and a
-    uint32 CSR offset per bucket — must stay a fraction of the 8 k-byte
-    keys of the dict-layout ``LSHIndex`` it is frozen from, and every id
-    is four bytes."""
+    addressing — a uint64 ``key64`` and a uint32 CSR offset per bucket,
+    no hash row — must stay a fraction of the 8 k-byte keys of the
+    dict-layout ``LSHIndex`` it is frozen from, and every id is four
+    bytes."""
 
     N, TABLES = 2000, 50
     POINTS = fig1_landscape(N, 16, seed=11)
@@ -77,17 +77,17 @@ class TestBytesPerPointBudget:
         reference = reference_index(self.POINTS, self.SPEC)
         csr = raw.frozen
         assert csr.num_buckets == sum(table.num_buckets for table in reference.tables)
-        # 566 counted; 621 with a per-bucket int32 sketch map and int64
-        # HLL registers, 812 with 8-byte ids, 1206 with format v1's byte
-        # keys.
-        assert report["total"] / self.N <= 580
+        # 482 counted; 566 with format v4's int8 hash rows, 621 with a
+        # per-bucket int32 sketch map and int64 HLL registers, 812 with
+        # 8-byte ids, 1206 with format v1's byte keys.
+        assert report["total"] / self.N <= 495
         # bucket_keys counts every byte that addresses a bucket.
-        assert csr.key64.dtype == np.uint64 and csr.keys.dtype == np.int8
+        assert csr.key64.dtype == np.uint64
         assert report["bucket_keys"] == sum(
-            a.nbytes for a in (csr.key64, csr.keys, csr.offsets, csr.table_slices)
+            a.nbytes for a in (csr.key64, csr.offsets, csr.table_slices)
         )
         assert report["bucket_keys"] == (
-            csr.num_buckets * (8 + raw.k + 4) + 4 + 8 * (self.TABLES + 1)
+            csr.num_buckets * (8 + 4) + 4 + 8 * (self.TABLES + 1)
         )
         assert report["bucket_ids"] == 4 * self.N * self.TABLES
         # A sketched bucket costs its m registers and its uint32 id; a

@@ -1,7 +1,7 @@
 """The frozen layout's overflow generations as sorted runs.
 
 ``repro.index.overflow.OverflowRun`` on its own (copy-on-write merge,
-insertion order inside an address, the collision rule, probe ranges),
+insertion order inside an address, aliased addresses, probe ranges),
 then what it buys the index, pinned as *work units* rather than
 timings: from build through save and reopen a frozen index of any
 variant builds no ``Bucket`` / ``HashTable`` and encodes no row to
@@ -17,6 +17,7 @@ The helpers at the top (``probed_rows``, ``assert_runs_are_dict_lookups``,
 ``test_frozen_properties.py``.
 """
 
+import dataclasses
 import sys
 import threading
 import time
@@ -56,7 +57,7 @@ def probed_rows(raw, queries):
 
 
 def assert_runs_are_dict_lookups(raw, queries):
-    """Every live run's verified ranges equal a ``{(table, row): [ids]}``
+    """Every live run's entry ranges equal a ``{(table, row): [ids]}``
     dict built from the run's own points; returns the number of runs."""
     lookups = raw.lookup_batch(queries)
     runs = lookups[0]._runs
@@ -67,7 +68,6 @@ def assert_runs_are_dict_lookups(raw, queries):
         ids = np.arange(run.first_id, run.first_id + run.count)
         assert ids[-1] < raw.points.shape[0]
         stored = raw._insert_rows(np.asarray(raw.points[ids]))
-        assert np.array_equal(stored, run.rows)  # kept once per point
         reference = {}
         for point_id, point_rows in zip(ids.tolist(), stored.tolist()):
             for t, row in enumerate(point_rows):
@@ -124,15 +124,14 @@ def _addresses(rows):
 
 
 def _extend(run, rows):
-    rows = np.asarray(rows, dtype=np.int64)
-    return run.extended(_addresses(rows), rows)
+    return run.extended(_addresses(np.asarray(rows, dtype=np.int64)))
 
 
 def _probe(run, slot_rows):
     slot_rows = np.asarray(slot_rows, dtype=np.int64)
     flat = _addresses(slot_rows).ravel()
     order = np.argsort(flat)
-    return run.probe(order, flat.take(order), slot_rows, np.arange(TABLES))
+    return run.probe(order, flat.take(order)).reshape(2, *slot_rows.shape[:2])
 
 
 A, B, C = (1, 1), (2, -2), (300, 3)
@@ -140,13 +139,13 @@ A, B, C = (1, 1), (2, -2), (300, 3)
 
 class TestOverflowRun:
     def test_extended_is_copy_on_write_and_keeps_insertion_order(self):
-        empty = OverflowRun.empty(SALT, first_id=100, num_tables=TABLES, width=2)
-        first, clean = _extend(empty, [[A, A, B], [B, A, B]])
-        assert clean and first.count == 2 and empty.count == 0
-        before = (first.key64.copy(), first.members.copy(), first.rows.copy())
-        second, clean = _extend(first, [[A, B, B]])
-        assert clean and second.count == 3
-        for kept, array in zip(before, (first.key64, first.members, first.rows)):
+        empty = OverflowRun.empty(first_id=100)
+        first = _extend(empty, [[A, A, B], [B, A, B]])
+        assert first.count == 2 and empty.count == 0
+        before = (first.key64.copy(), first.members.copy())
+        second = _extend(first, [[A, B, B]])
+        assert second.count == 3
+        for kept, array in zip(before, (first.key64, first.members)):
             assert np.array_equal(kept, array)  # the published run never changes
         assert not np.shares_memory(first.key64, second.key64)
         assert (second.key64[1:] >= second.key64[:-1]).all()
@@ -159,32 +158,32 @@ class TestOverflowRun:
         assert groups == [[[100, 102], [100, 101], [100, 101, 102]], [[101], [102], []]]
         assert ranges[:, 1, 2].tolist() == [0, 0]
 
-    def test_arrays_take_the_contract_dtypes_and_rows_the_narrowest(self):
-        run = OverflowRun.empty(SALT, first_id=0, num_tables=TABLES, width=2)
-        run, _ = _extend(run, [[A, A, B]])
+    def test_arrays_take_the_contract_dtypes_and_keep_no_row(self):
+        run = _extend(OverflowRun.empty(first_id=0), [[A, A, B]])
         assert (run.key64.dtype, run.members.dtype) == (np.uint64, np.uint32)
-        assert run.rows.dtype == np.int8
-        wide, clean = _extend(run, [[C, A, A]])
-        assert clean and wide.rows.dtype == np.int16 and run.rows.dtype == np.int8
-        assert np.array_equal(wide.rows, [[A, A, B], [C, A, A]])
+        assert [f.name for f in dataclasses.fields(run)] == [
+            "first_id", "count", "key64", "members"
+        ]
+        wide = _extend(run, [[C, A, A]])  # a value past int8: nothing to widen
         lo, hi = _probe(wide, [[C, A, A]])[:, 0]
         assert [wide.members[a:b].tolist() for a, b in zip(lo, hi)] == [[1], [0, 1], [1]]
 
-    def test_an_address_shared_by_two_rows_makes_the_run_unclean(self, monkeypatch):
+    def test_an_address_shared_by_two_rows_is_one_range(self, monkeypatch):
         real = frozen_tables._mix_rows
         # Mix only the first column: (1, 1) and (1, 7) share an address.
         monkeypatch.setattr(
             frozen_tables, "_mix_rows", lambda rows, salt: real(rows[..., :1], salt)
         )
-        empty = OverflowRun.empty(SALT, first_id=0, num_tables=TABLES, width=2)
-        run, clean = _extend(empty, [[A, A, B]])
-        assert clean
-        assert _extend(run, [[A, B, B]])[1]  # same rows, or other addresses
-        assert not _extend(run, [[(1, 7), B, B]])[1]  # against a stored entry
-        assert not _extend(empty, [[A, A, B], [(1, 7), A, B]])[1]  # inside a batch
-        assert _extend(empty, [[A, (1, 7), B]])[1]  # other tables do not collide
-        # Read side of the same rule: the address hits, the row does not.
-        assert _probe(run, [[(1, 7), A, B]]).tolist() == [[[0, 1, 2]], [[0, 2, 3]]]
+        run = _extend(OverflowRun.empty(first_id=0), [[A, A, B]])
+        run = _extend(run, [[(1, 7), B, B]])  # published as it is
+        assert run.count == 2
+        # Either row's probe reads both entries (an alias adds candidates,
+        # Step S3 judges them); other tables do not collide.
+        for row in (A, (1, 7)):
+            lo, hi = _probe(run, [[row, A, B]])[:, 0]
+            assert [run.members[a:b].tolist() for a, b in zip(lo, hi)] == [
+                [0, 1], [0], [0, 1]
+            ]
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +495,7 @@ def test_diagnostics_count_the_runs_arrays():
     (run,) = raw.live_runs
     report, stats = raw.memory_report(), raw.bucket_statistics()
     assert report["bucket_ids"] == before["bucket_ids"] + run.members.nbytes
-    assert report["bucket_keys"] == before["bucket_keys"] + run.key64.nbytes + run.rows.nbytes
+    assert report["bucket_keys"] == before["bucket_keys"] + run.key64.nbytes
     # Registers plus the ids of the sketched buckets; a run adds neither.
     sketched = raw.frozen.sketched.nbytes
     assert report["sketches"] == before["sketches"] == raw.sketch_memory_bytes + sketched
@@ -523,6 +522,7 @@ def test_readers_only_ever_see_whole_inserts():
     probes = np.concatenate([queries, batches[0][:4], batches[-1][:4]])
     slot_rows, slot_tables = probed_rows(raw, probes)
     before = raw.candidate_ids_batch(raw.lookup_batch(probes), dedup="vectorized")
+    salt = raw.frozen.salt
     errors, rounds, stop = [], [0] * 4, threading.Event()
     deadline = time.monotonic() + 60
 
@@ -532,7 +532,7 @@ def test_readers_only_ever_see_whole_inserts():
                 frozen, runs = raw._snapshot()
                 n = raw.points.shape[0]
                 assert all(run.members.max() < n for run in runs)
-                assert all(run.salt == frozen.salt for run in runs)
+                assert frozen.salt == salt  # a fold never re-salts
                 lookups = raw.lookup_batch(probes)
                 found = raw.candidate_ids_batch(lookups, dedup="vectorized")
                 for least, ids in zip(before, found):

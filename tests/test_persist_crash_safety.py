@@ -197,10 +197,6 @@ class TestHostileFrozenArrays:
             pytest.param("key64", _set(-1, 0), "strictly increasing", id="key64-last-zeroed"),
             pytest.param("key64", lambda a: a.astype(np.int64), "key64.npy is 1-d int64", id="key64-signed"),
             pytest.param("key64", lambda a: a[:-1], "table_slices", id="key64-short"),
-            pytest.param("keys", lambda a: a[:-1], "keys.npy has shape", id="keys-row-missing"),
-            pytest.param("keys", lambda a: a[:, :-1], "keys.npy has shape", id="keys-column-missing"),
-            pytest.param("keys", lambda a: a.astype(np.float32), "keys.npy is 2-d float32", id="keys-float"),
-            pytest.param("keys", lambda a: a.ravel(), "keys.npy is 1-d", id="keys-flat"),
             pytest.param("members", lambda a: a[:-1], "CSR", id="members-short"),
             pytest.param("members", lambda a: a.astype(np.float64), "members.npy is 1-d float64", id="members-float"),
             pytest.param("members", lambda a: a.astype(np.int64), "members.npy is 1-d int64", id="members-eight-byte"),
@@ -251,7 +247,7 @@ class TestHostileFrozenArrays:
         with pytest.raises(CorruptArtifactError, match=key):
             Index.open(saved)
 
-    @pytest.mark.parametrize("name", ["key64", "keys"])
+    @pytest.mark.parametrize("name", ["key64", "table_slices"])
     def test_truncated_address_arrays_raise_typed_error(self, saved, name):
         target = os.path.join(saved, "shard_000.frozen", f"{name}.npy")
         size = os.path.getsize(target)
@@ -267,7 +263,7 @@ class TestHostileFrozenArrays:
         config_path = os.path.join(saved, "shard_000.frozen", "config.json")
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
-        assert config["format_version"] == 4 and config["key_salt"] == 0
+        assert config["format_version"] == 5 and config["key_salt"] == 0
         if salt == "missing":
             del config["key_salt"]
         else:
@@ -277,21 +273,30 @@ class TestHostileFrozenArrays:
         with pytest.raises(CorruptArtifactError, match="key_salt"):
             Index.open(saved)
 
-    def test_salt_or_keys_that_do_not_match_the_addresses_are_refused(self, saved):
-        """A wrong salt (or another index's ``keys.npy``) would turn every
-        hit into a silent miss; each table's first bucket is re-addressed
-        at open to catch it."""
+    def test_a_wrong_salt_is_refused_naming_key64(self, saved):
+        """A wrong salt would turn every hit into a silent miss; one
+        member point per table is re-hashed at open to catch it."""
         config_path = os.path.join(saved, "shard_000.frozen", "config.json")
         with open(config_path, encoding="utf-8") as fh:
             config = json.load(fh)
         config["key_salt"] = 7
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        with pytest.raises(CorruptArtifactError, match="under key_salt 7"):
+        with pytest.raises(CorruptArtifactError, match=r"key64\.npy .* under key_salt 7"):
             Index.open(saved)
-        config["key_salt"] = 0
-        with open(config_path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
-        _rewrite(saved, "keys", lambda a: a[::-1])
-        with pytest.raises(CorruptArtifactError, match="under key_salt 0"):
+
+    def test_a_swapped_in_key64_is_refused_naming_it(self, saved):
+        """Another index's addresses — here each table's own, with their
+        low bits scrambled and re-sorted, so every structural check still
+        passes — are caught by the same re-hash."""
+        slices = np.load(os.path.join(saved, "shard_000.frozen", "table_slices.npy"))
+
+        def foreign(key64):
+            key64 = key64 ^ np.uint64(0x5A5A5A5A)  # the tag bits stay
+            for lo, hi in zip(slices[:-1], slices[1:]):
+                key64[lo:hi].sort()
+            return key64
+
+        _rewrite(saved, "key64", foreign)
+        with pytest.raises(CorruptArtifactError, match=r"key64\.npy .* under key_salt 0"):
             Index.open(saved)

@@ -343,10 +343,11 @@ class TestPersistence:
 class TestStartupIsMmapBound:
     def test_pool_open_never_rebuilds(self, tmp_path, monkeypatch):
         """A worker's open path (``open_shard_state``) maps the saved
-        arrays and rebuilds nothing: it evaluates no hash function,
-        assembles no CSR tables, and serves ``points`` straight from the
-        artifact's file.  Counted, not timed — a build is now about as
-        fast as spawning two workers."""
+        arrays and rebuilds nothing: it hashes only one member point per
+        table (the open-time address check), assembles no CSR tables,
+        and serves ``points`` straight from the artifact's file.
+        Counted, not timed — a build is now about as fast as spawning
+        two workers."""
         rng = np.random.default_rng(2)
         big = rng.normal(size=(4000, 16))
         spec = IndexSpec(
@@ -357,7 +358,8 @@ class TestStartupIsMmapBound:
         path = str(tmp_path / "big")
         index.save(path)
         index.close()
-        calls = {"hash": 0, "assemble": 0}
+        calls = {"assemble": 0}
+        hashed_rows = []
 
         def counted(name, original):
             def spy(*args, **kwargs):
@@ -366,9 +368,12 @@ class TestStartupIsMmapBound:
 
             return spy
 
-        monkeypatch.setattr(
-            BatchedHash, "hash_points", counted("hash", BatchedHash.hash_points)
-        )
+        def hash_points(batched, points):
+            hashed_rows.append(len(points))
+            return original_hash(batched, points)
+
+        original_hash = BatchedHash.hash_points
+        monkeypatch.setattr(BatchedHash, "hash_points", hash_points)
         monkeypatch.setattr(
             FrozenTables, "assemble",
             classmethod(counted("assemble", FrozenTables.assemble.__func__)),
@@ -379,7 +384,8 @@ class TestStartupIsMmapBound:
             path, [0, 1], meta["spec"],
             meta["cost_model"]["alpha"], meta["cost_model"]["beta"],
         )
-        assert calls == {"hash": 0, "assemble": 0}
+        assert calls == {"assemble": 0}
+        assert hashed_rows == [spec.num_tables] * spec.num_shards  # the address check
         for s, shard in state.indexes.items():
             assert_file_backed(shard.points, os.path.join(path, _frozen_shard_dir(s)), "points")
         for s, shard in state.indexes.items():
