@@ -36,6 +36,7 @@ from repro.core import (
     LSHSearch,
     QueryResult,
     QueryStats,
+    ResultBlock,
     Strategy,
     calibrate_cost_model,
     paper_parameters,
@@ -70,6 +71,7 @@ __all__ = [
     "calibrate_cost_model",
     "QueryResult",
     "QueryStats",
+    "ResultBlock",
     "Strategy",
     "paper_parameters",
     "LSHIndex",

@@ -9,8 +9,8 @@ gives it a single surface:
   and saved-index files all speak the same document;
 * :class:`Index` — ``Index.build(points, spec)``, one
   ``index.query(QuerySpec)`` for radius / top-k / batch, answered with
-  the engine's frozen :class:`QueryResult` (a tuple of them for a
-  batch),
+  a frozen :class:`QueryResult` (one :class:`ResultBlock` for a batch,
+  whose rows are made on read),
   ``insert``, and full ``save`` / ``Index.open`` persistence
   (including sharded indexes);
 * the LSH-family registry — :func:`register_family` /
@@ -23,7 +23,7 @@ from repro.api.facade import Index, ServiceStats
 from repro.api.persist import open_index, save_index
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, ResultBlock
 from repro.hashing.base import available_families, get_family, register_family
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "IndexSpec",
     "QueryResult",
     "QuerySpec",
+    "ResultBlock",
     "ServiceStats",
     "save_index",
     "open_index",

@@ -9,8 +9,9 @@
   timing-calibrated), and the optional result cache;
 * :meth:`Index.query` answers a :class:`~repro.api.spec.QuerySpec` —
   radius, exact top-k, single or batch — through one method, returning
-  the engine's own frozen :class:`~repro.core.results.QueryResult` (a
-  tuple of them for a batch);
+  a frozen :class:`~repro.core.results.QueryResult` for one vector and
+  one :class:`~repro.core.results.ResultBlock` for a batch (its rows are
+  made on read);
 * :meth:`Index.insert` routes new points in and drops every cached
   answer (the cache stores whole answers, which any insert can change);
 * :meth:`Index.save` / :meth:`Index.open` persist everything —
@@ -39,7 +40,7 @@ from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.overlap import PartitionHelper
 from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
-from repro.core.results import QueryResult
+from repro.core.results import QueryResult, ResultBlock
 from repro.distances import get_metric
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultTolerancePolicy
@@ -481,15 +482,17 @@ class Index:
     # ------------------------------------------------------------------
     def query(
         self, request: QuerySpec | np.ndarray, radius: float | None = None
-    ) -> QueryResult | tuple[QueryResult, ...]:
+    ) -> QueryResult | ResultBlock:
         """Answer one :class:`~repro.api.spec.QuerySpec` (or raw vector/matrix).
 
         Radius requests return points within the radius; ``k`` requests
-        return the exact k nearest neighbors.  A single-vector request
-        returns one :class:`~repro.core.results.QueryResult`, a matrix a
-        tuple of them, one per row (answered through the batched
-        engine) — the engine's own frozen results, the same type on
-        every execution path.
+        return the exact k nearest neighbors.  A matrix request returns
+        one :class:`~repro.core.results.ResultBlock` (answered through
+        the batched engine): a sequence of frozen
+        :class:`~repro.core.results.QueryResult`, one per row, each made
+        when it is first read — the same type on every execution path,
+        cached and top-k answers included.  A single-vector request
+        returns row 0 of its one-row block.
 
         The request's ``adaptive`` / ``target_candidates`` /
         ``quality_floor`` fields override the index's
@@ -519,7 +522,7 @@ class Index:
             )
         if request.single:
             return results[0]
-        return tuple(results)
+        return results
 
     def insert(self, new_points: np.ndarray) -> np.ndarray:
         """Insert points; returns their ids and drops every cached answer.
@@ -590,18 +593,19 @@ class Index:
         k: int,
         allow_partial: bool = False,
         policy: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         started = time.perf_counter()
         trace = StageTrace() if self._tracing else None
         queries = check_matrix(queries, dim=self.dim, name="queries")
         k = check_positive_int(k, "k")
-        results: list[QueryResult] | None = None
+        rows: list[QueryResult] | None = None
         if policy is not None and policy.enabled:
-            results = self._topk_adaptive(queries, k, policy, allow_partial, trace)
-        if results is None:
-            results = self.engine.query_topk_batch(
+            rows = self._topk_adaptive(queries, k, policy, allow_partial, trace)
+        if rows is None:
+            rows = self.engine.query_topk_batch(
                 queries, k, trace=trace, allow_partial=allow_partial
             )
+        results = ResultBlock.from_rows(rows)
         self._account(results, queries.shape[0], started, trace)
         return results
 
@@ -679,7 +683,7 @@ class Index:
         radius: float | None,
         allow_partial: bool = False,
         policy: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         started = time.perf_counter()
         trace = StageTrace() if self._tracing else None
         queries = check_matrix(queries, dim=self.dim, name="queries")
@@ -711,7 +715,7 @@ class Index:
 
     def _radius_batch_cached(
         self, queries: np.ndarray, radius: float, trace: StageTrace | None
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         """Cache-fronted batch: whole answers keyed on (query, radius).
 
         A row is a hit or a miss as a whole.  The misses go out in one
@@ -734,6 +738,7 @@ class Index:
             results[i] = cache.get(key)
             if results[i] is None:
                 misses[key] = i
+        fresh = None
         if misses:
             rows = list(misses.values())
             fresh = self.engine.query_batch(queries[rows], radius, trace=trace)
@@ -748,28 +753,26 @@ class Index:
             misses=len(misses),
             deduplicated=len(duplicates),
         )
+        if fresh is not None and len(fresh) == len(results):
+            return fresh  # every row missed: the engine's block is the answer
         # Every row was filled above (hit, fresh answer, or duplicate share).
-        return cast("list[QueryResult]", results)
+        return ResultBlock.from_rows(cast("list[QueryResult]", results), radius)
 
     def _account(
         self,
-        results: list[QueryResult],
+        results: ResultBlock,
         count: int,
         started: float,
         trace: StageTrace | None = None,
     ) -> None:
-        strategies: dict[str, int] = {}
-        degraded = 0
-        for result in results:
-            name = result.stats.strategy.value
-            strategies[name] = strategies.get(name, 0) + 1
-            if result.degraded:
-                degraded += 1
         self.stats.record_batch(
-            count, time.perf_counter() - started, strategies=strategies, trace=trace
+            count,
+            time.perf_counter() - started,
+            strategies=results.strategy_counts(),
+            trace=trace,
         )
-        if degraded:
-            self.stats.record_degraded(degraded)
+        if results.degraded:
+            self.stats.record_degraded(results.degraded_rows())
 
     def __repr__(self) -> str:
         cache = "off" if self.cache is None else f"{len(self.cache)}/{self.cache.maxsize}"

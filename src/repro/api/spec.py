@@ -317,7 +317,7 @@ class QuerySpec:
     ``queries`` is normalised to a ``(q, d)`` float matrix; ``single``
     records whether the caller passed one vector (the facade then
     returns one :class:`~repro.core.results.QueryResult` instead of a
-    tuple of them).
+    :class:`~repro.core.results.ResultBlock`).
 
     Examples
     --------

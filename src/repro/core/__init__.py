@@ -26,7 +26,7 @@ from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
 from repro.core.presets import PaperParameters, paper_parameters
-from repro.core.results import QueryResult, QueryStats, Strategy
+from repro.core.results import QueryResult, QueryStats, ResultBlock, Strategy
 
 __all__ = [
     "LinearScan",
@@ -37,6 +37,7 @@ __all__ = [
     "calibrate_cost_model",
     "QueryResult",
     "QueryStats",
+    "ResultBlock",
     "Strategy",
     "PaperParameters",
     "paper_parameters",

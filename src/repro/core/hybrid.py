@@ -47,12 +47,19 @@ from repro.core.cost_model import CostModel
 from repro.core.linear_scan import LinearScan
 from repro.core.lsh_search import LSHSearch
 from repro.core.overlap import PartitionHelper
-from repro.core.results import QueryResult, QueryStats, Strategy
+from repro.core.results import STRATEGY_CODES, QueryResult, ResultBlock, Strategy, stats_matrix
 from repro.index.lsh_index import LSHIndex
 from repro.observability import StageTrace, stage_timer
 from repro.utils.validation import check_positive, check_vector
 
 __all__ = ["HybridSearcher"]
+
+_LSH, _LINEAR = STRATEGY_CODES[Strategy.LSH], STRATEGY_CODES[Strategy.LINEAR]
+#: what :meth:`HybridSearcher._stats_matrix` lists for each row, in order.
+_CELLS = (
+    "num_collisions", "estimated_candidates", "exact_candidates", "estimated_lsh_cost",
+    "linear_cost", "strategy", "probes_used", "exact",
+)
 
 
 class HybridSearcher:
@@ -148,34 +155,6 @@ class HybridSearcher:
                 verdicts[i] = self._verdict_at(lookups[i], estimate, n)
         return verdicts
 
-    def _stats(
-        self,
-        num_collisions: int,
-        verdict: tuple[bool, float | None],
-        examined: int,
-        probes_used: int,
-        linear_cost: float,
-    ) -> QueryStats:
-        """One row's decision diagnostics, built once.  ``verdict`` is the
-        ``(go LSH?, candSize)`` :meth:`_verdicts` returned; a ``None``
-        ``candSize`` reports the exact count ``examined``, so the stats
-        stay finite and ``estimated_lsh_cost < linear_cost`` keeps
-        matching the strategy."""
-        go_lsh, cand_size = verdict
-        if cand_size is None:
-            cand_size = float(examined)
-        return QueryStats(
-            num_collisions=num_collisions,
-            estimated_candidates=cand_size,
-            exact_candidates=examined,
-            estimated_lsh_cost=self.cost_model.lsh_cost(num_collisions, cand_size),
-            linear_cost=linear_cost,
-            strategy=Strategy.LSH if go_lsh else Strategy.LINEAR,
-            probes_used=probes_used,
-            # A linear scan is exact by construction; an LSH answer is not.
-            exact=not go_lsh,
-        )
-
     def _linear_scan(self) -> LinearScan:
         """The exact-scan fallback, refreshed after incremental inserts.
 
@@ -209,8 +188,14 @@ class HybridSearcher:
         dedup: str | None = None,
         trace: StageTrace | None = None,
         adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         """Answer a query set; Step S1 is hashed for all queries at once.
+
+        The answer is one :class:`~repro.core.results.ResultBlock`: the
+        rows' id and distance arrays as Step S3 and the linear pass made
+        them, and a stats matrix filled by Equation (1) on arrays.  A
+        row's :class:`~repro.core.results.QueryResult` is made when the
+        row is read.
 
         Produces exactly the same results as looping :meth:`query`:
         the per-query hashing overhead is amortised through
@@ -298,10 +283,14 @@ class HybridSearcher:
             # below ``num_probes``), as a full-ring adaptive lookup
             # reports it.
             probes = [index.probe_count] * len(lookups)
-        linear_cost = self.cost_model.linear_cost(n)
-        results: list[QueryResult | None] = [None] * len(lookups)
+        q = len(lookups)
+        ids: list = [None] * q
+        distances: list = [None] * q
         linear_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if not go_lsh]
         lsh_rows = [i for i, (go_lsh, _) in enumerate(verdicts) if go_lsh]
+        # A linear scan genuinely examines every point; LSH rows report
+        # the materialised candidate-set size.
+        examined = [n] * q
         # Resolved on the caller: an insert may replace ``index.points``
         # while a helper thread scans.
         scan = self._linear_scan() if linear_rows else None
@@ -311,7 +300,7 @@ class HybridSearcher:
 
         def lsh_partition() -> None:
             with stage_timer(trace, "candidates"):
-                if len(lsh_rows) == len(lookups):  # every row: no gathers
+                if len(lsh_rows) == q:  # every row: no gathers
                     lsh_lookups, lsh_queries = lookups, queries
                 else:
                     lsh_lookups = [lookups[i] for i in lsh_rows]
@@ -324,13 +313,10 @@ class HybridSearcher:
                 else:
                     candidate_sets = [index.candidate_ids(lk, dedup=dedup) for lk in lsh_lookups]
                 filtered = self._lsh.filter_candidates_batch(lsh_queries, radius, candidate_sets)
-                for i, candidates, (ids, distances) in zip(lsh_rows, candidate_sets, filtered):
-                    # LSH rows report the materialised candidate-set size.
-                    stats = self._stats(
-                        lookups[i].num_collisions, verdicts[i], int(candidates.size),
-                        probes[i], linear_cost,
-                    )
-                    results[i] = QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
+                for i, candidates, (row_ids, row_distances) in zip(
+                    lsh_rows, candidate_sets, filtered
+                ):
+                    ids[i], distances[i], examined[i] = row_ids, row_distances, candidates.size
 
         helper = self.partition_helper
         if linear_rows and lsh_rows and helper is not None:
@@ -347,13 +333,35 @@ class HybridSearcher:
                     scanned = linear_partition()
             if lsh_rows:
                 lsh_partition()
-        for i, (ids, distances) in zip(linear_rows, scanned):
-            # A linear scan genuinely examines every point.
-            stats = self._stats(
-                lookups[i].num_collisions, verdicts[i], n, probes[i], linear_cost
+        for i, (row_ids, row_distances) in zip(linear_rows, scanned):
+            ids[i], distances[i] = row_ids, row_distances
+        return ResultBlock(
+            radius, tuple(ids), tuple(distances),
+            self._stats_matrix(lookups, verdicts, examined, probes, n),
+        )
+
+    def _stats_matrix(self, lookups, verdicts, examined: list, probes: list, n: int) -> np.ndarray:
+        """The rows' decision diagnostics as one stats matrix, built from
+        one flat list (no per-row object): a ``None`` ``candSize``
+        (:meth:`_verdicts`) reports the exact count ``examined``, so the
+        stats stay finite and ``estimated_lsh_cost < linear_cost`` keeps
+        matching the strategy."""
+        lsh_cost = self.cost_model.lsh_cost
+        linear_cost = self.cost_model.linear_cost(n)
+        cells: list = []
+        for lookup, (go_lsh, cand), examined_at, probes_used in zip(
+            lookups, verdicts, examined, probes
+        ):
+            collisions = lookup.num_collisions
+            if cand is None:
+                cand = float(examined_at)
+            cells += (
+                collisions, cand, examined_at, lsh_cost(collisions, cand), linear_cost,
+                _LSH if go_lsh else _LINEAR, probes_used,
+                # A linear scan is exact by construction; an LSH answer is not.
+                not go_lsh,
             )
-            results[i] = QueryResult(ids=ids, distances=distances, radius=radius, stats=stats)
-        return results
+        return stats_matrix(cells, _CELLS)
 
     def decide(self, query: np.ndarray) -> Strategy:
         """The dispatch decision only (no candidate retrieval).

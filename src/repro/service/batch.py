@@ -37,7 +37,7 @@ from repro.core.adaptive import AdaptivePolicy, CostModelTuner
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.linear_scan import exact_topk_results
-from repro.core.results import QueryResult, Strategy
+from repro.core.results import STRATEGY_CODES, QueryResult, ResultBlock, Strategy
 from repro.distances.matrix import pairwise_distances
 from repro.exceptions import ConfigurationError
 from repro.index.frozen import save_frozen_index
@@ -153,11 +153,13 @@ class BatchQueryEngine:
         trace: StageTrace | None = None,
         allow_partial: bool = False,
         adaptive: AdaptivePolicy | None = None,
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         """Answer a ``(q, d)`` query matrix.
 
-        Returns exactly the same results (ids, distances, and decision
-        stats) as looping :meth:`HybridSearcher.query` over the rows.
+        Returns the searcher's :class:`~repro.core.results.ResultBlock`,
+        whose rows are made on read: exactly the results (ids,
+        distances, and decision stats) of looping
+        :meth:`HybridSearcher.query` over the rows.
         ``trace`` opts into per-stage timing (forwarded to the searcher;
         answers are unaffected).  One engine has no shard that can go
         missing, so ``allow_partial`` changes nothing.  ``adaptive``
@@ -184,7 +186,7 @@ class BatchQueryEngine:
 
     def _observe_timings(
         self,
-        results: list[QueryResult],
+        results: ResultBlock,
         trace: StageTrace,
         adaptive: AdaptivePolicy,
     ) -> None:
@@ -195,14 +197,10 @@ class BatchQueryEngine:
                 self.searcher.cost_model, ewma_weight=adaptive.ewma_weight
             )
             self._tuner = tuner
-        linear_ops = sum(
-            self.n for r in results if r.stats.strategy is Strategy.LINEAR
-        )
-        candidate_ops = sum(
-            r.stats.exact_candidates
-            for r in results
-            if r.stats.strategy is Strategy.LSH and r.stats.exact_candidates >= 0
-        )
+        linear_ops = self.n * results.strategy_counts().get(Strategy.LINEAR.value, 0)
+        examined = results.column("exact_candidates")
+        on_lsh = results.column("strategy") == STRATEGY_CODES[Strategy.LSH]
+        candidate_ops = int(examined[on_lsh & (examined >= 0)].sum())
         tuner.observe_batch(
             linear_ops,
             trace.seconds.get("linear", 0.0),

@@ -19,10 +19,12 @@ same ops, same fault hooks, same telemetry — so this module owns it:
   sessions (``repro.cli shard-serve``); clients connect with
   :class:`~repro.service.transport.TcpTransport`.
 
-A radius request is answered with one flat block per shard
-(:func:`_pack_block`: counts, shard-local ids, distances and a stats
-matrix), which the frame carries as four raw buffers and the pool
-merges once per batch.
+A radius request is answered with one flat block per shard: the
+columns of the shard engine's :class:`~repro.core.results.ResultBlock`
+(:meth:`~repro.core.results.ResultBlock.columns`: counts, shard-local
+ids, distances and the stats matrix), which the frame carries as four
+raw buffers and the pool merges once per batch.  No row object is made
+on the way.
 
 Insert idempotence
 ------------------
@@ -61,7 +63,6 @@ import time
 import numpy as np
 
 from repro.core.cost_model import CostModel
-from repro.core.results import QueryResult, Strategy
 from repro.distances import get_metric
 from repro.distances.matrix import pairwise_distances
 from repro.faults import send_reply, swallow_request
@@ -88,57 +89,6 @@ def _shard_dir(path: str, shard: int) -> str:
     from repro.api.persist import _frozen_shard_dir
 
     return os.path.join(path, _frozen_shard_dir(shard))
-
-
-#: the shard-local decision stats of one query, as one row of a radius
-#: reply's ``(q, 8)`` float64 stats matrix (every integer field is far
-#: below 2**53, so the floats carry them exactly).
-STATS_COLUMNS = (
-    "num_collisions",
-    "estimated_candidates",
-    "exact_candidates",
-    "estimated_lsh_cost",
-    "linear_cost",
-    "strategy",
-    "probes_used",
-    "exact",
-)
-
-#: stats-matrix code of each strategy (its position in ``Strategy``).
-_STRATEGY_CODES = {strategy: code for code, strategy in enumerate(Strategy)}
-
-
-def _pack_block(results: list[QueryResult]) -> tuple:
-    """One shard's answers to a batch as one flat radius-reply block.
-
-    ``(counts, ids, distances, stats)``: ``counts[i]`` neighbours of
-    query ``i`` sit at its slice of the concatenated shard-local ``ids``
-    / ``distances``, and row ``i`` of the ``(q, 8)`` ``stats`` matrix
-    holds its :data:`STATS_COLUMNS`.  The ids ship as ``uint32``, the
-    shard's own id width (a shard holds fewer than ``2**32`` points).
-    """
-    counts = np.array([r.ids.size for r in results], dtype=np.int64)
-    stats = np.array(
-        [
-            (
-                s.num_collisions,
-                s.estimated_candidates,
-                s.exact_candidates,
-                s.estimated_lsh_cost,
-                s.linear_cost,
-                _STRATEGY_CODES[s.strategy],
-                s.probes_used,
-                s.exact,
-            )
-            for s in (r.stats for r in results)
-        ],
-        dtype=np.float64,
-    ).reshape(len(results), len(STATS_COLUMNS))
-    if not results:
-        return counts, np.empty(0, np.uint32), np.empty(0, np.float64), stats
-    ids = np.concatenate([r.ids for r in results]).astype(np.uint32)
-    distances = np.concatenate([r.distances for r in results])
-    return counts, ids, distances, stats
 
 
 def _payload_nbytes(obj) -> int:
@@ -203,13 +153,15 @@ class ShardState:
                     # to queries x shards, not queries_served.
                     strategies: dict[str, int] = {}
                     for s in shards:
-                        results = self.engines[s].query_batch(
+                        block = self.engines[s].query_batch(
                             queries, radius, adaptive=adaptive
                         )
-                        reply[s] = _pack_block(results)
-                        for r in results:
-                            name = r.stats.strategy.value
-                            strategies[name] = strategies.get(name, 0) + 1
+                        counts, ids, distances, stats = block.columns()
+                        # The ids ship as ``uint32``, the shard's own id
+                        # width (a shard holds fewer than ``2**32`` points).
+                        reply[s] = (counts, ids.astype(np.uint32), distances, stats)
+                        for name, count in block.strategy_counts().items():
+                            strategies[name] = strategies.get(name, 0) + count
                     self.stats.record_batch(
                         queries.shape[0], time.perf_counter() - started,
                         strategies=strategies,

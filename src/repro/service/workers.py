@@ -122,7 +122,15 @@ import numpy as np
 
 from repro.core.cost_model import CostModel
 from repro.core.linear_scan import exact_topk_results
-from repro.core.results import QueryResult, QueryStats, Strategy
+from repro.core.results import (
+    STATS_COLUMNS,
+    STRATEGY_CODES,
+    QueryResult,
+    QueryStats,
+    ResultBlock,
+    Strategy,
+    stats_row,
+)
 from repro.distances import get_metric
 from repro.exceptions import (
     ConfigurationError,
@@ -133,8 +141,6 @@ from repro.exceptions import (
 from repro.faults import FaultTolerancePolicy
 from repro.observability import StageTrace, stage_timer
 from repro.service.shard_server import (
-    STATS_COLUMNS,
-    _pack_block,
     _payload_nbytes,
     _shard_dir,
     open_shard_state,
@@ -263,13 +269,20 @@ class _Endpoint:
 
 #: the stats row a missing shard contributes to a degraded merge: the
 #: :class:`~repro.core.results.QueryStats` defaults, in
-#: :data:`~repro.service.shard_server.STATS_COLUMNS` order.
-_MISSING_STATS = np.array(
-    [0.0, np.nan, -1.0, np.nan, np.nan, 0.0, -1.0, 0.0], dtype=np.float64
+#: :data:`~repro.core.results.STATS_COLUMNS` order.
+_MISSING_STATS = np.array(stats_row(QueryStats()), dtype=np.float64)
+_EXACT_CANDIDATES, _STRATEGY, _PROBES, _EXACT = (
+    STATS_COLUMNS.index(name)
+    for name in ("exact_candidates", "strategy", "probes_used", "exact")
 )
-_EXACT_CANDIDATES, _PROBES, _EXACT = (
-    STATS_COLUMNS.index(name) for name in ("exact_candidates", "probes_used", "exact")
-)
+#: each integer stats column's range ``[low, high)``: counts are exact
+#: in a float64 below ``2**53``, and -1 marks an untracked one.
+_INTEGER_RANGES = {
+    "num_collisions": (0, 2**53), "exact_candidates": (-1, 2**53),
+    "strategy": (0, len(Strategy)), "probes_used": (-1, 2**53), "exact": (0, 2),
+}
+_INTEGER_COLUMNS = [STATS_COLUMNS.index(name) for name in _INTEGER_RANGES]
+_INTEGER_LOW, _INTEGER_HIGH = np.array(list(_INTEGER_RANGES.values()), np.float64).T
 
 
 def _checked_block(reply, shard: int, q: int) -> tuple:
@@ -279,6 +292,10 @@ def _checked_block(reply, shard: int, q: int) -> tuple:
     remote endpoint's reply is outside input.  Counts must be
     non-negative integers and ids unsigned (the wire ships ``uint32``):
     ``take`` would wrap a negative local id to the shard's last point.
+    Distances and stats must be float64, and every integer stats column
+    must hold integral values in its range: the merged rows are made
+    from these cells only when a row is read, so this is the last place
+    a bad cell fails with a typed error.
     """
     try:
         block = counts, ids, distances, stats = reply[shard]
@@ -287,9 +304,15 @@ def _checked_block(reply, shard: int, q: int) -> tuple:
             and counts.dtype.kind in "iu"
             and not (counts < 0).any()
             and stats.shape == (q, len(STATS_COLUMNS))
+            and stats.dtype == np.float64
+            and distances.dtype == np.float64
             and ids.shape == distances.shape == (int(counts.sum()),)
             and ids.dtype.kind == "u"
         )
+        if ok:
+            cells = stats[:, _INTEGER_COLUMNS]
+            ok = bool(((cells >= _INTEGER_LOW) & (cells < _INTEGER_HIGH)).all())
+            ok = ok and bool((cells == np.floor(cells)).all())
     except (LookupError, TypeError, ValueError, AttributeError):
         ok = False
     if not ok:
@@ -1310,18 +1333,20 @@ class WorkerPool:
         trace: StageTrace | None = None,
         allow_partial: bool = False,
         adaptive=None,
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         """Answer a ``(q, d)`` matrix: one round trip per worker slot.
 
         Each endpoint runs the same per-shard
-        :class:`~repro.service.batch.BatchQueryEngine` batch, so the
-        merged answers are bit-identical whatever the host — inline,
-        pipes or TCP, replicated or not.
+        :class:`~repro.service.batch.BatchQueryEngine` batch and ships
+        its block's columns, so the merged answers are bit-identical
+        whatever the host — inline, pipes or TCP, replicated or not.
+        The merged answer is one :class:`~repro.core.results.ResultBlock`
+        whose rows are made on read.
 
         With ``allow_partial=True`` an unrecoverable slot (every
         replica's retries exhausted or breaker open) degrades the
         answer instead of failing it: its shards contribute empty
-        candidate sets and every returned result is tagged
+        candidate sets and the block (every row of it) is tagged
         ``degraded=True`` with the sorted missing shard ids.  Without
         it — the default — such a slot raises
         :class:`~repro.exceptions.ShardUnavailableError`, so a
@@ -1365,7 +1390,7 @@ class WorkerPool:
 
     def _merge_blocks(
         self, blocks: dict, q: int, radius: float, missing: tuple
-    ) -> list[QueryResult]:
+    ) -> ResultBlock:
         """Every query's global answer from the shards' flat reply blocks.
 
         The shards partition the dataset, so a query's answer is the
@@ -1376,7 +1401,9 @@ class WorkerPool:
         matrices are summed in shard order, as Python's ``sum`` would
         add them; per query, a concatenate and a stable argsort remain.
         A shard absent from ``blocks`` (one of the ``missing``)
-        contributes no neighbours and the default stats.
+        contributes no neighbours and the default stats.  The answer is
+        one :class:`~repro.core.results.ResultBlock`; no row object is
+        made until a row is read.
         """
         parts = []
         total = lowest = None
@@ -1395,33 +1422,23 @@ class WorkerPool:
             else:
                 total = total + stats
                 lowest = np.minimum(lowest, stats)
-        results = []
-        for i, (row, low) in enumerate(zip(total.tolist(), lowest.tolist())):
-            ids = np.concatenate([gids[b[i]:b[i + 1]] for gids, _, b in parts])
-            distances = np.concatenate([dist[b[i]:b[i + 1]] for _, dist, b in parts])
-            order = np.argsort(ids, kind="stable")
-            stats = QueryStats(
-                num_collisions=int(row[0]),
-                estimated_candidates=row[1],
-                # An untracked (-1) count anywhere poisons the sum.
-                exact_candidates=int(row[2]) if low[_EXACT_CANDIDATES] >= 0 else -1,
-                estimated_lsh_cost=row[3],
-                linear_cost=row[4],
-                strategy=Strategy.HYBRID,
-                probes_used=int(row[6]) if low[_PROBES] >= 0 else -1,
-                exact=low[_EXACT] > 0,
-            )
-            results.append(
-                QueryResult(
-                    ids=ids[order],
-                    distances=distances[order],
-                    radius=radius,
-                    stats=stats,
-                    degraded=bool(missing),
-                    missing_shards=missing,
-                )
-            )
-        return results
+        # An untracked (-1) count anywhere poisons the sum, and the
+        # merged answer is exact only if every shard's part was.
+        for column in (_EXACT_CANDIDATES, _PROBES):
+            total[:, column] = np.where(lowest[:, column] >= 0, total[:, column], -1.0)
+        total[:, _STRATEGY] = STRATEGY_CODES[Strategy.HYBRID]
+        total[:, _EXACT] = lowest[:, _EXACT] > 0
+        ids, distances = [], []
+        for i in range(q):
+            row_ids = np.concatenate([gids[b[i]:b[i + 1]] for gids, _, b in parts])
+            row_distances = np.concatenate([dist[b[i]:b[i + 1]] for _, dist, b in parts])
+            order = np.argsort(row_ids, kind="stable")
+            ids.append(row_ids[order])
+            distances.append(row_distances[order])
+        return ResultBlock(
+            radius, tuple(ids), tuple(distances), total,
+            degraded=bool(missing), missing_shards=missing,
+        )
 
     def merge_radius(self, parts: list[QueryResult], radius: float) -> QueryResult:
         """Merge one query's per-shard local results into the global
@@ -1431,7 +1448,7 @@ class WorkerPool:
         ``--trace 1`` layer replay (``benchmarks/perf/layers.py``), and
         ROADMAP item 16(d) deletes it along with that replay.
         """
-        blocks = {s: _pack_block([part]) for s, part in enumerate(parts)}
+        blocks = {s: ResultBlock.from_rows([part]).columns() for s, part in enumerate(parts)}
         return self._merge_blocks(blocks, 1, radius, ())[0]
 
     # ------------------------------------------------------------------

@@ -55,7 +55,7 @@ from repro.api import (
 from repro.core.adaptive import CostModelTuner
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
-from repro.core.results import Strategy
+from repro.core.results import ResultBlock, Strategy
 from repro.exceptions import ConfigurationError
 from repro.sketches.hyperloglog import HyperLogLog
 from repro.service import BatchQueryEngine
@@ -206,7 +206,7 @@ class TestEnvelope:
     def test_batch_is_a_sequence(self, index):
         queries = _points(500, seed=0)[:6]
         batch = index.query(QuerySpec(queries))
-        assert isinstance(batch, tuple)
+        assert isinstance(batch, ResultBlock)
         assert len(batch) == 6
         assert all(isinstance(row, QueryResult) for row in batch)
         assert isinstance(batch[1:3], tuple) and len(batch[1:3]) == 2

@@ -99,18 +99,24 @@ class TestAnswers:
 
 class TestStatsBuiltOnce:
     def test_one_query_stats_per_row_of_a_mixed_batch(self, monkeypatch, gaussian_points):
-        """Each row's ``QueryStats`` is built once, with the dispatch facts:
-        the linear rows get the scan's ``(ids, distances)``, not a result
-        with stats of its own to throw away.  Counted on a batch whose
-        rows go both ways, and on an all-linear one."""
-        import repro.core.hybrid as hybrid_module
-        import repro.core.linear_scan as linear_module
+        """Each row's ``QueryStats`` is built once, when the row is first
+        read, from the block's stats matrix: the batch itself builds
+        none, and the linear rows get the scan's ``(ids, distances)``,
+        not a result with stats of its own to throw away.  Counted on a
+        batch whose rows go both ways, and on an all-linear one."""
+        import repro.core.results as results_module
 
         built = []
+        frozen = results_module._frozen
 
-        def counting(*args, **kwargs):
+        def counting(cls, values):
+            if cls is QueryStats:
+                built.append(values["strategy"])
+            return frozen(cls, values)
+
+        def counting_init(self, *args, _init=QueryStats.__init__, **kwargs):
             built.append(kwargs.get("strategy"))
-            return QueryStats(*args, **kwargs)
+            _init(self, *args, **kwargs)
 
         index = Index.build(
             gaussian_points, IndexSpec(metric="l2", radius=1.2, cost_ratio=1.0, seed=4)
@@ -119,17 +125,20 @@ class TestStatsBuiltOnce:
         queries = gaussian_points[::10]
         expected = searcher.query_batch(queries, 1.2)
         assert {r.stats.strategy for r in expected} == {Strategy.LSH, Strategy.LINEAR}
-        monkeypatch.setattr(hybrid_module, "QueryStats", counting)
-        monkeypatch.setattr(linear_module, "QueryStats", counting)
+        monkeypatch.setattr(results_module, "_frozen", counting)
+        monkeypatch.setattr(QueryStats, "__init__", counting_init)
         results = searcher.query_batch(queries, 1.2)
+        assert built == []
+        assert [r.stats for r in results] == [r.stats for r in expected]
         assert len(built) == len(queries)
         assert [r.stats for r in results] == [r.stats for r in expected]
+        assert len(built) == len(queries)  # a row is made once
 
         del built[:]
         all_linear = HybridSearcher(searcher.index, CostModel(alpha=1e12, beta=1.0))
         results = all_linear.query_batch(queries, 1.2)
-        assert len(built) == len(queries)
         assert {r.stats.strategy for r in results} == {Strategy.LINEAR}
+        assert len(built) == len(queries)
         index.close()
 
 

@@ -4,7 +4,8 @@ The serving layer's contract is *exact agreement* with the single-query
 reference paths, so these properties generate random data, queries, and
 configurations and require bit-level equality:
 
-* batched results == sequential single-query results;
+* batched results == sequential single-query results, through the
+  engine and row by row through ``Index.query``'s block;
 * sharded exact top-k == unsharded exact top-k;
 * HLL merging on the batch path is order-independent (commutative and
   associative register maxima), and identical to per-query merging.
@@ -61,6 +62,13 @@ class TestBatchEqualsSequential:
             assert exp.stats.strategy == act.stats.strategy
             assert exp.stats.estimated_candidates == act.stats.estimated_candidates
             assert exp.stats.estimated_lsh_cost == act.stats.estimated_lsh_cost
+        # The facade's block, row by row, is the facade's single answer.
+        block = index.query(QuerySpec(queries))
+        for i, query in enumerate(queries):
+            single = index.query(QuerySpec(query))
+            assert block[i].ids.tobytes() == single.ids.tobytes()
+            assert block[i].distances.tobytes() == single.distances.tobytes()
+            assert repr(block[i].stats) == repr(single.stats)
         index.close()
 
 

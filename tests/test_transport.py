@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
-from repro.core.results import QueryResult
+from repro.core.results import STATS_COLUMNS, STRATEGY_CODES, QueryResult, QueryStats
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceededError,
@@ -47,13 +47,14 @@ from repro.service.transport import (
     truncated_frame,
 )
 from repro.service.workers import (
+    _MISSING_STATS,
     WorkerError,
     WorkerPool,
     _checked_block,
     _TransportFailure,
 )
 
-from conftest import merge_radius_results, unpack_block
+from conftest import merge_radius_results, shard_states, unpack_block
 
 N, DIM, SHARDS = 400, 10, 2
 PREFIX = _PREFIX.size
@@ -269,6 +270,15 @@ def _random_block(rng, q: int, shard_size: int) -> tuple:
     return counts, ids, rng.random(ids.size), stats
 
 
+def _block_with(column=None, value=0.0, distances=np.float64, stats=np.float64) -> dict:
+    """A valid two-row radius reply of shard 0, with ``value`` written
+    into row 0's ``column`` and the given distance / stats dtypes."""
+    matrix = np.zeros((2, len(STATS_COLUMNS)), dtype=stats)
+    if column is not None:
+        matrix[0, STATS_COLUMNS.index(column)] = value
+    return {0: (np.array([1, 1]), np.array([0, 4], np.uint32), np.zeros(2, distances), matrix)}
+
+
 class TestFlatRadiusReply:
     @pytest.mark.parametrize("missing", [(), (1,)])
     def test_batch_merge_equals_the_per_query_merge(self, missing):
@@ -304,11 +314,71 @@ class TestFlatRadiusReply:
             {0: (np.array([1, 1]), np.arange(3), np.zeros(3), np.zeros((2, 8)))},
             {0: (np.array([1, 1]), np.arange(2), np.zeros(2), np.zeros((2, 7)))},
             {0: (np.array([1, 1]), np.zeros(2), np.zeros(2), np.zeros((2, 8)))},
+            # Every stats cell that a merged row reads back as an int
+            # must be an integral value in its column's range, and the
+            # float columns must be float64 (no silent upcast).
+            _block_with("num_collisions", np.nan),
+            _block_with("exact_candidates", np.inf),
+            _block_with("num_collisions", 1e300),
+            _block_with(distances=np.float32),
+            _block_with(stats=np.float32),
+            _block_with("num_collisions", -1.0),
+            _block_with("exact_candidates", -2.0),
+            _block_with("probes_used", 1.5),
+            _block_with("probes_used", -2.0),
+            _block_with("strategy", float(len(STRATEGY_CODES))),
+            _block_with("strategy", -1.0),
+            _block_with("exact", 2.0),
+            _block_with("exact", 0.5),
         ],
     )
     def test_malformed_blocks_are_refused(self, reply):
         with pytest.raises(WorkerError, match="malformed"):
             _checked_block(reply, 0, 2)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("num_collisions", 2.0**53 - 1), ("exact_candidates", -1.0), ("strategy", 2.0),
+         ("probes_used", -1.0), ("exact", 1.0), ("estimated_candidates", np.nan),
+         ("estimated_lsh_cost", np.inf)],
+    )
+    def test_edge_cells_are_accepted(self, column, value):
+        reply = _block_with(column, value)
+        assert _checked_block(reply, 0, 2) is reply[0]
+
+    def test_a_malformed_reply_fails_the_query_with_a_typed_error(self):
+        """The check runs before the merge, inside ``Index.query``: a bad
+        cell is a ``WorkerError``, not a ``ValueError`` or an
+        ``OverflowError`` from a row read later."""
+        rng = np.random.default_rng(3)
+        index = Index.build(rng.normal(size=(N, DIM)), _spec())
+        try:
+            state = shard_states(index)[1]
+            honest = state.handle
+
+            def lying(message):
+                reply = honest(message)
+                if message[0] == "radius":
+                    counts, ids, distances, stats = reply[1]
+                    stats = stats.copy()
+                    stats[0, STATS_COLUMNS.index("num_collisions")] = np.nan
+                    reply[1] = (counts, ids, distances, stats)
+                return reply
+
+            state.handle = lying
+            with pytest.raises(WorkerError, match="malformed radius block"):
+                index.query(QuerySpec(rng.normal(size=(4, DIM))))
+        finally:
+            index.close()
+
+    def test_missing_shard_stats_are_the_query_stats_defaults(self):
+        defaults = QueryStats()
+        assert _MISSING_STATS.shape == (len(STATS_COLUMNS),)
+        for column, name in enumerate(STATS_COLUMNS):
+            value = getattr(defaults, name)
+            if name == "strategy":
+                value = STRATEGY_CODES[value]
+            np.testing.assert_equal(_MISSING_STATS[column], float(value), err_msg=name)
 
     def test_negative_ids_and_counts_are_refused(self):
         """A negative local id would ``take`` the shard's last global id,

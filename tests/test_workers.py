@@ -21,11 +21,13 @@ import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
 from repro.api.persist import _frozen_shard_dir
+import repro.core.results as results_module
+from repro.core.results import QueryResult, QueryStats, ResultBlock
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultTolerancePolicy
 from repro.hashing.batched import BatchedHash
 from repro.index.frozen import FrozenTables
-from repro.service.shard_server import _pack_block, open_shard_state
+from repro.service.shard_server import open_shard_state
 from repro.service.workers import WorkerPool, default_fanout_width
 
 from conftest import unpack_block
@@ -108,15 +110,93 @@ class TestBitIdentity:
         results = process_index.query(queries)
         assert any(r.ids.size for r in results)
         assert all(r.ids.dtype == np.int64 for r in results)
-        counts, ids, _, _ = _pack_block(results)
-        assert ids.dtype == np.uint32 and counts.sum() == ids.size
-        for r, back in zip(results, unpack_block(_pack_block(results), 1.2)):
-            assert back.ids.dtype == np.int64 and np.array_equal(back.ids, r.ids)
+        pool = process_index.engine
+        shards = pool.worker_shards(0)
+        reply = pool._request(0, ("radius", shards, queries, 1.2))
+        for s in shards:
+            counts, ids, _, _ = reply[s]
+            assert ids.dtype == np.uint32 and counts.sum() == ids.size
+            for back in unpack_block(reply[s], 1.2):
+                assert back.ids.dtype == np.int64
 
     def test_stats_expose_pool_width(self, process_index, thread_index):
         assert process_index.stats.pool_workers == 2
         assert process_index.stats.as_dict()["pool_workers"] == 2
         assert thread_index.stats.pool_workers == default_fanout_width(SHARDS)
+
+
+#: the three tiers an ``Index`` batch runs on: one engine, in-process
+#: shards behind the pool, and worker processes.
+TIERS = {
+    "single": dict(num_shards=1),
+    "inline-shards": dict(num_shards=2),
+    "processes": dict(num_shards=2, execution="processes"),
+}
+
+
+def _tier_index(points, tier, **overrides):
+    spec = _spec(**TIERS[tier], **overrides)
+    workers = {"num_workers": 2} if spec.execution == "processes" else {}
+    return Index.build(points, spec, **workers)
+
+
+def _count_constructions(monkeypatch) -> dict:
+    """Count ``QueryResult`` / ``QueryStats`` objects made from now on
+    (the ``tests/test_overflow.py`` idiom): through ``__init__``, or as
+    a block row through ``results._frozen``."""
+    counts = {"QueryResult": 0, "QueryStats": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (QueryResult, QueryStats):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    frozen = results_module._frozen
+    monkeypatch.setattr(
+        results_module, "_frozen", lambda cls, values: counted(cls.__name__, frozen)(cls, values)
+    )
+    return counts
+
+
+class TestColumnarAnswers:
+    @pytest.mark.parametrize("tier", ["single", "processes"])
+    def test_a_batch_makes_no_row_object_until_a_row_is_read(
+        self, monkeypatch, points, tier
+    ):
+        rng = np.random.default_rng(4)
+        batch = np.concatenate([points[:32], rng.normal(size=(32, DIM))])
+        index = _tier_index(points, tier)
+        try:
+            expected = [index.query(QuerySpec(row)) for row in batch[:3]]
+            counts = _count_constructions(monkeypatch)
+            block = index.query(QuerySpec(batch))
+            assert isinstance(block, ResultBlock) and len(block) == 64
+            assert block.strategy_counts()  # the columns are all there
+            assert counts == {"QueryResult": 0, "QueryStats": 0}
+            for i in (2, 0, 1, 2, -64):
+                assert repr(block[i].stats) == repr(expected[i % 64].stats)
+            assert counts == {"QueryResult": 3, "QueryStats": 3}
+            assert len(list(block)) == 64
+            assert counts == {"QueryResult": 64, "QueryStats": 64}
+        finally:
+            index.close()
+
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_an_empty_batch_is_an_empty_block(self, points, tier, cache_size):
+        index = _tier_index(points, tier, cache_size=cache_size)
+        try:
+            block = index.query(QuerySpec(np.empty((0, DIM))))
+            assert isinstance(block, ResultBlock) and len(block) == 0
+            assert list(block) == [] and block.radius == 1.2
+            assert block.stats.shape == (0, 8) and not block.degraded
+            assert index.stats.queries_served == 0
+        finally:
+            index.close()
 
 
 class TestInserts:

@@ -83,6 +83,14 @@ def test_radius_processes_equal_threads(serving_pair, corpus, rows, radius):
         processes.query(QuerySpec(batch, radius=radius)),
     ):
         assert_results_equal(ra, rb)
+    # Row i of a block is the single answer to query i, stats included.
+    for index in (threads, processes):
+        block = index.query(QuerySpec(batch, radius=radius))
+        for i, query in enumerate(batch):
+            single = index.query(QuerySpec(query, radius=radius))
+            assert block[i].ids.tobytes() == single.ids.tobytes()
+            assert block[i].distances.tobytes() == single.distances.tobytes()
+            assert repr(block[i].stats) == repr(single.stats)
 
 
 @settings(
