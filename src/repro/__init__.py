@@ -1,11 +1,11 @@
 """Hybrid LSH: faster near neighbors reporting in high-dimensional space.
 
 A from-scratch reproduction of Ninh Pham's EDBT 2017 paper.  The
-package implements the full stack: distance metrics, LSH families
-(bit sampling, SimHash, p-stable, MinHash), HyperLogLog bucket
-sketches, the multi-table (and multi-probe) index, the computational
-cost model, and the hybrid per-query dispatch between LSH-based search
-and linear search — plus the synthetic dataset stand-ins and the
+package implements the full stack: the paper's four distance metrics
+and one LSH family for each (bit sampling, SimHash, Cauchy and Gaussian
+p-stable), HyperLogLog bucket sketches, the multi-table (and
+multi-probe) index, the computational cost model, and the hybrid
+per-query dispatch between LSH-based search and linear search — plus the synthetic dataset stand-ins and the
 evaluation harness regenerating every table and figure.
 
 Quickstart
@@ -25,9 +25,6 @@ from repro.api import (
     Index,
     IndexSpec,
     QuerySpec,
-    available_families,
-    get_family,
-    register_family,
 )
 from repro.core import (
     CostModel,
@@ -44,11 +41,9 @@ from repro.core import (
 from repro.distances import get_metric
 from repro.hashing import (
     BitSamplingLSH,
-    MinHashLSH,
     PStableLSH,
     SimHashLSH,
     concatenation_width,
-    family_for_metric,
 )
 from repro.index import CoveringLSHIndex, LSHIndex
 from repro.service import QueryResultCache
@@ -61,9 +56,6 @@ __all__ = [
     "Index",
     "IndexSpec",
     "QuerySpec",
-    "register_family",
-    "get_family",
-    "available_families",
     "HybridSearcher",
     "LSHSearch",
     "LinearScan",
@@ -81,8 +73,6 @@ __all__ = [
     "BitSamplingLSH",
     "SimHashLSH",
     "PStableLSH",
-    "MinHashLSH",
-    "family_for_metric",
     "concatenation_width",
     "get_metric",
     "__version__",

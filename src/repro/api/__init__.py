@@ -12,11 +12,13 @@ gives it a single surface:
   a frozen :class:`QueryResult` (one :class:`ResultBlock` for a batch,
   whose rows are made on read),
   ``insert``, and full ``save`` / ``Index.open`` persistence
-  (including sharded indexes);
-* the LSH-family registry — :func:`register_family` /
-  :func:`get_family` — extending the distance-registry pattern so
-  specs resolve families by name.  ``candSize`` has one estimator,
-  Algorithm 2's merged HyperLogLog, so it has no registry.
+  (including sharded indexes).
+
+A spec names a metric, not a hash family: each of the paper's four
+metrics has one family, built by
+:func:`~repro.core.presets.paper_parameters` (the spec's ``k`` and
+``bucket_width`` tune it).  ``candSize`` has one estimator, Algorithm
+2's merged HyperLogLog.
 """
 
 from repro.api.facade import Index, ServiceStats
@@ -24,7 +26,6 @@ from repro.api.persist import open_index, save_index
 from repro.api.spec import IndexSpec, QuerySpec
 from repro.core.adaptive import AdaptivePolicy
 from repro.core.results import QueryResult, ResultBlock
-from repro.hashing.base import available_families, get_family, register_family
 
 __all__ = [
     "AdaptivePolicy",
@@ -36,7 +37,4 @@ __all__ = [
     "ServiceStats",
     "save_index",
     "open_index",
-    "register_family",
-    "get_family",
-    "available_families",
 ]

@@ -39,13 +39,11 @@ from repro.core.calibration import (
 from repro.core.cost_model import CostModel
 from repro.core.hybrid import HybridSearcher
 from repro.core.overlap import PartitionHelper
-from repro.core.presets import _PSTABLE_PRESETS, paper_parameters
+from repro.core.presets import paper_parameters
 from repro.core.results import QueryResult, ResultBlock
 from repro.distances import get_metric
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan, FaultTolerancePolicy
-from repro.hashing.base import family_for_metric, get_family
-from repro.hashing.params import concatenation_width
 from repro.index.frozen import FrozenLSHIndex
 from repro.index.frozen_probing import FrozenCoveringLSHIndex
 from repro.observability import StageTrace
@@ -65,63 +63,16 @@ def _resolve_cost_model(spec: IndexSpec, points: np.ndarray) -> CostModel:
     return calibrate_cost_model(points, get_metric(spec.metric), seed=spec.seed).model
 
 
-def _resolve_family_and_k(spec: IndexSpec, dim: int, seed: Any = None) -> tuple[Any, int]:
-    """Resolve (family, k) for one index build.
-
-    The default spec reproduces :func:`~repro.core.presets.paper_parameters`
-    exactly (identical hash draws for a given seed); any override —
-    named family, explicit ``k``, bucket width, extra factory kwargs —
-    switches to direct registry-driven construction.  ``seed`` is the
-    randomness for *this* index's family draw — the spec's own seed for
-    a single index, a spawned per-shard stream for sharded builds.
-    """
-    customised = (
-        spec.hash_family is not None
-        or spec.k is not None
-        or spec.bucket_width is not None
-        or spec.family_params
-    )
-    if not customised:
-        params = paper_parameters(
-            spec.metric,
-            dim=dim,
-            radius=spec.radius,
-            num_tables=spec.num_tables,
-            delta=spec.delta,
-            seed=seed,
-        )
-        return params.family, params.k
-    kwargs = dict(spec.family_params or {})
-    metric_name = get_metric(spec.metric).name
-    preset = _PSTABLE_PRESETS.get(metric_name)
-    if spec.bucket_width is not None:
-        kwargs.setdefault("w", spec.bucket_width)
-    elif preset is not None and spec.hash_family is None:
-        kwargs.setdefault("w", preset[1] * spec.radius)
-    if spec.hash_family is not None:
-        family = get_family(spec.hash_family)(dim, seed=seed, **kwargs)
-    else:
-        family = family_for_metric(spec.metric, dim, seed=seed, **kwargs)
-    k = spec.k
-    if k is None:
-        if preset is not None and spec.hash_family is None:
-            k = preset[0]
-        else:
-            k = concatenation_width(
-                spec.num_tables, spec.delta, family.collision_probability(spec.radius)
-            )
-    return family, k
-
-
 def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> FrozenLSHIndex:
     """Build the frozen index the spec describes — one index, or one shard.
 
     ``variant`` selects the index class: ``"multiprobe"`` draws the
-    family and ``k`` resolved above and probes ``1 + num_probes``
-    buckets per table; ``"covering"`` derives its ``r + 1`` block
-    tables from the spec radius instead of drawing a hash family.
-    ``seed`` drives the draw (the spec's own seed for one index, a
-    spawned stream per shard).
+    family and ``k`` that :func:`~repro.core.presets.paper_parameters`
+    resolves (the spec's ``k`` / ``bucket_width`` override the paper's)
+    and probes ``1 + num_probes`` buckets per table; ``"covering"``
+    derives its ``r + 1`` block tables from the spec radius instead of
+    drawing a hash family.  ``seed`` drives the draw (the spec's own
+    seed for one index, a spawned stream per shard).
     :meth:`~repro.index.frozen.FrozenLSHIndex.build` hashes the points
     straight into the CSR arrays: byte for byte what the dict-layout
     ``LSHIndex`` of the same spec and seed freezes into, the reference
@@ -134,17 +85,28 @@ def _build_single_index(spec: IndexSpec, points: np.ndarray, seed: Any) -> Froze
             hll_precision=spec.hll_precision,
             hll_seed=spec.hll_seed,
             lazy_threshold=spec.lazy_threshold,
+            dedup=spec.dedup,
             seed=seed,
         )
     else:
-        family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
+        params = paper_parameters(
+            spec.metric,
+            dim=points.shape[1],
+            radius=spec.radius,
+            num_tables=spec.num_tables,
+            delta=spec.delta,
+            seed=seed,
+            k=spec.k,
+            w=spec.bucket_width,
+        )
         index = FrozenLSHIndex(
-            family,
-            k=k,
+            params.family,
+            k=params.k,
             num_tables=spec.num_tables,
             hll_precision=spec.hll_precision,
             hll_seed=spec.hll_seed,
             lazy_threshold=spec.lazy_threshold,
+            dedup=spec.dedup,
             num_probes=spec.num_probes,
         )
     return index.build(points)

@@ -1,7 +1,7 @@
 """Declarative index and query specifications.
 
 :class:`IndexSpec` is the single vocabulary for constructing a hybrid
-index — metric, hash family, table count and width, sketch
+index — metric, table count and concatenation width, sketch
 configuration, cost model, shard count, cache policy — as one
 immutable, validated value with a JSON round-trip
 (:meth:`IndexSpec.to_dict` / :meth:`IndexSpec.from_dict`).
@@ -17,14 +17,13 @@ either, so ``Index.query`` needs exactly one signature.
 JSON schema (all keys optional unless noted)::
 
     {
-      "metric":        "l2" | "l1" | "cosine" | "hamming" | "jaccard",  # required
+      "metric":        "l2" | "l1" | "cosine" | "hamming",  # required
       "radius":        2.0,            # required; tuned/default query radius
       "num_tables":    50,             # L
       "delta":         0.1,            # failure probability of the (1-delta) guarantee
       "k":             null,           # concatenation width; null = paper rule
-      "hash_family":   null,           # registered family name; null = metric default
-      "bucket_width":  null,           # w for p-stable families; null = paper preset
-      "family_params": null,           # extra kwargs for a custom family factory
+      "bucket_width":  null,           # w of the l1 / l2 (p-stable) family;
+                                       # null = paper preset
       "hll_precision": 7,              # m = 2**p sketch registers
       "hll_seed":      0,
       "lazy_threshold": null,          # small-bucket trick cutoff; null = m
@@ -54,6 +53,10 @@ JSON schema (all keys optional unless noted)::
 ``candSize`` is always estimated from the query's merged HyperLogLog
 sketches (Algorithm 2), so the schema has no estimator key; documents
 saved while it was one still load (see :meth:`IndexSpec.from_dict`).
+Each metric has one LSH family (bit sampling, SimHash, Cauchy or
+Gaussian p-stable, chosen by
+:func:`~repro.core.presets.paper_parameters`), so the schema has no
+family keys either; documents saved with them ``null`` still load.
 A ``"variant": "plain"`` document, from before the plain index became
 multi-probe at ``num_probes=0``, is refused: ``python -m repro.cli
 migrate PATH`` rewrites a saved one.
@@ -73,9 +76,9 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.adaptive import AdaptivePolicy
+from repro.core.presets import _PSTABLE_PRESETS
 from repro.distances import get_metric
 from repro.exceptions import ConfigurationError
-from repro.hashing.base import get_family
 from repro.utils.validation import (
     check_delta,
     check_positive,
@@ -107,6 +110,10 @@ _SPEC_VERSION = 1
 #: ``estimator`` was a field: the merged-HLL ``candSize`` estimate.
 _RETIRED_ESTIMATORS = ("hll", "hyperloglog")
 
+#: Keys every saved spec held (``null`` unless a plug-in family was
+#: named) while hash families were resolved through a registry.
+_RETIRED_FAMILY_KEYS = ("hash_family", "family_params")
+
 
 @dataclass(frozen=True)
 class IndexSpec:
@@ -128,9 +135,7 @@ class IndexSpec:
     num_tables: int = 50
     delta: float = 0.1
     k: int | None = None
-    hash_family: str | None = None
     bucket_width: float | None = None
-    family_params: dict[str, Any] | None = None
     hll_precision: int = 7
     hll_seed: int = 0
     lazy_threshold: int | None = None
@@ -155,15 +160,13 @@ class IndexSpec:
         set_(self, "delta", check_delta(self.delta))
         if self.k is not None:
             set_(self, "k", check_positive_int(self.k, "k"))
-        if self.hash_family is not None:
-            get_family(self.hash_family)  # raises on unknown names
-            set_(self, "hash_family", self.hash_family.lower())
         if self.bucket_width is not None:
+            if self.metric not in _PSTABLE_PRESETS:
+                raise ConfigurationError(
+                    f"bucket_width is the width of the l1 / l2 (p-stable) family; "
+                    f"metric {self.metric!r} has no width"
+                )
             set_(self, "bucket_width", check_positive(self.bucket_width, "bucket_width"))
-        if self.family_params is not None and not isinstance(self.family_params, dict):
-            raise ConfigurationError(
-                f"family_params must be a dict or None, got {self.family_params!r}"
-            )
         set_(self, "hll_precision", check_positive_int(self.hll_precision, "hll_precision"))
         set_(self, "hll_seed", int(self.hll_seed))
         if self.lazy_threshold is not None and (
@@ -221,16 +224,10 @@ class IndexSpec:
                     'variant="covering" builds its guarantee for an integer '
                     f"Hamming radius, got {self.radius!r}"
                 )
-            if (
-                self.hash_family is not None
-                or self.k is not None
-                or self.bucket_width is not None
-                or self.family_params
-            ):
+            if self.k is not None:
                 raise ConfigurationError(
                     'variant="covering" derives its tables from the radius '
-                    "(r + 1 bit blocks); hash_family/k/bucket_width/"
-                    "family_params do not apply"
+                    "(r + 1 bit blocks); k does not apply"
                 )
             # The construction fixes the table count at r + 1; normalise
             # so the persisted document never claims a count the artifact
@@ -289,6 +286,13 @@ class IndexSpec:
                 "always the merged-HLL estimate (legacy values "
                 f"{list(_RETIRED_ESTIMATORS)} still load)"
             )
+        for key in _RETIRED_FAMILY_KEYS:
+            if key in doc and doc.pop(key) is not None:
+                raise ConfigurationError(
+                    f"spec key {key!r} was removed: each metric has one LSH family "
+                    "(the paper's); tune it with k and bucket_width (legacy null "
+                    "values still load)"
+                )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
         if unknown:

@@ -13,8 +13,9 @@ Note these pinned values satisfy the 90% reporting guarantee comfortably
 for points *well inside* the radius (where most true neighbors of a real
 query live) while being somewhat optimistic for points exactly at the
 boundary distance ``r`` — a selectivity/recall trade the paper accepts.
-:func:`paper_parameters` reproduces exactly this logic for any metric,
-returning everything needed to build the index.
+:func:`paper_parameters` reproduces exactly this logic for each of the
+four metrics, returning everything needed to build the index; it is the
+only place a metric's family and ``k`` are resolved.
 """
 
 from __future__ import annotations
@@ -22,16 +23,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.distances import get_metric
-from repro.exceptions import UnknownMetricError
-from repro.hashing.base import LSHFamily, family_for_metric
+from repro.exceptions import ConfigurationError, UnknownMetricError
+from repro.hashing.base import LSHFamily
+from repro.hashing.bit_sampling import BitSamplingLSH
 from repro.hashing.params import concatenation_width
+from repro.hashing.pstable import PStableLSH
+from repro.hashing.simhash import SimHashLSH
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_delta, check_positive, check_positive_int
 
 __all__ = ["PaperParameters", "paper_parameters"]
 
-# (k, w/r multiplier) pinned by the paper for the p-stable families.
-_PSTABLE_PRESETS = {"l1": (8, 4.0), "l2": (7, 2.0)}
+# (k, w/r multiplier) pinned by the paper for the p-stable families, and
+# the stable distribution each draws from (p = 1 Cauchy, p = 2 Gaussian).
+_PSTABLE_PRESETS = {"l1": (8, 4.0, 1), "l2": (7, 2.0, 2)}
+# The families without a width; the parameter rule sets their k.
+_WIDTHLESS_FAMILIES: dict[str, type[LSHFamily]] = {
+    "hamming": BitSamplingLSH,
+    "cosine": SimHashLSH,
+}
 
 
 @dataclass(frozen=True)
@@ -67,14 +77,19 @@ def paper_parameters(
     num_tables: int = 50,
     delta: float = 0.1,
     seed: RandomState = None,
+    k: int | None = None,
+    w: float | None = None,
 ) -> PaperParameters:
     """Resolve the paper's parameter setting for a metric and radius.
+
+    The one place a metric's LSH family is chosen: bit sampling for
+    Hamming, SimHash for cosine, Cauchy p-stable for L1 and Gaussian
+    p-stable for L2.  ``k`` and ``w`` override the paper's values.
 
     Parameters
     ----------
     metric:
-        ``"hamming"``, ``"cosine"``, ``"l1"``, ``"l2"`` or
-        ``"jaccard"`` (or an alias).
+        ``"hamming"``, ``"cosine"``, ``"l1"`` or ``"l2"`` (or an alias).
     dim:
         Data dimensionality.
     radius:
@@ -86,6 +101,12 @@ def paper_parameters(
         Failure probability (paper: 0.1).
     seed:
         Randomness for family construction.
+    k:
+        Concatenation width; ``None`` = the paper's (pinned for the
+        p-stable families, the parameter rule for the others).
+    w:
+        Bucket width of a p-stable family; ``None`` = the paper's
+        multiple of ``radius``.  The other families have no width.
 
     Returns
     -------
@@ -97,17 +118,25 @@ def paper_parameters(
     delta = check_delta(delta)
     name = get_metric(metric).name
     if name in _PSTABLE_PRESETS:
-        k, w_multiplier = _PSTABLE_PRESETS[name]
-        family = family_for_metric(name, dim, seed=seed, w=w_multiplier * radius)
-        p1 = family.collision_probability(radius)
-        return PaperParameters(
-            family=family, k=k, num_tables=num_tables, p1=p1, radius=radius, delta=delta
+        pinned_k, w_multiplier, p = _PSTABLE_PRESETS[name]
+        family: LSHFamily = PStableLSH(
+            dim, w=w_multiplier * radius if w is None else w, p=p, seed=seed
         )
-    if name in ("hamming", "cosine", "jaccard"):
-        family = family_for_metric(name, dim, seed=seed)
-        p1 = family.collision_probability(radius)
+        k = pinned_k if k is None else k
+    elif name not in _WIDTHLESS_FAMILIES:
+        raise UnknownMetricError(f"no paper preset for metric {metric!r}")
+    elif w is not None:
+        raise ConfigurationError(f"metric {name!r} has no bucket width; w applies to l1 / l2")
+    else:
+        family = _WIDTHLESS_FAMILIES[name](dim, seed=seed)
+    p1 = family.collision_probability(radius)
+    if k is None:
         k = concatenation_width(num_tables, delta, p1)
-        return PaperParameters(
-            family=family, k=k, num_tables=num_tables, p1=p1, radius=radius, delta=delta
-        )
-    raise UnknownMetricError(f"no paper preset for metric {metric!r}")
+    return PaperParameters(
+        family=family,
+        k=check_positive_int(k, "k"),
+        num_tables=num_tables,
+        p1=p1,
+        radius=radius,
+        delta=delta,
+    )

@@ -21,7 +21,6 @@ from repro.datasets.io import load_dense, load_libsvm
 from repro.datasets.mnist import mnist_like
 from repro.datasets.queries import split_queries
 from repro.datasets.synthetic import (
-    binary_sets,
     gaussian_mixture,
     mixed_workload,
     uniform_hypercube,
@@ -38,7 +37,6 @@ __all__ = [
     "split_queries",
     "gaussian_mixture",
     "uniform_hypercube",
-    "binary_sets",
     "mixed_workload",
     "load_libsvm",
     "load_dense",

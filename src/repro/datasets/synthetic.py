@@ -16,7 +16,7 @@ from repro.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive_int
 
-__all__ = ["gaussian_mixture", "uniform_hypercube", "binary_sets", "mixed_workload"]
+__all__ = ["gaussian_mixture", "uniform_hypercube", "mixed_workload"]
 
 
 def gaussian_mixture(
@@ -122,48 +122,6 @@ def uniform_hypercube(
         raise ConfigurationError(f"scale must be > 0, got {scale}")
     rng = ensure_rng(seed)
     return rng.uniform(0.0, scale, size=(n, dim))
-
-
-def binary_sets(
-    n: int,
-    universe: int,
-    avg_set_size: float,
-    num_templates: int = 10,
-    mutation_rate: float = 0.1,
-    seed: RandomState = None,
-) -> np.ndarray:
-    """0/1 indicator vectors clustered around random template sets.
-
-    Generates data for the Jaccard/MinHash path: ``num_templates``
-    random template sets of expected size ``avg_set_size``; each point
-    copies a template and flips each universe position with probability
-    ``mutation_rate * avg_set_size / universe`` (on→off and off→on
-    balanced so sizes stay stable).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n, universe)`` uint8 matrix.
-    """
-    n = check_positive_int(n, "n")
-    universe = check_positive_int(universe, "universe")
-    num_templates = check_positive_int(num_templates, "num_templates")
-    if not 0.0 <= mutation_rate <= 1.0:
-        raise ConfigurationError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-    if not 0 < avg_set_size <= universe:
-        raise ConfigurationError(
-            f"avg_set_size must be in (0, {universe}], got {avg_set_size}"
-        )
-    rng = ensure_rng(seed)
-    density = avg_set_size / universe
-    templates = rng.random(size=(num_templates, universe)) < density
-    assignment = rng.integers(0, num_templates, size=n)
-    points = templates[assignment].copy()
-    # Symmetric mutation keeps expected set size at avg_set_size.
-    flip_on = (rng.random(size=(n, universe)) < mutation_rate * density) & ~points
-    flip_off = (rng.random(size=(n, universe)) < mutation_rate * density) & points
-    points ^= flip_on | flip_off
-    return points.astype(np.uint8)
 
 
 def mixed_workload(

@@ -11,16 +11,15 @@ package provides each metric twice:
   against ``q``), which is what the linear-scan and verification steps
   actually use.
 
-:func:`get_metric` resolves metric names (``"l2"``, ``"l1"``,
-``"cosine"``, ``"hamming"``, ``"jaccard"``) to :class:`Metric` objects
-so the rest of the library is metric-agnostic.
+:func:`get_metric` resolves the four metric names (``"l2"``, ``"l1"``,
+``"cosine"``, ``"hamming"``) and their aliases to :class:`Metric`
+objects so the rest of the library is metric-agnostic.
 """
 
-from repro.distances.base import Metric, available_metrics, get_metric, register_metric
+from repro.distances.base import Metric, available_metrics, get_metric
 from repro.distances.cosine import cosine_distance, cosine_distance_batch
 from repro.distances.euclidean import euclidean_distance, euclidean_distance_batch
 from repro.distances.hamming import hamming_distance, hamming_distance_batch
-from repro.distances.jaccard import jaccard_distance, jaccard_distance_batch
 from repro.distances.manhattan import manhattan_distance, manhattan_distance_batch
 from repro.distances.matrix import pairwise_distances
 
@@ -28,7 +27,6 @@ __all__ = [
     "Metric",
     "available_metrics",
     "get_metric",
-    "register_metric",
     "euclidean_distance",
     "euclidean_distance_batch",
     "manhattan_distance",
@@ -37,7 +35,5 @@ __all__ = [
     "hamming_distance_batch",
     "cosine_distance",
     "cosine_distance_batch",
-    "jaccard_distance",
-    "jaccard_distance_batch",
     "pairwise_distances",
 ]

@@ -1,10 +1,10 @@
-"""Metric abstraction and registry.
+"""The metric record and the paper's four metrics.
 
 A :class:`Metric` bundles the scalar kernel, the batch kernel and a
-human-readable name.  The registry maps canonical names and their
-aliases to metric instances; LSH families declare which metric they are
-sensitive for by naming it, and the hybrid searcher looks the kernels up
-here.
+human-readable name.  :func:`get_metric` resolves the canonical names
+and aliases of the four metrics the paper evaluates (L2, L1, cosine,
+Hamming); LSH families declare which metric they are sensitive for by
+naming it, and the hybrid searcher looks the kernels up here.
 """
 
 from __future__ import annotations
@@ -14,9 +14,19 @@ from collections.abc import Callable
 
 import numpy as np
 
+from repro.distances.cosine import cosine_distance, cosine_distance_batch
+from repro.distances.euclidean import (
+    euclidean_distance,
+    euclidean_distance_batch,
+    euclidean_distance_batch_prepared,
+    euclidean_distance_rows_prepared,
+    euclidean_prepare,
+)
+from repro.distances.hamming import hamming_distance, hamming_distance_batch
+from repro.distances.manhattan import manhattan_distance, manhattan_distance_batch
 from repro.exceptions import UnknownMetricError
 
-__all__ = ["Metric", "register_metric", "get_metric", "available_metrics"]
+__all__ = ["Metric", "get_metric", "available_metrics"]
 
 ScalarKernel = Callable[[np.ndarray, np.ndarray], float]
 BatchKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -38,7 +48,8 @@ class Metric:
     description:
         One-line summary for reports and ``repr``.
     aliases:
-        Alternative registry keys (e.g. ``"euclidean"`` for ``"l2"``).
+        Alternative names :func:`get_metric` accepts (e.g.
+        ``"euclidean"`` for ``"l2"``).
     """
 
     name: str
@@ -94,19 +105,41 @@ class Metric:
         return f"Metric({self.name!r})"
 
 
-_REGISTRY: dict[str, Metric] = {}
+_METRICS = (
+    Metric(
+        name="l2",
+        scalar=euclidean_distance,
+        batch=euclidean_distance_batch,
+        description="Euclidean distance (p-stable LSH with Gaussian projections)",
+        aliases=("euclidean",),
+        prepare=euclidean_prepare,
+        batch_prepared=euclidean_distance_batch_prepared,
+        rows_prepared=euclidean_distance_rows_prepared,
+    ),
+    Metric(
+        name="l1",
+        scalar=manhattan_distance,
+        batch=manhattan_distance_batch,
+        description="Manhattan distance (p-stable LSH with Cauchy projections)",
+        aliases=("manhattan", "cityblock"),
+    ),
+    Metric(
+        name="cosine",
+        scalar=cosine_distance,
+        batch=cosine_distance_batch,
+        description="Cosine distance 1 - cos(x, y) in [0, 2] (SimHash LSH)",
+        aliases=("angular",),
+    ),
+    Metric(
+        name="hamming",
+        scalar=hamming_distance,
+        batch=hamming_distance_batch,
+        description="Hamming distance on 0/1 vectors (bit-sampling LSH)",
+    ),
+)
 
-
-def register_metric(metric: Metric) -> Metric:
-    """Add ``metric`` to the registry under its name and aliases.
-
-    Re-registering an existing name replaces it, which keeps the module
-    reload-friendly (useful in notebooks and in the test suite).
-    """
-    _REGISTRY[metric.name.lower()] = metric
-    for alias in metric.aliases:
-        _REGISTRY[alias.lower()] = metric
-    return metric
+#: Canonical names and aliases -> the four metrics.
+_BY_NAME = {key: metric for metric in _METRICS for key in (metric.name, *metric.aliases)}
 
 
 def get_metric(name: str | Metric) -> Metric:
@@ -115,17 +148,17 @@ def get_metric(name: str | Metric) -> Metric:
     Raises
     ------
     UnknownMetricError
-        If ``name`` is not registered.
+        If ``name`` is none of the four metrics or their aliases.
     """
     if isinstance(name, Metric):
         return name
     key = name.lower()
-    if key not in _REGISTRY:
-        known = ", ".join(sorted(available_metrics()))
+    if key not in _BY_NAME:
+        known = ", ".join(available_metrics())
         raise UnknownMetricError(f"unknown metric {name!r}; known metrics: {known}")
-    return _REGISTRY[key]
+    return _BY_NAME[key]
 
 
 def available_metrics() -> list[str]:
     """Sorted list of canonical metric names (aliases excluded)."""
-    return sorted({m.name for m in _REGISTRY.values()})
+    return sorted(metric.name for metric in _METRICS)

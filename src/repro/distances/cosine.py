@@ -14,9 +14,7 @@ import math
 
 import numpy as np
 
-from repro.distances.base import Metric, register_metric
-
-__all__ = ["cosine_distance", "cosine_distance_batch", "COSINE"]
+__all__ = ["cosine_distance", "cosine_distance_batch"]
 
 
 def cosine_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -57,14 +55,3 @@ def cosine_distance_batch(points: np.ndarray, query: np.ndarray) -> np.ndarray:
     sims = np.where(norms == 0.0, 0.0, sims)
     np.clip(sims, -1.0, 1.0, out=sims)
     return 1.0 - sims
-
-
-COSINE = register_metric(
-    Metric(
-        name="cosine",
-        scalar=cosine_distance,
-        batch=cosine_distance_batch,
-        description="Cosine distance 1 - cos(x, y) in [0, 2] (SimHash LSH)",
-        aliases=("angular",),
-    )
-)

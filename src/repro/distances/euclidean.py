@@ -12,15 +12,12 @@ import math
 
 import numpy as np
 
-from repro.distances.base import Metric, register_metric
-
 __all__ = [
     "euclidean_distance",
     "euclidean_distance_batch",
     "euclidean_prepare",
     "euclidean_distance_batch_prepared",
     "euclidean_distance_rows_prepared",
-    "EUCLIDEAN",
 ]
 
 
@@ -94,17 +91,3 @@ def euclidean_distance_rows_prepared(
     sq = norms - 2.0 * dots + np.repeat(query_norms, np.diff(bounds))
     np.clip(sq, 0.0, None, out=sq)
     return np.sqrt(sq)
-
-
-EUCLIDEAN = register_metric(
-    Metric(
-        name="l2",
-        scalar=euclidean_distance,
-        batch=euclidean_distance_batch,
-        description="Euclidean distance (p-stable LSH with Gaussian projections)",
-        aliases=("euclidean",),
-        prepare=euclidean_prepare,
-        batch_prepared=euclidean_distance_batch_prepared,
-        rows_prepared=euclidean_distance_rows_prepared,
-    )
-)

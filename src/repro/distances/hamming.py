@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.base import Metric, register_metric
-
-__all__ = ["hamming_distance", "hamming_distance_batch", "HAMMING"]
+__all__ = ["hamming_distance", "hamming_distance_batch"]
 
 
 def hamming_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -41,14 +39,3 @@ def hamming_distance_batch(points: np.ndarray, query: np.ndarray) -> np.ndarray:
     points = np.asarray(points)
     query = np.asarray(query)
     return (points != query).sum(axis=1).astype(np.float64)
-
-
-HAMMING = register_metric(
-    Metric(
-        name="hamming",
-        scalar=hamming_distance,
-        batch=hamming_distance_batch,
-        description="Hamming distance on 0/1 vectors (bit-sampling LSH)",
-        aliases=(),
-    )
-)

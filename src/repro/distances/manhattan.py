@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distances.base import Metric, register_metric
-
-__all__ = ["manhattan_distance", "manhattan_distance_batch", "MANHATTAN"]
+__all__ = ["manhattan_distance", "manhattan_distance_batch"]
 
 
 def manhattan_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -31,14 +29,3 @@ def manhattan_distance_batch(points: np.ndarray, query: np.ndarray) -> np.ndarra
     points = np.asarray(points, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     return np.abs(points - query).sum(axis=1)
-
-
-MANHATTAN = register_metric(
-    Metric(
-        name="l1",
-        scalar=manhattan_distance,
-        batch=manhattan_distance_batch,
-        description="Manhattan distance (p-stable LSH with Cauchy projections)",
-        aliases=("manhattan", "cityblock"),
-    )
-)

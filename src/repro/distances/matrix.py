@@ -3,7 +3,7 @@
 The alpha/beta calibration of Section 4.2 and the distance-distribution
 diagnostics used to pick experiment radii both need pairwise distances
 between a query sample and a data sample; this module provides a single
-entry point that reuses the registered batch kernels.
+entry point that reuses the metrics' batch kernels.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ class EmptyIndexError(ReproError, RuntimeError):
 
 
 class UnknownMetricError(ReproError, KeyError):
-    """A metric name was requested that is not in the distance registry."""
+    """A metric name was requested that is none of the four metrics."""
 
 
 class CorruptArtifactError(ReproError, RuntimeError):

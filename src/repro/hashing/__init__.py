@@ -1,8 +1,9 @@
 """LSH family substrate.
 
-One module per family the paper uses or cites, plus the machinery that
-turns atomic ``(r, cr, p1, p2)``-sensitive functions into the composite
-``g = (h_1, ..., h_k)`` functions of the classic multi-table scheme:
+One module per family the paper's experiments use — one family per
+metric — plus the machinery that turns atomic ``(r, cr, p1, p2)``-sensitive
+functions into the composite ``g = (h_1, ..., h_k)`` functions of the
+classic multi-table scheme:
 
 * :class:`BitSamplingLSH` — Indyk–Motwani bit sampling for Hamming
   distance (MNIST fingerprints experiment);
@@ -10,25 +11,19 @@ turns atomic ``(r, cr, p1, p2)``-sensitive functions into the composite
   cosine/angular distance (Webspam experiment);
 * :class:`PStableLSH` — Datar et al.'s p-stable projections with bucket
   width ``w`` for L1 (Cauchy) and L2 (Gaussian) (CoverType and Corel);
-* :class:`MinHashLSH` — Broder et al.'s min-wise hashing for Jaccard;
 * :class:`CompositeHash` — a concatenation of ``k`` atomic functions
   yielding hashable bucket keys;
 * :func:`concatenation_width` — the paper's rule
-  ``k = ceil(log(1 - delta^{1/L}) / log p1)``;
+  ``k = ceil(log(1 - delta^{1/L}) / log p1)``
+  (:func:`repro.core.presets.paper_parameters` picks a metric's family
+  and applies it);
 * :mod:`repro.hashing.probing` — multi-probe perturbation sequences for
   the paper's future-work extension.
 """
 
-from repro.hashing.base import (
-    LSHFamily,
-    available_families,
-    family_for_metric,
-    get_family,
-    register_family,
-)
+from repro.hashing.base import LSHFamily
 from repro.hashing.bit_sampling import BitSamplingLSH
 from repro.hashing.composite import CompositeHash, encode_rows
-from repro.hashing.minhash import MinHashLSH
 from repro.hashing.params import (
     concatenation_width,
     expected_recall,
@@ -40,14 +35,9 @@ from repro.hashing.simhash import SimHashLSH
 
 __all__ = [
     "LSHFamily",
-    "family_for_metric",
-    "register_family",
-    "get_family",
-    "available_families",
     "BitSamplingLSH",
     "SimHashLSH",
     "PStableLSH",
-    "MinHashLSH",
     "CompositeHash",
     "encode_rows",
     "concatenation_width",

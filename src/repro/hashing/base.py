@@ -8,31 +8,31 @@ Definition 2 of the paper (after Indyk–Motwani): a family ``H`` is
 Concrete families subclass :class:`LSHFamily` and provide
 
 * :meth:`LSHFamily.sample` — draw a :class:`~repro.hashing.composite.CompositeHash`
-  of ``k`` independent atomic functions (one per call; the index draws
-  ``L`` of them), and
-* :meth:`LSHFamily.collision_probability` — the exact ``p(c)`` curve of
-  one atomic function at distance ``c``, which both the parameter rule
+  of ``k`` independent atomic functions (the per-table reference the
+  fused kernels are checked against);
+* :meth:`LSHFamily.sample_batch` — draw all ``L`` of an index's
+  composite functions as one fused kernel (what the index hashes with);
+* :meth:`LSHFamily.collision_probability` (and its vectorised
+  ``_batch`` form) — the exact ``p(c)`` curve of one atomic function at
+  distance ``c``, which both the parameter rule
   ``k = ceil(log(1 - delta^{1/L}) / log p1)`` and the recall analysis
   consume.
+
+The package has one family per metric of the paper; which one a metric
+gets is decided in one place, :func:`repro.core.presets.paper_parameters`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any
 
 import numpy as np
 
 from repro.distances import Metric, get_metric
+from repro.hashing.batched import BatchedHash
 from repro.utils.rng import RandomState, ensure_rng
 
-__all__ = [
-    "LSHFamily",
-    "family_for_metric",
-    "register_family",
-    "get_family",
-    "available_families",
-]
+__all__ = ["LSHFamily"]
 
 
 class LSHFamily(abc.ABC):
@@ -68,23 +68,15 @@ class LSHFamily(abc.ABC):
     def sample(self, k: int) -> CompositeHashProtocol:
         """Draw a composite hash of ``k`` independent atomic functions."""
 
+    @abc.abstractmethod
     def sample_batch(self, k: int, num_tables: int) -> BatchedHash:
         """Draw the ``L`` composite functions of an index, fused.
 
         The returned :class:`~repro.hashing.batched.BatchedHash` hashes
         a query into all ``L`` tables with one vectorised call (the
-        Step-S1 fast path).  This generic fallback loops over ``L``
-        independent :meth:`sample` draws; projection-based families
-        override it with a genuinely stacked kernel.
+        Step-S1 fast path): one stacked kernel over all ``L * k``
+        atomic functions.
         """
-        from repro.hashing.batched import BatchedHash
-
-        composites = [self.sample(k) for _ in range(num_tables)]
-
-        def fused(points: np.ndarray) -> np.ndarray:
-            return np.concatenate([g.hash_matrix(points) for g in composites], axis=1)
-
-        return BatchedHash(fused, k=k, num_tables=num_tables, dim=self.dim)
 
     @abc.abstractmethod
     def collision_probability(self, distance: float) -> float:
@@ -94,12 +86,9 @@ class LSHFamily(abc.ABC):
         """Collision probability at the query radius (the ``p1`` of Def. 2)."""
         return self.collision_probability(radius)
 
+    @abc.abstractmethod
     def collision_probability_batch(self, distances: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`collision_probability` (default: python loop)."""
-        distances = np.asarray(distances, dtype=np.float64)
-        return np.array([self.collision_probability(float(c)) for c in distances.ravel()]).reshape(
-            distances.shape
-        )
+        """Vectorised :meth:`collision_probability`."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -119,147 +108,3 @@ class CompositeHashProtocol:
     def keys(self, points: np.ndarray) -> list[bytes]:  # pragma: no cover
         """``(n, d) -> n`` hashable bucket keys."""
         raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Family registry (the distance-registry pattern applied to hash families)
-# ----------------------------------------------------------------------
-#: name -> (factory(dim, seed=..., **kwargs) -> LSHFamily, description)
-_FAMILY_REGISTRY: dict[str, tuple] = {}
-#: canonical metric name -> family name used by default for that metric
-_METRIC_DEFAULT_FAMILY: dict[str, str] = {}
-
-
-def register_family(
-    name: str,
-    factory,
-    *,
-    metric: str | None = None,
-    aliases: tuple[str, ...] = (),
-    description: str = "",
-):
-    """Register an LSH-family factory under ``name`` (and ``aliases``).
-
-    ``factory(dim, seed=None, **kwargs)`` must return an
-    :class:`LSHFamily`.  When ``metric`` is given the family becomes the
-    default :func:`family_for_metric` resolves for that metric, which is
-    how third-party families slot into spec-driven index construction
-    (:class:`repro.api.IndexSpec` resolves ``hash_family`` here).
-    Re-registering a name replaces it (reload-friendly, like
-    :func:`repro.distances.register_metric`).
-    """
-    key = name.lower()
-    _FAMILY_REGISTRY[key] = (factory, description)
-    for alias in aliases:
-        _FAMILY_REGISTRY[alias.lower()] = (factory, description)
-    if metric is not None:
-        _METRIC_DEFAULT_FAMILY[get_metric(metric).name] = key
-    return factory
-
-
-def get_family(name: str) -> Any:
-    """Resolve a family factory by registered name (case-insensitive)."""
-    _ensure_builtin_families()
-    key = name.lower()
-    if key not in _FAMILY_REGISTRY:
-        from repro.exceptions import ConfigurationError
-
-        known = ", ".join(available_families())
-        raise ConfigurationError(
-            f"unknown hash family {name!r}; registered families: {known}"
-        )
-    return _FAMILY_REGISTRY[key][0]
-
-
-def available_families() -> list[str]:
-    """Sorted list of registered family names (aliases included)."""
-    _ensure_builtin_families()
-    return sorted(_FAMILY_REGISTRY)
-
-
-_BUILTIN_FAMILIES_LOADED = False
-
-
-def _ensure_builtin_families() -> None:
-    """Register the paper's families on first registry access.
-
-    Lazy so that ``repro.hashing.base`` keeps importing before the
-    concrete family modules (which subclass :class:`LSHFamily`).
-    User registrations made *before* this runs win: a name already in
-    the registry is not overwritten and an already-claimed metric
-    default is left alone.
-    """
-    global _BUILTIN_FAMILIES_LOADED
-    if _BUILTIN_FAMILIES_LOADED:
-        return
-    _BUILTIN_FAMILIES_LOADED = True
-    from repro.hashing.bit_sampling import BitSamplingLSH
-    from repro.hashing.minhash import MinHashLSH
-    from repro.hashing.pstable import PStableLSH
-    from repro.hashing.simhash import SimHashLSH
-
-    def builtin(name, factory, metric, aliases=(), description=""):
-        if name not in _FAMILY_REGISTRY:
-            _FAMILY_REGISTRY[name] = (factory, description)
-        for alias in aliases:
-            _FAMILY_REGISTRY.setdefault(alias, _FAMILY_REGISTRY[name])
-        _METRIC_DEFAULT_FAMILY.setdefault(get_metric(metric).name, name)
-
-    builtin(
-        "bit_sampling", BitSamplingLSH, "hamming",
-        description="bit sampling for Hamming distance",
-    )
-    builtin(
-        "simhash", SimHashLSH, "cosine",
-        description="random-hyperplane SimHash for cosine distance",
-    )
-    builtin(
-        "pstable_l1",
-        lambda dim, seed=None, **kw: PStableLSH(dim, p=1, seed=seed, **kw),
-        "l1",
-        description="Cauchy p-stable projections for L1",
-    )
-    builtin(
-        "pstable_l2",
-        lambda dim, seed=None, **kw: PStableLSH(dim, p=2, seed=seed, **kw),
-        "l2",
-        aliases=("pstable",),
-        description="Gaussian p-stable projections for L2",
-    )
-    builtin(
-        "minhash", MinHashLSH, "jaccard",
-        description="MinHash for Jaccard distance on binary vectors",
-    )
-
-
-def family_for_metric(
-    metric: str, dim: int, seed: RandomState = None, **kwargs
-) -> LSHFamily:
-    """Construct the default LSH family for a metric name.
-
-    This is the mapping the paper's experiments use: bit sampling for
-    Hamming, SimHash for cosine, Cauchy p-stable for L1, Gaussian
-    p-stable for L2, MinHash for Jaccard — resolved through the family
-    registry, so :func:`register_family` can extend or override it.
-
-    Parameters
-    ----------
-    metric:
-        One of ``"hamming"``, ``"cosine"``, ``"l1"``, ``"l2"``,
-        ``"jaccard"`` (or a registered alias).
-    dim:
-        Vector dimensionality.
-    seed:
-        Randomness for hash-function sampling.
-    **kwargs:
-        Extra family parameters; p-stable families accept ``w`` (bucket
-        width), which is required for them.
-    """
-    _ensure_builtin_families()
-    name = get_metric(metric).name
-    family_name = _METRIC_DEFAULT_FAMILY.get(name)
-    if family_name is None:
-        from repro.exceptions import UnknownMetricError
-
-        raise UnknownMetricError(f"no default LSH family for metric {metric!r}")
-    return get_family(family_name)(dim, seed=seed, **kwargs)

@@ -9,11 +9,10 @@ kernel covering all ``L * k`` atomic functions, so hashing a query is
 a single vectorised call, and hashing the whole dataset at build time
 is one chunked pass.
 
-Families override :meth:`LSHFamily.sample_batch` to provide a truly
-fused kernel (stacked projection matrices, concatenated coordinate
-lists); the base-class fallback simply loops over ``L`` independent
-:class:`~repro.hashing.composite.CompositeHash` draws, preserving
-semantics for custom families.
+Each family's :meth:`~repro.hashing.base.LSHFamily.sample_batch`
+builds one fused kernel (stacked projection matrices, concatenated
+coordinate lists) from the arrays it draws, and keeps those arrays so
+an index saves and reopens its kernel without pickling a closure.
 """
 
 from __future__ import annotations
@@ -48,6 +47,13 @@ class BatchedHash:
         ``L``.
     dim:
         Expected input dimensionality.
+    kind:
+        The family's config name (``"pstable"``, ``"simhash"``,
+        ``"bit_sampling"``).
+    params:
+        The sampled arrays behind the kernel, by name; what
+        :func:`repro.index.frozen.save_frozen_index` writes as
+        ``kernel_<name>.npy``.
     """
 
     __slots__ = ("_kernel", "k", "num_tables", "dim", "kind", "params")
@@ -58,16 +64,13 @@ class BatchedHash:
         k: int,
         num_tables: int,
         dim: int,
-        kind: str = "generic",
-        params: dict[str, np.ndarray] | None = None,
+        kind: str,
+        params: dict[str, np.ndarray],
     ) -> None:
         self._kernel = fused_kernel
         self.k = int(k)
         self.num_tables = int(num_tables)
         self.dim = int(dim)
-        #: family tag + the sampled arrays behind the kernel; present for
-        #: the built-in families so indexes can be serialised without
-        #: pickling closures (see :func:`repro.index.frozen.save_frozen_index`).
         self.kind = kind
         self.params = params
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, CorruptArtifactError
 from repro.hashing.bit_sampling import BitSamplingLSH
-from repro.hashing.minhash import MinHashLSH
 from repro.hashing.pstable import PStableLSH
 from repro.hashing.simhash import SimHashLSH
 from repro.index.frozen.index import FrozenLSHIndex
@@ -52,14 +51,13 @@ _LAYOUT = {
     "registers": ("uint8", 2),
 }
 
-#: The built-in hash families by config name, and the kernel arrays
+#: The hash families by config name, and the kernel arrays
 #: (``kernel_<name>.npy``) of each, sorted as :func:`save_frozen_index`
 #: lists them.
 _FAMILIES = {
     "pstable": (PStableLSH, ["offsets", "projections"]),
     "simhash": (SimHashLSH, ["planes"]),
     "bit_sampling": (BitSamplingLSH, ["coords"]),
-    "minhash": (MinHashLSH, ["priorities"]),
 }
 
 
@@ -217,10 +215,14 @@ def save_frozen_index(index: FrozenLSHIndex, path: str) -> None:
         config["blocks"] = [block.tolist() for block in index._blocks]
     else:
         batched = index._batched
-        if batched.params is None or batched.kind == "generic":
+        # Refuse, before anything is written, a kernel the loader could
+        # not rebuild: its artifact would fail at open, and the swap
+        # would already have replaced whatever sat at ``path``.
+        if sorted(batched.params) != _FAMILIES.get(batched.kind, (None, None))[1]:
             raise ConfigurationError(
-                "index family does not expose serialisable kernel parameters "
-                f"(kind={batched.kind!r}); only built-in families are supported"
+                f"cannot persist a {batched.kind!r} kernel with arrays "
+                f"{sorted(batched.params)}: the loader rebuilds "
+                f"{', '.join(_FAMILIES)} from their own arrays only"
             )
         config["k"] = index.k
         config["family"] = batched.kind

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.api.facade import _resolve_family_and_k
+from repro.core.presets import paper_parameters
 from repro.core.results import QueryResult, QueryStats, Strategy
 from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
 from repro.index import CoveringLSHIndex, LSHIndex
@@ -28,24 +28,38 @@ def reference_index(points, spec, seed=None):
     """The dict-layout ``LSHIndex`` of a spec's served index.
 
     Built here, independently of the served build, from the family and
-    ``k`` the spec resolves to and the spec's seed (or ``seed``, a
-    shard's spawned stream): the reference every bit-identity check
-    compares a served index against.
+    ``k`` that ``paper_parameters`` resolves for the spec and the spec's
+    seed (or ``seed``, a shard's spawned stream): the reference every
+    bit-identity check compares a served index against.
     """
     seed = spec.seed if seed is None else seed
     sketch = dict(
         hll_precision=spec.hll_precision,
         hll_seed=spec.hll_seed,
         lazy_threshold=spec.lazy_threshold,
+        dedup=spec.dedup,
     )
     if spec.variant == "covering":
         index = CoveringLSHIndex(
             dim=points.shape[1], radius=int(spec.radius), seed=seed, **sketch
         )
     else:
-        family, k = _resolve_family_and_k(spec, points.shape[1], seed=seed)
+        params = paper_parameters(
+            spec.metric,
+            dim=points.shape[1],
+            radius=spec.radius,
+            num_tables=spec.num_tables,
+            delta=spec.delta,
+            seed=seed,
+            k=spec.k,
+            w=spec.bucket_width,
+        )
         index = LSHIndex(
-            family, k=k, num_tables=spec.num_tables, num_probes=spec.num_probes, **sketch
+            params.family,
+            k=params.k,
+            num_tables=spec.num_tables,
+            num_probes=spec.num_probes,
+            **sketch,
         )
     return index.build(points)
 

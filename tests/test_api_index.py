@@ -4,8 +4,7 @@ The facade's contract is delegation without deviation: answers must be
 bit-identical to the dict-layout reference index of the same spec and
 seed (``conftest.reference_index``), for every request shape
 (radius / top-k / batch, single index / sharded), while adding the
-spec-driven construction, uniform query surface, the result cache,
-and plugin registries.
+spec-driven construction, uniform query surface and the result cache.
 """
 
 import inspect
@@ -18,15 +17,11 @@ import numpy as np
 import pytest
 
 from repro.api import facade, persist
-from repro.api import (
-    Index,
-    IndexSpec,
-    QuerySpec,
-    available_families,
-    register_family,
-)
+from repro.api import Index, IndexSpec, QuerySpec
 from repro.core import CostModel, HybridSearcher
 from repro.exceptions import ConfigurationError, DimensionMismatchError
+from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
+from repro.hashing.params import concatenation_width
 from repro.service.stream import serve_stream
 from repro.service.workers import WorkerPool
 from repro.utils.rng import spawn_rngs
@@ -98,26 +93,33 @@ class TestBuildParity:
         assert isinstance(index.spec, IndexSpec)
         assert index.n == gaussian_points.shape[0]
 
-    def test_custom_k_and_family_by_name(self, gaussian_points):
-        index = Index.build(
-            gaussian_points,
-            _spec(hash_family="pstable_l2", bucket_width=2.0, k=4),
-        )
+    def test_custom_k_and_bucket_width(self, gaussian_points):
+        index = Index.build(gaussian_points, _spec(bucket_width=2.0, k=4))
         assert index.engine.index.k == 4
+        assert index.engine.index.family.w == 2.0
         result = index.query(QuerySpec(gaussian_points[0]))
         assert 0 in result.ids
 
     def test_sharded_build_honours_custom_spec(self, gaussian_points):
-        """Custom k/family/width specs now build sharded too (PR 4)."""
-        index = Index.build(
-            gaussian_points,
-            _spec(num_shards=2, hash_family="pstable_l2", bucket_width=2.0, k=4),
-        )
+        """Custom k/width specs build sharded too."""
+        index = Index.build(gaussian_points, _spec(num_shards=2, bucket_width=2.0, k=4))
         assert index.num_shards == 2
         assert all(shard.k == 4 for shard in served_shards(index))
         result = index.query(QuerySpec(gaussian_points[0]))
         assert 0 in result.ids
         index.close()
+
+    def test_estimator_matches_between_single_and_batch(self, gaussian_points):
+        """The merged-HLL ``candSize`` a batch reports per row is the one
+        the single-query path reports; k=1 at ratio 8 leaves rows open."""
+        index = Index.build(gaussian_points, _spec(k=1, cost_ratio=8.0))
+        queries = gaussian_points[:6]
+        batch = index.query(QuerySpec(queries))
+        for qi, res in enumerate(batch):
+            solo = index.query(QuerySpec(queries[qi]))
+            assert np.array_equal(res.ids, solo.ids)
+            assert res.stats.estimated_candidates == solo.stats.estimated_candidates
+            assert res.stats.strategy == solo.stats.strategy
 
     def test_sharded_custom_spec_persists_and_reopens(self, gaussian_points, tmp_path):
         index = Index.build(
@@ -137,6 +139,79 @@ class TestBuildParity:
         engines = [e for state in shard_states(index) for e in state.engines.values()]
         assert len(engines) == 2 and all(e.dedup == "scalar" for e in engines)
         index.close()
+
+    @pytest.mark.parametrize("dedup", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("variant", ["multiprobe", "covering"])
+    def test_spec_dedup_reaches_the_served_index(self, binary_points, tmp_path, variant, dedup):
+        """The served index runs Step S2 the spec's way even where a
+        caller passes no ``dedup`` (the searcher then reads the index's),
+        also after a save and reopen."""
+        spec = _spec(metric="hamming", radius=2.0, variant=variant, dedup=dedup)
+        index = Index.build(binary_points, spec)
+        path = str(tmp_path / "dedup")
+        index.save(path)
+        reopened = Index.open(path)
+        try:
+            assert index.engine.index.dedup == dedup
+            assert reopened.engine.index.dedup == dedup
+        finally:
+            index.close(), reopened.close()
+
+
+def _binary(points):
+    return (points > 0).astype(np.uint8)
+
+
+class TestFamilyDraws:
+    """The served index hashes with the metric's family drawn from the
+    spec's seed: its saved ``kernel_*.npy`` arrays are those of the
+    family built directly (``k`` and ``w`` as the spec and the paper
+    say), so resolving the family in one place moved no draw."""
+
+    @pytest.mark.parametrize(
+        "metric, overrides, family, k",
+        [
+            ("l2", {}, lambda d: PStableLSH(d, w=2 * 1.0, p=2, seed=1), 7),
+            ("l2", {"k": 4}, lambda d: PStableLSH(d, w=2 * 1.0, p=2, seed=1), 4),
+            ("l2", {"k": 4, "bucket_width": 0.7}, lambda d: PStableLSH(d, w=0.7, p=2, seed=1), 4),
+            ("l1", {}, lambda d: PStableLSH(d, w=4 * 1.0, p=1, seed=1), 8),
+            ("l1", {"k": 5}, lambda d: PStableLSH(d, w=4 * 1.0, p=1, seed=1), 5),
+            ("l1", {"bucket_width": 2.5}, lambda d: PStableLSH(d, w=2.5, p=1, seed=1), 8),
+            ("cosine", {}, lambda d: SimHashLSH(d, seed=1), None),
+            ("cosine", {"k": 5}, lambda d: SimHashLSH(d, seed=1), 5),
+            ("hamming", {}, lambda d: BitSamplingLSH(d, seed=1), None),
+            ("hamming", {"k": 3}, lambda d: BitSamplingLSH(d, seed=1), 3),
+        ],
+        ids=[
+            "l2", "l2-k", "l2-k-width", "l1", "l1-k", "l1-width",
+            "cosine", "cosine-k", "hamming", "hamming-k",
+        ],
+    )
+    def test_saved_kernel_is_the_family_drawn_from_the_seed(
+        self, gaussian_points, tmp_path, metric, overrides, family, k
+    ):
+        points = _binary(gaussian_points) if metric == "hamming" else gaussian_points
+        spec = _spec(metric=metric, **overrides)
+        direct = family(points.shape[1])
+        if k is None:  # the parameter rule at the spec's radius
+            k = concatenation_width(
+                spec.num_tables, spec.delta, direct.collision_probability(spec.radius)
+            )
+        expected = direct.sample_batch(k, spec.num_tables)
+        index = Index.build(points, spec)
+        assert index.engine.index.k == k
+        path = str(tmp_path / metric)
+        index.save(path)
+        index.close()
+        shard = os.path.join(path, "shard_000.frozen")
+        saved = {
+            name[len("kernel_"):-len(".npy")]: np.load(os.path.join(shard, name))
+            for name in os.listdir(shard)
+            if name.startswith("kernel_")
+        }
+        assert sorted(saved) == sorted(expected.params)
+        for name, array in expected.params.items():
+            assert np.array_equal(saved[name], array), name
 
 
 class TestProcessPoolArtifact:
@@ -361,57 +436,6 @@ class TestEngineSurface:
                     assert tuple(signature.parameters) == params, name
         finally:
             index.close()
-
-
-class TestRegistries:
-    def test_builtin_families_present(self):
-        names = available_families()
-        for name in ("bit_sampling", "simhash", "pstable_l1", "pstable_l2", "minhash"):
-            assert name in names
-
-    def test_register_custom_family_and_use_in_spec(self, gaussian_points):
-        from repro.hashing.pstable import PStableLSH
-
-        def narrow_l2(dim, seed=None, **kwargs):
-            kwargs.setdefault("w", 1.0)
-            return PStableLSH(dim, p=2, seed=seed, **kwargs)
-
-        register_family("narrow-l2-test", narrow_l2)
-        index = Index.build(
-            gaussian_points, _spec(hash_family="narrow-l2-test", k=5)
-        )
-        assert index.engine.index.family.w == 1.0
-        assert 0 in index.query(QuerySpec(gaussian_points[0])).ids
-
-    def test_estimator_matches_between_single_and_batch(self, gaussian_points):
-        """The merged-HLL ``candSize`` a batch reports per row is the one
-        the single-query path reports; k=1 at ratio 8 leaves rows open."""
-        index = Index.build(gaussian_points, _spec(k=1, cost_ratio=8.0))
-        queries = gaussian_points[:6]
-        batch = index.query(QuerySpec(queries))
-        for qi, res in enumerate(batch):
-            solo = index.query(QuerySpec(queries[qi]))
-            assert np.array_equal(res.ids, solo.ids)
-            assert res.stats.estimated_candidates == solo.stats.estimated_candidates
-            assert res.stats.strategy == solo.stats.strategy
-
-    def test_user_registration_before_builtins_does_not_suppress_them(self):
-        """Regression: registering a name early must not stop the lazy
-        builtin pass, nor clobber a user's metric default with a builtin."""
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.hashing.base import register_family, get_family, "
-            "family_for_metric\n"
-            "class Fam:  # registered before any registry lookup\n"
-            "    def __init__(self, dim, seed=None): self.dim = dim\n"
-            "register_family('simhash', Fam, metric='l2')\n"
-            "assert get_family('pstable_l1') is not None  # builtins still load\n"
-            "assert isinstance(family_for_metric('l2', 4), Fam)  # user default kept\n"
-            "assert get_family('simhash') is Fam  # user override kept\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestStreamSpecOps:

@@ -36,14 +36,12 @@ class TestIndexSpecValidation:
             {"delta": 0.0},
             {"delta": 1.5},
             {"k": -1},
-            {"hash_family": "no-such-family"},
             {"num_shards": 0},
             {"cache_size": -1},
             {"cache_quantum": -1e-9},
             {"dedup": "bogus"},
             {"seed": "zero"},
             {"seed": 1.5},
-            {"family_params": "w=2"},
             {"execution": "fibers"},
             # frozen is the only serving layout; the dict-layout
             # LSHIndex is what it is assembled from, not a spec option
@@ -53,6 +51,10 @@ class TestIndexSpecValidation:
             {"lazy_threshold": -1},
             {"cost_ratio": 0.0},
             {"bucket_width": 0.0},
+            # only the p-stable (l1 / l2) families have a width
+            {"metric": "cosine", "bucket_width": 2.0},
+            {"metric": "hamming", "bucket_width": 2.0},
+            {"metric": "hamming", "radius": 2.0, "variant": "covering", "k": 3},
             {"variant": "bogus"},
             {"num_probes": -1},
             {"replicas": 2},  # threads run one endpoint per shard
@@ -134,6 +136,22 @@ class TestIndexSpecRoundTrip:
         with pytest.raises(ConfigurationError, match="num_probes=0"):
             IndexSpec(metric="l2", radius=1.0, variant="plain")
 
+    def test_retired_family_keys_load_when_null(self):
+        """Every spec saved while families came from a registry holds
+        ``hash_family`` / ``family_params``, ``null`` unless a plug-in was
+        named; those documents open to the same spec."""
+        spec = IndexSpec(metric="l1", radius=1.0, k=3, seed=3)
+        legacy = {**spec.to_dict(), "hash_family": None, "family_params": None}
+        assert IndexSpec.from_dict(legacy) == spec
+
+    @pytest.mark.parametrize(
+        "key, value", [("hash_family", "pstable_l2"), ("family_params", {"w": 1.0})]
+    )
+    def test_retired_family_keys_refuse_a_value(self, key, value):
+        doc = {"metric": "l2", "radius": 1.0, key: value}
+        with pytest.raises(ConfigurationError, match=f"'{key}' was removed.*bucket_width"):
+            IndexSpec.from_dict(doc)
+
     def test_unsupported_version_rejected(self):
         doc = IndexSpec(metric="l2", radius=1.0).to_dict()
         doc["spec_version"] = 99
@@ -191,7 +209,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 @st.composite
 def index_specs(draw):
-    metric = draw(st.sampled_from(["l2", "l1", "cosine", "hamming", "jaccard"]))
+    metric = draw(st.sampled_from(["l2", "l1", "cosine", "hamming"]))
+    widths = st.one_of(st.none(), st.floats(0.1, 10.0)) if metric in ("l1", "l2") else st.none()
     return IndexSpec(
         metric=metric,
         execution=draw(st.sampled_from(["threads", "processes"])),
@@ -199,6 +218,7 @@ def index_specs(draw):
         num_tables=draw(st.integers(1, 200)),
         delta=draw(st.floats(0.01, 0.99)),
         k=draw(st.one_of(st.none(), st.integers(1, 32))),
+        bucket_width=draw(widths),
         hll_precision=draw(st.integers(4, 12)),
         hll_seed=draw(st.integers(0, 2**31)),
         lazy_threshold=draw(st.one_of(st.none(), st.integers(0, 512))),
@@ -208,14 +228,6 @@ def index_specs(draw):
         cache_quantum=draw(st.floats(0.0, 1.0)),
         dedup=draw(st.sampled_from(["scalar", "vectorized"])),
         seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
-        family_params=draw(
-            st.one_of(
-                st.none(),
-                st.dictionaries(
-                    st.sampled_from(["w", "p"]), st.floats(0.1, 10.0), max_size=2
-                ),
-            )
-        ),
     )
 
 

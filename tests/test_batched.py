@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError
-from repro.hashing import BitSamplingLSH, MinHashLSH, PStableLSH, SimHashLSH
+from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
 from repro.hashing.batched import BatchedHash
 
 RNG = np.random.default_rng(55)
@@ -26,9 +26,8 @@ class TestShapes:
             (PStableLSH(12, w=2.0, p=1, seed=1), real_points()),
             (SimHashLSH(12, seed=1), real_points()),
             (BitSamplingLSH(12, seed=1), binary_points()),
-            (MinHashLSH(12, seed=1), binary_points()),
         ],
-        ids=["l2", "l1", "simhash", "bits", "minhash"],
+        ids=["l2", "l1", "simhash", "bits"],
     )
     def test_hash_points_shape(self, family, points):
         batched = family.sample_batch(k=3, num_tables=5)
@@ -56,9 +55,8 @@ class TestConsistency:
             (PStableLSH(12, w=2.0, p=2, seed=1), real_points()),
             (SimHashLSH(12, seed=1), real_points()),
             (BitSamplingLSH(12, seed=1), binary_points()),
-            (MinHashLSH(12, seed=1), binary_points()),
         ],
-        ids=["l2", "simhash", "bits", "minhash"],
+        ids=["l2", "simhash", "bits"],
     )
     def test_query_rows_match_hash_points(self, family, points):
         """A vector hashed alone must land exactly where it lands in batch."""
@@ -80,32 +78,6 @@ class TestConsistency:
         chunked = batched.hash_points(points)
         assert np.array_equal(full, chunked)
 
-    def test_generic_fallback(self):
-        """The base-class fallback (used by custom families) works too."""
-        from repro.hashing.base import LSHFamily
-        from repro.hashing.composite import CompositeHash
-
-        class TrivialFamily(LSHFamily):
-            metric_name = "l2"
-
-            def sample(self, k):
-                coords = self._rng.integers(0, self.dim, size=k)
-
-                def kernel(pts):
-                    return np.floor(pts[:, coords]).astype(np.int64)
-
-                return CompositeHash(kernel, k=k, dim=self.dim)
-
-            def collision_probability(self, distance):
-                return max(0.0, 1.0 - distance)
-
-        batched = TrivialFamily(6, seed=0).sample_batch(k=2, num_tables=4)
-        points = RNG.normal(size=(10, 6))
-        out = batched.hash_points(points)
-        assert out.shape == (10, 4, 2)
-        assert batched.kind == "generic"
-        assert batched.params is None
-
 
 class TestParams:
     @pytest.mark.parametrize(
@@ -114,14 +86,21 @@ class TestParams:
             (PStableLSH(8, w=2.0, p=2, seed=1), "pstable", {"projections", "offsets"}),
             (SimHashLSH(8, seed=1), "simhash", {"planes"}),
             (BitSamplingLSH(8, seed=1), "bit_sampling", {"coords"}),
-            (MinHashLSH(8, seed=1), "minhash", {"priorities"}),
         ],
-        ids=["pstable", "simhash", "bits", "minhash"],
+        ids=["pstable", "simhash", "bits"],
     )
     def test_params_exposed(self, family, kind, param_names):
         batched = family.sample_batch(k=2, num_tables=3)
         assert batched.kind == kind
         assert set(batched.params) == param_names
+
+    def test_kind_and_params_are_required(self):
+        """A kernel always names its family and its saved arrays."""
+        batched = SimHashLSH(8, seed=1).sample_batch(k=2, num_tables=3)
+        with pytest.raises(TypeError, match="kind"):
+            BatchedHash(batched.hash_points, k=2, num_tables=3, dim=8)
+        with pytest.raises(TypeError, match="params"):
+            BatchedHash(batched.hash_points, k=2, num_tables=3, dim=8, kind="simhash")
 
     def test_repr(self):
         batched = SimHashLSH(8, seed=1).sample_batch(k=2, num_tables=3)

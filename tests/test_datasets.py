@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
-    binary_sets,
     corel_like,
     covertype_like,
     gaussian_mixture,
@@ -117,22 +116,6 @@ class TestUniformHypercube:
     def test_bad_scale(self):
         with pytest.raises(ConfigurationError):
             uniform_hypercube(10, 4, scale=0.0)
-
-
-class TestBinarySets:
-    def test_shape_and_dtype(self):
-        pts = binary_sets(50, universe=100, avg_set_size=20, seed=0)
-        assert pts.shape == (50, 100)
-        assert pts.dtype == np.uint8
-        assert set(np.unique(pts)) <= {0, 1}
-
-    def test_density_near_target(self):
-        pts = binary_sets(500, universe=200, avg_set_size=40, seed=0)
-        assert abs(pts.mean() - 0.2) < 0.05
-
-    def test_bad_mutation_rate(self):
-        with pytest.raises(ConfigurationError):
-            binary_sets(10, universe=20, avg_set_size=5, mutation_rate=2.0)
 
 
 class TestSimhashFingerprints:

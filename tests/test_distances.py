@@ -11,8 +11,6 @@ from repro.distances import (
     euclidean_distance_batch,
     hamming_distance,
     hamming_distance_batch,
-    jaccard_distance,
-    jaccard_distance_batch,
     manhattan_distance,
     manhattan_distance_batch,
     pairwise_distances,
@@ -128,30 +126,6 @@ class TestCosine:
         for _ in range(50):
             x, y = RNG.normal(size=(2, 6))
             assert 0.0 <= cosine_distance(x, y) <= 2.0
-
-
-class TestJaccard:
-    def test_simple(self):
-        x = np.array([1, 1, 0, 0])
-        y = np.array([1, 0, 1, 0])
-        assert jaccard_distance(x, y) == pytest.approx(1 - 1 / 3)
-
-    def test_identical_sets(self):
-        x = np.array([1, 0, 1])
-        assert jaccard_distance(x, x) == 0.0
-
-    def test_disjoint_sets(self):
-        assert jaccard_distance(np.array([1, 0]), np.array([0, 1])) == 1.0
-
-    def test_empty_sets(self):
-        assert jaccard_distance(np.zeros(4), np.zeros(4)) == 0.0
-
-    def test_batch_matches_scalar(self):
-        points = RNG.integers(0, 2, size=(40, 12))
-        q = RNG.integers(0, 2, size=12)
-        batch = jaccard_distance_batch(points, q)
-        for i in range(40):
-            assert batch[i] == pytest.approx(jaccard_distance(points[i], q))
 
 
 class TestPairwiseDistances:

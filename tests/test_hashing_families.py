@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from repro.api import Index, IndexSpec, QuerySpec
-from repro.distances import cosine_distance, hamming_distance, jaccard_distance
+from repro.core.presets import paper_parameters
+from repro.distances import cosine_distance, hamming_distance
 from repro.exceptions import ConfigurationError, UnknownMetricError
-from repro.hashing import (
-    BitSamplingLSH,
-    MinHashLSH,
-    PStableLSH,
-    SimHashLSH,
-    family_for_metric,
-)
+from repro.hashing import BitSamplingLSH, LSHFamily, PStableLSH, SimHashLSH
 
 RNG = np.random.default_rng(2024)
 
@@ -202,37 +197,9 @@ class TestPStable:
             index.close()
 
 
-class TestMinHash:
-    def test_collision_probability_is_similarity(self):
-        fam = MinHashLSH(dim=16)
-        assert fam.collision_probability(0.25) == pytest.approx(0.75)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            MinHashLSH(dim=8).collision_probability(1.5)
-
-    def test_empirical_matches_theory(self):
-        fam = MinHashLSH(dim=40, seed=0)
-        x = (RNG.random(40) < 0.4).astype(np.uint8)
-        y = x.copy()
-        flips = RNG.choice(40, size=8, replace=False)
-        y[flips] ^= 1
-        theory = fam.collision_probability(jaccard_distance(x, y))
-        empirical = empirical_collision_rate(fam, x, y, trials=3000)
-        assert abs(empirical - theory) < 0.05
-
-    def test_identical_sets_always_collide(self):
-        fam = MinHashLSH(dim=20, seed=1)
-        g = fam.sample(k=10)
-        x = (RNG.random(20) < 0.5).astype(np.uint8)
-        assert np.array_equal(g.hash_one(x), g.hash_one(x.copy()))
-
-    def test_empty_set_sentinel(self):
-        fam = MinHashLSH(dim=10, seed=2)
-        g = fam.sample(k=3)
-        empty = np.zeros(10, dtype=np.uint8)
-        values = g.hash_one(empty)
-        assert np.all(values == np.iinfo(np.int64).max)
+def paper_family(metric, dim, **kwargs):
+    """The family ``paper_parameters`` builds for a metric (radius 0.5)."""
+    return paper_parameters(metric, dim=dim, radius=0.5, **kwargs).family
 
 
 class TestFamilyForMetric:
@@ -241,28 +208,27 @@ class TestFamilyForMetric:
         [
             ("hamming", BitSamplingLSH),
             ("cosine", SimHashLSH),
-            ("jaccard", MinHashLSH),
         ],
     )
     def test_simple_metrics(self, metric, expected):
-        assert isinstance(family_for_metric(metric, dim=8), expected)
+        assert isinstance(paper_family(metric, dim=8), expected)
 
     def test_l1_is_cauchy(self):
-        fam = family_for_metric("l1", dim=8, w=2.0)
+        fam = paper_family("l1", dim=8, w=2.0)
         assert isinstance(fam, PStableLSH)
         assert fam.p == 1
 
     def test_l2_is_gaussian(self):
-        fam = family_for_metric("l2", dim=8, w=2.0)
+        fam = paper_family("l2", dim=8, w=2.0)
         assert isinstance(fam, PStableLSH)
         assert fam.p == 2
 
     def test_alias_resolution(self):
-        assert isinstance(family_for_metric("euclidean", dim=4, w=1.0), PStableLSH)
+        assert isinstance(paper_family("euclidean", dim=4, w=1.0), PStableLSH)
 
     def test_unknown_metric(self):
         with pytest.raises(UnknownMetricError):
-            family_for_metric("nope", dim=4)
+            paper_family("nope", dim=4)
 
     def test_invalid_dim(self):
         with pytest.raises(ConfigurationError):
@@ -273,4 +239,21 @@ class TestFamilyForMetric:
         assert fam.p1(0.3) == fam.collision_probability(0.3)
 
     def test_metric_property(self):
-        assert family_for_metric("cosine", dim=4).metric.name == "cosine"
+        assert paper_family("cosine", dim=4).metric.name == "cosine"
+
+
+class TestFamilyContract:
+    @pytest.mark.parametrize("missing", ["sample_batch", "collision_probability_batch"])
+    def test_a_family_without_a_batch_method_cannot_be_built(self, missing):
+        """Both batch methods are abstract: there is no generic per-table loop."""
+        methods = {
+            "metric_name": "l2",
+            "sample": lambda self, k: None,
+            "sample_batch": lambda self, k, num_tables: None,
+            "collision_probability": lambda self, distance: 1.0,
+            "collision_probability_batch": lambda self, distances: distances,
+        }
+        del methods[missing]
+        partial = type("PartialFamily", (LSHFamily,), methods)
+        with pytest.raises(TypeError, match=missing):
+            partial(4, seed=0)

@@ -22,6 +22,11 @@ class TestPStablePresets:
         assert params.family.p == 2
         assert params.family.w == pytest.approx(2 * 0.5)
 
+    @pytest.mark.parametrize("metric, p", [("l1", 1), ("l2", 2)])
+    def test_k_and_w_override_the_pins(self, metric, p):
+        params = paper_parameters(metric, dim=8, radius=0.5, k=3, w=4.0)
+        assert (params.k, params.family.p, params.family.w) == (3, p, 4.0)
+
     def test_guarantee_for_typical_neighbors(self):
         """The pinned (k, w) pairs comfortably exceed 1 - delta for points
         at half the radius (where the bulk of true neighbors live; the
@@ -48,9 +53,15 @@ class TestDerivedPresets:
         assert isinstance(params.family, SimHashLSH)
         assert params.k == concatenation_width(50, 0.1, params.p1)
 
-    def test_jaccard_supported(self):
-        params = paper_parameters("jaccard", dim=100, radius=0.2)
-        assert params.p1 == pytest.approx(0.8)
+    def test_k_overrides_the_rule(self):
+        params = paper_parameters("cosine", dim=16, radius=0.1, k=5)
+        assert isinstance(params.family, SimHashLSH)
+        assert params.k == 5
+
+    @pytest.mark.parametrize("metric", ["cosine", "hamming"])
+    def test_width_is_refused_without_a_pstable_family(self, metric):
+        with pytest.raises(ConfigurationError, match="no bucket width"):
+            paper_parameters(metric, dim=16, radius=0.1, w=1.0)
 
     def test_custom_L_and_delta(self):
         params = paper_parameters("cosine", dim=16, radius=0.1, num_tables=20, delta=0.05)

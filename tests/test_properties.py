@@ -12,7 +12,6 @@ from repro.distances import (
     cosine_distance,
     euclidean_distance,
     hamming_distance,
-    jaccard_distance,
     manhattan_distance,
 )
 from repro.hashing import concatenation_width, success_probability
@@ -77,13 +76,6 @@ class TestMetricAxioms:
         d = hamming_distance(x, y)
         assert d == hamming_distance(y, x)
         assert 0 <= d <= dim
-
-    @given(st.data())
-    def test_jaccard_range(self, data):
-        dim = data.draw(st.integers(1, 64))
-        x = data.draw(hnp.arrays(np.uint8, dim, elements=st.integers(0, 1)))
-        y = data.draw(hnp.arrays(np.uint8, dim, elements=st.integers(0, 1)))
-        assert 0.0 <= jaccard_distance(x, y) <= 1.0
 
 
 class TestHllProperties:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import CostModel, HybridSearcher, LSHSearch
 from repro.exceptions import ConfigurationError, EmptyIndexError
-from repro.hashing import BitSamplingLSH, MinHashLSH, PStableLSH, SimHashLSH
+from repro.hashing import BitSamplingLSH, PStableLSH, SimHashLSH
 from repro.index import FrozenLSHIndex, LSHIndex
 from repro.index.frozen import load_frozen_index, save_frozen_index
 
@@ -52,17 +52,6 @@ class TestRoundtrip:
         assert np.array_equal(
             index.candidate_ids(index.lookup(q)), loaded.candidate_ids(loaded.lookup(q))
         )
-
-    def test_minhash(self, rng, tmp_path):
-        points = (rng.random((100, 24)) < 0.3).astype(np.uint8)
-        index = LSHIndex(MinHashLSH(24, seed=1), k=2, num_tables=4).build(points)
-        loaded = roundtrip(index, tmp_path)
-        for q in points[[7, 31, 64]]:
-            assert index.num_collisions(q) == loaded.num_collisions(q)
-            assert np.array_equal(
-                index.candidate_ids(index.lookup(q)),
-                loaded.candidate_ids(loaded.lookup(q)),
-            )
 
     def test_sketches_rebuilt_identically(self, gaussian_points, tmp_path):
         index = LSHIndex(
@@ -130,31 +119,31 @@ class TestErrors:
                               str(target))
         assert not target.exists()
 
-    def test_generic_family_rejected(self, gaussian_points, tmp_path):
-        from repro.hashing.base import LSHFamily
-        from repro.hashing.composite import CompositeHash
+    @pytest.mark.parametrize(
+        "kind,array", [("mine", "planes"), ("simhash", "normals")],
+        ids=["unknown-family", "foreign-arrays"],
+    )
+    def test_kernel_the_loader_cannot_rebuild_rejected(
+        self, gaussian_points, tmp_path, kind, array
+    ):
+        """A subclassed family's kernel is refused before anything is
+        written: the artifact already at the target still opens."""
 
-        class CustomFamily(LSHFamily):
-            metric_name = "l2"
+        class PlugInFamily(SimHashLSH):
+            def sample_batch(self, k, num_tables):
+                batched = super().sample_batch(k, num_tables)
+                batched.kind, batched.params = kind, {array: batched.params["planes"]}
+                return batched
 
-            def sample(self, k):
-                coords = self._rng.integers(0, self.dim, size=k)
-
-                def kernel(points):
-                    return np.floor(points[:, coords]).astype(np.int64)
-
-                return CompositeHash(kernel, k=k, dim=self.dim)
-
-            def collision_probability(self, distance):
-                return max(0.0, 1.0 - distance)
-
-        index = LSHIndex(CustomFamily(16, seed=0), k=2, num_tables=2).build(
-            gaussian_points
+        target = str(tmp_path / "x")
+        good = FrozenLSHIndex(SimHashLSH(16, seed=0), k=2, num_tables=2)
+        save_frozen_index(good.build(gaussian_points), target)
+        index = FrozenLSHIndex(PlugInFamily(16, seed=0), k=2, num_tables=2)
+        with pytest.raises(ConfigurationError, match="cannot persist"):
+            save_frozen_index(index.build(gaussian_points), target)
+        assert load_frozen_index(target).num_collisions(gaussian_points[0]) == (
+            good.num_collisions(gaussian_points[0])
         )
-        target = tmp_path / "x"
-        with pytest.raises(ConfigurationError):
-            save_frozen_index(index.freeze(), str(target))
-        assert not target.exists()
 
     def test_sketchless_roundtrip(self, gaussian_points, tmp_path):
         index = LSHIndex(
